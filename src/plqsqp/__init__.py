@@ -32,16 +32,18 @@ from .plq import (
 )
 from .kkt import (
     CompositeProblem,
+    KKTPoint,
     Poly2Map,
     PrimalDual,
     cone_D,
+    kkt_point,
     kkt_residual,
     lagrangian,
     multiplier_set,
     perturbed_problem,
     subspace_Dplus,
 )
-from .subqp import SubproblemSolution, SubproblemSpec, qp_solve, solve_subproblem
+from .subqp import SubproblemSolution, SubproblemSpec, solve_subproblem
 from .sqp import (
     IterateRecord,
     RateReport,
@@ -72,8 +74,9 @@ __all__ = [
     "subdifferential", "subderivative", "critical_cone_g", "second_subderivative",
     "proto_derivative_contains", "prox", "dual_lq_eval_prox",
     "Poly2Map", "CompositeProblem", "PrimalDual", "lagrangian", "kkt_residual",
+    "KKTPoint", "kkt_point",
     "multiplier_set", "cone_D", "subspace_Dplus", "perturbed_problem",
-    "SubproblemSpec", "SubproblemSolution", "qp_solve", "solve_subproblem",
+    "SubproblemSpec", "SubproblemSolution", "solve_subproblem",
     "SQPConfig", "IterateRecord", "RateReport", "run_sqp", "bfgs_update",
     "dennis_more_values", "rate_report",
     "Verdict", "check_noncritical", "check_unique_multiplier", "check_sosc",

@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,20 +30,6 @@ from .properties import run_calculus_suites
 from .sqp import SQPConfig, rate_report, run_classification, run_sqp, trace_csv_rows
 
 MODE_MAP = {"exact": "exact", "bfgs": "bfgs", "identity": "fixed_identity"}
-
-
-@dataclass
-class RunSpec:
-    problem_path: str
-    command: str
-    mode: str = "exact"
-    tol: float = 1e-10
-    max_iter: int = 100
-    seed: int = 0
-    output_dir: str = "."
-    x0: np.ndarray = None
-    lambda0: np.ndarray = None
-    reference: PrimalDual = None
 
 
 def _parse_vector(text):

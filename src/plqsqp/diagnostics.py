@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PLQError, TooManyFaces
+from .errors import EmptyPolyhedron, PLQError, TooManyRows
 from .kkt import (
     CompositeProblem,
     cone_D,
-    lagrangian,
+    kkt_point,
     multiplier_set,
     perturbed_problem,
-    require_kkt,
     subspace_Dplus,
 )
 from .lp import LP_OPTIMAL, solve_lp
@@ -36,7 +35,6 @@ from .plq import (
 from .polyhedral import (
     contains,
     cone_rays,
-    critical_cone,
     lineality_basis,
     normal_cone_dist,
     project,
@@ -92,6 +90,14 @@ class _LPBuilder:
         self.ub_rows.append(self.row(parts))
         self.ub_rhs.append(rhs)
 
+    def add_nonneg(self, name):
+        """Every coordinate of block `name` is nonnegative."""
+        lo, hi = self.offsets[name]
+        for k in range(hi - lo):
+            e = np.zeros(hi - lo)
+            e[k] = -1.0
+            self.add_ub({name: e})
+
     def maximize_t(self):
         lo, _ = self.offsets["t"]
         c = np.zeros(self.nvar)
@@ -110,17 +116,6 @@ class _LPBuilder:
     def block(self, x, name):
         lo, hi = self.offsets[name]
         return x[lo:hi]
-
-
-def _criticality_data(problem, xbar, lambdabar):
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    lambdabar = np.asarray(lambdabar, dtype=float).ravel()
-    _, grad, hess = lagrangian(problem, xbar, lambdabar)
-    KT = critical_cone(problem.Theta, xbar, -grad)
-    J = problem.Phi.jacobian(xbar)
-    zbar = problem.Phi.value(xbar)
-    cones = piece_critical_cones(problem.g, zbar, lambdabar)
-    return hess, J, KT, cones
 
 
 def _exclusion_choices(K):
@@ -176,15 +171,8 @@ def _solve_pattern(problem, hess, J, KT, cones_by_piece, Amats, S_set, JT, faces
             if Si.shape[0]:
                 parts[f"zeta{i}"] = -Si[:, row]
             lp.add_eq(parts)
-        if len(faces[i]):
-            for k in range(len(faces[i])):
-                e = np.zeros(len(faces[i]))
-                e[k] = -1.0
-                lp.add_ub({f"eta{i}": e})
-    for k in range(len(JT)):
-        e = np.zeros(len(JT))
-        e[k] = -1.0
-        lp.add_ub({"mu": e})
+        lp.add_nonneg(f"eta{i}")
+    lp.add_nonneg("mu")
     # exclusions: sigma * (row . J w) >= t for each excluded piece
     for (i, kind, r, sigma) in exclusions:
         K = cones_by_piece[i]
@@ -215,10 +203,9 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
     t on |w_j| then has optimum exactly 0 or 1, so any optimum above 0.5
     yields an exact nonzero certificate.
     """
-    require_kkt(problem, xbar, lambdabar, tol)
-    if not isinstance(problem.g, PLQFunction):
-        raise PLQError("check_noncritical needs a piece representation of g")
-    hess, J, KT, cones = _criticality_data(problem, xbar, lambdabar)
+    point = kkt_point(problem, xbar, lambdabar, tol)
+    cones = point.piece_cones
+    hess, J, KT = point.hess, point.J, point.theta_cone
     n = hess.shape[0]
     pieces = [i for i, _ in cones]
     cones_by_piece = {i: K for i, K in cones}
@@ -253,7 +240,7 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
                         patterns.append((S_set, list(JT), faces, list(excl_combo)))
     total = len(patterns) * 2 * n
     if total > MAX_PATTERN_LPS:
-        raise TooManyFaces(f"{total} pattern LPs exceed the cap {MAX_PATTERN_LPS}")
+        raise TooManyRows(f"{total} pattern LPs exceed the cap {MAX_PATTERN_LPS}")
 
     for (S_set, JT, faces, exclusions) in patterns:
         for j in range(n):
@@ -274,13 +261,11 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
 # multiplier uniqueness (exact, two agreeing routes)
 # ---------------------------------------------------------------------------
 
-def _dual_condition_nonzero(problem, xbar, lambdabar):
+def _dual_condition_nonzero(point):
     """A nonzero u with -J^T u in K_Theta^* and u in K_g^*, or None."""
-    _, grad, _ = lagrangian(problem, xbar, lambdabar)
-    KT = critical_cone(problem.Theta, np.asarray(xbar, dtype=float).ravel(), -grad)
-    J = problem.Phi.jacobian(xbar)
-    zbar = problem.Phi.value(xbar)
-    cones = piece_critical_cones(problem.g, zbar, lambdabar)
+    problem = point.problem
+    cones = point.piece_cones
+    KT, J = point.theta_cone, point.J
     m = problem.m
     sizes = [("u", m), ("t", 1), ("muT", KT.n_ineq), ("nuT", KT.n_eq)]
     for i, K in cones:
@@ -297,11 +282,7 @@ def _dual_condition_nonzero(problem, xbar, lambdabar):
                 if KT.n_eq:
                     parts["nuT"] = -KT.E[:, row]
                 lp.add_eq(parts)
-            if KT.n_ineq:
-                for k in range(KT.n_ineq):
-                    e = np.zeros(KT.n_ineq)
-                    e[k] = -1.0
-                    lp.add_ub({"muT": e})
+            lp.add_nonneg("muT")
             # u in K_g^* = intersection of the piece polars
             for i, K in cones:
                 for row in range(m):
@@ -311,11 +292,7 @@ def _dual_condition_nonzero(problem, xbar, lambdabar):
                     if K.n_eq:
                         parts[f"zeta{i}"] = -K.E[:, row]
                     lp.add_eq(parts)
-                if K.n_ineq:
-                    for k in range(K.n_ineq):
-                        e = np.zeros(K.n_ineq)
-                        e[k] = -1.0
-                        lp.add_ub({f"eta{i}": e})
+                lp.add_nonneg(f"eta{i}")
             e = np.zeros(m)
             e[j] = -sigma
             lp.add_ub({"u": e, "t": np.array([1.0])})
@@ -336,11 +313,10 @@ def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
     route: existence of a nonzero u in K_g^* with -J^T u in K_Theta^*.
     The routes must agree.
     """
-    require_kkt(problem, xbar, lambdabar, tol)
-    if not isinstance(problem.g, PLQFunction):
-        raise PLQError("check_unique_multiplier needs a piece representation of g")
-    lambdabar = np.asarray(lambdabar, dtype=float).ravel()
-    Lam = multiplier_set(problem, xbar)
+    point = kkt_point(problem, xbar, lambdabar, tol)
+    u = _dual_condition_nonzero(point)
+    lambdabar = point.lam
+    Lam = multiplier_set(problem, point.x)
     geometric_unique = True
     witness = None
     for j in range(problem.m):
@@ -357,7 +333,6 @@ def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
                 break
         if not geometric_unique:
             break
-    u = _dual_condition_nonzero(problem, xbar, lambdabar)
     dual_unique = u is None
     if geometric_unique != dual_unique:
         raise PLQError(
@@ -409,26 +384,17 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, samples: int = 30,
     ray, multistart projected gradient elsewhere.  Failure certificates
     are exact directions with a nonpositive form value.
     """
-    require_kkt(problem, xbar, lambdabar, tol)
+    point = kkt_point(problem, xbar, lambdabar, tol)
     rng = rng or np.random.default_rng(0)
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    lambdabar = np.asarray(lambdabar, dtype=float).ravel()
-    _, grad, hess = lagrangian(problem, xbar, lambdabar)
-    KT = critical_cone(problem.Theta, xbar, -grad)
-    J = problem.Phi.jacobian(xbar)
-    zbar = problem.Phi.value(xbar)
-    cones = piece_critical_cones(problem.g, zbar, lambdabar)
-    from .polyhedral import PolyCone
+    J = point.J
     nontrivial = 0
     global_min = np.inf
-    for i, K in cones:
-        M = PolyCone.from_rows(np.vstack([KT.A, K.A @ J]),
-                               np.vstack([KT.E, K.E @ J]), problem.n)
+    for i, M in point.D_members:
         B = span_basis(M)
         if B.shape[1] == 0:
             continue
         nontrivial += 1
-        Q = hess + J.T @ problem.g.pieces[i].A @ J
+        Q = point.hess + J.T @ problem.g.pieces[i].A @ J
         Q = 0.5 * (Q + Q.T)
         L = lineality_basis(M)
         if L.shape[1]:
@@ -439,7 +405,7 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, samples: int = 30,
                                detail=f"lineality direction with form value {evals[0]:.3e}")
         try:
             rays, _ = cone_rays(M)
-        except TooManyFaces:
+        except TooManyRows:
             rays = []
         for r in rays:
             val = float(r @ Q @ r)
@@ -524,7 +490,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
     checked_fwd = 0
 
     def proto_contains(w, u, tol=1e-8):
-        holding = [(i, K) for i, K in cones if contains(K, w, tol)]
+        holding = [(i, K) for i, K in cones if contains(K, w)]
         if not holding:
             return False
         return all(normal_cone_dist(K, w, u - g.pieces[i].A @ w) <= tol
@@ -547,7 +513,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
              for j in act], g.m)
         try:
             v = project(sub, vbar + (eps / 4.0) * rng.standard_normal(g.m))
-        except Exception:
+        except EmptyPolyhedron:
             continue
         if np.sqrt(np.linalg.norm(z - zbar) ** 2 + np.linalg.norm(v - vbar) ** 2) > eps:
             continue
@@ -570,7 +536,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         target = g.pieces[i].A @ w + float(rng.uniform(0.0, 1.0)) * rng.standard_normal(g.m)
         try:
             u = project(uset, target)
-        except Exception:
+        except EmptyPolyhedron:
             continue
         size = np.sqrt(np.linalg.norm(w) ** 2 + np.linalg.norm(u) ** 2)
         scale = float(rng.uniform(0.2, 1.0)) * (eps / 2.0) / max(size, eps / 2.0)
@@ -636,17 +602,16 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     when the modulus stays within a factor 2 across the two smallest
     radii.
     """
-    require_kkt(problem, xbar, lambdabar, tol)
+    point = kkt_point(problem, xbar, lambdabar, tol)
     if mode not in ("full", "primal_D", "primal_Dplus"):
         raise ValueError(f"unknown calmness mode {mode!r}")
     radii = sorted(radii or [1e-2, 1e-3, 1e-4], reverse=True)
     rng = rng or np.random.default_rng(0)
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    lambdabar = np.asarray(lambdabar, dtype=float).ravel()
+    xbar, lambdabar = point.x, point.lam
     n, m = problem.n, problem.m
     Lam = multiplier_set(problem, xbar)
-    D = cone_D(problem, xbar, lambdabar) if mode == "primal_D" else None
-    Dp = subspace_Dplus(problem, xbar, lambdabar) if mode == "primal_Dplus" else None
+    D = cone_D(point) if mode == "primal_D" else None
+    Dp = subspace_Dplus(point) if mode == "primal_Dplus" else None
     kappas = []
     failures = 0
     for rho in radii:

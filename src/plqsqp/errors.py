@@ -91,10 +91,6 @@ class MaxIterReached(PLQError):
         self.trace = trace if trace is not None else []
 
 
-class TooManyFaces(PLQError):
-    pass
-
-
 class SolverFailure(PLQError):
     pass
 
@@ -112,8 +108,4 @@ class ParseError(PLQError):
 
 
 class BadParams(PLQError):
-    pass
-
-
-class UnboundedValue(PLQError):
     pass

@@ -8,8 +8,10 @@ derivative exact, which matters when measuring convergence rates.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .errors import (
     DimensionMismatch,
@@ -20,8 +22,8 @@ from .errors import (
 from .plq import (
     DualLQ,
     PLQFunction,
-    critical_cone_g,
     dual_lq_subdifferential,
+    piece_critical_cones,
     prox_any,
     subdifferential,
     value_any,
@@ -226,65 +228,80 @@ def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
     return intersect(stat, sub)
 
 
-def require_kkt(problem, x, lam, tol=KKT_TOL):
+@dataclass(frozen=True)
+class KKTPoint:
+    """A KKT pair with the data every consumer reads there, checked once.
+
+    Built by kkt_point.  The smooth data (residual, grad_x L, hess_xx L
+    and the Jacobian J of Phi) is computed up front; the cones are
+    computed on first use, so consumers that need only the smooth data
+    (and a dual-LQ g, which has no pieces) never build them.
+    """
+
+    problem: CompositeProblem
+    x: np.ndarray
+    lam: np.ndarray
+    residual: float
+    grad: np.ndarray
+    hess: np.ndarray
+    J: np.ndarray
+
+    @cached_property
+    def theta_cone(self) -> PolyCone:
+        """K_Theta(x, -grad_x L)."""
+        return critical_cone(self.problem.Theta, self.x, -self.grad)
+
+    @cached_property
+    def piece_cones(self) -> list:
+        """[(i, K_i)]: the critical cones of the pieces of g active at Phi(x)."""
+        if not isinstance(self.problem.g, PLQFunction):
+            raise PointOutsideDomain("critical cones need a piece representation of g")
+        return piece_critical_cones(self.problem.g, self.problem.Phi.value(self.x), self.lam)
+
+    @cached_property
+    def D_members(self) -> list:
+        """[(i, M_i)]: K_Theta intersected with the pullback of K_i through J."""
+        cones = self.piece_cones
+        KT, J = self.theta_cone, self.J
+        return [(i, PolyCone.from_rows(np.vstack([KT.A, K.A @ J]),
+                                       np.vstack([KT.E, K.E @ J]), self.problem.n))
+                for i, K in cones]
+
+
+def kkt_point(problem: CompositeProblem, x, lam, tol: float = KKT_TOL) -> KKTPoint:
+    """Check the KKT residual at (x, lam) once and gather the data there.
+
+    Raises NotAKKTPoint when the residual exceeds tol.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float).ravel()
     r = kkt_residual(problem, x, lam)
     if r > tol:
         raise NotAKKTPoint(f"KKT residual {r:.3e} exceeds {tol:.1e}")
-    return r
+    _, grad, hess = lagrangian(problem, x, lam)
+    return KKTPoint(problem, x, lam, r, grad, hess, problem.Phi.jacobian(x))
 
 
-def _theta_critical_cone(problem, x, lam) -> PolyCone:
-    _, grad, _ = lagrangian(problem, x, lam)
-    return critical_cone(problem.Theta, x, -grad)
-
-
-def cone_D(problem: CompositeProblem, xbar, lambdabar, tol: float = KKT_TOL) -> ConeFamily:
+def cone_D(point: KKTPoint) -> ConeFamily:
     """The critical-direction cone as a union of polyhedral members.
 
     Each member pairs the Theta critical cone with the pullback of one
     piece critical cone of g through the Jacobian of Phi; the union does
     not depend on the choice of multiplier.
     """
-    require_kkt(problem, xbar, lambdabar, tol)
-    if not isinstance(problem.g, PLQFunction):
-        raise PointOutsideDomain("cone_D needs a piece representation of g")
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    lambdabar = np.asarray(lambdabar, dtype=float).ravel()
-    KT = _theta_critical_cone(problem, xbar, lambdabar)
-    J = problem.Phi.jacobian(xbar)
-    Kg = critical_cone_g(problem.g, problem.Phi.value(xbar), lambdabar)
-    members = []
-    for K in Kg.members:
-        R = np.vstack([KT.A, K.A @ J])
-        S = np.vstack([KT.E, K.E @ J])
-        members.append(PolyCone.from_rows(R, S, problem.n))
-    return ConeFamily("union", members=tuple(members))
+    return ConeFamily("union", members=tuple(M for _, M in point.D_members))
 
 
-def subspace_Dplus(problem: CompositeProblem, xbar, lambdabar,
-                   tol: float = KKT_TOL) -> ConeFamily:
+def subspace_Dplus(point: KKTPoint) -> ConeFamily:
     """The subspace {w in span K_Theta : Jw in span K_g} as a basis family."""
-    require_kkt(problem, xbar, lambdabar, tol)
-    if not isinstance(problem.g, PLQFunction):
-        raise PointOutsideDomain("subspace_Dplus needs a piece representation of g")
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    lambdabar = np.asarray(lambdabar, dtype=float).ravel()
-    n = problem.n
-    KT = _theta_critical_cone(problem, xbar, lambdabar)
-    BT = span_basis(KT)
-    J = problem.Phi.jacobian(xbar)
-    Kg = critical_cone_g(problem.g, problem.Phi.value(xbar), lambdabar)
-    spans = [span_basis(K) for K in Kg.members]
-    stacked = np.hstack([S for S in spans if S.shape[1]]) if any(S.shape[1] for S in spans) \
-        else np.zeros((problem.m, 0))
-    if stacked.shape[1]:
-        Qg, _ = np.linalg.qr(stacked)
-        Bg = Qg[:, : np.linalg.matrix_rank(stacked)]
-    else:
-        Bg = np.zeros((problem.m, 0))
-    rows = [np.eye(n) - BT @ BT.T, (np.eye(problem.m) - Bg @ Bg.T) @ J]
-    M = np.vstack(rows)
-    from scipy.linalg import null_space
+    problem = point.problem
+    n, m = problem.n, problem.m
+    spans = [span_basis(K) for _, K in point.piece_cones]
+    BT = span_basis(point.theta_cone)
+    stacked = np.hstack([np.zeros((m, 0))] + spans)
+    Bg = np.linalg.qr(stacked)[0][:, : np.linalg.matrix_rank(stacked)] if stacked.shape[1] \
+        else stacked
+    M = np.vstack([np.eye(n) - BT @ BT.T, (np.eye(m) - Bg @ Bg.T) @ point.J])
     N = null_space(M)
     basis = N if N.size else np.zeros((n, 0))
     return ConeFamily("subspace", basis=basis)

@@ -8,6 +8,8 @@ cone LPs in the diagnostics module.
 import numpy as np
 from scipy.optimize import linprog
 
+from .errors import SolverFailure
+
 LP_OPTIMAL = 0
 LP_INFEASIBLE = 2
 LP_UNBOUNDED = 3
@@ -35,7 +37,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         return LP_INFEASIBLE, None, np.inf
     if res.status == 3:
         return LP_UNBOUNDED, None, -np.inf
-    raise RuntimeError(f"linprog failed with status {res.status}: {res.message}")
+    raise SolverFailure(f"linprog failed with status {res.status}: {res.message}")
 
 
 def feasible_point(A, b, E, d):

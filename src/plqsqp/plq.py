@@ -19,9 +19,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    Infeasible,
     NoPiece,
     NotASubgradient,
     PointOutsideDomain,
+    QPFailure,
+    Unbounded,
     ValidationError,
 )
 from .polyhedral import (
@@ -279,31 +282,13 @@ def proto_derivative_contains(g: PLQFunction, z, v, w, u, tol: float = 1e-8) -> 
     w = np.asarray(w, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     cones = piece_critical_cones(g, z, v)
-    holding = [(i, K) for i, K in cones if contains(K, w, tol)]
+    holding = [(i, K) for i, K in cones if contains(K, w)]
     if not holding:
         return False
     for i, K in holding:
         if normal_cone_dist(K, w, u - g.pieces[i].A @ w) > tol:
             return False
     return True
-
-
-def proto_derivative_set(g: PLQFunction, z, v, w) -> Polyhedron:
-    """H-representation of D(dg)(z, v)(w); empty system when w is not critical."""
-    w = np.asarray(w, dtype=float).ravel()
-    cones = piece_critical_cones(g, z, v)
-    holding = [(i, K) for i, K in cones if contains(K, w, 1e-8)]
-    if not holding:
-        raise PointOutsideDomain("w outside the critical cone of g")
-    result = None
-    for i, K in holding:
-        G, L = normal_cone_generators(K, w)
-        cone = generated_cone_hrep(G, L, n=g.m)
-        shift = g.pieces[i].A @ w
-        member = Polyhedron(cone.A, cone.b + (cone.A @ shift if cone.n_ineq else np.zeros(0)),
-                            cone.E, cone.d + (cone.E @ shift if cone.n_eq else np.zeros(0)))
-        result = member if result is None else intersect(result, member)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +330,7 @@ def prox(g: PLQFunction, x) -> np.ndarray:
         else:
             try:
                 res = active_set_qp(Q, c, p.C.A, p.C.b, p.C.E, p.C.d)
-            except Exception:
+            except (Infeasible, QPFailure):
                 continue
             z = res.x
         val = p.value(z) + 0.5 * float(np.linalg.norm(x - z) ** 2)
@@ -373,14 +358,9 @@ def dual_lq_eval_prox(h: DualLQ, z):
     m = h.m
     O = h.Omega
     try:
-        res = active_set_qp(h.B, -z, O.A, O.b, O.E, O.d)
-        value = -res.objective
-    except Exception as exc:
-        from .errors import Unbounded
-        if isinstance(exc, Unbounded):
-            value = np.inf
-        else:
-            raise
+        value = -active_set_qp(h.B, -z, O.A, O.b, O.E, O.d).objective
+    except Unbounded:
+        value = np.inf
     pres = active_set_qp(h.B + np.eye(m), -z, O.A, O.b, O.E, O.d)
     return value, z - pres.x
 
@@ -388,7 +368,6 @@ def dual_lq_eval_prox(h: DualLQ, z):
 def dual_lq_subdifferential(h: DualLQ, z) -> Polyhedron:
     """Subdifferential of f_{Omega,B} at z: the argmax face of the dual QP."""
     z = np.asarray(z, dtype=float).ravel()
-    from .errors import Unbounded
     try:
         res = active_set_qp(h.B, -z, h.Omega.A, h.Omega.b, h.Omega.E, h.Omega.d)
     except Unbounded as exc:

@@ -17,6 +17,7 @@ from scipy.linalg import null_space
 from .errors import (
     DimensionMismatch,
     EmptyPolyhedron,
+    Infeasible,
     NotANormalVector,
     PointNotInSet,
     TooManyRows,
@@ -167,12 +168,6 @@ class Face:
     parent: PolyCone
     active: frozenset = field(default_factory=frozenset)
 
-    def as_cone(self) -> PolyCone:
-        idx = sorted(self.active)
-        R = np.delete(self.parent.A, idx, axis=0) if idx else self.parent.A
-        S = np.vstack([self.parent.E, self.parent.A[idx]]) if idx else self.parent.E
-        return PolyCone.from_rows(R, S, self.parent.dim)
-
 
 # ---------------------------------------------------------------------------
 # membership / activity
@@ -221,7 +216,7 @@ def project(P: Polyhedron, z) -> np.ndarray:
         return z.copy()
     try:
         res = active_set_qp(np.eye(P.dim), -z, P.A, P.b, P.E, P.d)
-    except Exception as exc:  # Infeasible from the kernel
+    except Infeasible as exc:
         raise EmptyPolyhedron(str(exc)) from exc
     return res.x
 
@@ -281,6 +276,22 @@ def normal_cone_generators(P: Polyhedron, x):
 # faces, rays, spans
 # ---------------------------------------------------------------------------
 
+def _implicit_equalities(M, rows) -> list:
+    """Nonzero rows k of `rows` with M[k] y = 0 on all of {y : M y <= 0}."""
+    out = []
+    for k in rows:
+        row = M[k]
+        if np.linalg.norm(row) <= 1e-12:
+            continue
+        # row y <= 0 on the cone; implicit equality iff min row y = 0
+        status, _, val = solve_lp(
+            row, A_ub=np.vstack([M, -row.reshape(1, -1)]),
+            b_ub=np.concatenate([np.zeros(M.shape[0]), [1.0]]))
+        if status == LP_OPTIMAL and val >= -1e-9:
+            out.append(k)
+    return out
+
+
 def _forced_active(cone: PolyCone, fixed) -> frozenset:
     """Rows that hold with equality on all of the face with `fixed` active."""
     idx = sorted(fixed)
@@ -289,21 +300,9 @@ def _forced_active(cone: PolyCone, fixed) -> frozenset:
     if N.size == 0 or N.shape[1] == 0:
         return frozenset(range(cone.n_ineq))
     M = cone.A @ N
-    forced = set(fixed)
-    for k in range(cone.n_ineq):
-        if k in forced:
-            continue
-        row = M[k]
-        if np.linalg.norm(row) <= 1e-12:
-            forced.add(k)
-            continue
-        # row y <= 0 on the face; implicit equality iff min row y = 0
-        status, _, val = solve_lp(
-            row, A_ub=np.vstack([M, -row.reshape(1, -1)]),
-            b_ub=np.concatenate([np.zeros(M.shape[0]), [1.0]]))
-        if status == LP_OPTIMAL and val >= -1e-9:
-            forced.add(k)
-    return frozenset(forced)
+    zero = [k for k in range(cone.n_ineq) if np.linalg.norm(M[k]) <= 1e-12]
+    free = [k for k in range(cone.n_ineq) if k not in fixed]
+    return frozenset(fixed) | frozenset(zero) | frozenset(_implicit_equalities(M, free))
 
 
 def enumerate_faces(cone: PolyCone, cap: int = 20) -> list:
@@ -330,16 +329,7 @@ def span_basis(cone: PolyCone) -> np.ndarray:
     if N.size == 0 or N.shape[1] == 0:
         return np.zeros((cone.dim, 0))
     M = cone.A @ N
-    implicit = []
-    for k in range(M.shape[0]):
-        row = M[k]
-        if np.linalg.norm(row) <= 1e-12:
-            continue
-        status, _, val = solve_lp(
-            row, A_ub=np.vstack([M, -row.reshape(1, -1)]),
-            b_ub=np.concatenate([np.zeros(M.shape[0]), [1.0]]))
-        if status == LP_OPTIMAL and val >= -1e-9:
-            implicit.append(k)
+    implicit = _implicit_equalities(M, range(M.shape[0]))
     if implicit:
         Y = null_space(M[implicit])
         if Y.size == 0 or Y.shape[1] == 0:
@@ -607,38 +597,3 @@ def intersect(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
         raise DimensionMismatch("intersection dimension mismatch")
     return Polyhedron(np.vstack([P.A, Q.A]), np.concatenate([P.b, Q.b]),
                       np.vstack([P.E, Q.E]), np.concatenate([P.d, Q.d]))
-
-
-def affine_preimage(P: Polyhedron, M, r=None) -> Polyhedron:
-    """{w : M w + r in P} as an H-representation over w."""
-    M = np.asarray(M, dtype=float)
-    r = np.zeros(M.shape[0]) if r is None else np.asarray(r, dtype=float).ravel()
-    return Polyhedron(P.A @ M, P.b - (P.A @ r if P.n_ineq else np.zeros(0)),
-                      P.E @ M, P.d - (P.E @ r if P.n_eq else np.zeros(0)))
-
-
-def cone_preimage(C: PolyCone, M) -> PolyCone:
-    """{w : M w in C} for a cone C."""
-    M = np.asarray(M, dtype=float)
-    return PolyCone.from_rows(C.A @ M, C.E @ M, M.shape[1])
-
-
-def vertices(P: Polyhedron, cap: int = 20) -> list:
-    """Vertices of a (bounded or not) polyhedron by basis enumeration."""
-    n = P.dim
-    rows = np.vstack([P.A, P.E])
-    rhs = np.concatenate([P.b, P.d])
-    m = rows.shape[0]
-    if m < n:
-        return []
-    if m > cap:
-        raise TooManyRows(f"vertex enumeration over {m} rows exceeds cap {cap}")
-    out = []
-    for subset in itertools.combinations(range(m), n):
-        M = rows[list(subset)]
-        if abs(np.linalg.det(M)) <= 1e-10:
-            continue
-        x = np.linalg.solve(M, rhs[list(subset)])
-        if contains(P, x, 1e-8) and not any(np.linalg.norm(x - y) <= 1e-8 for y in out):
-            out.append(x)
-    return out

@@ -197,21 +197,3 @@ def active_set_qp(Q, c, A, b, E, d, x0=None, tol=1e-10, max_iter=None):
 
     raise QPFailure(f"active-set QP did not terminate in {max_iter} iterations")
 
-
-def qp_kkt_residual(Q, c, A, b, E, d, res: QPResult) -> float:
-    """Stationarity + feasibility + complementarity residual of a QPResult."""
-    Q = np.asarray(Q, dtype=float)
-    c = np.asarray(c, dtype=float).ravel()
-    n = c.size
-    A = np.asarray(A, dtype=float).reshape(-1, n) if A is not None else np.zeros((0, n))
-    b = np.asarray(b, dtype=float).ravel() if b is not None else np.zeros(0)
-    E = np.asarray(E, dtype=float).reshape(-1, n) if E is not None else np.zeros((0, n))
-    d = np.asarray(d, dtype=float).ravel() if d is not None else np.zeros(0)
-    x, mu, nu = res.x, res.mu, res.nu
-    r = np.linalg.norm(Q @ x + c + (A.T @ mu if A.size else 0.0) + (E.T @ nu if E.size else 0.0))
-    if A.size:
-        viol = np.maximum(A @ x - b, 0.0)
-        r += float(np.linalg.norm(viol)) + abs(float(mu @ (b - A @ x)))
-    if E.size:
-        r += float(np.linalg.norm(E @ x - d))
-    return float(r)

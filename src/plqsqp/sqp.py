@@ -18,11 +18,20 @@ from .errors import (
     DegenerateStep,
     MaxIterReached,
     NoFeasiblePiece,
+    PLQError,
     SubproblemFailure,
     TooShortTrace,
     ZeroStep,
 )
-from .kkt import CompositeProblem, PrimalDual, cone_D, kkt_residual, lagrangian, subspace_Dplus
+from .kkt import (
+    CompositeProblem,
+    PrimalDual,
+    cone_D,
+    kkt_point,
+    kkt_residual,
+    lagrangian,
+    subspace_Dplus,
+)
 from .polyhedral import ConeFamily, project_cone_union
 from .subqp import SubproblemSpec, solve_subproblem
 
@@ -100,11 +109,14 @@ def dennis_more_values(problem, xk, lambdak, H, x_next,
     if ns <= 0.0:
         raise ZeroStep("Dennis-More values need a nonzero step")
     _, _, hess = lagrangian(problem, xk, lambdak)
-    r = (hess - np.asarray(H, dtype=float)) @ step
-    dm_full = float(np.linalg.norm(r)) / ns
-    dm_D = float(np.linalg.norm(project_cone_union(D, r))) / ns if D is not None else dm_full
-    dm_Dp = float(np.linalg.norm(project_cone_union(Dplus, r))) / ns if Dplus is not None else dm_full
-    return dm_D, dm_Dp, dm_full
+    return _dm_ratios((hess - np.asarray(H, dtype=float)) @ step, ns, D, Dplus)
+
+
+def _dm_ratios(r, step_norm, D, Dplus):
+    """(||P_D r||, ||P_{D+} r||, ||r||) / step_norm; a family given as None
+    falls back to the full norm."""
+    norms = [np.linalg.norm(r if F is None else project_cone_union(F, r)) for F in (D, Dplus, None)]
+    return tuple(float(v) / step_norm for v in norms)
 
 
 def _hessian(problem, x, lam, mode, H_qn):
@@ -119,27 +131,16 @@ def _attach_monitors(problem, trace, reference):
     """Fill dm_* on each record against the cones at the anchor point."""
     if not trace:
         return
-    if reference is not None:
-        anchor = reference
-    else:
-        last = trace[-1]
-        anchor = PrimalDual(last.x, last.lam)
-    D = Dplus = None
+    anchor = reference if reference is not None else PrimalDual(trace[-1].x, trace[-1].lam)
     try:
-        D = cone_D(problem, anchor.x, anchor.lam)
-        Dplus = subspace_Dplus(problem, anchor.x, anchor.lam)
-    except Exception:
+        point = kkt_point(problem, anchor.x, anchor.lam)
+        D, Dplus = cone_D(point), subspace_Dplus(point)
+    except PLQError:
         D = Dplus = None  # monitors fall back to the full norm
     for rec in trace:
         if rec._error is None or rec.step_norm <= 0.0:
             continue
-        r = rec._error
-        rec.dm_full = float(np.linalg.norm(r)) / rec.step_norm
-        if D is not None:
-            rec.dm_D = float(np.linalg.norm(project_cone_union(D, r))) / rec.step_norm
-            rec.dm_Dplus = float(np.linalg.norm(project_cone_union(Dplus, r))) / rec.step_norm
-        else:
-            rec.dm_D = rec.dm_Dplus = rec.dm_full
+        rec.dm_D, rec.dm_Dplus, rec.dm_full = _dm_ratios(rec._error, rec.step_norm, D, Dplus)
 
 
 def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) -> list:

@@ -58,16 +58,6 @@ class SubproblemSolution:
     residual: float  # generalized-equation residual of the subproblem KKT
 
 
-def qp_solve(Q, c, P, x0=None):
-    """Solve min ½ x^T Q x + c^T x over the polyhedron P.
-
-    Thin public wrapper over the active-set kernel: returns the kernel's
-    QPResult (point, row multipliers, status).  Raises Infeasible or
-    Unbounded from the kernel.
-    """
-    return active_set_qp(Q, c, P.A, P.b, P.E, P.d, x0=x0)
-
-
 def subproblem_residual(spec: SubproblemSpec, x, lam) -> float:
     """KKT residual of the subproblem's generalized equation at (x, lam).
 

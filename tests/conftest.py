@@ -3,6 +3,7 @@ import pytest
 
 from plqsqp.kkt import CompositeProblem, Poly2Map
 from plqsqp.plq import (
+    DualLQ,
     Piece,
     PLQFunction,
     plq_abs,
@@ -81,6 +82,18 @@ def make_degenerate_range():
     phi = Poly2Map(np.zeros(1), np.array([[-1.0]]), np.array([[[1.0]]]))
     Phi = Poly2Map(np.zeros(2), np.array([[1.0], [1.0]]), np.zeros((2, 1, 1)))
     return CompositeProblem(phi, Phi, plq_indicator(Polyhedron.nonpos(2)),
+                            Polyhedron.whole_space(1))
+
+
+def make_dual_lq():
+    """phi = x^2/2 - x/2, Phi = x + 1/2, g = sup_{u in [0,1]} zu - u^2/2, Theta = R.
+
+    g is given only by its dual representation (no pieces); KKT point
+    (0, 1/2), where g'(1/2) = 1/2.
+    """
+    phi = Poly2Map(np.zeros(1), np.array([[-0.5]]), np.array([[[1.0]]]))
+    Phi = Poly2Map(np.array([0.5]), np.array([[1.0]]), np.zeros((1, 1, 1)))
+    return CompositeProblem(phi, Phi, DualLQ(Polyhedron.box([0.0], [1.0]), [[1.0]]),
                             Polyhedron.whole_space(1))
 
 

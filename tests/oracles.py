@@ -3,15 +3,77 @@
 These deliberately avoid the production code paths they check: the
 noncriticality oracle scans a grid of directions and decides each one
 with the eliminated proto-derivative H-representation, not with the
-activity-pattern LPs used by the diagnostics module.
+activity-pattern LPs used by the diagnostics module.  The enumerations
+and residuals below serve only as test references, so they live here
+rather than in the package.
 """
+
+import itertools
 
 import numpy as np
 
+from plqsqp.errors import PointOutsideDomain, TooManyRows
 from plqsqp.kkt import lagrangian
 from plqsqp.lp import feasible_point
-from plqsqp.plq import proto_derivative_set
-from plqsqp.polyhedral import contains, critical_cone, normal_cone_generators
+from plqsqp.plq import piece_critical_cones
+from plqsqp.polyhedral import (
+    PolyCone,
+    Polyhedron,
+    contains,
+    critical_cone,
+    generated_cone_hrep,
+    intersect,
+    normal_cone_generators,
+)
+
+
+def vertices(P: Polyhedron, cap: int = 20) -> list:
+    """Vertices of a (bounded or not) polyhedron by basis enumeration."""
+    n = P.dim
+    rows = np.vstack([P.A, P.E])
+    rhs = np.concatenate([P.b, P.d])
+    m = rows.shape[0]
+    if m < n:
+        return []
+    if m > cap:
+        raise TooManyRows(f"vertex enumeration over {m} rows exceeds cap {cap}")
+    out = []
+    for subset in itertools.combinations(range(m), n):
+        M = rows[list(subset)]
+        if abs(np.linalg.det(M)) <= 1e-10:
+            continue
+        x = np.linalg.solve(M, rhs[list(subset)])
+        if contains(P, x, 1e-8) and not any(np.linalg.norm(x - y) <= 1e-8 for y in out):
+            out.append(x)
+    return out
+
+
+def face_cone(face) -> PolyCone:
+    """The face of a PolyCone as a cone: its active rows become equalities."""
+    idx = sorted(face.active)
+    R = np.delete(face.parent.A, idx, axis=0) if idx else face.parent.A
+    S = np.vstack([face.parent.E, face.parent.A[idx]]) if idx else face.parent.E
+    return PolyCone.from_rows(R, S, face.parent.dim)
+
+
+def proto_derivative_set(g, z, v, w) -> Polyhedron:
+    """H-representation of D(dg)(z, v)(w); empty system when w is not critical."""
+    w = np.asarray(w, dtype=float).ravel()
+    cones = piece_critical_cones(g, z, v)
+    holding = [(i, K) for i, K in cones if contains(K, w, 1e-8)]
+    if not holding:
+        raise PointOutsideDomain("w outside the critical cone of g")
+    result = None
+    for i, K in holding:
+        G, L = normal_cone_generators(K, w)
+        cone = generated_cone_hrep(G, L, n=g.m)
+        shift = g.pieces[i].A @ w
+        member = Polyhedron(cone.A, cone.b + (cone.A @ shift if cone.n_ineq else np.zeros(0)),
+                            cone.E, cone.d + (cone.E @ shift if cone.n_eq else np.zeros(0)))
+        result = member if result is None else intersect(result, member)
+    return result
+
+
 
 
 def criticality_feasible_at(problem, xbar, lambdabar, w):
@@ -73,3 +135,22 @@ def grid_noncritical_oracle(problem, xbar, lambdabar, grid=None):
         if criticality_feasible_at(problem, xbar, lambdabar, w):
             return False
     return True
+
+
+def qp_kkt_residual(Q, c, A, b, E, d, res) -> float:
+    """Stationarity + feasibility + complementarity residual of a QPResult."""
+    Q = np.asarray(Q, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
+    n = c.size
+    A = np.asarray(A, dtype=float).reshape(-1, n) if A is not None else np.zeros((0, n))
+    b = np.asarray(b, dtype=float).ravel() if b is not None else np.zeros(0)
+    E = np.asarray(E, dtype=float).reshape(-1, n) if E is not None else np.zeros((0, n))
+    d = np.asarray(d, dtype=float).ravel() if d is not None else np.zeros(0)
+    x, mu, nu = res.x, res.mu, res.nu
+    r = np.linalg.norm(Q @ x + c + (A.T @ mu if A.size else 0.0) + (E.T @ nu if E.size else 0.0))
+    if A.size:
+        viol = np.maximum(A @ x - b, 0.0)
+        r += float(np.linalg.norm(viol)) + abs(float(mu @ (b - A @ x)))
+    if E.size:
+        r += float(np.linalg.norm(E @ x - d))
+    return float(r)

@@ -188,3 +188,18 @@ def test_validation_exit_code(tmp_path):
     bad.write_text("{}")
     code = main(["solve", "--problem", str(bad), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatch):
+    # a HiGHS failure is a toolkit error, so diagnose reports it and exits 2
+    import types
+
+    import plqsqp.lp
+
+    def failing_linprog(*args, **kwargs):
+        return types.SimpleNamespace(status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(plqsqp.lp, "linprog", failing_linprog)
+    out = tmp_path / "diag_fail"
+    assert main(["diagnose", "--problem", p1_file, "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "SolverFailure"

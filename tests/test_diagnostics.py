@@ -8,7 +8,7 @@ from plqsqp.diagnostics import (
     estimate_calmness,
     verify_reduction_lemma,
 )
-from plqsqp.errors import NotAKKTPoint, NotASubgradient
+from plqsqp.errors import NotAKKTPoint, NotASubgradient, PLQError
 from plqsqp.kkt import (
     CompositeProblem,
     Poly2Map,
@@ -23,7 +23,7 @@ from plqsqp.plq import (
 )
 from plqsqp.polyhedral import Polyhedron, project
 
-from conftest import make_p1, make_p2
+from conftest import make_dual_lq, make_p1, make_p2
 from oracles import grid_noncritical_oracle
 
 
@@ -164,6 +164,27 @@ def test_sosc_negative_curvature_found(rng):
     assert v.result == "heuristic_fails"
 
 
+def test_sosc_cone_over_ray_enumeration_cap_falls_back_to_multistart(rng):
+    # Theta is a 2-D wedge cut by 21 rows, all active at 0; ray enumeration
+    # refuses more than 20 rows, so the multistart heuristic decides
+    rows = 21
+    angles = np.pi * (0.6 + 0.8 * np.arange(rows) / (rows - 1))
+    Theta = Polyhedron(np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros(rows),
+                       np.zeros((0, 2)), np.zeros(0))
+    phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.eye(2).reshape(1, 2, 2))
+    Phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2, 2)))
+    prob = CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Theta)
+    assert check_sosc(prob, [0.0, 0.0], [0.0], rng=rng).result == "heuristic_holds"
+
+
+def test_cone_checks_on_dual_lq_g_raise_plq_error():
+    prob = make_dual_lq()
+    assert kkt_residual(prob, [0.0], [0.5]) <= 1e-12
+    for check in (check_noncritical, check_unique_multiplier, check_sosc):
+        with pytest.raises(PLQError):
+            check(prob, [0.0], [0.5])
+
+
 # -- reduction lemma -----------------------------------------------------------
 
 def test_reduction_lemma_quadratic_case(rng, g_quad):
@@ -175,6 +196,14 @@ def test_reduction_lemma_abs_kink(rng, g_abs):
     v = verify_reduction_lemma(g_abs, [0.0], [1.0], eps=1e-2, n_samples=80, rng=rng)
     assert v.result == "holds"
     v = verify_reduction_lemma(g_abs, [0.0], [0.3], eps=1e-2, n_samples=40, rng=rng)
+    assert v.result == "holds"
+
+
+def test_reduction_lemma_two_piece_interface(g_two_piece_2d):
+    # some sampled directions lie within 1e-8 but not 1e-9 of a piece
+    # critical cone; membership must use one tolerance throughout
+    v = verify_reduction_lemma(g_two_piece_2d, [0.0, 0.0], [-1.0, 0.0], eps=1e-2,
+                               n_samples=500, rng=np.random.default_rng(15))
     assert v.result == "holds"
 
 

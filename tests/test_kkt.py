@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from plqsqp.errors import PointNotInTheta
+from plqsqp.errors import NotAKKTPoint, PointNotInTheta, PointOutsideDomain
 from plqsqp.kkt import (
     CompositeProblem,
     Poly2Map,
     cone_D,
+    kkt_point,
     kkt_residual,
     lagrangian,
     multiplier_set,
@@ -14,6 +15,8 @@ from plqsqp.kkt import (
 )
 from plqsqp.plq import plq_quadratic
 from plqsqp.polyhedral import Polyhedron, contains
+
+from conftest import make_dual_lq
 
 
 def finite_difference_grad(f, x, h=1e-6):
@@ -132,7 +135,7 @@ def test_multiplier_set_matches_residual_grid(p1, p2, degenerate_range):
 
 
 def test_cone_d_p1_trivial(p1):
-    D = cone_D(p1, [1.0], [1.0])
+    D = cone_D(kkt_point(p1, [1.0], [1.0]))
     assert D.member_contains([0.0])
     assert not D.member_contains([1e-3]) and not D.member_contains([-1e-3])
 
@@ -143,29 +146,44 @@ def test_cone_d_unconstrained_smooth():
     Phi = Poly2Map(np.zeros(1), np.zeros((1, n)), np.zeros((1, n, n)))
     prob = CompositeProblem(phi, Phi, plq_quadratic(np.zeros((1, 1))),
                             Polyhedron.whole_space(n))
-    D = cone_D(prob, np.zeros(n), np.zeros(1))
+    point = kkt_point(prob, np.zeros(n), np.zeros(1))
+    D = cone_D(point)
     assert D.member_contains([5.0, -3.0])
-    Dp = subspace_Dplus(prob, np.zeros(n), np.zeros(1))
+    Dp = subspace_Dplus(point)
     assert Dp.basis.shape[1] == n
 
 
 def test_cone_d_p2_whole_line(p2):
     # the Jacobian vanishes, so the membership condition is vacuous
-    D = cone_D(p2, [0.0], [0.0])
+    D = cone_D(kkt_point(p2, [0.0], [0.0]))
     assert D.member_contains([7.0]) and D.member_contains([-7.0])
 
 
 def test_cone_d_multiplier_invariance(degenerate_range, rng):
     # two distinct multipliers give the same cone membership pattern
-    D1 = cone_D(degenerate_range, [0.0], [0.5, 0.5])
-    D2 = cone_D(degenerate_range, [0.0], [0.2, 0.8])
+    D1 = cone_D(kkt_point(degenerate_range, [0.0], [0.5, 0.5]))
+    D2 = cone_D(kkt_point(degenerate_range, [0.0], [0.2, 0.8]))
     for _ in range(200):
         w = 2.0 * rng.standard_normal(1)
         assert D1.member_contains(w) == D2.member_contains(w)
 
 
+def test_kkt_point_checks_the_residual_and_defers_the_cones(p1):
+    with pytest.raises(NotAKKTPoint):
+        kkt_point(p1, [0.5], [0.0])
+    point = kkt_point(p1, [1.0], [1.0])
+    _, grad, hess = lagrangian(p1, [1.0], [1.0])
+    assert point.residual <= 1e-12
+    assert np.allclose(point.grad, grad) and np.allclose(point.hess, hess)
+    # a dual-LQ g has no pieces: the smooth data is there, the cones raise
+    point = kkt_point(make_dual_lq(), [0.0], [0.5])
+    assert point.J.shape == (1, 1)
+    with pytest.raises(PointOutsideDomain):
+        cone_D(point)
+
+
 def test_subspace_dplus_p1(p1):
-    Dp = subspace_Dplus(p1, [1.0], [1.0])
+    Dp = subspace_Dplus(kkt_point(p1, [1.0], [1.0]))
     assert Dp.basis.shape[1] == 0  # the zero subspace
 
 
@@ -215,8 +233,8 @@ def test_dplus_strictly_enlarges_d_on_weakly_active_constraint():
     prob = CompositeProblem(phi, Phi, plq_indicator(Polyhedron.nonpos(1)),
                             Polyhedron.whole_space(2))
     assert kkt_residual(prob, [0.0, 0.0], [0.0]) <= 1e-12
-    D = cone_D(prob, [0.0, 0.0], [0.0])
-    Dp = subspace_Dplus(prob, [0.0, 0.0], [0.0])
+    point = kkt_point(prob, [0.0, 0.0], [0.0])
+    D, Dp = cone_D(point), subspace_Dplus(point)
     assert D.member_contains([-1.0, 0.0]) and not D.member_contains([1.0, 0.0])
     assert Dp.basis.shape[1] == 2
     assert np.allclose(project_cone_union(D, [1.0, 0.0]), [0.0, 0.0])

@@ -20,12 +20,14 @@ from plqsqp.plq import (
     subderivative,
     subdifferential,
 )
-from plqsqp.polyhedral import Polyhedron, contains, project, vertices
+from plqsqp.polyhedral import Polyhedron, contains, project
 from plqsqp.properties import (
     prox_resolvent_suite,
     second_quotient_suite,
     subdifferential_duality_suite,
 )
+
+from oracles import vertices
 
 
 # -- evaluation --------------------------------------------------------------
@@ -91,6 +93,11 @@ def test_critical_cone_quadratic(g_quad):
     assert F.member_contains([123.0]) and F.member_contains([-5.0])
     with pytest.raises(NotASubgradient):
         critical_cone_g(g_quad, [1.0], [2.0])
+
+
+def test_proto_derivative_direction_just_outside_critical_cone(g_ind_nonpos):
+    # K = {0} at (0, 1); w = 5e-9 is outside K at the membership tolerance
+    assert not proto_derivative_contains(g_ind_nonpos, [0.0], [1.0], [5e-9], [0.0])
 
 
 # -- second subderivative ------------------------------------------------------

@@ -20,8 +20,9 @@ from plqsqp.polyhedral import (
     project_cone_union,
     span_basis,
     tangent_cone,
-    vertices,
 )
+
+from oracles import face_cone, vertices
 
 SIMPLEX = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                      np.array([1.0, 0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
@@ -151,7 +152,7 @@ def test_enumerate_faces_orthant():
     C = PolyCone.from_rows(-np.eye(2), np.zeros((0, 2)))
     faces = enumerate_faces(C)
     assert len(faces) == 4
-    dims = sorted(span_basis(f.as_cone()).shape[1] for f in faces)
+    dims = sorted(span_basis(face_cone(f)).shape[1] for f in faces)
     assert dims == [0, 1, 1, 2]
 
 
@@ -167,7 +168,7 @@ def test_enumerate_faces_dedup_sampled_affine_hull_oracle(rng):
     C = PolyCone.from_rows(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
                            np.zeros((0, 2)))
     faces = enumerate_faces(C)
-    cones = [f.as_cone() for f in faces]
+    cones = [face_cone(f) for f in faces]
     for i, j in itertools.combinations(range(len(cones)), 2):
         same = all(
             np.linalg.norm(project(cones[i], z) - project(cones[j], z)) <= 1e-8

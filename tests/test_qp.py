@@ -3,8 +3,9 @@ import pytest
 
 from plqsqp.errors import Infeasible, Unbounded
 from plqsqp.polyhedral import Polyhedron
-from plqsqp.qp import active_set_qp, qp_kkt_residual
-from plqsqp.subqp import qp_solve
+from plqsqp.qp import active_set_qp
+
+from oracles import qp_kkt_residual
 
 
 def grid_minimum(Q, c, A, b, E, d, lo=-3.0, hi=3.0, res=1e-3):
@@ -29,26 +30,28 @@ def grid_minimum(Q, c, A, b, E, d, lo=-3.0, hi=3.0, res=1e-3):
 
 
 def test_nonneg_quadrant_example():
-    res = qp_solve(np.eye(2), [-1.0, -1.0], Polyhedron.nonneg(2))
+    P = Polyhedron.nonneg(2)
+    res = active_set_qp(np.eye(2), [-1.0, -1.0], P.A, P.b, P.E, P.d)
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-10)
     assert res.status == "optimal"
 
 
 def test_equality_symmetry_example():
     P = Polyhedron(np.zeros((0, 2)), [], np.array([[1.0, 1.0]]), [1.0])
-    res = qp_solve(np.eye(2), [0.0, 0.0], P)
+    res = active_set_qp(np.eye(2), [0.0, 0.0], P.A, P.b, P.E, P.d)
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-10)
 
 
 def test_unbounded_detection():
+    P = Polyhedron.nonneg(2)
     with pytest.raises(Unbounded):
-        qp_solve(np.diag([1.0, 0.0]), [0.0, -1.0], Polyhedron.nonneg(2))
+        active_set_qp(np.diag([1.0, 0.0]), [0.0, -1.0], P.A, P.b, P.E, P.d)
 
 
 def test_infeasible_detection():
     P = Polyhedron(np.array([[1.0], [-1.0]]), [-1.0, -1.0], np.zeros((0, 1)), [])
     with pytest.raises(Infeasible):
-        qp_solve(np.eye(1), [0.0], P)
+        active_set_qp(np.eye(1), [0.0], P.A, P.b, P.E, P.d)
 
 
 def test_negative_curvature_returns_stationary_point():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plqsqp.errors import DegenerateStep, MaxIterReached, TooShortTrace, ZeroStep
-from plqsqp.kkt import PrimalDual, cone_D, subspace_Dplus
+from plqsqp.kkt import PrimalDual, cone_D, kkt_point, subspace_Dplus
 from plqsqp.polyhedral import ConeFamily, PolyCone
 from plqsqp.sqp import (
     IterateRecord,
@@ -96,16 +96,16 @@ def test_bfgs_degenerate_step():
 
 def test_dm_exact_hessian_gives_zero():
     p1 = make_p1()
-    D = cone_D(p1, [1.0], [1.0])
-    Dp = subspace_Dplus(p1, [1.0], [1.0])
+    point = kkt_point(p1, [1.0], [1.0])
+    D, Dp = cone_D(point), subspace_Dplus(point)
     vals = dennis_more_values(p1, [0.0], [0.0], [[1.0]], [1.0], D, Dp)
     assert vals == (0.0, 0.0, 0.0)
 
 
 def test_dm_trivial_cone_projects_to_zero():
     p1 = make_p1()
-    D = cone_D(p1, [1.0], [1.0])  # the zero cone
-    Dp = subspace_Dplus(p1, [1.0], [1.0])
+    point = kkt_point(p1, [1.0], [1.0])
+    D, Dp = cone_D(point), subspace_Dplus(point)  # D is the zero cone
     dm_D, dm_Dp, dm_full = dennis_more_values(p1, [0.0], [0.0], [[5.0]], [1.0], D, Dp)
     assert dm_D == 0.0 and dm_Dp == 0.0
     assert abs(dm_full - 4.0) <= 1e-12  # |hess - H| = |1 - 5| along a unit step

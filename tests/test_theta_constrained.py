@@ -23,6 +23,7 @@ from plqsqp.kkt import (
     Poly2Map,
     PrimalDual,
     cone_D,
+    kkt_point,
     kkt_residual,
     multiplier_set,
 )
@@ -88,7 +89,7 @@ def test_critical_direction_cone_is_trivial():
     # K_Theta((0,1), (-1,0)) = {0} x R and both kink cones of |.| collapse
     # to {0}, so the pullback forces w = 0
     prob = box_fixture()
-    D = cone_D(prob, XBAR, LAMBAR)
+    D = cone_D(kkt_point(prob, XBAR, LAMBAR))
     assert D.member_contains([0.0, 0.0])
     for w in ([0.0, 1.0], [0.0, -1.0], [1.0, 0.0]):
         assert not D.member_contains(w)
