@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPolyhedron, PLQError, TooManyRows
+from .errors import EmptyPolyhedron, NotASubgradient, PLQError, TooManyRows
 from .kkt import (
     CompositeProblem,
     cone_D,
@@ -28,15 +28,19 @@ from .kkt import (
 from .lp import LP_OPTIMAL, solve_lp
 from .plq import (
     PLQFunction,
+    active_indices,
     evaluate,
     piece_critical_cones,
     subgradient_dist,
 )
 from .polyhedral import (
+    Polyhedron,
     contains,
     cone_rays,
+    generated_cone_hrep,
     lineality_basis,
     normal_cone_dist,
+    normal_cone_generators,
     project,
     project_cone_union,
     span_basis,
@@ -439,7 +443,6 @@ class _ShiftedConeCache:
         self.store = {}
 
     def hrep(self, key, C, z):
-        from .polyhedral import generated_cone_hrep, normal_cone_generators
         pattern = (key, tuple(sorted(
             i for i in range(C.n_ineq)
             if C.b[i] - C.A[i] @ z <= 1e-8 * (1.0 + abs(C.b[i])))))
@@ -453,7 +456,6 @@ class _ShiftedConeCache:
 
 def _intersection_rows(cones_and_shifts, m):
     """Polyhedron for the intersection of shifted cones {shift + cone}."""
-    from .polyhedral import Polyhedron as Poly
     As, bs, Es, ds = [], [], [], []
     for cone, shift in cones_and_shifts:
         if cone.n_ineq:
@@ -462,10 +464,10 @@ def _intersection_rows(cones_and_shifts, m):
         if cone.n_eq:
             Es.append(cone.E)
             ds.append(cone.d + cone.E @ shift)
-    return Poly(np.vstack(As) if As else np.zeros((0, m)),
-                np.concatenate(bs) if bs else np.zeros(0),
-                np.vstack(Es) if Es else np.zeros((0, m)),
-                np.concatenate(ds) if ds else np.zeros(0))
+    return Polyhedron(np.vstack(As) if As else np.zeros((0, m)),
+                      np.concatenate(bs) if bs else np.zeros(0),
+                      np.vstack(Es) if Es else np.zeros((0, m)),
+                      np.concatenate(ds) if ds else np.zeros(0))
 
 
 def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
@@ -474,15 +476,15 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
 
     Graph points of the subgradient mapping within eps of (zbar, vbar)
     must shift to graph points of the proto-derivative, and vice versa;
-    both memberships are checked exactly.  Zero violations required.
+    both memberships are checked exactly.  Zero violations required.  The
+    detail counts the attempts skipped on each side: a sample outside the
+    eps-ball or with an empty subdifferential or multiplier set.
     """
     rng = rng or np.random.default_rng(0)
     zbar = np.asarray(zbar, dtype=float).ravel()
     vbar = np.asarray(vbar, dtype=float).ravel()
     if subgradient_dist(g, zbar, vbar) > 1e-7:
-        from .errors import NotASubgradient
         raise NotASubgradient("vbar must be a subgradient at zbar")
-    from .plq import active_indices
     idx = [i for i, p in enumerate(g.pieces) if contains(p.C, zbar)]
     cones = piece_critical_cones(g, zbar, vbar)
     cache = _ShiftedConeCache()
@@ -520,6 +522,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         checked_fwd += 1
         if not proto_contains(z - zbar, v - vbar):
             violations += 1
+    skipped_fwd = attempts - checked_fwd
     # backward: gph D(dg)(zbar, vbar) cap eps-ball subset of gph dg - (zbar, vbar)
     checked_bwd = 0
     attempts = 0
@@ -548,7 +551,8 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
     result = "holds" if violations == 0 else "fails"
     return Verdict("reduction_lemma", result,
                    certificate=violations if violations else None,
-                   detail=f"{checked_fwd} forward + {checked_bwd} backward samples, "
+                   detail=f"{checked_fwd} forward + {checked_bwd} backward samples "
+                          f"({skipped_fwd} + {attempts - checked_bwd} attempts skipped), "
                           f"{violations} violations, eps={eps:g}")
 
 

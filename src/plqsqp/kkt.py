@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import null_space, orth
 
 from .errors import (
     DimensionMismatch,
@@ -298,9 +298,7 @@ def subspace_Dplus(point: KKTPoint) -> ConeFamily:
     n, m = problem.n, problem.m
     spans = [span_basis(K) for _, K in point.piece_cones]
     BT = span_basis(point.theta_cone)
-    stacked = np.hstack([np.zeros((m, 0))] + spans)
-    Bg = np.linalg.qr(stacked)[0][:, : np.linalg.matrix_rank(stacked)] if stacked.shape[1] \
-        else stacked
+    Bg = orth(np.hstack([np.zeros((m, 0))] + spans))
     M = np.vstack([np.eye(n) - BT @ BT.T, (np.eye(m) - Bg @ Bg.T) @ point.J])
     N = null_space(M)
     basis = N if N.size else np.zeros((n, 0))

@@ -47,6 +47,7 @@ def feasible_point(A, b, E, d):
     residual is zero iff the system is feasible).  Falls back to a
     phase-1 LP when the least-squares verdict is numerically ambiguous.
     """
+    # imported here, not at the top: nonneg imports qp, which imports this module
     from .nonneg import nonneg_lstsq
 
     A = np.asarray(A, dtype=float)

@@ -13,6 +13,7 @@ is kept separate from the piece representation and supports evaluation,
 prox, and subdifferentials only.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     NotASubgradient,
     PointOutsideDomain,
     QPFailure,
+    TooManyRows,
     Unbounded,
     ValidationError,
 )
@@ -214,7 +216,6 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
     go through subgradient_dist instead.
     """
     if g.m > 8:
-        from .errors import TooManyRows
         raise TooManyRows("subdifferential H-representations are built for m <= 8")
     z = np.asarray(z, dtype=float).ravel()
     idx = active_indices(g, z)
@@ -492,10 +493,9 @@ def plq_separable(coordinate_pieces) -> PLQFunction:
     coordinate j; the cells are combined into all product pieces, so the
     total count multiplies across coordinates.
     """
-    import itertools as it
     m = len(coordinate_pieces)
     pieces = []
-    for combo in it.product(*[range(len(c)) for c in coordinate_pieces]):
+    for combo in itertools.product(*[range(len(c)) for c in coordinate_pieces]):
         lo = np.full(m, -np.inf)
         hi = np.full(m, np.inf)
         A = np.zeros((m, m))

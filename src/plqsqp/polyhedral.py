@@ -23,6 +23,7 @@ from .errors import (
     TooManyRows,
 )
 from .lp import LP_OPTIMAL, feasible_point, solve_lp
+from .nonneg import nonneg_lstsq
 from .qp import active_set_qp
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
@@ -247,7 +248,6 @@ def normal_cone_dist(P: Polyhedron, x, v, tol: float = 1e-9) -> float:
         cols.append(-P.E.T)
     if not cols:
         return float(np.linalg.norm(v))
-    from .nonneg import nonneg_lstsq
     M = np.hstack(cols)
     _, dist = nonneg_lstsq(M, v)
     return dist
@@ -330,16 +330,8 @@ def span_basis(cone: PolyCone) -> np.ndarray:
         return np.zeros((cone.dim, 0))
     M = cone.A @ N
     implicit = _implicit_equalities(M, range(M.shape[0]))
-    if implicit:
-        Y = null_space(M[implicit])
-        if Y.size == 0 or Y.shape[1] == 0:
-            return np.zeros((cone.dim, 0))
-        B = N @ Y
-    else:
-        B = N
-    # orthonormalize
-    Qb, _ = np.linalg.qr(B)
-    return Qb[:, : np.linalg.matrix_rank(B)]
+    # N and Y have orthonormal columns, so N @ Y does too
+    return N @ null_space(M[implicit]) if implicit else N
 
 
 def lineality_basis(cone: PolyCone) -> np.ndarray:

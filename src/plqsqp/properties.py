@@ -196,7 +196,6 @@ def moreau_polarity_suite(C, rng, n_cases: int = 100, tol: float = 1e-9):
 
 def run_calculus_suites(g, Theta, rng, n_cases: int = 200):
     """All suites for one instance; list of (name, failures, checked)."""
-    from .polyhedral import tangent_cone as _tc
     results = []
     for fn, args in [
         (prox_resolvent_suite, (g, rng, n_cases)),
@@ -211,7 +210,7 @@ def run_calculus_suites(g, Theta, rng, n_cases: int = 200):
     results.append((name, failures, checked))
     base = interior_point(Theta)
     if base is not None:
-        cone = _tc(Theta, project(Theta, base))
+        cone = tangent_cone(Theta, project(Theta, base))
         failures, checked, name = moreau_polarity_suite(cone, rng, max(50, n_cases // 2))
         results.append((name, failures, checked))
     return results

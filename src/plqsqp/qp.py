@@ -4,17 +4,25 @@ Solves  min ½ xᵀQx + cᵀx  s.t.  A x <= b,  E x = d  at desk scale.
 
 When Q is positive semidefinite on the feasible directions the returned
 point is a global minimizer; otherwise iteration stops at a first-order
-KKT (stationary) point.  Equality-constrained subproblems are solved by
-the null-space method with an eigendecomposition of the reduced Hessian,
-which also exposes unbounded rays (negative curvature, or linear descent
-along zero-curvature directions).  Entering and leaving rows are chosen
-by lowest index, Bland style, to avoid cycling on degenerate data.
+KKT (stationary) point.  Each working-set iteration is one null-space step
+(Nocedal & Wright, ch. 16) from two factorizations:
+
+- one SVD of the working rows C = U S Vᵀ, with the rank cutoff of `lstsq`
+  (max(C.shape)·eps·s₀).  It gives the min-norm correction onto C x = r,
+  the null-space basis Z, and, at a zero step, the least-squares
+  multipliers U (Vᵀ(−∇) / s);
+- at most one eigendecomposition of the reduced Hessian ZᵀQZ.  It gives
+  the Newton step over the positive-curvature directions, or an unbounded
+  ray (negative curvature, or linear descent along zero curvature).
+
+A step is cut at the first blocking row and a ray must meet one; ties
+and leaving rows go to the lowest index, Bland style, to avoid cycling
+on degenerate data.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import Infeasible, QPFailure, Unbounded
 from .lp import feasible_point
@@ -54,11 +62,28 @@ def _independent_active_rows(A, E, active):
     return keep
 
 
-def active_set_qp(Q, c, A, b, E, d, x0=None, tol=1e-10, max_iter=None):
-    """Solve the QP; returns a QPResult with KKT residual <= tol scale.
+def _ratio_test(A, b, x, direction, work, cap):
+    """Longest step t <= cap along `direction` keeping the rows outside
+    `work` feasible, and the row that blocks it (lowest index among ties),
+    or None when no row blocks before the cap."""
+    Ad = A @ direction
+    rows = [j for j in range(A.shape[0]) if j not in work and Ad[j] > 1e-12]
+    if not rows:
+        return cap, None
+    alphas = np.maximum(b[rows] - A[rows] @ x, 0.0) / Ad[rows]
+    amin = float(alphas.min())
+    if amin >= cap * (1.0 - 1e-12) - 1e-12:  # within rounding of the cap
+        return cap, None
+    enter = min(j for j, a in zip(rows, alphas) if a <= amin + 1e-12 * (1.0 + amin))
+    return amin, enter
 
-    Raises Infeasible when the constraint set is empty and Unbounded when a
-    feasible descent ray with no blocking row is found.
+
+def active_set_qp(Q, c, A, b, E, d, x0=None):
+    """Solve the QP from x0 (when feasible) or a computed feasible point.
+
+    Raises Infeasible when the constraint set is empty, Unbounded when a
+    feasible descent ray with no blocking row is found, and QPFailure when
+    the iteration cap 100 (rows + n + 5) is reached.
     """
     Q = 0.5 * (np.asarray(Q, dtype=float) + np.asarray(Q, dtype=float).T)
     c = np.asarray(c, dtype=float).ravel()
@@ -83,117 +108,59 @@ def active_set_qp(Q, c, A, b, E, d, x0=None, tol=1e-10, max_iter=None):
 
     psd = bool(np.linalg.eigvalsh(Q).min() >= -1e-10 * max(1.0, np.abs(Q).max())) if n else True
 
-    slack = b - A @ x if p else np.zeros(0)
+    slack = b - A @ x
     active = [j for j in range(p) if slack[j] <= 1e-9 * (1.0 + abs(b[j]))]
     work = _independent_active_rows(A, E, active)
 
-    if max_iter is None:
-        max_iter = 100 * (p + q + n + 5)
-
+    max_iter = 100 * (p + q + n + 5)
     for it in range(max_iter):
-        C = np.vstack([E, A[work]]) if (q or work) else np.zeros((0, n))
-        rhs = np.concatenate([d, b[work]]) if (q or work) else np.zeros(0)
+        C = np.vstack([E, A[work]])
+        U, s, Vt = np.linalg.svd(C)
+        rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])) if s.size else 0
+        Ur, sr, Vr, Z = U[:, :rank], s[:rank], Vt[:rank], Vt[rank:].T
+        x_p = x + Vr.T @ ((Ur.T @ (np.concatenate([d, b[work]]) - C @ x)) / sr)
 
-        if C.shape[0]:
-            corr = np.linalg.lstsq(C, rhs - C @ x, rcond=None)[0]
-            x_p = x + corr
-            Z = null_space(C)
-        else:
-            x_p = x
-            Z = np.eye(n)
-
-        ray = None
+        x_new, ray = x_p, None
         if Z.shape[1]:
-            Hz = Z.T @ Q @ Z
-            Hz = 0.5 * (Hz + Hz.T)
             g = Z.T @ (Q @ x_p + c)
-            x_new = None
-            # definite fast path; singular or indefinite Hz falls through
-            # to the eigendecomposition for ray detection
-            try:
-                diag_scale = float(np.abs(np.diag(Hz)).max(initial=0.0))
-                if diag_scale > 0 and np.linalg.cond(Hz) < 1e12:
-                    Lc = np.linalg.cholesky(Hz)
-                    y = -np.linalg.solve(Lc.T, np.linalg.solve(Lc, g))
-                    x_new = x_p + Z @ y
-            except np.linalg.LinAlgError:
-                x_new = None
-            if x_new is None:
-                eigvals, V = np.linalg.eigh(Hz)
-                scale = max(1.0, float(np.abs(eigvals).max()))
-                curv_tol = _CURV_REL * scale
-                gV = V.T @ g
-                gscale = max(1.0, float(np.linalg.norm(g)))
-                jneg = int(np.argmin(eigvals))
-                if eigvals[jneg] < -curv_tol:
-                    dz = -V[:, jneg] if gV[jneg] > 0 else V[:, jneg]
-                    ray = Z @ dz
-                else:
-                    zero = np.abs(eigvals) <= curv_tol
-                    lin = np.where(zero & (np.abs(gV) > _RAY_TOL * gscale))[0]
-                    if lin.size:
-                        j = int(lin[0])
-                        ray = Z @ (-np.sign(gV[j]) * V[:, j])
-                if ray is None:
-                    pos = eigvals > curv_tol
-                    y = -V[:, pos] @ (gV[pos] / eigvals[pos]) if pos.any() \
-                        else np.zeros(Z.shape[1])
-                    x_new = x_p + Z @ y
-        else:
-            x_new = x_p
+            eigvals, V = np.linalg.eigh(Z.T @ Q @ Z)
+            curv_tol = _CURV_REL * max(1.0, float(np.abs(eigvals).max()))
+            gV = V.T @ g
+            jneg = int(np.argmin(eigvals))
+            lin = np.where((np.abs(eigvals) <= curv_tol)
+                           & (np.abs(gV) > _RAY_TOL * max(1.0, float(np.linalg.norm(g)))))[0]
+            if eigvals[jneg] < -curv_tol:
+                ray = Z @ (-V[:, jneg] if gV[jneg] > 0 else V[:, jneg])
+            elif lin.size:
+                ray = Z @ (-np.sign(gV[lin[0]]) * V[:, lin[0]])
+            else:
+                pos = eigvals > curv_tol
+                x_new = x_p - Z @ (V[:, pos] @ (gV[pos] / eigvals[pos]))
 
         if ray is not None:
-            ray = ray / np.linalg.norm(ray)
-            Ad = A @ ray if p else np.zeros(0)
-            slack = b - A @ x if p else np.zeros(0)
-            blocking = [j for j in range(p) if j not in work and Ad[j] > 1e-12]
-            if not blocking:
+            alpha, enter = _ratio_test(A, b, x, ray, work, np.inf)
+            if enter is None:
                 raise Unbounded("descent ray with no blocking row")
-            alphas = np.array([max(slack[j], 0.0) / Ad[j] for j in blocking])
-            amin = float(alphas.min())
-            enter = min(
-                j for j, a in zip(blocking, alphas) if a <= amin + 1e-12 * (1.0 + amin)
-            )
-            x = x + amin * ray
-            work.append(enter)
-            work.sort()
+            x = x + alpha * ray
+            work = sorted(work + [enter])
             continue
 
         step = x_new - x
         if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(x)):
-            grad = Q @ x + c
-            if C.shape[0]:
-                y = np.linalg.lstsq(C.T, -grad, rcond=None)[0]
-                nu_w, mu_w = y[:q], y[q:]
-            else:
-                nu_w, mu_w = np.zeros(0), np.zeros(0)
+            y = Ur @ ((Vr @ -(Q @ x + c)) / sr)
+            nu_w, mu_w = y[:q], y[q:]
             negs = [k for k, m in enumerate(mu_w) if m < -_MULT_TOL]
             if not negs:
                 mu = np.zeros(p)
-                for k, j in enumerate(work):
-                    mu[j] = max(mu_w[k], 0.0)
+                mu[work] = np.maximum(mu_w, 0.0)
                 status = "optimal" if psd else "stationary"
-                return QPResult(x, mu, nu_w.copy(), status, _objective(Q, c, x), it + 1)
-            drop = min(work[k] for k in negs)
-            work.remove(drop)
+                return QPResult(x, mu, nu_w, status, _objective(Q, c, x), it + 1)
+            work.remove(min(work[k] for k in negs))
             continue
 
-        Ad = A @ step if p else np.zeros(0)
-        slack = b - A @ x if p else np.zeros(0)
-        blocking = [j for j in range(p) if j not in work and Ad[j] > 1e-12]
-        alpha = 1.0
-        enter = None
-        for j in blocking:
-            aj = max(slack[j], 0.0) / Ad[j]
-            if aj < alpha - 1e-12 * (1.0 + alpha):
-                alpha = aj
-                enter = j
-            elif enter is not None and aj <= alpha + 1e-12 * (1.0 + alpha):
-                enter = min(enter, j)
+        alpha, enter = _ratio_test(A, b, x, step, work, 1.0)
         x = x + alpha * step
         if enter is not None:
-            work.append(enter)
-            work.sort()
+            work = sorted(work + [enter])
 
     raise QPFailure(f"active-set QP did not terminate in {max_iter} iterations")
-

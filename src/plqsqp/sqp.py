@@ -38,6 +38,7 @@ from .subqp import SubproblemSpec, solve_subproblem
 DELTA_GROWTH = 10.0
 DELTA_FLOOR = 1e-6
 MAX_DELTA_ENLARGEMENTS = 60
+LANDED_REL = 1e-13  # relative distance to a reference that is rounding, not a rate
 
 
 @dataclass(frozen=True)
@@ -207,13 +208,25 @@ def _safe_ratio(num, den):
     return num / den
 
 
-def rate_report(trace, reference="last-iterate") -> RateReport:
+def _tail_ratios(errs):
+    """Ratios of successive errors over the last (at most six) steps."""
+    K = min(6, len(errs) - 1)
+    return [_safe_ratio(errs[j + 1], errs[j]) for j in range(len(errs) - 1 - K, len(errs) - 1)]
+
+
+def rate_report(trace, reference="last-iterate", tol: float = 1e-10) -> RateReport:
     """Convergence-rate ratios and their classification over a trace.
 
     Classification rule: the last three primal ratios strictly decreasing
     with the final one below 0.1 means superlinear; ratios confined to
     [0.1, 0.95] with spread below 0.2 means linear; vanishing steps
     without convergence means stalled; anything else is sublinear.
+
+    When the run converged (final residual <= tol) to a given reference,
+    iterates within LANDED_REL (1 + |x_ref|) of it have landed: their error
+    is rounding, not a rate.  The rule then reads only the iterates before
+    the first landed one, and fewer than four of them count as
+    superlinear.  The reported ratios always cover the whole trace.
     """
     if len(trace) < 4:
         raise TooShortTrace("rate estimation needs at least 4 iterates")
@@ -224,28 +237,29 @@ def rate_report(trace, reference="last-iterate") -> RateReport:
     errs_x = [float(np.linalg.norm(rec.x - ref.x)) for rec in trace]
     errs_pd = [float(np.sqrt(np.linalg.norm(rec.x - ref.x) ** 2
                              + np.linalg.norm(rec.lam - ref.lam) ** 2)) for rec in trace]
-    K = min(6, len(trace) - 1)
-    ratios_primal = [_safe_ratio(errs_x[j + 1], errs_x[j])
-                     for j in range(len(trace) - 1 - K, len(trace) - 1)]
-    ratios_pd = [_safe_ratio(errs_pd[j + 1], errs_pd[j])
-                 for j in range(len(trace) - 1 - K, len(trace) - 1)]
-    tail = ratios_primal[-3:]
-    finite = [r for r in ratios_primal if np.isfinite(r)]
-    if len(tail) == 3 and all(np.isfinite(t) for t in tail) and \
+    errs = errs_x
+    if reference != "last-iterate" and trace[-1].residual <= tol:
+        floor = LANDED_REL * (1.0 + float(np.linalg.norm(ref.x)))
+        errs = errs_x[:next((k for k, e in enumerate(errs_x) if e <= floor), len(errs_x))]
+    ratios = _tail_ratios(errs)
+    tail = ratios[-3:]
+    finite = [r for r in ratios if np.isfinite(r)]
+    steps = [rec.step_norm for rec in trace[-3:]]
+    if len(errs) < 4:
+        cls = "superlinear"  # landed before a rate could show
+    elif len(tail) == 3 and all(np.isfinite(t) for t in tail) and \
             tail[0] > tail[1] > tail[2] and tail[2] < 0.1:
         cls = "superlinear"
     elif finite and all(0.1 <= r <= 0.95 for r in finite) and \
             (max(finite) - min(finite)) < 0.2:
         cls = "linear"
+    elif max(steps) <= 1e-14 and trace[-1].residual > 1e-10:
+        cls = "stalled"
+    elif max(errs[-3:]) <= 1e-14:
+        cls = "superlinear"  # landed exactly on the reference
     else:
-        steps = [rec.step_norm for rec in trace[-3:]]
-        if max(steps) <= 1e-14 and trace[-1].residual > 1e-10:
-            cls = "stalled"
-        elif max(errs_x[-3:]) <= 1e-14:
-            cls = "superlinear"  # landed exactly on the reference
-        else:
-            cls = "stalled" if max(steps) <= 1e-14 else "sublinear"
-    return RateReport(ratios_primal, ratios_pd, cls, ref)
+        cls = "stalled" if max(steps) <= 1e-14 else "sublinear"
+    return RateReport(_tail_ratios(errs_x), _tail_ratios(errs_pd), cls, ref)
 
 
 def run_classification(trace, reference="last-iterate", tol: float = 1e-10) -> str:
@@ -257,7 +271,7 @@ def run_classification(trace, reference="last-iterate", tol: float = 1e-10) -> s
     """
     if len(trace) < 4:
         return "superlinear" if trace[-1].residual <= tol else "stalled"
-    return rate_report(trace, reference).classification
+    return rate_report(trace, reference, tol).classification
 
 
 def trace_csv_rows(trace, n, m):

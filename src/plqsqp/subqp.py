@@ -25,7 +25,7 @@ from .errors import (
 )
 from .kkt import CompositeProblem
 from .lp import feasible_point
-from .plq import PLQFunction, prox_any
+from .plq import PLQFunction, evaluate, prox_any, subgradient_dist
 from .polyhedral import contains, normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
 
@@ -77,7 +77,6 @@ def subproblem_residual(spec: SubproblemSpec, x, lam) -> float:
     y = problem.Phi.value(spec.xk) + J @ (x - spec.xk)
     comp = None
     if isinstance(problem.g, PLQFunction):
-        from .plq import evaluate, subgradient_dist
         if np.isfinite(evaluate(problem.g, y)):
             gap = subgradient_dist(problem.g, y, lam)
             if gap <= 1e-11 * (1.0 + np.linalg.norm(lam)):
@@ -195,7 +194,6 @@ def solve_subproblem(spec: SubproblemSpec) -> list:
         # the recovered dual satisfies this piece's condition; when the
         # linearized point sits on several pieces the subgradient test can
         # fail and an exact feasibility LP decides whether any dual works
-        from .plq import subgradient_dist
         gap = subgradient_dist(problem.g, y, lam)
         if gap > 1e-11 * (1.0 + np.linalg.norm(lam)):
             active = [j for j, pj in enumerate(problem.g.pieces) if contains(pj.C, y)]

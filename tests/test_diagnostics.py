@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,17 @@ def test_reduction_lemma_two_piece_interface(g_two_piece_2d):
     v = verify_reduction_lemma(g_two_piece_2d, [0.0, 0.0], [-1.0, 0.0], eps=1e-2,
                                n_samples=500, rng=np.random.default_rng(15))
     assert v.result == "holds"
+
+
+def test_reduction_lemma_reports_skipped_attempts(g_ind_nonpos):
+    # at (0, 1) every sample with z < 0 has subdifferential {0}, outside
+    # the eps-ball around vbar = 1, so forward sampling must skip it
+    v = verify_reduction_lemma(g_ind_nonpos, [0.0], [1.0], eps=1e-2, n_samples=100,
+                               rng=np.random.default_rng(2))
+    assert v.result == "holds"
+    skipped_fwd, skipped_bwd = map(int, re.search(
+        r"\((\d+) \+ (\d+) attempts skipped\)", v.detail).groups())
+    assert skipped_fwd > 0 and skipped_bwd == 0
 
 
 def test_reduction_lemma_rejects_non_subgradient(g_abs):

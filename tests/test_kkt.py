@@ -259,3 +259,23 @@ def test_multiplier_set_with_dual_lq_g():
     lam_set = multiplier_set(prob, xbar)
     assert contains(lam_set, lam, 1e-8)
     assert not contains(lam_set, lam + 0.1, 1e-8)
+
+
+def test_dplus_spans_the_pieces_when_a_dependent_span_comes_first():
+    """g = indicator of {z2 = 0} on R^3 with pieces {z2 = z3 = 0} and {z2 = 0}:
+    the piece spans are span{e1} and span{e1, e3}, so D+ = span{e1, e3}.
+    Stacking the spans puts e1 twice before e3; a basis taken from the
+    first rank-many QR columns missed e3."""
+    from plqsqp.plq import Piece, PLQFunction
+
+    n = 3
+    line = Polyhedron(np.zeros((0, n)), [], np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                      [0.0, 0.0])
+    plane = Polyhedron(np.zeros((0, n)), [], np.array([[0.0, 1.0, 0.0]]), [0.0])
+    g = PLQFunction(n, [Piece(line, np.zeros((n, n)), np.zeros(n), 0.0),
+                        Piece(plane, np.zeros((n, n)), np.zeros(n), 0.0)])
+    phi = Poly2Map(np.zeros(1), np.zeros((1, n)), np.array([np.eye(n)]))
+    Phi = Poly2Map(np.zeros(n), np.eye(n), np.zeros((n, n, n)))
+    prob = CompositeProblem(phi, Phi, g, Polyhedron.whole_space(n))
+    B = subspace_Dplus(kkt_point(prob, np.zeros(n), np.zeros(n))).basis
+    assert np.allclose(B @ B.T, np.diag([1.0, 0.0, 1.0]), atol=1e-12)

@@ -54,6 +54,26 @@ def test_infeasible_detection():
         active_set_qp(np.eye(1), [0.0], P.A, P.b, P.E, P.d)
 
 
+def test_duplicated_rank_deficient_equality_rows():
+    # the second row is twice the first: rank one, and the min-norm
+    # multipliers must still certify stationarity
+    E, d = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
+    res = active_set_qp(np.eye(2), np.zeros(2), None, None, E, d)
+    assert np.allclose(res.x, [0.5, 0.5], atol=1e-12)
+    assert res.status == "optimal"
+    assert qp_kkt_residual(np.eye(2), np.zeros(2), None, None, E, d, res) <= 1e-12
+
+
+def test_zero_curvature_without_descent_is_optimal_not_unbounded():
+    # e2 has zero curvature and zero gradient: the objective is bounded,
+    # so the minimizer keeps x0's second coordinate instead of a ray
+    Q, c = np.diag([1.0, 0.0]), np.array([-1.0, 0.0])
+    res = active_set_qp(Q, c, None, None, None, None, x0=[0.0, 0.7])
+    assert res.status == "optimal"
+    assert np.allclose(res.x, [1.0, 0.7], atol=1e-12)
+    assert abs(res.objective + 0.5) <= 1e-12
+
+
 def test_negative_curvature_returns_stationary_point():
     # concave objective over a box: stationary (vertex) point expected
     A = np.vstack([np.eye(2), -np.eye(2)])

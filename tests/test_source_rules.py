@@ -2,7 +2,8 @@
 
 No handler may catch everything: a bare `except:`, `except Exception` or
 `except BaseException` (alone or inside a tuple) hides defects behind
-fallbacks.  Every name the package exports must exist.
+fallbacks.  Every name the package exports must exist.  Imports sit at
+module top, except the one that breaks the lp -> nonneg -> qp -> lp cycle.
 """
 
 import ast
@@ -12,6 +13,8 @@ import plqsqp
 
 PACKAGE = Path(plqsqp.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
+# (file, function, imported module) of the function-body imports allowed
+CYCLE_BREAKING_IMPORTS = {("lp.py", "feasible_point", "nonneg")}
 
 
 def _caught_names(handler):
@@ -36,3 +39,17 @@ def test_no_broad_exception_handlers():
 def test_every_export_resolves():
     missing = [name for name in plqsqp.__all__ if not hasattr(plqsqp, name)]
     assert not missing, missing
+
+
+def test_function_body_imports_only_break_cycles():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom):
+                        found.add((path.name, fn.name, node.module))
+                    elif isinstance(node, ast.Import):
+                        found.update((path.name, fn.name, a.name) for a in node.names)
+    assert found <= CYCLE_BREAKING_IMPORTS, sorted(found - CYCLE_BREAKING_IMPORTS)

@@ -161,6 +161,35 @@ def test_rate_report_stalled_rule():
     assert rep.classification == "stalled"
 
 
+# a quadratic run (NLP n=4, generator seed 2) whose last iterate lands at rounding level
+LANDING_ERRS = [2.2e-1, 6.5e-3, 1.3e-5, 2.9e-11, 3.2e-16]
+
+
+def test_rate_report_ignores_iterates_landed_on_the_reference():
+    ref = PrimalDual(np.zeros(1), np.zeros(1))
+    rep = rate_report(_fake_trace(LANDING_ERRS), ref)
+    assert rep.classification == "superlinear"
+    assert run_classification(_fake_trace(LANDING_ERRS), ref) == "superlinear"
+    # the reported ratios still cover every step, the landed one included
+    assert len(rep.ratios_primal) == 4
+    assert abs(rep.ratios_primal[-1] - 3.2e-16 / 2.9e-11) <= 1e-12
+
+
+def test_landed_linear_run_stays_linear():
+    errs = [1.0, 0.5, 0.25, 0.125, 0.0625, 1e-16]
+    rep = rate_report(_fake_trace(errs), PrimalDual(np.zeros(1), np.zeros(1)))
+    assert rep.classification == "linear"
+
+
+def test_landing_rule_needs_a_converged_run():
+    trace = _fake_trace(LANDING_ERRS)
+    for rec in trace:
+        rec.residual = 1.0
+    ref = PrimalDual(np.zeros(1), np.zeros(1))
+    assert rate_report(trace, ref).classification == "sublinear"
+    assert run_classification(trace, ref) == "sublinear"
+
+
 def test_rate_report_short_trace_raises():
     with pytest.raises(TooShortTrace):
         rate_report(_fake_trace([1.0, 0.1]), "last-iterate")
