@@ -36,11 +36,16 @@ def _parse_vector(text):
     return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
 
 
-def _parse_reference(text):
-    if text is None or text == "last-iterate":
-        return None
-    xs, ls = text.split(";")
-    return PrimalDual(_parse_vector(xs), _parse_vector(ls))
+def _resolve_reference(args, metadata, from_metadata):
+    """The reference pair given by --reference, else (when `from_metadata`)
+    the file's embedded KKT point, else None: rates against the last iterate."""
+    if args.reference not in (None, "last-iterate"):
+        xs, ls = args.reference.split(";")
+        return PrimalDual(_parse_vector(xs), _parse_vector(ls))
+    if from_metadata and "xbar" in metadata:
+        return PrimalDual(np.asarray(metadata["xbar"], dtype=float),
+                          np.asarray(metadata["lambdabar"], dtype=float))
+    return None
 
 
 def _resolve_start(problem, metadata, args):
@@ -81,10 +86,7 @@ def _cmd_solve(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     x0, lam0 = _resolve_start(problem, metadata, args)
-    reference = _parse_reference(args.reference)
-    if reference is None and "xbar" in metadata and args.x0 is not None:
-        reference = PrimalDual(np.asarray(metadata["xbar"], dtype=float),
-                               np.asarray(metadata["lambdabar"], dtype=float))
+    reference = _resolve_reference(args, metadata, from_metadata=args.x0 is not None)
     config = SQPConfig(hessian_mode=MODE_MAP[args.mode], tol=args.tol,
                        max_iter=args.max_iter, reference=reference)
     status = 0
@@ -151,10 +153,7 @@ def _cmd_sweep(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     x0, lam0 = _resolve_start(problem, metadata, args)
-    reference = _parse_reference(args.reference)
-    if reference is None and "xbar" in metadata:
-        reference = PrimalDual(np.asarray(metadata["xbar"], dtype=float),
-                               np.asarray(metadata["lambdabar"], dtype=float))
+    reference = _resolve_reference(args, metadata, from_metadata=True)
     rng = np.random.default_rng(args.seed)
     modes = [m.strip() for m in args.modes.split(",")]
     summary = []

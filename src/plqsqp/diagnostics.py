@@ -12,6 +12,7 @@ systems.  Failure certificates are always exact vectors.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .polyhedral import (
     Polyhedron,
     contains,
     cone_rays,
+    enumerate_faces,
     generated_cone_hrep,
     lineality_basis,
     normal_cone_dist,
@@ -191,9 +193,7 @@ def _solve_pattern(problem, hess, J, KT, cones_by_piece, Amats, S_set, JT, faces
     tstar, x = lp.maximize_t()
     if x is None or tstar < 0.5:
         return None
-    w = lp.block(x, "w")
-    u = lp.block(x, "u")
-    return w, u
+    return lp.block(x, "w")
 
 
 def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
@@ -205,7 +205,9 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
     critical cone and one violated row per excluded piece, making the
     system linear.  A homogeneous LP maximizing a certified lower bound
     t on |w_j| then has optimum exactly 0 or 1, so any optimum above 0.5
-    yields an exact nonzero certificate.
+    yields an exact nonzero certificate.  Faces come from
+    `enumerate_faces`, one per distinct face; the patterns are counted
+    against MAX_PATTERN_LPS before any LP runs, then streamed.
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
     cones = point.piece_cones
@@ -214,51 +216,40 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
     pieces = [i for i, _ in cones]
     cones_by_piece = {i: K for i, K in cones}
     Amats = {i: problem.g.pieces[i].A for i in pieces}
-    always_in = [i for i in pieces
-                 if cones_by_piece[i].n_ineq == 0 and cones_by_piece[i].n_eq == 0]
 
-    # enumerate patterns, counting LPs against the cap
-    patterns = []
-    for size in range(1, len(pieces) + 1):
-        for S_set in itertools.combinations(pieces, size):
-            if any(i in always_in and i not in S_set for i in pieces):
-                continue
-            excluded = [i for i in pieces if i not in S_set]
-            excl_opts = [[(i, *choice) for choice in _exclusion_choices(cones_by_piece[i])]
-                         for i in excluded]
-            if any(not opts for opts in excl_opts):
-                continue
-            face_opts = []
-            for i in S_set:
-                K = cones_by_piece[i]
-                face_opts.append([tuple(sorted(f))
-                                  for sz in range(K.n_ineq + 1)
-                                  for f in itertools.combinations(range(K.n_ineq), sz)])
-            JT_opts = [tuple(sorted(f))
-                       for sz in range(KT.n_ineq + 1)
-                       for f in itertools.combinations(range(KT.n_ineq), sz)]
-            for JT in JT_opts:
-                for face_combo in itertools.product(*face_opts):
-                    faces = {i: list(face_combo[k]) for k, i in enumerate(S_set)}
-                    for excl_combo in itertools.product(*excl_opts) if excl_opts else [()]:
-                        patterns.append((S_set, list(JT), faces, list(excl_combo)))
-    total = len(patterns) * 2 * n
+    # one option per distinct face (forced-active key) of each cone
+    face_opts = {i: [sorted(f.active) for f in enumerate_faces(K)] for i, K in cones}
+    JT_opts = [sorted(f.active) for f in enumerate_faces(KT)]
+    S_sets = [S_set for size in range(1, len(pieces) + 1)
+              for S_set in itertools.combinations(pieces, size)]
+
+    def options(S_set):
+        """Choices of a pattern: K_Theta face, piece faces, one exclusion per
+        excluded piece (none for a cone without rows, so it is never excluded)."""
+        return [JT_opts, *(face_opts[i] for i in S_set),
+                *([(i, *c) for c in _exclusion_choices(cones_by_piece[i])]
+                  for i in pieces if i not in S_set)]
+
+    # count the pattern LPs against the cap before solving any
+    n_patterns = sum(math.prod(map(len, options(S_set))) for S_set in S_sets)
+    total = n_patterns * 2 * n
     if total > MAX_PATTERN_LPS:
         raise TooManyRows(f"{total} pattern LPs exceed the cap {MAX_PATTERN_LPS}")
 
-    for (S_set, JT, faces, exclusions) in patterns:
-        for j in range(n):
-            for sigma in (1.0, -1.0):
-                found = _solve_pattern(problem, hess, J, KT, cones_by_piece, Amats,
-                                       S_set, JT, faces, exclusions, (j, sigma))
-                if found is None:
+    for S_set in S_sets:
+        for JT, *choice in itertools.product(*options(S_set)):
+            faces = dict(zip(S_set, choice))
+            exclusions = choice[len(S_set):]
+            for obj in itertools.product(range(n), (1.0, -1.0)):
+                w = _solve_pattern(problem, hess, J, KT, cones_by_piece, Amats,
+                                   S_set, JT, faces, exclusions, obj)
+                if w is None:
                     continue
-                w, u = found
                 w = w / np.abs(w).max()
                 return Verdict("noncritical", "fails", certificate=w,
                                detail=f"critical direction found (pieces {list(S_set)})")
     return Verdict("noncritical", "holds",
-                   detail=f"all {len(patterns)} activity patterns force w = 0")
+                   detail=f"all {n_patterns} activity patterns force w = 0")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ equalities, redundancy).  Values are immutable after construction and
 all operations are pure.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     Infeasible,
     NotANormalVector,
     PointNotInSet,
+    SolverFailure,
     TooManyRows,
 )
 from .lp import LP_OPTIMAL, feasible_point, solve_lp
@@ -277,19 +277,25 @@ def normal_cone_generators(P: Polyhedron, x):
 # ---------------------------------------------------------------------------
 
 def _implicit_equalities(M, rows) -> list:
-    """Nonzero rows k of `rows` with M[k] y = 0 on all of {y : M y <= 0}."""
-    out = []
-    for k in rows:
-        row = M[k]
-        if np.linalg.norm(row) <= 1e-12:
-            continue
-        # row y <= 0 on the cone; implicit equality iff min row y = 0
-        status, _, val = solve_lp(
-            row, A_ub=np.vstack([M, -row.reshape(1, -1)]),
-            b_ub=np.concatenate([np.zeros(M.shape[0]), [1.0]]))
-        if status == LP_OPTIMAL and val >= -1e-9:
-            out.append(k)
-    return out
+    """Nonzero rows k of `rows` with M[k] y = 0 on all of {y : M y <= 0}.
+
+    One LP: maximize sum s_k subject to M y <= 0, M[k] y + s_k <= 0 and
+    s_k <= 1 (s_k >= 0 holds at every optimum).  The set is a cone, so every
+    row that is not an implicit equality reaches s_k = 1 and every implicit
+    equality stays at 0.
+    """
+    rows = [k for k in rows if np.linalg.norm(M[k]) > 1e-12]
+    if not rows:
+        return []
+    p, n, r = M.shape[0], M.shape[1], len(rows)
+    A_ub = np.vstack([np.hstack([M, np.zeros((p, r))]),
+                      np.hstack([M[rows], np.eye(r)]),
+                      np.hstack([np.zeros((r, n)), np.eye(r)])])
+    b_ub = np.concatenate([np.zeros(p + r), np.ones(r)])
+    status, sol, _ = solve_lp(np.concatenate([np.zeros(n), -np.ones(r)]), A_ub, b_ub)
+    if status != LP_OPTIMAL:
+        raise SolverFailure(f"implicit-equality LP ended with status {status}")
+    return [k for k, s in zip(rows, sol[n:]) if s < 0.5]
 
 
 def _forced_active(cone: PolyCone, fixed) -> frozenset:
@@ -305,22 +311,29 @@ def _forced_active(cone: PolyCone, fixed) -> frozenset:
     return frozenset(fixed) | frozenset(zero) | frozenset(_implicit_equalities(M, free))
 
 
-def enumerate_faces(cone: PolyCone, cap: int = 20) -> list:
-    """All distinct faces from turning inequality-row subsets into equalities.
+def enumerate_faces(cone: PolyCone, cap: int = 1024) -> list:
+    """All faces of the cone, each keyed by its forced-active row set.
 
-    Faces are deduplicated by their forced-active row sets; the list always
-    contains the cone itself and its lineality space.
+    A closure walk over the face lattice: start from the closure of no
+    rows (the cone itself), and from each new key F try the closure of
+    F plus one more row.  Every face is reached, and the cost grows with
+    the number of faces, not with 2^rows.  The first face is the cone
+    itself and the list contains its lineality space; more than `cap`
+    faces raise TooManyRows.
     """
-    r = cone.n_ineq
-    if r > cap:
-        raise TooManyRows(f"2^{r} face subsets exceed the cap 2^{cap}")
-    seen = {}
-    for size in range(r + 1):
-        for subset in itertools.combinations(range(r), size):
-            key = _forced_active(cone, frozenset(subset))
-            if key not in seen:
-                seen[key] = Face(cone, key)
-    return list(seen.values())
+    walk = [_forced_active(cone, frozenset())]
+    seen = set(walk)
+    for key in walk:
+        for j in range(cone.n_ineq):
+            if j in key:
+                continue
+            child = _forced_active(cone, key | {j})
+            if child not in seen:
+                if len(walk) >= cap:
+                    raise TooManyRows(f"more than {cap} faces")
+                seen.add(child)
+                walk.append(child)
+    return [Face(cone, key) for key in walk]
 
 
 def span_basis(cone: PolyCone) -> np.ndarray:
@@ -343,42 +356,27 @@ def lineality_basis(cone: PolyCone) -> np.ndarray:
     return N if N.size else np.zeros((cone.dim, 0))
 
 
-def cone_rays(cone: PolyCone, cap: int = 20):
-    """(rays, lineality): boundary rays of K found by rank-(dim-1) activity.
+def cone_rays(cone: PolyCone):
+    """(rays, lineality): the extreme rays of K modulo its lineality space.
 
-    Rays are unit vectors orthogonal to the lineality space; together with
-    the lineality basis they span the cone.  Exact membership of each ray
-    is verified before it is returned.
+    A ray is a face one dimension above the lineality space, taken from
+    `enumerate_faces` (whose face cap applies).  Each is returned as a
+    unit vector orthogonal to the lineality space and signed into K;
+    together with the lineality basis the rays span the cone.
     """
-    r = cone.n_ineq
-    if r > cap:
-        raise TooManyRows(f"2^{r} subsets exceed the cap 2^{cap}")
     L = lineality_basis(cone)
-    ldim = L.shape[1]
     rays = []
-    for size in range(r + 1):
-        for subset in itertools.combinations(range(r), size):
-            S = np.vstack([cone.E, cone.A[list(subset)]]) if (cone.n_eq or subset) \
-                else np.zeros((0, cone.dim))
-            N = null_space(S) if S.size else np.eye(cone.dim)
-            if N.size == 0 or N.shape[1] != ldim + 1:
-                continue
-            # direction modulo lineality
-            if ldim:
-                Nperp = N - L @ (L.T @ N)
-                u = Nperp[:, int(np.argmax(np.linalg.norm(Nperp, axis=0)))]
-            else:
-                u = N[:, 0]
-            nu = np.linalg.norm(u)
-            if nu <= 1e-10:
-                continue
-            u = u / nu
-            for s in (u, -u):
-                if cone.n_ineq and np.any(cone.A @ s > 1e-9):
-                    continue
-                if any(np.linalg.norm(s - q) <= 1e-8 for q in rays):
-                    continue
-                rays.append(s.copy())
+    for face in enumerate_faces(cone):
+        S = np.vstack([cone.E, cone.A[sorted(face.active)]])
+        N = null_space(S) if S.size else np.eye(cone.dim)
+        if N.shape[1] != L.shape[1] + 1:
+            continue
+        # the one direction of the face orthogonal to the lineality space;
+        # rows off the face are <= 0 on it, and one of them is < 0
+        Nperp = N - L @ (L.T @ N)
+        u = Nperp[:, int(np.argmax(np.linalg.norm(Nperp, axis=0)))]
+        u = u / np.linalg.norm(u)
+        rays.append(u if np.sum(cone.A @ u) < 0 else -u)
     return rays, L
 
 

@@ -48,17 +48,27 @@ def _objective(Q, c, x):
 
 
 def _independent_active_rows(A, E, active):
-    """Greedy subset of `active` whose rows, stacked under E, stay independent."""
-    rows = [E[i] for i in range(E.shape[0])]
-    keep = []
-    rank = np.linalg.matrix_rank(np.asarray(rows)) if rows else 0
-    for j in active:
-        trial = rows + [A[j]]
-        r = np.linalg.matrix_rank(np.asarray(trial))
-        if r > rank:
-            rows = trial
-            rank = r
-            keep.append(j)
+    """Greedy subset of `active` whose rows, stacked under E, stay independent.
+
+    One Gram-Schmidt pass over the stack: a row extends the orthonormal
+    basis when its residual clears the `matrix_rank` cutoff max(shape)·eps·s₀
+    (s₀ bounded by the Frobenius norm).
+    """
+    if not active:
+        return []
+    rows = np.vstack([E, A[active]])
+    cutoff = max(rows.shape) * np.finfo(float).eps * np.linalg.norm(rows)
+    basis, keep = [], []
+    for k, res in enumerate(rows):
+        if basis:  # project off the basis twice, for stability
+            B = np.array(basis)
+            res = res - (res @ B.T) @ B
+            res = res - (res @ B.T) @ B
+        norm = np.linalg.norm(res)
+        if norm > cutoff:
+            basis.append(res / norm)
+            if k >= E.shape[0]:
+                keep.append(active[k - E.shape[0]])
     return keep
 
 

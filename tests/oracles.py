@@ -11,6 +11,7 @@ rather than in the package.
 import itertools
 
 import numpy as np
+from scipy.linalg import null_space
 
 from plqsqp.errors import PointOutsideDomain, TooManyRows
 from plqsqp.kkt import lagrangian
@@ -19,10 +20,12 @@ from plqsqp.plq import piece_critical_cones
 from plqsqp.polyhedral import (
     PolyCone,
     Polyhedron,
+    _forced_active,
     contains,
     critical_cone,
     generated_cone_hrep,
     intersect,
+    lineality_basis,
     normal_cone_generators,
 )
 
@@ -54,6 +57,38 @@ def face_cone(face) -> PolyCone:
     R = np.delete(face.parent.A, idx, axis=0) if idx else face.parent.A
     S = np.vstack([face.parent.E, face.parent.A[idx]]) if idx else face.parent.E
     return PolyCone.from_rows(R, S, face.parent.dim)
+
+
+def faces_by_subsets(cone: PolyCone) -> set:
+    """Forced-active keys of all 2^r inequality-row subsets: every face once."""
+    r = cone.n_ineq
+    return {_forced_active(cone, frozenset(subset))
+            for size in range(r + 1) for subset in itertools.combinations(range(r), size)}
+
+
+def rays_by_subsets(cone: PolyCone) -> list:
+    """Extreme rays modulo the lineality space, by null spaces of all row subsets.
+
+    A subset whose null space (with the equality rows) is one dimension
+    above the lineality space spans a ray when one of its two unit
+    directions orthogonal to the lineality space lies in the cone.
+    """
+    L = lineality_basis(cone)
+    rays = []
+    for size in range(cone.n_ineq + 1):
+        for subset in itertools.combinations(range(cone.n_ineq), size):
+            S = np.vstack([cone.E, cone.A[list(subset)]])
+            N = null_space(S) if S.size else np.eye(cone.dim)
+            if N.shape[1] != L.shape[1] + 1:
+                continue
+            Nperp = N - L @ (L.T @ N)
+            u = Nperp[:, int(np.argmax(np.linalg.norm(Nperp, axis=0)))]
+            u = u / np.linalg.norm(u)
+            for s in (u, -u):
+                if contains(cone, s, 1e-9) and not any(
+                        np.linalg.norm(s - q) <= 1e-8 for q in rays):
+                    rays.append(s)
+    return rays
 
 
 def proto_derivative_set(g, z, v, w) -> Polyhedron:

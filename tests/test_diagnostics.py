@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from plqsqp import diagnostics, lp, polyhedral
 from plqsqp.diagnostics import (
     check_noncritical,
     check_sosc,
@@ -10,7 +11,8 @@ from plqsqp.diagnostics import (
     estimate_calmness,
     verify_reduction_lemma,
 )
-from plqsqp.errors import NotAKKTPoint, NotASubgradient, PLQError
+from plqsqp.errors import NotAKKTPoint, NotASubgradient, PLQError, TooManyRows
+from plqsqp.generators import generate
 from plqsqp.kkt import (
     CompositeProblem,
     Poly2Map,
@@ -30,6 +32,42 @@ from oracles import grid_noncritical_oracle
 
 
 # -- noncriticality -----------------------------------------------------------
+
+def _minmax_4x4():
+    gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
+    return gp.problem, gp.metadata()
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Count calls of function `name`, rebound in each of `modules`."""
+    count = [0]
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def test_noncritical_minmax_lp_count(monkeypatch):
+    # one pattern per distinct face: 3,584 LPs when every row subset was a pattern
+    prob, md = _minmax_4x4()
+    lps = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "solve_lp")
+    assert check_noncritical(prob, md["xbar"], md["lambdabar"]).result == "holds"
+    assert 0 < lps[0] <= 600
+
+
+def test_noncritical_pattern_cap_raises_before_any_pattern_lp(monkeypatch):
+    prob, md = _minmax_4x4()
+    monkeypatch.setattr(diagnostics, "MAX_PATTERN_LPS", 10)
+    patterns = _count_calls(monkeypatch, [diagnostics], "_solve_pattern")
+    with pytest.raises(TooManyRows):
+        check_noncritical(prob, md["xbar"], md["lambdabar"])
+    assert patterns[0] == 0
+
 
 def test_p2_criticality_discrimination():
     p2 = make_p2()
@@ -166,17 +204,35 @@ def test_sosc_negative_curvature_found(rng):
     assert v.result == "heuristic_fails"
 
 
-def test_sosc_cone_over_ray_enumeration_cap_falls_back_to_multistart(rng):
-    # Theta is a 2-D wedge cut by 21 rows, all active at 0; ray enumeration
-    # refuses more than 20 rows, so the multistart heuristic decides
-    rows = 21
+def _wide_wedge_problem(rows=21):
+    """phi = |x|^2/2 over a 2-D wedge cut by `rows` rows, all active at 0; g = 0."""
     angles = np.pi * (0.6 + 0.8 * np.arange(rows) / (rows - 1))
     Theta = Polyhedron(np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros(rows),
                        np.zeros((0, 2)), np.zeros(0))
     phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.eye(2).reshape(1, 2, 2))
     Phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2, 2)))
-    prob = CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Theta)
+    return CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Theta)
+
+
+def test_sosc_cone_over_ray_enumeration_cap_falls_back_to_multistart(rng):
+    # Theta is a 2-D wedge cut by 21 rows, all active at 0; the face walk
+    # finds its two extreme rays well under the face cap, so the ray test
+    # runs before the multistart; the next test covers the fallback itself
+    prob = _wide_wedge_problem()
     assert check_sosc(prob, [0.0, 0.0], [0.0], rng=rng).result == "heuristic_holds"
+
+
+def test_sosc_falls_back_to_multistart_when_ray_enumeration_raises(rng, monkeypatch):
+    calls = []
+
+    def refuse(cone):
+        calls.append(cone)
+        raise TooManyRows("refused")
+
+    monkeypatch.setattr(diagnostics, "cone_rays", refuse)
+    prob = _wide_wedge_problem()
+    assert check_sosc(prob, [0.0, 0.0], [0.0], rng=rng).result == "heuristic_holds"
+    assert calls
 
 
 def test_cone_checks_on_dual_lq_g_raise_plq_error():

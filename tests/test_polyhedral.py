@@ -22,7 +22,7 @@ from plqsqp.polyhedral import (
     tangent_cone,
 )
 
-from oracles import face_cone, vertices
+from oracles import face_cone, faces_by_subsets, rays_by_subsets, vertices
 
 SIMPLEX = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                      np.array([1.0, 0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
@@ -187,6 +187,68 @@ def test_cone_rays_orthant():
     assert lin.shape[1] == 0
     assert len(rays) == 2
     assert all(min(np.linalg.norm(r - e) for e in np.eye(2)) <= 1e-9 for r in rays)
+
+
+def _wedge(rows):
+    """Pointed 2-D wedge of half-angle 0.1 pi around e1, cut by `rows` rows
+    whose normals sweep [0.6 pi, 1.4 pi]; all but the two extreme rows are
+    redundant."""
+    angles = np.pi * (0.6 + 0.8 * np.arange(rows) / (rows - 1))
+    return PolyCone.from_rows(np.column_stack([np.cos(angles), np.sin(angles)]),
+                              np.zeros((0, 2)))
+
+
+def test_wide_wedge_has_four_faces():
+    # 21 rows make 2^21 row subsets, but the wedge has four faces
+    faces = enumerate_faces(_wedge(21))
+    assert len(faces) == 4
+    assert sorted(len(f.active) for f in faces) == [0, 1, 1, 21]
+
+
+def test_wide_wedge_rays_are_its_two_edges():
+    rays, lin = cone_rays(_wedge(21))
+    assert lin.shape[1] == 0 and len(rays) == 2
+    edges = [np.array([np.cos(a), np.sin(a)]) for a in (0.1 * np.pi, -0.1 * np.pi)]
+    assert all(min(np.linalg.norm(r - e) for r in rays) <= 1e-9 for e in edges)
+
+
+def _random_cone(rng):
+    """A cone in R^2..R^4 with duplicated, redundant and equality rows, and
+    often a nontrivial lineality space or implicit equalities."""
+    n = int(rng.integers(2, 5))
+    lin = int(rng.integers(0, n - 1))  # lineality dimension, pointed part >= 2
+    B = np.linalg.qr(rng.standard_normal((n, n)))[0][:, lin:]  # complement of L
+    center = rng.standard_normal(n - lin)
+    rows = []
+    for _ in range(int(rng.integers(2, 6))):
+        a = rng.standard_normal(n - lin)
+        rows.append(-np.sign(a @ center) * a)  # center stays interior
+    if rng.random() < 0.5:
+        rows.append(rows[0].copy())  # duplicated
+    if rng.random() < 0.5:
+        rows.append(rows[0] + 2.0 * rows[1])  # redundant
+    if rng.random() < 0.25:
+        rows.append(-rows[1])  # makes row 1 an implicit equality
+    eqs = []
+    if n - lin >= 3 and rng.random() < 0.5:
+        eqs.append(rng.standard_normal(n - lin))
+    rows = np.array(rows[:7])  # the oracles walk all 2^rows subsets
+    return PolyCone.from_rows(rows @ B.T, np.array(eqs).reshape(-1, n - lin) @ B.T, n)
+
+
+def test_face_walk_matches_subset_enumeration(rng):
+    for _ in range(24):
+        C = _random_cone(rng)
+        faces = enumerate_faces(C)
+        keys = [f.active for f in faces]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == faces_by_subsets(C)
+        assert all(keys[0] <= k for k in keys)  # the cone itself comes first
+        rays, lin = cone_rays(C)
+        expected = rays_by_subsets(C)
+        assert len(rays) == len(expected)
+        assert all(min(np.linalg.norm(r - q) for q in expected) <= 1e-8 for r in rays)
+        assert all(contains(C, r, 1e-9) and np.linalg.norm(lin.T @ r) <= 1e-9 for r in rays)
 
 
 def test_span_and_lineality():
