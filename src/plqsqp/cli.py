@@ -38,8 +38,11 @@ def _parse_vector(text):
 
 def _resolve_reference(args, metadata, from_metadata):
     """The reference pair given by --reference, else (when `from_metadata`)
-    the file's embedded KKT point, else None: rates against the last iterate."""
-    if args.reference not in (None, "last-iterate"):
+    the file's embedded KKT point, else None: rates against the last iterate.
+    `--reference last-iterate` always gives None."""
+    if args.reference == "last-iterate":
+        return None
+    if args.reference is not None:
         xs, ls = args.reference.split(";")
         return PrimalDual(_parse_vector(xs), _parse_vector(ls))
     if from_metadata and "xbar" in metadata:

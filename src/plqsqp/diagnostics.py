@@ -26,7 +26,7 @@ from .kkt import (
     perturbed_problem,
     subspace_Dplus,
 )
-from .lp import LP_OPTIMAL, solve_lp
+from .lp import LP_OPTIMAL, LPBuilder, solve_lp
 from .plq import (
     PLQFunction,
     active_indices,
@@ -45,7 +45,6 @@ from .polyhedral import (
     normal_cone_generators,
     project,
     project_cone_union,
-    span_basis,
 )
 from .sqp import SQPConfig, run_sqp
 
@@ -68,62 +67,6 @@ class Verdict:
 # noncriticality (exact)
 # ---------------------------------------------------------------------------
 
-class _LPBuilder:
-    """Accumulates a sparse-ish dense LP: max t over homogeneous rows + cap."""
-
-    def __init__(self, sizes):
-        self.offsets = {}
-        off = 0
-        for name, size in sizes:
-            self.offsets[name] = (off, off + size)
-            off += size
-        self.nvar = off
-        self.eq_rows, self.eq_rhs = [], []
-        self.ub_rows, self.ub_rhs = [], []
-
-    def row(self, parts):
-        r = np.zeros(self.nvar)
-        for name, block in parts.items():
-            lo, hi = self.offsets[name]
-            r[lo:hi] = block
-        return r
-
-    def add_eq(self, parts, rhs=0.0):
-        self.eq_rows.append(self.row(parts))
-        self.eq_rhs.append(rhs)
-
-    def add_ub(self, parts, rhs=0.0):
-        self.ub_rows.append(self.row(parts))
-        self.ub_rhs.append(rhs)
-
-    def add_nonneg(self, name):
-        """Every coordinate of block `name` is nonnegative."""
-        lo, hi = self.offsets[name]
-        for k in range(hi - lo):
-            e = np.zeros(hi - lo)
-            e[k] = -1.0
-            self.add_ub({name: e})
-
-    def maximize_t(self):
-        lo, _ = self.offsets["t"]
-        c = np.zeros(self.nvar)
-        c[lo] = -1.0
-        status, x, val = solve_lp(
-            c,
-            A_ub=np.asarray(self.ub_rows) if self.ub_rows else None,
-            b_ub=np.asarray(self.ub_rhs) if self.ub_rhs else None,
-            A_eq=np.asarray(self.eq_rows) if self.eq_rows else None,
-            b_eq=np.asarray(self.eq_rhs) if self.eq_rhs else None,
-        )
-        if status != LP_OPTIMAL:
-            return 0.0, None
-        return -val, x
-
-    def block(self, x, name):
-        lo, hi = self.offsets[name]
-        return x[lo:hi]
-
-
 def _exclusion_choices(K):
     """Ways to force y outside cone K: one violated row per choice."""
     out = []
@@ -135,65 +78,47 @@ def _exclusion_choices(K):
     return out
 
 
-def _solve_pattern(problem, hess, J, KT, cones_by_piece, Amats, S_set, JT, faces,
-                   exclusions, obj):
+def _rows_times(R, J):
+    """Each row of R times J as a vector-matrix product, so a row equals the
+    `row @ J` of the exclusion rows exactly (a matrix product may round
+    differently)."""
+    return (R[:, None, :] @ J)[:, 0]
+
+
+def _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT, faces, exclusions):
+    """A nonzero w of one activity pattern's linear system, or None.
+
+    The rows are built once; `LPBuilder.nonzero_block` then runs the 2n
+    coordinate LPs on them.
+    """
     n, m = hess.shape[0], J.shape[0]
     sizes = [("w", n), ("u", m), ("t", 1), ("mu", len(JT)), ("nu", KT.n_eq)]
     for i in S_set:
         sizes.append((f"eta{i}", len(faces[i])))
         sizes.append((f"zeta{i}", cones_by_piece[i].n_eq))
-    lp = _LPBuilder(sizes)
+    lp = LPBuilder(sizes)
     RT, ST = KT.A, KT.E
-    for r in JT:
-        lp.add_eq({"w": RT[r]})
-    for r in range(KT.n_ineq):
-        if r not in JT:
-            lp.add_ub({"w": RT[r]})
-    for r in range(ST.shape[0]):
-        lp.add_eq({"w": ST[r]})
-    for row in range(n):
-        parts = {"w": hess[row], "u": J[:, row]}
-        if JT:
-            parts["mu"] = RT[list(JT)][:, row]
-        if ST.shape[0]:
-            parts["nu"] = ST[:, row]
-        lp.add_eq(parts)
+    lp.add_eq({"w": RT[JT]})
+    lp.add_ub({"w": RT[[r for r in range(KT.n_ineq) if r not in JT]]})
+    lp.add_eq({"w": ST})
+    lp.add_eq({"w": hess, "u": J.T, "mu": RT[JT].T, "nu": ST.T})
     for i in S_set:
         K = cones_by_piece[i]
-        Ri, Si, Ai = K.A, K.E, Amats[i]
-        Ji = faces[i]
-        for r in Ji:
-            lp.add_eq({"w": Ri[r] @ J})
-        for r in range(K.n_ineq):
-            if r not in Ji:
-                lp.add_ub({"w": Ri[r] @ J})
-        for r in range(Si.shape[0]):
-            lp.add_eq({"w": Si[r] @ J})
+        Ri, Si, Ji = K.A, K.E, faces[i]
+        lp.add_eq({"w": _rows_times(Ri[Ji], J)})
+        lp.add_ub({"w": _rows_times(Ri[[r for r in range(K.n_ineq) if r not in Ji]], J)})
+        lp.add_eq({"w": _rows_times(Si, J)})
         # u - A_i J w = Ri[Ji]^T eta + Si^T zeta
-        for row in range(m):
-            parts = {"u": np.eye(m)[row], "w": -(Ai @ J)[row]}
-            if Ji:
-                parts[f"eta{i}"] = -Ri[list(Ji)][:, row]
-            if Si.shape[0]:
-                parts[f"zeta{i}"] = -Si[:, row]
-            lp.add_eq(parts)
+        lp.add_eq({"u": np.eye(m), "w": -(Amats[i] @ J),
+                   f"eta{i}": -Ri[Ji].T, f"zeta{i}": -Si.T})
         lp.add_nonneg(f"eta{i}")
     lp.add_nonneg("mu")
     # exclusions: sigma * (row . J w) >= t for each excluded piece
     for (i, kind, r, sigma) in exclusions:
         K = cones_by_piece[i]
         row = K.A[r] if kind == "ineq" else K.E[r]
-        lp.add_ub({"w": -sigma * (row @ J), "t": np.array([1.0])})
-    # objective coordinate: sigma * w_j >= t ; cap t <= 1
-    j, sigma = obj
-    e = np.zeros(n)
-    e[j] = -sigma
-    lp.add_ub({"w": e, "t": np.array([1.0])})
-    lp.add_ub({"t": np.array([1.0])}, rhs=1.0)
-    tstar, x = lp.maximize_t()
-    if x is None or tstar < 0.5:
-        return None
-    return lp.block(x, "w")
+        lp.add_ub({"w": -sigma * (row @ J), "t": 1.0})
+    return lp.nonzero_block("w")
 
 
 def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
@@ -238,15 +163,10 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
 
     for S_set in S_sets:
         for JT, *choice in itertools.product(*options(S_set)):
-            faces = dict(zip(S_set, choice))
-            exclusions = choice[len(S_set):]
-            for obj in itertools.product(range(n), (1.0, -1.0)):
-                w = _solve_pattern(problem, hess, J, KT, cones_by_piece, Amats,
-                                   S_set, JT, faces, exclusions, obj)
-                if w is None:
-                    continue
-                w = w / np.abs(w).max()
-                return Verdict("noncritical", "fails", certificate=w,
+            w = _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT,
+                               dict(zip(S_set, choice)), choice[len(S_set):])
+            if w is not None:
+                return Verdict("noncritical", "fails", certificate=w / np.abs(w).max(),
                                detail=f"critical direction found (pieces {list(S_set)})")
     return Verdict("noncritical", "holds",
                    detail=f"all {n_patterns} activity patterns force w = 0")
@@ -258,45 +178,23 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
 
 def _dual_condition_nonzero(point):
     """A nonzero u with -J^T u in K_Theta^* and u in K_g^*, or None."""
-    problem = point.problem
     cones = point.piece_cones
     KT, J = point.theta_cone, point.J
-    m = problem.m
+    m = point.problem.m
     sizes = [("u", m), ("t", 1), ("muT", KT.n_ineq), ("nuT", KT.n_eq)]
     for i, K in cones:
         sizes.append((f"eta{i}", K.n_ineq))
         sizes.append((f"zeta{i}", K.n_eq))
-    for j in range(m):
-        for sigma in (1.0, -1.0):
-            lp = _LPBuilder(sizes)
-            # -J^T u = KT.A^T muT + KT.E^T nuT, muT >= 0
-            for row in range(problem.n):
-                parts = {"u": -J[:, row]}
-                if KT.n_ineq:
-                    parts["muT"] = -KT.A[:, row]
-                if KT.n_eq:
-                    parts["nuT"] = -KT.E[:, row]
-                lp.add_eq(parts)
-            lp.add_nonneg("muT")
-            # u in K_g^* = intersection of the piece polars
-            for i, K in cones:
-                for row in range(m):
-                    parts = {"u": np.eye(m)[row]}
-                    if K.n_ineq:
-                        parts[f"eta{i}"] = -K.A[:, row]
-                    if K.n_eq:
-                        parts[f"zeta{i}"] = -K.E[:, row]
-                    lp.add_eq(parts)
-                lp.add_nonneg(f"eta{i}")
-            e = np.zeros(m)
-            e[j] = -sigma
-            lp.add_ub({"u": e, "t": np.array([1.0])})
-            lp.add_ub({"t": np.array([1.0])}, rhs=1.0)
-            tstar, x = lp.maximize_t()
-            if x is not None and tstar >= 0.5:
-                u = lp.block(x, "u")
-                return u / np.abs(u).max()
-    return None
+    lp = LPBuilder(sizes)
+    # -J^T u = KT.A^T muT + KT.E^T nuT, muT >= 0
+    lp.add_eq({"u": -J.T, "muT": -KT.A.T, "nuT": -KT.E.T})
+    lp.add_nonneg("muT")
+    # u in K_g^* = intersection of the piece polars
+    for i, K in cones:
+        lp.add_eq({"u": np.eye(m), f"eta{i}": -K.A.T, f"zeta{i}": -K.E.T})
+        lp.add_nonneg(f"eta{i}")
+    u = lp.nonzero_block("u")
+    return None if u is None else u / np.abs(u).max()
 
 
 def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
@@ -376,7 +274,8 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, samples: int = 30,
 
     Per member of the critical-direction cone: exact eigenvalue test on
     the lineality space, exact sign test on every enumerated boundary
-    ray, multistart projected gradient elsewhere.  Failure certificates
+    ray, multistart projected gradient elsewhere.  A member without
+    lineality and without rays is {0} and is skipped.  Failure certificates
     are exact directions with a nonpositive form value.
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
@@ -385,10 +284,6 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, samples: int = 30,
     nontrivial = 0
     global_min = np.inf
     for i, M in point.D_members:
-        B = span_basis(M)
-        if B.shape[1] == 0:
-            continue
-        nontrivial += 1
         Q = point.hess + J.T @ problem.g.pieces[i].A @ J
         Q = 0.5 * (Q + Q.T)
         L = lineality_basis(M)
@@ -401,8 +296,11 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, samples: int = 30,
         try:
             rays, _ = cone_rays(M)
         except TooManyRows:
-            rays = []
-        for r in rays:
+            rays = None  # too many faces to walk: nontrivial, left to the multistart
+        if rays is not None and not rays and not L.shape[1]:
+            continue  # pointed and without rays: the member is {0}
+        nontrivial += 1
+        for r in rays or []:
             val = float(r @ Q @ r)
             global_min = min(global_min, val)
             if val <= 1e-8:

@@ -2,7 +2,8 @@
 
 All variables are free unless the caller encodes bounds as rows; HiGHS is
 used for feasibility oracles, redundancy tests, and the homogeneous
-cone LPs in the diagnostics module.
+cone LPs in the diagnostics module.  `LPBuilder` lays out such systems
+over named blocks of columns.
 """
 
 import numpy as np
@@ -95,3 +96,78 @@ def feasible_point(A, b, E, d):
     if x[n] > 1e-9:
         return None
     return x[:n]
+
+
+class LPBuilder:
+    """Dense linear system over named blocks of columns.
+
+    `sizes` lists (name, width) in column order.  Each `add_eq`/`add_ub`
+    adds k rows at once: `parts` maps block names to coefficients (a
+    vector for one row, a k-row matrix for k rows; a scalar broadcasts),
+    and columns outside the named blocks are zero.
+    """
+
+    def __init__(self, sizes):
+        self.offsets = {}
+        off = 0
+        for name, size in sizes:
+            self.offsets[name] = (off, off + size)
+            off += size
+        self.nvar = off
+        self._eq, self._ub = [], []  # (rows, rhs) per call
+
+    def _rows(self, parts, rhs):
+        blocks = {name: np.atleast_2d(np.asarray(block, dtype=float))
+                  for name, block in parts.items()}
+        rows = np.zeros((max(b.shape[0] for b in blocks.values()), self.nvar))
+        for name, block in blocks.items():
+            lo, hi = self.offsets[name]
+            rows[:, lo:hi] = block
+        return rows, np.broadcast_to(np.asarray(rhs, dtype=float), rows.shape[:1])
+
+    def add_eq(self, parts, rhs=0.0):
+        self._eq.append(self._rows(parts, rhs))
+
+    def add_ub(self, parts, rhs=0.0):
+        self._ub.append(self._rows(parts, rhs))
+
+    def add_nonneg(self, name):
+        """Every coordinate of block `name` is nonnegative."""
+        lo, hi = self.offsets[name]
+        self.add_ub({name: np.diag(np.full(hi - lo, -1.0))})
+
+    def system(self):
+        """(A_ub, b_ub, A_eq, b_eq), rows in the order added."""
+        def stack(calls):
+            if not calls:
+                return np.zeros((0, self.nvar)), np.zeros(0)
+            return np.vstack([r for r, _ in calls]), np.concatenate([b for _, b in calls])
+        return (*stack(self._ub), *stack(self._eq))
+
+    def block(self, x, name):
+        lo, hi = self.offsets[name]
+        return x[lo:hi]
+
+    def nonzero_block(self, name):
+        """A solution of the homogeneous rows with block `name` nonzero, or None.
+
+        For each coordinate j and sign sigma in turn, maximize the bound t
+        (block "t") subject to the rows, sigma * x_j >= t and t <= 1.  The
+        optimum is 0 or 1, so 0.5 separates the verdicts; the first solution
+        reaching 1 is returned.
+        """
+        A_ub, b_ub, A_eq, b_eq = self.system()
+        lo, hi = self.offsets[name]
+        c = np.zeros(self.nvar)
+        c[self.offsets["t"][0]] = -1.0
+        cap, _ = self._rows({"t": 1.0}, 1.0)
+        for j in range(hi - lo):
+            for sigma in (1.0, -1.0):
+                e = np.zeros(hi - lo)
+                e[j] = -sigma
+                bound, _ = self._rows({name: e, "t": 1.0}, 0.0)
+                status, x, val = solve_lp(c, np.vstack([A_ub, bound, cap]),
+                                          np.concatenate([b_ub, [0.0, 1.0]]), A_eq, b_eq)
+                if status == LP_OPTIMAL and -val >= 0.5:
+                    return self.block(x, name)
+        return None

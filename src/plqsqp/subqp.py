@@ -6,13 +6,23 @@ The subproblem at (x_k, lambda_k) linearizes the inner map and keeps g:
               + g(Phi(x_k) + J_k (xi - x_k))     over xi in Theta.
 
 Since dom g is the union of the pieces, the subproblem splits into one
-QP per piece over (xi, y) with y equal to the linearized argument.  The
-dual step is recovered from the y-block multipliers, every candidate is
-verified against the subproblem KKT residual, and candidates whose
-primal-dual step exceeds the localization radius delta are discarded.
+QP per piece over xi, with the piece rows composed with the linearized
+argument y = r + J xi.  `SubproblemSpec` computes the linearization once.
+Each candidate is verified in three steps:
+
+1. gap: the dual recovered from the piece's multipliers must be a
+   subgradient of g at y (it always satisfies its own piece);
+2. repair: when it is not, one feasibility system over all active
+   pieces decides whether any dual gives the exact subproblem KKT
+   conditions at xi, and the candidate is dropped when none does;
+3. residual: the subproblem KKT residual, which reuses the gap of step 1
+   (recomputed only after a repair), must be at most SUB_RESIDUAL_TOL.
+
+Candidates whose primal-dual step exceeds the localization radius delta
+are discarded.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +34,9 @@ from .errors import (
     Unbounded,
 )
 from .kkt import CompositeProblem
-from .lp import feasible_point
-from .plq import PLQFunction, evaluate, prox_any, subgradient_dist
-from .polyhedral import contains, normal_cone_dist, normal_cone_generators
+from .lp import LPBuilder, feasible_point
+from .plq import PLQFunction, active_indices, evaluate, prox_any, subgradient_dist
+from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
 
 SUB_RESIDUAL_TOL = 1e-9
@@ -34,18 +44,34 @@ SUB_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SubproblemSpec:
+    """Subproblem data at (xk, lambdak).
+
+    The linearization at xk is computed once, on construction: J,
+    r = Phi(xk) - J xk, gphi = grad phi(xk) and phival = phi(xk).
+    """
+
     xk: np.ndarray
     lambdak: np.ndarray
     H: np.ndarray
     problem: CompositeProblem
     delta: float = np.inf
+    J: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    gphi: np.ndarray = field(init=False, repr=False)
+    phival: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xk", np.asarray(self.xk, dtype=float).ravel())
+        xk = np.asarray(self.xk, dtype=float).ravel()
+        object.__setattr__(self, "xk", xk)
         object.__setattr__(self, "lambdak", np.asarray(self.lambdak, dtype=float).ravel())
         H = np.asarray(self.H, dtype=float)
         H = 0.5 * (H + H.T)
         object.__setattr__(self, "H", H)
+        J = self.problem.Phi.jacobian(xk)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "r", self.problem.Phi.value(xk) - J @ xk)
+        object.__setattr__(self, "gphi", self.problem.phi.jacobian(xk)[0])
+        object.__setattr__(self, "phival", float(self.problem.phi.value(xk)[0]))
 
 
 @dataclass(frozen=True)
@@ -58,110 +84,83 @@ class SubproblemSolution:
     residual: float  # generalized-equation residual of the subproblem KKT
 
 
+def _gap_passes(gap, lam) -> bool:
+    return gap <= 1e-11 * (1.0 + np.linalg.norm(lam))
+
+
+def _residual(spec, x, y, lam, gap) -> float:
+    """Subproblem KKT residual at (x, lam), with y = r + J x and `gap` the
+    subgradient distance of lam at y (None when y is outside dom g or g
+    has no pieces)."""
+    grad = spec.gphi + spec.H @ (x - spec.xk) + spec.J.T @ lam
+    stat = normal_cone_dist(spec.problem.Theta, x, -grad)
+    if gap is not None and _gap_passes(gap, lam):
+        return stat + gap
+    return stat + float(np.linalg.norm(y - prox_any(spec.problem.g, lam + y)))
+
+
 def subproblem_residual(spec: SubproblemSpec, x, lam) -> float:
     """KKT residual of the subproblem's generalized equation at (x, lam).
 
-    Same prox/normal-cone form as the outer KKT residual, on linearized
-    data.  Fast path: when lam is a subgradient at the linearized point,
-    the resolvent identity makes y a fixed point of the prox, and the
-    prox term is bounded by the subgradient distance (nonexpansiveness),
-    so the prox call is skipped.
+    Same prox/normal-cone form as the outer KKT residual, on the
+    linearized data of `spec`.  Fast path: when lam is a subgradient at
+    the linearized point y, the resolvent identity makes y a fixed point
+    of the prox, and the prox term is bounded by the subgradient distance
+    (nonexpansiveness), so that distance stands in for the prox call.
+    `solve_subproblem` reaches the same computation with the distance it
+    has already taken.
     """
     problem = spec.problem
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    J = problem.Phi.jacobian(spec.xk)
-    gphi = problem.phi.jacobian(spec.xk)[0]
-    grad = gphi + spec.H @ (x - spec.xk) + J.T @ lam
-    stat = normal_cone_dist(problem.Theta, x, -grad)
-    y = problem.Phi.value(spec.xk) + J @ (x - spec.xk)
-    comp = None
-    if isinstance(problem.g, PLQFunction):
-        if np.isfinite(evaluate(problem.g, y)):
-            gap = subgradient_dist(problem.g, y, lam)
-            if gap <= 1e-11 * (1.0 + np.linalg.norm(lam)):
-                comp = gap
-    if comp is None:
-        comp = float(np.linalg.norm(y - prox_any(problem.g, lam + y)))
-    return stat + comp
+    y = spec.r + spec.J @ x
+    gap = None
+    if isinstance(problem.g, PLQFunction) and np.isfinite(evaluate(problem.g, y)):
+        gap = subgradient_dist(problem.g, y, lam)
+    return _residual(spec, x, y, lam, gap)
 
 
 def _repair_dual(spec, xi, y, active_pieces):
-    """Find lam with the exact subproblem KKT at xi, given the active pieces.
+    """A dual lam with the exact subproblem KKT conditions at xi, or None.
 
-    Linear feasibility over (lam, Theta normal multipliers, per-piece
-    normal multipliers); returns None when no such lam exists.
+    Called when the dual recovered from one piece is not a subgradient at
+    y.  One feasibility system in (lam, Theta normal multipliers, per
+    active piece normal multipliers): stationarity
+    gphi + H (xi - xk) + J^T lam + N_Theta(xi) = 0, and for every active
+    piece j, lam - grad_j(y) in N_{C_j}(y).
     """
     problem = spec.problem
-    n, m = problem.n, problem.m
-    J = problem.Phi.jacobian(spec.xk)
-    gphi = problem.phi.jacobian(spec.xk)[0]
-    base = gphi + spec.H @ (xi - spec.xk)
     GT, LT = normal_cone_generators(problem.Theta, xi)
-    blocks = [("theta", GT, LT, None)]
-    for j in active_pieces:
-        p = problem.g.pieces[j]
-        Gj, Lj = normal_cone_generators(p.C, y)
-        blocks.append((j, Gj, Lj, p.gradient(y)))
-    nvar = m + sum(G.shape[0] + L.shape[0] for _, G, L, _ in blocks)
-    Aeq, beq, Aub, bub = [], [], [], []
-    col = m
-    cols = {}
-    for name, G, L, _ in blocks:
-        cols[name] = (col, col + G.shape[0], col + G.shape[0] + L.shape[0])
-        col = cols[name][2]
-    # stationarity: base + J^T lam + GT^T mu + LT^T nu = 0
-    row = np.zeros((n, nvar))
-    row[:, :m] = J.T
-    c0, c1, c2 = cols["theta"]
-    if GT.shape[0]:
-        row[:, c0:c1] = GT.T
-    if LT.shape[0]:
-        row[:, c1:c2] = LT.T
-    Aeq.append(row)
-    beq.append(-base)
-    # per piece: lam - grad_j(y) = Gj^T eta + Lj^T zeta
-    for name, G, L, grad_j in blocks[1:]:
-        c0, c1, c2 = cols[name]
-        row = np.zeros((m, nvar))
-        row[:, :m] = np.eye(m)
-        if G.shape[0]:
-            row[:, c0:c1] = -G.T
-        if L.shape[0]:
-            row[:, c1:c2] = -L.T
-        Aeq.append(row)
-        beq.append(grad_j)
-    # nonnegativity of the conic multipliers
-    for name, G, _, _ in blocks:
-        c0, c1, _ = cols[name]
-        for k in range(c0, c1):
-            r = np.zeros(nvar)
-            r[k] = -1.0
-            Aub.append(r)
-            bub.append(0.0)
-    sol = feasible_point(np.asarray(Aub).reshape(-1, nvar) if Aub else np.zeros((0, nvar)),
-                         np.asarray(bub), np.vstack(Aeq), np.concatenate(beq))
-    if sol is None:
-        return None
-    return sol[:m]
+    normals = [(j, *normal_cone_generators(problem.g.pieces[j].C, y)) for j in active_pieces]
+    sizes = [("lam", problem.m), ("GT", GT.shape[0]), ("LT", LT.shape[0])]
+    for j, G, L in normals:
+        sizes += [(f"G{j}", G.shape[0]), (f"L{j}", L.shape[0])]
+    lp = LPBuilder(sizes)
+    lp.add_eq({"lam": spec.J.T, "GT": GT.T, "LT": LT.T},
+              -(spec.gphi + spec.H @ (xi - spec.xk)))
+    for j, G, L in normals:
+        lp.add_eq({"lam": np.eye(problem.m), f"G{j}": -G.T, f"L{j}": -L.T},
+                  problem.g.pieces[j].gradient(y))
+    lp.add_nonneg("GT")
+    for j, _, _ in normals:
+        lp.add_nonneg(f"G{j}")
+    sol = feasible_point(*lp.system())
+    return None if sol is None else lp.block(sol, "lam")
 
 
 def solve_subproblem(spec: SubproblemSpec) -> list:
     """All localized subproblem KKT solutions, best first.
 
-    One QP per feasible piece; survivors of the delta filter are sorted
-    by primal step length, then objective.  Raises NoFeasiblePiece when
-    no piece admits a feasible linearized point and
+    One QP per piece; a piece whose QP is infeasible is skipped, and one
+    whose QP is unbounded is feasible but yields no candidate.  Survivors
+    of the delta filter are sorted by primal step length, then objective.
+    Raises NoFeasiblePiece when no piece yields a verified candidate and
     AllCandidatesOutsideDelta when every candidate violates delta.
     """
     problem = spec.problem
     if not isinstance(problem.g, PLQFunction):
         raise PointOutsideDomain("subproblem solver needs a piece representation of g")
-    n = problem.n
-    J = problem.Phi.jacobian(spec.xk)
-    r = problem.Phi.value(spec.xk) - J @ spec.xk
-    gphi = problem.phi.jacobian(spec.xk)[0]
-    phival = float(problem.phi.value(spec.xk)[0])
+    J, r, H, xk = spec.J, spec.r, spec.H, spec.xk
     Theta = problem.Theta
 
     candidates = []
@@ -172,16 +171,16 @@ def solve_subproblem(spec: SubproblemSpec) -> list:
         b = np.concatenate([Theta.b, piece.C.b - (piece.C.A @ r if piece.C.n_ineq else np.zeros(0))])
         E = np.vstack([Theta.E, piece.C.E @ J])
         d = np.concatenate([Theta.d, piece.C.d - (piece.C.E @ r if piece.C.n_eq else np.zeros(0))])
-        x_feas = feasible_point(A, b, E, d)
-        if x_feas is None:
+        Q = H + J.T @ piece.A @ J
+        c = (spec.gphi - H @ xk) + J.T @ (piece.A @ r + piece.a)
+        try:
+            res = active_set_qp(Q, c, A, b, E, d)
+        except Infeasible:
+            continue
+        except Unbounded:  # feasible, but without a candidate
+            feasible_seen = True
             continue
         feasible_seen = True
-        Q = spec.H + J.T @ piece.A @ J
-        c = (gphi - spec.H @ spec.xk) + J.T @ (piece.A @ r + piece.a)
-        try:
-            res = active_set_qp(Q, c, A, b, E, d, x0=x_feas)
-        except (Unbounded, Infeasible):
-            continue
         xi = res.x
         y = r + J @ xi
         mu_c = res.mu[Theta.n_ineq:]
@@ -191,21 +190,17 @@ def solve_subproblem(spec: SubproblemSpec) -> list:
             lam += piece.C.A.T @ mu_c
         if piece.C.n_eq:
             lam += piece.C.E.T @ nu_c
-        # the recovered dual satisfies this piece's condition; when the
-        # linearized point sits on several pieces the subgradient test can
-        # fail and an exact feasibility LP decides whether any dual works
         gap = subgradient_dist(problem.g, y, lam)
-        if gap > 1e-11 * (1.0 + np.linalg.norm(lam)):
-            active = [j for j, pj in enumerate(problem.g.pieces) if contains(pj.C, y)]
-            lam_fix = _repair_dual(spec, xi, y, active)
-            if lam_fix is None:
+        if not _gap_passes(gap, lam):
+            lam = _repair_dual(spec, xi, y, active_indices(problem.g, y))
+            if lam is None:
                 continue
-            lam = lam_fix
-        rsub = subproblem_residual(spec, xi, lam)
+            gap = subgradient_dist(problem.g, y, lam)
+        rsub = _residual(spec, xi, y, lam, gap)
         if rsub > SUB_RESIDUAL_TOL:
             continue
-        step = xi - spec.xk
-        objective = (phival + float(gphi @ step) + 0.5 * float(step @ spec.H @ step)
+        step = xi - xk
+        objective = (spec.phival + float(spec.gphi @ step) + 0.5 * float(step @ H @ step)
                      + piece.value(y))
         candidates.append(SubproblemSolution(
             x_next=xi, lambda_next=lam, piece_index=i,

@@ -160,6 +160,30 @@ def test_sweep_determinism(tmp_path, elqp_file):
     assert outs[0] == outs[1]
 
 
+def test_reference_last_iterate_ignores_embedded_kkt_point(tmp_path):
+    # rating against the last iterate must not depend on an embedded xbar
+    embedded = tmp_path / "nlp.json"
+    assert main(["generate", "--kind", "nlp", "--seed", "2", "--out-file", str(embedded)]) == 0
+    raw = json.loads(embedded.read_text())
+    md = raw["metadata"]
+    start = ["--x0=" + ",".join(map(repr, md["xbar"])),
+             "--lambda0=" + ",".join(map(repr, md["lambdabar"]))]
+    del md["xbar"], md["lambdabar"]
+    stripped = tmp_path / "nlp_stripped.json"
+    stripped.write_text(json.dumps(raw))
+    outputs = []
+    for path in (embedded, stripped):
+        out = tmp_path / path.stem
+        main(["sweep", "--problem", str(path), "--modes", "bfgs", "--n-starts", "3",
+              "--reference", "last-iterate", "--out", str(out / "sweep"), *start])
+        main(["solve", "--problem", str(path), "--mode", "bfgs",
+              "--reference", "last-iterate", "--out", str(out / "solve"), *start])
+        rows = (out / "sweep" / "sweep_summary.csv").read_text().splitlines()[1:]
+        outputs.append(([row.split(",")[6] for row in rows],
+                        (out / "solve" / "rate_report.txt").read_text()))
+    assert outputs[0] == outputs[1]
+
+
 def test_check_calculus_command(tmp_path, p1_file):
     out = tmp_path / "calc"
     code = main(["check-calculus", "--problem", p1_file, "--n-cases", "40",

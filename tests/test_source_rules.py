@@ -4,9 +4,12 @@ No handler may catch everything: a bare `except:`, `except Exception` or
 `except BaseException` (alone or inside a tuple) hides defects behind
 fallbacks.  Every name the package exports must exist.  Imports sit at
 module top, except the one that breaks the lp -> nonneg -> qp -> lp cycle.
+Every function the benchmark's tracer wraps must exist where it looks.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import plqsqp
@@ -15,6 +18,7 @@ PACKAGE = Path(plqsqp.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
 # (file, function, imported module) of the function-body imports allowed
 CYCLE_BREAKING_IMPORTS = {("lp.py", "feasible_point", "nonneg")}
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _caught_names(handler):
@@ -53,3 +57,16 @@ def test_function_body_imports_only_break_cycles():
                     elif isinstance(node, ast.Import):
                         found.update((path.name, fn.name, a.name) for a in node.names)
     assert found <= CYCLE_BREAKING_IMPORTS, sorted(found - CYCLE_BREAKING_IMPORTS)
+
+
+def test_traced_functions_resolve():
+    # read TRACED from the syntax tree: importing the benchmark is not needed
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    missing = [(mod, fn) for mod, fn in traced
+               if not inspect.isfunction(getattr(importlib.import_module(f"plqsqp.{mod}"),
+                                                 fn, None))]
+    assert not missing, missing

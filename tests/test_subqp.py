@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plqsqp import subqp
 from plqsqp.errors import AllCandidatesOutsideDelta, NoFeasiblePiece
 from plqsqp.kkt import CompositeProblem, Poly2Map, kkt_residual
 from plqsqp.plq import plq_abs, plq_indicator
@@ -114,6 +115,34 @@ def plq_abs_2d():
     from plqsqp.plq import plq_separable
     cell = [(-np.inf, 0.0, 0.0, -1.0, 0.0), (0.0, np.inf, 0.0, 1.0, 0.0)]
     return plq_separable([cell, cell])
+
+
+def test_repair_dual_recovers_a_subgradient_on_a_kink(monkeypatch):
+    # min x^2/2 - x/2 + |x| + |x| through Phi(x) = (x, x): every candidate is
+    # xi = 0, where y = (0, 0) lies on all four pieces of |z1| + |z2|; piece 0
+    # recovers a dual outside the subdifferential [-1, 1]^2, and the repair
+    # system over the four active pieces finds one inside it
+    phi = Poly2Map(np.zeros(1), np.array([[-0.5]]), np.array([[[1.0]]]))
+    Phi = Poly2Map(np.zeros(2), np.array([[1.0], [1.0]]), np.zeros((2, 1, 1)))
+    prob = CompositeProblem(phi, Phi, plq_abs_2d(), Polyhedron.whole_space(1))
+    repaired = []
+    repair = subqp._repair_dual
+
+    def spy(*args):
+        lam = repair(*args)
+        repaired.append(lam)
+        return lam
+
+    monkeypatch.setattr(subqp, "_repair_dual", spy)
+    sols = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], prob))
+    assert len(sols) == 4
+    for sol in sols:
+        assert np.allclose(sol.x_next, [0.0], atol=1e-12)
+        assert np.all(np.abs(sol.lambda_next) <= 1.0 + 1e-12)
+        # stationarity at xi = 0: -1/2 + lam_1 + lam_2 = 0
+        assert abs(sol.lambda_next.sum() - 0.5) <= 1e-12
+        assert sol.residual <= 1e-9
+    assert sum(lam is not None for lam in repaired) == 1
 
 
 def test_no_feasible_piece():
