@@ -3,12 +3,12 @@
 Noncriticality and multiplier uniqueness are decided exactly: both
 reduce, after enumerating activity patterns of the critical cones, to
 homogeneous LPs whose optimum is 0 or 1, so a single threshold separates
-the verdicts.  The second-order sufficient condition is verified
-heuristically (copositivity over polyhedral cones is hard in general):
-exact eigenvalue tests on lineality spaces, exact sign tests on extreme
-rays, and multistart projected gradient in between.  Calmness and the
-primal estimates are sampled empirically by solving perturbed KKT
-systems.  Failure certificates are always exact vectors.
+the verdicts.  The second-order sufficient condition is exact too while
+each critical-cone member has at most 1,024 faces (one eigenvalue test
+per face); above that a multistart projected gradient is the fallback.
+It keeps the heuristic_* result names that callers compare against.
+Calmness and the primal estimates are sampled empirically by solving
+perturbed KKT systems.  Failure certificates are always exact vectors.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .errors import EmptyPolyhedron, NotASubgradient, PLQError, TooManyRows
 from .kkt import (
@@ -37,10 +38,8 @@ from .plq import (
 from .polyhedral import (
     Polyhedron,
     contains,
-    cone_rays,
     enumerate_faces,
     generated_cone_hrep,
-    lineality_basis,
     normal_cone_dist,
     normal_cone_generators,
     project,
@@ -54,7 +53,7 @@ MAX_PATTERN_LPS = 40000
 @dataclass(frozen=True)
 class Verdict:
     condition: str
-    result: str  # holds | fails | heuristic_holds | heuristic_fails
+    result: str  # holds | fails | heuristic_holds | heuristic_fails (SOSC, also when exact)
     certificate: object = None
     detail: str = ""
 
@@ -238,20 +237,53 @@ def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
 
 
 # ---------------------------------------------------------------------------
-# second-order sufficient condition (heuristic with exact certificates)
+# second-order sufficient condition (exact face walk, multistart above the cap)
 # ---------------------------------------------------------------------------
 
-def _member_min_quadratic(M, Q, rng, samples):
-    """Multistart projected-gradient minimum of w^T Q w over M cap sphere."""
+def _face_minimum(M, Q):
+    """(minimum, unit minimizer, faces walked) of w^T Q w over M cap sphere.
+
+    The minimizer lies in the relative interior of a face F and is there a
+    least eigenvector of Q on span F (Kaplan's eigenvector criterion for
+    copositivity, carried from the orthant to a polyhedral cone).  Each
+    face whose least eigenvalue is below the best so far gets one LP,
+    maximize t subject to off V c + t <= 0 and t <= 1 over the rows off F:
+    the optimum is 1 iff the eigenspace V meets relint F.  M = {0} gives
+    (inf, None, 1); more than 1,024 faces raise TooManyRows.
+    """
+    faces = enumerate_faces(M)
+    best, best_w = np.inf, None
+    for face in faces:
+        active = sorted(face.active)
+        S = np.vstack([M.E, M.A[active]])
+        Z = null_space(S) if S.size else np.eye(M.dim)
+        evals, vecs = np.linalg.eigh(Z.T @ Q @ Z)
+        if not evals.size or evals[0] >= best:
+            continue  # the face {0}, or no lower value
+        V = Z @ vecs[:, evals <= evals[0] + 1e-9 * (1.0 + np.abs(evals).max())]
+        k, off = V.shape[1], np.delete(M.A, active, axis=0) @ V
+        w = V[:, 0]  # with no row off F, F is a subspace and its own relint
+        if len(off):
+            A_ub = np.vstack([np.c_[off, np.ones(len(off))], np.r_[np.zeros(k), 1.0]])
+            status, sol, _ = solve_lp(np.r_[np.zeros(k), -1.0], A_ub, np.r_[np.zeros(len(off)), 1.0])
+            if status != LP_OPTIMAL or sol[k] < 0.5:
+                continue
+            w = V @ sol[:k]
+        w = w / np.linalg.norm(w)
+        best, best_w = float(w @ Q @ w), w
+    return best, best_w, len(faces)
+
+
+def _member_min_quadratic(M, Q, rng):
+    """Multistart projected-gradient minimum of w^T Q w over M cap sphere:
+    30 starts of up to 80 projected steps."""
     best_val, best_w = np.inf, None
-    starts = []
-    for _ in range(samples):
-        w = project(M, rng.standard_normal(M.dim))
-        nw = np.linalg.norm(w)
-        if nw > 1e-10:
-            starts.append(w / nw)
     eta = 1.0 / max(1.0, float(np.abs(np.linalg.eigvalsh(Q)).max()))
-    for w in starts:
+    for _ in range(30):
+        w = project(M, rng.standard_normal(M.dim))
+        if np.linalg.norm(w) <= 1e-10:
+            continue
+        w = w / np.linalg.norm(w)
         for _ in range(80):
             w_new = project(M, w - eta * (Q @ w))
             nw = np.linalg.norm(w_new)
@@ -268,53 +300,39 @@ def _member_min_quadratic(M, Q, rng, samples):
     return best_val, best_w
 
 
-def check_sosc(problem: CompositeProblem, xbar, lambdabar, samples: int = 30,
-               rng=None, tol: float = 1e-6) -> Verdict:
-    """Heuristic positivity of the second-order form on the critical cone.
+def check_sosc(problem: CompositeProblem, xbar, lambdabar, rng=None,
+               tol: float = 1e-6) -> Verdict:
+    """Positivity of the second-order form on the critical cone D.
 
-    Per member of the critical-direction cone: exact eigenvalue test on
-    the lineality space, exact sign test on every enumerated boundary
-    ray, multistart projected gradient elsewhere.  A member without
-    lineality and without rays is {0} and is skipped.  Failure certificates
-    are exact directions with a nonpositive form value.
+    Exact on each member of D whose face walk stays within 1,024 faces
+    (`_face_minimum`); a member above that cap falls back to a multistart
+    projected gradient drawn from `rng`, the one heuristic route, which the
+    detail names.  Certificates are unit directions of D with form value
+    <= 1e-8.  The results keep the heuristic_* names callers compare against.
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
-    rng = rng or np.random.default_rng(0)
     J = point.J
-    nontrivial = 0
-    global_min = np.inf
+    n_faces, sampled, global_min = 0, 0, np.inf
     for i, M in point.D_members:
         Q = point.hess + J.T @ problem.g.pieces[i].A @ J
         Q = 0.5 * (Q + Q.T)
-        L = lineality_basis(M)
-        if L.shape[1]:
-            evals, vecs = np.linalg.eigh(L.T @ Q @ L)
-            if evals[0] <= 1e-8:
-                w = L @ vecs[:, 0]
-                return Verdict("sosc", "heuristic_fails", certificate=w / np.linalg.norm(w),
-                               detail=f"lineality direction with form value {evals[0]:.3e}")
         try:
-            rays, _ = cone_rays(M)
+            val, w, walked = _face_minimum(M, Q)
+            n_faces += walked
+            how = f"exact over {walked} faces"
         except TooManyRows:
-            rays = None  # too many faces to walk: nontrivial, left to the multistart
-        if rays is not None and not rays and not L.shape[1]:
-            continue  # pointed and without rays: the member is {0}
-        nontrivial += 1
-        for r in rays or []:
-            val = float(r @ Q @ r)
-            global_min = min(global_min, val)
-            if val <= 1e-8:
-                return Verdict("sosc", "heuristic_fails", certificate=r,
-                               detail=f"boundary ray with form value {val:.3e}")
-        val, w = _member_min_quadratic(M, Q, rng, samples)
-        global_min = min(global_min, val)
+            sampled += 1
+            val, w = _member_min_quadratic(M, Q, rng or np.random.default_rng(0))
+            how = "multistart above the face cap"
         if w is not None and val <= 1e-8:
             return Verdict("sosc", "heuristic_fails", certificate=w,
-                           detail=f"multistart direction with form value {val:.3e}")
-    if nontrivial == 0:
+                           detail=f"{how}: critical direction with form value {val:.3e}")
+        global_min = min(global_min, val)
+    if not np.isfinite(global_min):
         return Verdict("sosc", "heuristic_holds", detail="D trivial")
-    return Verdict("sosc", "heuristic_holds",
-                   detail=f"minimum form value over all starts {global_min:.3e}")
+    how = f"exact over {n_faces} faces" + (
+        f", multistart on {sampled} members above the face cap" if sampled else "")
+    return Verdict("sosc", "heuristic_holds", detail=f"{how}: minimum form value {global_min:.3e}")
 
 
 # ---------------------------------------------------------------------------

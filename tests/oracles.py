@@ -91,6 +91,31 @@ def rays_by_subsets(cone: PolyCone) -> list:
     return rays
 
 
+def min_form_by_subsets(cone: PolyCone, Q):
+    """(minimum, unit minimizer) of w^T Q w over the cone's unit directions.
+
+    Every eigenvector v of Q restricted to null([E; A_S]), for every subset
+    S of the inequality rows, is a candidate when v or -v lies in the cone.
+    For a generic Q the minimizer is one of them: it is the least
+    eigenvector on the span of the face whose relative interior holds it.
+    (inf, None) when the cone is {0}.
+    """
+    best, best_w = np.inf, None
+    for size in range(cone.n_ineq + 1):
+        for subset in itertools.combinations(range(cone.n_ineq), size):
+            S = np.vstack([cone.E, cone.A[list(subset)]])
+            N = null_space(S) if S.size else np.eye(cone.dim)
+            if N.shape[1] == 0:
+                continue
+            _, vecs = np.linalg.eigh(N.T @ Q @ N)
+            for v in (N @ vecs).T:
+                for s in (v, -v):
+                    val = float(s @ Q @ s)
+                    if val < best and contains(cone, s, 1e-9):
+                        best, best_w = val, s
+    return best, best_w
+
+
 def proto_derivative_set(g, z, v, w) -> Polyhedron:
     """H-representation of D(dg)(z, v)(w); empty system when w is not critical."""
     w = np.asarray(w, dtype=float).ravel()

@@ -127,6 +127,21 @@ def test_diagnose_command(tmp_path, p1_file):
     assert len(rows) == 4
 
 
+def test_diagnose_does_not_depend_on_the_seed(tmp_path):
+    # below the face cap SOSC draws nothing from the generator, and the
+    # calmness check (the other user of --seed) is off by default
+    from plqsqp.generators import generate
+    gp = generate("critical_showcase", seed=0)
+    path = tmp_path / "showcase.json"
+    save_problem(path, gp.problem, gp.metadata())
+    outs = [tmp_path / f"seed{seed}" for seed in (0, 1)]
+    for seed, out in zip((0, 1), outs):
+        assert main(["diagnose", "--problem", str(path), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    for name in ("verdicts.txt", "verdicts.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_diagnose_critical_showcase_exit_zero(tmp_path):
     from plqsqp.generators import generate
     gp = generate("critical_showcase", seed=0)

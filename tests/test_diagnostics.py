@@ -25,10 +25,10 @@ from plqsqp.plq import (
     plq_quadratic,
     second_subderivative,
 )
-from plqsqp.polyhedral import Polyhedron, project
+from plqsqp.polyhedral import PolyCone, Polyhedron, contains, project
 
 from conftest import make_dual_lq, make_p1, make_p2
-from oracles import grid_noncritical_oracle
+from oracles import grid_noncritical_oracle, min_form_by_subsets
 
 
 # -- noncriticality -----------------------------------------------------------
@@ -214,12 +214,17 @@ def _wide_wedge_problem(rows=21):
     return CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Theta)
 
 
-def test_sosc_cone_over_ray_enumeration_cap_falls_back_to_multistart(rng):
-    # Theta is a 2-D wedge cut by 21 rows, all active at 0; the face walk
-    # finds its two extreme rays well under the face cap, so the ray test
-    # runs before the multistart; the next test covers the fallback itself
-    prob = _wide_wedge_problem()
-    assert check_sosc(prob, [0.0, 0.0], [0.0], rng=rng).result == "heuristic_holds"
+def test_sosc_wide_wedge_is_decided_by_walking_its_four_faces(rng, monkeypatch):
+    # Theta is a 2-D wedge cut by 21 rows, all active at 0: 2^21 row subsets,
+    # but the face walk finds its 4 faces well under the face cap, so the
+    # verdict is exact and the multistart never runs
+    def no_multistart(*args):
+        raise AssertionError("multistart ran below the face cap")
+
+    monkeypatch.setattr(diagnostics, "_member_min_quadratic", no_multistart)
+    v = check_sosc(_wide_wedge_problem(), [0.0, 0.0], [0.0], rng=rng)
+    assert v.result == "heuristic_holds"
+    assert "exact over 4 faces" in v.detail and "multistart" not in v.detail
 
 
 def test_sosc_falls_back_to_multistart_when_ray_enumeration_raises(rng, monkeypatch):
@@ -229,10 +234,54 @@ def test_sosc_falls_back_to_multistart_when_ray_enumeration_raises(rng, monkeypa
         calls.append(cone)
         raise TooManyRows("refused")
 
-    monkeypatch.setattr(diagnostics, "cone_rays", refuse)
+    monkeypatch.setattr(diagnostics, "enumerate_faces", refuse)
     prob = _wide_wedge_problem()
     assert check_sosc(prob, [0.0, 0.0], [0.0], rng=rng).result == "heuristic_holds"
     assert calls
+
+
+def test_sosc_finds_a_failure_inside_a_face(rng):
+    # phi = x^T Q x / 2 over R^2_+ at 0: both rays have form value 1 and the
+    # lineality space is {0}, but Q is negative on the interior direction (1, 1)
+    Q = np.array([[1.0, -3.0], [-3.0, 1.0]])
+    phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), Q.reshape(1, 2, 2))
+    Phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2, 2)))
+    prob = CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Polyhedron.nonneg(2))
+    v = check_sosc(prob, [0.0, 0.0], [0.0], rng=rng)
+    assert v.result == "heuristic_fails"
+    assert np.linalg.norm(v.certificate - np.array([1.0, 1.0]) / np.sqrt(2.0)) <= 1e-9
+    assert abs(float(v.certificate @ Q @ v.certificate) + 2.0) <= 1e-9
+
+
+def _random_cone_and_form(rng):
+    """A cone in R^2..R^4 with 1-6 rows, 0-1 equality rows and often a
+    lineality space, and a generic symmetric form of mixed sign."""
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, n + 1))  # the rows live in k dimensions: lineality n - k
+    B = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+    A = rng.standard_normal((int(rng.integers(1, 7)), k))
+    if rng.random() < 0.75:  # keep a random center interior to the rows
+        A = -np.sign(A @ rng.standard_normal(k))[:, None] * A
+    E = rng.standard_normal((int(rng.integers(0, 2)), n))
+    Q = rng.standard_normal((n, n))
+    return PolyCone.from_rows(A @ B.T, E, n), Q + Q.T
+
+
+def test_face_minimum_matches_subset_oracle():
+    rng = np.random.default_rng(31)
+    nontrivial = 0
+    for _ in range(100):
+        M, Q = _random_cone_and_form(rng)
+        val, w, _ = diagnostics._face_minimum(M, Q)
+        expected, _ = min_form_by_subsets(M, Q)
+        if np.isinf(expected):
+            assert w is None and np.isinf(val)
+            continue
+        nontrivial += 1
+        assert abs(val - expected) <= 1e-8 * (1.0 + abs(expected))
+        assert contains(M, w) and abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert abs(float(w @ Q @ w) - val) <= 1e-12 * (1.0 + abs(val))
+    assert nontrivial >= 50
 
 
 def test_cone_checks_on_dual_lq_g_raise_plq_error():
