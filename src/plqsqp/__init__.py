@@ -24,6 +24,11 @@ from .plq import (
     critical_cone_g,
     dual_lq_eval_prox,
     evaluate,
+    plq_abs,
+    plq_indicator,
+    plq_quadratic,
+    plq_separable,
+    plq_vector_max,
     prox,
     proto_derivative_contains,
     second_subderivative,
@@ -73,6 +78,7 @@ __all__ = [
     "Piece", "PLQFunction", "DualLQ", "evaluate", "active_indices",
     "subdifferential", "subderivative", "critical_cone_g", "second_subderivative",
     "proto_derivative_contains", "prox", "dual_lq_eval_prox",
+    "plq_abs", "plq_indicator", "plq_quadratic", "plq_vector_max", "plq_separable",
     "Poly2Map", "CompositeProblem", "PrimalDual", "lagrangian", "kkt_residual",
     "KKTPoint", "kkt_point",
     "multiplier_set", "cone_D", "subspace_Dplus", "perturbed_problem",

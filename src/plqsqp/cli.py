@@ -105,10 +105,10 @@ def _cmd_solve(args):
              f"final residual: {trace[-1].residual!r}",
              f"final x: {trace[-1].x.tolist()}",
              f"final lambda: {trace[-1].lam.tolist()}"]
-    cls = run_classification(trace, reference or "last-iterate", config.tol)
+    cls = run_classification(trace, reference, config.tol)
     lines.append(f"classification: {cls}")
     if len(trace) >= 4:
-        rep = rate_report(trace, reference or "last-iterate")
+        rep = rate_report(trace, reference)
         lines.append(f"primal ratios: {[repr(r) for r in rep.ratios_primal]}")
         lines.append(f"primal-dual ratios: {[repr(r) for r in rep.ratios_pd]}")
     report = "\n".join(lines) + "\n"
@@ -178,7 +178,7 @@ def _cmd_sweep(args):
                 failed = type(exc).__name__
             header, rows = trace_csv_rows(trace, problem.n, problem.m)
             _write_csv(outdir / f"run_{run_id}.csv", header, rows)
-            cls = run_classification(trace, reference or "last-iterate", args.tol)
+            cls = run_classification(trace, reference, args.tol)
             converged = trace[-1].residual <= args.tol and not failed
             n_ok += int(converged)
             summary.append([run_id, mode, str(i), str(len(trace) - 1),

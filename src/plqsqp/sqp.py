@@ -1,12 +1,14 @@
 """Local SQP driver with exact-Hessian and quasi-Newton modes.
 
 Implements the generic method: stop when the KKT residual is below
-tolerance, otherwise solve the localized subproblem and move to its
-first surviving solution.  Per-iteration monitors record step norms and
-the three Dennis-More quantities (projection of the Hessian-model error
-onto the critical cone, onto its subspace enlargement, and the full
-norm), all normalized by the step length.  No globalization: the method
-is purely local by design.
+tolerance, otherwise solve the localized subproblem and move to the
+first verified KKT pair within the radius delta (pieces in index order,
+so ties between pieces meeting at one point go to the lowest index);
+delta grows when every verified pair lies outside it.  Per-iteration
+monitors record step norms and the three Dennis-More quantities
+(projection of the Hessian-model error onto the critical cone, onto its
+subspace enlargement, and the full norm), all normalized by the step
+length.  No globalization: the method is purely local by design.
 """
 
 from dataclasses import dataclass, field
@@ -120,14 +122,6 @@ def _dm_ratios(r, step_norm, D, Dplus):
     return tuple(float(v) / step_norm for v in norms)
 
 
-def _hessian(problem, x, lam, mode, H_qn):
-    if mode == "exact":
-        return lagrangian(problem, x, lam)[2]
-    if mode == "fixed_identity":
-        return np.eye(problem.n)
-    return H_qn
-
-
 def _attach_monitors(problem, trace, reference):
     """Fill dm_* on each record against the cones at the anchor point."""
     if not trace:
@@ -161,27 +155,31 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
     for k in range(1, config.max_iter + 1):
         if residual <= config.tol:
             break
-        H = _hessian(problem, x, lam, config.hessian_mode, H_qn)
-        sols = None
+        hess = lagrangian(problem, x, lam)[2]
+        if config.hessian_mode == "exact":
+            H = hess
+        elif config.hessian_mode == "fixed_identity":
+            H = np.eye(problem.n)
+        else:
+            H = H_qn
+        sol = None
         dk = delta
         for _ in range(MAX_DELTA_ENLARGEMENTS):
             try:
-                sols = solve_subproblem(SubproblemSpec(x, lam, H, problem, dk))
+                sol = solve_subproblem(SubproblemSpec(x, lam, H, problem, dk))
                 break
             except AllCandidatesOutsideDelta:
                 dk = dk * DELTA_GROWTH if np.isfinite(dk) else 1.0
             except NoFeasiblePiece as exc:
                 _attach_monitors(problem, trace, config.reference)
                 raise SubproblemFailure(str(exc), trace) from exc
-        if sols is None:
+        if sol is None:
             _attach_monitors(problem, trace, config.reference)
             raise SubproblemFailure("localization radius could not be enlarged enough", trace)
-        sol = sols[0]
         s = sol.x_next - x
         ds = sol.lambda_next - lam
         step_norm = float(np.linalg.norm(s))
-        _, _, hess_now = lagrangian(problem, x, lam)
-        err = (hess_now - H) @ s
+        err = (hess - H) @ s
         if config.hessian_mode == "bfgs" and step_norm > 1e-14:
             gL_new = lagrangian(problem, sol.x_next, sol.lambda_next)[1]
             gL_old = lagrangian(problem, x, sol.lambda_next)[1]
@@ -214,13 +212,15 @@ def _tail_ratios(errs):
     return [_safe_ratio(errs[j + 1], errs[j]) for j in range(len(errs) - 1 - K, len(errs) - 1)]
 
 
-def rate_report(trace, reference="last-iterate", tol: float = 1e-10) -> RateReport:
+def rate_report(trace, reference: PrimalDual = None, tol: float = 1e-10) -> RateReport:
     """Convergence-rate ratios and their classification over a trace.
 
-    Classification rule: the last three primal ratios strictly decreasing
-    with the final one below 0.1 means superlinear; ratios confined to
-    [0.1, 0.95] with spread below 0.2 means linear; vanishing steps
-    without convergence means stalled; anything else is sublinear.
+    Errors are measured against `reference`, or against the last iterate
+    when it is None.  Classification rule: the last three primal ratios
+    strictly decreasing with the final one below 0.1 means superlinear;
+    ratios confined to [0.1, 0.95] with spread below 0.2 means linear;
+    vanishing steps without convergence means stalled; anything else is
+    sublinear.
 
     When the run converged (final residual <= tol) to a given reference,
     iterates within LANDED_REL (1 + |x_ref|) of it have landed: their error
@@ -230,15 +230,12 @@ def rate_report(trace, reference="last-iterate", tol: float = 1e-10) -> RateRepo
     """
     if len(trace) < 4:
         raise TooShortTrace("rate estimation needs at least 4 iterates")
-    if reference == "last-iterate":
-        ref = PrimalDual(trace[-1].x, trace[-1].lam)
-    else:
-        ref = reference
+    ref = reference if reference is not None else PrimalDual(trace[-1].x, trace[-1].lam)
     errs_x = [float(np.linalg.norm(rec.x - ref.x)) for rec in trace]
     errs_pd = [float(np.sqrt(np.linalg.norm(rec.x - ref.x) ** 2
                              + np.linalg.norm(rec.lam - ref.lam) ** 2)) for rec in trace]
     errs = errs_x
-    if reference != "last-iterate" and trace[-1].residual <= tol:
+    if reference is not None and trace[-1].residual <= tol:
         floor = LANDED_REL * (1.0 + float(np.linalg.norm(ref.x)))
         errs = errs_x[:next((k for k, e in enumerate(errs_x) if e <= floor), len(errs_x))]
     ratios = _tail_ratios(errs)
@@ -262,7 +259,7 @@ def rate_report(trace, reference="last-iterate", tol: float = 1e-10) -> RateRepo
     return RateReport(_tail_ratios(errs_x), _tail_ratios(errs_pd), cls, ref)
 
 
-def run_classification(trace, reference="last-iterate", tol: float = 1e-10) -> str:
+def run_classification(trace, reference: PrimalDual = None, tol: float = 1e-10) -> str:
     """Classification that tolerates very short traces.
 
     Convergence in one or two steps (exact Newton on quadratic data) has

@@ -18,8 +18,12 @@ Each candidate is verified in three steps:
 3. residual: the subproblem KKT residual, which reuses the gap of step 1
    (recomputed only after a repair), must be at most SUB_RESIDUAL_TOL.
 
-Candidates whose primal-dual step exceeds the localization radius delta
-are discarded.
+The pieces are visited in index order, and the first verified candidate
+whose primal-dual step lies within the localization radius delta is the
+answer: the SQP method needs one localized KKT pair, not all of them.
+When H is positive definite the subproblem is strictly convex, so every
+verified candidate has the same xi and the order only decides which of
+the pieces meeting at xi is reported (the lowest index).
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .kkt import CompositeProblem
 from .lp import LPBuilder, feasible_point
-from .plq import PLQFunction, active_indices, evaluate, prox_any, subgradient_dist
+from .plq import PLQFunction, active_indices, prox_any, subgradient_dist
 from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
 
@@ -47,7 +51,7 @@ class SubproblemSpec:
     """Subproblem data at (xk, lambdak).
 
     The linearization at xk is computed once, on construction: J,
-    r = Phi(xk) - J xk, gphi = grad phi(xk) and phival = phi(xk).
+    r = Phi(xk) - J xk and gphi = grad phi(xk).
     """
 
     xk: np.ndarray
@@ -58,7 +62,6 @@ class SubproblemSpec:
     J: np.ndarray = field(init=False, repr=False)
     r: np.ndarray = field(init=False, repr=False)
     gphi: np.ndarray = field(init=False, repr=False)
-    phival: float = field(init=False, repr=False)
 
     def __post_init__(self):
         xk = np.asarray(self.xk, dtype=float).ravel()
@@ -71,7 +74,6 @@ class SubproblemSpec:
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "r", self.problem.Phi.value(xk) - J @ xk)
         object.__setattr__(self, "gphi", self.problem.phi.jacobian(xk)[0])
-        object.__setattr__(self, "phival", float(self.problem.phi.value(xk)[0]))
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,6 @@ class SubproblemSolution:
     x_next: np.ndarray
     lambda_next: np.ndarray
     piece_index: int
-    qp_status: str  # "optimal" | "stationary"
-    objective: float
     residual: float  # generalized-equation residual of the subproblem KKT
 
 
@@ -90,34 +90,18 @@ def _gap_passes(gap, lam) -> bool:
 
 def _residual(spec, x, y, lam, gap) -> float:
     """Subproblem KKT residual at (x, lam), with y = r + J x and `gap` the
-    subgradient distance of lam at y (None when y is outside dom g or g
-    has no pieces)."""
+    subgradient distance of lam at y.
+
+    The prox/normal-cone form of the outer KKT residual on the linearized
+    data.  When lam is a subgradient at y, the resolvent identity makes y a
+    fixed point of the prox, and the prox term is bounded by the
+    subgradient distance (nonexpansiveness), so that distance stands in
+    for the prox call."""
     grad = spec.gphi + spec.H @ (x - spec.xk) + spec.J.T @ lam
     stat = normal_cone_dist(spec.problem.Theta, x, -grad)
-    if gap is not None and _gap_passes(gap, lam):
+    if _gap_passes(gap, lam):
         return stat + gap
     return stat + float(np.linalg.norm(y - prox_any(spec.problem.g, lam + y)))
-
-
-def subproblem_residual(spec: SubproblemSpec, x, lam) -> float:
-    """KKT residual of the subproblem's generalized equation at (x, lam).
-
-    Same prox/normal-cone form as the outer KKT residual, on the
-    linearized data of `spec`.  Fast path: when lam is a subgradient at
-    the linearized point y, the resolvent identity makes y a fixed point
-    of the prox, and the prox term is bounded by the subgradient distance
-    (nonexpansiveness), so that distance stands in for the prox call.
-    `solve_subproblem` reaches the same computation with the distance it
-    has already taken.
-    """
-    problem = spec.problem
-    x = np.asarray(x, dtype=float).ravel()
-    lam = np.asarray(lam, dtype=float).ravel()
-    y = spec.r + spec.J @ x
-    gap = None
-    if isinstance(problem.g, PLQFunction) and np.isfinite(evaluate(problem.g, y)):
-        gap = subgradient_dist(problem.g, y, lam)
-    return _residual(spec, x, y, lam, gap)
 
 
 def _repair_dual(spec, xi, y, active_pieces):
@@ -148,14 +132,17 @@ def _repair_dual(spec, xi, y, active_pieces):
     return None if sol is None else lp.block(sol, "lam")
 
 
-def solve_subproblem(spec: SubproblemSpec) -> list:
-    """All localized subproblem KKT solutions, best first.
+def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
+    """The first verified subproblem KKT pair within delta, in piece order.
 
-    One QP per piece; a piece whose QP is infeasible is skipped, and one
-    whose QP is unbounded is feasible but yields no candidate.  Survivors
-    of the delta filter are sorted by primal step length, then objective.
-    Raises NoFeasiblePiece when no piece yields a verified candidate and
-    AllCandidatesOutsideDelta when every candidate violates delta.
+    One QP per piece, in index order; a piece whose QP is infeasible is
+    skipped, and one whose QP is unbounded is feasible but yields no
+    candidate.  The first candidate that passes the gap, repair and
+    residual checks with a primal-dual step of size at most delta is
+    returned, so ties between pieces meeting at one xi go to the lowest
+    index.  Raises AllCandidatesOutsideDelta when verified candidates exist
+    but every one violates delta, and NoFeasiblePiece when no piece yields
+    a verified candidate.
     """
     problem = spec.problem
     if not isinstance(problem.g, PLQFunction):
@@ -163,8 +150,8 @@ def solve_subproblem(spec: SubproblemSpec) -> list:
     J, r, H, xk = spec.J, spec.r, spec.H, spec.xk
     Theta = problem.Theta
 
-    candidates = []
     feasible_seen = False
+    outside = 0
     for i, piece in enumerate(problem.g.pieces):
         # constraints over xi: Theta rows plus piece rows composed with y = r + J xi
         A = np.vstack([Theta.A, piece.C.A @ J])
@@ -199,26 +186,16 @@ def solve_subproblem(spec: SubproblemSpec) -> list:
         rsub = _residual(spec, xi, y, lam, gap)
         if rsub > SUB_RESIDUAL_TOL:
             continue
-        step = xi - xk
-        objective = (spec.phival + float(spec.gphi @ step) + 0.5 * float(step @ H @ step)
-                     + piece.value(y))
-        candidates.append(SubproblemSolution(
-            x_next=xi, lambda_next=lam, piece_index=i,
-            qp_status=res.status, objective=objective, residual=rsub))
+        size = np.sqrt(float(np.linalg.norm(xi - xk) ** 2
+                             + np.linalg.norm(lam - spec.lambdak) ** 2))
+        if size > spec.delta:
+            outside += 1
+            continue
+        return SubproblemSolution(x_next=xi, lambda_next=lam, piece_index=i, residual=rsub)
 
-    if not candidates:
-        raise NoFeasiblePiece(
-            "no piece admits a solvable linearized subproblem" if not feasible_seen
-            else "all piece subproblems were unbounded or unverifiable")
-
-    survivors = []
-    for cand in candidates:
-        size = np.sqrt(float(np.linalg.norm(cand.x_next - spec.xk) ** 2
-                             + np.linalg.norm(cand.lambda_next - spec.lambdak) ** 2))
-        if size <= spec.delta:
-            survivors.append(cand)
-    if not survivors:
+    if outside:
         raise AllCandidatesOutsideDelta(
-            f"all {len(candidates)} candidates violate the localization radius {spec.delta:g}")
-    survivors.sort(key=lambda s: (float(np.linalg.norm(s.x_next - spec.xk)), s.objective))
-    return survivors
+            f"all {outside} candidates violate the localization radius {spec.delta:g}")
+    raise NoFeasiblePiece(
+        "no piece admits a solvable linearized subproblem" if not feasible_seen
+        else "all piece subproblems were unbounded or unverifiable")

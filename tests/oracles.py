@@ -16,7 +16,7 @@ from scipy.linalg import null_space
 from plqsqp.errors import PointOutsideDomain, TooManyRows
 from plqsqp.kkt import lagrangian
 from plqsqp.lp import feasible_point
-from plqsqp.plq import piece_critical_cones
+from plqsqp.plq import piece_critical_cones, prox
 from plqsqp.polyhedral import (
     PolyCone,
     Polyhedron,
@@ -27,6 +27,7 @@ from plqsqp.polyhedral import (
     intersect,
     lineality_basis,
     normal_cone_generators,
+    project,
 )
 
 
@@ -214,3 +215,22 @@ def qp_kkt_residual(Q, c, A, b, E, d, res) -> float:
     if E.size:
         r += float(np.linalg.norm(E @ x - d))
     return float(r)
+
+
+def subproblem_residual(spec, x, lam) -> float:
+    """Prox form of the SQP subproblem's KKT residual at (x, lam).
+
+    ||x - P_Theta(x - grad)|| + ||y - prox_g(lam + y)||, with y = r + J x
+    and grad the gradient of the subproblem Lagrangian on the linearized
+    data of `spec`.  Both terms vanish exactly at the subproblem's KKT
+    pairs.  The solver's own residual measures stationarity by a
+    normal-cone distance and replaces the prox term by a subgradient
+    distance; this one takes neither.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float).ravel()
+    y = spec.r + spec.J @ x
+    grad = spec.gphi + spec.H @ (x - spec.xk) + spec.J.T @ lam
+    stat = np.linalg.norm(x - project(spec.problem.Theta, x - grad))
+    comp = np.linalg.norm(y - prox(spec.problem.g, lam + y))
+    return float(stat + comp)

@@ -5,6 +5,8 @@ No handler may catch everything: a bare `except:`, `except Exception` or
 fallbacks.  Every name the package exports must exist.  Imports sit at
 module top, except the one that breaks the lp -> nonneg -> qp -> lp cycle.
 Every function the benchmark's tracer wraps must exist where it looks.
+Every top-level function and class is used elsewhere in the package or
+exported.
 """
 
 import ast
@@ -19,6 +21,10 @@ BROAD = {"Exception", "BaseException"}
 # (file, function, imported module) of the function-body imports allowed
 CYCLE_BREAKING_IMPORTS = {("lp.py", "feasible_point", "nonneg")}
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+# top-level definitions that may stay unreferenced and unexported, with why
+UNUSED_ALLOWED = {
+    "cone_rays": "bench/tracer.py wraps it until ROADMAP item 6",
+}
 
 
 def _caught_names(handler):
@@ -70,3 +76,33 @@ def test_traced_functions_resolve():
                if not inspect.isfunction(getattr(importlib.import_module(f"plqsqp.{mod}"),
                                                  fn, None))]
     assert not missing, missing
+
+
+def _referenced_names(tree):
+    """(name, line) of every name, attribute and imported name in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def test_every_definition_is_used_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    refs = [(file, name, line) for file, tree in trees.items()
+            for name, line in _referenced_names(tree)]
+    unused = set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or node.name in plqsqp.__all__:
+                continue
+            # a reference from inside the definition itself does not count
+            if not any(name == node.name
+                       and not (ref_file == file and node.lineno <= line <= node.end_lineno)
+                       for ref_file, name, line in refs):
+                unused.add(node.name)
+    assert unused == set(UNUSED_ALLOWED), sorted(unused ^ set(UNUSED_ALLOWED))

@@ -192,13 +192,13 @@ def test_landing_rule_needs_a_converged_run():
 
 def test_rate_report_short_trace_raises():
     with pytest.raises(TooShortTrace):
-        rate_report(_fake_trace([1.0, 0.1]), "last-iterate")
+        rate_report(_fake_trace([1.0, 0.1]))
 
 
 def test_run_classification_short_converged_counts_superlinear():
     trace = _fake_trace([1.0, 0.0])
     trace[-1].residual = 0.0
-    assert run_classification(trace, "last-iterate") == "superlinear"
+    assert run_classification(trace) == "superlinear"
 
 
 def test_max_iter_reached_carries_trace():

@@ -4,17 +4,17 @@ import pytest
 from plqsqp import subqp
 from plqsqp.errors import AllCandidatesOutsideDelta, NoFeasiblePiece
 from plqsqp.kkt import CompositeProblem, Poly2Map, kkt_residual
-from plqsqp.plq import plq_abs, plq_indicator
+from plqsqp.plq import plq_abs, plq_indicator, plq_separable
 from plqsqp.polyhedral import Polyhedron
-from plqsqp.subqp import SubproblemSpec, solve_subproblem, subproblem_residual
+from plqsqp.subqp import SubproblemSpec, solve_subproblem
 
 from conftest import make_p1
+from oracles import subproblem_residual
 
 
 def test_p1_single_newton_step_solves_exactly():
     p1 = make_p1()
-    sols = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], p1))
-    best = sols[0]
+    best = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], p1))
     assert np.allclose(best.x_next, [1.0], atol=1e-10)
     assert np.allclose(best.lambda_next, [1.0], atol=1e-10)
     assert best.residual <= 1e-9
@@ -29,29 +29,26 @@ def test_single_piece_matches_plain_qp():
     Phi = Poly2Map(np.zeros(1), np.array([[1.0, 1.0]]), np.zeros((1, n, n)))
     prob = CompositeProblem(phi, Phi, plq_indicator(Polyhedron.nonpos(1)),
                             Polyhedron.whole_space(n))
-    sols = solve_subproblem(SubproblemSpec(np.zeros(n), np.zeros(1), np.eye(n), prob))
-    assert len(sols) == 1
-    x = sols[0].x_next
+    sol = solve_subproblem(SubproblemSpec(np.zeros(n), np.zeros(1), np.eye(n), prob))
+    assert sol.piece_index == 0
     # oracle: minimize ||x||^2/2 - x1 subject to x1 + x2 <= 0
     # KKT: x = (1 - l, -l), complementarity gives l = 1/2, x = (1/2, -1/2)
-    assert np.allclose(x, [0.5, -0.5], atol=1e-9)
-    assert np.allclose(sols[0].lambda_next, [0.5], atol=1e-9)
+    assert np.allclose(sol.x_next, [0.5, -0.5], atol=1e-9)
+    assert np.allclose(sol.lambda_next, [0.5], atol=1e-9)
 
 
-def test_two_piece_abs_returns_candidates_per_piece():
-    # min x^2/2 + |x - 1| from x0 = 3: both pieces admit candidates
+def test_two_piece_abs_returns_the_lowest_verified_piece():
+    # min x^2/2 + |x - 1| from x0 = 3: the solution y = x - 1 = 0 lies on
+    # both pieces, and the lower index answers
     phi = Poly2Map(np.zeros(1), np.zeros((1, 1)), np.array([[[1.0]]]))
     Phi = Poly2Map(np.array([-1.0]), np.array([[1.0]]), np.zeros((1, 1, 1)))
     prob = CompositeProblem(phi, Phi, plq_abs(), Polyhedron.whole_space(1))
-    sols = solve_subproblem(SubproblemSpec([3.0], [0.0], [[1.0]], prob))
-    assert 1 <= len(sols) <= 2
-    assert {s.piece_index for s in sols} <= {0, 1}
-    best = sols[0]
+    best = solve_subproblem(SubproblemSpec([3.0], [0.0], [[1.0]], prob))
+    assert best.piece_index == 0
     # solution of the convex problem: subgradient x + sign(x-1) ∋ 0 -> x = 1, lam in [-1,1] with x=1: 1 + lam = 0
     assert np.allclose(best.x_next, [1.0], atol=1e-9)
     assert np.allclose(best.lambda_next, [-1.0], atol=1e-9)
-    for s in sols:
-        assert s.residual <= 1e-9
+    assert best.residual <= 1e-9
 
 
 def brute_force_composite(prob, xk, lamk, H, lo=-3.0, hi=3.0, res=1e-3):
@@ -77,9 +74,9 @@ def test_convex_subproblem_matches_grid_bruteforce(x0):
     Phi = Poly2Map(np.array([-0.7]), np.array([[1.0]]), np.array([[[0.4]]]))
     prob = CompositeProblem(phi, Phi, plq_abs(), Polyhedron.whole_space(1))
     spec = SubproblemSpec([x0], [0.1], [[1.2]], prob)
-    sols = solve_subproblem(spec)
+    sol = solve_subproblem(spec)
     xg, _ = brute_force_composite(prob, np.array([x0]), np.array([0.1]), [[1.2]])
-    assert abs(sols[0].x_next[0] - xg) <= 5e-3
+    assert abs(sol.x_next[0] - xg) <= 5e-3
 
 
 def test_newton_exactness_on_quadratic_affine_data(rng):
@@ -93,8 +90,7 @@ def test_newton_exactness_on_quadratic_affine_data(rng):
     prob = CompositeProblem(phi, Phi, plq_indicator(Polyhedron.nonpos(1)),
                             Polyhedron.whole_space(n))
     x0 = rng.standard_normal(n)
-    sols = solve_subproblem(SubproblemSpec(x0, np.zeros(m), Q, prob))
-    best = sols[0]
+    best = solve_subproblem(SubproblemSpec(x0, np.zeros(m), Q, prob))
     assert kkt_residual(prob, best.x_next, best.lambda_next) <= 1e-8
 
 
@@ -105,14 +101,14 @@ def test_all_candidates_satisfy_residual_bound(rng):
     for _ in range(5):
         x0 = rng.standard_normal(2)
         spec = SubproblemSpec(x0, rng.standard_normal(2), np.eye(2), prob)
-        for sol in solve_subproblem(spec):
-            assert sol.residual <= 1e-9
-            assert subproblem_residual(spec, sol.x_next, sol.lambda_next) <= 1e-8
+        sol = solve_subproblem(spec)
+        assert sol.residual <= 1e-9
+        # the prox-form oracle shares no code with the residual it checks
+        assert subproblem_residual(spec, sol.x_next, sol.lambda_next) <= 1e-8
 
 
 def plq_abs_2d():
     """|z1| + |z2| as a 4-piece separable function."""
-    from plqsqp.plq import plq_separable
     cell = [(-np.inf, 0.0, 0.0, -1.0, 0.0), (0.0, np.inf, 0.0, 1.0, 0.0)]
     return plq_separable([cell, cell])
 
@@ -120,8 +116,9 @@ def plq_abs_2d():
 def test_repair_dual_recovers_a_subgradient_on_a_kink(monkeypatch):
     # min x^2/2 - x/2 + |x| + |x| through Phi(x) = (x, x): every candidate is
     # xi = 0, where y = (0, 0) lies on all four pieces of |z1| + |z2|; piece 0
-    # recovers a dual outside the subdifferential [-1, 1]^2, and the repair
-    # system over the four active pieces finds one inside it
+    # recovers a dual outside the subdifferential [-1, 1]^2, the repair
+    # system over the four active pieces finds one inside it, and that
+    # repaired candidate is the answer
     phi = Poly2Map(np.zeros(1), np.array([[-0.5]]), np.array([[[1.0]]]))
     Phi = Poly2Map(np.zeros(2), np.array([[1.0], [1.0]]), np.zeros((2, 1, 1)))
     prob = CompositeProblem(phi, Phi, plq_abs_2d(), Polyhedron.whole_space(1))
@@ -134,14 +131,13 @@ def test_repair_dual_recovers_a_subgradient_on_a_kink(monkeypatch):
         return lam
 
     monkeypatch.setattr(subqp, "_repair_dual", spy)
-    sols = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], prob))
-    assert len(sols) == 4
-    for sol in sols:
-        assert np.allclose(sol.x_next, [0.0], atol=1e-12)
-        assert np.all(np.abs(sol.lambda_next) <= 1.0 + 1e-12)
-        # stationarity at xi = 0: -1/2 + lam_1 + lam_2 = 0
-        assert abs(sol.lambda_next.sum() - 0.5) <= 1e-12
-        assert sol.residual <= 1e-9
+    sol = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], prob))
+    assert sol.piece_index == 0
+    assert np.allclose(sol.x_next, [0.0], atol=1e-12)
+    assert np.all(np.abs(sol.lambda_next) <= 1.0 + 1e-12)
+    # stationarity at xi = 0: -1/2 + lam_1 + lam_2 = 0
+    assert abs(sol.lambda_next.sum() - 0.5) <= 1e-12
+    assert sol.residual <= 1e-9
     assert sum(lam is not None for lam in repaired) == 1
 
 
@@ -160,14 +156,56 @@ def test_delta_filter():
     spec = SubproblemSpec([0.0], [0.0], [[1.0]], p1, delta=1e-3)
     with pytest.raises(AllCandidatesOutsideDelta):
         solve_subproblem(spec)  # the step to (1, 1) has size sqrt(2) > delta
-    sols = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], p1, delta=2.0))
-    assert np.allclose(sols[0].x_next, [1.0], atol=1e-10)
+    sol = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], p1, delta=2.0))
+    assert np.allclose(sol.x_next, [1.0], atol=1e-10)
 
 
-def test_survivors_sorted_by_step_then_objective():
-    phi = Poly2Map(np.zeros(1), np.zeros((1, 1)), np.array([[[1.0]]]))
-    Phi = Poly2Map(np.array([0.0]), np.array([[1.0]]), np.zeros((1, 1, 1)))
-    prob = CompositeProblem(phi, Phi, plq_abs(), Polyhedron.whole_space(1))
-    sols = solve_subproblem(SubproblemSpec([0.4], [0.0], [[1.0]], prob))
-    steps = [float(np.linalg.norm(s.x_next - 0.4)) for s in sols]
-    assert steps == sorted(steps)
+def test_stops_at_the_first_verified_piece(monkeypatch):
+    # min |xi|^2/2 + (-2, 1/2).xi + |xi_1| + |xi_2| (H = I, exact model):
+    # the minimizer (1, 0) lies in pieces 2 and 3 of |z1| + |z2|; pieces 0
+    # and 1 (z1 <= 0) give xi_1 = 0 with a dual no repair can fix, so the
+    # loop runs three piece QPs and never reaches piece 3
+    phi = Poly2Map(np.zeros(1), np.array([[-2.0, 0.5]]), np.array([np.eye(2)]))
+    Phi = Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
+    prob = CompositeProblem(phi, Phi, plq_abs_2d(), Polyhedron.whole_space(2))
+    calls = []
+    qp = subqp.active_set_qp
+
+    def spy(*args):
+        calls.append(len(calls))
+        return qp(*args)
+
+    monkeypatch.setattr(subqp, "active_set_qp", spy)
+    sol = solve_subproblem(SubproblemSpec([0.3, -0.2], [0.0, 0.0], np.eye(2), prob))
+    assert sol.piece_index == 2
+    assert len(calls) == 3
+    assert np.allclose(sol.x_next, [1.0, 0.0], atol=1e-12)
+    # stationarity: xi + (-2, 1/2) + lam = 0
+    assert np.allclose(sol.lambda_next, [1.0, -0.5], atol=1e-12)
+
+
+def test_indefinite_H_returns_the_lowest_verified_piece_inside_delta():
+    # phi(x) = x1 x2 + (x1 + x2)/2 over the box [-2, 2]^2 with g = 0 split
+    # into four quadrant pieces: with H = hess phi the model is phi itself,
+    # whose local minimizers (-2, 2) and (2, -2) are verified candidates of
+    # pieces 1 and 2.  From xk = (1/2, -1) their steps are sqrt(15.25) and
+    # sqrt(3.25): the lower index answers first, and a delta between the
+    # two steps leaves the other
+    half = [(-np.inf, 0.0, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0, 0.0)]
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    phi = Poly2Map(np.zeros(1), np.array([[0.5, 0.5]]), H[None])
+    Phi = Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
+    prob = CompositeProblem(phi, Phi, plq_separable([half, half]),
+                            Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
+    xk, lamk = [0.5, -1.0], [0.0, 0.0]
+    first = solve_subproblem(SubproblemSpec(xk, lamk, H, prob))
+    assert first.piece_index == 1
+    assert np.allclose(first.x_next, [-2.0, 2.0], atol=1e-12)
+    near = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=2.0))
+    assert near.piece_index == 2
+    assert np.allclose(near.x_next, [2.0, -2.0], atol=1e-12)
+    for sol in (first, near):
+        assert np.allclose(sol.lambda_next, 0.0, atol=1e-12)
+        assert sol.residual <= 1e-9
+    with pytest.raises(AllCandidatesOutsideDelta, match="all 2 candidates"):
+        solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=1.0))
