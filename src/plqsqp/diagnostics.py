@@ -511,7 +511,8 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     perturbed KKT system is solved near (xbar, lambdabar), and the worst
     ratio lhs/rhs for the requested mode is recorded.  The verdict holds
     when the modulus stays within a factor 2 across the two smallest
-    radii.
+    radii.  With usable samples at fewer than two radii there is no
+    evidence either way: the result reads fails, the detail "inconclusive".
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
     if mode not in ("full", "primal_D", "primal_Dplus"):
@@ -563,6 +564,9 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
         bounded = False
         ratio = np.nan
     result = "heuristic_holds" if bounded else "heuristic_fails"
-    return Verdict(condition, result, certificate=np.asarray(kappas),
-                   detail=f"radii={radii}, kappa={['%.4g' % k for k in kappas]}, "
-                          f"smallest-ratio={ratio:.3g}, skipped={failures}")
+    detail = (f"radii={radii}, kappa={['%.4g' % k for k in kappas]}, "
+              f"smallest-ratio={ratio:.3g}, skipped={failures}")
+    if len(valid) < 2:
+        detail = (f"inconclusive: {len(radii) - len(valid)} of {len(radii)} radii "
+                  f"without usable samples, {detail}")
+    return Verdict(condition, result, certificate=np.asarray(kappas), detail=detail)

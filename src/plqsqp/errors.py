@@ -61,10 +61,6 @@ class NoFeasiblePiece(PLQError):
     pass
 
 
-class AllCandidatesOutsideDelta(PLQError):
-    pass
-
-
 class DegenerateStep(PLQError):
     pass
 

@@ -3,12 +3,12 @@
 Implements the generic method: stop when the KKT residual is below
 tolerance, otherwise solve the localized subproblem and move to the
 first verified KKT pair within the radius delta (pieces in index order,
-so ties between pieces meeting at one point go to the lowest index);
-delta grows when every verified pair lies outside it.  Per-iteration
-monitors record step norms and the three Dennis-More quantities
-(projection of the Hessian-model error onto the critical cone, onto its
-subspace enlargement, and the full norm), all normalized by the step
-length.  No globalization: the method is purely local by design.
+so ties between pieces meeting at one point go to the lowest index;
+`solve_subproblem` grows delta when no verified pair lies inside it).
+Per-iteration monitors record step norms and the three Dennis-More
+quantities (projection of the Hessian-model error onto the critical
+cone, onto its subspace enlargement, and the full norm), all normalized
+by the step length.  No globalization: the method is purely local by design.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AllCandidatesOutsideDelta,
     DegenerateStep,
     MaxIterReached,
     NoFeasiblePiece,
@@ -35,11 +34,9 @@ from .kkt import (
     subspace_Dplus,
 )
 from .polyhedral import ConeFamily, project_cone_union
-from .subqp import SubproblemSpec, solve_subproblem
+from .subqp import DELTA_GROWTH, SubproblemSpec, solve_subproblem
 
-DELTA_GROWTH = 10.0
 DELTA_FLOOR = 1e-6
-MAX_DELTA_ENLARGEMENTS = 60
 LANDED_REL = 1e-13  # relative distance to a reference that is rounding, not a rate
 
 
@@ -57,6 +54,8 @@ class SQPConfig:
             raise ValueError(f"unknown hessian mode {self.hessian_mode!r}")
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter at least 1")
+        if not self.delta0 > 0:  # NaN fails too
+            raise ValueError("delta0 must be positive")
 
 
 @dataclass
@@ -152,6 +151,7 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
     trace = [IterateRecord(0, x.copy(), lam.copy(), residual, 0.0)]
     H_qn = np.eye(problem.n)
     delta = config.delta0
+    failure = None
     for k in range(1, config.max_iter + 1):
         if residual <= config.tol:
             break
@@ -162,20 +162,11 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
             H = np.eye(problem.n)
         else:
             H = H_qn
-        sol = None
-        dk = delta
-        for _ in range(MAX_DELTA_ENLARGEMENTS):
-            try:
-                sol = solve_subproblem(SubproblemSpec(x, lam, H, problem, dk))
-                break
-            except AllCandidatesOutsideDelta:
-                dk = dk * DELTA_GROWTH if np.isfinite(dk) else 1.0
-            except NoFeasiblePiece as exc:
-                _attach_monitors(problem, trace, config.reference)
-                raise SubproblemFailure(str(exc), trace) from exc
-        if sol is None:
-            _attach_monitors(problem, trace, config.reference)
-            raise SubproblemFailure("localization radius could not be enlarged enough", trace)
+        try:
+            sol = solve_subproblem(SubproblemSpec(x, lam, H, problem, delta))
+        except NoFeasiblePiece as exc:
+            failure = exc
+            break
         s = sol.x_next - x
         ds = sol.lambda_next - lam
         step_norm = float(np.linalg.norm(s))
@@ -190,13 +181,12 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
                     DELTA_FLOOR)
         trace.append(IterateRecord(k, x.copy(), lam.copy(), residual, step_norm,
                                    piece_index=sol.piece_index, _error=err))
-    else:
-        if residual > config.tol:
-            _attach_monitors(problem, trace, config.reference)
-            raise MaxIterReached(
-                f"no convergence in {config.max_iter} iterations (residual {residual:.2e})",
-                trace)
     _attach_monitors(problem, trace, config.reference)
+    if failure is not None:
+        raise SubproblemFailure(str(failure), trace) from failure
+    if residual > config.tol:
+        raise MaxIterReached(
+            f"no convergence in {config.max_iter} iterations (residual {residual:.2e})", trace)
     return trace
 
 
@@ -215,34 +205,39 @@ def _tail_ratios(errs):
 def rate_report(trace, reference: PrimalDual = None, tol: float = 1e-10) -> RateReport:
     """Convergence-rate ratios and their classification over a trace.
 
-    Errors are measured against `reference`, or against the last iterate
-    when it is None.  Classification rule: the last three primal ratios
+    Errors are measured against `reference`; without one, the step
+    lengths ||x_{k+1} - x_k|| stand in for them (errors to the last iterate
+    carry a factor 1 - q^(N-k) that makes a linear run read superlinear).
+    Classification rule: the last three primal ratios
     strictly decreasing with the final one below 0.1 means superlinear;
     ratios confined to [0.1, 0.95] with spread below 0.2 means linear;
     vanishing steps without convergence means stalled; anything else is
     sublinear.
 
-    When the run converged (final residual <= tol) to a given reference,
-    iterates within LANDED_REL (1 + |x_ref|) of it have landed: their error
-    is rounding, not a rate.  The rule then reads only the iterates before
-    the first landed one, and fewer than four of them count as
-    superlinear.  The reported ratios always cover the whole trace.
+    When the run converged (final residual <= tol), errors (or steps) at
+    most LANDED_REL (1 + |x_ref|) have landed: their size is rounding, not
+    a rate.  The rule then reads only the values before the first landed
+    one, and fewer than four of them count as superlinear.  The reported
+    ratios always cover the whole trace.
     """
     if len(trace) < 4:
         raise TooShortTrace("rate estimation needs at least 4 iterates")
     ref = reference if reference is not None else PrimalDual(trace[-1].x, trace[-1].lam)
-    errs_x = [float(np.linalg.norm(rec.x - ref.x)) for rec in trace]
-    errs_pd = [float(np.sqrt(np.linalg.norm(rec.x - ref.x) ** 2
-                             + np.linalg.norm(rec.lam - ref.lam) ** 2)) for rec in trace]
+    # (primal, dual) differences: to the reference, else between iterates
+    diffs = ([(rec.x - ref.x, rec.lam - ref.lam) for rec in trace] if reference is not None
+             else [(rec.x - prev.x, rec.lam - prev.lam) for prev, rec in zip(trace, trace[1:])])
+    errs_x = [float(np.linalg.norm(dx)) for dx, _ in diffs]
+    errs_pd = [float(np.sqrt(np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2)) for u, v in diffs]
     errs = errs_x
-    if reference is not None and trace[-1].residual <= tol:
+    converged = trace[-1].residual <= tol
+    if converged:
         floor = LANDED_REL * (1.0 + float(np.linalg.norm(ref.x)))
         errs = errs_x[:next((k for k, e in enumerate(errs_x) if e <= floor), len(errs_x))]
     ratios = _tail_ratios(errs)
     tail = ratios[-3:]
     finite = [r for r in ratios if np.isfinite(r)]
     steps = [rec.step_norm for rec in trace[-3:]]
-    if len(errs) < 4:
+    if converged and len(errs) < 4:
         cls = "superlinear"  # landed before a rate could show
     elif len(tail) == 3 and all(np.isfinite(t) for t in tail) and \
             tail[0] > tail[1] > tail[2] and tail[2] < 0.1:

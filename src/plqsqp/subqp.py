@@ -21,22 +21,18 @@ Each candidate is verified in three steps:
 The pieces are visited in index order, and the first verified candidate
 whose primal-dual step lies within the localization radius delta is the
 answer: the SQP method needs one localized KKT pair, not all of them.
-When H is positive definite the subproblem is strictly convex, so every
-verified candidate has the same xi and the order only decides which of
-the pieces meeting at xi is reported (the lowest index).
+When every verified candidate lies outside delta, the same pass grows
+the radius tenfold until it holds one.  When H is positive definite the
+subproblem is strictly convex, so every verified candidate has the same
+xi and the order only decides which of the pieces meeting at xi is
+reported (the lowest index).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllCandidatesOutsideDelta,
-    Infeasible,
-    NoFeasiblePiece,
-    PointOutsideDomain,
-    Unbounded,
-)
+from .errors import Infeasible, NoFeasiblePiece, PointOutsideDomain, Unbounded
 from .kkt import CompositeProblem
 from .lp import LPBuilder, feasible_point
 from .plq import PLQFunction, active_indices, prox_any, subgradient_dist
@@ -44,6 +40,7 @@ from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
 
 SUB_RESIDUAL_TOL = 1e-9
+DELTA_GROWTH = 10.0  # factor by which a radius holding no candidate grows
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,8 @@ class SubproblemSpec:
     """Subproblem data at (xk, lambdak).
 
     The linearization at xk is computed once, on construction: J,
-    r = Phi(xk) - J xk and gphi = grad phi(xk).
+    r = Phi(xk) - J xk and gphi = grad phi(xk).  The radius delta must be
+    positive, so that solve_subproblem can grow it.
     """
 
     xk: np.ndarray
@@ -64,6 +62,8 @@ class SubproblemSpec:
     gphi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.delta > 0:  # NaN fails too
+            raise ValueError("delta must be positive")
         xk = np.asarray(self.xk, dtype=float).ravel()
         object.__setattr__(self, "xk", xk)
         object.__setattr__(self, "lambdak", np.asarray(self.lambdak, dtype=float).ravel())
@@ -140,9 +140,10 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     candidate.  The first candidate that passes the gap, repair and
     residual checks with a primal-dual step of size at most delta is
     returned, so ties between pieces meeting at one xi go to the lowest
-    index.  Raises AllCandidatesOutsideDelta when verified candidates exist
-    but every one violates delta, and NoFeasiblePiece when no piece yields
-    a verified candidate.
+    index.  When every verified candidate lies outside delta, the radius is
+    multiplied by DELTA_GROWTH until it holds the smallest step, and the
+    first candidate in piece order inside it is returned.  Raises
+    NoFeasiblePiece when no piece yields a verified candidate.
     """
     problem = spec.problem
     if not isinstance(problem.g, PLQFunction):
@@ -151,7 +152,7 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     Theta = problem.Theta
 
     feasible_seen = False
-    outside = 0
+    outside = []  # (step size, solution) of verified candidates outside delta
     for i, piece in enumerate(problem.g.pieces):
         # constraints over xi: Theta rows plus piece rows composed with y = r + J xi
         A = np.vstack([Theta.A, piece.C.A @ J])
@@ -186,16 +187,19 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
         rsub = _residual(spec, xi, y, lam, gap)
         if rsub > SUB_RESIDUAL_TOL:
             continue
+        sol = SubproblemSolution(x_next=xi, lambda_next=lam, piece_index=i, residual=rsub)
         size = np.sqrt(float(np.linalg.norm(xi - xk) ** 2
                              + np.linalg.norm(lam - spec.lambdak) ** 2))
         if size > spec.delta:
-            outside += 1
+            outside.append((size, sol))
             continue
-        return SubproblemSolution(x_next=xi, lambda_next=lam, piece_index=i, residual=rsub)
+        return sol
 
     if outside:
-        raise AllCandidatesOutsideDelta(
-            f"all {outside} candidates violate the localization radius {spec.delta:g}")
+        radius, smallest = spec.delta, min(size for size, _ in outside)
+        while smallest > radius:
+            radius *= DELTA_GROWTH
+        return next(sol for size, sol in outside if size <= radius)
     raise NoFeasiblePiece(
         "no piece admits a solvable linearized subproblem" if not feasible_seen
         else "all piece subproblems were unbounded or unverifiable")

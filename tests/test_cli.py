@@ -199,6 +199,24 @@ def test_reference_last_iterate_ignores_embedded_kkt_point(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_linear_sweep_reads_linear_without_a_reference(tmp_path):
+    # critical_showcase seed 0 converges linearly (every step halves); rated
+    # against its last iterate it read superlinear, its step lengths do not
+    embedded = tmp_path / "showcase.json"
+    assert main(["generate", "--kind", "critical_showcase", "--seed", "0",
+                 "--out-file", str(embedded)]) == 0
+    raw = json.loads(embedded.read_text())
+    del raw["metadata"]["xbar"], raw["metadata"]["lambdabar"]
+    stripped = tmp_path / "showcase_stripped.json"
+    stripped.write_text(json.dumps(raw))
+    for path in (embedded, stripped):
+        out = tmp_path / path.stem
+        assert main(["sweep", "--problem", str(path), "--modes", "bfgs", "--n-starts", "3",
+                     "--seed", "5", "--x0", "0", "--lambda0", "0", "--out", str(out)]) == 0
+        rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] for row in rows] == ["linear"] * 3
+
+
 def test_check_calculus_command(tmp_path, p1_file):
     out = tmp_path / "calc"
     code = main(["check-calculus", "--problem", p1_file, "--n-cases", "40",

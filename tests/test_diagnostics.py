@@ -363,6 +363,7 @@ def test_calmness_p1_bounded(rng):
     v = estimate_calmness(p1, [1.0], [1.0], radii=[1e-2, 1e-3], n_samples=5,
                           mode="full", rng=rng)
     assert v.result == "heuristic_holds"
+    assert not v.detail.startswith("inconclusive")
 
 
 def test_calmness_zero_perturbation_guard(rng):
@@ -371,6 +372,18 @@ def test_calmness_zero_perturbation_guard(rng):
     v = estimate_calmness(p1, [1.0], [1.0], radii=[1e-2, 1e-3], n_samples=3,
                           mode="full", rng=rng)
     assert np.all(np.isfinite(v.certificate))
+
+
+def test_calmness_without_usable_samples_reads_inconclusive():
+    # at critical_showcase's embedded point no perturbed problem has a KKT
+    # point near (0, 0), so every radius is left without a sample: the
+    # result name stays, and the detail says there is no evidence
+    gp = generate("critical_showcase", seed=0)
+    v = estimate_calmness(gp.problem, gp.xbar, gp.lambdabar, mode="full",
+                          rng=np.random.default_rng(0))
+    assert v.result == "heuristic_fails"
+    assert v.detail.startswith("inconclusive: 3 of 3 radii without usable samples")
+    assert "skipped=24" in v.detail and np.all(np.isnan(v.certificate))
 
 
 def test_multiplier_distance_uses_projection(degenerate_range):

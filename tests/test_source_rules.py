@@ -6,7 +6,8 @@ fallbacks.  Every name the package exports must exist.  Imports sit at
 module top, except the one that breaks the lp -> nonneg -> qp -> lp cycle.
 Every function the benchmark's tracer wraps must exist where it looks.
 Every top-level function and class is used elsewhere in the package or
-exported.
+exported.  Every error class has a raise site in the package, so that a
+class which is only caught cannot linger.
 """
 
 import ast
@@ -15,6 +16,7 @@ import inspect
 from pathlib import Path
 
 import plqsqp
+from plqsqp import errors
 
 PACKAGE = Path(plqsqp.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
@@ -106,3 +108,23 @@ def test_every_definition_is_used_or_exported():
                        for ref_file, name, line in refs):
                 unused.add(node.name)
     assert unused == set(UNUSED_ALLOWED), sorted(unused ^ set(UNUSED_ALLOWED))
+
+
+def _raised_names(tree):
+    """Names of the classes raised by `raise X` or `raise X(...)` in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_is_raised():
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        raised.update(_raised_names(ast.parse(path.read_text(), filename=str(path))))
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.PLQError)
+               and obj is not errors.PLQError}
+    assert classes, "no error classes found"
+    assert not classes - raised, sorted(classes - raised)

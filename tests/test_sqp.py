@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plqsqp import sqp
 from plqsqp.errors import DegenerateStep, MaxIterReached, TooShortTrace, ZeroStep
 from plqsqp.kkt import PrimalDual, cone_D, kkt_point, subspace_Dplus
 from plqsqp.polyhedral import ConeFamily, PolyCone
@@ -25,6 +26,33 @@ def test_p1_converges_in_one_step():
     assert np.allclose(trace[-1].x, [1.0], atol=1e-10)
     assert np.allclose(trace[-1].lam, [1.0], atol=1e-10)
     assert trace[-1].residual <= 1e-10
+
+
+def test_one_subproblem_solve_per_iteration(monkeypatch):
+    # the first step (size about 0.26) lies far outside delta0, so the
+    # radius must grow (three times) inside the first solve: no iteration
+    # solves its subproblem twice
+    from plqsqp.generators import generate
+    gp = generate("minmax", seed=7, n=3, m=3, n_active=2)
+    calls = []
+    solve = sqp.solve_subproblem
+
+    def spy(spec):
+        calls.append(spec.delta)
+        return solve(spec)
+
+    monkeypatch.setattr(sqp, "solve_subproblem", spy)
+    x0 = gp.xbar + 0.3 * np.ones(3) / np.sqrt(3.0)
+    trace = run_sqp(gp.problem, x0, gp.lambdabar + 0.1, SQPConfig(delta0=1e-3))
+    assert trace[-1].residual <= 1e-10
+    assert calls[0] == 1e-3 and trace[1].step_norm > 1e-1
+    assert len(calls) == len(trace) - 1 == 4
+
+
+@pytest.mark.parametrize("delta0", [0.0, -1.0, np.nan])
+def test_config_rejects_a_radius_that_cannot_grow(delta0):
+    with pytest.raises(ValueError, match="delta0"):
+        SQPConfig(delta0=delta0)
 
 
 def test_start_at_kkt_point_stops_immediately():
@@ -188,6 +216,19 @@ def test_landing_rule_needs_a_converged_run():
     ref = PrimalDual(np.zeros(1), np.zeros(1))
     assert rate_report(trace, ref).classification == "sublinear"
     assert run_classification(trace, ref) == "sublinear"
+
+
+def test_rate_report_without_reference_reads_step_lengths():
+    # errors to the last iterate (0.9375, 0.4375, 0.1875, 0.0625, 0) shrink
+    # faster and faster and read superlinear; the steps halve throughout
+    rep = rate_report(_fake_trace([1.0, 0.5, 0.25, 0.125, 0.0625]))
+    assert rep.classification == "linear"
+    assert rep.ratios_primal == [0.5, 0.5, 0.5]
+    # a converged run whose three steps shrink fast has no landed step, yet
+    # too few steps for three ratios: it counts as superlinear
+    trace = _fake_trace([1.0, 0.1, 1e-3, 1e-7])
+    trace[-1].residual = 0.0
+    assert rate_report(trace).classification == "superlinear"
 
 
 def test_rate_report_short_trace_raises():

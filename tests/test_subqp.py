@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plqsqp import subqp
-from plqsqp.errors import AllCandidatesOutsideDelta, NoFeasiblePiece
+from plqsqp.errors import NoFeasiblePiece
 from plqsqp.kkt import CompositeProblem, Poly2Map, kkt_residual
 from plqsqp.plq import plq_abs, plq_indicator, plq_separable
 from plqsqp.polyhedral import Polyhedron
@@ -152,12 +152,20 @@ def test_no_feasible_piece():
 
 
 def test_delta_filter():
+    # the step to (1, 1) has size sqrt(2) > delta: the radius grows
+    # 1e-3 -> 1e-2 -> ... -> 10, which holds it
     p1 = make_p1()
-    spec = SubproblemSpec([0.0], [0.0], [[1.0]], p1, delta=1e-3)
-    with pytest.raises(AllCandidatesOutsideDelta):
-        solve_subproblem(spec)  # the step to (1, 1) has size sqrt(2) > delta
+    sol = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], p1, delta=1e-3))
+    assert np.allclose(sol.x_next, [1.0], atol=1e-10)
     sol = solve_subproblem(SubproblemSpec([0.0], [0.0], [[1.0]], p1, delta=2.0))
     assert np.allclose(sol.x_next, [1.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+def test_radius_must_be_positive(delta):
+    # a radius that is not positive could never grow to hold a step
+    with pytest.raises(ValueError, match="delta"):
+        SubproblemSpec([0.0], [0.0], [[1.0]], make_p1(), delta=delta)
 
 
 def test_stops_at_the_first_verified_piece(monkeypatch):
@@ -190,7 +198,9 @@ def test_indefinite_H_returns_the_lowest_verified_piece_inside_delta():
     # whose local minimizers (-2, 2) and (2, -2) are verified candidates of
     # pieces 1 and 2.  From xk = (1/2, -1) their steps are sqrt(15.25) and
     # sqrt(3.25): the lower index answers first, and a delta between the
-    # two steps leaves the other
+    # two steps leaves the other.  A delta below both grows tenfold until
+    # it holds the shorter step, and the lowest piece inside that radius
+    # answers
     half = [(-np.inf, 0.0, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0, 0.0)]
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     phi = Poly2Map(np.zeros(1), np.array([[0.5, 0.5]]), H[None])
@@ -204,8 +214,14 @@ def test_indefinite_H_returns_the_lowest_verified_piece_inside_delta():
     near = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=2.0))
     assert near.piece_index == 2
     assert np.allclose(near.x_next, [2.0, -2.0], atol=1e-12)
-    for sol in (first, near):
+    # 1 -> 10 holds both steps
+    grown_past_both = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=1.0))
+    assert grown_past_both.piece_index == 1
+    assert np.allclose(grown_past_both.x_next, [-2.0, 2.0], atol=1e-12)
+    # 0.19 -> 1.9 holds sqrt(3.25) only
+    grown_between = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=0.19))
+    assert grown_between.piece_index == 2
+    assert np.allclose(grown_between.x_next, [2.0, -2.0], atol=1e-12)
+    for sol in (first, near, grown_past_both, grown_between):
         assert np.allclose(sol.lambda_next, 0.0, atol=1e-12)
         assert sol.residual <= 1e-9
-    with pytest.raises(AllCandidatesOutsideDelta, match="all 2 candidates"):
-        solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=1.0))
