@@ -186,7 +186,11 @@ def lagrangian(problem: CompositeProblem, x, lam):
 
 
 def kkt_residual(problem: CompositeProblem, x, lam, theta_tol: float = 1e-8) -> float:
-    """dist(-grad_x L, N_Theta(x)) + ||Phi(x) - prox_g(lam + Phi(x))||."""
+    """dist(-grad_x L, N_Theta(x)) + ||Phi(x) - prox_g(lam + Phi(x))||.
+
+    The prox visits the pieces holding z = Phi(x) first: near a KKT pair
+    the prox point is z itself, so one of them usually answers at once.
+    """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
     if not contains(problem.Theta, x, theta_tol):
@@ -194,7 +198,7 @@ def kkt_residual(problem: CompositeProblem, x, lam, theta_tol: float = 1e-8) -> 
     _, grad, _ = lagrangian(problem, x, lam)
     stat = normal_cone_dist(problem.Theta, x, -grad)
     z = problem.Phi.value(x)
-    comp = float(np.linalg.norm(z - prox_any(problem.g, lam + z)))
+    comp = float(np.linalg.norm(z - prox_any(problem.g, lam + z, near=z)))
     return stat + comp
 
 

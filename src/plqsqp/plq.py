@@ -296,18 +296,23 @@ def proto_derivative_contains(g: PLQFunction, z, v, w, u, tol: float = 1e-8) -> 
 # proximal mappings
 # ---------------------------------------------------------------------------
 
-def prox(g: PLQFunction, x) -> np.ndarray:
+def prox(g: PLQFunction, x, near=None) -> np.ndarray:
     """argmin_z g(z) + ½||x - z||^2 by strongly convex per-piece QPs.
 
-    Ties across pieces go to the earliest piece, which keeps traces
-    deterministic.
+    The unconstrained minimizer of each piece objective bounds that
+    piece's QP from below.  The pieces holding `near`, a point expected
+    close to the answer, are visited first, in index order; the others
+    follow best bound first, ties to the lower index.  A piece whose bound
+    exceeds the incumbent value is skipped.  The first visited piece whose
+    point passes the exact subgradient test x - z in dg(z) is returned:
+    the prox point is the unique solution of that resolvent inclusion, so
+    `near` changes only the order, and with it which of the pieces meeting
+    at the answer computes it.  When no point passes (rounding), the least
+    value wins, ties to the lowest index.
     """
     x = np.asarray(x, dtype=float).ravel()
     eye = np.eye(g.m)
-    # the unconstrained minimizer of each strongly convex piece objective
-    # bounds that piece's QP from below, so pieces are visited best-bound
-    # first and pruned once a candidate beats their bound
-    entries = []
+    entries = []  # (bound, index, piece, Q, c, unconstrained minimizer)
     for idx, p in enumerate(g.pieces):
         Q = p.A + eye
         c = p.a - x
@@ -319,13 +324,16 @@ def prox(g: PLQFunction, x) -> np.ndarray:
         else:
             lb = p.value(z_u) + 0.5 * float(np.linalg.norm(x - z_u) ** 2)
         entries.append((lb, idx, p, Q, c, z_u))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    order = sorted(entries, key=lambda e: (e[0], e[1]))
+    if near is not None:
+        hinted = _membership(g, near)
+        order = [e for e in entries if hinted[e[1]]] + [e for e in order if not hinted[e[1]]]
     best = None
     best_val = np.inf
     best_idx = len(g.pieces)
-    for lb, idx, p, Q, c, z_u in entries:
+    for lb, idx, p, Q, c, z_u in order:
         if lb > best_val + 1e-12:
-            break
+            continue  # hinted pieces break the bound order, so skip, not stop
         if z_u is not None and contains(p.C, z_u, 1e-12):
             z = z_u
         else:
@@ -335,12 +343,8 @@ def prox(g: PLQFunction, x) -> np.ndarray:
                 continue
             z = res.x
         val = p.value(z) + 0.5 * float(np.linalg.norm(x - z) ** 2)
-        # ties across pieces go to the earliest piece index
         if val < best_val - 1e-12 or (abs(val - best_val) <= 1e-12 and idx < best_idx):
             best, best_val, best_idx = z, val, idx
-            # the prox point is the unique solution of the resolvent
-            # inclusion, so an incumbent passing the exact subgradient
-            # test is the global answer
             if subgradient_dist(g, z, x - z) <= 1e-10 * (1.0 + np.linalg.norm(x)):
                 return z
     if best is None:
@@ -380,11 +384,12 @@ def dual_lq_subdifferential(h: DualLQ, z) -> Polyhedron:
     return Polyhedron(h.Omega.A, h.Omega.b, E, d)
 
 
-def prox_any(g, x) -> np.ndarray:
-    """Prox for either representation of g."""
+def prox_any(g, x, near=None) -> np.ndarray:
+    """Prox for either representation of g; `near` is prox's visiting hint
+    (a dual-LQ g has no pieces to order and ignores it)."""
     if isinstance(g, DualLQ):
         return dual_lq_eval_prox(g, x)[1]
-    return prox(g, x)
+    return prox(g, x, near)
 
 
 def value_any(g, z) -> float:

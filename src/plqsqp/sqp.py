@@ -121,16 +121,33 @@ def _dm_ratios(r, step_norm, D, Dplus):
     return tuple(float(v) / step_norm for v in norms)
 
 
+def _anchor_cones(problem, anchor):
+    """(D, D+) at the anchor, or (None, None) when it is no KKT point of a
+    piece g (the monitors then fall back to the full norm).
+
+    The last answer is kept on the problem, keyed by the anchor's bytes,
+    so runs sharing a reference (a sweep, or many starts against one
+    known point) build the anchor's cones once.
+    """
+    key = (anchor.x.tobytes(), anchor.lam.tobytes())
+    memo = getattr(problem, "_anchor_memo", None)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    try:
+        point = kkt_point(problem, anchor.x, anchor.lam)
+        cones = (cone_D(point), subspace_Dplus(point))
+    except PLQError:
+        cones = (None, None)
+    object.__setattr__(problem, "_anchor_memo", (key, cones))
+    return cones
+
+
 def _attach_monitors(problem, trace, reference):
     """Fill dm_* on each record against the cones at the anchor point."""
     if not trace:
         return
     anchor = reference if reference is not None else PrimalDual(trace[-1].x, trace[-1].lam)
-    try:
-        point = kkt_point(problem, anchor.x, anchor.lam)
-        D, Dplus = cone_D(point), subspace_Dplus(point)
-    except PLQError:
-        D = Dplus = None  # monitors fall back to the full norm
+    D, Dplus = _anchor_cones(problem, anchor)
     for rec in trace:
         if rec._error is None or rec.step_norm <= 0.0:
             continue

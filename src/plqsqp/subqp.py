@@ -96,12 +96,13 @@ def _residual(spec, x, y, lam, gap) -> float:
     data.  When lam is a subgradient at y, the resolvent identity makes y a
     fixed point of the prox, and the prox term is bounded by the
     subgradient distance (nonexpansiveness), so that distance stands in
-    for the prox call."""
+    for the prox call; otherwise the prox visits the pieces holding y
+    first."""
     grad = spec.gphi + spec.H @ (x - spec.xk) + spec.J.T @ lam
     stat = normal_cone_dist(spec.problem.Theta, x, -grad)
     if _gap_passes(gap, lam):
         return stat + gap
-    return stat + float(np.linalg.norm(y - prox_any(spec.problem.g, lam + y)))
+    return stat + float(np.linalg.norm(y - prox_any(spec.problem.g, lam + y, near=y)))
 
 
 def _repair_dual(spec, xi, y, active_pieces):

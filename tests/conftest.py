@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plqsqp import nonneg, plq, polyhedral, qp, subqp
 from plqsqp.kkt import CompositeProblem, Poly2Map
 from plqsqp.plq import (
     DualLQ,
@@ -16,6 +17,21 @@ from plqsqp.polyhedral import Polyhedron
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def qp_calls(monkeypatch):
+    """A list that grows by one on every active_set_qp call in the package."""
+    calls = []
+    kernel = qp.active_set_qp
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    for module in (nonneg, plq, polyhedral, subqp):
+        monkeypatch.setattr(module, "active_set_qp", spy)
+    return calls
 
 
 @pytest.fixture

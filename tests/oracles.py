@@ -16,6 +16,7 @@ from scipy.linalg import null_space
 from plqsqp.errors import PointOutsideDomain, TooManyRows
 from plqsqp.kkt import lagrangian
 from plqsqp.lp import feasible_point
+from plqsqp.qp import active_set_qp
 from plqsqp.plq import piece_critical_cones, prox
 from plqsqp.polyhedral import (
     PolyCone,
@@ -115,6 +116,22 @@ def min_form_by_subsets(cone: PolyCone, Q):
                     if val < best and contains(cone, s, 1e-9):
                         best, best_w = val, s
     return best, best_w
+
+
+def prox_all_pieces(g, x) -> np.ndarray:
+    """prox_g(x) as the least-value point over every piece QP.
+
+    Every piece runs its QP min ½<(A_i + I)z, z> + <a_i - x, z> over C_i,
+    with no bound pruning and no early return.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    best, best_val = None, np.inf
+    for p in g.pieces:
+        z = active_set_qp(p.A + np.eye(g.m), p.a - x, p.C.A, p.C.b, p.C.E, p.C.d).x
+        val = p.value(z) + 0.5 * float((x - z) @ (x - z))
+        if val < best_val:
+            best, best_val = z, val
+    return best
 
 
 def proto_derivative_set(g, z, v, w) -> Polyhedron:

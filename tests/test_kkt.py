@@ -87,6 +87,17 @@ def test_kkt_residual_unconstrained_smooth_case(rng):
         assert abs(kkt_residual(prob, x, np.zeros(1)) - np.linalg.norm(grad)) <= 1e-10
 
 
+def test_kkt_residual_at_a_kkt_point_runs_at_most_one_prox_qp(qp_calls):
+    # the prox point at a KKT pair is Phi(xbar) itself, and the pieces
+    # holding it are visited first; by bound order alone the 27-piece g
+    # runs 21 piece QPs before one passes the subgradient test
+    from plqsqp.generators import generate
+    gp = generate("elqp", n=3, m=3, seed=5)
+    qp_calls.clear()
+    assert kkt_residual(gp.problem, gp.xbar, gp.lambdabar) <= 1e-10
+    assert len(qp_calls) <= 1
+
+
 def test_kkt_residual_requires_theta_membership(p1):
     box = Polyhedron.box([0.0], [2.0])
     prob = CompositeProblem(p1.phi, p1.Phi, p1.g, box)

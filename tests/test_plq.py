@@ -15,6 +15,8 @@ from plqsqp.plq import (
     evaluate,
     plq_vector_max,
     prox,
+    sample_domain_point,
+    subgradient_dist,
     proto_derivative_contains,
     second_subderivative,
     subderivative,
@@ -27,7 +29,7 @@ from plqsqp.properties import (
     subdifferential_duality_suite,
 )
 
-from oracles import vertices
+from oracles import prox_all_pieces, vertices
 
 
 # -- evaluation --------------------------------------------------------------
@@ -146,6 +148,28 @@ def test_prox_soft_threshold_oracle(rng, g_abs):
         x = float(3.0 * rng.standard_normal())
         expect = np.sign(x) * max(abs(x) - 1.0, 0.0)
         assert abs(prox(g_abs, [x])[0] - expect) <= 1e-10
+
+
+def test_prox_near_matches_oracle(rng, g_abs, g_ind_nonpos, g_quad, g_two_piece_2d):
+    # the hint only orders the pieces: with no hint, the answer itself, a
+    # point of dom g or a point outside it, prox returns the least-value
+    # piece point of the all-pieces oracle, which shares none of its order
+    from plqsqp.generators import generate
+    g_elqp = generate("elqp", n=3, m=3, seed=5).problem.g
+    assert len(g_elqp.pieces) == 27
+    outside_tried = 0
+    for g in (g_abs, g_ind_nonpos, g_quad, g_two_piece_2d, g_elqp):
+        probes = (10.0 * rng.standard_normal(g.m) for _ in range(20))
+        outside = next((z for z in probes if evaluate(g, z) == np.inf), None)
+        outside_tried += outside is not None
+        for _ in range(25):
+            x = 3.0 * rng.standard_normal(g.m)
+            expect = prox_all_pieces(g, x)
+            for near in (None, expect, sample_domain_point(g, rng), outside):
+                z = prox(g, x, near=near)
+                assert np.linalg.norm(z - expect) <= 1e-10
+                assert subgradient_dist(g, z, x - z) <= 1e-8
+    assert outside_tried == 1  # only the indicator has points outside its domain
 
 
 # -- dual LQ --------------------------------------------------------------------

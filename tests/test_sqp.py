@@ -3,7 +3,7 @@ import pytest
 
 from plqsqp import sqp
 from plqsqp.errors import DegenerateStep, MaxIterReached, TooShortTrace, ZeroStep
-from plqsqp.kkt import PrimalDual, cone_D, kkt_point, subspace_Dplus
+from plqsqp.kkt import CompositeProblem, PrimalDual, cone_D, kkt_point, subspace_Dplus
 from plqsqp.polyhedral import ConeFamily, PolyCone
 from plqsqp.sqp import (
     IterateRecord,
@@ -47,6 +47,52 @@ def test_one_subproblem_solve_per_iteration(monkeypatch):
     assert trace[-1].residual <= 1e-10
     assert calls[0] == 1e-3 and trace[1].step_norm > 1e-1
     assert len(calls) == len(trace) - 1 == 4
+
+
+def test_exact_run_on_elqp_spends_few_qps(qp_calls):
+    # one subproblem per iteration plus one residual per iterate, each
+    # residual's prox starting at the pieces holding Phi(x): 75 QPs when
+    # the prox visits pieces by bound alone
+    from plqsqp.generators import generate
+    gp = generate("elqp", n=3, m=3, seed=5)
+    qp_calls.clear()
+    trace = run_sqp(gp.problem, gp.xbar + 0.3, gp.lambdabar + 0.3, SQPConfig())
+    assert trace[-1].residual <= 1e-10
+    assert len(qp_calls) <= 15
+
+
+def test_runs_sharing_a_reference_build_its_cones_once(monkeypatch):
+    from plqsqp.generators import generate
+    gp = generate("minmax", seed=7, n=3, m=3, n_active=2)
+    built = []
+    build = sqp.kkt_point
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sqp, "kkt_point", spy)
+    x0, lam0 = gp.xbar + 0.05, gp.lambdabar + 0.05
+    config = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(gp.xbar, gp.lambdabar))
+    first = run_sqp(gp.problem, x0, lam0, config)
+    second = run_sqp(gp.problem, x0 - 0.1, lam0, config)
+    assert first[-1].residual <= 1e-10 and second[-1].residual <= 1e-10
+    assert len(built) == 1
+    # the kept cones give the monitors of a problem that never saw them
+    fresh = CompositeProblem(gp.problem.phi, gp.problem.Phi, gp.problem.g, gp.problem.Theta)
+    again = run_sqp(fresh, x0 - 0.1, lam0, config)
+    assert len(built) == 2
+    assert any(rec.dm_D > 0.0 for rec in second)
+    assert [(r.dm_D, r.dm_Dplus, r.dm_full) for r in second] == \
+        [(r.dm_D, r.dm_Dplus, r.dm_full) for r in again]
+    # another reference builds again; a reference that is no KKT point
+    # keeps the full-norm fallback, built once
+    run_sqp(gp.problem, x0, lam0, SQPConfig(hessian_mode="bfgs", reference=None))
+    assert len(built) == 3
+    off = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(x0, lam0))
+    runs = [run_sqp(gp.problem, x0, lam0, off) for _ in range(2)]
+    assert len(built) == 4
+    assert all(r.dm_D == r.dm_full for r in runs[1][1:])
 
 
 @pytest.mark.parametrize("delta0", [0.0, -1.0, np.nan])
