@@ -39,9 +39,8 @@ from .polyhedral import (
     Polyhedron,
     contains,
     enumerate_faces,
-    generated_cone_hrep,
     normal_cone_dist,
-    normal_cone_generators,
+    normal_cone_hrep,
     project,
     project_cone_union,
 )
@@ -339,28 +338,6 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, rng=None,
 # reduction lemma (exact membership on sampled graph points)
 # ---------------------------------------------------------------------------
 
-class _ShiftedConeCache:
-    """H-representations of shifted normal cones, keyed by activity pattern.
-
-    N_C(z) depends on z only through the active rows, so one elimination
-    per pattern serves every sample sharing that pattern.
-    """
-
-    def __init__(self):
-        self.store = {}
-
-    def hrep(self, key, C, z):
-        pattern = (key, tuple(sorted(
-            i for i in range(C.n_ineq)
-            if C.b[i] - C.A[i] @ z <= 1e-8 * (1.0 + abs(C.b[i])))))
-        cone = self.store.get(pattern)
-        if cone is None:
-            G, L = normal_cone_generators(C, z)
-            cone = generated_cone_hrep(G, L, n=C.dim)
-            self.store[pattern] = cone
-        return cone
-
-
 def _intersection_rows(cones_and_shifts, m):
     """Polyhedron for the intersection of shifted cones {shift + cone}."""
     As, bs, Es, ds = [], [], [], []
@@ -394,7 +371,6 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         raise NotASubgradient("vbar must be a subgradient at zbar")
     idx = [i for i, p in enumerate(g.pieces) if contains(p.C, zbar)]
     cones = piece_critical_cones(g, zbar, vbar)
-    cache = _ShiftedConeCache()
     violations = 0
     checked_fwd = 0
 
@@ -415,11 +391,10 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         z = project(C, zbar + radius * rng.standard_normal(g.m))
         if np.linalg.norm(z - zbar) > eps / np.sqrt(2.0):
             continue
-        # subdifferential at z as cached shifted normal cones
-        act = active_indices(g, z)
+        # subdifferential at z as shifted normal cones, one per activity pattern
         sub = _intersection_rows(
-            [(cache.hrep(("sd", j), g.pieces[j].C, z), g.pieces[j].gradient(z))
-             for j in act], g.m)
+            [(normal_cone_hrep(g.pieces[j].C, z), g.pieces[j].gradient(z))
+             for j in active_indices(g, z)], g.m)
         try:
             v = project(sub, vbar + (eps / 4.0) * rng.standard_normal(g.m))
         except EmptyPolyhedron:
@@ -441,7 +416,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         if not holding:
             continue
         uset = _intersection_rows(
-            [(cache.hrep(("pd", j), Kj, w), g.pieces[j].A @ w)
+            [(normal_cone_hrep(Kj, w), g.pieces[j].A @ w)
              for j, Kj in holding], g.m)
         target = g.pieces[i].A @ w + float(rng.uniform(0.0, 1.0)) * rng.standard_normal(g.m)
         try:

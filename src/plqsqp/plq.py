@@ -34,12 +34,11 @@ from .polyhedral import (
     Polyhedron,
     contains,
     critical_cone,
-    generated_cone_hrep,
     intersect,
     interior_point,
     is_empty,
     normal_cone_dist,
-    normal_cone_generators,
+    normal_cone_hrep,
     project,
     prune_redundant,
     tangent_cone,
@@ -211,9 +210,10 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
 
     Each active piece contributes the shifted normal cone
     A_i z + a_i + N_{C_i}(z), whose H-representation is obtained by
-    eliminating the cone multipliers; the pieces are then intersected.
-    Elimination is capped at m <= 8; membership tests at any dimension
-    go through subgradient_dist instead.
+    eliminating the cone multipliers once per piece and activity pattern
+    (`normal_cone_hrep`); the pieces are then intersected.  Elimination is
+    capped at m <= 8; membership tests at any dimension go through
+    subgradient_dist instead.
     """
     if g.m > 8:
         raise TooManyRows("subdifferential H-representations are built for m <= 8")
@@ -222,8 +222,7 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
     result = None
     for i in idx:
         p = g.pieces[i]
-        G, L = normal_cone_generators(p.C, z)
-        cone = generated_cone_hrep(G, L, n=g.m)
+        cone = normal_cone_hrep(p.C, z)
         w = p.gradient(z)
         shifted = Polyhedron(cone.A, cone.b + (cone.A @ w if cone.n_ineq else np.zeros(0)),
                              cone.E, cone.d + (cone.E @ w if cone.n_eq else np.zeros(0)))
@@ -237,12 +236,22 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
 
 
 def subderivative(g: PLQFunction, z, w) -> float:
-    """dg(z)(w): <A_i z + a_i, w> on the tangent cone of an active piece, else +inf."""
+    """dg(z)(w): <A_i z + a_i, w> on the tangent cone of an active piece, else +inf.
+
+    The active pieces' (T_{C_i}(z), A_i z + a_i) at the last z are kept on
+    g, keyed by z's bytes, so many directions at one z build them once.
+    """
     z = np.asarray(z, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
-    for i in active_indices(g, z):
-        if contains(tangent_cone(g.pieces[i].C, z), w):
-            return float(g.pieces[i].gradient(z) @ w)
+    key = z.tobytes()
+    memo = getattr(g, "_tangent_memo", None)
+    if memo is None or memo[0] != key:
+        memo = (key, [(tangent_cone(g.pieces[i].C, z), g.pieces[i].gradient(z))
+                      for i in active_indices(g, z)])
+        object.__setattr__(g, "_tangent_memo", memo)
+    for T, grad in memo[1]:
+        if contains(T, w):
+            return float(grad @ w)
     return np.inf
 
 

@@ -5,7 +5,12 @@ case b = 0, d = 0.  Everything here is built from three exact kernels:
 the dense active-set QP (projections), nonnegative least squares
 (normal-cone distances), and HiGHS LPs (feasibility, implicit
 equalities, redundancy).  Values are immutable after construction and
-all operations are pure.
+all operations are pure.  Derived data is memoized on the immutable
+polyhedron itself (`_derived`): its interior point, and its normal and
+tangent cones per activity pattern, since N_P(x) and T_P(x) depend on x
+only through the active rows.  The memos are deterministic, so results
+stay pure and concurrent calls stay safe; returned cones are shared and
+must not be written to.
 """
 
 from dataclasses import dataclass, field
@@ -195,13 +200,25 @@ def active_rows(P: Polyhedron, x) -> list:
     return [i for i in range(P.n_ineq) if slack[i] <= ACT_TOL * (1.0 + abs(P.b[i]))]
 
 
+def _derived(P: Polyhedron, key, build):
+    """build(), computed once per P and key and kept on P."""
+    memo = P.__dict__.get("_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(P, "_memo", memo)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def is_empty(P: Polyhedron) -> bool:
-    return feasible_point(P.A, P.b, P.E, P.d) is None
+    return interior_point(P) is None
 
 
 def interior_point(P: Polyhedron):
-    """A relative-interior-ish feasible point, or None if P is empty."""
-    return feasible_point(P.A, P.b, P.E, P.d)
+    """A relative-interior-ish feasible point (a fresh copy), or None if P is empty."""
+    x = _derived(P, "interior", lambda: feasible_point(P.A, P.b, P.E, P.d))
+    return None if x is None else x.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +244,7 @@ def tangent_cone(P: Polyhedron, x, tol: float = 1e-9) -> PolyCone:
     if not contains(P, x, tol):
         raise PointNotInSet("tangent cone requires a point of the set")
     J = active_rows(P, x)
-    return PolyCone.from_rows(P.A[J], P.E, P.dim)
+    return _derived(P, ("T", tuple(J)), lambda: PolyCone.from_rows(P.A[J], P.E, P.dim))
 
 
 def normal_cone_dist(P: Polyhedron, x, v, tol: float = 1e-9) -> float:
@@ -270,6 +287,13 @@ def normal_cone_generators(P: Polyhedron, x):
     J = active_rows(P, x)
     G = P.A[J] if J else np.zeros((0, P.dim))
     return G, P.E
+
+
+def normal_cone_hrep(P: Polyhedron, x) -> Polyhedron:
+    """H-representation of N_P(x), eliminated once per activity pattern."""
+    J = tuple(active_rows(P, x))
+    return _derived(P, ("N", J),
+                    lambda: generated_cone_hrep(*normal_cone_generators(P, x), n=P.dim))
 
 
 # ---------------------------------------------------------------------------

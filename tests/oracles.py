@@ -167,7 +167,7 @@ def criticality_feasible_at(problem, xbar, lambdabar, w):
     y = J @ w
     try:
         uset = proto_derivative_set(problem.g, problem.Phi.value(xbar), lambdabar, y)
-    except Exception:
+    except PointOutsideDomain:  # y outside the critical cone of g: no u at all
         return False
     G, L = normal_cone_generators(KT, w)
     m, n = problem.m, problem.n

@@ -219,6 +219,25 @@ def test_dual_lq_subdifferential_is_argmax():
     assert contains(sub, [0.5], 1e-9) and not contains(sub, [0.6], 1e-9)
 
 
+def test_interleaved_points_match_a_fresh_function(rng, g_abs, g_two_piece_2d):
+    # the memos on g and its pieces must never answer for another point: z2 is
+    # one ulp off a kink, another piece's interior, or the other side of |z|
+    kink = np.array([0.0, 0.3])
+    cases = [(g_two_piece_2d, kink, np.nextafter(kink, 1.0)),
+             (g_two_piece_2d, kink, np.array([1.0, -0.5])),
+             (g_abs, np.zeros(1), np.nextafter(np.zeros(1), -1.0)),
+             (g_abs, np.zeros(1), np.array([2.0]))]
+    for g, z1, z2 in cases:
+        ws = rng.standard_normal((10, g.m))
+        for z in (z1, z2, z1):
+            fresh = PLQFunction.from_dict(g.to_dict())
+            sub, ref = subdifferential(g, z), subdifferential(fresh, z)
+            assert all(np.array_equal(x, y) for x, y in
+                       ((sub.A, ref.A), (sub.b, ref.b), (sub.E, ref.E), (sub.d, ref.d)))
+            assert [subderivative(g, z, w) for w in ws] == \
+                [subderivative(fresh, z, w) for w in ws]
+
+
 # -- invariants ------------------------------------------------------------------
 
 def test_duality_suite(rng, g_abs, g_two_piece_2d):

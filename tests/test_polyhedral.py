@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from plqsqp import polyhedral
 from plqsqp.errors import NotANormalVector, PointNotInSet, TooManyRows
 from plqsqp.polyhedral import (
     ConeFamily,
@@ -14,8 +15,11 @@ from plqsqp.polyhedral import (
     enumerate_faces,
     fourier_motzkin,
     generated_cone_hrep,
+    interior_point,
     lineality_basis,
     normal_cone_dist,
+    normal_cone_generators,
+    normal_cone_hrep,
     project,
     project_cone_union,
     span_basis,
@@ -90,6 +94,71 @@ def test_tangent_localization(rng):
         w = rng.standard_normal(2)
         w = eps0 * w / np.linalg.norm(w)
         assert contains(T, w) == contains(P, x + w)
+
+
+def _bitwise_equal(P, Q):
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((P.A, Q.A), (P.b, Q.b), (P.E, Q.E), (P.d, Q.d)))
+
+
+def _pattern_points(two_piece_2d):
+    """(P, [two points sharing one activity pattern], ...) covering every pattern
+    of the box [-1, 1] x [0, 2] and of each piece of two_piece_2d."""
+    box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
+    # per coordinate: both points at the lower bound, inside, or at the upper bound
+    spots = ([(-1.0, -1.0), (-0.5, 0.5), (1.0, 1.0)], [(0.0, 0.0), (0.5, 1.5), (2.0, 2.0)])
+    out = [(box, [np.array([a[k], b[k]]) for k in range(2)])
+           for a, b in itertools.product(*spots)]
+    for piece in two_piece_2d.pieces:
+        out.append((piece.C, [np.array([0.0, -1.0]), np.array([0.0, 3.0])]))
+        inside = -piece.C.A[0, 0]  # a point with z1 strictly inside the piece
+        out.append((piece.C, [np.array([inside, 0.0]), np.array([2.0 * inside, 5.0])]))
+    return out
+
+
+def test_normal_cone_hrep_matches_fresh_elimination_at_every_pattern(g_two_piece_2d):
+    cases = _pattern_points(g_two_piece_2d)
+    patterns = {(id(P), tuple(polyhedral.active_rows(P, x))) for P, xs in cases for x in xs}
+    assert len(patterns) == 9 + 2 * 2  # every pattern of the box and of both pieces
+    for P, xs in cases:
+        assert len({tuple(polyhedral.active_rows(P, x)) for x in xs}) == 1
+        for x in xs:
+            fresh = generated_cone_hrep(*normal_cone_generators(P, x), n=P.dim)
+            assert _bitwise_equal(normal_cone_hrep(P, x), fresh)
+
+
+def test_second_point_of_a_pattern_runs_no_lp(monkeypatch):
+    calls = []
+    lp = polyhedral.solve_lp
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedral, "solve_lp", spy)
+    box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
+    first = normal_cone_hrep(box, [1.0, 0.5])
+    assert calls  # the edge's cone is pruned by LP once
+    del calls[:]
+    second = normal_cone_hrep(box, [1.0, 1.5])
+    assert not calls and _bitwise_equal(first, second)
+
+
+def test_tangent_cone_is_one_per_pattern(g_two_piece_2d):
+    for P, (x, y) in _pattern_points(g_two_piece_2d):
+        J = polyhedral.active_rows(P, x)
+        fresh = PolyCone.from_rows(P.A[J], P.E, P.dim)
+        assert _bitwise_equal(tangent_cone(P, x), fresh)
+        assert _bitwise_equal(tangent_cone(P, y), fresh)
+
+
+def test_interior_point_returns_a_copy():
+    x = interior_point(SIMPLEX)
+    kept = x.copy()
+    x[:] = 99.0
+    assert np.array_equal(interior_point(SIMPLEX), kept)
+    assert interior_point(Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]),
+                                     np.zeros((0, 1)), np.zeros(0))) is None
 
 
 def test_normal_cone_dist_examples():

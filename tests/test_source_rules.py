@@ -7,7 +7,8 @@ module top, except the one that breaks the lp -> nonneg -> qp -> lp cycle.
 Every function the benchmark's tracer wraps must exist where it looks.
 Every top-level function and class is used elsewhere in the package or
 exported.  Every error class has a raise site in the package, so that a
-class which is only caught cannot linger.
+class which is only caught cannot linger.  Fourier-Motzkin cone
+eliminations go through the per-pattern memo of `normal_cone_hrep` only.
 """
 
 import ast
@@ -128,3 +129,16 @@ def test_every_error_is_raised():
                and obj is not errors.PLQError}
     assert classes, "no error classes found"
     assert not classes - raised, sorted(classes - raised)
+
+
+def test_cone_elimination_has_one_route():
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "name", None) == "generated_cone_hrep":
+                continue
+            if any(name == "generated_cone_hrep" for name, _ in _referenced_names(node)):
+                users.add((path.name, getattr(node, "name", f"line {node.lineno}")))
+    assert users == {("polyhedral.py", "normal_cone_hrep")}, sorted(users)
