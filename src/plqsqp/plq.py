@@ -310,13 +310,14 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
 
     The unconstrained minimizer of each piece objective bounds that
     piece's QP from below.  The pieces holding `near`, a point expected
-    close to the answer, are visited first, in index order; the others
-    follow best bound first, ties to the lower index.  A piece whose bound
-    exceeds the incumbent value is skipped.  The first visited piece whose
-    point passes the exact subgradient test x - z in dg(z) is returned:
-    the prox point is the unique solution of that resolvent inclusion, so
-    `near` changes only the order, and with it which of the pieces meeting
-    at the answer computes it.  When no point passes (rounding), the least
+    close to the answer, are visited first, in index order, and their QPs
+    start at `near`; the others follow best bound first, ties to the lower
+    index.  A piece whose bound exceeds the incumbent value is skipped.
+    The first visited piece whose point passes the exact subgradient test
+    x - z in dg(z) is returned: the prox point is the unique solution of
+    that resolvent inclusion, so `near` changes only the order and the
+    starts, and with them which of the pieces meeting at the answer
+    computes it.  When no point passes (rounding), the least
     value wins, ties to the lowest index.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -334,9 +335,8 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
             lb = p.value(z_u) + 0.5 * float(np.linalg.norm(x - z_u) ** 2)
         entries.append((lb, idx, p, Q, c, z_u))
     order = sorted(entries, key=lambda e: (e[0], e[1]))
-    if near is not None:
-        hinted = _membership(g, near)
-        order = [e for e in entries if hinted[e[1]]] + [e for e in order if not hinted[e[1]]]
+    hinted = np.zeros(len(g.pieces), dtype=bool) if near is None else _membership(g, near)
+    order = [e for e in entries if hinted[e[1]]] + [e for e in order if not hinted[e[1]]]
     best = None
     best_val = np.inf
     best_idx = len(g.pieces)
@@ -347,7 +347,8 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
             z = z_u
         else:
             try:
-                res = active_set_qp(Q, c, p.C.A, p.C.b, p.C.E, p.C.d)
+                res = active_set_qp(Q, c, p.C.A, p.C.b, p.C.E, p.C.d,
+                                    x0=near if hinted[idx] else None)
             except (Infeasible, QPFailure):
                 continue
             z = res.x

@@ -2,9 +2,11 @@
 
 Implements the generic method: stop when the KKT residual is below
 tolerance, otherwise solve the localized subproblem and move to the
-first verified KKT pair within the radius delta (pieces in index order,
-so ties between pieces meeting at one point go to the lowest index;
-`solve_subproblem` grows delta when no verified pair lies inside it).
+first verified KKT pair within the radius delta (the pieces holding Phi(x)
+first, so ties between pieces meeting at one point go to those; with an
+indefinite model Hessian that order can pick a different verified pair
+inside delta, which the method allows; `solve_subproblem` grows delta
+when no verified pair lies inside it).
 Per-iteration monitors record step norms and the three Dennis-More
 quantities (projection of the Hessian-model error onto the critical
 cone, onto its subspace enlargement, and the full norm), all normalized

@@ -14,18 +14,22 @@ Each candidate is verified in three steps:
    subgradient of g at y (it always satisfies its own piece);
 2. repair: when it is not, one feasibility system over all active
    pieces decides whether any dual gives the exact subproblem KKT
-   conditions at xi, and the candidate is dropped when none does;
+   conditions at xi, and the candidate is dropped when none does.  When
+   stationarity alone fixes the dual at xi, the recovered dual is the
+   only one and the candidate is dropped without that system;
 3. residual: the subproblem KKT residual, which reuses the gap of step 1
    (recomputed only after a repair), must be at most SUB_RESIDUAL_TOL.
 
-The pieces are visited in index order, and the first verified candidate
-whose primal-dual step lies within the localization radius delta is the
-answer: the SQP method needs one localized KKT pair, not all of them.
-When every verified candidate lies outside delta, the same pass grows
-the radius tenfold until it holds one.  When H is positive definite the
-subproblem is strictly convex, so every verified candidate has the same
-xi and the order only decides which of the pieces meeting at xi is
-reported (the lowest index).
+The pieces holding Phi(x_k) are visited first, their QPs started at x_k
+(feasible for them when x_k lies in Theta), then the rest, each group in
+index order.  The first verified candidate whose primal-dual step lies
+within the localization radius delta is the answer: the SQP method needs
+one localized KKT pair, not all of them.  When every verified candidate
+lies outside delta, the same pass grows the radius tenfold until it holds
+one.  When H is positive definite the subproblem is strictly convex, so
+every verified candidate has the same xi and the order only decides which
+of the pieces meeting at xi is reported.  With an indefinite H the order
+can pick another verified pair inside delta; the method allows any.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +39,7 @@ import numpy as np
 from .errors import Infeasible, NoFeasiblePiece, PointOutsideDomain, Unbounded
 from .kkt import CompositeProblem
 from .lp import LPBuilder, feasible_point
-from .plq import PLQFunction, active_indices, prox_any, subgradient_dist
+from .plq import PLQFunction, _membership, active_indices, prox_any, subgradient_dist
 from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
 
@@ -105,12 +109,25 @@ def _residual(spec, x, y, lam, gap) -> float:
     return stat + float(np.linalg.norm(y - prox_any(spec.problem.g, lam + y, near=y)))
 
 
+def _dual_is_fixed(spec, xi) -> bool:
+    """Whether stationarity at xi admits only one dual lam.
+
+    gphi + H (xi - xk) + J^T lam + N_Theta(xi) = 0 fixes lam when J^T has
+    rank m and its range meets the span of Theta's active normals N only
+    at 0, that is rank [J^T | N] = m + rank N.
+    """
+    N = np.vstack(normal_cone_generators(spec.problem.Theta, xi)).T
+    rank = np.linalg.matrix_rank
+    return rank(np.hstack([spec.J.T, N])) == spec.problem.m + rank(N)
+
+
 def _repair_dual(spec, xi, y, active_pieces):
     """A dual lam with the exact subproblem KKT conditions at xi, or None.
 
     Called when the dual recovered from one piece is not a subgradient at
-    y.  One feasibility system in (lam, Theta normal multipliers, per
-    active piece normal multipliers): stationarity
+    y, and skipped when `_dual_is_fixed` holds, as no other dual then
+    satisfies stationarity.  One feasibility system in (lam, Theta normal
+    multipliers, per active piece normal multipliers): stationarity
     gphi + H (xi - xk) + J^T lam + N_Theta(xi) = 0, and for every active
     piece j, lam - grad_j(y) in N_{C_j}(y).
     """
@@ -134,17 +151,18 @@ def _repair_dual(spec, xi, y, active_pieces):
 
 
 def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
-    """The first verified subproblem KKT pair within delta, in piece order.
+    """The first verified subproblem KKT pair within delta.
 
-    One QP per piece, in index order; a piece whose QP is infeasible is
-    skipped, and one whose QP is unbounded is feasible but yields no
-    candidate.  The first candidate that passes the gap, repair and
-    residual checks with a primal-dual step of size at most delta is
-    returned, so ties between pieces meeting at one xi go to the lowest
-    index.  When every verified candidate lies outside delta, the radius is
-    multiplied by DELTA_GROWTH until it holds the smallest step, and the
-    first candidate in piece order inside it is returned.  Raises
-    NoFeasiblePiece when no piece yields a verified candidate.
+    One QP per piece: the pieces holding Phi(x_k) first, started at x_k,
+    then the rest, each group in index order.  A piece whose QP is
+    infeasible is skipped, and one whose QP is unbounded is feasible but
+    yields no candidate.  The first candidate that passes the gap, repair
+    and residual checks with a primal-dual step of size at most delta is
+    returned; with an indefinite H that may be another verified pair than
+    index order would return.  When every verified candidate lies outside
+    delta, the radius is multiplied by DELTA_GROWTH until it holds the
+    smallest step, and the first visited candidate inside it is returned.
+    Raises NoFeasiblePiece when no piece yields a verified candidate.
     """
     problem = spec.problem
     if not isinstance(problem.g, PLQFunction):
@@ -152,9 +170,12 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     J, r, H, xk = spec.J, spec.r, spec.H, spec.xk
     Theta = problem.Theta
 
+    hinted = _membership(problem.g, r + J @ xk)
+    order = sorted(range(len(hinted)), key=lambda i: not hinted[i])  # stable: index order within
     feasible_seen = False
     outside = []  # (step size, solution) of verified candidates outside delta
-    for i, piece in enumerate(problem.g.pieces):
+    for i in order:
+        piece = problem.g.pieces[i]
         # constraints over xi: Theta rows plus piece rows composed with y = r + J xi
         A = np.vstack([Theta.A, piece.C.A @ J])
         b = np.concatenate([Theta.b, piece.C.b - (piece.C.A @ r if piece.C.n_ineq else np.zeros(0))])
@@ -163,7 +184,7 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
         Q = H + J.T @ piece.A @ J
         c = (spec.gphi - H @ xk) + J.T @ (piece.A @ r + piece.a)
         try:
-            res = active_set_qp(Q, c, A, b, E, d)
+            res = active_set_qp(Q, c, A, b, E, d, x0=xk if hinted[i] else None)
         except Infeasible:
             continue
         except Unbounded:  # feasible, but without a candidate
@@ -181,6 +202,8 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
             lam += piece.C.E.T @ nu_c
         gap = subgradient_dist(problem.g, y, lam)
         if not _gap_passes(gap, lam):
+            if _dual_is_fixed(spec, xi):
+                continue
             lam = _repair_dual(spec, xi, y, active_indices(problem.g, y))
             if lam is None:
                 continue

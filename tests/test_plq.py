@@ -172,6 +172,30 @@ def test_prox_near_matches_oracle(rng, g_abs, g_ind_nonpos, g_quad, g_two_piece_
     assert outside_tried == 1  # only the indicator has points outside its domain
 
 
+def test_prox_started_at_near_returns_the_unhinted_point(rng, monkeypatch, g_abs,
+                                                        g_ind_nonpos, g_quad, g_two_piece_2d):
+    # the pieces holding `near` start their QPs there; the start, like the
+    # order, must not move the answer, whether near is the answer itself
+    # or another point of dom g
+    from plqsqp import plq
+    started = []
+    kernel = plq.active_set_qp
+
+    def spy(*args, **kwargs):
+        started.append(kwargs.get("x0") is not None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(plq, "active_set_qp", spy)
+    for g in (g_abs, g_ind_nonpos, g_quad, g_two_piece_2d):
+        for _ in range(25):
+            x = 3.0 * rng.standard_normal(g.m)
+            expect = prox(g, x)
+            away = sample_domain_point(g, rng, radius=3.0)
+            for near in (expect, away):
+                assert np.linalg.norm(prox(g, x, near=near) - expect) <= 1e-12
+    assert any(started)
+
+
 # -- dual LQ --------------------------------------------------------------------
 
 def test_dual_lq_box_example():

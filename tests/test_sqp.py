@@ -61,6 +61,43 @@ def test_exact_run_on_elqp_spends_few_qps(qp_calls):
     assert len(qp_calls) <= 15
 
 
+def test_subproblems_start_at_the_piece_holding_Phi_xk(monkeypatch):
+    # exact runs on two criterion-4 instances: trying the pieces holding
+    # Phi(x_k) first answers most subproblems with their first QP, and a
+    # dual fixed by stationarity is dropped without a repair (index order
+    # ran about 2.5 QPs per subproblem and a repair per rejected candidate)
+    from plqsqp import subqp
+    from plqsqp.generators import generate
+    counts = {"solve": 0, "qp": 0, "repair": 0}
+
+    def counting(module, name, key):
+        inner = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counting(sqp, "solve_subproblem", "solve")
+    counting(subqp, "active_set_qp", "qp")
+    counting(subqp, "_repair_dual", "repair")
+    rng = np.random.default_rng(100)
+    for kind, params, seed in (("elqp", dict(n=3, m=3), 5),
+                               ("minmax", dict(n=4, m=4, n_active=3), 7)):
+        gp = generate(kind, seed=seed, **params)
+        n, m = gp.problem.n, gp.problem.m
+        for _ in range(5):
+            d = rng.standard_normal(n + m)
+            d /= np.linalg.norm(d)
+            x0 = gp.xbar + 0.5 * d[:n] * rng.uniform(0.3, 1.0)
+            l0 = gp.lambdabar + 0.5 * d[n:] * rng.uniform(0.3, 1.0)
+            trace = run_sqp(gp.problem, x0, l0, SQPConfig(max_iter=15))
+            assert trace[-1].residual <= 1e-10
+    assert counts["qp"] < 1.5 * counts["solve"]
+    assert counts["repair"] == 0
+
+
 def test_runs_sharing_a_reference_build_its_cones_once(monkeypatch):
     from plqsqp.generators import generate
     gp = generate("minmax", seed=7, n=3, m=3, n_active=2)

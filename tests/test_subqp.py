@@ -37,18 +37,21 @@ def test_single_piece_matches_plain_qp():
     assert np.allclose(sol.lambda_next, [0.5], atol=1e-9)
 
 
-def test_two_piece_abs_returns_the_lowest_verified_piece():
-    # min x^2/2 + |x - 1| from x0 = 3: the solution y = x - 1 = 0 lies on
-    # both pieces, and the lower index answers
+def test_two_piece_abs_returns_the_piece_holding_Phi_xk():
+    # min x^2/2 + |x - 1|: the solution y = x - 1 = 0 lies on both pieces,
+    # and the piece holding Phi(x0) = x0 - 1 answers, with the same pair
     phi = Poly2Map(np.zeros(1), np.zeros((1, 1)), np.array([[[1.0]]]))
     Phi = Poly2Map(np.array([-1.0]), np.array([[1.0]]), np.zeros((1, 1, 1)))
     prob = CompositeProblem(phi, Phi, plq_abs(), Polyhedron.whole_space(1))
-    best = solve_subproblem(SubproblemSpec([3.0], [0.0], [[1.0]], prob))
-    assert best.piece_index == 0
-    # solution of the convex problem: subgradient x + sign(x-1) ∋ 0 -> x = 1, lam in [-1,1] with x=1: 1 + lam = 0
-    assert np.allclose(best.x_next, [1.0], atol=1e-9)
-    assert np.allclose(best.lambda_next, [-1.0], atol=1e-9)
-    assert best.residual <= 1e-9
+    for x0, holder in ((3.0, 1), (-1.0, 0)):
+        spec = SubproblemSpec([x0], [0.0], [[1.0]], prob)
+        best = solve_subproblem(spec)
+        assert best.piece_index == holder
+        # solution of the convex problem: subgradient x + sign(x-1) ∋ 0 -> x = 1, lam in [-1,1] with x=1: 1 + lam = 0
+        assert np.allclose(best.x_next, [1.0], atol=1e-9)
+        assert np.allclose(best.lambda_next, [-1.0], atol=1e-9)
+        assert best.residual <= 1e-9
+        assert subproblem_residual(spec, best.x_next, best.lambda_next) <= 1e-8
 
 
 def brute_force_composite(prob, xk, lamk, H, lo=-3.0, hi=3.0, res=1e-3):
@@ -168,60 +171,143 @@ def test_radius_must_be_positive(delta):
         SubproblemSpec([0.0], [0.0], [[1.0]], make_p1(), delta=delta)
 
 
-def test_stops_at_the_first_verified_piece(monkeypatch):
-    # min |xi|^2/2 + (-2, 1/2).xi + |xi_1| + |xi_2| (H = I, exact model):
-    # the minimizer (1, 0) lies in pieces 2 and 3 of |z1| + |z2|; pieces 0
-    # and 1 (z1 <= 0) give xi_1 = 0 with a dual no repair can fix, so the
-    # loop runs three piece QPs and never reaches piece 3
+def _abs_2d_problem(Theta):
+    """min |xi|^2/2 + (-2, 1/2).xi + |xi_1| + |xi_2| over Theta (H = I is
+    the exact model): the minimizer (1, 0), with lam = (1, -1/2), lies in
+    pieces 2 and 3 of |z1| + |z2|."""
     phi = Poly2Map(np.zeros(1), np.array([[-2.0, 0.5]]), np.array([np.eye(2)]))
     Phi = Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
-    prob = CompositeProblem(phi, Phi, plq_abs_2d(), Polyhedron.whole_space(2))
-    calls = []
-    qp = subqp.active_set_qp
+    return CompositeProblem(phi, Phi, plq_abs_2d(), Theta)
 
-    def spy(*args):
-        calls.append(len(calls))
-        return qp(*args)
 
-    monkeypatch.setattr(subqp, "active_set_qp", spy)
-    sol = solve_subproblem(SubproblemSpec([0.3, -0.2], [0.0, 0.0], np.eye(2), prob))
-    assert sol.piece_index == 2
-    assert len(calls) == 3
+def _assert_abs_2d_answer(spec, sol):
     assert np.allclose(sol.x_next, [1.0, 0.0], atol=1e-12)
     # stationarity: xi + (-2, 1/2) + lam = 0
     assert np.allclose(sol.lambda_next, [1.0, -0.5], atol=1e-12)
+    assert sol.residual <= 1e-9
+    assert subproblem_residual(spec, sol.x_next, sol.lambda_next) <= 1e-8
 
 
-def test_indefinite_H_returns_the_lowest_verified_piece_inside_delta():
+def test_stops_at_the_first_verified_piece(monkeypatch):
+    # Phi(xk) = (0.3, -0.2) lies in piece 2 only: its QP, started at xk,
+    # answers, and the loop never reaches pieces 0, 1 or 3
+    prob = _abs_2d_problem(Polyhedron.whole_space(2))
+    starts = []
+    qp = subqp.active_set_qp
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs.get("x0"))
+        return qp(*args, **kwargs)
+
+    monkeypatch.setattr(subqp, "active_set_qp", spy)
+    spec = SubproblemSpec([0.3, -0.2], [0.0, 0.0], np.eye(2), prob)
+    sol = solve_subproblem(spec)
+    assert sol.piece_index == 2
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], spec.xk)
+    _assert_abs_2d_answer(spec, sol)
+
+
+def test_fixed_dual_skips_the_repair(monkeypatch):
+    # Phi(xk) = (-0.3, -0.2) lies in piece 0, whose QP (and then piece 1's)
+    # lands on xi_1 = 0 with a recovered dual outside the subdifferential.
+    # J = I is injective and Theta = R^2 has no normals, so stationarity
+    # fixes that dual: both candidates are dropped without a repair, and
+    # piece 2 answers
+    prob = _abs_2d_problem(Polyhedron.whole_space(2))
+    fixed, repaired = [], []
+    is_fixed, repair = subqp._dual_is_fixed, subqp._repair_dual
+
+    def fixed_spy(*args):
+        fixed.append(is_fixed(*args))
+        return fixed[-1]
+
+    def repair_spy(*args):
+        repaired.append(repair(*args))
+        return repaired[-1]
+
+    monkeypatch.setattr(subqp, "_dual_is_fixed", fixed_spy)
+    monkeypatch.setattr(subqp, "_repair_dual", repair_spy)
+    spec = SubproblemSpec([-0.3, -0.2], [0.0, 0.0], np.eye(2), prob)
+    sol = solve_subproblem(spec)
+    assert sol.piece_index == 2
+    assert fixed == [True, True] and repaired == []
+    _assert_abs_2d_answer(spec, sol)
+
+
+def _phase_one_calls(monkeypatch):
+    """A list that grows by one on every feasible point a QP computes."""
+    from plqsqp import qp
+    calls = []
+    feasible_point = qp.feasible_point
+
+    def spy(*args):
+        calls.append(1)
+        return feasible_point(*args)
+
+    monkeypatch.setattr(qp, "feasible_point", spy)
+    return calls
+
+
+def test_hinted_answer_needs_no_phase_one(monkeypatch):
+    # xk lies in Theta and Phi(xk) in piece 2, which holds the answer: its
+    # QP starts at xk, so no feasible point is computed
+    prob = _abs_2d_problem(Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
+    phase_one = _phase_one_calls(monkeypatch)
+    spec = SubproblemSpec([0.3, -0.2], [0.0, 0.0], np.eye(2), prob)
+    sol = solve_subproblem(spec)
+    assert sol.piece_index == 2 and phase_one == []
+    _assert_abs_2d_answer(spec, sol)
+
+
+def test_start_outside_Theta_falls_back_to_phase_one(monkeypatch):
+    # xk = (3, -0.2) lies outside Theta = [-2, 2]^2, so it cannot start the
+    # QP of piece 2, which holds Phi(xk): the QP computes a feasible point
+    prob = _abs_2d_problem(Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
+    phase_one = _phase_one_calls(monkeypatch)
+    spec = SubproblemSpec([3.0, -0.2], [0.0, 0.0], np.eye(2), prob)
+    sol = solve_subproblem(spec)
+    assert sol.piece_index == 2 and len(phase_one) == 1
+    _assert_abs_2d_answer(spec, sol)
+
+
+def test_indefinite_H_returns_the_first_verified_piece_inside_delta_in_hinted_order():
     # phi(x) = x1 x2 + (x1 + x2)/2 over the box [-2, 2]^2 with g = 0 split
     # into four quadrant pieces: with H = hess phi the model is phi itself,
     # whose local minimizers (-2, 2) and (2, -2) are verified candidates of
-    # pieces 1 and 2.  From xk = (1/2, -1) their steps are sqrt(15.25) and
-    # sqrt(3.25): the lower index answers first, and a delta between the
-    # two steps leaves the other.  A delta below both grows tenfold until
-    # it holds the shorter step, and the lowest piece inside that radius
-    # answers
+    # pieces 1 and 2.
     half = [(-np.inf, 0.0, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0, 0.0)]
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     phi = Poly2Map(np.zeros(1), np.array([[0.5, 0.5]]), H[None])
     Phi = Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
     prob = CompositeProblem(phi, Phi, plq_separable([half, half]),
                             Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
-    xk, lamk = [0.5, -1.0], [0.0, 0.0]
+    lamk = [0.0, 0.0]
+    # From xk = (1/2, -1) in piece 2, that piece answers before piece 1:
+    # index order would return (-2, 2), a different verified pair
+    held = solve_subproblem(SubproblemSpec([0.5, -1.0], lamk, H, prob))
+    assert held.piece_index == 2
+    assert np.allclose(held.x_next, [2.0, -2.0], atol=1e-12)
+    # From xk = (1, 1/2) in piece 3, that piece's QP stops at (0, 0) with a
+    # dual that is not a subgradient, and the rest follow in index order:
+    # piece 1 at step sqrt(11.25), then piece 2 at step sqrt(7.25).
+    xk = [1.0, 0.5]
     first = solve_subproblem(SubproblemSpec(xk, lamk, H, prob))
     assert first.piece_index == 1
     assert np.allclose(first.x_next, [-2.0, 2.0], atol=1e-12)
-    near = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=2.0))
+    # a delta between the two steps leaves the farther one
+    near = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=3.0))
     assert near.piece_index == 2
     assert np.allclose(near.x_next, [2.0, -2.0], atol=1e-12)
-    # 1 -> 10 holds both steps
+    # a delta below both grows tenfold until it holds the shorter step, and
+    # the first visited piece inside that radius answers: 1 -> 10 holds both
     grown_past_both = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=1.0))
     assert grown_past_both.piece_index == 1
     assert np.allclose(grown_past_both.x_next, [-2.0, 2.0], atol=1e-12)
-    # 0.19 -> 1.9 holds sqrt(3.25) only
-    grown_between = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=0.19))
+    # 0.3 -> 3 holds sqrt(7.25) only
+    grown_between = solve_subproblem(SubproblemSpec(xk, lamk, H, prob, delta=0.3))
     assert grown_between.piece_index == 2
     assert np.allclose(grown_between.x_next, [2.0, -2.0], atol=1e-12)
-    for sol in (first, near, grown_past_both, grown_between):
+    for sol in (held, first, near, grown_past_both, grown_between):
         assert np.allclose(sol.lambda_next, 0.0, atol=1e-12)
         assert sol.residual <= 1e-9
