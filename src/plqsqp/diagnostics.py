@@ -2,13 +2,14 @@
 
 Noncriticality and multiplier uniqueness are decided exactly: both
 reduce, after enumerating activity patterns of the critical cones, to
-homogeneous LPs whose optimum is 0 or 1, so a single threshold separates
-the verdicts.  The second-order sufficient condition is exact too while
-each critical-cone member has at most 1,024 faces (one eigenvalue test
-per face); above that a multistart projected gradient is the fallback.
-It keeps the heuristic_* result names that callers compare against.
-Calmness and the primal estimates are sampled empirically by solving
-perturbed KKT systems.  Failure certificates are always exact vectors.
+homogeneous linear systems, each decided by one implicit-equality LP
+and a rank test (`LPBuilder.nonzero_block`).  The second-order sufficient
+condition is exact too while each critical-cone member has at most 1,024
+faces (one eigenvalue test per face); above that a multistart projected
+gradient is the fallback.  It keeps the heuristic_* result names that
+callers compare against.  Calmness and the primal estimates are sampled
+empirically by solving perturbed KKT systems.  Failure certificates are
+always exact vectors.
 """
 
 import itertools
@@ -86,8 +87,8 @@ def _rows_times(R, J):
 def _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT, faces, exclusions):
     """A nonzero w of one activity pattern's linear system, or None.
 
-    The rows are built once; `LPBuilder.nonzero_block` then runs the 2n
-    coordinate LPs on them.
+    The rows are built once; `LPBuilder.nonzero_block` then decides them
+    with one LP.
     """
     n, m = hess.shape[0], J.shape[0]
     sizes = [("w", n), ("u", m), ("t", 1), ("mu", len(JT)), ("nu", KT.n_eq)]
@@ -116,7 +117,8 @@ def _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT, faces, exclusi
         K = cones_by_piece[i]
         row = K.A[r] if kind == "ineq" else K.E[r]
         lp.add_ub({"w": -sigma * (row @ J), "t": 1.0})
-    return lp.nonzero_block("w")
+    x = lp.nonzero_block("w")
+    return None if x is None else lp.block(x, "w")
 
 
 def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
@@ -126,16 +128,16 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
     The criticality system is a finite union of polyhedral cones in
     (w, u); each pattern fixes the active face of every participating
     critical cone and one violated row per excluded piece, making the
-    system linear.  A homogeneous LP maximizing a certified lower bound
-    t on |w_j| then has optimum exactly 0 or 1, so any optimum above 0.5
-    yields an exact nonzero certificate.  Faces come from
-    `enumerate_faces`, one per distinct face; the patterns are counted
-    against MAX_PATTERN_LPS before any LP runs, then streamed.
+    system linear.  One implicit-equality LP and a rank test decide
+    whether it has a solution with w != 0 and t > 0, t bounding the
+    exclusion rows (`LPBuilder.nonzero_block`); its point is an exact
+    certificate.  Faces come from `enumerate_faces`, one per distinct
+    face.  Each pattern costs one LP, so the patterns are counted against
+    MAX_PATTERN_LPS before any pattern LP runs, then streamed.
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
     cones = point.piece_cones
     hess, J, KT = point.hess, point.J, point.theta_cone
-    n = hess.shape[0]
     pieces = [i for i, _ in cones]
     cones_by_piece = {i: K for i, K in cones}
     Amats = {i: problem.g.pieces[i].A for i in pieces}
@@ -153,18 +155,17 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
                 *([(i, *c) for c in _exclusion_choices(cones_by_piece[i])]
                   for i in pieces if i not in S_set)]
 
-    # count the pattern LPs against the cap before solving any
+    # one LP per pattern: count them against the cap before solving any
     n_patterns = sum(math.prod(map(len, options(S_set))) for S_set in S_sets)
-    total = n_patterns * 2 * n
-    if total > MAX_PATTERN_LPS:
-        raise TooManyRows(f"{total} pattern LPs exceed the cap {MAX_PATTERN_LPS}")
+    if n_patterns > MAX_PATTERN_LPS:
+        raise TooManyRows(f"{n_patterns} pattern LPs exceed the cap {MAX_PATTERN_LPS}")
 
     for S_set in S_sets:
         for JT, *choice in itertools.product(*options(S_set)):
             w = _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT,
                                dict(zip(S_set, choice)), choice[len(S_set):])
             if w is not None:
-                return Verdict("noncritical", "fails", certificate=w / np.abs(w).max(),
+                return Verdict("noncritical", "fails", certificate=w,
                                detail=f"critical direction found (pieces {list(S_set)})")
     return Verdict("noncritical", "holds",
                    detail=f"all {n_patterns} activity patterns force w = 0")
@@ -191,8 +192,8 @@ def _dual_condition_nonzero(point):
     for i, K in cones:
         lp.add_eq({"u": np.eye(m), f"eta{i}": -K.A.T, f"zeta{i}": -K.E.T})
         lp.add_nonneg(f"eta{i}")
-    u = lp.nonzero_block("u")
-    return None if u is None else u / np.abs(u).max()
+    x = lp.nonzero_block("u")
+    return None if x is None else lp.block(x, "u")
 
 
 def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,

@@ -1,12 +1,14 @@
 """Thin wrappers around scipy's HiGHS LP solver.
 
 All variables are free unless the caller encodes bounds as rows; HiGHS is
-used for feasibility oracles, redundancy tests, and the homogeneous
-cone LPs in the diagnostics module.  `LPBuilder` lays out such systems
-over named blocks of columns.
+used for feasibility oracles, redundancy tests, and the implicit-equality
+LP of a cone.  That one LP decides the homogeneous systems of the
+diagnostics module: `LPBuilder` lays them out over named blocks of
+columns, and `nonzero_block` answers each with one LP and a rank test.
 """
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .errors import SolverFailure
@@ -14,6 +16,7 @@ from .errors import SolverFailure
 LP_OPTIMAL = 0
 LP_INFEASIBLE = 2
 LP_UNBOUNDED = 3
+ZERO_BLOCK = 1e-9  # largest singular value of a block that is zero on a cone
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -71,31 +74,37 @@ def feasible_point(A, b, E, d):
         return u[:n] - u[n:2 * n]
     if residual >= 1e-7 * scale:
         return None
-    # ambiguous: decide by LP below
-    # variables (x, t): A x - t <= b, E x = d, minimize t with t >= -1 cap
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    rows = []
-    rhs = []
+    # ambiguous: minimize t subject to A x - t <= b, E x = d and t >= -1
+    lp = LPBuilder([("x", n), ("t", 1)])
     if p:
-        rows.append(np.hstack([A, -np.ones((p, 1))]))
-        rhs.append(np.asarray(b, dtype=float))
-    cap = np.zeros((1, n + 1))
-    cap[0, n] = -1.0
-    rows.append(cap)
-    rhs.append(np.array([1.0]))
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    A_eq = b_eq = None
-    if E.size:
-        A_eq = np.hstack([E, np.zeros((E.shape[0], 1))])
-        b_eq = np.asarray(d, dtype=float)
-    status, x, _ = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+        lp.add_ub({"x": A, "t": -1.0}, b)
+    lp.add_ub({"t": -1.0}, 1.0)
+    if q:
+        lp.add_eq({"x": E}, d)
+    status, x, _ = solve_lp(np.r_[np.zeros(n), 1.0], *lp.system())
+    return x[:n] if status == LP_OPTIMAL and x[n] <= 1e-9 else None
+
+
+def implicit_equalities(M, rows=None):
+    """(implicit, y): the nonzero rows k of `rows` (default all) with M[k] y = 0
+    on all of {y : M y <= 0}, and a point y there with M[k] y <= -1 on the rest.
+
+    One LP (Freund, Roundy & Todd 1985): maximize sum s_k subject to
+    M y <= 0, M[k] y + s_k <= 0 and s_k <= 1.  The set is a cone, so every
+    row that is not an implicit equality reaches s_k = 1, the others stay at 0.
+    """
+    rows = [k for k in (range(len(M)) if rows is None else rows) if np.linalg.norm(M[k]) > 1e-12]
+    p, n, r = M.shape[0], M.shape[1], len(rows)
+    if not rows:
+        return [], np.zeros(n)
+    A_ub = np.vstack([np.hstack([M, np.zeros((p, r))]),
+                      np.hstack([M[rows], np.eye(r)]),
+                      np.hstack([np.zeros((r, n)), np.eye(r)])])
+    b_ub = np.concatenate([np.zeros(p + r), np.ones(r)])
+    status, sol, _ = solve_lp(np.concatenate([np.zeros(n), -np.ones(r)]), A_ub, b_ub)
     if status != LP_OPTIMAL:
-        return None
-    if x[n] > 1e-9:
-        return None
-    return x[:n]
+        raise SolverFailure(f"implicit-equality LP ended with status {status}")
+    return [k for k, s in zip(rows, sol[n:]) if s < 0.5], sol[:n]
 
 
 class LPBuilder:
@@ -149,25 +158,35 @@ class LPBuilder:
         return x[lo:hi]
 
     def nonzero_block(self, name):
-        """A solution of the homogeneous rows with block `name` nonzero, or None.
+        """A solution of the homogeneous rows with t > 0 (block "t") and block
+        `name` nonzero, or None.
 
-        For each coordinate j and sign sigma in turn, maximize the bound t
-        (block "t") subject to the rows, sigma * x_j >= t and t <= 1.  The
-        optimum is 0 or 1, so 0.5 separates the verdicts; the first solution
-        reaching 1 is returned.
+        One LP: with the row t >= 0 appended and the equalities removed by a
+        null-space basis N, `implicit_equalities` finds the cone's implicit
+        equalities and a point with slack >= 1 on every other row.  A solution
+        exists iff t >= 0 is not implicit and the block's rows of the hull basis
+        H = N null(implicit rows) have a singular value above ZERO_BLOCK.  The
+        point is the solution; if its block is zero, it moves along the column
+        of H with the largest block norm, keeping half of every row's slack.
+        The solution is scaled so that the block's largest entry is 1.
         """
-        A_ub, b_ub, A_eq, b_eq = self.system()
+        A_ub, _, A_eq, _ = self.system()
         lo, hi = self.offsets[name]
-        c = np.zeros(self.nvar)
-        c[self.offsets["t"][0]] = -1.0
-        cap, _ = self._rows({"t": 1.0}, 1.0)
-        for j in range(hi - lo):
-            for sigma in (1.0, -1.0):
-                e = np.zeros(hi - lo)
-                e[j] = -sigma
-                bound, _ = self._rows({name: e, "t": 1.0}, 0.0)
-                status, x, val = solve_lp(c, np.vstack([A_ub, bound, cap]),
-                                          np.concatenate([b_ub, [0.0, 1.0]]), A_eq, b_eq)
-                if status == LP_OPTIMAL and -val >= 0.5:
-                    return self.block(x, name)
-        return None
+        N = null_space(A_eq) if len(A_eq) else np.eye(self.nvar)
+        M = np.vstack([A_ub, -np.eye(self.nvar)[self.offsets["t"][0]]]) @ N
+        implicit, y = implicit_equalities(M)
+        if len(M) - 1 in implicit or np.linalg.norm(M[-1]) <= 1e-12:
+            return None  # t = 0 on the whole cone
+        Y = null_space(M[implicit]) if implicit else np.eye(N.shape[1])
+        Hb = (N @ Y)[lo:hi]
+        if not Hb.size or np.linalg.norm(Hb, 2) <= ZERO_BLOCK:
+            return None
+        x = N @ y
+        if np.linalg.norm(x[lo:hi]) <= ZERO_BLOCK * np.linalg.norm(x):
+            j = int(np.argmax(np.linalg.norm(Hb, axis=0)))
+            slack, d = -(M @ y), M @ Y[:, j]
+            # rows off the implicit ones have slack >= 1, the implicit ones none
+            step = min((0.5 * s / abs(dk) for s, dk in zip(slack, d) if s > 0.5 and dk),
+                       default=1.0)
+            x = x + np.copysign(step, x[lo:hi] @ Hb[:, j]) * (N @ Y[:, j])
+        return x / np.abs(x[lo:hi]).max()

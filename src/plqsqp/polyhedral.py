@@ -24,10 +24,9 @@ from .errors import (
     Infeasible,
     NotANormalVector,
     PointNotInSet,
-    SolverFailure,
     TooManyRows,
 )
-from .lp import LP_OPTIMAL, feasible_point, solve_lp
+from .lp import LP_OPTIMAL, feasible_point, implicit_equalities, solve_lp
 from .nonneg import nonneg_lstsq
 from .qp import active_set_qp
 
@@ -300,28 +299,6 @@ def normal_cone_hrep(P: Polyhedron, x) -> Polyhedron:
 # faces, rays, spans
 # ---------------------------------------------------------------------------
 
-def _implicit_equalities(M, rows) -> list:
-    """Nonzero rows k of `rows` with M[k] y = 0 on all of {y : M y <= 0}.
-
-    One LP: maximize sum s_k subject to M y <= 0, M[k] y + s_k <= 0 and
-    s_k <= 1 (s_k >= 0 holds at every optimum).  The set is a cone, so every
-    row that is not an implicit equality reaches s_k = 1 and every implicit
-    equality stays at 0.
-    """
-    rows = [k for k in rows if np.linalg.norm(M[k]) > 1e-12]
-    if not rows:
-        return []
-    p, n, r = M.shape[0], M.shape[1], len(rows)
-    A_ub = np.vstack([np.hstack([M, np.zeros((p, r))]),
-                      np.hstack([M[rows], np.eye(r)]),
-                      np.hstack([np.zeros((r, n)), np.eye(r)])])
-    b_ub = np.concatenate([np.zeros(p + r), np.ones(r)])
-    status, sol, _ = solve_lp(np.concatenate([np.zeros(n), -np.ones(r)]), A_ub, b_ub)
-    if status != LP_OPTIMAL:
-        raise SolverFailure(f"implicit-equality LP ended with status {status}")
-    return [k for k, s in zip(rows, sol[n:]) if s < 0.5]
-
-
 def _forced_active(cone: PolyCone, fixed) -> frozenset:
     """Rows that hold with equality on all of the face with `fixed` active."""
     idx = sorted(fixed)
@@ -332,7 +309,7 @@ def _forced_active(cone: PolyCone, fixed) -> frozenset:
     M = cone.A @ N
     zero = [k for k in range(cone.n_ineq) if np.linalg.norm(M[k]) <= 1e-12]
     free = [k for k in range(cone.n_ineq) if k not in fixed]
-    return frozenset(fixed) | frozenset(zero) | frozenset(_implicit_equalities(M, free))
+    return frozenset(fixed) | frozenset(zero) | frozenset(implicit_equalities(M, free)[0])
 
 
 def enumerate_faces(cone: PolyCone, cap: int = 1024) -> list:
@@ -366,7 +343,7 @@ def span_basis(cone: PolyCone) -> np.ndarray:
     if N.size == 0 or N.shape[1] == 0:
         return np.zeros((cone.dim, 0))
     M = cone.A @ N
-    implicit = _implicit_equalities(M, range(M.shape[0]))
+    implicit, _ = implicit_equalities(M)
     # N and Y have orthonormal columns, so N @ Y does too
     return N @ null_space(M[implicit]) if implicit else N
 

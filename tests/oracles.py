@@ -15,7 +15,7 @@ from scipy.linalg import null_space
 
 from plqsqp.errors import PointOutsideDomain, TooManyRows
 from plqsqp.kkt import lagrangian
-from plqsqp.lp import feasible_point
+from plqsqp.lp import LP_OPTIMAL, feasible_point, solve_lp
 from plqsqp.qp import active_set_qp
 from plqsqp.plq import piece_critical_cones, prox
 from plqsqp.polyhedral import (
@@ -116,6 +116,30 @@ def min_form_by_subsets(cone: PolyCone, Q):
                     if val < best and contains(cone, s, 1e-9):
                         best, best_w = val, s
     return best, best_w
+
+
+def nonzero_block_by_coordinates(lp, name):
+    """A solution of an `LPBuilder`'s homogeneous rows with t > 0 (block "t")
+    and block `name` nonzero, or None, by up to 2 LPs per block coordinate.
+
+    For each coordinate j and sign sigma, maximize t subject to the rows,
+    sigma * x_j >= t and t <= 1.  The system is homogeneous, so the optimum
+    is 0 or 1; the first solution reaching 1 is returned.
+    """
+    A_ub, b_ub, A_eq, b_eq = lp.system()
+    lo, hi = lp.offsets[name]
+    t = lp.offsets["t"][0]
+    c, cap = np.zeros(lp.nvar), np.zeros(lp.nvar)
+    c[t], cap[t] = -1.0, 1.0
+    for j in range(lo, hi):
+        for sigma in (1.0, -1.0):
+            bound = np.zeros(lp.nvar)
+            bound[j], bound[t] = -sigma, 1.0
+            status, x, val = solve_lp(c, np.vstack([A_ub, bound, cap]),
+                                      np.concatenate([b_ub, [0.0, 1.0]]), A_eq, b_eq)
+            if status == LP_OPTIMAL and -val >= 0.5:
+                return x
+    return None
 
 
 def prox_all_pieces(g, x) -> np.ndarray:

@@ -53,11 +53,13 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_noncritical_minmax_lp_count(monkeypatch):
-    # one pattern per distinct face: 3,584 LPs when every row subset was a pattern
+    # one pattern per distinct face (3,584 LPs when every row subset was a
+    # pattern) and one LP per pattern (491 LPs with 2n coordinate LPs each):
+    # 61 patterns and 3 face-walk LPs
     prob, md = _minmax_4x4()
     lps = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "solve_lp")
     assert check_noncritical(prob, md["xbar"], md["lambdabar"]).result == "holds"
-    assert 0 < lps[0] <= 600
+    assert 0 < lps[0] <= 70
 
 
 def test_noncritical_pattern_cap_raises_before_any_pattern_lp(monkeypatch):

@@ -8,7 +8,8 @@ Every function the benchmark's tracer wraps must exist where it looks.
 Every top-level function and class is used elsewhere in the package or
 exported.  Every error class has a raise site in the package, so that a
 class which is only caught cannot linger.  Fourier-Motzkin cone
-eliminations go through the per-pattern memo of `normal_cone_hrep` only.
+eliminations go through the per-pattern memo of `normal_cone_hrep` only,
+and implicit equalities through the one LP of `lp.implicit_equalities`.
 """
 
 import ast
@@ -142,3 +143,31 @@ def test_cone_elimination_has_one_route():
             if any(name == "generated_cone_hrep" for name, _ in _referenced_names(node)):
                 users.add((path.name, getattr(node, "name", f"line {node.lineno}")))
     assert users == {("polyhedral.py", "normal_cone_hrep")}, sorted(users)
+
+
+def _statements(tree):
+    """(name, node) of each top-level statement and each class member, imports
+    left out; a statement without a name is named by its line."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            yield getattr(item, "name", f"line {item.lineno}"), item
+
+
+def test_implicit_equality_lp_has_one_route():
+    defs, users, own_lps = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+            if "implicit_equalit" in name:
+                defs.add((path.name, name))
+                continue
+            names = {ref for ref, _ in _referenced_names(node)}
+            if "implicit_equalities" in names:
+                users.add((path.name, name))
+                own_lps.update((path.name, name, lp) for lp in names & {"solve_lp", "linprog"})
+    assert defs == {("lp.py", "implicit_equalities")}, sorted(defs)
+    assert users == {("lp.py", "nonzero_block"), ("polyhedral.py", "span_basis"),
+                     ("polyhedral.py", "_forced_active")}, sorted(users)
+    # its users decide with that LP alone and build none of their own
+    assert not own_lps, sorted(own_lps)
