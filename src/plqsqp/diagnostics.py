@@ -461,7 +461,8 @@ def _solve_perturbed(problem, v, p, xbar, lambdabar, rho, rng, tol=1e-11):
     for (x0, l0) in starts:
         try:
             trace = run_sqp(pert, x0, l0,
-                            SQPConfig(tol=tol, max_iter=30, delta0=max(10 * rho, 1e-4)))
+                            SQPConfig(tol=tol, max_iter=30, delta0=max(10 * rho, 1e-4),
+                                      monitors=False))
         except PLQError:
             continue
         x, lam = trace[-1].x, trace[-1].lam
@@ -483,16 +484,17 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
                       tol: float = 1e-6) -> Verdict:
     """Empirical calmness modulus of the perturbed-KKT solution map.
 
-    For each radius, perturbations (v, p) are sampled on the sphere, the
+    For each radius rho, perturbations (v, p) are sampled in the ball: a
+    uniform random direction scaled to a norm uniform in [0.05 rho, rho].  The
     perturbed KKT system is solved near (xbar, lambdabar), and the worst
     ratio lhs/rhs for the requested mode is recorded.  The verdict holds
     when the modulus stays within a factor 2 across the two smallest
     radii.  With usable samples at fewer than two radii there is no
     evidence either way: the result reads fails, the detail "inconclusive".
     """
-    point = kkt_point(problem, xbar, lambdabar, tol)
     if mode not in ("full", "primal_D", "primal_Dplus"):
         raise ValueError(f"unknown calmness mode {mode!r}")
+    point = kkt_point(problem, xbar, lambdabar, tol)
     radii = sorted(radii or [1e-2, 1e-3, 1e-4], reverse=True)
     rng = rng or np.random.default_rng(0)
     xbar, lambdabar = point.x, point.lam

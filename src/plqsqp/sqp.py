@@ -10,7 +10,9 @@ when no verified pair lies inside it).
 Per-iteration monitors record step norms and the three Dennis-More
 quantities (projection of the Hessian-model error onto the critical
 cone, onto its subspace enlargement, and the full norm), all normalized
-by the step length.  No globalization: the method is purely local by design.
+by the step length; a caller that reads only the iterates turns them off
+(`SQPConfig(monitors=False)`), and its records keep dm_* = 0.0.
+No globalization: the method is purely local by design.
 """
 
 from dataclasses import dataclass, field
@@ -50,6 +52,7 @@ class SQPConfig:
     bfgs_damping: float = 0.2
     delta0: float = np.inf  # localization radius for the first step
     reference: PrimalDual = None  # anchor for monitors; final iterate when None
+    monitors: bool = True  # Dennis-More dm_* per record; off leaves them 0.0 and builds no cones
 
     def __post_init__(self):
         if self.hessian_mode not in ("exact", "bfgs", "fixed_identity"):
@@ -200,7 +203,8 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
                     DELTA_FLOOR)
         trace.append(IterateRecord(k, x.copy(), lam.copy(), residual, step_norm,
                                    piece_index=sol.piece_index, _error=err))
-    _attach_monitors(problem, trace, config.reference)
+    if config.monitors:
+        _attach_monitors(problem, trace, config.reference)
     if failure is not None:
         raise SubproblemFailure(str(failure), trace) from failure
     if residual > config.tol:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plqsqp import nonneg, plq, polyhedral, qp, subqp
+from plqsqp import nonneg, plq, polyhedral, qp, sqp, subqp
 from plqsqp.kkt import CompositeProblem, Poly2Map
 from plqsqp.plq import (
     DualLQ,
@@ -32,6 +32,21 @@ def qp_calls(monkeypatch):
     for module in (nonneg, plq, polyhedral, subqp):
         monkeypatch.setattr(module, "active_set_qp", spy)
     return calls
+
+
+@pytest.fixture
+def monitor_builds(monkeypatch):
+    """A list that grows by one on every KKT point run_sqp builds for its
+    Dennis-More monitors (the anchor of their cones)."""
+    built = []
+    build = sqp.kkt_point
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sqp, "kkt_point", spy)
+    return built
 
 
 @pytest.fixture

@@ -368,6 +368,21 @@ def test_calmness_p1_bounded(rng):
     assert not v.detail.startswith("inconclusive")
 
 
+def test_calmness_builds_no_monitor_cones(rng, monitor_builds):
+    # the perturbed solves read only their last iterate, so run_sqp builds
+    # no KKT point for the Dennis-More monitors
+    v = estimate_calmness(make_p1(), [1.0], [1.0], radii=[1e-2, 1e-3], n_samples=5,
+                          mode="full", rng=rng)
+    assert v.result == "heuristic_holds"
+    assert monitor_builds == []
+
+
+def test_calmness_checks_its_mode_first():
+    # (0, 0) is no KKT point of P1: an unknown mode must still read as such
+    with pytest.raises(ValueError, match="unknown calmness mode"):
+        estimate_calmness(make_p1(), [0.0], [0.0], mode="dual")
+
+
 def test_calmness_zero_perturbation_guard(rng):
     # a (0,0) perturbation must not poison the ratio with a 0/0 sample
     p1 = make_p1()

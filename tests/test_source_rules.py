@@ -27,7 +27,7 @@ CYCLE_BREAKING_IMPORTS = {("lp.py", "feasible_point", "nonneg")}
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # top-level definitions that may stay unreferenced and unexported, with why
 UNUSED_ALLOWED = {
-    "cone_rays": "bench/tracer.py wraps it until ROADMAP item 6",
+    "cone_rays": "bench/tracer.py wraps it until ROADMAP item 7",
 }
 
 

@@ -98,37 +98,29 @@ def test_subproblems_start_at_the_piece_holding_Phi_xk(monkeypatch):
     assert counts["repair"] == 0
 
 
-def test_runs_sharing_a_reference_build_its_cones_once(monkeypatch):
+def test_runs_sharing_a_reference_build_its_cones_once(monitor_builds):
     from plqsqp.generators import generate
     gp = generate("minmax", seed=7, n=3, m=3, n_active=2)
-    built = []
-    build = sqp.kkt_point
-
-    def spy(*args, **kwargs):
-        built.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(sqp, "kkt_point", spy)
     x0, lam0 = gp.xbar + 0.05, gp.lambdabar + 0.05
     config = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(gp.xbar, gp.lambdabar))
     first = run_sqp(gp.problem, x0, lam0, config)
     second = run_sqp(gp.problem, x0 - 0.1, lam0, config)
     assert first[-1].residual <= 1e-10 and second[-1].residual <= 1e-10
-    assert len(built) == 1
+    assert len(monitor_builds) == 1
     # the kept cones give the monitors of a problem that never saw them
     fresh = CompositeProblem(gp.problem.phi, gp.problem.Phi, gp.problem.g, gp.problem.Theta)
     again = run_sqp(fresh, x0 - 0.1, lam0, config)
-    assert len(built) == 2
+    assert len(monitor_builds) == 2
     assert any(rec.dm_D > 0.0 for rec in second)
     assert [(r.dm_D, r.dm_Dplus, r.dm_full) for r in second] == \
         [(r.dm_D, r.dm_Dplus, r.dm_full) for r in again]
     # another reference builds again; a reference that is no KKT point
     # keeps the full-norm fallback, built once
     run_sqp(gp.problem, x0, lam0, SQPConfig(hessian_mode="bfgs", reference=None))
-    assert len(built) == 3
+    assert len(monitor_builds) == 3
     off = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(x0, lam0))
     runs = [run_sqp(gp.problem, x0, lam0, off) for _ in range(2)]
-    assert len(built) == 4
+    assert len(monitor_builds) == 4
     assert all(r.dm_D == r.dm_full for r in runs[1][1:])
 
 
@@ -323,6 +315,44 @@ def test_run_classification_short_converged_counts_superlinear():
     trace = _fake_trace([1.0, 0.0])
     trace[-1].residual = 0.0
     assert run_classification(trace) == "superlinear"
+
+
+def test_unmonitored_runs_keep_the_iterates_and_build_no_cones(monitor_builds):
+    # a criterion-4 instance, exact and BFGS: monitors=False changes no
+    # iterate, residual, step or piece and leaves every dm_* at 0.0
+    from plqsqp.generators import generate
+    gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
+    ref = PrimalDual(gp.xbar, gp.lambdabar)
+    x0, lam0 = gp.xbar + 0.05, gp.lambdabar + 0.05
+    modes = ("exact", "bfgs")
+    quiet = {mode: run_sqp(gp.problem, x0, lam0,
+                           SQPConfig(hessian_mode=mode, reference=ref, monitors=False))
+             for mode in modes}
+    assert monitor_builds == []
+    for mode in modes:
+        loud = run_sqp(gp.problem, x0, lam0, SQPConfig(hessian_mode=mode, reference=ref))
+        assert loud[-1].residual <= 1e-10 and len(quiet[mode]) == len(loud) > 2
+        assert any(rec.dm_full > 0.0 for rec in loud) == (mode == "bfgs")  # exact: no model error
+        for q, r in zip(quiet[mode], loud):
+            assert np.array_equal(q.x, r.x) and np.array_equal(q.lam, r.lam)
+            assert (q.residual, q.step_norm, q.piece_index) == \
+                (r.residual, r.step_norm, r.piece_index)
+            assert (q.dm_D, q.dm_Dplus, q.dm_full) == (0.0, 0.0, 0.0)
+    assert len(monitor_builds) == 1  # the monitored runs share one reference build
+
+
+def test_unmonitored_max_iter_reached_carries_the_same_trace():
+    p2 = make_p2()
+    traces = []
+    for monitors in (False, True):
+        with pytest.raises(MaxIterReached) as info:
+            run_sqp(p2, [0.5], [-1.0], SQPConfig(max_iter=3, monitors=monitors))
+        traces.append(info.value.trace)
+    quiet, loud = traces
+    assert len(quiet) == len(loud) == 4
+    assert all(np.array_equal(q.x, r.x) and np.array_equal(q.lam, r.lam)
+               and q.residual == r.residual for q, r in zip(quiet, loud))
+    assert all((q.dm_D, q.dm_Dplus, q.dm_full) == (0.0, 0.0, 0.0) for q in quiet)
 
 
 def test_max_iter_reached_carries_trace():
