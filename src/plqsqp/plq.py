@@ -276,8 +276,14 @@ def critical_cone_g(g: PLQFunction, z, v, tol: float = SUBGRAD_TOL) -> ConeFamil
 
 def second_subderivative(g: PLQFunction, z, v, w, tol: float = SUBGRAD_TOL) -> float:
     """d^2 g(z, v)(w): the piece quadratic form on the critical cone, else +inf."""
+    return second_form(g, piece_critical_cones(g, z, v, tol), w)
+
+
+def second_form(g: PLQFunction, cones, w) -> float:
+    """w^T A_i w for the first (i, K) of `piece_critical_cones` with w in K,
+    else +inf: d^2 g(z, v)(w) from cones already built at (z, v)."""
     w = np.asarray(w, dtype=float).ravel()
-    for i, K in piece_critical_cones(g, z, v, tol):
+    for i, K in cones:
         if contains(K, w):
             return float(w @ g.pieces[i].A @ w)
     return np.inf

@@ -2,8 +2,9 @@
 
 A Polyhedron is {x : A x <= b, E x = d}; a PolyCone is the homogeneous
 case b = 0, d = 0.  Everything here is built from three exact kernels:
-the dense active-set QP (projections), nonnegative least squares
-(normal-cone distances), and HiGHS LPs (feasibility, implicit
+the dense active-set QP (projections onto general polyhedra), nonnegative
+least squares (normal-cone distances, and projections onto cones by
+Moreau's decomposition), and HiGHS LPs (feasibility, implicit
 equalities, redundancy).  Values are immutable after construction and
 all operations are pure.  Derived data is memoized on the immutable
 polyhedron itself (`_derived`): its interior point, and its normal and
@@ -224,11 +225,36 @@ def interior_point(P: Polyhedron):
 # projection and cones
 # ---------------------------------------------------------------------------
 
+def _polar_generators(G, E) -> np.ndarray:
+    """M = [G^T, E^T, -E^T]: the cone {M u : u >= 0} is generated by the rows
+    of G and, split into positive and negative parts, those of E."""
+    return np.hstack([G.T, E.T, -E.T])
+
+
 def project(P: Polyhedron, z) -> np.ndarray:
-    """Nearest point of P to z (unique): argmin ||x - z||^2 / 2 over P."""
+    """Nearest point of P to z (unique): argmin ||x - z||^2 / 2 over P.
+
+    A cone (b = 0 and d = 0; every PolyCone, and any polyhedron with zero
+    right-hand sides) is projected by Moreau's decomposition,
+    P_K(z) = z - P_{K°}(z), where the polar K° = {A^T mu + E^T nu : mu >= 0}
+    is reached by one verified nonnegative least-squares solve.  It works on
+    the unit vector z / ||z|| and scales back, so the answer is positively
+    homogeneous in z down to the smallest norms.  Other polyhedra go to the
+    dense active-set QP, whose membership and step tolerances are absolute.
+    """
     z = np.asarray(z, dtype=float).ravel()
     if z.size != P.dim:
         raise DimensionMismatch("projection point dimension mismatch")
+    if not (np.any(P.b) or np.any(P.d)):
+        s = float(np.linalg.norm(z))
+        if s == 0.0:
+            return z.copy()
+        unit = z / s
+        if contains(P, unit, 1e-12):
+            return z.copy()
+        M = _polar_generators(P.A, P.E)
+        u, _ = nonneg_lstsq(M, unit)
+        return s * (unit - M @ u)
     if contains(P, z, 1e-12):
         return z.copy()
     try:
@@ -256,16 +282,9 @@ def normal_cone_dist(P: Polyhedron, x, v, tol: float = 1e-9) -> float:
         raise PointNotInSet("normal cone requires a point of the set")
     v = np.asarray(v, dtype=float).ravel()
     J = active_rows(P, x)
-    cols = []
-    if J:
-        cols.append(P.A[J].T)
-    if P.n_eq:
-        cols.append(P.E.T)
-        cols.append(-P.E.T)
-    if not cols:
+    if not (J or P.n_eq):
         return float(np.linalg.norm(v))
-    M = np.hstack(cols)
-    _, dist = nonneg_lstsq(M, v)
+    _, dist = nonneg_lstsq(_polar_generators(P.A[J], P.E), v)
     return dist
 
 
@@ -416,8 +435,10 @@ class ConeFamily:
 def project_cone_union(family: ConeFamily, v) -> np.ndarray:
     """Nearest point of the family to v; exact memberwise comparison.
 
-    Ties between union members are broken by listed order, matching the
-    deterministic-trace convention used throughout the toolkit.
+    Ties between union members (distances within 1e-12 ||v||) are broken
+    by listed order, matching the deterministic-trace convention used
+    throughout the toolkit; the tolerance is relative, so the choice does
+    not change when v is scaled.
     """
     v = np.asarray(v, dtype=float).ravel()
     if family.kind == "subspace":
@@ -427,10 +448,11 @@ def project_cone_union(family: ConeFamily, v) -> np.ndarray:
         return B @ (B.T @ v)
     best = None
     best_dist = np.inf
+    tie = 1e-12 * float(np.linalg.norm(v))
     for m in family.members:
         p = project(m, v)
         dist = np.linalg.norm(v - p)
-        if dist < best_dist - 1e-12:
+        if dist < best_dist - tie:
             best, best_dist = p, dist
     return best
 

@@ -12,7 +12,7 @@ from .plq import (
     piece_critical_cones,
     prox,
     sample_domain_point,
-    second_subderivative,
+    second_form,
     subderivative,
     subdifferential,
     subgradient_dist,
@@ -107,7 +107,7 @@ def second_quotient_suite(g: PLQFunction, rng, n_cases: int = 200, tol: float = 
         if nw <= 1e-10:
             continue
         w = w / nw
-        d2 = second_subderivative(g, z, v, w)
+        d2 = second_form(g, cones, w)
         if not np.isfinite(d2):
             continue
         checked += 1

@@ -70,6 +70,45 @@ def test_projection_idempotent_and_variational_inequality(rng):
         assert float((z - p) @ (x - p)) <= 1e-9
 
 
+# zero right-hand sides, each read by `project` as a cone: redundant rows
+# (one a multiple of another, one implied) with an equality row, a wedge
+# with a two-dimensional lineality space, and a plain Polyhedron (a
+# min-max cell) that is no PolyCone instance
+ZERO_RHS_CONES = [
+    PolyCone.from_rows(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                 [0.0, 1.0, 0.0], [1.0, 2.0, 0.0]]),
+                       np.array([[1.0, -1.0, 1.0]])),
+    PolyCone.from_rows(np.array([[1.0, -1.0, 0.0, 0.0]]), np.zeros((0, 4))),
+    Polyhedron(np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.5, 0.5, -1.0]]),
+               np.zeros(3), np.zeros((0, 3)), np.zeros(0)),
+]
+
+
+@pytest.mark.parametrize("cone", ZERO_RHS_CONES, ids=["redundant_eq", "lineality", "cell"])
+def test_cone_projection_is_positively_homogeneous(cone, rng):
+    for _ in range(25):
+        v = rng.standard_normal(cone.dim)
+        p = project(cone, v)
+        for t in (1e-14, 1e-8, 1.0, 1e6):
+            assert np.linalg.norm(project(cone, t * v) - t * p) <= 1e-12 * t * np.linalg.norm(v)
+
+
+def test_cone_projection_matches_the_qp_kernel(rng):
+    # 200 random cones at unit scale, some with duplicated rows and
+    # equality rows, against the QP the projection no longer runs
+    from plqsqp.qp import active_set_qp
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        A = rng.standard_normal((int(rng.integers(0, 7)), n))
+        if A.shape[0] and rng.random() < 0.3:
+            A = np.vstack([A, 2.0 * A[0]])
+        E = rng.standard_normal((int(rng.integers(0, min(n, 3))), n))
+        v = rng.standard_normal(n)
+        K = PolyCone.from_rows(A, E, n)
+        x = active_set_qp(np.eye(n), -v, A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0])).x
+        assert np.linalg.norm(project(K, v) - x) <= 1e-10
+
+
 # -- tangent and normal cones ----------------------------------------------
 
 def test_tangent_cone_examples():
@@ -341,6 +380,20 @@ def test_project_cone_union_examples():
     assert np.allclose(project_cone_union(F, [1.0, 2.0]), [0.0, 2.0])
     S = ConeFamily("subspace", basis=np.array([[1.0], [0.0]]))
     assert np.allclose(project_cone_union(S, [3.0, 4.0]), [3.0, 0.0])
+
+
+def test_project_cone_union_choice_does_not_change_with_scale():
+    # the second member is nearer to v; at v = (1, 1) both are equally near
+    # and the first listed wins, at every scale
+    left = PolyCone.from_rows(np.array([[1.0, 0.0]]), np.zeros((0, 2)))
+    below = PolyCone.from_rows(np.array([[0.0, 1.0]]), np.zeros((0, 2)))
+    F = ConeFamily("union", members=(left, below))
+    for v, nearest in (([1.0, 0.5], [1.0, 0.0]), ([1.0, 1.0], [0.0, 1.0])):
+        v = np.array(v)
+        p = project_cone_union(F, v)
+        assert np.allclose(p, nearest, atol=1e-15)
+        small = project_cone_union(F, 1e-13 * v)
+        assert np.linalg.norm(small - 1e-13 * p) <= 1e-12 * 1e-13 * np.linalg.norm(v)
 
 
 def test_moreau_polarity(rng):

@@ -124,6 +124,55 @@ def test_runs_sharing_a_reference_build_its_cones_once(monitor_builds):
     assert all(r.dm_D == r.dm_full for r in runs[1][1:])
 
 
+@pytest.mark.parametrize("kind, params, seed", [
+    ("minmax", dict(n=4, m=4, n_active=3), 7),
+    ("nlp", dict(n=4, n_eq=1, n_ineq=2), 2),
+])
+def test_loading_runs_no_qp(kind, params, seed, qp_calls, tmp_path):
+    # the certificates' sample points project onto cones (min-max cells,
+    # the orthant): at most one NNLS each (the QP route ran 220 and 200 QPs)
+    from plqsqp.generators import generate
+    from plqsqp.probio import load_problem, save_problem
+    gp = generate(kind, seed=seed, **params)
+    path = tmp_path / "problem.json"
+    save_problem(path, gp.problem, gp.metadata())
+    qp_calls.clear()
+    load_problem(path)
+    assert qp_calls == []
+
+
+def test_monitors_project_without_a_qp(monkeypatch):
+    # the Dennis-More monitors project onto the members of D: cones, so
+    # filling dm_* runs no projection QP, nor an NNLS fallback QP, and the
+    # projections are not all zero (the QP route ran 21 here); the anchor's
+    # KKT residual keeps its prox QP
+    from plqsqp import nonneg, polyhedral, qp
+    from plqsqp.generators import generate
+    qps, during = [], []
+    kernel = qp.active_set_qp
+
+    def qp_spy(*args, **kwargs):
+        qps.append(1)
+        return kernel(*args, **kwargs)
+
+    for module in (nonneg, polyhedral):
+        monkeypatch.setattr(module, "active_set_qp", qp_spy)
+    attach = sqp._attach_monitors
+
+    def spy(*args):
+        before = len(qps)
+        attach(*args)
+        during.append(len(qps) - before)
+
+    monkeypatch.setattr(sqp, "_attach_monitors", spy)
+    gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
+    config = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(gp.xbar, gp.lambdabar))
+    trace = run_sqp(gp.problem, gp.xbar + 0.05, gp.lambdabar + 0.05, config)
+    assert trace[-1].residual <= 1e-10
+    assert during == [0]
+    assert any(rec.dm_D > 0.0 for rec in trace)
+
+
 @pytest.mark.parametrize("delta0", [0.0, -1.0, np.nan])
 def test_config_rejects_a_radius_that_cannot_grow(delta0):
     with pytest.raises(ValueError, match="delta0"):
@@ -222,6 +271,30 @@ def test_dm_identity_unit_ratio():
                                               whole, sub)
     assert abs(dm_full - 1.0) <= 1e-12
     assert abs(dm_D - 1.0) <= 1e-12 and abs(dm_Dp - 1.0) <= 1e-12
+
+
+def test_dm_values_do_not_change_when_the_step_shrinks():
+    # each ratio is positively homogeneous in the step, down to steps near
+    # convergence; xk = 0 keeps the scaled step exact
+    from plqsqp.generators import generate
+    p1 = make_p1()
+    half_line = ConeFamily("union", members=(PolyCone.from_rows(np.eye(1), np.zeros((0, 1))),))
+    sub = ConeFamily("subspace", basis=np.eye(1))
+    for H, expected in (([[0.5]], 0.0), ([[3.0]], 2.0)):  # r = (1 - H) step
+        for step in (1.0, 1e-12):
+            dm_D, _, dm_full = dennis_more_values(p1, [0.0], [1.0], H, [step], half_line, sub)
+            assert dm_D == expected and abs(dm_full - abs(1.0 - H[0][0])) <= 1e-15
+    gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
+    point = kkt_point(gp.problem, gp.xbar, gp.lambdabar)
+    D, Dp = cone_D(point), subspace_Dplus(point)
+    rng = np.random.default_rng(5)
+    xk = np.zeros(4)
+    for _ in range(10):
+        H = rng.standard_normal((4, 4))
+        d = rng.standard_normal(4)
+        unit = dennis_more_values(gp.problem, xk, gp.lambdabar, H + H.T, d, D, Dp)
+        tiny = dennis_more_values(gp.problem, xk, gp.lambdabar, H + H.T, 1e-12 * d, D, Dp)
+        assert np.allclose(tiny, unit, rtol=1e-12, atol=0.0)
 
 
 def test_dm_zero_step_raises():
