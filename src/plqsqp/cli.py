@@ -124,13 +124,12 @@ def _cmd_diagnose(args):
     x0, lam0 = _resolve_start(problem, metadata, args)
     residual = kkt_residual(problem, x0, lam0)
     verdicts = []
-    rng = np.random.default_rng(args.seed)
-    checks = [("noncritical", check_noncritical, {}),
-              ("unique_multiplier", check_unique_multiplier, {}),
-              ("sosc", check_sosc, {"rng": rng})]
-    for name, fn, kw in checks:
+    checks = [("noncritical", check_noncritical),
+              ("unique_multiplier", check_unique_multiplier),
+              ("sosc", check_sosc)]
+    for name, fn in checks:
         try:
-            verdicts.append(fn(problem, x0, lam0, **kw))
+            verdicts.append(fn(problem, x0, lam0))
         except PLQError as exc:
             _write_error(outdir, exc)
             sys.stderr.write(f"{name}: {exc}\n")

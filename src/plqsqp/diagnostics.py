@@ -4,10 +4,10 @@ Noncriticality and multiplier uniqueness are decided exactly: both
 reduce, after enumerating activity patterns of the critical cones, to
 homogeneous linear systems, each decided by one implicit-equality LP
 and a rank test (`LPBuilder.nonzero_block`).  The second-order sufficient
-condition is exact too while each critical-cone member has at most 1,024
-faces (one eigenvalue test per face); above that a multistart projected
-gradient is the fallback.  It keeps the heuristic_* result names that
-callers compare against.  Calmness and the primal estimates are sampled
+condition is exact too, by one eigenvalue test per face of each
+critical-cone member; a member above 1,024 faces makes the verdict
+inconclusive.  It keeps the heuristic_* result names that callers
+compare against.  Calmness and the primal estimates are sampled
 empirically by solving perturbed KKT systems.  Failure certificates are
 always exact vectors.
 """
@@ -34,13 +34,13 @@ from .plq import (
     active_indices,
     evaluate,
     piece_critical_cones,
+    proto_contains,
+    shifted_intersection,
     subgradient_dist,
 )
 from .polyhedral import (
-    Polyhedron,
     contains,
     enumerate_faces,
-    normal_cone_dist,
     normal_cone_hrep,
     project,
     project_cone_union,
@@ -53,7 +53,7 @@ MAX_PATTERN_LPS = 40000
 @dataclass(frozen=True)
 class Verdict:
     condition: str
-    result: str  # holds | fails | heuristic_holds | heuristic_fails (SOSC, also when exact)
+    result: str  # holds | fails | heuristic_holds | heuristic_fails (SOSC, exact)
     certificate: object = None
     detail: str = ""
 
@@ -237,7 +237,7 @@ def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
 
 
 # ---------------------------------------------------------------------------
-# second-order sufficient condition (exact face walk, multistart above the cap)
+# second-order sufficient condition (exact face walk)
 # ---------------------------------------------------------------------------
 
 def _face_minimum(M, Q):
@@ -274,86 +274,44 @@ def _face_minimum(M, Q):
     return best, best_w, len(faces)
 
 
-def _member_min_quadratic(M, Q, rng):
-    """Multistart projected-gradient minimum of w^T Q w over M cap sphere:
-    30 starts of up to 80 projected steps."""
-    best_val, best_w = np.inf, None
-    eta = 1.0 / max(1.0, float(np.abs(np.linalg.eigvalsh(Q)).max()))
-    for _ in range(30):
-        w = project(M, rng.standard_normal(M.dim))
-        if np.linalg.norm(w) <= 1e-10:
-            continue
-        w = w / np.linalg.norm(w)
-        for _ in range(80):
-            w_new = project(M, w - eta * (Q @ w))
-            nw = np.linalg.norm(w_new)
-            if nw <= 1e-12:
-                break
-            w_new = w_new / nw
-            if np.linalg.norm(w_new - w) <= 1e-12:
-                w = w_new
-                break
-            w = w_new
-        val = float(w @ Q @ w)
-        if val < best_val:
-            best_val, best_w = val, w
-    return best_val, best_w
-
-
 def check_sosc(problem: CompositeProblem, xbar, lambdabar, rng=None,
                tol: float = 1e-6) -> Verdict:
-    """Positivity of the second-order form on the critical cone D.
+    """Positivity of the second-order form on the critical cone D, exactly.
 
-    Exact on each member of D whose face walk stays within 1,024 faces
-    (`_face_minimum`); a member above that cap falls back to a multistart
-    projected gradient drawn from `rng`, the one heuristic route, which the
-    detail names.  Certificates are unit directions of D with form value
-    <= 1e-8.  The results keep the heuristic_* names callers compare against.
+    Each member of D is decided by its face walk (`_face_minimum`).
+    Certificates are unit directions of D with form value <= 1e-8.  A
+    member above 1,024 faces ends the check: the result reads
+    heuristic_fails with no certificate, the detail "inconclusive: member
+    i of D: ...", as calmness reports missing evidence.  The results keep
+    the heuristic_* names callers compare against.  `rng` is accepted and
+    not read.
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
     J = point.J
-    n_faces, sampled, global_min = 0, 0, np.inf
+    n_faces, global_min = 0, np.inf
     for i, M in point.D_members:
         Q = point.hess + J.T @ problem.g.pieces[i].A @ J
         Q = 0.5 * (Q + Q.T)
         try:
             val, w, walked = _face_minimum(M, Q)
-            n_faces += walked
-            how = f"exact over {walked} faces"
-        except TooManyRows:
-            sampled += 1
-            val, w = _member_min_quadratic(M, Q, rng or np.random.default_rng(0))
-            how = "multistart above the face cap"
+        except TooManyRows as exc:
+            return Verdict("sosc", "heuristic_fails", certificate=None,
+                           detail=f"inconclusive: member {i} of D: {exc}")
+        n_faces += walked
         if w is not None and val <= 1e-8:
             return Verdict("sosc", "heuristic_fails", certificate=w,
-                           detail=f"{how}: critical direction with form value {val:.3e}")
+                           detail=f"exact over {walked} faces: critical direction "
+                                  f"with form value {val:.3e}")
         global_min = min(global_min, val)
     if not np.isfinite(global_min):
         return Verdict("sosc", "heuristic_holds", detail="D trivial")
-    how = f"exact over {n_faces} faces" + (
-        f", multistart on {sampled} members above the face cap" if sampled else "")
-    return Verdict("sosc", "heuristic_holds", detail=f"{how}: minimum form value {global_min:.3e}")
+    return Verdict("sosc", "heuristic_holds",
+                   detail=f"exact over {n_faces} faces: minimum form value {global_min:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # reduction lemma (exact membership on sampled graph points)
 # ---------------------------------------------------------------------------
-
-def _intersection_rows(cones_and_shifts, m):
-    """Polyhedron for the intersection of shifted cones {shift + cone}."""
-    As, bs, Es, ds = [], [], [], []
-    for cone, shift in cones_and_shifts:
-        if cone.n_ineq:
-            As.append(cone.A)
-            bs.append(cone.b + cone.A @ shift)
-        if cone.n_eq:
-            Es.append(cone.E)
-            ds.append(cone.d + cone.E @ shift)
-    return Polyhedron(np.vstack(As) if As else np.zeros((0, m)),
-                      np.concatenate(bs) if bs else np.zeros(0),
-                      np.vstack(Es) if Es else np.zeros((0, m)),
-                      np.concatenate(ds) if ds else np.zeros(0))
-
 
 def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
                            n_samples: int = 500, rng=None) -> Verdict:
@@ -370,18 +328,10 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
     vbar = np.asarray(vbar, dtype=float).ravel()
     if subgradient_dist(g, zbar, vbar) > 1e-7:
         raise NotASubgradient("vbar must be a subgradient at zbar")
-    idx = [i for i, p in enumerate(g.pieces) if contains(p.C, zbar)]
+    idx = active_indices(g, zbar)
     cones = piece_critical_cones(g, zbar, vbar)
     violations = 0
     checked_fwd = 0
-
-    def proto_contains(w, u, tol=1e-8):
-        holding = [(i, K) for i, K in cones if contains(K, w)]
-        if not holding:
-            return False
-        return all(normal_cone_dist(K, w, u - g.pieces[i].A @ w) <= tol
-                   for i, K in holding)
-
     # forward: gph dg - (zbar, vbar) subset of gph D(dg)(zbar, vbar)
     attempts = 0
     while checked_fwd < n_samples and attempts < 20 * n_samples:
@@ -393,7 +343,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         if np.linalg.norm(z - zbar) > eps / np.sqrt(2.0):
             continue
         # subdifferential at z as shifted normal cones, one per activity pattern
-        sub = _intersection_rows(
+        sub = shifted_intersection(
             [(normal_cone_hrep(g.pieces[j].C, z), g.pieces[j].gradient(z))
              for j in active_indices(g, z)], g.m)
         try:
@@ -403,7 +353,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         if np.sqrt(np.linalg.norm(z - zbar) ** 2 + np.linalg.norm(v - vbar) ** 2) > eps:
             continue
         checked_fwd += 1
-        if not proto_contains(z - zbar, v - vbar):
+        if not proto_contains(g, cones, z - zbar, v - vbar):
             violations += 1
     skipped_fwd = attempts - checked_fwd
     # backward: gph D(dg)(zbar, vbar) cap eps-ball subset of gph dg - (zbar, vbar)
@@ -416,7 +366,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         holding = [(j, Kj) for j, Kj in cones if contains(Kj, w, 1e-9)]
         if not holding:
             continue
-        uset = _intersection_rows(
+        uset = shifted_intersection(
             [(normal_cone_hrep(Kj, w), g.pieces[j].A @ w)
              for j, Kj in holding], g.m)
         target = g.pieces[i].A @ w + float(rng.uniform(0.0, 1.0)) * rng.standard_normal(g.m)

@@ -211,22 +211,17 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
     Each active piece contributes the shifted normal cone
     A_i z + a_i + N_{C_i}(z), whose H-representation is obtained by
     eliminating the cone multipliers once per piece and activity pattern
-    (`normal_cone_hrep`); the pieces are then intersected.  Elimination is
+    (`normal_cone_hrep`); the pieces are then intersected
+    (`shifted_intersection`) and redundant rows pruned.  Elimination is
     capped at m <= 8; membership tests at any dimension go through
     subgradient_dist instead.
     """
     if g.m > 8:
         raise TooManyRows("subdifferential H-representations are built for m <= 8")
     z = np.asarray(z, dtype=float).ravel()
-    idx = active_indices(g, z)
-    result = None
-    for i in idx:
-        p = g.pieces[i]
-        cone = normal_cone_hrep(p.C, z)
-        w = p.gradient(z)
-        shifted = Polyhedron(cone.A, cone.b + (cone.A @ w if cone.n_ineq else np.zeros(0)),
-                             cone.E, cone.d + (cone.E @ w if cone.n_eq else np.zeros(0)))
-        result = shifted if result is None else intersect(result, shifted)
+    result = shifted_intersection(
+        [(normal_cone_hrep(g.pieces[i].C, z), g.pieces[i].gradient(z))
+         for i in active_indices(g, z)], g.m)
     if result.n_ineq > 2:
         A, b = prune_redundant(result.A, result.b,
                                result.E if result.n_eq else None,
@@ -289,22 +284,41 @@ def second_form(g: PLQFunction, cones, w) -> float:
     return np.inf
 
 
+def shifted_intersection(cones_and_shifts, m) -> Polyhedron:
+    """The intersection of the shifted cones shift + cone over the
+    (cone, shift) pairs, their rows stacked in order; R^m when empty."""
+    As, bs, Es, ds = [], [], [], []
+    for cone, shift in cones_and_shifts:
+        if cone.n_ineq:
+            As.append(cone.A)
+            bs.append(cone.b + cone.A @ shift)
+        if cone.n_eq:
+            Es.append(cone.E)
+            ds.append(cone.d + cone.E @ shift)
+    return Polyhedron(np.vstack(As) if As else np.zeros((0, m)),
+                      np.concatenate(bs) if bs else np.zeros(0),
+                      np.vstack(Es) if Es else np.zeros((0, m)),
+                      np.concatenate(ds) if ds else np.zeros(0))
+
+
 def proto_derivative_contains(g: PLQFunction, z, v, w, u, tol: float = 1e-8) -> bool:
-    """Whether u lies in D(dg)(z, v)(w).
+    """Whether u lies in D(dg)(z, v)(w)."""
+    return proto_contains(g, piece_critical_cones(g, z, v), w, u, tol)
+
+
+def proto_contains(g: PLQFunction, cones, w, u, tol: float = 1e-8) -> bool:
+    """Whether u lies in D(dg)(z, v)(w), from the `piece_critical_cones`
+    already built at (z, v).
 
     True iff w is in the critical cone of g and, for every active piece
     whose critical cone contains w, u - A_i w is normal to that cone at w.
     """
     w = np.asarray(w, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    cones = piece_critical_cones(g, z, v)
     holding = [(i, K) for i, K in cones if contains(K, w)]
     if not holding:
         return False
-    for i, K in holding:
-        if normal_cone_dist(K, w, u - g.pieces[i].A @ w) > tol:
-            return False
-    return True
+    return all(normal_cone_dist(K, w, u - g.pieces[i].A @ w) <= tol for i, K in holding)
 
 
 # ---------------------------------------------------------------------------

@@ -216,30 +216,28 @@ def _wide_wedge_problem(rows=21):
     return CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Theta)
 
 
-def test_sosc_wide_wedge_is_decided_by_walking_its_four_faces(rng, monkeypatch):
+def test_sosc_wide_wedge_is_decided_by_walking_its_four_faces(rng):
     # Theta is a 2-D wedge cut by 21 rows, all active at 0: 2^21 row subsets,
     # but the face walk finds its 4 faces well under the face cap, so the
-    # verdict is exact and the multistart never runs
-    def no_multistart(*args):
-        raise AssertionError("multistart ran below the face cap")
-
-    monkeypatch.setattr(diagnostics, "_member_min_quadratic", no_multistart)
+    # verdict is exact
     v = check_sosc(_wide_wedge_problem(), [0.0, 0.0], [0.0], rng=rng)
     assert v.result == "heuristic_holds"
-    assert "exact over 4 faces" in v.detail and "multistart" not in v.detail
+    assert "exact over 4 faces" in v.detail and "inconclusive" not in v.detail
 
 
-def test_sosc_falls_back_to_multistart_when_ray_enumeration_raises(rng, monkeypatch):
-    calls = []
-
+def test_sosc_is_inconclusive_above_the_face_cap(rng, monkeypatch):
+    # a member whose face walk refuses ends the check without an answer:
+    # no sampled fallback runs (it would project), and no certificate
     def refuse(cone):
-        calls.append(cone)
         raise TooManyRows("refused")
 
     monkeypatch.setattr(diagnostics, "enumerate_faces", refuse)
-    prob = _wide_wedge_problem()
-    assert check_sosc(prob, [0.0, 0.0], [0.0], rng=rng).result == "heuristic_holds"
-    assert calls
+    projections = _count_calls(monkeypatch, [diagnostics], "project")
+    v = check_sosc(_wide_wedge_problem(), [0.0, 0.0], [0.0], rng=rng)
+    assert v.result == "heuristic_fails" and not v.passed
+    assert v.certificate is None
+    assert v.detail.startswith("inconclusive: member 0")
+    assert projections[0] == 0
 
 
 def test_sosc_finds_a_failure_inside_a_face(rng):

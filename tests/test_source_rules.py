@@ -10,6 +10,9 @@ exported.  Every error class has a raise site in the package, so that a
 class which is only caught cannot linger.  Fourier-Motzkin cone
 eliminations go through the per-pattern memo of `normal_cone_hrep` only,
 and implicit equalities through the one LP of `lp.implicit_equalities`.
+Subgradient-graph calculus lives in `plq` and `polyhedral`: the
+diagnostics build no polyhedron and measure no normal-cone distance of
+their own.
 """
 
 import ast
@@ -171,3 +174,11 @@ def test_implicit_equality_lp_has_one_route():
                      ("polyhedral.py", "_forced_active")}, sorted(users)
     # its users decide with that LP alone and build none of their own
     assert not own_lps, sorted(own_lps)
+
+
+def test_diagnostics_keep_no_calculus_of_their_own():
+    path = PACKAGE / "diagnostics.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted({(name, line) for name, line in _referenced_names(tree)
+                    if name in {"Polyhedron", "normal_cone_dist"}})
+    assert not found, found
