@@ -12,6 +12,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .errors import SolverFailure
+from .nonneg import nonneg_lstsq
 
 LP_OPTIMAL = 0
 LP_INFEASIBLE = 2
@@ -51,9 +52,6 @@ def feasible_point(A, b, E, d):
     residual is zero iff the system is feasible).  Falls back to a
     phase-1 LP when the least-squares verdict is numerically ambiguous.
     """
-    # imported here, not at the top: nonneg imports qp, which imports this module
-    from .nonneg import nonneg_lstsq
-
     A = np.asarray(A, dtype=float)
     E = np.asarray(E, dtype=float)
     n = A.shape[1] if A.size else E.shape[1]

@@ -4,15 +4,14 @@ scipy's rewritten nnls can terminate prematurely on some small systems,
 returning a non-optimal point and a wrong residual scalar.  This wrapper
 never trusts the reported residual: it recomputes it from the returned
 vector and checks first-order optimality of the cone-constrained least
-squares problem; on failure it re-solves with the dense active-set QP
-kernel (u = 0 is always a feasible start, so no feasibility oracle is
-involved).
+squares problem; on failure it re-solves with scipy's bounded-variable
+least squares (BVLS), which answers degenerate systems with their honest
+residual instead of a descent ray.
 """
 
 import numpy as np
+from scipy.optimize import lsq_linear
 from scipy.optimize import nnls as _scipy_nnls
-
-from .qp import active_set_qp
 
 _OPT_TOL = 1e-8
 
@@ -38,10 +37,5 @@ def nonneg_lstsq(M, r):
     except RuntimeError:
         u = None
     if u is None or not _is_optimal(M, r, u, scale):
-        k = M.shape[1]
-        Q = M.T @ M
-        c = -M.T @ r
-        res = active_set_qp(Q, c, -np.eye(k), np.zeros(k), None, None,
-                            x0=np.zeros(k))
-        u = np.maximum(res.x, 0.0)
+        u = np.maximum(lsq_linear(M, r, bounds=(0.0, np.inf), method="bvls").x, 0.0)
     return u, float(np.linalg.norm(M @ u - r))

@@ -1,15 +1,15 @@
 """Exact desk-scale polyhedral geometry in H-representation.
 
 A Polyhedron is {x : A x <= b, E x = d}; a PolyCone is the homogeneous
-case b = 0, d = 0.  Everything here is built from three exact kernels:
-the dense active-set QP (projections onto general polyhedra), nonnegative
-least squares (normal-cone distances, and projections onto cones by
-Moreau's decomposition), and HiGHS LPs (feasibility, implicit
-equalities, redundancy).  Values are immutable after construction and
-all operations are pure.  Derived data is memoized on the immutable
-polyhedron itself (`_derived`): its interior point, and its normal and
-tangent cones per activity pattern, since N_P(x) and T_P(x) depend on x
-only through the active rows.  The memos are deterministic, so results
+case b = 0, d = 0.  Everything here is built from two exact kernels:
+nonnegative least squares (projections, as least-distance programs, and
+normal-cone distances) and HiGHS LPs (feasibility, implicit equalities,
+redundancy).  Values are immutable after construction and all
+operations are pure.  Derived data is memoized on the immutable
+polyhedron itself (`_derived`): its interior point, its equality frame
+(E⁺ and the inequality rows on null(E)), and its normal and tangent
+cones per activity pattern, since N_P(x) and T_P(x) depend on x only
+through the active rows.  The memos are deterministic, so results
 stay pure and concurrent calls stay safe; returned cones are shared and
 must not be written to.
 """
@@ -22,14 +22,12 @@ from scipy.linalg import null_space
 from .errors import (
     DimensionMismatch,
     EmptyPolyhedron,
-    Infeasible,
     NotANormalVector,
     PointNotInSet,
     TooManyRows,
 )
 from .lp import LP_OPTIMAL, feasible_point, implicit_equalities, solve_lp
 from .nonneg import nonneg_lstsq
-from .qp import active_set_qp
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
 
@@ -225,43 +223,47 @@ def interior_point(P: Polyhedron):
 # projection and cones
 # ---------------------------------------------------------------------------
 
-def _polar_generators(G, E) -> np.ndarray:
-    """M = [G^T, E^T, -E^T]: the cone {M u : u >= 0} is generated by the rows
-    of G and, split into positive and negative parts, those of E."""
-    return np.hstack([G.T, E.T, -E.T])
+def _equality_frame(P: Polyhedron):
+    """(E⁺, A N), once per P: the pseudo-inverse of E, and the inequality
+    rows on an orthonormal basis N of null(E).  One SVD, with the rank
+    cutoff of `lstsq` (max(E.shape)·eps·s₀)."""
+    def build():
+        U, s, Vt = np.linalg.svd(P.E)
+        rank = int(np.sum(s > max(P.E.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+        return Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), P.A @ Vt[rank:].T
+    return _derived(P, "frame", build)
 
 
 def project(P: Polyhedron, z) -> np.ndarray:
     """Nearest point of P to z (unique): argmin ||x - z||^2 / 2 over P.
 
-    A cone (b = 0 and d = 0; every PolyCone, and any polyhedron with zero
-    right-hand sides) is projected by Moreau's decomposition,
-    P_K(z) = z - P_{K°}(z), where the polar K° = {A^T mu + E^T nu : mu >= 0}
-    is reached by one verified nonnegative least-squares solve.  It works on
-    the unit vector z / ||z|| and scales back, so the answer is positively
-    homogeneous in z down to the smallest norms.  Other polyhedra go to the
-    dense active-set QP, whose membership and step tolerances are absolute.
+    One least-distance program for every polyhedron, cones included
+    (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
+    x0 = z - E⁺(E z - d) meets the equalities, and x = x0 + N w with N an
+    orthonormal basis of null(E).  If x0 violates no row of h = A x0 - b,
+    it is the answer.  Otherwise one verified NNLS solve on
+    [-(A N)^T; h^T / ||h||] against the last unit vector answers
+    min ||w|| s.t. -(A N) w >= h; its positive entries J are the rows
+    active at the answer, which is then the nearest point of
+    {A_J x = b_J, E x = d} by one least-squares solve: exactly on its
+    face, and positively homogeneous on a cone.  An empty P, decided once
+    per polyhedron by `interior_point`, raises EmptyPolyhedron.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.size != P.dim:
         raise DimensionMismatch("projection point dimension mismatch")
-    if not (np.any(P.b) or np.any(P.d)):
-        s = float(np.linalg.norm(z))
-        if s == 0.0:
-            return z.copy()
-        unit = z / s
-        if contains(P, unit, 1e-12):
-            return z.copy()
-        M = _polar_generators(P.A, P.E)
-        u, _ = nonneg_lstsq(M, unit)
-        return s * (unit - M @ u)
-    if contains(P, z, 1e-12):
-        return z.copy()
-    try:
-        res = active_set_qp(np.eye(P.dim), -z, P.A, P.b, P.E, P.d)
-    except Infeasible as exc:
-        raise EmptyPolyhedron(str(exc)) from exc
-    return res.x
+    if is_empty(P):
+        raise EmptyPolyhedron("cannot project onto an empty polyhedron")
+    pinv, AN = _equality_frame(P)
+    x0 = z - pinv @ (P.E @ z - P.d)
+    h = P.A @ x0 - P.b
+    if not np.any(h > 0.0):
+        return x0
+    u, _ = nonneg_lstsq(np.vstack([-AN.T, h / np.linalg.norm(h)]),
+                        np.eye(AN.shape[1] + 1)[-1])
+    J = u > 0.0
+    C = np.vstack([P.A[J], P.E])
+    return z - np.linalg.lstsq(C, C @ z - np.concatenate([P.b[J], P.d]), rcond=None)[0]
 
 
 def tangent_cone(P: Polyhedron, x, tol: float = 1e-9) -> PolyCone:
@@ -284,7 +286,7 @@ def normal_cone_dist(P: Polyhedron, x, v, tol: float = 1e-9) -> float:
     J = active_rows(P, x)
     if not (J or P.n_eq):
         return float(np.linalg.norm(v))
-    _, dist = nonneg_lstsq(_polar_generators(P.A[J], P.E), v)
+    _, dist = nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)
     return dist
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plqsqp import nonneg, plq, polyhedral, qp, sqp, subqp
+from plqsqp import plq, qp, sqp, subqp
 from plqsqp.kkt import CompositeProblem, Poly2Map
 from plqsqp.plq import (
     DualLQ,
@@ -29,7 +29,7 @@ def qp_calls(monkeypatch):
         calls.append(1)
         return kernel(*args, **kwargs)
 
-    for module in (nonneg, plq, polyhedral, subqp):
+    for module in (plq, subqp):
         monkeypatch.setattr(module, "active_set_qp", spy)
     return calls
 

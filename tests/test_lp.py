@@ -99,3 +99,17 @@ def test_random_systems_agree_with_the_coordinate_oracle():
             lp.add_eq({"w": rng.integers(-2, 3, nw).astype(float)})
         answers.append(_agrees_with_oracle(lp, "w") is not None)
     assert any(answers) and not all(answers)
+
+
+def test_nonneg_lstsq_answers_a_degenerate_system():
+    # columns +-c_k span R^3 twice over; scipy's nnls fails verification
+    # here, and the QP fallback it used to take raised Unbounded
+    from plqsqp.nonneg import nonneg_lstsq
+    C = np.array([[0.41809884672577885, -0.45264929211044586, -0.2861233930974505],
+                  [-0.5677696061279298, -0.2155971630897659, -0.136280766370423],
+                  [-1.0, 0.0, 0.0],
+                  [0.0, -1.0, -0.6321083424855996]]).T
+    M, r = np.hstack([C, -C]), np.array([0.0, 0.0, 1.0])
+    u, residual = nonneg_lstsq(M, r)
+    assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
+    assert residual == np.linalg.norm(M @ u - r)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from plqsqp import polyhedral
-from plqsqp.errors import NotANormalVector, PointNotInSet, TooManyRows
+from plqsqp.errors import (
+    EmptyPolyhedron,
+    Infeasible,
+    NotANormalVector,
+    PointNotInSet,
+    TooManyRows,
+)
 from plqsqp.polyhedral import (
     ConeFamily,
     PolyCone,
@@ -107,6 +113,61 @@ def test_cone_projection_matches_the_qp_kernel(rng):
         K = PolyCone.from_rows(A, E, n)
         x = active_set_qp(np.eye(n), -v, A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0])).x
         assert np.linalg.norm(project(K, v) - x) <= 1e-10
+
+
+def _random_polyhedron(rng):
+    """A polyhedron in R^n, n <= 5, with a nonzero right-hand side: random
+    rows around a random center (some sets empty), at times a duplicated
+    inequality row, and at times equality rows.  One in ten is the
+    redundant case: 4 equality rows in R^2 whose right-hand side is
+    consistent only to rounding."""
+    if rng.random() < 0.1:
+        E = rng.standard_normal((4, 2))
+        A = rng.standard_normal((int(rng.integers(0, 3)), 2))
+        x = rng.standard_normal(2)
+        return Polyhedron(A, A @ x + rng.random(A.shape[0]), E, E @ x)
+    n = int(rng.integers(1, 6))
+    A = rng.standard_normal((int(rng.integers(0, 8)), n))
+    if A.shape[0] and rng.random() < 0.3:
+        A = np.vstack([A, 2.0 * A[0]])
+    center = rng.standard_normal(n)
+    b = A @ center + rng.standard_normal(A.shape[0])
+    if A.shape[0] and rng.random() < 0.3:
+        b = np.append(b[:-1], 2.0 * b[0])  # the duplicated row's offset
+    E = rng.standard_normal((int(rng.integers(0, min(n, 3))), n))
+    return Polyhedron(A, b, E, E @ center)
+
+
+def test_projection_matches_the_qp_kernel(rng):
+    # 300 random polyhedra with nonzero right-hand sides, |z| from 1e-3 to
+    # 1e3, against the QP the projection no longer runs; the set is empty
+    # exactly when the QP finds it infeasible
+    from plqsqp.qp import active_set_qp
+    empty = 0
+    for _ in range(300):
+        P = _random_polyhedron(rng)
+        z = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(P.dim)
+        try:
+            x = active_set_qp(np.eye(P.dim), -z, P.A, P.b, P.E, P.d).x
+        except Infeasible:
+            with pytest.raises(EmptyPolyhedron):
+                project(P, z)
+            empty += 1
+            continue
+        scale = max(1.0, np.linalg.norm(z), np.linalg.norm(x))
+        assert np.linalg.norm(project(P, z) - x) <= 1e-10 * scale
+    assert 0 < empty < 150
+
+
+@pytest.mark.parametrize("P, z, expected", [
+    (Polyhedron.box([0.0, 0.0], [1e-12, 1e-12]), [3e-12, -2e-12], [1e-12, 0.0]),
+    (Polyhedron.box([-np.inf, -np.inf], [1e-14, np.inf]), [5e-13, 1.0], [1e-14, 1.0]),
+], ids=["tiny_box", "tiny_halfspace"])
+def test_projection_onto_small_scale_sets(P, z, expected):
+    # the QP route's absolute tolerances gave (0, 1e-12) on the box and z
+    # itself, 4.9e-13 outside, on the half-space; compared entrywise at
+    # the sets' own scale
+    assert np.allclose(project(P, z), expected, rtol=1e-9, atol=1e-20)
 
 
 # -- tangent and normal cones ----------------------------------------------

@@ -3,8 +3,8 @@
 No handler may catch everything: a bare `except:`, `except Exception` or
 `except BaseException` (alone or inside a tuple) hides defects behind
 fallbacks.  Every name the package exports must exist.  Imports sit at
-module top, except the one that breaks the lp -> nonneg -> qp -> lp cycle.
-Every function the benchmark's tracer wraps must exist where it looks.
+module top: no function-body import is left to break a cycle.  Every
+function the benchmark's tracer wraps must exist where it looks.
 Every top-level function and class is used elsewhere in the package or
 exported.  Every error class has a raise site in the package, so that a
 class which is only caught cannot linger.  Fourier-Motzkin cone
@@ -12,7 +12,9 @@ eliminations go through the per-pattern memo of `normal_cone_hrep` only,
 and implicit equalities through the one LP of `lp.implicit_equalities`.
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
 diagnostics build no polyhedron and measure no normal-cone distance of
-their own.
+their own.  The dense QP kernel serves the prox pieces and the dual-LQ
+prox (`plq`) and the subproblem's piece QPs (`subqp`) only; projections
+and nonnegative least squares run without it.
 """
 
 import ast
@@ -26,7 +28,7 @@ from plqsqp import errors
 PACKAGE = Path(plqsqp.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
 # (file, function, imported module) of the function-body imports allowed
-CYCLE_BREAKING_IMPORTS = {("lp.py", "feasible_point", "nonneg")}
+CYCLE_BREAKING_IMPORTS = set()
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # top-level definitions that may stay unreferenced and unexported, with why
 UNUSED_ALLOWED = {
@@ -182,3 +184,13 @@ def test_diagnostics_keep_no_calculus_of_their_own():
     found = sorted({(name, line) for name, line in _referenced_names(tree)
                     if name in {"Polyhedron", "normal_cone_dist"}})
     assert not found, found
+
+
+def test_qp_kernel_serves_the_prox_and_the_subproblem_only():
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(name == "active_set_qp" for name, _ in _referenced_names(tree)):
+            users.add(path.name)
+    # qp.py defines it and calls it nowhere
+    assert users == {"plq.py", "subqp.py"}, sorted(users)

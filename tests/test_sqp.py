@@ -127,10 +127,12 @@ def test_runs_sharing_a_reference_build_its_cones_once(monitor_builds):
 @pytest.mark.parametrize("kind, params, seed", [
     ("minmax", dict(n=4, m=4, n_active=3), 7),
     ("nlp", dict(n=4, n_eq=1, n_ineq=2), 2),
+    ("elqp", dict(n=3, m=3), 5),
 ])
 def test_loading_runs_no_qp(kind, params, seed, qp_calls, tmp_path):
-    # the certificates' sample points project onto cones (min-max cells,
-    # the orthant): at most one NNLS each (the QP route ran 220 and 200 QPs)
+    # the certificates' sample points project onto min-max cells, the
+    # orthant and ELQP's box pieces: one least-distance NNLS each (the QP
+    # route ran 220, 200 and 487 QPs)
     from plqsqp.generators import generate
     from plqsqp.probio import load_problem, save_problem
     gp = generate(kind, seed=seed, **params)
@@ -141,35 +143,16 @@ def test_loading_runs_no_qp(kind, params, seed, qp_calls, tmp_path):
     assert qp_calls == []
 
 
-def test_monitors_project_without_a_qp(monkeypatch):
-    # the Dennis-More monitors project onto the members of D: cones, so
-    # filling dm_* runs no projection QP, nor an NNLS fallback QP, and the
-    # projections are not all zero (the QP route ran 21 here); the anchor's
-    # KKT residual keeps its prox QP
-    from plqsqp import nonneg, polyhedral, qp
+def test_monitors_project_without_a_qp():
+    # the Dennis-More monitors project onto the members of D, and the
+    # projections are not all zero (the QP route ran 21 QPs here); that no
+    # projection runs a QP is the source rule
+    # test_qp_kernel_serves_the_prox_and_the_subproblem_only
     from plqsqp.generators import generate
-    qps, during = [], []
-    kernel = qp.active_set_qp
-
-    def qp_spy(*args, **kwargs):
-        qps.append(1)
-        return kernel(*args, **kwargs)
-
-    for module in (nonneg, polyhedral):
-        monkeypatch.setattr(module, "active_set_qp", qp_spy)
-    attach = sqp._attach_monitors
-
-    def spy(*args):
-        before = len(qps)
-        attach(*args)
-        during.append(len(qps) - before)
-
-    monkeypatch.setattr(sqp, "_attach_monitors", spy)
     gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
     config = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(gp.xbar, gp.lambdabar))
     trace = run_sqp(gp.problem, gp.xbar + 0.05, gp.lambdabar + 0.05, config)
     assert trace[-1].residual <= 1e-10
-    assert during == [0]
     assert any(rec.dm_D > 0.0 for rec in trace)
 
 
