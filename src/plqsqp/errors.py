@@ -37,10 +37,6 @@ class NotASubgradient(PLQError):
     pass
 
 
-class NoPiece(PLQError):
-    pass
-
-
 class PointNotInTheta(PLQError):
     pass
 

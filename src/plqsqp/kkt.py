@@ -189,7 +189,7 @@ def kkt_residual(problem: CompositeProblem, x, lam, theta_tol: float = 1e-8) -> 
     """dist(-grad_x L, N_Theta(x)) + ||Phi(x) - prox_g(lam + Phi(x))||.
 
     The prox visits the pieces holding z = Phi(x) first: near a KKT pair
-    the prox point is z itself, so one of them usually answers at once.
+    the prox point is z itself, so the first projection usually answers.
     """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()

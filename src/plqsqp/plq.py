@@ -20,11 +20,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    Infeasible,
-    NoPiece,
     NotASubgradient,
     PointOutsideDomain,
-    QPFailure,
     TooManyRows,
     Unbounded,
     ValidationError,
@@ -34,6 +31,7 @@ from .polyhedral import (
     Polyhedron,
     contains,
     critical_cone,
+    equality_frame,
     intersect,
     interior_point,
     is_empty,
@@ -325,60 +323,70 @@ def proto_contains(g: PLQFunction, cones, w, u, tol: float = 1e-8) -> bool:
 # proximal mappings
 # ---------------------------------------------------------------------------
 
-def prox(g: PLQFunction, x, near=None) -> np.ndarray:
-    """argmin_z g(z) + ½||x - z||^2 by strongly convex per-piece QPs.
+def _ldp_frame(holder, C: Polyhedron, M, label):
+    """(z0, G, P′, Q z0), built once per piece or DualLQ and kept on it, that
+    make argmin ½<Qz, z> + <c, z> over C, Q = M + I, a projection.
 
-    The unconstrained minimizer of each piece objective bounds that
-    piece's QP from below.  The pieces holding `near`, a point expected
-    close to the answer, are visited first, in index order, and their QPs
-    start at `near`; the others follow best bound first, ties to the lower
-    index.  A piece whose bound exceeds the incumbent value is skipped.
-    The first visited piece whose point passes the exact subgradient test
-    x - z in dg(z) is returned: the prox point is the unique solution of
-    that resolvent inclusion, so `near` changes only the order and the
-    starts, and with them which of the pieces meeting at the answer
-    computes it.  When no point passes (rounding), the least
+    z0 = E⁺d, N spans null(E) (`equality_frame`), L Lᵀ = Nᵀ Q N and
+    G = N L⁻ᵀ; then z = z0 + G y makes the objective ½||y - y_u||² plus a
+    constant, y_u = -Gᵀ(Q z0 + c), and C becomes P′ = {A G y <= b - A z0}
+    (None when null(E) = {0}).  Only Nᵀ Q N need be positive definite, so
+    A may be indefinite off the equalities; when it is not (an equality
+    held as two inequalities), ValidationError names `label`.
+    """
+    frame = holder.__dict__.get("_ldp_frame")
+    if frame is None:
+        pinv, N, AN = equality_frame(C)
+        z0 = pinv @ C.d
+        Q = M + np.eye(C.dim)
+        try:
+            L = np.linalg.cholesky(N.T @ Q @ N)
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"{label}: its quadratic term plus I is not positive "
+                                  "definite on the null space of its equality rows") from exc
+        k = N.shape[1]
+        P = Polyhedron(np.linalg.solve(L, AN.T).T, C.b - C.A @ z0,
+                       np.zeros((0, k)), np.zeros(0)) if k else None
+        frame = (z0, np.linalg.solve(L, N.T).T, P, Q @ z0)
+        object.__setattr__(holder, "_ldp_frame", frame)
+    return frame
+
+
+def prox(g: PLQFunction, x, near=None) -> np.ndarray:
+    """argmin_z g(z) + ½||x - z||^2, one projection per piece (`_ldp_frame`).
+
+    Each piece's value is bounded below by its least value on its
+    equalities' hull.  The pieces holding `near` go first, in index order,
+    then the rest best bound first, ties to the lower index; a piece
+    bounded above the incumbent is skipped.  The first point passing the
+    exact subgradient test x - z in dg(z) is the unique prox point, so
+    `near` changes only the order.  When none passes (rounding), the least
     value wins, ties to the lowest index.
     """
     x = np.asarray(x, dtype=float).ravel()
-    eye = np.eye(g.m)
-    entries = []  # (bound, index, piece, Q, c, unconstrained minimizer)
+    entries = []  # (bound, index, piece, frame, y_u)
     for idx, p in enumerate(g.pieces):
-        Q = p.A + eye
-        c = p.a - x
-        try:
-            z_u = np.linalg.solve(Q, -c)
-        except np.linalg.LinAlgError:
-            z_u = None
-            lb = -np.inf
-        else:
-            lb = p.value(z_u) + 0.5 * float(np.linalg.norm(x - z_u) ** 2)
-        entries.append((lb, idx, p, Q, c, z_u))
+        frame = _ldp_frame(p, p.C, p.A, f"piece {idx}")
+        z0, G, _, Qz0 = frame
+        y_u = G.T @ (x - Qz0 - p.a)
+        z_u = z0 + G @ y_u
+        lb = p.value(z_u) + 0.5 * float(np.linalg.norm(x - z_u) ** 2)
+        entries.append((lb, idx, p, frame, y_u))
     order = sorted(entries, key=lambda e: (e[0], e[1]))
     hinted = np.zeros(len(g.pieces), dtype=bool) if near is None else _membership(g, near)
     order = [e for e in entries if hinted[e[1]]] + [e for e in order if not hinted[e[1]]]
     best = None
     best_val = np.inf
     best_idx = len(g.pieces)
-    for lb, idx, p, Q, c, z_u in order:
+    for lb, idx, p, (z0, G, P, _), y_u in order:
         if lb > best_val + 1e-12:
             continue  # hinted pieces break the bound order, so skip, not stop
-        if z_u is not None and contains(p.C, z_u, 1e-12):
-            z = z_u
-        else:
-            try:
-                res = active_set_qp(Q, c, p.C.A, p.C.b, p.C.E, p.C.d,
-                                    x0=near if hinted[idx] else None)
-            except (Infeasible, QPFailure):
-                continue
-            z = res.x
+        z = z0 if P is None else z0 + G @ project(P, y_u)
         val = p.value(z) + 0.5 * float(np.linalg.norm(x - z) ** 2)
         if val < best_val - 1e-12 or (abs(val - best_val) <= 1e-12 and idx < best_idx):
             best, best_val, best_idx = z, val, idx
             if subgradient_dist(g, z, x - z) <= 1e-10 * (1.0 + np.linalg.norm(x)):
                 return z
-    if best is None:
-        raise NoPiece("dom g is empty or no piece QP was solvable")
     return best
 
 
@@ -386,18 +394,19 @@ def dual_lq_eval_prox(h: DualLQ, z):
     """(f_{Omega,B}(z), prox_{f}(z)).
 
     The value is the optimum of the concave QP over Omega (+inf when the
-    supremum is unbounded); the prox comes from the Moreau identity
-    prox_f(x) = x - argmin_{u in Omega} ½<(B+I)u, u> - <x, u>.
+    supremum is unbounded), on the QP kernel as B may be singular.  The
+    prox is z - argmin_{u in Omega} ½<(B+I)u, u> - <z, u> (Moreau), one
+    projection in Omega's `_ldp_frame`.
     """
     z = np.asarray(z, dtype=float).ravel()
-    m = h.m
     O = h.Omega
     try:
         value = -active_set_qp(h.B, -z, O.A, O.b, O.E, O.d).objective
     except Unbounded:
         value = np.inf
-    pres = active_set_qp(h.B + np.eye(m), -z, O.A, O.b, O.E, O.d)
-    return value, z - pres.x
+    u0, G, P, Qu0 = _ldp_frame(h, O, h.B, "Omega")
+    u = u0 if P is None else u0 + G @ project(P, G.T @ (z - Qu0))
+    return value, z - u
 
 
 def dual_lq_subdifferential(h: DualLQ, z) -> Polyhedron:

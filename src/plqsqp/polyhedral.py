@@ -7,9 +7,9 @@ normal-cone distances) and HiGHS LPs (feasibility, implicit equalities,
 redundancy).  Values are immutable after construction and all
 operations are pure.  Derived data is memoized on the immutable
 polyhedron itself (`_derived`): its interior point, its equality frame
-(E⁺ and the inequality rows on null(E)), and its normal and tangent
-cones per activity pattern, since N_P(x) and T_P(x) depend on x only
-through the active rows.  The memos are deterministic, so results
+(E⁺, a basis N of null(E) and the inequality rows on N), and its normal
+and tangent cones per activity pattern, since N_P(x) and T_P(x) depend
+on x only through the active rows.  The memos are deterministic, so results
 stay pure and concurrent calls stay safe; returned cones are shared and
 must not be written to.
 """
@@ -223,14 +223,15 @@ def interior_point(P: Polyhedron):
 # projection and cones
 # ---------------------------------------------------------------------------
 
-def _equality_frame(P: Polyhedron):
-    """(E⁺, A N), once per P: the pseudo-inverse of E, and the inequality
-    rows on an orthonormal basis N of null(E).  One SVD, with the rank
-    cutoff of `lstsq` (max(E.shape)·eps·s₀)."""
+def equality_frame(P: Polyhedron):
+    """(E⁺, N, A N), once per P: the pseudo-inverse of E, an orthonormal
+    basis N of null(E), and the inequality rows on it.  One SVD, with the
+    rank cutoff of `lstsq` (max(E.shape)·eps·s₀)."""
     def build():
         U, s, Vt = np.linalg.svd(P.E)
         rank = int(np.sum(s > max(P.E.shape) * np.finfo(float).eps * s.max(initial=0.0)))
-        return Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), P.A @ Vt[rank:].T
+        N = Vt[rank:].T
+        return Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), N, P.A @ N
     return _derived(P, "frame", build)
 
 
@@ -246,15 +247,17 @@ def project(P: Polyhedron, z) -> np.ndarray:
     min ||w|| s.t. -(A N) w >= h; its positive entries J are the rows
     active at the answer, which is then the nearest point of
     {A_J x = b_J, E x = d} by one least-squares solve: exactly on its
-    face, and positively homogeneous on a cone.  An empty P, decided once
-    per polyhedron by `interior_point`, raises EmptyPolyhedron.
+    face, and positively homogeneous on a cone.  A P that holds the origin
+    (every b_i >= 0 and d = 0, tested exactly) is nonempty; any other
+    empty P, decided once per polyhedron by `interior_point`, raises
+    EmptyPolyhedron.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.size != P.dim:
         raise DimensionMismatch("projection point dimension mismatch")
-    if is_empty(P):
+    if (np.any(P.b < 0.0) or np.any(P.d != 0.0)) and is_empty(P):
         raise EmptyPolyhedron("cannot project onto an empty polyhedron")
-    pinv, AN = _equality_frame(P)
+    pinv, _, AN = equality_frame(P)
     x0 = z - pinv @ (P.E @ z - P.d)
     h = P.A @ x0 - P.b
     if not np.any(h > 0.0):

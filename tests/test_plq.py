@@ -172,28 +172,90 @@ def test_prox_near_matches_oracle(rng, g_abs, g_ind_nonpos, g_quad, g_two_piece_
     assert outside_tried == 1  # only the indicator has points outside its domain
 
 
-def test_prox_started_at_near_returns_the_unhinted_point(rng, monkeypatch, g_abs,
-                                                        g_ind_nonpos, g_quad, g_two_piece_2d):
-    # the pieces holding `near` start their QPs there; the start, like the
-    # order, must not move the answer, whether near is the answer itself
-    # or another point of dom g
+def test_prox_hint_only_orders_the_pieces(rng, monkeypatch, g_abs, g_ind_nonpos,
+                                         g_quad, g_two_piece_2d):
+    # the pieces holding `near` are projected onto first; the order must not
+    # move the answer, whether near is the answer itself or another point
+    # of dom g
     from plqsqp import plq
-    started = []
-    kernel = plq.active_set_qp
+    projected = []
+    projection = plq.project
 
-    def spy(*args, **kwargs):
-        started.append(kwargs.get("x0") is not None)
-        return kernel(*args, **kwargs)
+    def spy(P, z):
+        projected.append(P)
+        return projection(P, z)
 
-    monkeypatch.setattr(plq, "active_set_qp", spy)
+    monkeypatch.setattr(plq, "project", spy)
     for g in (g_abs, g_ind_nonpos, g_quad, g_two_piece_2d):
         for _ in range(25):
             x = 3.0 * rng.standard_normal(g.m)
             expect = prox(g, x)
             away = sample_domain_point(g, rng, radius=3.0)
             for near in (expect, away):
+                projected.clear()
                 assert np.linalg.norm(prox(g, x, near=near) - expect) <= 1e-12
-    assert any(started)
+                if near is expect:
+                    holding = [g.pieces[i]._ldp_frame[2] for i in active_indices(g, near)]
+                    assert any(projected[0] is P for P in holding)
+
+
+def _embedded(rng, g0, n):
+    """g0 (on R^k) on a random k-dimensional affine subspace of R^n, +inf
+    off it: every piece carries n - k mixed equality rows and a quadratic
+    term indefinite off the subspace, with eigenvalues below -1 there, so
+    A + I is indefinite although g is convex."""
+    k = g0.m
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V, W = basis[:, :k], basis[:, k:]
+    center = rng.standard_normal(n)
+    off = np.diag(rng.uniform(-4.0, -1.5, size=n - k))
+    cross = rng.standard_normal((k, n - k))
+    E = rng.standard_normal((n - k, n - k)) @ W.T
+    pieces = []
+    for p in g0.pieces:
+        M = V @ p.A @ V.T + W @ off @ W.T + V @ cross @ W.T + W @ cross.T @ V.T
+        C = Polyhedron(p.C.A @ V.T, p.C.b + p.C.A @ V.T @ center, E, E @ center)
+        pieces.append(Piece(C, M, V @ p.a - M @ center,
+                            p.alpha + 0.5 * center @ M @ center - p.a @ V.T @ center))
+    return PLQFunction(n, pieces)
+
+
+def test_prox_on_pieces_indefinite_off_their_hull_matches_oracle(rng):
+    # 20 convex functions, each a separable dual-box or a vector-max PLQ
+    # function on a random affine subspace of R^3 to R^5, 10 points each,
+    # hinted and not; the oracle runs every piece's QP on the kernel, which
+    # the prox no longer calls.  The stationary point of A + I on all of R^n
+    # is no lower bound here: a prox bounding pieces by it skips the right
+    # piece on 125 of these 200 points
+    from plqsqp.generators import _box_dual_cells
+    from plqsqp.plq import plq_separable
+    line = Polyhedron(np.zeros((0, 2)), np.zeros(0), [[0.0, 1.0]], [0.0])
+    g = PLQFunction(2, [Piece(line, np.diag([1.0, -3.0]), [0.0, 0.0], 0.0)])
+    assert np.linalg.norm(prox(g, [3.0, 5.0]) - [1.5, 0.0]) <= 1e-10 * 1.5
+    cases = 0
+    for trial in range(20):
+        k = 1 + trial % 2
+        g0 = plq_vector_max(2) if trial % 5 == 4 else plq_separable(
+            [_box_dual_cells(lo, lo + rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.5))
+             for lo in rng.uniform(-1.0, 0.5, size=k)])
+        g = _embedded(rng, g0, n=3 + trial % 3)
+        for _ in range(10):
+            x = 3.0 * rng.standard_normal(g.m)
+            expect = prox_all_pieces(g, x)
+            for near in (None, expect):
+                z = prox(g, x, near=near)
+                assert np.linalg.norm(z - expect) <= 1e-10 * (1.0 + np.linalg.norm(expect))
+            cases += 1
+    assert cases == 200
+
+
+def test_prox_rejects_an_equality_held_as_two_inequalities():
+    # C = {0 <= z2 <= 0}: A + I = diag(2, -2) is indefinite on the null space
+    # of C's (absent) equality rows, so the piece has no least-distance frame
+    slab = Polyhedron([[0.0, 1.0], [0.0, -1.0]], [0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
+    g = PLQFunction(2, [Piece(slab, np.diag([1.0, -3.0]), [0.0, 0.0], 0.0)])
+    with pytest.raises(ValidationError, match="piece 0"):
+        prox(g, [3.0, 5.0])
 
 
 # -- dual LQ --------------------------------------------------------------------
@@ -235,6 +297,24 @@ def test_dual_lq_matches_separable_pieces(rng):
         value, px = dual_lq_eval_prox(h, z)
         assert abs(value - evaluate(g, z)) <= 1e-9
         assert np.linalg.norm(px - prox(g, z)) <= 1e-8
+
+
+def test_dual_lq_prox_matches_the_qp_kernel(rng):
+    # random Omega with equality rows and PSD B, singular at times, against
+    # the QP of the Moreau identity, which the prox no longer runs
+    from plqsqp.qp import active_set_qp
+    for _ in range(100):
+        m = int(rng.integers(1, 5))
+        center = rng.standard_normal(m)
+        A = rng.standard_normal((int(rng.integers(0, 6)), m))
+        E = rng.standard_normal((int(rng.integers(0, m)), m))
+        O = Polyhedron(A, A @ center + rng.random(A.shape[0]), E, E @ center)
+        F = rng.standard_normal((int(rng.integers(0, m + 1)), m))
+        h = DualLQ(O, F.T @ F)
+        z = 3.0 * rng.standard_normal(m)
+        u = active_set_qp(h.B + np.eye(m), -z, O.A, O.b, O.E, O.d).x
+        px = dual_lq_eval_prox(h, z)[1]
+        assert np.linalg.norm(px - (z - u)) <= 1e-10 * (1.0 + np.linalg.norm(z))
 
 
 def test_dual_lq_subdifferential_is_argmax():

@@ -170,6 +170,24 @@ def test_projection_onto_small_scale_sets(P, z, expected):
     assert np.allclose(project(P, z), expected, rtol=1e-9, atol=1e-20)
 
 
+def test_projection_onto_a_set_holding_the_origin_runs_no_feasibility(monkeypatch):
+    # every b_i >= 0 and d = 0 put the origin in P, so P is not empty and
+    # no phase-1 point is needed; the answers are the closed forms
+    calls = []
+    phase_1 = polyhedral.feasible_point
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return phase_1(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedral, "feasible_point", spy)
+    cone = PolyCone.from_rows([[1.0, 1.0]], np.zeros((0, 2)))
+    assert np.allclose(project(cone, [2.0, 0.0]), [1.0, -1.0])
+    box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
+    assert np.allclose(project(box, [3.0, -1.0]), [1.0, 0.0])
+    assert calls == []
+
+
 # -- tangent and normal cones ----------------------------------------------
 
 def test_tangent_cone_examples():

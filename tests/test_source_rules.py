@@ -12,9 +12,9 @@ eliminations go through the per-pattern memo of `normal_cone_hrep` only,
 and implicit equalities through the one LP of `lp.implicit_equalities`.
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
 diagnostics build no polyhedron and measure no normal-cone distance of
-their own.  The dense QP kernel serves the prox pieces and the dual-LQ
-prox (`plq`) and the subproblem's piece QPs (`subqp`) only; projections
-and nonnegative least squares run without it.
+their own.  The dense QP kernel serves the dual-LQ value and
+subdifferential (`plq`) and the subproblem's piece QPs (`subqp`) only;
+projections, the prox and nonnegative least squares run without it.
 """
 
 import ast
@@ -186,11 +186,14 @@ def test_diagnostics_keep_no_calculus_of_their_own():
     assert not found, found
 
 
-def test_qp_kernel_serves_the_prox_and_the_subproblem_only():
+def test_qp_kernel_serves_the_dual_lq_supremum_and_the_subproblem_only():
     users = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        if any(name == "active_set_qp" for name, _ in _referenced_names(tree)):
-            users.add(path.name)
-    # qp.py defines it and calls it nowhere
-    assert users == {"plq.py", "subqp.py"}, sorted(users)
+        for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+            if name != "active_set_qp" \
+                    and any(ref == "active_set_qp" for ref, _ in _referenced_names(node)):
+                users.add((path.name, name))
+    # the dual-LQ value and argmax face, whose B may be singular, and the
+    # subproblem's piece QPs, which may be nonconvex
+    assert users == {("plq.py", "dual_lq_eval_prox"), ("plq.py", "dual_lq_subdifferential"),
+                     ("subqp.py", "solve_subproblem")}, sorted(users)

@@ -50,9 +50,9 @@ def test_one_subproblem_solve_per_iteration(monkeypatch):
 
 
 def test_exact_run_on_elqp_spends_few_qps(qp_calls):
-    # one subproblem per iteration plus one residual per iterate, each
-    # residual's prox starting at the pieces holding Phi(x): 75 QPs when
-    # the prox visits pieces by bound alone
+    # the QPs are the subproblems' piece QPs, tried from the pieces holding
+    # Phi(x_k); each residual's prox projects instead and runs none (75
+    # QPs when the prox ran a QP per piece, visited by bound alone)
     from plqsqp.generators import generate
     gp = generate("elqp", n=3, m=3, seed=5)
     qp_calls.clear()
