@@ -7,6 +7,10 @@ and the domain is the union of the pieces.  The calculus implemented
 here: subdifferentials as H-representations, subderivatives, critical
 cones (as unions of polyhedral cones), second subderivatives,
 proto-derivatives of the subgradient mapping, and proximal points.
+Each function builds one table (`_PieceTable`) at construction: every
+piece's rows stacked with the piece owning each row, and every piece's
+least-distance frame, so membership, active rows and subgradient tests
+at a point are one product with it, and a bad piece fails there.
 
 DualLQ is the dual representation sup_{u in Omega} {<z,u> - ½<u,Bu>}; it
 is kept separate from the piece representation and supports evaluation,
@@ -14,6 +18,7 @@ prox, and subdifferentials only.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +32,21 @@ from .errors import (
     ValidationError,
 )
 from .polyhedral import (
+    ACT_TOL,
     ConeFamily,
     Polyhedron,
     contains,
-    critical_cone,
     equality_frame,
     intersect,
     interior_point,
     is_empty,
     normal_cone_dist,
+    normal_cone_dist_at_rows,
     normal_cone_hrep,
     project,
     prune_redundant,
     tangent_cone,
+    tangent_cone_at_rows,
 )
 from .qp import active_set_qp
 
@@ -93,6 +100,7 @@ class PLQFunction:
         for p in self.pieces:
             if p.C.dim != self.m:
                 raise ValidationError("piece dimension differs from m")
+        object.__setattr__(self, "_table", _piece_table(self.pieces))
 
     def __call__(self, z) -> float:
         return evaluate(self, z)
@@ -129,6 +137,7 @@ class DualLQ:
         if is_empty(self.Omega):
             raise ValidationError("Omega nonempty")
         object.__setattr__(self, "B", 0.5 * (B + B.T))
+        object.__setattr__(self, "_frame", _ldp_frame(self.Omega, self.B, "Omega"))
 
     @property
     def m(self) -> int:
@@ -147,31 +156,30 @@ class DualLQ:
 # pointwise calculus
 # ---------------------------------------------------------------------------
 
+# act: `active_rows`' threshold of each row; piece i owns rows start[i]:start[i + 1]
+_PieceTable = namedtuple("_PieceTable", "A b act owner start E d eq_owner frames")
+
+
+def _piece_table(pieces) -> _PieceTable:
+    Cs = [p.C for p in pieces]
+    count, b = [C.n_ineq for C in Cs], np.concatenate([C.b for C in Cs])
+    return _PieceTable(np.vstack([C.A for C in Cs]), b, ACT_TOL * (1.0 + np.abs(b)),
+                       np.repeat(np.arange(len(Cs)), count), np.cumsum([0] + count),
+                       np.vstack([C.E for C in Cs]), np.concatenate([C.d for C in Cs]),
+                       np.repeat(np.arange(len(Cs)), [C.n_eq for C in Cs]),
+                       tuple(_ldp_frame(p.C, p.A, f"piece {i}") for i, p in enumerate(pieces)))
+
+
 def _membership(g: PLQFunction, z, tol: float = 1e-9):
-    """Boolean piece-membership vector, via a cached stacked-row matrix."""
-    cache = getattr(g, "_stacked_rows", None)
-    if cache is None:
-        rows, rhs, srows, srhs, slices = [], [], [], [], []
-        lo = so = 0
-        for p in g.pieces:
-            rows.append(p.C.A)
-            rhs.append(p.C.b)
-            srows.append(p.C.E)
-            srhs.append(p.C.d)
-            slices.append((lo, lo + p.C.n_ineq, so, so + p.C.n_eq))
-            lo += p.C.n_ineq
-            so += p.C.n_eq
-        cache = (np.vstack(rows), np.concatenate(rhs),
-                 np.vstack(srows), np.concatenate(srhs), slices)
-        object.__setattr__(g, "_stacked_rows", cache)
-    A, b, E, d, slices = cache
+    """(piece-membership vector, A z over the table's stacked inequality
+    rows): one product, its violated rows scattered onto their pieces."""
+    T = g._table
     z = np.asarray(z, dtype=float).ravel()
-    ineq_ok = (A @ z <= b + tol) if A.size else np.ones(0, dtype=bool)
-    eq_ok = (np.abs(E @ z - d) <= tol) if E.size else np.ones(0, dtype=bool)
-    out = np.empty(len(g.pieces), dtype=bool)
-    for i, (l0, l1, s0, s1) in enumerate(slices):
-        out[i] = bool(ineq_ok[l0:l1].all()) and bool(eq_ok[s0:s1].all())
-    return out
+    Az = T.A @ z
+    member = np.ones(len(g.pieces), dtype=bool)
+    member[T.owner[~(Az <= T.b + tol)]] = False
+    member[T.eq_owner[~(np.abs(T.E @ z - T.d) <= tol)]] = False
+    return member, Az
 
 
 def evaluate(g: PLQFunction, z) -> float:
@@ -179,28 +187,42 @@ def evaluate(g: PLQFunction, z) -> float:
     z = np.asarray(z, dtype=float).ravel()
     if z.size != g.m:
         raise DimensionMismatch("argument dimension mismatch")
-    member = _membership(g, z)
-    for i in np.flatnonzero(member):
+    for i in np.flatnonzero(_membership(g, z)[0]):
         return g.pieces[i].value(z)
     return np.inf
 
 
 def active_indices(g: PLQFunction, z) -> list:
     """I(z) = {i : z in C_i}; raises when z is outside the domain."""
-    z = np.asarray(z, dtype=float).ravel()
-    idx = [int(i) for i in np.flatnonzero(_membership(g, z))]
+    idx = [int(i) for i in np.flatnonzero(_membership(g, z)[0])]
     if not idx:
         raise PointOutsideDomain("z lies outside dom g")
     return idx
 
 
-def subgradient_dist(g: PLQFunction, z, v) -> float:
-    """max over active pieces of dist(v - A_i z - a_i, N_{C_i}(z))."""
+def _normal_dists(g: PLQFunction, z, v) -> list:
+    """[(i, J_i, v_i, dist(v_i, N_{C_i}(z)))] over the pieces holding z, with
+    v_i = v - A_i z - a_i and J_i the rows of C_i active at z, membership and
+    activity both read off the one product of `_membership`."""
     z = np.asarray(z, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    dists = [normal_cone_dist(g.pieces[i].C, z, v - g.pieces[i].gradient(z))
-             for i in active_indices(g, z)]
-    return max(dists)
+    T = g._table
+    member, Az = _membership(g, z)
+    if not member.any():
+        raise PointOutsideDomain("z lies outside dom g")
+    active = T.b - Az <= T.act
+    out = []
+    for i in np.flatnonzero(member):
+        C, vi = g.pieces[i].C, v - g.pieces[i].gradient(z)
+        J = np.flatnonzero(active[T.start[i]:T.start[i + 1]]).tolist()
+        out.append((int(i), J, vi, normal_cone_dist_at_rows(C, J, vi)))
+    return out
+
+
+def subgradient_dist(g: PLQFunction, z, v) -> float:
+    """max over active pieces of dist(v - A_i z - a_i, N_{C_i}(z)), from one
+    product with the table's stacked rows (`_normal_dists`)."""
+    return max(dist for *_, dist in _normal_dists(g, z, v))
 
 
 def subdifferential(g: PLQFunction, z) -> Polyhedron:
@@ -249,16 +271,13 @@ def subderivative(g: PLQFunction, z, w) -> float:
 
 
 def piece_critical_cones(g: PLQFunction, z, v, tol: float = SUBGRAD_TOL):
-    """[(i, K_{C_i}(z, v_i))] for active pieces, v_i = v - A_i z - a_i."""
-    z = np.asarray(z, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if subgradient_dist(g, z, v) > tol:
+    """[(i, K_{C_i}(z, v_i))] for active pieces, v_i = v - A_i z - a_i: each
+    T_{C_i}(z) from the table's active rows cut by v_i^T w = 0 (`tangent_cone_at_rows`),
+    after one normal-cone NNLS per piece bounded by tol (`_normal_dists`)."""
+    normals = _normal_dists(g, z, v)
+    if max(dist for *_, dist in normals) > tol:
         raise NotASubgradient("v is not a subgradient of g at z")
-    out = []
-    for i in active_indices(g, z):
-        vi = v - g.pieces[i].gradient(z)
-        out.append((i, critical_cone(g.pieces[i].C, z, vi)))
-    return out
+    return [(i, tangent_cone_at_rows(g.pieces[i].C, J, vi)) for i, J, vi, _ in normals]
 
 
 def critical_cone_g(g: PLQFunction, z, v, tol: float = SUBGRAD_TOL) -> ConeFamily:
@@ -323,33 +342,29 @@ def proto_contains(g: PLQFunction, cones, w, u, tol: float = 1e-8) -> bool:
 # proximal mappings
 # ---------------------------------------------------------------------------
 
-def _ldp_frame(holder, C: Polyhedron, M, label):
-    """(z0, G, P′, Q z0), built once per piece or DualLQ and kept on it, that
-    make argmin ½<Qz, z> + <c, z> over C, Q = M + I, a projection.
+def _ldp_frame(C: Polyhedron, M, label):
+    """(z0, G, P′, Q z0), built with each PLQFunction's table and each DualLQ,
+    that make argmin ½<Qz, z> + <c, z> over C, Q = M + I, a projection.
 
     z0 = E⁺d, N spans null(E) (`equality_frame`), L Lᵀ = Nᵀ Q N and
     G = N L⁻ᵀ; then z = z0 + G y makes the objective ½||y - y_u||² plus a
     constant, y_u = -Gᵀ(Q z0 + c), and C becomes P′ = {A G y <= b - A z0}
     (None when null(E) = {0}).  Only Nᵀ Q N need be positive definite, so
     A may be indefinite off the equalities; when it is not (an equality
-    held as two inequalities), ValidationError names `label`.
+    held as two inequalities), building or loading g raises ValidationError.
     """
-    frame = holder.__dict__.get("_ldp_frame")
-    if frame is None:
-        pinv, N, AN = equality_frame(C)
-        z0 = pinv @ C.d
-        Q = M + np.eye(C.dim)
-        try:
-            L = np.linalg.cholesky(N.T @ Q @ N)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(f"{label}: its quadratic term plus I is not positive "
-                                  "definite on the null space of its equality rows") from exc
-        k = N.shape[1]
-        P = Polyhedron(np.linalg.solve(L, AN.T).T, C.b - C.A @ z0,
-                       np.zeros((0, k)), np.zeros(0)) if k else None
-        frame = (z0, np.linalg.solve(L, N.T).T, P, Q @ z0)
-        object.__setattr__(holder, "_ldp_frame", frame)
-    return frame
+    pinv, N, AN = equality_frame(C)
+    z0 = pinv @ C.d
+    Q = M + np.eye(C.dim)
+    try:
+        L = np.linalg.cholesky(N.T @ Q @ N)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"{label}: its quadratic term plus I is not positive "
+                              "definite on the null space of its equality rows") from exc
+    k = N.shape[1]
+    P = Polyhedron(np.linalg.solve(L, AN.T).T, C.b - C.A @ z0,
+                   np.zeros((0, k)), np.zeros(0)) if k else None
+    return z0, np.linalg.solve(L, N.T).T, P, Q @ z0
 
 
 def prox(g: PLQFunction, x, near=None) -> np.ndarray:
@@ -357,30 +372,32 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
 
     Each piece's value is bounded below by its least value on its
     equalities' hull.  The pieces holding `near` go first, in index order,
-    then the rest best bound first, ties to the lower index; a piece
-    bounded above the incumbent is skipped.  The first point passing the
-    exact subgradient test x - z in dg(z) is the unique prox point, so
-    `near` changes only the order.  When none passes (rounding), the least
-    value wins, ties to the lowest index.
+    each bounded when reached; then the rest best bound first, ties to the
+    lower index, bounded only now.  A piece bounded above the incumbent is
+    skipped.  The first point passing the exact subgradient test x - z in
+    dg(z) is the unique prox point, so `near` changes only the order.  When
+    none passes (rounding), the least value wins, ties to the lowest index.
     """
     x = np.asarray(x, dtype=float).ravel()
-    entries = []  # (bound, index, piece, frame, y_u)
-    for idx, p in enumerate(g.pieces):
-        frame = _ldp_frame(p, p.C, p.A, f"piece {idx}")
-        z0, G, _, Qz0 = frame
+
+    def bounded(idx):  # (bound, index, y_u)
+        p, (z0, G, _, Qz0) = g.pieces[idx], g._table.frames[idx]
         y_u = G.T @ (x - Qz0 - p.a)
         z_u = z0 + G @ y_u
-        lb = p.value(z_u) + 0.5 * float(np.linalg.norm(x - z_u) ** 2)
-        entries.append((lb, idx, p, frame, y_u))
-    order = sorted(entries, key=lambda e: (e[0], e[1]))
-    hinted = np.zeros(len(g.pieces), dtype=bool) if near is None else _membership(g, near)
-    order = [e for e in entries if hinted[e[1]]] + [e for e in order if not hinted[e[1]]]
+        return p.value(z_u) + 0.5 * float(np.linalg.norm(x - z_u) ** 2), idx, y_u
+
+    def order():
+        hinted = np.zeros(len(g.pieces), dtype=bool) if near is None else _membership(g, near)[0]
+        yield from map(bounded, np.flatnonzero(hinted))
+        yield from sorted(map(bounded, np.flatnonzero(~hinted)), key=lambda e: e[:2])
+
     best = None
     best_val = np.inf
     best_idx = len(g.pieces)
-    for lb, idx, p, (z0, G, P, _), y_u in order:
+    for lb, idx, y_u in order():
         if lb > best_val + 1e-12:
             continue  # hinted pieces break the bound order, so skip, not stop
+        p, (z0, G, P, _) = g.pieces[idx], g._table.frames[idx]
         z = z0 if P is None else z0 + G @ project(P, y_u)
         val = p.value(z) + 0.5 * float(np.linalg.norm(x - z) ** 2)
         if val < best_val - 1e-12 or (abs(val - best_val) <= 1e-12 and idx < best_idx):
@@ -404,7 +421,7 @@ def dual_lq_eval_prox(h: DualLQ, z):
         value = -active_set_qp(h.B, -z, O.A, O.b, O.E, O.d).objective
     except Unbounded:
         value = np.inf
-    u0, G, P, Qu0 = _ldp_frame(h, O, h.B, "Omega")
+    u0, G, P, Qu0 = h._frame
     u = u0 if P is None else u0 + G @ project(P, G.T @ (z - Qu0))
     return value, z - u
 

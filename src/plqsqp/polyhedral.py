@@ -273,24 +273,23 @@ def tangent_cone(P: Polyhedron, x, tol: float = 1e-9) -> PolyCone:
     """Tangent cone at x: active inequality rows plus all equality rows."""
     if not contains(P, x, tol):
         raise PointNotInSet("tangent cone requires a point of the set")
-    J = active_rows(P, x)
-    return _derived(P, ("T", tuple(J)), lambda: PolyCone.from_rows(P.A[J], P.E, P.dim))
+    return tangent_cone_at_rows(P, active_rows(P, x))
 
 
 def normal_cone_dist(P: Polyhedron, x, v, tol: float = 1e-9) -> float:
-    """dist(v, N_P(x)) with N_P(x) = {A_J^T mu + E^T nu : mu >= 0}.
-
-    Computed by verified nonnegative least squares after splitting the
-    free equality multipliers into positive and negative parts.
-    """
+    """dist(v, N_P(x)) with N_P(x) = {A_J^T mu + E^T nu : mu >= 0}."""
     if not contains(P, x, tol):
         raise PointNotInSet("normal cone requires a point of the set")
+    return normal_cone_dist_at_rows(P, active_rows(P, x), v)
+
+
+def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
+    """dist(v, N_P(x)) at an x of P whose active rows are J: one verified NNLS,
+    the free equality multipliers split into positive and negative parts."""
     v = np.asarray(v, dtype=float).ravel()
-    J = active_rows(P, x)
     if not (J or P.n_eq):
         return float(np.linalg.norm(v))
-    _, dist = nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)
-    return dist
+    return nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)[1]
 
 
 def critical_cone(P: Polyhedron, x, v, tol: float = 1e-7) -> PolyCone:
@@ -298,11 +297,16 @@ def critical_cone(P: Polyhedron, x, v, tol: float = 1e-7) -> PolyCone:
     v = np.asarray(v, dtype=float).ravel()
     if normal_cone_dist(P, x, v) > tol:
         raise NotANormalVector("v is not a normal vector at x")
-    T = tangent_cone(P, x)
-    if np.linalg.norm(v) <= tol:
+    return tangent_cone_at_rows(P, active_rows(P, x), v, tol)
+
+
+def tangent_cone_at_rows(P: Polyhedron, J, v=None, tol: float = 1e-7) -> PolyCone:
+    """T_P(x) at an x of P whose active rows are J, kept on P per J; cut by
+    v^T w = 0 unless v is None or ||v|| <= tol: the critical cone K_P(x, v)."""
+    T = _derived(P, ("T", tuple(J)), lambda: PolyCone.from_rows(P.A[J], P.E, P.dim))
+    if v is None or np.linalg.norm(v) <= tol:
         return T
-    S = np.vstack([T.E, v.reshape(1, -1)])
-    return PolyCone.from_rows(T.A, S, P.dim)
+    return PolyCone.from_rows(T.A, np.vstack([T.E, v.reshape(1, -1)]), P.dim)
 
 
 def normal_cone_generators(P: Polyhedron, x):

@@ -170,7 +170,7 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     J, r, H, xk = spec.J, spec.r, spec.H, spec.xk
     Theta = problem.Theta
 
-    hinted = _membership(problem.g, r + J @ xk)
+    hinted, _ = _membership(problem.g, r + J @ xk)
     order = sorted(range(len(hinted)), key=lambda i: not hinted[i])  # stable: index order within
     feasible_seen = False
     outside = []  # (step size, solution) of verified candidates outside delta

@@ -27,6 +27,7 @@ from plqsqp.polyhedral import (
     generated_cone_hrep,
     intersect,
     lineality_basis,
+    normal_cone_dist,
     normal_cone_generators,
     project,
 )
@@ -156,6 +157,17 @@ def prox_all_pieces(g, x) -> np.ndarray:
         if val < best_val:
             best, best_val = z, val
     return best
+
+
+def subgradient_dist_by_pieces(g, z, v):
+    """(max dist(v - A_i z - a_i, N_{C_i}(z)), [i]) over the pieces i whose
+    `contains` holds at z, each piece tested and measured on its own by
+    `polyhedral.normal_cone_dist`, with no stacked rows."""
+    holding = [i for i, p in enumerate(g.pieces) if contains(p.C, z)]
+    if not holding:
+        raise PointOutsideDomain("z lies outside dom g")
+    return max(normal_cone_dist(g.pieces[i].C, z, v - g.pieces[i].gradient(z))
+               for i in holding), holding
 
 
 def proto_derivative_set(g, z, v, w) -> Polyhedron:

@@ -13,6 +13,7 @@ from plqsqp.plq import (
     dual_lq_eval_prox,
     dual_lq_subdifferential,
     evaluate,
+    piece_critical_cones,
     plq_vector_max,
     prox,
     sample_domain_point,
@@ -22,14 +23,22 @@ from plqsqp.plq import (
     subderivative,
     subdifferential,
 )
-from plqsqp.polyhedral import Polyhedron, contains, project
+from plqsqp.polyhedral import (
+    Polyhedron,
+    contains,
+    critical_cone,
+    interior_point,
+    intersect,
+    project,
+)
 from plqsqp.properties import (
     prox_resolvent_suite,
     second_quotient_suite,
     subdifferential_duality_suite,
 )
 
-from oracles import prox_all_pieces, vertices
+from oracles import prox_all_pieces, subgradient_dist_by_pieces, vertices
+from test_acceptance import CRITERION4_INSTANCES
 
 
 # -- evaluation --------------------------------------------------------------
@@ -195,8 +204,58 @@ def test_prox_hint_only_orders_the_pieces(rng, monkeypatch, g_abs, g_ind_nonpos,
                 projected.clear()
                 assert np.linalg.norm(prox(g, x, near=near) - expect) <= 1e-12
                 if near is expect:
-                    holding = [g.pieces[i]._ldp_frame[2] for i in active_indices(g, near)]
+                    holding = [g._table.frames[i][2] for i in active_indices(g, near)]
                     assert any(projected[0] is P for P in holding)
+
+
+def test_prox_hinted_at_its_answer_bounds_only_the_answering_piece(rng, monkeypatch):
+    # with near = prox(x), the first piece holding near answers: one bound and
+    # one value, where bounding every piece before the first projection takes
+    # 28 values on these 27 pieces
+    from plqsqp.generators import generate
+    g = generate("elqp", n=3, m=3, seed=5).problem.g
+    assert len(g.pieces) == 27
+    values = []
+    value = Piece.value
+    monkeypatch.setattr(Piece, "value", lambda p, z: values.append(p) or value(p, z))
+    for _ in range(20):
+        x = 3.0 * rng.standard_normal(g.m)
+        expect = prox(g, x)
+        values.clear()
+        assert np.linalg.norm(prox(g, x, near=expect) - expect) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        assert len(values) <= 2, len(values)
+
+
+def test_subgradient_dist_matches_the_per_piece_reference(rng):
+    # membership, active rows and normal-cone distances read off one product
+    # with the stacked rows must match each piece tested and measured on its
+    # own, at random points of dom g and at points of faces shared by two
+    # pieces, for subgradients and for other vectors; the critical cones built
+    # from the stacked rows must be the per-piece ones
+    from plqsqp.generators import generate
+    shared = 0
+    for kind, params, seed in CRITERION4_INSTANCES:
+        g = generate(kind, seed=seed, **params).problem.g
+        points = [sample_domain_point(g, rng) for _ in range(15)]
+        pairs = [(i, j) for i in range(len(g.pieces)) for j in range(i + 1, len(g.pieces))]
+        for k in rng.permutation(len(pairs))[:30]:
+            both = intersect(g.pieces[pairs[k][0]].C, g.pieces[pairs[k][1]].C)
+            z0 = interior_point(both)
+            if z0 is not None:
+                points.append(project(both, z0 + rng.standard_normal(g.m)))
+                shared += 1
+        for z in points:
+            for v in (rng.standard_normal(g.m),
+                      project(subdifferential(g, z), rng.standard_normal(g.m))):
+                expect, holding = subgradient_dist_by_pieces(g, z, v)
+                assert active_indices(g, z) == holding
+                assert abs(subgradient_dist(g, z, v) - expect) <= 1e-12 * (1.0 + expect)
+                if expect > 1e-7:
+                    continue
+                for (i, K), j in zip(piece_critical_cones(g, z, v), holding, strict=True):
+                    ref = critical_cone(g.pieces[j].C, z, v - g.pieces[j].gradient(z))
+                    assert i == j and np.array_equal(K.A, ref.A) and np.array_equal(K.E, ref.E)
+    assert shared >= 30
 
 
 def _embedded(rng, g0, n):
@@ -249,13 +308,27 @@ def test_prox_on_pieces_indefinite_off_their_hull_matches_oracle(rng):
     assert cases == 200
 
 
-def test_prox_rejects_an_equality_held_as_two_inequalities():
+def test_an_equality_held_as_two_inequalities_is_rejected_at_construction_and_load(tmp_path):
     # C = {0 <= z2 <= 0}: A + I = diag(2, -2) is indefinite on the null space
-    # of C's (absent) equality rows, so the piece has no least-distance frame
+    # of C's (absent) equality rows, so the piece has no least-distance frame;
+    # the function is refused when it is built and its file when it is loaded,
+    # before any prox could visit the piece
+    from plqsqp.kkt import CompositeProblem, Poly2Map
+    from plqsqp.probio import load_problem, save_problem
     slab = Polyhedron([[0.0, 1.0], [0.0, -1.0]], [0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
-    g = PLQFunction(2, [Piece(slab, np.diag([1.0, -3.0]), [0.0, 0.0], 0.0)])
-    with pytest.raises(ValidationError, match="piece 0"):
-        prox(g, [3.0, 5.0])
+    good = Piece(slab, np.diag([1.0, 3.0]), [0.0, 0.0], 0.0)
+    bad = Piece(slab, np.diag([1.0, -3.0]), [0.0, 0.0], 0.0)
+    with pytest.raises(ValidationError, match="piece 1: .* not positive definite"):
+        PLQFunction(2, [good, bad])
+    problem = CompositeProblem(Poly2Map(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2, 2))),
+                               Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2))),
+                               PLQFunction(2, [good]), Polyhedron.whole_space(2))
+    path = tmp_path / "slab.json"
+    save_problem(path, problem)
+    load_problem(path)
+    path.write_text(path.read_text().replace("3.0", "-3.0"))
+    with pytest.raises(ValidationError, match="piece 0: .* not positive definite"):
+        load_problem(path)
 
 
 # -- dual LQ --------------------------------------------------------------------

@@ -15,6 +15,8 @@ diagnostics build no polyhedron and measure no normal-cone distance of
 their own.  The dense QP kernel serves the dual-LQ value and
 subdifferential (`plq`) and the subproblem's piece QPs (`subqp`) only;
 projections, the prox and nonnegative least squares run without it.
+PLQ membership and subgradient tests read the function's stacked piece
+rows and make no per-piece membership, activity or normal-cone call.
 """
 
 import ast
@@ -197,3 +199,15 @@ def test_qp_kernel_serves_the_dual_lq_supremum_and_the_subproblem_only():
     # subproblem's piece QPs, which may be nonconvex
     assert users == {("plq.py", "dual_lq_eval_prox"), ("plq.py", "dual_lq_subdifferential"),
                      ("subqp.py", "solve_subproblem")}, sorted(users)
+
+
+def test_pointwise_plq_tests_read_the_stacked_piece_rows():
+    path = PACKAGE / "plq.py"
+    seen, per_piece = set(), set()
+    for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+        if name in {"_membership", "_normal_dists", "subgradient_dist"}:
+            seen.add(name)
+            per_piece.update((name, ref) for ref, _ in _referenced_names(node)
+                             if ref in {"contains", "active_rows", "normal_cone_dist"})
+    assert not per_piece, sorted(per_piece)
+    assert seen == {"_membership", "_normal_dists", "subgradient_dist"}, sorted(seen)
