@@ -1,13 +1,14 @@
 """Structural condition checks at KKT points.
 
-Noncriticality and multiplier uniqueness are decided exactly: both
-reduce, after enumerating activity patterns of the critical cones, to
-homogeneous linear systems, each decided by one implicit-equality LP
-and a rank test (`LPBuilder.nonzero_block`).  The second-order sufficient
-condition is exact too, by one eigenvalue test per face of each
-critical-cone member; a member above 1,024 faces makes the verdict
-inconclusive.  It keeps the heuristic_* result names that callers
-compare against.  Calmness and the primal estimates are sampled
+Noncriticality and multiplier uniqueness are decided exactly, as
+homogeneous linear systems, each decided by one implicit-equality LP and
+a rank test (`LPBuilder.nonzero_block`): noncriticality has one system
+per activity pattern of the critical cones, uniqueness the single dual
+cone condition (the multiplier polyhedron is not built).  The
+second-order sufficient condition is exact too, by one eigenvalue test
+per face of each critical-cone member; a member above 1,024 faces makes
+the verdict inconclusive.  It keeps the heuristic_* result names that
+callers compare against.  Calmness and the primal estimates are sampled
 empirically by solving perturbed KKT systems.  Failure certificates are
 always exact vectors.
 """
@@ -172,7 +173,7 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
 
 
 # ---------------------------------------------------------------------------
-# multiplier uniqueness (exact, two agreeing routes)
+# multiplier uniqueness (exact, one LP)
 # ---------------------------------------------------------------------------
 
 def _dual_condition_nonzero(point):
@@ -198,42 +199,22 @@ def _dual_condition_nonzero(point):
 
 def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
                             tol: float = 1e-6) -> Verdict:
-    """Exact uniqueness of the multiplier, decided by two independent routes.
+    """Exact uniqueness of the multiplier by the dual cone condition.
 
-    Geometric route: coordinate LPs bound the multiplier polyhedron; it
-    is a singleton iff every coordinate has equal min and max.  Dual
-    route: existence of a nonzero u in K_g^* with -J^T u in K_Theta^*.
-    The routes must agree.
+    Lambda(xbar) is the single point lambdabar iff no u != 0 has u in
+    K_g^* and -J^T u in K_Theta^*, ^* the polar and K_g the intersection
+    of the active pieces' critical cones (Kyparisis 1985; the strict-MFCQ
+    analogue of Bonnans 1994).  One LP decides it
+    (`_dual_condition_nonzero`); on failure such a u is the certificate:
+    lambdabar + t u stays a multiplier for small t > 0.
     """
     point = kkt_point(problem, xbar, lambdabar, tol)
     u = _dual_condition_nonzero(point)
-    lambdabar = point.lam
-    Lam = multiplier_set(problem, point.x)
-    geometric_unique = True
-    witness = None
-    for j in range(problem.m):
-        e = np.zeros(problem.m)
-        e[j] = 1.0
-        for sign in (1.0, -1.0):
-            status, lam_opt, val = solve_lp(sign * e, A_ub=Lam.A if Lam.n_ineq else None,
-                                            b_ub=Lam.b if Lam.n_ineq else None,
-                                            A_eq=Lam.E if Lam.n_eq else None,
-                                            b_eq=Lam.d if Lam.n_eq else None)
-            if status != LP_OPTIMAL or abs(sign * val - lambdabar[j]) > 1e-7 * (1 + abs(lambdabar[j])):
-                geometric_unique = False
-                witness = lam_opt
-                break
-        if not geometric_unique:
-            break
-    dual_unique = u is None
-    if geometric_unique != dual_unique:
-        raise PLQError(
-            f"uniqueness routes disagree: geometric={geometric_unique}, dual={dual_unique}")
-    if geometric_unique:
+    if u is None:
         return Verdict("unique_multiplier", "holds",
-                       detail="multiplier polyhedron is the single point; dual condition agrees")
-    return Verdict("unique_multiplier", "fails", certificate=u if u is not None else witness,
-                   detail="second multiplier direction exists; dual condition agrees")
+                       detail="dual cone condition admits only u = 0")
+    return Verdict("unique_multiplier", "fails", certificate=u,
+                   detail="dual cone condition admits u != 0: a second multiplier direction")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +428,7 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     rng = rng or np.random.default_rng(0)
     xbar, lambdabar = point.x, point.lam
     n, m = problem.n, problem.m
-    Lam = multiplier_set(problem, xbar)
+    Lam = multiplier_set(problem, xbar) if mode == "full" else None
     D = cone_D(point) if mode == "primal_D" else None
     Dp = subspace_Dplus(point) if mode == "primal_Dplus" else None
     kappas = []

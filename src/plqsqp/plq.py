@@ -407,13 +407,21 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
     return best
 
 
+def _dual_lq_prox(h: DualLQ, z) -> np.ndarray:
+    """prox_{f_{Omega,B}}(z) = z - argmin_{u in Omega} ½<(B+I)u, u> - <z, u>
+    (Moreau), one projection in Omega's `_ldp_frame`."""
+    z = np.asarray(z, dtype=float).ravel()
+    u0, G, P, Qu0 = h._frame
+    u = u0 if P is None else u0 + G @ project(P, G.T @ (z - Qu0))
+    return z - u
+
+
 def dual_lq_eval_prox(h: DualLQ, z):
     """(f_{Omega,B}(z), prox_{f}(z)).
 
     The value is the optimum of the concave QP over Omega (+inf when the
-    supremum is unbounded), on the QP kernel as B may be singular.  The
-    prox is z - argmin_{u in Omega} ½<(B+I)u, u> - <z, u> (Moreau), one
-    projection in Omega's `_ldp_frame`.
+    supremum is unbounded), on the QP kernel as B may be singular; the
+    prox is `_dual_lq_prox`.
     """
     z = np.asarray(z, dtype=float).ravel()
     O = h.Omega
@@ -421,9 +429,7 @@ def dual_lq_eval_prox(h: DualLQ, z):
         value = -active_set_qp(h.B, -z, O.A, O.b, O.E, O.d).objective
     except Unbounded:
         value = np.inf
-    u0, G, P, Qu0 = h._frame
-    u = u0 if P is None else u0 + G @ project(P, G.T @ (z - Qu0))
-    return value, z - u
+    return value, _dual_lq_prox(h, z)
 
 
 def dual_lq_subdifferential(h: DualLQ, z) -> Polyhedron:
@@ -444,7 +450,7 @@ def prox_any(g, x, near=None) -> np.ndarray:
     """Prox for either representation of g; `near` is prox's visiting hint
     (a dual-LQ g has no pieces to order and ignores it)."""
     if isinstance(g, DualLQ):
-        return dual_lq_eval_prox(g, x)[1]
+        return _dual_lq_prox(g, x)
     return prox(g, x, near)
 
 

@@ -3,9 +3,11 @@
 These deliberately avoid the production code paths they check: the
 noncriticality oracle scans a grid of directions and decides each one
 with the eliminated proto-derivative H-representation, not with the
-activity-pattern LPs used by the diagnostics module.  The enumerations
-and residuals below serve only as test references, so they live here
-rather than in the package.
+activity-pattern LPs used by the diagnostics module, and the uniqueness
+oracle bounds the multiplier polyhedron coordinate by coordinate, not
+with the dual cone condition.  The enumerations and residuals below
+serve only as test references, so they live here rather than in the
+package.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from plqsqp.errors import PointOutsideDomain, TooManyRows
-from plqsqp.kkt import lagrangian
+from plqsqp.kkt import lagrangian, multiplier_set
 from plqsqp.lp import LP_OPTIMAL, feasible_point, solve_lp
 from plqsqp.qp import active_set_qp
 from plqsqp.plq import piece_critical_cones, prox
@@ -248,6 +250,24 @@ def grid_noncritical_oracle(problem, xbar, lambdabar, grid=None):
     for w in shell:
         if criticality_feasible_at(problem, xbar, lambdabar, w):
             return False
+    return True
+
+
+def unique_multiplier_by_coordinates(problem, x, lam) -> bool:
+    """Whether Lambda(x) is the single point lam: min and max of each
+    coordinate over `multiplier_set` by LP, each equal to lam_j to 1e-7
+    relative."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    Lam = multiplier_set(problem, x)
+    for j in range(problem.m):
+        for sign in (1.0, -1.0):
+            status, _, val = solve_lp(sign * np.eye(problem.m)[j],
+                                      A_ub=Lam.A if Lam.n_ineq else None,
+                                      b_ub=Lam.b if Lam.n_ineq else None,
+                                      A_eq=Lam.E if Lam.n_eq else None,
+                                      b_eq=Lam.d if Lam.n_eq else None)
+            if status != LP_OPTIMAL or abs(sign * val - lam[j]) > 1e-7 * (1 + abs(lam[j])):
+                return False
     return True
 
 

@@ -27,8 +27,13 @@ from plqsqp.plq import (
 )
 from plqsqp.polyhedral import PolyCone, Polyhedron, contains, project
 
-from conftest import make_dual_lq, make_p1, make_p2
-from oracles import grid_noncritical_oracle, min_form_by_subsets
+from conftest import make_degenerate_range, make_dual_lq, make_p1, make_p2
+from oracles import (
+    grid_noncritical_oracle,
+    min_form_by_subsets,
+    unique_multiplier_by_coordinates,
+)
+from test_theta_constrained import LAMBAR, XBAR, box_fixture
 
 
 # -- noncriticality -----------------------------------------------------------
@@ -175,6 +180,38 @@ def test_unique_multiplier_examples():
 def test_unique_multiplier_degenerate_range(degenerate_range):
     v = check_unique_multiplier(degenerate_range, [0.0], [0.5, 0.5])
     assert v.result == "fails" and v.certificate is not None
+
+
+def _uniqueness_cases():
+    for kind in ("nlp", "elqp", "critical_showcase", "minmax"):
+        for seed in range(4):
+            gp = generate(kind, seed=seed)
+            yield f"{kind} seed {seed}", gp.problem, gp.xbar, gp.lambdabar
+    yield "P1", make_p1(), [1.0], [1.0]
+    for lam in (0.0, 0.5, -1.0):
+        yield f"P2 lam={lam}", make_p2(), [0.0], [lam]
+    for lam in ([0.5, 0.5], [0.2, 0.8]):
+        yield f"degenerate_range lam={lam}", make_degenerate_range(), [0.0], lam
+    yield "box", box_fixture(), XBAR, LAMBAR
+
+
+def test_unique_multiplier_matches_the_coordinate_oracle(monkeypatch):
+    # one LP decides (the dual cone condition); the multiplier polyhedron's
+    # coordinate ranges agree, and a failing certificate is a direction
+    # that stays inside that polyhedron
+    lps = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "solve_lp")
+    outcomes = set()
+    for name, prob, x, lam in _uniqueness_cases():
+        before = lps[0]
+        verdict = check_unique_multiplier(prob, x, lam)
+        assert lps[0] - before == 1, name
+        assert verdict.passed == unique_multiplier_by_coordinates(prob, x, lam), name
+        outcomes.add(verdict.result)
+        if not verdict.passed:
+            u = verdict.certificate
+            moved = np.asarray(lam, dtype=float) + 1e-3 * u / np.abs(u).max()
+            assert contains(multiplier_set(prob, x), moved, 1e-9), name
+    assert outcomes == {"holds", "fails"}
 
 
 # -- SOSC -------------------------------------------------------------------------

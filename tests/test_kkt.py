@@ -13,7 +13,7 @@ from plqsqp.kkt import (
     perturbed_problem,
     subspace_Dplus,
 )
-from plqsqp.plq import plq_quadratic
+from plqsqp.plq import plq_quadratic, prox_any
 from plqsqp.polyhedral import Polyhedron, contains
 
 from conftest import make_dual_lq
@@ -96,6 +96,16 @@ def test_kkt_residual_at_a_kkt_point_runs_at_most_one_prox_qp(qp_calls):
     qp_calls.clear()
     assert kkt_residual(gp.problem, gp.xbar, gp.lambdabar) <= 1e-10
     assert len(qp_calls) <= 1
+
+
+def test_dual_lq_prox_and_kkt_residual_run_no_qp(qp_calls):
+    # the dual-LQ prox is one projection in Omega's frame; the value QP of
+    # dual_lq_eval_prox is not run for a prox nobody reads the value of
+    prob = make_dual_lq()
+    qp_calls.clear()
+    assert abs(prox_any(prob.g, [0.5])[0] - 0.25) <= 1e-12  # u = z / 2 on [0, 1]
+    assert kkt_residual(prob, [0.0], [0.5]) <= 1e-12
+    assert qp_calls == []
 
 
 def test_kkt_residual_requires_theta_membership(p1):

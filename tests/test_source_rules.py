@@ -17,6 +17,9 @@ subdifferential (`plq`) and the subproblem's piece QPs (`subqp`) only;
 projections, the prox and nonnegative least squares run without it.
 PLQ membership and subgradient tests read the function's stacked piece
 rows and make no per-piece membership, activity or normal-cone call.
+Multiplier uniqueness has one route, the dual cone condition's LP:
+`check_unique_multiplier` and the helpers it calls build no multiplier
+polyhedron and run no LP of their own.
 """
 
 import ast
@@ -211,3 +214,21 @@ def test_pointwise_plq_tests_read_the_stacked_piece_rows():
                              if ref in {"contains", "active_rows", "normal_cone_dist"})
     assert not per_piece, sorted(per_piece)
     assert seen == {"_membership", "_normal_dists", "subgradient_dist"}, sorted(seen)
+
+
+def test_multiplier_uniqueness_has_one_route():
+    path = PACKAGE / "diagnostics.py"
+    defs = {name: node for name, node in _statements(ast.parse(path.read_text(),
+                                                                filename=str(path)))}
+    # check_unique_multiplier and every module function it reaches
+    reached, todo = set(), ["check_unique_multiplier"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(ref for ref, _ in _referenced_names(defs[name]) if ref in defs)
+    found = sorted((name, ref) for name in reached for ref, _ in _referenced_names(defs[name])
+                   if ref in {"multiplier_set", "solve_lp"})
+    assert reached >= {"check_unique_multiplier", "_dual_condition_nonzero"}, sorted(reached)
+    assert not found, found
