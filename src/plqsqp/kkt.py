@@ -23,10 +23,10 @@ from .plq import (
     DualLQ,
     PLQFunction,
     dual_lq_subdifferential,
+    evaluate,
     piece_critical_cones,
     prox_any,
     subdifferential,
-    value_any,
 )
 from .polyhedral import (
     ConeFamily,
@@ -129,9 +129,6 @@ class CompositeProblem:
     def m(self) -> int:
         return self.Phi.k
 
-    def objective(self, x) -> float:
-        return float(self.phi.value(x)[0]) + value_any(self.g, self.Phi.value(x))
-
     def to_dict(self):
         g = self.g.to_dict()
         return {
@@ -185,19 +182,37 @@ def lagrangian(problem: CompositeProblem, x, lam):
     return value, grad, hess
 
 
+def _smooth_data(problem: CompositeProblem, x):
+    """(Phi(x), J(x), grad phi(x)) at a raveled float x, as read-only arrays.
+
+    The last answer is kept on the problem, keyed by x's bytes, so an SQP
+    iterate's residual, subproblem and BFGS gradients share one evaluation.
+    """
+    key = x.tobytes()
+    memo = getattr(problem, "_smooth_memo", None)
+    if memo is None or memo[0] != key:
+        memo = (key, (problem.Phi.value(x), problem.Phi.jacobian(x), problem.phi.jacobian(x)[0]))
+        for a in memo[1]:
+            a.flags.writeable = False  # shared by every caller at x
+        object.__setattr__(problem, "_smooth_memo", memo)
+    return memo[1]
+
+
 def kkt_residual(problem: CompositeProblem, x, lam, theta_tol: float = 1e-8) -> float:
     """dist(-grad_x L, N_Theta(x)) + ||Phi(x) - prox_g(lam + Phi(x))||.
 
-    The prox visits the pieces holding z = Phi(x) first: near a KKT pair
-    the prox point is z itself, so the first projection usually answers.
+    Phi(x), J(x) and grad phi(x) come from `_smooth_data`.  The prox visits
+    the pieces holding z = Phi(x) first: near a KKT pair the prox point is
+    z itself, so the first projection usually answers.
     """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
     if not contains(problem.Theta, x, theta_tol):
         raise PointNotInTheta("x must lie in Theta")
-    _, grad, _ = lagrangian(problem, x, lam)
-    stat = normal_cone_dist(problem.Theta, x, -grad)
-    z = problem.Phi.value(x)
+    if lam.size != problem.m:
+        raise DimensionMismatch("multiplier dimension differs from the range of Phi")
+    z, J, gphi = _smooth_data(problem, x)
+    stat = normal_cone_dist(problem.Theta, x, -(gphi + J.T @ lam))
     comp = float(np.linalg.norm(z - prox_any(problem.g, lam + z, near=z)))
     return stat + comp
 
@@ -212,20 +227,19 @@ def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
     x = np.asarray(x, dtype=float).ravel()
     if not contains(problem.Theta, x, 1e-8):
         raise PointOutsideDomain("x must lie in Theta")
-    z = problem.Phi.value(x)
+    z, J, gphi = _smooth_data(problem, x)
     if isinstance(problem.g, PLQFunction):
-        if not np.isfinite(value_any(problem.g, z)):
+        if not np.isfinite(evaluate(problem.g, z)):
             raise PointOutsideDomain("Phi(x) outside dom g")
         sub = subdifferential(problem.g, z)
     else:
         sub = dual_lq_subdifferential(problem.g, z)
     m = problem.m
-    J = problem.Phi.jacobian(x)
     G, L = normal_cone_generators(problem.Theta, x)
     k, j = G.shape[0], L.shape[0]
     # variables (lam, mu, nu): J^T lam + G^T mu + L^T nu = -grad phi, mu >= 0
     E = np.hstack([J.T, G.T, L.T])
-    d = -problem.phi.jacobian(x)[0]
+    d = -gphi
     A = np.hstack([np.zeros((k, m)), -np.eye(k), np.zeros((k, j))])
     b = np.zeros(k)
     stat = fourier_motzkin(A, b, E, d, keep=list(range(m)))
@@ -282,8 +296,9 @@ def kkt_point(problem: CompositeProblem, x, lam, tol: float = KKT_TOL) -> KKTPoi
     r = kkt_residual(problem, x, lam)
     if r > tol:
         raise NotAKKTPoint(f"KKT residual {r:.3e} exceeds {tol:.1e}")
-    _, grad, hess = lagrangian(problem, x, lam)
-    return KKTPoint(problem, x, lam, r, grad, hess, problem.Phi.jacobian(x))
+    _, J, gphi = _smooth_data(problem, x)
+    hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)
+    return KKTPoint(problem, x, lam, r, gphi + J.T @ lam, hess, J)
 
 
 def cone_D(point: KKTPoint) -> ConeFamily:

@@ -454,12 +454,6 @@ def prox_any(g, x, near=None) -> np.ndarray:
     return prox(g, x, near)
 
 
-def value_any(g, z) -> float:
-    if isinstance(g, DualLQ):
-        return dual_lq_eval_prox(g, z)[0]
-    return evaluate(g, z)
-
-
 # ---------------------------------------------------------------------------
 # certificates (sampling-based validation of user-supplied pieces)
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Solves  min ½ xᵀQx + cᵀx  s.t.  A x <= b,  E x = d  at desk scale.
 When Q is positive semidefinite on the feasible directions the returned
 point is a global minimizer; otherwise iteration stops at a first-order
 KKT (stationary) point.  Each working-set iteration is one null-space step
-(Nocedal & Wright, ch. 16) from two factorizations:
+(Nocedal & Wright, ch. 16) from two factorizations, kept per working set
+(the optimality check after a full unblocked step reuses them):
 
 - one SVD of the working rows C = U S Vᵀ, with the rank cutoff of `lstsq`
   (max(C.shape)·eps·s₀).  It gives the min-norm correction onto C x = r,
@@ -123,17 +124,21 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
     work = _independent_active_rows(A, E, active)
 
     max_iter = 100 * (p + q + n + 5)
+    factored = None  # the working set whose factors are held
     for it in range(max_iter):
-        C = np.vstack([E, A[work]])
-        U, s, Vt = np.linalg.svd(C)
-        rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])) if s.size else 0
-        Ur, sr, Vr, Z = U[:, :rank], s[:rank], Vt[:rank], Vt[rank:].T
+        if work != factored:
+            factored = list(work)
+            C = np.vstack([E, A[work]])
+            U, s, Vt = np.linalg.svd(C)
+            rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])) if s.size else 0
+            Ur, sr, Vr, Z = U[:, :rank], s[:rank], Vt[:rank], Vt[rank:].T
+            if Z.shape[1]:
+                eigvals, V = np.linalg.eigh(Z.T @ Q @ Z)
         x_p = x + Vr.T @ ((Ur.T @ (np.concatenate([d, b[work]]) - C @ x)) / sr)
 
         x_new, ray = x_p, None
         if Z.shape[1]:
             g = Z.T @ (Q @ x_p + c)
-            eigvals, V = np.linalg.eigh(Z.T @ Q @ Z)
             curv_tol = _CURV_REL * max(1.0, float(np.abs(eigvals).max()))
             gV = V.T @ g
             jneg = int(np.argmin(eigvals))

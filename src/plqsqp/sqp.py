@@ -31,6 +31,7 @@ from .errors import (
 from .kkt import (
     CompositeProblem,
     PrimalDual,
+    _smooth_data,
     cone_D,
     kkt_point,
     kkt_residual,
@@ -163,8 +164,10 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
     """Run the SQP iteration; returns the list of IterateRecord rows.
 
     The first record is the starting point; each later record is one
-    accepted subproblem solution.  Raises SubproblemFailure or
-    MaxIterReached with the partial trace attached.
+    accepted subproblem solution.  Phi, J and grad phi are evaluated once
+    per iterate (`kkt._smooth_data`), for its residual, its subproblem and
+    the BFGS gradients grad phi + J^T lambda_{k+1} at x_k and x_{k+1}.
+    Raises SubproblemFailure or MaxIterReached with the partial trace attached.
     """
     config = config or SQPConfig()
     x = np.asarray(x0, dtype=float).ravel().copy()
@@ -177,7 +180,7 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
     for k in range(1, config.max_iter + 1):
         if residual <= config.tol:
             break
-        hess = lagrangian(problem, x, lam)[2]
+        hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)  # hess_xx L(x, lam)
         if config.hessian_mode == "exact":
             H = hess
         elif config.hessian_mode == "fixed_identity":
@@ -194,8 +197,10 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
         step_norm = float(np.linalg.norm(s))
         err = (hess - H) @ s
         if config.hessian_mode == "bfgs" and step_norm > 1e-14:
-            gL_new = lagrangian(problem, sol.x_next, sol.lambda_next)[1]
-            gL_old = lagrangian(problem, x, sol.lambda_next)[1]
+            _, J, gphi = _smooth_data(problem, x)
+            _, J_new, gphi_new = _smooth_data(problem, sol.x_next)
+            gL_new = gphi_new + J_new.T @ sol.lambda_next
+            gL_old = gphi + J.T @ sol.lambda_next
             H_qn = bfgs_update(H_qn, s, gL_new - gL_old, config.bfgs_damping)
         x, lam = sol.x_next.copy(), sol.lambda_next.copy()
         residual = kkt_residual(problem, x, lam)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, NoFeasiblePiece, PointOutsideDomain, Unbounded
-from .kkt import CompositeProblem
+from .kkt import CompositeProblem, _smooth_data
 from .lp import LPBuilder, feasible_point
 from .plq import PLQFunction, _membership, active_indices, prox_any, subgradient_dist
 from .polyhedral import normal_cone_dist, normal_cone_generators
@@ -51,7 +51,8 @@ DELTA_GROWTH = 10.0  # factor by which a radius holding no candidate grows
 class SubproblemSpec:
     """Subproblem data at (xk, lambdak).
 
-    The linearization at xk is computed once, on construction: J,
+    The linearization at xk is read once, on construction, from
+    `kkt._smooth_data` (filled by the SQP residual at xk): J,
     r = Phi(xk) - J xk and gphi = grad phi(xk).  The radius delta must be
     positive, so that solve_subproblem can grow it.
     """
@@ -74,10 +75,10 @@ class SubproblemSpec:
         H = np.asarray(self.H, dtype=float)
         H = 0.5 * (H + H.T)
         object.__setattr__(self, "H", H)
-        J = self.problem.Phi.jacobian(xk)
+        z, J, gphi = _smooth_data(self.problem, xk)
         object.__setattr__(self, "J", J)
-        object.__setattr__(self, "r", self.problem.Phi.value(xk) - J @ xk)
-        object.__setattr__(self, "gphi", self.problem.phi.jacobian(xk)[0])
+        object.__setattr__(self, "r", z - J @ xk)
+        object.__setattr__(self, "gphi", gphi)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 import numpy as np
 
 from plqsqp.diagnostics import check_noncritical
-from plqsqp.errors import PLQError
+from plqsqp.errors import MaxIterReached, PLQError, SubproblemFailure
 from plqsqp.generators import generate
 from plqsqp.kkt import PrimalDual, kkt_residual, multiplier_set
 from plqsqp.polyhedral import project
 from plqsqp.sqp import SQPConfig, rate_report, run_classification, run_sqp
 
 from conftest import make_p1, make_p2
+from test_acceptance import CRITERION4_INSTANCES
 
 
 INSTANCES = [
@@ -113,3 +114,25 @@ def test_error_bound_ratio_matches_calmness_verdict():
         lhs = t + 0.0  # the multiplier set is all of R
         ratios.append(lhs / r)
     assert ratios[-1] > 10.0 * ratios[0]  # unbounded under criticality
+
+
+def test_recorded_residuals_equal_the_public_residual():
+    # run_sqp's residuals read the smooth data shared with the subproblem
+    # and the BFGS update; each must equal kkt_residual on a problem that
+    # shares none of it, bit for bit
+    rng = np.random.default_rng(7)
+    for kind, params, seed in CRITERION4_INSTANCES:
+        gp = generate(kind, seed=seed, **params)
+        fresh = generate(kind, seed=seed, **params).problem
+        n, m = gp.problem.n, gp.problem.m
+        for mode in ("exact", "bfgs"):
+            d = rng.standard_normal(n + m)
+            d *= 0.4 / np.linalg.norm(d)
+            try:
+                trace = run_sqp(gp.problem, gp.xbar + d[:n], gp.lambdabar + d[n:],
+                                SQPConfig(hessian_mode=mode))
+            except (MaxIterReached, SubproblemFailure) as exc:
+                trace = exc.trace
+            assert len(trace) >= 2
+            for rec in trace:
+                assert rec.residual == kkt_residual(fresh, rec.x, rec.lam), (kind, mode, rec.k)

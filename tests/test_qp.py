@@ -74,6 +74,26 @@ def test_zero_curvature_without_descent_is_optimal_not_unbounded():
     assert abs(res.objective + 0.5) <= 1e-12
 
 
+def test_one_factorization_per_working_set(monkeypatch):
+    # from a feasible x0 with no active row: one full step to the
+    # unconstrained minimizer, unblocked, then the zero-step optimality
+    # check on the same (empty) working set, which reuses its factors
+    from plqsqp import qp
+    svd = qp.np.linalg.svd
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(qp.np.linalg, "svd", spy)
+    res = active_set_qp(np.eye(2), [-1.0, -1.0], np.array([[1.0, 0.0]]), [5.0], None, None,
+                        x0=[0.0, 0.0])
+    assert res.status == "optimal" and np.allclose(res.x, [1.0, 1.0], atol=1e-12)
+    assert res.iterations == 2
+    assert len(calls) == 1
+
+
 def test_negative_curvature_returns_stationary_point():
     # concave objective over a box: stationary (vertex) point expected
     A = np.vstack([np.eye(2), -np.eye(2)])

@@ -19,7 +19,9 @@ PLQ membership and subgradient tests read the function's stacked piece
 rows and make no per-piece membership, activity or normal-cone call.
 Multiplier uniqueness has one route, the dual cone condition's LP:
 `check_unique_multiplier` and the helpers it calls build no multiplier
-polyhedron and run no LP of their own.
+polyhedron and run no LP of their own.  The SQP driver and its subproblem
+data reach Phi, J and grad phi through `kkt._smooth_data` only, the one
+evaluation per iterate that they share.
 """
 
 import ast
@@ -232,3 +234,18 @@ def test_multiplier_uniqueness_has_one_route():
                    if ref in {"multiplier_set", "solve_lp"})
     assert reached >= {"check_unique_multiplier", "_dual_condition_nonzero"}, sorted(reached)
     assert not found, found
+
+
+def test_sqp_iterates_evaluate_the_smooth_data_once():
+    seen, direct = set(), set()
+    for file, owner in (("sqp.py", "run_sqp"), ("subqp.py", "SubproblemSpec")):
+        path = PACKAGE / file
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if getattr(node, "name", None) == owner:
+                seen.add(owner)
+                names = {ref for ref, _ in _referenced_names(node)}
+                assert "_smooth_data" in names, owner
+                direct.update((owner, ref) for ref in names
+                              & {"lagrangian", "value", "jacobian", "Poly2Map"})
+    assert seen == {"run_sqp", "SubproblemSpec"}, sorted(seen)
+    assert not direct, sorted(direct)

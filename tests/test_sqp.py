@@ -61,6 +61,42 @@ def test_exact_run_on_elqp_spends_few_qps(qp_calls):
     assert len(qp_calls) <= 15
 
 
+@pytest.mark.parametrize("mode", ["exact", "bfgs"])
+def test_phi_is_evaluated_once_per_iterate(mode, monkeypatch):
+    # an iterate's residual, its subproblem's linearization and the BFGS
+    # gradients at x_k and x_{k+1} share one evaluation of Phi, J and
+    # grad phi, and hess_xx L comes from the quadratic data: beyond the
+    # first residual's own evaluations, at most one Poly2Map.value per
+    # record and no lagrangian in the iteration loop (the loop evaluated
+    # Phi about three times per iterate and ran lagrangian two to four times)
+    from plqsqp import kkt
+    from plqsqp.generators import generate
+    gp = generate("elqp", n=3, m=3, seed=5)
+    fresh = generate("elqp", n=3, m=3, seed=5).problem  # shares no memo with gp
+    x0, l0 = gp.xbar + 0.3, gp.lambdabar + 0.3
+    calls = {"value": 0, "lagrangian": 0}
+    value, lagrangian = kkt.Poly2Map.value, kkt.lagrangian
+
+    def spy_value(self, x):
+        calls["value"] += 1
+        return value(self, x)
+
+    def spy_lagrangian(*args):
+        calls["lagrangian"] += 1
+        return lagrangian(*args)
+
+    monkeypatch.setattr(kkt.Poly2Map, "value", spy_value)
+    for module in (kkt, sqp):
+        monkeypatch.setattr(module, "lagrangian", spy_lagrangian)
+    kkt.kkt_residual(fresh, x0, l0)
+    first = dict(calls)
+    calls.update(value=0, lagrangian=0)
+    trace = run_sqp(gp.problem, x0, l0, SQPConfig(hessian_mode=mode))
+    assert trace[-1].residual <= 1e-10 and len(trace) >= 2
+    assert calls["value"] <= first["value"] + len(trace), (calls, first, len(trace))
+    assert calls["lagrangian"] <= first["lagrangian"], (calls, first)
+
+
 def test_subproblems_start_at_the_piece_holding_Phi_xk(monkeypatch):
     # exact runs on two criterion-4 instances: trying the pieces holding
     # Phi(x_k) first answers most subproblems with their first QP, and a
