@@ -33,7 +33,10 @@ MODE_MAP = {"exact": "exact", "bfgs": "bfgs", "identity": "fixed_identity"}
 
 
 def _parse_vector(text):
-    return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    try:
+        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    except ValueError as exc:
+        raise ParseError(f"not a comma-separated vector: {text!r}") from exc
 
 
 def _resolve_reference(args, metadata, from_metadata):
@@ -43,7 +46,9 @@ def _resolve_reference(args, metadata, from_metadata):
     if args.reference == "last-iterate":
         return None
     if args.reference is not None:
-        xs, ls = args.reference.split(";")
+        xs, sep, ls = args.reference.partition(";")
+        if not sep:
+            raise ParseError(f"--reference needs 'x1,..;l1,..', got {args.reference!r}")
         return PrimalDual(_parse_vector(xs), _parse_vector(ls))
     if from_metadata and "xbar" in metadata:
         return PrimalDual(np.asarray(metadata["xbar"], dtype=float),
@@ -151,13 +156,15 @@ def _cmd_diagnose(args):
 
 
 def _cmd_sweep(args):
+    modes = [m.strip() for m in args.modes.split(",")]
+    if not set(modes) <= set(MODE_MAP):
+        raise ParseError(f"--modes: choose from {sorted(MODE_MAP)}, got {args.modes!r}")
     problem, metadata = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     x0, lam0 = _resolve_start(problem, metadata, args)
     reference = _resolve_reference(args, metadata, from_metadata=True)
     rng = np.random.default_rng(args.seed)
-    modes = [m.strip() for m in args.modes.split(",")]
     summary = []
     n_ok = 0
     for mode in modes:
@@ -211,8 +218,11 @@ def _cmd_check_calculus(args):
 
 
 def _cmd_generate(args):
-    params = json.loads(args.params) if args.params else {}
-    gp = generate(args.kind, seed=args.seed, **params)
+    try:
+        params = json.loads(args.params) if args.params else {}
+        gp = generate(args.kind, seed=args.seed, **params)
+    except (json.JSONDecodeError, TypeError) as exc:  # not a JSON dict the generator takes
+        raise ParseError(f"--params: {exc}") from exc
     save_problem(args.out_file, gp.problem, gp.metadata())
     sys.stdout.write(f"wrote {args.out_file} (kind={gp.kind}, "
                      f"kkt point embedded in metadata)\n")
@@ -226,9 +236,8 @@ def _build_parser():
                     "linear-quadratic composite optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_problem=True):
-        if needs_problem:
-            p.add_argument("--problem", required=True, help="problem JSON file")
+    def common(p):
+        p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--x0", default=None, help="comma-separated start point")

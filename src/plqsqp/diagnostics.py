@@ -29,7 +29,7 @@ from .kkt import (
     perturbed_problem,
     subspace_Dplus,
 )
-from .lp import LP_OPTIMAL, LPBuilder, solve_lp
+from .lp import LPBuilder, implicit_equalities
 from .plq import (
     PLQFunction,
     active_indices,
@@ -122,8 +122,7 @@ def _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT, faces, exclusi
     return None if x is None else lp.block(x, "w")
 
 
-def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
-                      tol: float = 1e-6) -> Verdict:
+def check_noncritical(problem: CompositeProblem, xbar, lambdabar) -> Verdict:
     """Exact noncriticality decision by activity-pattern enumeration.
 
     The criticality system is a finite union of polyhedral cones in
@@ -136,7 +135,7 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar,
     face.  Each pattern costs one LP, so the patterns are counted against
     MAX_PATTERN_LPS before any pattern LP runs, then streamed.
     """
-    point = kkt_point(problem, xbar, lambdabar, tol)
+    point = kkt_point(problem, xbar, lambdabar)
     cones = point.piece_cones
     hess, J, KT = point.hess, point.J, point.theta_cone
     pieces = [i for i, _ in cones]
@@ -197,8 +196,7 @@ def _dual_condition_nonzero(point):
     return None if x is None else lp.block(x, "u")
 
 
-def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
-                            tol: float = 1e-6) -> Verdict:
+def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar) -> Verdict:
     """Exact uniqueness of the multiplier by the dual cone condition.
 
     Lambda(xbar) is the single point lambdabar iff no u != 0 has u in
@@ -208,7 +206,7 @@ def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar,
     (`_dual_condition_nonzero`); on failure such a u is the certificate:
     lambdabar + t u stays a multiplier for small t > 0.
     """
-    point = kkt_point(problem, xbar, lambdabar, tol)
+    point = kkt_point(problem, xbar, lambdabar)
     u = _dual_condition_nonzero(point)
     if u is None:
         return Verdict("unique_multiplier", "holds",
@@ -228,8 +226,8 @@ def _face_minimum(M, Q):
     least eigenvector of Q on span F (Kaplan's eigenvector criterion for
     copositivity, carried from the orthant to a polyhedral cone).  Each
     face whose least eigenvalue is below the best so far gets one LP,
-    maximize t subject to off V c + t <= 0 and t <= 1 over the rows off F:
-    the optimum is 1 iff the eigenspace V meets relint F.  M = {0} gives
+    `lp.implicit_equalities` of the rows off F on its eigenspace V: V meets
+    relint F iff that LP's point is negative on every row.  M = {0} gives
     (inf, None, 1); more than 1,024 faces raise TooManyRows.
     """
     faces = enumerate_faces(M)
@@ -242,21 +240,19 @@ def _face_minimum(M, Q):
         if not evals.size or evals[0] >= best:
             continue  # the face {0}, or no lower value
         V = Z @ vecs[:, evals <= evals[0] + 1e-9 * (1.0 + np.abs(evals).max())]
-        k, off = V.shape[1], np.delete(M.A, active, axis=0) @ V
+        off = np.delete(M.A, active, axis=0) @ V
         w = V[:, 0]  # with no row off F, F is a subspace and its own relint
         if len(off):
-            A_ub = np.vstack([np.c_[off, np.ones(len(off))], np.r_[np.zeros(k), 1.0]])
-            status, sol, _ = solve_lp(np.r_[np.zeros(k), -1.0], A_ub, np.r_[np.zeros(len(off)), 1.0])
-            if status != LP_OPTIMAL or sol[k] < 0.5:
+            _, c = implicit_equalities(off)  # off c <= -1 off the zero and implicit rows
+            if np.any(off @ c > -0.5):
                 continue
-            w = V @ sol[:k]
+            w = V @ c
         w = w / np.linalg.norm(w)
         best, best_w = float(w @ Q @ w), w
     return best, best_w, len(faces)
 
 
-def check_sosc(problem: CompositeProblem, xbar, lambdabar, rng=None,
-               tol: float = 1e-6) -> Verdict:
+def check_sosc(problem: CompositeProblem, xbar, lambdabar, rng=None) -> Verdict:
     """Positivity of the second-order form on the critical cone D, exactly.
 
     Each member of D is decided by its face walk (`_face_minimum`).
@@ -265,9 +261,9 @@ def check_sosc(problem: CompositeProblem, xbar, lambdabar, rng=None,
     heuristic_fails with no certificate, the detail "inconclusive: member
     i of D: ...", as calmness reports missing evidence.  The results keep
     the heuristic_* names callers compare against.  `rng` is accepted and
-    not read.
+    not read.  Like every check, it first asks `kkt_point` (KKT_TOL).
     """
-    point = kkt_point(problem, xbar, lambdabar, tol)
+    point = kkt_point(problem, xbar, lambdabar)
     J = point.J
     n_faces, global_min = 0, np.inf
     for i, M in point.D_members:
@@ -342,7 +338,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
         attempts += 1
         i, K = cones[attempts % len(cones)]
         w = project(K, rng.standard_normal(g.m))
-        holding = [(j, Kj) for j, Kj in cones if contains(Kj, w, 1e-9)]
+        holding = [(j, Kj) for j, Kj in cones if contains(Kj, w)]
         if not holding:
             continue
         uset = shifted_intersection(
@@ -372,7 +368,7 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
 # calmness and primal estimates (empirical)
 # ---------------------------------------------------------------------------
 
-def _solve_perturbed(problem, v, p, xbar, lambdabar, rho, rng, tol=1e-11):
+def _solve_perturbed(problem, v, p, xbar, lambdabar, rho, rng):
     """A KKT point of the perturbed problem near (xbar, lambdabar), or None.
 
     Warm-starts at the reference pair; when the linearization degenerates
@@ -390,7 +386,7 @@ def _solve_perturbed(problem, v, p, xbar, lambdabar, rho, rng, tol=1e-11):
     for (x0, l0) in starts:
         try:
             trace = run_sqp(pert, x0, l0,
-                            SQPConfig(tol=tol, max_iter=30, delta0=max(10 * rho, 1e-4),
+                            SQPConfig(tol=1e-11, max_iter=30, delta0=max(10 * rho, 1e-4),
                                       monitors=False))
         except PLQError:
             continue
@@ -409,21 +405,21 @@ def _solve_perturbed(problem, v, p, xbar, lambdabar, rho, rng, tol=1e-11):
 
 
 def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
-                      n_samples: int = 8, mode: str = "full", rng=None,
-                      tol: float = 1e-6) -> Verdict:
+                      n_samples: int = 8, mode: str = "full", rng=None) -> Verdict:
     """Empirical calmness modulus of the perturbed-KKT solution map.
 
-    For each radius rho, perturbations (v, p) are sampled in the ball: a
-    uniform random direction scaled to a norm uniform in [0.05 rho, rho].  The
-    perturbed KKT system is solved near (xbar, lambdabar), and the worst
-    ratio lhs/rhs for the requested mode is recorded.  The verdict holds
-    when the modulus stays within a factor 2 across the two smallest
-    radii.  With usable samples at fewer than two radii there is no
-    evidence either way: the result reads fails, the detail "inconclusive".
+    (xbar, lambdabar) must pass `kkt_point` (KKT_TOL).  For each radius rho,
+    perturbations (v, p) are sampled in the ball: a uniform random direction
+    scaled to a norm uniform in [0.05 rho, rho].  The perturbed KKT system is
+    solved to residual 1e-11 near (xbar, lambdabar), and the worst ratio
+    lhs/rhs for the requested mode is recorded.  The verdict holds when the
+    modulus stays within a factor 2 across the two smallest radii.  With
+    usable samples at fewer than two radii there is no evidence either way:
+    the result reads fails, the detail "inconclusive".
     """
     if mode not in ("full", "primal_D", "primal_Dplus"):
         raise ValueError(f"unknown calmness mode {mode!r}")
-    point = kkt_point(problem, xbar, lambdabar, tol)
+    point = kkt_point(problem, xbar, lambdabar)
     radii = sorted(radii or [1e-2, 1e-3, 1e-4], reverse=True)
     rng = rng or np.random.default_rng(0)
     xbar, lambdabar = point.x, point.lam

@@ -42,6 +42,7 @@ from .polyhedral import (
 )
 
 KKT_TOL = 1e-6  # loose tolerance used by preconditions that require a KKT point
+THETA_TOL = 1e-8  # x in Theta iff every row of Theta holds within THETA_TOL
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def _smooth_data(problem: CompositeProblem, x):
     return memo[1]
 
 
-def kkt_residual(problem: CompositeProblem, x, lam, theta_tol: float = 1e-8) -> float:
+def kkt_residual(problem: CompositeProblem, x, lam) -> float:
     """dist(-grad_x L, N_Theta(x)) + ||Phi(x) - prox_g(lam + Phi(x))||.
 
     Phi(x), J(x) and grad phi(x) come from `_smooth_data`.  The prox visits
@@ -207,7 +208,7 @@ def kkt_residual(problem: CompositeProblem, x, lam, theta_tol: float = 1e-8) -> 
     """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    if not contains(problem.Theta, x, theta_tol):
+    if not contains(problem.Theta, x, THETA_TOL):
         raise PointNotInTheta("x must lie in Theta")
     if lam.size != problem.m:
         raise DimensionMismatch("multiplier dimension differs from the range of Phi")
@@ -225,7 +226,7 @@ def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
     intersected with the subdifferential of g at Phi(x).
     """
     x = np.asarray(x, dtype=float).ravel()
-    if not contains(problem.Theta, x, 1e-8):
+    if not contains(problem.Theta, x, THETA_TOL):
         raise PointOutsideDomain("x must lie in Theta")
     z, J, gphi = _smooth_data(problem, x)
     if isinstance(problem.g, PLQFunction):
@@ -274,7 +275,7 @@ class KKTPoint:
         """[(i, K_i)]: the critical cones of the pieces of g active at Phi(x)."""
         if not isinstance(self.problem.g, PLQFunction):
             raise PointOutsideDomain("critical cones need a piece representation of g")
-        return piece_critical_cones(self.problem.g, self.problem.Phi.value(self.x), self.lam)
+        return piece_critical_cones(self.problem.g, _smooth_data(self.problem, self.x)[0], self.lam)
 
     @cached_property
     def D_members(self) -> list:
@@ -286,16 +287,16 @@ class KKTPoint:
                 for i, K in cones]
 
 
-def kkt_point(problem: CompositeProblem, x, lam, tol: float = KKT_TOL) -> KKTPoint:
+def kkt_point(problem: CompositeProblem, x, lam) -> KKTPoint:
     """Check the KKT residual at (x, lam) once and gather the data there.
 
-    Raises NotAKKTPoint when the residual exceeds tol.
+    Raises NotAKKTPoint when the residual exceeds KKT_TOL.
     """
     x = np.asarray(x, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
     r = kkt_residual(problem, x, lam)
-    if r > tol:
-        raise NotAKKTPoint(f"KKT residual {r:.3e} exceeds {tol:.1e}")
+    if r > KKT_TOL:
+        raise NotAKKTPoint(f"KKT residual {r:.3e} exceeds {KKT_TOL:.1e}")
     _, J, gphi = _smooth_data(problem, x)
     hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)
     return KKTPoint(problem, x, lam, r, gphi + J.T @ lam, hess, J)

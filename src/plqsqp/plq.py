@@ -33,6 +33,8 @@ from .errors import (
 )
 from .polyhedral import (
     ACT_TOL,
+    MEMBER_TOL,
+    NORMAL_TOL,
     ConeFamily,
     Polyhedron,
     contains,
@@ -49,8 +51,6 @@ from .polyhedral import (
     tangent_cone_at_rows,
 )
 from .qp import active_set_qp
-
-SUBGRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -170,15 +170,15 @@ def _piece_table(pieces) -> _PieceTable:
                        tuple(_ldp_frame(p.C, p.A, f"piece {i}") for i, p in enumerate(pieces)))
 
 
-def _membership(g: PLQFunction, z, tol: float = 1e-9):
+def _membership(g: PLQFunction, z):
     """(piece-membership vector, A z over the table's stacked inequality
     rows): one product, its violated rows scattered onto their pieces."""
     T = g._table
     z = np.asarray(z, dtype=float).ravel()
     Az = T.A @ z
     member = np.ones(len(g.pieces), dtype=bool)
-    member[T.owner[~(Az <= T.b + tol)]] = False
-    member[T.eq_owner[~(np.abs(T.E @ z - T.d) <= tol)]] = False
+    member[T.owner[~(Az <= T.b + MEMBER_TOL)]] = False
+    member[T.eq_owner[~(np.abs(T.E @ z - T.d) <= MEMBER_TOL)]] = False
     return member, Az
 
 
@@ -270,25 +270,25 @@ def subderivative(g: PLQFunction, z, w) -> float:
     return np.inf
 
 
-def piece_critical_cones(g: PLQFunction, z, v, tol: float = SUBGRAD_TOL):
+def piece_critical_cones(g: PLQFunction, z, v):
     """[(i, K_{C_i}(z, v_i))] for active pieces, v_i = v - A_i z - a_i: each
     T_{C_i}(z) from the table's active rows cut by v_i^T w = 0 (`tangent_cone_at_rows`),
-    after one normal-cone NNLS per piece bounded by tol (`_normal_dists`)."""
+    after one normal-cone NNLS per piece bounded by NORMAL_TOL (`_normal_dists`)."""
     normals = _normal_dists(g, z, v)
-    if max(dist for *_, dist in normals) > tol:
+    if max(dist for *_, dist in normals) > NORMAL_TOL:
         raise NotASubgradient("v is not a subgradient of g at z")
     return [(i, tangent_cone_at_rows(g.pieces[i].C, J, vi)) for i, J, vi, _ in normals]
 
 
-def critical_cone_g(g: PLQFunction, z, v, tol: float = SUBGRAD_TOL) -> ConeFamily:
+def critical_cone_g(g: PLQFunction, z, v) -> ConeFamily:
     """K_g(z, v) as the union of the active pieces' critical cones."""
-    members = tuple(K for _, K in piece_critical_cones(g, z, v, tol))
+    members = tuple(K for _, K in piece_critical_cones(g, z, v))
     return ConeFamily("union", members=members)
 
 
-def second_subderivative(g: PLQFunction, z, v, w, tol: float = SUBGRAD_TOL) -> float:
+def second_subderivative(g: PLQFunction, z, v, w) -> float:
     """d^2 g(z, v)(w): the piece quadratic form on the critical cone, else +inf."""
-    return second_form(g, piece_critical_cones(g, z, v, tol), w)
+    return second_form(g, piece_critical_cones(g, z, v), w)
 
 
 def second_form(g: PLQFunction, cones, w) -> float:
@@ -318,12 +318,12 @@ def shifted_intersection(cones_and_shifts, m) -> Polyhedron:
                       np.concatenate(ds) if ds else np.zeros(0))
 
 
-def proto_derivative_contains(g: PLQFunction, z, v, w, u, tol: float = 1e-8) -> bool:
+def proto_derivative_contains(g: PLQFunction, z, v, w, u) -> bool:
     """Whether u lies in D(dg)(z, v)(w)."""
-    return proto_contains(g, piece_critical_cones(g, z, v), w, u, tol)
+    return proto_contains(g, piece_critical_cones(g, z, v), w, u)
 
 
-def proto_contains(g: PLQFunction, cones, w, u, tol: float = 1e-8) -> bool:
+def proto_contains(g: PLQFunction, cones, w, u) -> bool:
     """Whether u lies in D(dg)(z, v)(w), from the `piece_critical_cones`
     already built at (z, v).
 
@@ -335,7 +335,7 @@ def proto_contains(g: PLQFunction, cones, w, u, tol: float = 1e-8) -> bool:
     holding = [(i, K) for i, K in cones if contains(K, w)]
     if not holding:
         return False
-    return all(normal_cone_dist(K, w, u - g.pieces[i].A @ w) <= tol for i, K in holding)
+    return all(normal_cone_dist(K, w, u - g.pieces[i].A @ w) <= 1e-8 for i, K in holding)
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +458,14 @@ def prox_any(g, x, near=None) -> np.ndarray:
 # certificates (sampling-based validation of user-supplied pieces)
 # ---------------------------------------------------------------------------
 
-def sample_domain_point(g: PLQFunction, rng, around=None, radius=1.0):
-    """A random point of dom g, stratified over pieces."""
-    i = int(rng.integers(len(g.pieces)))
-    C = g.pieces[i].C
-    center = interior_point(C) if around is None else np.asarray(around, dtype=float)
-    if center is None:
-        return None
-    return project(C, center + radius * rng.standard_normal(g.m))
+def sample_domain_point(g: PLQFunction, rng, radius=1.0):
+    """A random point of dom g, stratified over pieces (each nonempty, so
+    its interior point exists)."""
+    C = g.pieces[int(rng.integers(len(g.pieces)))].C
+    return project(C, interior_point(C) + radius * rng.standard_normal(g.m))
 
 
-def check_consistency(g: PLQFunction, rng, n_samples: int = 50, tol: float = 1e-9):
+def check_consistency(g: PLQFunction, rng):
     """Values of overlapping pieces must agree on shared points."""
     for i in range(len(g.pieces)):
         for j in range(i + 1, len(g.pieces)):
@@ -476,27 +473,25 @@ def check_consistency(g: PLQFunction, rng, n_samples: int = 50, tol: float = 1e-
             z0 = interior_point(both)
             if z0 is None:
                 continue
-            for _ in range(max(2, n_samples // max(1, len(g.pieces)))):
+            for _ in range(max(2, 50 // len(g.pieces))):
                 z = project(both, z0 + rng.standard_normal(g.m))
-                if abs(g.pieces[i].value(z) - g.pieces[j].value(z)) > tol * (1 + abs(g.pieces[i].value(z))):
+                if abs(g.pieces[i].value(z) - g.pieces[j].value(z)) > 1e-9 * (1 + abs(g.pieces[i].value(z))):
                     return False, f"pieces {i} and {j} disagree at {z.tolist()}"
     return True, ""
 
 
-def check_convexity(g: PLQFunction, rng, n_samples: int = 100, tol: float = 1e-9):
+def check_convexity(g: PLQFunction, rng):
     """Midpoint convexity certificate over sampled domain pairs."""
-    for _ in range(n_samples):
+    for _ in range(100):
         z1 = sample_domain_point(g, rng)
         z2 = sample_domain_point(g, rng)
-        if z1 is None or z2 is None:
-            continue
         t = float(rng.uniform(0.1, 0.9))
         zm = t * z1 + (1 - t) * z2
         fm = evaluate(g, zm)
         if not np.isfinite(fm):
             continue
         bound = t * evaluate(g, z1) + (1 - t) * evaluate(g, z2)
-        if fm > bound + tol * (1 + abs(bound)):
+        if fm > bound + 1e-9 * (1 + abs(bound)):
             return False, f"convexity violated at t={t}"
     return True, ""
 
@@ -519,12 +514,11 @@ def plq_indicator(C: Polyhedron) -> PLQFunction:
     return PLQFunction(m, [Piece(C, np.zeros((m, m)), np.zeros(m), 0.0)])
 
 
-def plq_quadratic(A, a=None, alpha=0.0) -> PLQFunction:
-    """Globally quadratic function ½<Az,z> + <a,z> + alpha."""
+def plq_quadratic(A) -> PLQFunction:
+    """Globally quadratic function ½<Az,z>."""
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
-    a = np.zeros(m) if a is None else np.asarray(a, dtype=float)
-    return PLQFunction(m, [Piece(Polyhedron.whole_space(m), A, a, alpha)])
+    return PLQFunction(m, [Piece(Polyhedron.whole_space(m), A, np.zeros(m), 0.0)])
 
 
 def plq_vector_max(m: int) -> PLQFunction:

@@ -30,6 +30,8 @@ from .lp import LP_OPTIMAL, feasible_point, implicit_equalities, solve_lp
 from .nonneg import nonneg_lstsq
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
+MEMBER_TOL = 1e-9  # x in P iff every row holds within MEMBER_TOL (`contains`)
+NORMAL_TOL = 1e-7  # v is normal to P at x iff dist(v, N_P(x)) <= NORMAL_TOL
 
 
 def _as_matrix(M, n):
@@ -177,7 +179,7 @@ class Face:
 # membership / activity
 # ---------------------------------------------------------------------------
 
-def contains(P: Polyhedron, x, tol: float = 1e-9) -> bool:
+def contains(P: Polyhedron, x, tol: float = MEMBER_TOL) -> bool:
     """True iff A x <= b + tol and |E x - d| <= tol componentwise."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != P.dim:
@@ -269,16 +271,16 @@ def project(P: Polyhedron, z) -> np.ndarray:
     return z - np.linalg.lstsq(C, C @ z - np.concatenate([P.b[J], P.d]), rcond=None)[0]
 
 
-def tangent_cone(P: Polyhedron, x, tol: float = 1e-9) -> PolyCone:
+def tangent_cone(P: Polyhedron, x) -> PolyCone:
     """Tangent cone at x: active inequality rows plus all equality rows."""
-    if not contains(P, x, tol):
+    if not contains(P, x):
         raise PointNotInSet("tangent cone requires a point of the set")
     return tangent_cone_at_rows(P, active_rows(P, x))
 
 
-def normal_cone_dist(P: Polyhedron, x, v, tol: float = 1e-9) -> float:
+def normal_cone_dist(P: Polyhedron, x, v) -> float:
     """dist(v, N_P(x)) with N_P(x) = {A_J^T mu + E^T nu : mu >= 0}."""
-    if not contains(P, x, tol):
+    if not contains(P, x):
         raise PointNotInSet("normal cone requires a point of the set")
     return normal_cone_dist_at_rows(P, active_rows(P, x), v)
 
@@ -292,19 +294,19 @@ def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
     return nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)[1]
 
 
-def critical_cone(P: Polyhedron, x, v, tol: float = 1e-7) -> PolyCone:
+def critical_cone(P: Polyhedron, x, v) -> PolyCone:
     """K_P(x, v) = T_P(x) intersected with the hyperplane v^T w = 0."""
     v = np.asarray(v, dtype=float).ravel()
-    if normal_cone_dist(P, x, v) > tol:
+    if normal_cone_dist(P, x, v) > NORMAL_TOL:
         raise NotANormalVector("v is not a normal vector at x")
-    return tangent_cone_at_rows(P, active_rows(P, x), v, tol)
+    return tangent_cone_at_rows(P, active_rows(P, x), v)
 
 
-def tangent_cone_at_rows(P: Polyhedron, J, v=None, tol: float = 1e-7) -> PolyCone:
+def tangent_cone_at_rows(P: Polyhedron, J, v=None) -> PolyCone:
     """T_P(x) at an x of P whose active rows are J, kept on P per J; cut by
-    v^T w = 0 unless v is None or ||v|| <= tol: the critical cone K_P(x, v)."""
+    v^T w = 0 unless v is None or ||v|| <= NORMAL_TOL: the critical cone K_P(x, v)."""
     T = _derived(P, ("T", tuple(J)), lambda: PolyCone.from_rows(P.A[J], P.E, P.dim))
-    if v is None or np.linalg.norm(v) <= tol:
+    if v is None or np.linalg.norm(v) <= NORMAL_TOL:
         return T
     return PolyCone.from_rows(T.A, np.vstack([T.E, v.reshape(1, -1)]), P.dim)
 
@@ -434,11 +436,11 @@ class ConeFamily:
             return self.basis.shape[0]
         return self.members[0].dim
 
-    def member_contains(self, v, tol=1e-9) -> bool:
+    def member_contains(self, v) -> bool:
         if self.kind == "subspace":
             v = np.asarray(v, dtype=float).ravel()
-            return bool(np.linalg.norm(v - self.basis @ (self.basis.T @ v)) <= tol)
-        return any(contains(m, v, tol) for m in self.members)
+            return bool(np.linalg.norm(v - self.basis @ (self.basis.T @ v)) <= MEMBER_TOL)
+        return any(contains(m, v) for m in self.members)
 
 
 def project_cone_union(family: ConeFamily, v) -> np.ndarray:
@@ -519,7 +521,7 @@ def prune_redundant(A, b, E=None, d=None):
     return A[keep], b[keep]
 
 
-def fourier_motzkin(A, b, E, d, keep, prune=True) -> Polyhedron:
+def fourier_motzkin(A, b, E, d, keep) -> Polyhedron:
     """Project {y : A y <= b, E y = d} onto the coordinates in `keep`.
 
     Equalities are used as Gaussian pivots first; remaining variables are
@@ -577,7 +579,7 @@ def fourier_motzkin(A, b, E, d, keep, prune=True) -> Polyhedron:
         A = np.vstack(new_rows) if new_rows else np.zeros((0, N))
         b = np.concatenate(new_rhs) if new_rhs else np.zeros(0)
         A, b = _dedup_rows(A, b)
-        if prune and A.shape[0] > 2 * N + 4:
+        if A.shape[0] > 2 * N + 4:
             A, b = prune_redundant(A, b, E if E.size else None, d if d.size else None)
 
     # all eliminated columns must now be zero
@@ -589,7 +591,7 @@ def fourier_motzkin(A, b, E, d, keep, prune=True) -> Polyhedron:
     Ak = A[:, keep] if A.size else np.zeros((0, len(keep)))
     Ek = E[:, keep] if E.size else np.zeros((0, len(keep)))
     Ak, b = _dedup_rows(Ak, b) if Ak.size else (np.zeros((0, len(keep))), b[:0])
-    if prune and Ak.shape[0]:
+    if Ak.shape[0]:
         Ak, b = prune_redundant(Ak, b, Ek if Ek.size else None, d if d.size else None)
     return Polyhedron(Ak, b, Ek, d)
 

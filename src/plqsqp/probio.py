@@ -15,8 +15,8 @@ from .kkt import CompositeProblem
 from .plq import PLQFunction, check_consistency, check_convexity
 
 
-def load_problem(path, check_certificates: bool = True):
-    """Parse and validate a problem file; returns (problem, metadata)."""
+def load_problem(path):
+    """Parse, validate and certify a problem file; returns (problem, metadata)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -37,7 +37,7 @@ def load_problem(path, check_certificates: bool = True):
         raise ValidationError(str(exc)) from exc
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"{path}: malformed field ({exc})") from exc
-    if check_certificates and isinstance(problem.g, PLQFunction):
+    if isinstance(problem.g, PLQFunction):
         rng = np.random.default_rng(20240 + len(problem.g.pieces))
         ok, why = check_consistency(problem.g, rng)
         if not ok:

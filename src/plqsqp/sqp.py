@@ -1,4 +1,4 @@
-"""Local SQP driver with exact-Hessian and quasi-Newton modes.
+"""Local SQP driver with exact-Hessian, identity and damped-BFGS modes.
 
 Implements the generic method: stop when the KKT residual is below
 tolerance, otherwise solve the localized subproblem and move to the
@@ -42,15 +42,17 @@ from .polyhedral import ConeFamily, project_cone_union
 from .subqp import DELTA_GROWTH, SubproblemSpec, solve_subproblem
 
 DELTA_FLOOR = 1e-6
+BFGS_DAMPING = 0.2  # Powell: damp y when s^T y < BFGS_DAMPING s^T H s
 LANDED_REL = 1e-13  # relative distance to a reference that is rounding, not a rate
 
 
 @dataclass(frozen=True)
 class SQPConfig:
+    """Settings of one run; the BFGS update is damped by the constant BFGS_DAMPING."""
+
     hessian_mode: str = "exact"  # "exact" | "bfgs" | "fixed_identity"
     tol: float = 1e-10
     max_iter: int = 100
-    bfgs_damping: float = 0.2
     delta0: float = np.inf  # localization radius for the first step
     reference: PrimalDual = None  # anchor for monitors; final iterate when None
     monitors: bool = True  # Dennis-More dm_* per record; off leaves them 0.0 and builds no cones
@@ -86,7 +88,7 @@ class RateReport:
     reference_point: PrimalDual
 
 
-def bfgs_update(H, s, y, damping: float = 0.2) -> np.ndarray:
+def bfgs_update(H, s, y) -> np.ndarray:
     """Powell-damped BFGS update; preserves symmetry and definiteness."""
     H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float).ravel()
@@ -96,8 +98,8 @@ def bfgs_update(H, s, y, damping: float = 0.2) -> np.ndarray:
     Hs = H @ s
     sHs = float(s @ Hs)
     rho = float(s @ y)
-    if rho < damping * sHs:
-        theta = (1.0 - damping) * sHs / (sHs - rho)
+    if rho < BFGS_DAMPING * sHs:
+        theta = (1.0 - BFGS_DAMPING) * sHs / (sHs - rho)
         y = theta * y + (1.0 - theta) * Hs
         rho = float(s @ y)
     Hn = H - np.outer(Hs, Hs) / sHs + np.outer(y, y) / rho
@@ -201,7 +203,7 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
             _, J_new, gphi_new = _smooth_data(problem, sol.x_next)
             gL_new = gphi_new + J_new.T @ sol.lambda_next
             gL_old = gphi + J.T @ sol.lambda_next
-            H_qn = bfgs_update(H_qn, s, gL_new - gL_old, config.bfgs_damping)
+            H_qn = bfgs_update(H_qn, s, gL_new - gL_old)
         x, lam = sol.x_next.copy(), sol.lambda_next.copy()
         residual = kkt_residual(problem, x, lam)
         delta = max(DELTA_GROWTH * float(np.sqrt(step_norm ** 2 + np.linalg.norm(ds) ** 2)),

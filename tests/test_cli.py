@@ -247,6 +247,20 @@ def test_validation_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--x0", "1,abc"],
+    ["solve", "--reference", "1,2"],
+    ["sweep", "--modes", "exact,newton"],
+    ["generate", "--kind", "nlp", "--params", '{"bogus": 1}'],
+    ["generate", "--kind", "nlp", "--params", "[1"],
+])
+def test_malformed_values_exit_with_validation_error(tmp_path, p1_file, capsys, argv):
+    target = (["--out-file", str(tmp_path / "gen.json")] if argv[0] == "generate"
+              else ["--problem", p1_file, "--out", str(tmp_path / "o")])
+    assert main(argv + target) == 3
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
 def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatch):
     # a HiGHS failure is a toolkit error, so diagnose reports it and exits 2
     import types

@@ -62,7 +62,7 @@ def test_noncritical_minmax_lp_count(monkeypatch):
     # pattern) and one LP per pattern (491 LPs with 2n coordinate LPs each):
     # 61 patterns and 3 face-walk LPs
     prob, md = _minmax_4x4()
-    lps = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "solve_lp")
+    lps = _count_calls(monkeypatch, [lp, polyhedral], "solve_lp")
     assert check_noncritical(prob, md["xbar"], md["lambdabar"]).result == "holds"
     assert 0 < lps[0] <= 70
 
@@ -199,7 +199,7 @@ def test_unique_multiplier_matches_the_coordinate_oracle(monkeypatch):
     # one LP decides (the dual cone condition); the multiplier polyhedron's
     # coordinate ranges agree, and a failing certificate is a direction
     # that stays inside that polyhedron
-    lps = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "solve_lp")
+    lps = _count_calls(monkeypatch, [lp, polyhedral], "solve_lp")
     outcomes = set()
     for name, prob, x, lam in _uniqueness_cases():
         before = lps[0]

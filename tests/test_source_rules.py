@@ -21,7 +21,10 @@ Multiplier uniqueness has one route, the dual cone condition's LP:
 `check_unique_multiplier` and the helpers it calls build no multiplier
 polyhedron and run no LP of their own.  The SQP driver and its subproblem
 data reach Phi, J and grad phi through `kkt._smooth_data` only, the one
-evaluation per iterate that they share.
+evaluation per iterate that they share, and a KKT point reads Phi(x) there
+too.  Every defaulted parameter of the package (dataclass fields included)
+is passed, by name or position, by some call in `src/`, `bench/` or
+`tests/`, or is listed with its reason in `KNOBS_ALLOWED`.
 """
 
 import ast
@@ -40,6 +43,19 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # top-level definitions that may stay unreferenced and unexported, with why
 UNUSED_ALLOWED = {
     "cone_rays": "bench/tracer.py wraps it until ROADMAP item 7",
+}
+# defaulted parameters that no call passes, with why they stay
+_MONITOR_FIELD = "the Dennis-More monitors write it after construction"
+_GENERATOR_PARAM = "reachable through `plqsqp generate --params`"
+KNOBS_ALLOWED = {
+    "sqp.IterateRecord(dm_D)": _MONITOR_FIELD,
+    "sqp.IterateRecord(dm_Dplus)": _MONITOR_FIELD,
+    "sqp.IterateRecord(dm_full)": _MONITOR_FIELD,
+    "generators.generate_nlp(curvature)": _GENERATOR_PARAM,
+    "generators.generate_elqp(beta_range)": _GENERATOR_PARAM,
+    "generators.generate_elqp(box)": _GENERATOR_PARAM,
+    "generators.generate_elqp(boundary_fraction)": _GENERATOR_PARAM,
+    "generators.generate_minmax(curvature)": _GENERATOR_PARAM,
 }
 
 
@@ -124,6 +140,71 @@ def test_every_definition_is_used_or_exported():
     assert unused == set(UNUSED_ALLOWED), sorted(unused ^ set(UNUSED_ALLOWED))
 
 
+def _defaulted_params(tree):
+    """(owner, called name, param, position or None) of each defaulted
+    parameter of a function, method or `__init__`, and of each defaulted
+    dataclass field, in `tree`.  A method is called by attribute, an
+    `__init__` or a dataclass by its class name; the position counts
+    arguments as a call writes them, `self` left out."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    methods = {id(item): cls for cls in classes for item in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = methods.get(id(fn))
+        bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                             for d in fn.decorator_list)
+        called = cls.name if cls is not None and fn.name == "__init__" else fn.name
+        owner = f"{cls.name}.{fn.name}" if cls is not None else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        for pos, arg in enumerate(positional[len(positional) - len(fn.args.defaults):],
+                                  len(positional) - len(fn.args.defaults)):
+            yield owner, called, arg.arg, pos - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield owner, called, arg.arg, None
+    for cls in classes:
+        if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            continue
+        fields = [item for item in cls.body if isinstance(item, ast.AnnAssign)
+                  and not _is_field_call(item.value, "init")]
+        for pos, item in enumerate(fields):
+            if item.value is not None and (not _is_field_call(item.value) or any(
+                    _is_field_call(item.value, kw) for kw in ("default", "default_factory"))):
+                yield cls.name, cls.name, item.target.id, pos
+
+
+def _is_field_call(node, keyword=None):
+    """Whether `node` is a `field(...)` call, passing `keyword` when given."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field" \
+        and (keyword is None or any(kw.arg == keyword for kw in node.keywords))
+
+
+def _passed_arguments(tree):
+    """(called name, keyword or position) of each argument of each call in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            yield from ((name, pos) for pos in range(len(node.args)))
+            yield from ((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+
+
+def test_every_default_has_a_caller():
+    roots = [PACKAGE, Path(__file__).resolve().parent, TRACER.parent]
+    passed = {arg for path in sorted(p for root in roots for p in root.glob("*.py"))
+              for arg in _passed_arguments(ast.parse(path.read_text(), filename=str(path)))}
+    unpassed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, called, param, pos in _defaulted_params(
+                ast.parse(path.read_text(), filename=str(path))):
+            if (called, param) not in passed and (called, pos) not in passed:
+                unpassed.add(f"{path.stem}.{owner}({param})")
+    assert unpassed == set(KNOBS_ALLOWED), \
+        f"{len(unpassed - set(KNOBS_ALLOWED))} unpassed: " \
+        + ", ".join(sorted(unpassed - set(KNOBS_ALLOWED))) \
+        + "; allowed but passed or gone: " + ", ".join(sorted(set(KNOBS_ALLOWED) - unpassed))
+
+
 def _raised_names(tree):
     """Names of the classes raised by `raise X` or `raise X(...)` in `tree`."""
     for node in ast.walk(tree):
@@ -180,7 +261,8 @@ def test_implicit_equality_lp_has_one_route():
                 own_lps.update((path.name, name, lp) for lp in names & {"solve_lp", "linprog"})
     assert defs == {("lp.py", "implicit_equalities")}, sorted(defs)
     assert users == {("lp.py", "nonzero_block"), ("polyhedral.py", "span_basis"),
-                     ("polyhedral.py", "_forced_active")}, sorted(users)
+                     ("polyhedral.py", "_forced_active"),
+                     ("diagnostics.py", "_face_minimum")}, sorted(users)
     # its users decide with that LP alone and build none of their own
     assert not own_lps, sorted(own_lps)
 
@@ -238,7 +320,8 @@ def test_multiplier_uniqueness_has_one_route():
 
 def test_sqp_iterates_evaluate_the_smooth_data_once():
     seen, direct = set(), set()
-    for file, owner in (("sqp.py", "run_sqp"), ("subqp.py", "SubproblemSpec")):
+    for file, owner in (("sqp.py", "run_sqp"), ("subqp.py", "SubproblemSpec"),
+                        ("kkt.py", "KKTPoint")):
         path = PACKAGE / file
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if getattr(node, "name", None) == owner:
@@ -247,5 +330,5 @@ def test_sqp_iterates_evaluate_the_smooth_data_once():
                 assert "_smooth_data" in names, owner
                 direct.update((owner, ref) for ref in names
                               & {"lagrangian", "value", "jacobian", "Poly2Map"})
-    assert seen == {"run_sqp", "SubproblemSpec"}, sorted(seen)
+    assert seen == {"run_sqp", "SubproblemSpec", "KKTPoint"}, sorted(seen)
     assert not direct, sorted(direct)
