@@ -43,7 +43,6 @@ from .kkt import (
     cone_D,
     kkt_point,
     kkt_residual,
-    lagrangian,
     multiplier_set,
     perturbed_problem,
     subspace_Dplus,
@@ -54,7 +53,6 @@ from .sqp import (
     RateReport,
     SQPConfig,
     bfgs_update,
-    dennis_more_values,
     rate_report,
     run_sqp,
 )
@@ -79,12 +77,10 @@ __all__ = [
     "subdifferential", "subderivative", "critical_cone_g", "second_subderivative",
     "proto_derivative_contains", "prox", "dual_lq_eval_prox",
     "plq_abs", "plq_indicator", "plq_quadratic", "plq_vector_max", "plq_separable",
-    "Poly2Map", "CompositeProblem", "PrimalDual", "lagrangian", "kkt_residual",
-    "KKTPoint", "kkt_point",
+    "Poly2Map", "CompositeProblem", "PrimalDual", "kkt_residual", "KKTPoint", "kkt_point",
     "multiplier_set", "cone_D", "subspace_Dplus", "perturbed_problem",
     "SubproblemSpec", "SubproblemSolution", "solve_subproblem",
-    "SQPConfig", "IterateRecord", "RateReport", "run_sqp", "bfgs_update",
-    "dennis_more_values", "rate_report",
+    "SQPConfig", "IterateRecord", "RateReport", "run_sqp", "bfgs_update", "rate_report",
     "Verdict", "check_noncritical", "check_unique_multiplier", "check_sosc",
     "verify_reduction_lemma", "estimate_calmness",
     "GeneratedProblem", "generate", "load_problem", "save_problem",

@@ -39,7 +39,21 @@ def _parse_vector(text):
         raise ParseError(f"not a comma-separated vector: {text!r}") from exc
 
 
-def _resolve_reference(args, metadata, from_metadata):
+def _sized(vector, size, flag):
+    """`vector` when it has `size` entries; ParseError naming `flag` otherwise."""
+    if vector.size != size:
+        raise ParseError(f"{flag}: expected {size} values, got {vector.size}")
+    return vector
+
+
+def _check_run_settings(args):
+    """--tol and --max-iter as SQPConfig accepts them (NaN tolerances fail too)."""
+    if not args.tol > 0 or args.max_iter < 1:
+        raise ParseError(f"--tol must be positive and --max-iter at least 1, "
+                         f"got {args.tol!r} and {args.max_iter!r}")
+
+
+def _resolve_reference(args, problem, metadata, from_metadata):
     """The reference pair given by --reference, else (when `from_metadata`)
     the file's embedded KKT point, else None: rates against the last iterate.
     `--reference last-iterate` always gives None."""
@@ -49,27 +63,29 @@ def _resolve_reference(args, metadata, from_metadata):
         xs, sep, ls = args.reference.partition(";")
         if not sep:
             raise ParseError(f"--reference needs 'x1,..;l1,..', got {args.reference!r}")
-        return PrimalDual(_parse_vector(xs), _parse_vector(ls))
+        return PrimalDual(_sized(_parse_vector(xs), problem.n, "--reference"),
+                          _sized(_parse_vector(ls), problem.m, "--reference"))
     if from_metadata and "xbar" in metadata:
-        return PrimalDual(np.asarray(metadata["xbar"], dtype=float),
-                          np.asarray(metadata["lambdabar"], dtype=float))
+        return PrimalDual(_sized(np.asarray(metadata["xbar"], dtype=float), problem.n, "xbar"),
+                          _sized(np.asarray(metadata["lambdabar"], dtype=float), problem.m,
+                                 "lambdabar"))
     return None
 
 
 def _resolve_start(problem, metadata, args):
     if args.x0 is not None:
-        x0 = _parse_vector(args.x0)
+        x0 = _sized(_parse_vector(args.x0), problem.n, "--x0")
     elif "xbar" in metadata:
-        x0 = np.asarray(metadata["xbar"], dtype=float)
+        x0 = _sized(np.asarray(metadata["xbar"], dtype=float), problem.n, "xbar")
     else:
         base = interior_point(problem.Theta)
         if base is None:
             raise ValidationError("Theta is empty; no feasible start")
         x0 = base
     if args.lambda0 is not None:
-        lam0 = _parse_vector(args.lambda0)
+        lam0 = _sized(_parse_vector(args.lambda0), problem.m, "--lambda0")
     elif "lambdabar" in metadata:
-        lam0 = np.asarray(metadata["lambdabar"], dtype=float)
+        lam0 = _sized(np.asarray(metadata["lambdabar"], dtype=float), problem.m, "lambdabar")
     else:
         lam0 = np.zeros(problem.m)
     return project(problem.Theta, x0), lam0
@@ -90,11 +106,12 @@ def _write_error(outdir, exc):
 
 
 def _cmd_solve(args):
+    _check_run_settings(args)
     problem, metadata = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     x0, lam0 = _resolve_start(problem, metadata, args)
-    reference = _resolve_reference(args, metadata, from_metadata=args.x0 is not None)
+    reference = _resolve_reference(args, problem, metadata, from_metadata=args.x0 is not None)
     config = SQPConfig(hessian_mode=MODE_MAP[args.mode], tol=args.tol,
                        max_iter=args.max_iter, reference=reference)
     status = 0
@@ -159,11 +176,12 @@ def _cmd_sweep(args):
     modes = [m.strip() for m in args.modes.split(",")]
     if not set(modes) <= set(MODE_MAP):
         raise ParseError(f"--modes: choose from {sorted(MODE_MAP)}, got {args.modes!r}")
+    _check_run_settings(args)
     problem, metadata = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     x0, lam0 = _resolve_start(problem, metadata, args)
-    reference = _resolve_reference(args, metadata, from_metadata=True)
+    reference = _resolve_reference(args, problem, metadata, from_metadata=True)
     rng = np.random.default_rng(args.seed)
     summary = []
     n_ok = 0

@@ -21,14 +21,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import EmptyPolyhedron, PLQError, TooManyRows
-from .kkt import (
-    CompositeProblem,
-    cone_D,
-    kkt_point,
-    multiplier_set,
-    perturbed_problem,
-    subspace_Dplus,
-)
+from .kkt import CompositeProblem, kkt_point, multiplier_set, perturbed_problem
 from .lp import LPBuilder, implicit_equalities
 from .plq import (
     PLQFunction,
@@ -425,8 +418,8 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     xbar, lambdabar = point.x, point.lam
     n, m = problem.n, problem.m
     Lam = multiplier_set(problem, xbar) if mode == "full" else None
-    D = cone_D(point) if mode == "primal_D" else None
-    Dp = subspace_Dplus(point) if mode == "primal_Dplus" else None
+    D = point.D if mode == "primal_D" else None
+    Dp = point.Dplus if mode == "primal_Dplus" else None
     kappas = []
     failures = 0
     for rho in radii:

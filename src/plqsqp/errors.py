@@ -61,10 +61,6 @@ class DegenerateStep(PLQError):
     pass
 
 
-class ZeroStep(PLQError):
-    pass
-
-
 class TooShortTrace(PLQError):
     pass
 

@@ -209,5 +209,5 @@ def generate(kind: str, seed: int = 0, **params) -> GeneratedProblem:
     if kind == "minmax":
         return generate_minmax(seed=seed, **params)
     if kind == "critical_showcase":
-        return generate_critical_showcase(seed=seed)
+        return generate_critical_showcase(seed=seed, **params)
     raise BadParams(f"unknown kind {kind!r}; choose from {KINDS}")

@@ -5,6 +5,11 @@ phi and Phi given by exact quadratic data (value = c + <l,x> + ½<Qx,x>
 per output), g piecewise linear-quadratic (or its dual-LQ form), and
 Theta polyhedral.  Keeping the smooth data quadratic makes every
 derivative exact, which matters when measuring convergence rates.
+
+`kkt_point` is the one place where the data at a KKT pair is built: the
+residual check, grad_x L, hess_xx L, and on first read the critical cone D
+and its subspace enlargement D+.  The SQP monitors and every diagnostic
+read that one point, kept on the problem for the last pair asked.
 """
 
 from dataclasses import dataclass
@@ -167,22 +172,6 @@ class PrimalDual:
         object.__setattr__(self, "lam", lam)
 
 
-# ---------------------------------------------------------------------------
-# Lagrangian calculus
-# ---------------------------------------------------------------------------
-
-def lagrangian(problem: CompositeProblem, x, lam):
-    """(L, grad_x L, hess_xx L) with L(x, lam) = phi(x) + <Phi(x), lam>."""
-    x = np.asarray(x, dtype=float).ravel()
-    lam = np.asarray(lam, dtype=float).ravel()
-    if x.size != problem.n or lam.size != problem.m:
-        raise DimensionMismatch("lagrangian argument dimensions")
-    value = float(problem.phi.value(x)[0]) + float(problem.Phi.value(x) @ lam)
-    grad = problem.phi.jacobian(x)[0] + problem.Phi.jacobian(x).T @ lam
-    hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)
-    return value, grad, hess
-
-
 def _smooth_data(problem: CompositeProblem, x):
     """(Phi(x), J(x), grad phi(x)) at a raveled float x, as read-only arrays.
 
@@ -251,10 +240,11 @@ def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
 class KKTPoint:
     """A KKT pair with the data every consumer reads there, checked once.
 
-    Built by kkt_point.  The smooth data (residual, grad_x L, hess_xx L
-    and the Jacobian J of Phi) is computed up front; the cones are
-    computed on first use, so consumers that need only the smooth data
-    (and a dual-LQ g, which has no pieces) never build them.
+    Built by kkt_point only.  The smooth data (residual, grad_x L,
+    hess_xx L and the Jacobian J of Phi) is computed up front; the cones,
+    D and D+ included, are computed on first read, so consumers that need
+    only the smooth data (and a dual-LQ g, which has no pieces) never
+    build them.
     """
 
     problem: CompositeProblem
@@ -286,20 +276,41 @@ class KKTPoint:
                                        np.vstack([KT.E, K.E @ J]), self.problem.n))
                 for i, K in cones]
 
+    @cached_property
+    def D(self) -> ConeFamily:
+        """The critical cone D (`cone_D`)."""
+        return cone_D(self)
+
+    @cached_property
+    def Dplus(self) -> ConeFamily:
+        """The subspace enlargement D+ of D (`subspace_Dplus`)."""
+        return subspace_Dplus(self)
+
 
 def kkt_point(problem: CompositeProblem, x, lam) -> KKTPoint:
-    """Check the KKT residual at (x, lam) once and gather the data there.
+    """The KKTPoint at (x, lam); raises NotAKKTPoint when the KKT residual
+    exceeds KKT_TOL.
 
-    Raises NotAKKTPoint when the residual exceeds KKT_TOL.
+    The last answer, the point or the residual that failed, is kept on the
+    problem as `_point_memo`, keyed by the bytes of (x, lam), so the SQP
+    monitors and the checks at one pair share one point and its cones.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    lam = np.asarray(lam, dtype=float).ravel()
-    r = kkt_residual(problem, x, lam)
-    if r > KKT_TOL:
-        raise NotAKKTPoint(f"KKT residual {r:.3e} exceeds {KKT_TOL:.1e}")
-    _, J, gphi = _smooth_data(problem, x)
-    hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)
-    return KKTPoint(problem, x, lam, r, gphi + J.T @ lam, hess, J)
+    x = np.array(x, dtype=float).ravel()  # copies: the kept point must not alias the caller's
+    lam = np.array(lam, dtype=float).ravel()
+    key = (x.tobytes(), lam.tobytes())
+    memo = getattr(problem, "_point_memo", None)
+    if memo is None or memo[0] != key:
+        r = kkt_residual(problem, x, lam)
+        if r > KKT_TOL:
+            memo = (key, r)
+        else:
+            _, J, gphi = _smooth_data(problem, x)
+            hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)
+            memo = (key, KKTPoint(problem, x, lam, r, gphi + J.T @ lam, hess, J))
+        object.__setattr__(problem, "_point_memo", memo)
+    if not isinstance(memo[1], KKTPoint):
+        raise NotAKKTPoint(f"KKT residual {memo[1]:.3e} exceeds {KKT_TOL:.1e}")
+    return memo[1]
 
 
 def cone_D(point: KKTPoint) -> ConeFamily:

@@ -24,6 +24,8 @@ def load_problem(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: the top level must be a JSON object")
     obj = raw.get("problem", raw)
     metadata = raw.get("metadata", {})
     for key in ("phi", "Phi", "g", "Theta"):

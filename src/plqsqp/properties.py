@@ -68,15 +68,16 @@ def subdifferential_duality_suite(g: PLQFunction, rng, n_cases: int = 200):
     return failures, checked, "subdifferential-subderivative duality"
 
 
-def _value_extended(g: PLQFunction, z):
-    """g(z) in extended precision; the t^-2 quotient needs the headroom."""
-    z64 = np.asarray(z, dtype=float)
+def _increment_extended(g: PLQFunction, z, zt):
+    """g(zt) - g(z) in extended precision (the t^-2 quotient needs the
+    headroom), both values from the first piece holding zt; +inf when none
+    does.  Pieces meeting at z agree there only up to rounding, which the
+    quotient would amplify past its tolerance."""
     for p in g.pieces:
-        if contains(p.C, z64):
-            zl = np.asarray(z, dtype=np.longdouble)
+        if contains(p.C, np.asarray(zt, dtype=float)):
             A = p.A.astype(np.longdouble)
             a = p.a.astype(np.longdouble)
-            return 0.5 * (zl @ A @ zl) + a @ zl + np.longdouble(p.alpha)
+            return 0.5 * (zt @ A @ zt - z @ A @ z) + a @ (zt - z)
     return np.longdouble(np.inf)
 
 
@@ -120,14 +121,13 @@ def second_quotient_suite(g: PLQFunction, rng, n_cases: int = 200):
         zl = z.astype(np.longdouble)
         wl = w.astype(np.longdouble)
         vl = v.astype(np.longdouble)
-        gz = _value_extended(g, zl)
         d2_host = float(w @ g.pieces[i].A @ w)
         if abs(d2_host - d2) > 1e-8 * (1.0 + abs(d2)):
             failures += 1  # piece quadratic forms disagree on a shared direction
             continue
         for t in (1e-2, 1e-3, 1e-4):
             teff = np.longdouble(min(t, t0, 0.9 * t_cross))
-            quot = float((_value_extended(g, zl + teff * wl) - gz - teff * (vl @ wl))
+            quot = float((_increment_extended(g, zl, zl + teff * wl) - teff * (vl @ wl))
                          / (0.5 * teff * teff))
             if not np.isfinite(quot) or abs(quot - d2) > 1e-8 * (1.0 + abs(d2)):
                 failures += 1

@@ -9,8 +9,10 @@ inside delta, which the method allows; `solve_subproblem` grows delta
 when no verified pair lies inside it).
 Per-iteration monitors record step norms and the three Dennis-More
 quantities (projection of the Hessian-model error onto the critical
-cone, onto its subspace enlargement, and the full norm), all normalized
-by the step length; a caller that reads only the iterates turns them off
+cone D, onto its subspace enlargement D+, and the full norm), all
+normalized by the step length, in one place (`_dm_ratios`).  D and D+ are
+those of the anchor's `kkt_point`, the one the diagnostics read too; a
+caller that reads only the iterates turns the monitors off
 (`SQPConfig(monitors=False)`), and its records keep dm_* = 0.0.
 No globalization: the method is purely local by design.
 """
@@ -26,19 +28,9 @@ from .errors import (
     PLQError,
     SubproblemFailure,
     TooShortTrace,
-    ZeroStep,
 )
-from .kkt import (
-    CompositeProblem,
-    PrimalDual,
-    _smooth_data,
-    cone_D,
-    kkt_point,
-    kkt_residual,
-    lagrangian,
-    subspace_Dplus,
-)
-from .polyhedral import ConeFamily, project_cone_union
+from .kkt import CompositeProblem, PrimalDual, _smooth_data, kkt_point, kkt_residual
+from .polyhedral import project_cone_union
 from .subqp import DELTA_GROWTH, SubproblemSpec, solve_subproblem
 
 DELTA_FLOOR = 1e-6
@@ -60,7 +52,7 @@ class SQPConfig:
     def __post_init__(self):
         if self.hessian_mode not in ("exact", "bfgs", "fixed_identity"):
             raise ValueError(f"unknown hessian mode {self.hessian_mode!r}")
-        if self.tol <= 0 or self.max_iter < 1:
+        if not self.tol > 0 or self.max_iter < 1:  # NaN fails too
             raise ValueError("tol must be positive and max_iter at least 1")
         if not self.delta0 > 0:  # NaN fails too
             raise ValueError("delta0 must be positive")
@@ -106,22 +98,6 @@ def bfgs_update(H, s, y) -> np.ndarray:
     return 0.5 * (Hn + Hn.T)
 
 
-def dennis_more_values(problem, xk, lambdak, H, x_next,
-                       D: ConeFamily, Dplus: ConeFamily):
-    """(||P_D r||, ||P_{D+} r||, ||r||) / ||step|| with r the model error.
-
-    r = (hess_xx L(xk, lambdak) - H)(x_next - xk).
-    """
-    xk = np.asarray(xk, dtype=float).ravel()
-    x_next = np.asarray(x_next, dtype=float).ravel()
-    step = x_next - xk
-    ns = float(np.linalg.norm(step))
-    if ns <= 0.0:
-        raise ZeroStep("Dennis-More values need a nonzero step")
-    _, _, hess = lagrangian(problem, xk, lambdak)
-    return _dm_ratios((hess - np.asarray(H, dtype=float)) @ step, ns, D, Dplus)
-
-
 def _dm_ratios(r, step_norm, D, Dplus):
     """(||P_D r||, ||P_{D+} r||, ||r||) / step_norm; a family given as None
     falls back to the full norm."""
@@ -129,33 +105,20 @@ def _dm_ratios(r, step_norm, D, Dplus):
     return tuple(float(v) / step_norm for v in norms)
 
 
-def _anchor_cones(problem, anchor):
-    """(D, D+) at the anchor, or (None, None) when it is no KKT point of a
-    piece g (the monitors then fall back to the full norm).
+def _attach_monitors(problem, trace, reference):
+    """Fill dm_* on each record against D and D+ at the anchor, or against
+    the full norm when the anchor is no KKT point of a piece g.
 
-    The last answer is kept on the problem, keyed by the anchor's bytes,
-    so runs sharing a reference (a sweep, or many starts against one
-    known point) build the anchor's cones once.
+    `kkt_point` keeps the anchor's point and its cones on the problem, so
+    runs sharing a reference (a sweep, or many starts against one known
+    point) build them once.
     """
-    key = (anchor.x.tobytes(), anchor.lam.tobytes())
-    memo = getattr(problem, "_anchor_memo", None)
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    anchor = reference if reference is not None else PrimalDual(trace[-1].x, trace[-1].lam)
     try:
         point = kkt_point(problem, anchor.x, anchor.lam)
-        cones = (cone_D(point), subspace_Dplus(point))
+        D, Dplus = point.D, point.Dplus
     except PLQError:
-        cones = (None, None)
-    object.__setattr__(problem, "_anchor_memo", (key, cones))
-    return cones
-
-
-def _attach_monitors(problem, trace, reference):
-    """Fill dm_* on each record against the cones at the anchor point."""
-    if not trace:
-        return
-    anchor = reference if reference is not None else PrimalDual(trace[-1].x, trace[-1].lam)
-    D, Dplus = _anchor_cones(problem, anchor)
+        D = Dplus = None
     for rec in trace:
         if rec._error is None or rec.step_norm <= 0.0:
             continue

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plqsqp import plq, qp, sqp, subqp
+from plqsqp import kkt, plq, qp, subqp
 from plqsqp.kkt import CompositeProblem, Poly2Map
 from plqsqp.plq import (
     DualLQ,
@@ -35,17 +35,18 @@ def qp_calls(monkeypatch):
 
 
 @pytest.fixture
-def monitor_builds(monkeypatch):
-    """A list that grows by one on every KKT point run_sqp builds for its
-    Dennis-More monitors (the anchor of their cones)."""
+def point_builds(monkeypatch):
+    """A list that grows by one on every KKT point built: each `kkt_point`
+    memo miss evaluates its residual once, and nothing else in `kkt`
+    evaluates one (run_sqp and the CLI call their own imported name)."""
     built = []
-    build = sqp.kkt_point
+    residual = kkt.kkt_residual
 
     def spy(*args, **kwargs):
         built.append(args)
-        return build(*args, **kwargs)
+        return residual(*args, **kwargs)
 
-    monkeypatch.setattr(sqp, "kkt_point", spy)
+    monkeypatch.setattr(kkt, "kkt_residual", spy)
     return built
 
 

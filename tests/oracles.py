@@ -5,9 +5,9 @@ noncriticality oracle scans a grid of directions and decides each one
 with the eliminated proto-derivative H-representation, not with the
 activity-pattern LPs used by the diagnostics module, and the uniqueness
 oracle bounds the multiplier polyhedron coordinate by coordinate, not
-with the dual cone condition.  The enumerations and residuals below
-serve only as test references, so they live here rather than in the
-package.
+with the dual cone condition.  The enumerations, residuals and the
+Lagrangian below serve only as test references, so they live here rather
+than in the package.
 """
 
 import itertools
@@ -15,8 +15,8 @@ import itertools
 import numpy as np
 from scipy.linalg import null_space
 
-from plqsqp.errors import PointOutsideDomain, TooManyRows
-from plqsqp.kkt import lagrangian, multiplier_set
+from plqsqp.errors import DimensionMismatch, PointOutsideDomain, TooManyRows
+from plqsqp.kkt import multiplier_set
 from plqsqp.lp import LP_OPTIMAL, feasible_point, solve_lp
 from plqsqp.qp import active_set_qp
 from plqsqp.plq import piece_critical_cones, prox
@@ -33,6 +33,19 @@ from plqsqp.polyhedral import (
     normal_cone_generators,
     project,
 )
+
+
+def lagrangian(problem, x, lam):
+    """(L, grad_x L, hess_xx L) with L(x, lam) = phi(x) + <Phi(x), lam>,
+    evaluated from the maps directly, not through `kkt._smooth_data`."""
+    x = np.asarray(x, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float).ravel()
+    if x.size != problem.n or lam.size != problem.m:
+        raise DimensionMismatch("lagrangian argument dimensions")
+    value = float(problem.phi.value(x)[0]) + float(problem.Phi.value(x) @ lam)
+    grad = problem.phi.jacobian(x)[0] + problem.Phi.jacobian(x).T @ lam
+    hess = problem.phi.Q[0] + problem.Phi.hessian_weighted(lam)
+    return value, grad, hess
 
 
 def vertices(P: Polyhedron, cap: int = 20) -> list:

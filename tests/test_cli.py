@@ -70,6 +70,15 @@ def test_load_rejects_malformed_json(tmp_path):
         load_problem(bad)
 
 
+def test_load_rejects_a_top_level_that_is_no_object(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="JSON object"):
+        load_problem(bad)
+    assert main(["solve", "--problem", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
 def test_load_rejects_missing_field(tmp_path, p1_file):
     with open(p1_file) as fh:
         raw = json.load(fh)
@@ -253,12 +262,40 @@ def test_validation_exit_code(tmp_path):
     ["sweep", "--modes", "exact,newton"],
     ["generate", "--kind", "nlp", "--params", '{"bogus": 1}'],
     ["generate", "--kind", "nlp", "--params", "[1"],
+    ["solve", "--x0", "0.3,0.1,0.2"],
+    ["solve", "--lambda0", "0.3,0.1"],
+    ["solve", "--reference", "1,2;1"],
+    ["sweep", "--reference", "1;1,2"],
+    ["solve", "--tol", "-1"],
+    ["solve", "--max-iter", "0"],
+    ["sweep", "--tol", "-1"],
+    ["sweep", "--max-iter", "0"],
+    ["generate", "--kind", "critical_showcase", "--params", '{"bogus": 1}'],
 ])
 def test_malformed_values_exit_with_validation_error(tmp_path, p1_file, capsys, argv):
     target = (["--out-file", str(tmp_path / "gen.json")] if argv[0] == "generate"
               else ["--problem", p1_file, "--out", str(tmp_path / "o")])
     assert main(argv + target) == 3
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
+def test_embedded_point_of_the_wrong_length_is_a_validation_error(tmp_path, capsys, command):
+    path = tmp_path / "p1.json"
+    save_problem(path, make_p1(), {"xbar": [1.0, 2.0], "lambdabar": [1.0]})
+    assert main([command, "--problem", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "validation error: xbar: expected 1 values, got 2\n"
+
+
+def test_calculus_suites_pass_where_pieces_meet(tmp_path, capsys):
+    # at points where all three max pieces meet, the second quotient took
+    # g(z) and g(z + t w) from different pieces, whose values at z differ
+    # by rounding: one false failure in 40 cases
+    target = tmp_path / "mm.json"
+    assert main(["generate", "--kind", "minmax", "--seed", "7", "--out-file", str(target)]) == 0
+    assert main(["check-calculus", "--problem", str(target), "--n-cases", "40", "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "second-order difference quotient equality: 0/40 failures" in capsys.readouterr().out
 
 
 def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatch):

@@ -16,8 +16,9 @@ from plqsqp.generators import generate
 from plqsqp.kkt import (
     CompositeProblem,
     Poly2Map,
+    PrimalDual,
+    kkt_point,
     kkt_residual,
-    lagrangian,
     multiplier_set,
 )
 from plqsqp.plq import (
@@ -26,10 +27,12 @@ from plqsqp.plq import (
     second_subderivative,
 )
 from plqsqp.polyhedral import PolyCone, Polyhedron, contains, project
+from plqsqp.sqp import SQPConfig, run_sqp
 
 from conftest import make_degenerate_range, make_dual_lq, make_p1, make_p2
 from oracles import (
     grid_noncritical_oracle,
+    lagrangian,
     min_form_by_subsets,
     unique_multiplier_by_coordinates,
 )
@@ -403,13 +406,43 @@ def test_calmness_p1_bounded(rng):
     assert not v.detail.startswith("inconclusive")
 
 
-def test_calmness_builds_no_monitor_cones(rng, monitor_builds):
+def test_calmness_builds_no_monitor_cones(rng, point_builds):
     # the perturbed solves read only their last iterate, so run_sqp builds
-    # no KKT point for the Dennis-More monitors
-    v = estimate_calmness(make_p1(), [1.0], [1.0], radii=[1e-2, 1e-3], n_samples=5,
+    # no KKT point for the Dennis-More monitors; the point calmness itself
+    # reads at (1, 1) is built beforehand and kept
+    p1 = make_p1()
+    kkt_point(p1, [1.0], [1.0])
+    point_builds.clear()
+    v = estimate_calmness(p1, [1.0], [1.0], radii=[1e-2, 1e-3], n_samples=5,
                           mode="full", rng=rng)
     assert v.result == "heuristic_holds"
-    assert monitor_builds == []
+    assert point_builds == []
+
+
+def test_checks_and_monitors_at_one_pair_share_one_kkt_point(point_builds, monkeypatch):
+    # the three exact checks, calmness (reading D) and a monitored run
+    # anchored there build one KKT point and one critical cone D
+    from plqsqp import kkt
+    cones = []
+    cone_D = kkt.cone_D
+
+    def spy(point):
+        cones.append(point)
+        return cone_D(point)
+
+    monkeypatch.setattr(kkt, "cone_D", spy)
+    gp = generate("minmax", seed=7, n=3, m=3, n_active=2)
+    problem, x, lam = gp.problem, gp.xbar, gp.lambdabar
+    assert check_noncritical(problem, x, lam).result == "holds"
+    assert check_unique_multiplier(problem, x, lam).result == "holds"
+    assert check_sosc(problem, x, lam).result == "heuristic_holds"
+    calm = estimate_calmness(problem, x, lam, radii=[1e-2, 1e-3], n_samples=2,
+                             mode="primal_D", rng=np.random.default_rng(0))
+    assert calm.condition == "primal_estimate_D"
+    trace = run_sqp(problem, x + 0.05, lam + 0.05,
+                    SQPConfig(hessian_mode="bfgs", reference=PrimalDual(x, lam)))
+    assert any(rec.dm_D > 0.0 for rec in trace)
+    assert len(point_builds) == 1 and len(cones) == 1
 
 
 def test_calmness_checks_its_mode_first():

@@ -8,7 +8,6 @@ from plqsqp.kkt import (
     cone_D,
     kkt_point,
     kkt_residual,
-    lagrangian,
     multiplier_set,
     perturbed_problem,
     subspace_Dplus,
@@ -17,6 +16,7 @@ from plqsqp.plq import plq_quadratic, prox_any
 from plqsqp.polyhedral import Polyhedron, contains
 
 from conftest import make_dual_lq
+from oracles import lagrangian
 
 
 def finite_difference_grad(f, x, h=1e-6):
@@ -201,6 +201,23 @@ def test_kkt_point_checks_the_residual_and_defers_the_cones(p1):
     assert point.J.shape == (1, 1)
     with pytest.raises(PointOutsideDomain):
         cone_D(point)
+
+
+def test_kkt_point_keeps_the_last_pair(p1, point_builds):
+    # one residual per pair asked in a row, a failed pair included; the kept
+    # point reads its cones once and does not alias the caller's arrays
+    x = np.array([1.0])
+    point = kkt_point(p1, x, [1.0])
+    x[0] = 0.5
+    assert kkt_point(p1, [1.0], np.ones(1)) is point and point.x[0] == 1.0
+    assert len(point_builds) == 1
+    assert point.D is point.D and point.Dplus is point.Dplus
+    assert len(point.D.members) == len(cone_D(point).members)
+    for _ in range(2):
+        with pytest.raises(NotAKKTPoint, match="exceeds"):
+            kkt_point(p1, x, [0.0])
+    assert len(point_builds) == 2
+    assert kkt_point(p1, [1.0], [1.0]) is not point and len(point_builds) == 3
 
 
 def test_subspace_dplus_p1(p1):

@@ -22,9 +22,12 @@ Multiplier uniqueness has one route, the dual cone condition's LP:
 polyhedron and run no LP of their own.  The SQP driver and its subproblem
 data reach Phi, J and grad phi through `kkt._smooth_data` only, the one
 evaluation per iterate that they share, and a KKT point reads Phi(x) there
-too.  Every defaulted parameter of the package (dataclass fields included)
-is passed, by name or position, by some call in `src/`, `bench/` or
-`tests/`, or is listed with its reason in `KNOBS_ALLOWED`.
+too.  KKT-point data has one builder: a `KKTPoint` is constructed in
+`kkt.kkt_point` only, and the SQP driver and the diagnostics read the
+cones D and D+ from that point, calling neither `cone_D` nor
+`subspace_Dplus`.  Every defaulted parameter of the package (dataclass
+fields included) is passed, by name or position, by some call in `src/`,
+`bench/` or `tests/`, or is listed with its reason in `KNOBS_ALLOWED`.
 """
 
 import ast
@@ -332,3 +335,21 @@ def test_sqp_iterates_evaluate_the_smooth_data_once():
                               & {"lagrangian", "value", "jacobian", "Poly2Map"})
     assert seen == {"run_sqp", "SubproblemSpec", "KKTPoint"}, sorted(seen)
     assert not direct, sorted(direct)
+
+
+def test_kkt_point_data_has_one_builder():
+    built = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+            built.update((path.name, name) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)
+                         and "KKTPoint" in (getattr(call.func, "id", None),
+                                            getattr(call.func, "attr", None)))
+    assert built == {("kkt.py", "kkt_point")}, sorted(built)
+    cones = set()
+    for file in ("sqp.py", "diagnostics.py"):
+        path = PACKAGE / file
+        cones.update((file, name, line) for name, line
+                     in _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+                     if name in {"cone_D", "subspace_Dplus"})
+    assert not cones, sorted(cones)

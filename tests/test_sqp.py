@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from plqsqp import sqp
-from plqsqp.errors import DegenerateStep, MaxIterReached, TooShortTrace, ZeroStep
-from plqsqp.kkt import CompositeProblem, PrimalDual, cone_D, kkt_point, subspace_Dplus
+from plqsqp.errors import DegenerateStep, MaxIterReached, TooShortTrace
+from plqsqp.kkt import CompositeProblem, PrimalDual, kkt_point
 from plqsqp.polyhedral import ConeFamily, PolyCone
 from plqsqp.sqp import (
     IterateRecord,
     SQPConfig,
     bfgs_update,
-    dennis_more_values,
     rate_report,
     run_classification,
     run_sqp,
@@ -17,6 +16,7 @@ from plqsqp.sqp import (
 )
 
 from conftest import make_p1, make_p2
+from oracles import lagrangian
 
 
 def test_p1_converges_in_one_step():
@@ -65,36 +65,29 @@ def test_exact_run_on_elqp_spends_few_qps(qp_calls):
 def test_phi_is_evaluated_once_per_iterate(mode, monkeypatch):
     # an iterate's residual, its subproblem's linearization and the BFGS
     # gradients at x_k and x_{k+1} share one evaluation of Phi, J and
-    # grad phi, and hess_xx L comes from the quadratic data: beyond the
-    # first residual's own evaluations, at most one Poly2Map.value per
-    # record and no lagrangian in the iteration loop (the loop evaluated
-    # Phi about three times per iterate and ran lagrangian two to four times)
+    # grad phi: beyond the first residual's own evaluations, at most one
+    # Poly2Map.value per record (the loop evaluated Phi about three times
+    # per iterate); that hess_xx L comes from the quadratic data, not from
+    # a Lagrangian routine, is test_sqp_iterates_evaluate_the_smooth_data_once
     from plqsqp import kkt
     from plqsqp.generators import generate
     gp = generate("elqp", n=3, m=3, seed=5)
     fresh = generate("elqp", n=3, m=3, seed=5).problem  # shares no memo with gp
     x0, l0 = gp.xbar + 0.3, gp.lambdabar + 0.3
-    calls = {"value": 0, "lagrangian": 0}
-    value, lagrangian = kkt.Poly2Map.value, kkt.lagrangian
+    calls = []
+    value = kkt.Poly2Map.value
 
     def spy_value(self, x):
-        calls["value"] += 1
+        calls.append(1)
         return value(self, x)
 
-    def spy_lagrangian(*args):
-        calls["lagrangian"] += 1
-        return lagrangian(*args)
-
     monkeypatch.setattr(kkt.Poly2Map, "value", spy_value)
-    for module in (kkt, sqp):
-        monkeypatch.setattr(module, "lagrangian", spy_lagrangian)
     kkt.kkt_residual(fresh, x0, l0)
-    first = dict(calls)
-    calls.update(value=0, lagrangian=0)
+    first = len(calls)
+    calls.clear()
     trace = run_sqp(gp.problem, x0, l0, SQPConfig(hessian_mode=mode))
     assert trace[-1].residual <= 1e-10 and len(trace) >= 2
-    assert calls["value"] <= first["value"] + len(trace), (calls, first, len(trace))
-    assert calls["lagrangian"] <= first["lagrangian"], (calls, first)
+    assert len(calls) <= first + len(trace), (len(calls), first, len(trace))
 
 
 def test_subproblems_start_at_the_piece_holding_Phi_xk(monkeypatch):
@@ -134,7 +127,7 @@ def test_subproblems_start_at_the_piece_holding_Phi_xk(monkeypatch):
     assert counts["repair"] == 0
 
 
-def test_runs_sharing_a_reference_build_its_cones_once(monitor_builds):
+def test_runs_sharing_a_reference_build_its_cones_once(point_builds):
     from plqsqp.generators import generate
     gp = generate("minmax", seed=7, n=3, m=3, n_active=2)
     x0, lam0 = gp.xbar + 0.05, gp.lambdabar + 0.05
@@ -142,21 +135,21 @@ def test_runs_sharing_a_reference_build_its_cones_once(monitor_builds):
     first = run_sqp(gp.problem, x0, lam0, config)
     second = run_sqp(gp.problem, x0 - 0.1, lam0, config)
     assert first[-1].residual <= 1e-10 and second[-1].residual <= 1e-10
-    assert len(monitor_builds) == 1
+    assert len(point_builds) == 1
     # the kept cones give the monitors of a problem that never saw them
     fresh = CompositeProblem(gp.problem.phi, gp.problem.Phi, gp.problem.g, gp.problem.Theta)
     again = run_sqp(fresh, x0 - 0.1, lam0, config)
-    assert len(monitor_builds) == 2
+    assert len(point_builds) == 2
     assert any(rec.dm_D > 0.0 for rec in second)
     assert [(r.dm_D, r.dm_Dplus, r.dm_full) for r in second] == \
         [(r.dm_D, r.dm_Dplus, r.dm_full) for r in again]
     # another reference builds again; a reference that is no KKT point
     # keeps the full-norm fallback, built once
     run_sqp(gp.problem, x0, lam0, SQPConfig(hessian_mode="bfgs", reference=None))
-    assert len(monitor_builds) == 3
+    assert len(point_builds) == 3
     off = SQPConfig(hessian_mode="bfgs", reference=PrimalDual(x0, lam0))
     runs = [run_sqp(gp.problem, x0, lam0, off) for _ in range(2)]
-    assert len(monitor_builds) == 4
+    assert len(point_builds) == 4
     assert all(r.dm_D == r.dm_full for r in runs[1][1:])
 
 
@@ -196,6 +189,14 @@ def test_monitors_project_without_a_qp():
 def test_config_rejects_a_radius_that_cannot_grow(delta0):
     with pytest.raises(ValueError, match="delta0"):
         SQPConfig(delta0=delta0)
+
+
+@pytest.mark.parametrize("settings", [dict(tol=0.0), dict(tol=np.nan), dict(max_iter=0)])
+def test_config_rejects_a_run_that_cannot_stop(settings):
+    # a NaN tolerance compares false both ways: the run ended after max_iter
+    # iterations and returned its trace as if converged
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SQPConfig(**settings)
 
 
 def test_start_at_kkt_point_stops_immediately():
@@ -265,19 +266,26 @@ def test_bfgs_degenerate_step():
 
 # -- Dennis-More values -----------------------------------------------------------
 
+def _dm_of_step(problem, xk, lamk, H, x_next, D, Dplus):
+    """The monitors' ratios for the step xk -> x_next of model Hessian H:
+    r = (hess_xx L(xk, lamk) - H) step, as run_sqp keeps it on a record."""
+    step = np.asarray(x_next, dtype=float) - np.asarray(xk, dtype=float)
+    _, _, hess = lagrangian(problem, xk, lamk)
+    return sqp._dm_ratios((hess - np.asarray(H, dtype=float)) @ step,
+                          float(np.linalg.norm(step)), D, Dplus)
+
+
 def test_dm_exact_hessian_gives_zero():
     p1 = make_p1()
     point = kkt_point(p1, [1.0], [1.0])
-    D, Dp = cone_D(point), subspace_Dplus(point)
-    vals = dennis_more_values(p1, [0.0], [0.0], [[1.0]], [1.0], D, Dp)
+    vals = _dm_of_step(p1, [0.0], [0.0], [[1.0]], [1.0], point.D, point.Dplus)
     assert vals == (0.0, 0.0, 0.0)
 
 
 def test_dm_trivial_cone_projects_to_zero():
     p1 = make_p1()
-    point = kkt_point(p1, [1.0], [1.0])
-    D, Dp = cone_D(point), subspace_Dplus(point)  # D is the zero cone
-    dm_D, dm_Dp, dm_full = dennis_more_values(p1, [0.0], [0.0], [[5.0]], [1.0], D, Dp)
+    point = kkt_point(p1, [1.0], [1.0])  # D is the zero cone
+    dm_D, dm_Dp, dm_full = _dm_of_step(p1, [0.0], [0.0], [[5.0]], [1.0], point.D, point.Dplus)
     assert dm_D == 0.0 and dm_Dp == 0.0
     assert abs(dm_full - 4.0) <= 1e-12  # |hess - H| = |1 - 5| along a unit step
 
@@ -286,8 +294,7 @@ def test_dm_identity_unit_ratio():
     p1 = make_p1()
     whole = ConeFamily("union", members=(PolyCone.whole(1),))
     sub = ConeFamily("subspace", basis=np.eye(1))
-    dm_D, dm_Dp, dm_full = dennis_more_values(p1, [0.0], [0.0], [[0.0]], [2.0],
-                                              whole, sub)
+    dm_D, dm_Dp, dm_full = _dm_of_step(p1, [0.0], [0.0], [[0.0]], [2.0], whole, sub)
     assert abs(dm_full - 1.0) <= 1e-12
     assert abs(dm_D - 1.0) <= 1e-12 and abs(dm_Dp - 1.0) <= 1e-12
 
@@ -301,25 +308,30 @@ def test_dm_values_do_not_change_when_the_step_shrinks():
     sub = ConeFamily("subspace", basis=np.eye(1))
     for H, expected in (([[0.5]], 0.0), ([[3.0]], 2.0)):  # r = (1 - H) step
         for step in (1.0, 1e-12):
-            dm_D, _, dm_full = dennis_more_values(p1, [0.0], [1.0], H, [step], half_line, sub)
+            dm_D, _, dm_full = _dm_of_step(p1, [0.0], [1.0], H, [step], half_line, sub)
             assert dm_D == expected and abs(dm_full - abs(1.0 - H[0][0])) <= 1e-15
     gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
     point = kkt_point(gp.problem, gp.xbar, gp.lambdabar)
-    D, Dp = cone_D(point), subspace_Dplus(point)
     rng = np.random.default_rng(5)
     xk = np.zeros(4)
     for _ in range(10):
         H = rng.standard_normal((4, 4))
         d = rng.standard_normal(4)
-        unit = dennis_more_values(gp.problem, xk, gp.lambdabar, H + H.T, d, D, Dp)
-        tiny = dennis_more_values(gp.problem, xk, gp.lambdabar, H + H.T, 1e-12 * d, D, Dp)
+        unit = _dm_of_step(gp.problem, xk, gp.lambdabar, H + H.T, d, point.D, point.Dplus)
+        tiny = _dm_of_step(gp.problem, xk, gp.lambdabar, H + H.T, 1e-12 * d,
+                           point.D, point.Dplus)
         assert np.allclose(tiny, unit, rtol=1e-12, atol=0.0)
 
 
-def test_dm_zero_step_raises():
+def test_dm_zero_step_keeps_zero_values():
+    # a step that moves only the multiplier has no ratio: its record keeps
+    # dm_* = 0.0, and so does a record whose step is zero beside a model error
     p1 = make_p1()
-    with pytest.raises(ZeroStep):
-        dennis_more_values(p1, [1.0], [1.0], [[1.0]], [1.0], None, None)
+    trace = run_sqp(p1, [1.0], [0.0], SQPConfig())
+    assert trace[1].step_norm == 0.0 and trace[1].lam[0] == 1.0
+    rec = IterateRecord(1, np.ones(1), np.ones(1), 0.0, 0.0, _error=np.ones(1))
+    sqp._attach_monitors(p1, [rec], None)
+    assert [(r.dm_D, r.dm_Dplus, r.dm_full) for r in trace + [rec]] == [(0.0, 0.0, 0.0)] * 3
 
 
 # -- rate report -------------------------------------------------------------------
@@ -409,7 +421,7 @@ def test_run_classification_short_converged_counts_superlinear():
     assert run_classification(trace) == "superlinear"
 
 
-def test_unmonitored_runs_keep_the_iterates_and_build_no_cones(monitor_builds):
+def test_unmonitored_runs_keep_the_iterates_and_build_no_cones(point_builds):
     # a criterion-4 instance, exact and BFGS: monitors=False changes no
     # iterate, residual, step or piece and leaves every dm_* at 0.0
     from plqsqp.generators import generate
@@ -420,7 +432,7 @@ def test_unmonitored_runs_keep_the_iterates_and_build_no_cones(monitor_builds):
     quiet = {mode: run_sqp(gp.problem, x0, lam0,
                            SQPConfig(hessian_mode=mode, reference=ref, monitors=False))
              for mode in modes}
-    assert monitor_builds == []
+    assert point_builds == []
     for mode in modes:
         loud = run_sqp(gp.problem, x0, lam0, SQPConfig(hessian_mode=mode, reference=ref))
         assert loud[-1].residual <= 1e-10 and len(quiet[mode]) == len(loud) > 2
@@ -430,7 +442,7 @@ def test_unmonitored_runs_keep_the_iterates_and_build_no_cones(monitor_builds):
             assert (q.residual, q.step_norm, q.piece_index) == \
                 (r.residual, r.step_norm, r.piece_index)
             assert (q.dm_D, q.dm_Dplus, q.dm_full) == (0.0, 0.0, 0.0)
-    assert len(monitor_builds) == 1  # the monitored runs share one reference build
+    assert len(point_builds) == 1  # the monitored runs share one reference build
 
 
 def test_unmonitored_max_iter_reached_carries_the_same_trace():
