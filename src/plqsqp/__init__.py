@@ -21,7 +21,6 @@ from .plq import (
     Piece,
     PLQFunction,
     active_indices,
-    critical_cone_g,
     dual_lq_eval_prox,
     evaluate,
     plq_abs,
@@ -31,6 +30,7 @@ from .plq import (
     plq_vector_max,
     prox,
     proto_derivative_contains,
+    second_order_model,
     second_subderivative,
     subderivative,
     subdifferential,
@@ -74,7 +74,7 @@ __all__ = [
     "contains", "project", "tangent_cone", "normal_cone_dist", "critical_cone",
     "enumerate_faces", "project_cone_union",
     "Piece", "PLQFunction", "DualLQ", "evaluate", "active_indices",
-    "subdifferential", "subderivative", "critical_cone_g", "second_subderivative",
+    "subdifferential", "subderivative", "second_order_model", "second_subderivative",
     "proto_derivative_contains", "prox", "dual_lq_eval_prox",
     "plq_abs", "plq_indicator", "plq_quadratic", "plq_vector_max", "plq_separable",
     "Poly2Map", "CompositeProblem", "PrimalDual", "kkt_residual", "KKTPoint", "kkt_point",

@@ -177,6 +177,9 @@ def _cmd_sweep(args):
     if not set(modes) <= set(MODE_MAP):
         raise ParseError(f"--modes: choose from {sorted(MODE_MAP)}, got {args.modes!r}")
     _check_run_settings(args)
+    if args.n_starts < 1 or not 0.0 <= args.radius < np.inf:
+        raise ParseError(f"--n-starts must be at least 1 and --radius finite and "
+                         f"nonnegative, got {args.n_starts!r} and {args.radius!r}")
     problem, metadata = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -217,6 +220,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_check_calculus(args):
+    if args.n_cases < 1:
+        raise ParseError(f"--n-cases must be at least 1, got {args.n_cases!r}")
     problem, _ = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

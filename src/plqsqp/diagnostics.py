@@ -8,9 +8,12 @@ cone condition (the multiplier polyhedron is not built).  The
 second-order sufficient condition is exact too, by one eigenvalue test
 per face of each critical-cone member; a member above 1,024 faces makes
 the verdict inconclusive.  It keeps the heuristic_* result names that
-callers compare against.  Calmness and the primal estimates are sampled
-empirically by solving perturbed KKT systems.  Failure certificates are
-always exact vectors.
+callers compare against.  The reduction lemma is sampled on one
+second-order model h = ½ d²g: each subgradient graph, of g and of h, is
+sampled by prox (Minty's parametrization) and tested against the other
+with the exact subgradient test.  Calmness and the primal estimates are
+sampled empirically by solving perturbed KKT systems.  Failure
+certificates are always exact vectors.
 """
 
 import itertools
@@ -20,25 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import EmptyPolyhedron, PLQError, TooManyRows
+from .errors import PLQError, TooManyRows
 from .kkt import CompositeProblem, kkt_point, multiplier_set, perturbed_problem
 from .lp import LPBuilder, implicit_equalities
-from .plq import (
-    PLQFunction,
-    active_indices,
-    evaluate,
-    piece_critical_cones,
-    proto_contains,
-    shifted_intersection,
-    subgradient_dist,
-)
-from .polyhedral import (
-    contains,
-    enumerate_faces,
-    normal_cone_hrep,
-    project,
-    project_cone_union,
-)
+from .plq import PLQFunction, in_subgradient_graph, prox, second_order_model
+from .polyhedral import enumerate_faces, project, project_cone_union
 from .sqp import SQPConfig, run_sqp
 
 MAX_PATTERN_LPS = 40000
@@ -287,73 +276,39 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
                            n_samples: int = 500, rng=None) -> Verdict:
     """Sampled two-sided check of the local graph coincidence.
 
-    Graph points of the subgradient mapping within eps of (zbar, vbar)
-    must shift to graph points of the proto-derivative, and vice versa;
-    both memberships are checked exactly.  Zero violations required.  The
-    detail counts the attempts skipped on each side: a sample outside the
-    eps-ball or with an empty subdifferential or multiplier set.
+    Near (zbar, vbar), gph dg - (zbar, vbar) must coincide with gph dh for
+    the `second_order_model` h = ½ d²g(zbar, vbar).  Each direction samples
+    one graph by Minty's parametrization x -> (prox(x), x - prox(x)), with
+    delta uniform in the eps-ball, and tests the sample against the other
+    graph exactly (`in_subgradient_graph`).  Forward: x = zbar + vbar +
+    delta, z = prox_g(x), and (z - zbar, x - z - vbar) must lie in gph dh.
+    Backward: w = prox_h(delta), and (zbar + w, vbar + delta - w) must lie
+    in gph dg.  Minty's map is firmly nonexpansive, so every sample lies
+    within eps of its base point and no attempt is skipped.  Zero
+    violations required.
     """
     rng = rng or np.random.default_rng(0)
     zbar = np.asarray(zbar, dtype=float).ravel()
     vbar = np.asarray(vbar, dtype=float).ravel()
-    cones = piece_critical_cones(g, zbar, vbar)  # NotASubgradient unless vbar in dg(zbar)
-    idx = [i for i, _ in cones]
+    h = second_order_model(g, zbar, vbar)  # NotASubgradient unless vbar in dg(zbar)
+
+    def ball():
+        d = rng.standard_normal(g.m)
+        return eps * float(rng.uniform()) ** (1.0 / g.m) * d / np.linalg.norm(d)
+
     violations = 0
-    checked_fwd = 0
-    # forward: gph dg - (zbar, vbar) subset of gph D(dg)(zbar, vbar)
-    attempts = 0
-    while checked_fwd < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        i = idx[attempts % len(idx)]
-        C = g.pieces[i].C
-        radius = float(rng.uniform(0.0, eps / 2.0))
-        z = project(C, zbar + radius * rng.standard_normal(g.m))
-        if np.linalg.norm(z - zbar) > eps / np.sqrt(2.0):
-            continue
-        # subdifferential at z as shifted normal cones, one per activity pattern
-        sub = shifted_intersection(
-            [(normal_cone_hrep(g.pieces[j].C, z), g.pieces[j].gradient(z))
-             for j in active_indices(g, z)], g.m)
-        try:
-            v = project(sub, vbar + (eps / 4.0) * rng.standard_normal(g.m))
-        except EmptyPolyhedron:
-            continue
-        if np.sqrt(np.linalg.norm(z - zbar) ** 2 + np.linalg.norm(v - vbar) ** 2) > eps:
-            continue
-        checked_fwd += 1
-        if not proto_contains(g, cones, z - zbar, v - vbar):
-            violations += 1
-    skipped_fwd = attempts - checked_fwd
-    # backward: gph D(dg)(zbar, vbar) cap eps-ball subset of gph dg - (zbar, vbar)
-    checked_bwd = 0
-    attempts = 0
-    while checked_bwd < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        i, K = cones[attempts % len(cones)]
-        w = project(K, rng.standard_normal(g.m))
-        holding = [(j, Kj) for j, Kj in cones if contains(Kj, w)]
-        if not holding:
-            continue
-        uset = shifted_intersection(
-            [(normal_cone_hrep(Kj, w), g.pieces[j].A @ w)
-             for j, Kj in holding], g.m)
-        target = g.pieces[i].A @ w + float(rng.uniform(0.0, 1.0)) * rng.standard_normal(g.m)
-        try:
-            u = project(uset, target)
-        except EmptyPolyhedron:
-            continue
-        size = np.sqrt(np.linalg.norm(w) ** 2 + np.linalg.norm(u) ** 2)
-        scale = float(rng.uniform(0.2, 1.0)) * (eps / 2.0) / max(size, eps / 2.0)
-        w2, u2 = scale * w, scale * u
-        checked_bwd += 1
-        z2, v2 = zbar + w2, vbar + u2
-        if not np.isfinite(evaluate(g, z2)) or subgradient_dist(g, z2, v2) > 1e-8:
-            violations += 1
+    for _ in range(n_samples):  # forward: gph dg - (zbar, vbar) in gph dh
+        x = zbar + vbar + ball()
+        z = prox(g, x, near=zbar)
+        violations += not in_subgradient_graph(h, z - zbar, x - z - vbar)
+    for _ in range(n_samples):  # backward: gph dh in gph dg - (zbar, vbar)
+        delta = ball()
+        w = prox(h, delta)
+        violations += not in_subgradient_graph(g, zbar + w, vbar + delta - w)
     result = "holds" if violations == 0 else "fails"
     return Verdict("reduction_lemma", result,
                    certificate=violations if violations else None,
-                   detail=f"{checked_fwd} forward + {checked_bwd} backward samples "
-                          f"({skipped_fwd} + {attempts - checked_bwd} attempts skipped), "
+                   detail=f"{n_samples} forward + {n_samples} backward samples, "
                           f"{violations} violations, eps={eps:g}")
 
 

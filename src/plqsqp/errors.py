@@ -95,5 +95,5 @@ class ParseError(PLQError):
     """A problem file cannot be parsed; message names the offending field."""
 
 
-class BadParams(PLQError):
-    pass
+class BadParams(ValidationError):
+    """Generator parameters that admit no instance."""

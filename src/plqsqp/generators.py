@@ -113,6 +113,8 @@ def generate_elqp(n=2, m=2, seed=0, beta_range=(0.5, 1.5), box=(0.0, 1.0),
     an explicit separable piece representation (3 cells per coordinate).
     The target multiplier mixes interior and boundary coordinates.
     """
+    if n < 1 or m < 1:
+        raise BadParams(f"n and m must be at least 1, got {n!r} and {m!r}")
     rng = np.random.default_rng(seed)
     lo, hi = box
     beta = rng.uniform(*beta_range, size=m)

@@ -5,8 +5,9 @@ A PLQ function is given by polyhedral pieces C_i with quadratic data
 (A_i, a_i, alpha_i); on C_i the value is ½<A_i z, z> + <a_i, z> + alpha_i
 and the domain is the union of the pieces.  The calculus implemented
 here: subdifferentials as H-representations, subderivatives, critical
-cones (as unions of polyhedral cones), second subderivatives,
-proto-derivatives of the subgradient mapping, and proximal points.
+cones (one polyhedral cone per active piece), second subderivatives, the
+second-order model ½ d²g as a PLQ function (its subgradient graph is the
+proto-derivative graph of the subgradient mapping), and proximal points.
 Each function builds one table (`_PieceTable`) at construction: every
 piece's rows stacked with the piece owning each row, and every piece's
 least-distance frame, so membership, active rows and subgradient tests
@@ -35,14 +36,12 @@ from .polyhedral import (
     ACT_TOL,
     MEMBER_TOL,
     NORMAL_TOL,
-    ConeFamily,
     Polyhedron,
     contains,
     equality_frame,
     intersect,
     interior_point,
     is_empty,
-    normal_cone_dist,
     normal_cone_dist_at_rows,
     normal_cone_hrep,
     project,
@@ -280,12 +279,6 @@ def piece_critical_cones(g: PLQFunction, z, v):
     return [(i, tangent_cone_at_rows(g.pieces[i].C, J, vi)) for i, J, vi, _ in normals]
 
 
-def critical_cone_g(g: PLQFunction, z, v) -> ConeFamily:
-    """K_g(z, v) as the union of the active pieces' critical cones."""
-    members = tuple(K for _, K in piece_critical_cones(g, z, v))
-    return ConeFamily("union", members=members)
-
-
 def second_subderivative(g: PLQFunction, z, v, w) -> float:
     """d^2 g(z, v)(w): the piece quadratic form on the critical cone, else +inf."""
     return second_form(g, piece_critical_cones(g, z, v), w)
@@ -318,24 +311,25 @@ def shifted_intersection(cones_and_shifts, m) -> Polyhedron:
                       np.concatenate(ds) if ds else np.zeros(0))
 
 
+def second_order_model(g: PLQFunction, z, v) -> PLQFunction:
+    """h = ½ d²g(z, v) as a PLQ function: piece k is (K_i, A_i, 0, 0) for the
+    k-th (i, K_i) of `piece_critical_cones`, so piece k of h is the k-th
+    index of `active_indices(g, z)`.  gph dh is the graph of the
+    proto-derivative D(dg)(z, v) (Rockafellar & Wets, *Variational
+    Analysis*, 13.40), which gph dg - (z, v) coincides with near (z, v)."""
+    return PLQFunction(g.m, [Piece(K, g.pieces[i].A, np.zeros(g.m), 0.0)
+                             for i, K in piece_critical_cones(g, z, v)])
+
+
+def in_subgradient_graph(f: PLQFunction, z, v) -> bool:
+    """Whether (z, v) lies in gph df: f(z) finite and `subgradient_dist` <= 1e-8."""
+    return bool(np.isfinite(evaluate(f, z)) and subgradient_dist(f, z, v) <= 1e-8)
+
+
 def proto_derivative_contains(g: PLQFunction, z, v, w, u) -> bool:
-    """Whether u lies in D(dg)(z, v)(w)."""
-    return proto_contains(g, piece_critical_cones(g, z, v), w, u)
-
-
-def proto_contains(g: PLQFunction, cones, w, u) -> bool:
-    """Whether u lies in D(dg)(z, v)(w), from the `piece_critical_cones`
-    already built at (z, v).
-
-    True iff w is in the critical cone of g and, for every active piece
-    whose critical cone contains w, u - A_i w is normal to that cone at w.
-    """
-    w = np.asarray(w, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    holding = [(i, K) for i, K in cones if contains(K, w)]
-    if not holding:
-        return False
-    return all(normal_cone_dist(K, w, u - g.pieces[i].A @ w) <= 1e-8 for i, K in holding)
+    """Whether u lies in D(dg)(z, v)(w), that is u in dh(w) for the
+    `second_order_model` h at (z, v)."""
+    return in_subgradient_graph(second_order_model(g, z, v), w, u)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +368,15 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
     equalities' hull.  The pieces holding `near` go first, in index order,
     each bounded when reached; then the rest best bound first, ties to the
     lower index, bounded only now.  A piece bounded above the incumbent is
-    skipped.  The first point passing the exact subgradient test x - z in
-    dg(z) is the unique prox point, so `near` changes only the order.  When
-    none passes (rounding), the least value wins, ties to the lowest index.
+    skipped.  Each point valued at most the incumbent's + 1e-12 takes the
+    exact subgradient test x - z in dg(z); the first to pass is the unique
+    prox point, so `near` changes only the order.  When none passes
+    (rounding), the least value wins, ties to the lowest index.  A
+    non-finite x raises DimensionMismatch.
     """
     x = np.asarray(x, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise DimensionMismatch("prox argument must be finite")
 
     def bounded(idx):  # (bound, index, y_u)
         p, (z0, G, _, Qz0) = g.pieces[idx], g._table.frames[idx]
@@ -400,10 +398,12 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
         p, (z0, G, P, _) = g.pieces[idx], g._table.frames[idx]
         z = z0 if P is None else z0 + G @ project(P, y_u)
         val = p.value(z) + 0.5 * float(np.linalg.norm(x - z) ** 2)
-        if val < best_val - 1e-12 or (abs(val - best_val) <= 1e-12 and idx < best_idx):
+        if val > best_val + 1e-12:
+            continue
+        if subgradient_dist(g, z, x - z) <= 1e-10 * (1.0 + np.linalg.norm(x)):
+            return z
+        if val < best_val - 1e-12 or idx < best_idx:
             best, best_val, best_idx = z, val, idx
-            if subgradient_dist(g, z, x - z) <= 1e-10 * (1.0 + np.linalg.norm(x)):
-                return z
     return best
 
 

@@ -212,6 +212,11 @@ def _derived(P: Polyhedron, key, build):
 
 
 def is_empty(P: Polyhedron) -> bool:
+    """Whether P is empty: False at once when P holds the origin (every
+    b_i >= 0 and d = 0, tested exactly), else decided once per P by
+    `interior_point`."""
+    if not (np.any(P.b < 0.0) or np.any(P.d != 0.0)):
+        return False
     return interior_point(P) is None
 
 
@@ -249,15 +254,13 @@ def project(P: Polyhedron, z) -> np.ndarray:
     min ||w|| s.t. -(A N) w >= h; its positive entries J are the rows
     active at the answer, which is then the nearest point of
     {A_J x = b_J, E x = d} by one least-squares solve: exactly on its
-    face, and positively homogeneous on a cone.  A P that holds the origin
-    (every b_i >= 0 and d = 0, tested exactly) is nonempty; any other
-    empty P, decided once per polyhedron by `interior_point`, raises
-    EmptyPolyhedron.
+    face, and positively homogeneous on a cone.  An empty P (`is_empty`)
+    raises EmptyPolyhedron.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.size != P.dim:
         raise DimensionMismatch("projection point dimension mismatch")
-    if (np.any(P.b < 0.0) or np.any(P.d != 0.0)) and is_empty(P):
+    if is_empty(P):
         raise EmptyPolyhedron("cannot project onto an empty polyhedron")
     pinv, _, AN = equality_frame(P)
     x0 = z - pinv @ (P.E @ z - P.d)

@@ -88,18 +88,20 @@ def test_criterion_1_calculus_suite():
             f"in {elapsed:.1f}s (< 10 s)" if not bad else f"failures: {bad}")
 
 
+CRITERION2_ANCHORS = {
+    "abs": ([0.0], [1.0]),
+    "ind_nonpos": ([0.0], [1.0]),
+    "half_square": ([1.0], [1.0]),
+    "two_piece_2d": ([0.0, 0.0], [-1.0, 0.0]),
+}
+
+
 def test_criterion_2_reduction_lemma():
     """500+500 samples at eps = 1e-2 on every fixture, zero violations."""
     t0 = time.time()
-    anchors = {
-        "abs": ([0.0], [1.0]),
-        "ind_nonpos": ([0.0], [1.0]),
-        "half_square": ([1.0], [1.0]),
-        "two_piece_2d": ([0.0, 0.0], [-1.0, 0.0]),
-    }
     bad = []
     for name, g in _g_fixtures():
-        z, v = anchors[name]
+        z, v = CRITERION2_ANCHORS[name]
         verdict = verify_reduction_lemma(g, z, v, eps=1e-2, n_samples=500,
                                          rng=np.random.default_rng(2))
         if verdict.result != "holds":

@@ -271,6 +271,13 @@ def test_validation_exit_code(tmp_path):
     ["sweep", "--tol", "-1"],
     ["sweep", "--max-iter", "0"],
     ["generate", "--kind", "critical_showcase", "--params", '{"bogus": 1}'],
+    ["generate", "--kind", "nlp", "--params", '{"n": 1, "n_eq": 2}'],
+    ["generate", "--kind", "minmax", "--params", '{"n_active": 0}'],
+    ["generate", "--kind", "elqp", "--params", '{"m": 0}'],
+    ["generate", "--kind", "elqp", "--params", '{"n": -1}'],
+    ["sweep", "--radius", "nan"],
+    ["sweep", "--n-starts", "-1"],
+    ["check-calculus", "--n-cases", "-5"],
 ])
 def test_malformed_values_exit_with_validation_error(tmp_path, p1_file, capsys, argv):
     target = (["--out-file", str(tmp_path / "gen.json")] if argv[0] == "generate"

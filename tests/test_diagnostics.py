@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -354,15 +352,31 @@ def test_reduction_lemma_two_piece_interface(g_two_piece_2d):
     assert v.result == "holds"
 
 
-def test_reduction_lemma_reports_skipped_attempts(g_ind_nonpos):
-    # at (0, 1) every sample with z < 0 has subdifferential {0}, outside
-    # the eps-ball around vbar = 1, so forward sampling must skip it
-    v = verify_reduction_lemma(g_ind_nonpos, [0.0], [1.0], eps=1e-2, n_samples=100,
-                               rng=np.random.default_rng(2))
-    assert v.result == "holds"
-    skipped_fwd, skipped_bwd = map(int, re.search(
-        r"\((\d+) \+ (\d+) attempts skipped\)", v.detail).groups())
-    assert skipped_fwd > 0 and skipped_bwd == 0
+def test_reduction_lemma_samples_lie_within_eps_of_their_base_points(
+        monkeypatch, g_ind_nonpos, g_two_piece_2d):
+    # Minty's map is firmly nonexpansive, so every tested forward sample
+    # (w, u) of gph dg - (zbar, vbar) and every backward sample (z, v) of
+    # gph dg lies within eps of (0, 0) and of (zbar, vbar): none is skipped
+    tested = []
+    member = diagnostics.in_subgradient_graph
+
+    def spy(f, z, v):
+        tested.append((f, np.asarray(z), np.asarray(v)))
+        return member(f, z, v)
+
+    monkeypatch.setattr(diagnostics, "in_subgradient_graph", spy)
+    eps = 1e-2
+    for g, zbar, vbar in ((g_ind_nonpos, [0.0], [1.0]),
+                          (g_two_piece_2d, [0.0, 0.0], [-1.0, 0.0])):
+        tested.clear()
+        v = verify_reduction_lemma(g, zbar, vbar, eps=eps, n_samples=100,
+                                   rng=np.random.default_rng(2))
+        assert v.result == "holds"
+        assert [f is g for f, _, _ in tested] == [False] * 100 + [True] * 100
+        for f, z, u in tested:
+            base_z, base_v = (zbar, vbar) if f is g else (0.0, 0.0)
+            assert np.hypot(np.linalg.norm(z - base_z), np.linalg.norm(u - base_v)) \
+                <= eps * (1.0 + 1e-12)
 
 
 def test_reduction_lemma_rejects_non_subgradient(g_abs):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from plqsqp.errors import NotASubgradient, PointOutsideDomain, ValidationError
+from plqsqp.errors import (
+    DimensionMismatch,
+    NotASubgradient,
+    PointOutsideDomain,
+    ValidationError,
+)
 from plqsqp.plq import (
     DualLQ,
     Piece,
@@ -9,7 +14,6 @@ from plqsqp.plq import (
     active_indices,
     check_consistency,
     check_convexity,
-    critical_cone_g,
     dual_lq_eval_prox,
     dual_lq_subdifferential,
     evaluate,
@@ -19,6 +23,7 @@ from plqsqp.plq import (
     sample_domain_point,
     subgradient_dist,
     proto_derivative_contains,
+    second_order_model,
     second_subderivative,
     subderivative,
     subdifferential,
@@ -37,8 +42,8 @@ from plqsqp.properties import (
     subdifferential_duality_suite,
 )
 
-from oracles import prox_all_pieces, subgradient_dist_by_pieces, vertices
-from test_acceptance import CRITERION4_INSTANCES
+from oracles import prox_all_pieces, proto_derivative_set, subgradient_dist_by_pieces, vertices
+from test_acceptance import CRITERION2_ANCHORS, CRITERION4_INSTANCES, _g_fixtures
 
 
 # -- evaluation --------------------------------------------------------------
@@ -83,27 +88,27 @@ def test_subderivative_examples(g_abs, g_ind_nonpos, g_quad):
 # -- critical cones ----------------------------------------------------------
 
 def test_critical_cone_abs_boundary_subgradient(g_abs):
-    # hand: piece R_- gives T cap [2]-perp = {0}; piece R_+ gives R_+
-    F = critical_cone_g(g_abs, [0.0], [1.0])
-    assert len(F.members) == 2
-    left, right = F.members
+    # hand: piece R_- gives T cap [2]-perp = {0}; piece R_+ gives R_+; the
+    # second-order model's pieces are these cones and dom h is their union
+    h = second_order_model(g_abs, [0.0], [1.0])
+    assert len(h.pieces) == 2
+    left, right = (p.C for p in h.pieces)
     assert contains(left, [0.0]) and not contains(left, [-1e-3])
     assert contains(right, [3.0]) and not contains(right, [-1e-3])
-    assert F.member_contains([2.0]) and not F.member_contains([-0.1])
+    assert np.isfinite(h([2.0])) and not np.isfinite(h([-0.1]))
 
 
 def test_critical_cone_abs_interior_subgradient(g_abs):
     # v = 0.5 interior: both members collapse to {0}
-    F = critical_cone_g(g_abs, [0.0], [0.5])
-    for member in F.members:
-        assert contains(member, [0.0]) and not contains(member, [1e-3])
+    for piece in second_order_model(g_abs, [0.0], [0.5]).pieces:
+        assert contains(piece.C, [0.0]) and not contains(piece.C, [1e-3])
 
 
 def test_critical_cone_quadratic(g_quad):
-    F = critical_cone_g(g_quad, [1.0], [1.0])
-    assert F.member_contains([123.0]) and F.member_contains([-5.0])
+    h = second_order_model(g_quad, [1.0], [1.0])
+    assert np.isfinite(h([123.0])) and np.isfinite(h([-5.0]))
     with pytest.raises(NotASubgradient):
-        critical_cone_g(g_quad, [1.0], [2.0])
+        second_order_model(g_quad, [1.0], [2.0])
 
 
 def test_proto_derivative_direction_just_outside_critical_cone(g_ind_nonpos):
@@ -137,12 +142,60 @@ def test_proto_derivative_quadratic(g_quad):
     assert not proto_derivative_contains(g_quad, [1.0], [1.0], [2.0], [3.0])
 
 
+def test_proto_derivative_contains_matches_the_eliminated_oracle(rng):
+    # at the criterion-2 anchors and the criterion-4 KKT points, u in
+    # D(dg)(z, v)(w) read off the second-order model must agree with the
+    # oracle's eliminated H-representation, for w in a critical cone or
+    # not and u in the set or not
+    from plqsqp.generators import generate
+    cases = [(g, *CRITERION2_ANCHORS[name]) for name, g in _g_fixtures()]
+    for kind, params, seed in CRITERION4_INSTANCES:
+        gp = generate(kind, seed=seed, **params)
+        cases.append((gp.problem.g, gp.problem.Phi.value(gp.xbar), gp.lambdabar))
+    seen = {True: 0, False: 0}
+    for g, z, v in cases:
+        cones = piece_critical_cones(g, z, v)
+        for _ in range(40):
+            w = rng.standard_normal(g.m)
+            if rng.uniform() < 0.75:
+                w = project(cones[rng.integers(len(cones))][1], w)
+            u = rng.standard_normal(g.m)
+            try:
+                U = proto_derivative_set(g, z, v, w)
+            except PointOutsideDomain:
+                expect = False
+            else:
+                if rng.uniform() < 0.5:
+                    u = project(U, u)
+                expect = contains(U, u, 1e-8)
+            assert proto_derivative_contains(g, z, v, w, u) == expect
+            seen[expect] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 # -- prox ----------------------------------------------------------------------
 
 def test_prox_examples(g_abs, g_ind_nonpos, g_quad):
     assert np.allclose(prox(g_abs, [2.0]), [1.0])
     assert np.allclose(prox(g_ind_nonpos, [0.7]), [0.0])
     assert np.allclose(prox(g_quad, [3.0]), [1.5])
+
+
+def test_prox_tests_a_verified_point_inside_the_value_tie(g_two_piece_2d):
+    # the left piece's point (0, x2/2) ties the true prox ((1 + x1)/3, x2/2)
+    # of the right piece within 1e-12 in value; the right point passes the
+    # exact subgradient test and must be returned though it is no strict
+    # improvement
+    x = np.array([-0.99999902, -0.00438564])
+    z = prox(g_two_piece_2d, x)
+    assert np.linalg.norm(z - [(1.0 + x[0]) / 3.0, x[1] / 2.0]) <= 1e-15
+    assert subgradient_dist(g_two_piece_2d, z, x - z) <= 1e-12
+
+
+def test_prox_rejects_a_non_finite_argument(g_abs):
+    for x in ([np.nan], [np.inf]):
+        with pytest.raises(DimensionMismatch):
+            prox(g_abs, x)
 
 
 def test_prox_resolvent_identity(rng, g_abs, g_ind_nonpos, g_quad, g_two_piece_2d):

@@ -11,12 +11,14 @@ class which is only caught cannot linger.  Fourier-Motzkin cone
 eliminations go through the per-pattern memo of `normal_cone_hrep` only,
 and implicit equalities through the one LP of `lp.implicit_equalities`.
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
-diagnostics build no polyhedron and measure no normal-cone distance of
-their own.  The dense QP kernel serves the dual-LQ value and
-subdifferential (`plq`) and the subproblem's piece QPs (`subqp`) only;
-projections, the prox and nonnegative least squares run without it.
-PLQ membership and subgradient tests read the function's stacked piece
-rows and make no per-piece membership, activity or normal-cone call.
+diagnostics build no polyhedron, measure no normal-cone distance and
+eliminate no normal cone of their own (no `normal_cone_hrep`,
+`shifted_intersection` or `proto_contains`).  The dense QP kernel serves
+the dual-LQ value and subdifferential (`plq`) and the subproblem's piece
+QPs (`subqp`) only; projections, the prox and nonnegative least squares
+run without it.  PLQ membership and subgradient tests read the
+function's stacked piece rows and make no per-piece membership, activity
+or normal-cone call.
 Multiplier uniqueness has one route, the dual cone condition's LP:
 `check_unique_multiplier` and the helpers it calls build no multiplier
 polyhedron and run no LP of their own.  The SQP driver and its subproblem
@@ -274,7 +276,8 @@ def test_diagnostics_keep_no_calculus_of_their_own():
     path = PACKAGE / "diagnostics.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     found = sorted({(name, line) for name, line in _referenced_names(tree)
-                    if name in {"Polyhedron", "normal_cone_dist"}})
+                    if name in {"Polyhedron", "normal_cone_dist", "normal_cone_hrep",
+                                "shifted_intersection", "proto_contains"}})
     assert not found, found
 
 
