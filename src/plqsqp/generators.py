@@ -58,8 +58,9 @@ def generate_nlp(n=3, n_eq=1, n_ineq=2, n_active=None, seed=0, curvature=0.3):
     m = n_eq + n_ineq
     if n_active is None:
         n_active = (n_ineq + 1) // 2
-    if n_eq + n_active > n:
-        raise BadParams("more active constraints than variables")
+    if n < 1 or n_eq < 0 or m < 1 or not 0 <= n_active <= n_ineq or n_eq + n_active > n:
+        raise BadParams("need n >= 1, n_eq >= 0, 0 <= n_active <= n_ineq, at least one "
+                        "constraint and no more active constraints than variables")
     for _ in range(50):
         xbar = rng.uniform(-1.0, 1.0, size=n)
         Qs = np.array([_random_symmetric(rng, n, curvature) for _ in range(m)])
@@ -113,8 +114,8 @@ def generate_elqp(n=2, m=2, seed=0, beta_range=(0.5, 1.5), box=(0.0, 1.0),
     an explicit separable piece representation (3 cells per coordinate).
     The target multiplier mixes interior and boundary coordinates.
     """
-    if n < 1 or m < 1:
-        raise BadParams(f"n and m must be at least 1, got {n!r} and {m!r}")
+    if n < 1 or m < 1 or len(box) != 2 or not box[0] <= box[1]:
+        raise BadParams(f"need n, m >= 1 and a box lo <= hi, got {n!r}, {m!r} and {box!r}")
     rng = np.random.default_rng(seed)
     lo, hi = box
     beta = rng.uniform(*beta_range, size=m)
@@ -153,8 +154,8 @@ def generate_minmax(n=3, m=3, n_active=2, seed=0, curvature=0.4):
     The multiplier lives on the unit simplex over the active components.
     """
     rng = np.random.default_rng(seed)
-    if n_active < 1 or n_active > min(m, n + 1):
-        raise BadParams("active components must be between 1 and min(m, n+1)")
+    if n < 1 or n_active < 1 or n_active > min(m, n + 1):
+        raise BadParams("need n >= 1 and active components between 1 and min(m, n+1)")
     for _ in range(50):
         xbar = rng.uniform(-1.0, 1.0, size=n)
         Qs = np.array([_random_symmetric(rng, n, curvature) for _ in range(m)])

@@ -1,10 +1,11 @@
-"""Thin wrappers around scipy's HiGHS LP solver.
+"""Nearest points of polyhedra, and thin wrappers around scipy's HiGHS LP solver.
 
-All variables are free unless the caller encodes bounds as rows; HiGHS is
-used for feasibility oracles, redundancy tests, and the implicit-equality
-LP of a cone.  That one LP decides the homogeneous systems of the
-diagnostics module: `LPBuilder` lays them out over named blocks of
-columns, and `nonzero_block` answers each with one LP and a rank test.
+`nearest_point` is the one feasibility route.  All LP variables are free
+unless the caller encodes bounds as rows; HiGHS is used for the phase 1
+behind `nearest_point`, redundancy tests, and the implicit-equality LP of
+a cone.  That one LP decides the homogeneous systems of the diagnostics
+module: `LPBuilder` lays them out over named blocks of columns, and
+`nonzero_block` answers each with one LP and a rank test.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ LP_OPTIMAL = 0
 LP_INFEASIBLE = 2
 LP_UNBOUNDED = 3
 ZERO_BLOCK = 1e-9  # largest singular value of a block that is zero on a cone
+FEAS_TOL = 1e-9  # a row holds at x within FEAS_TOL of its rounding scale (`nearest_point`)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -45,42 +47,73 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     raise SolverFailure(f"linprog failed with status {res.status}: {res.message}")
 
 
-def feasible_point(A, b, E, d):
-    """A point of {A x <= b, E x = d}, or None when the set is empty.
+def affine_frame(A, E):
+    """(E⁺, N, A N): the pseudo-inverse of E, an orthonormal basis N of
+    null(E), and the rows of A on it.  One SVD, with the rank cutoff of
+    `lstsq` (max(E.shape)·eps·s₀); without rows, E⁺ is empty and N = I."""
+    if not len(E):  # the SVD's answer, at a fraction of its call overhead
+        return np.zeros((E.shape[1], 0)), np.eye(E.shape[1]), A @ np.eye(E.shape[1])
+    U, s, Vt = np.linalg.svd(E)
+    rank = int(np.sum(s > max(E.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    N = Vt[rank:].T
+    return Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), N, A @ N
 
-    Fast path: verified nonnegative least squares on the slack form (the
-    residual is zero iff the system is feasible).  Falls back to a
-    phase-1 LP when the least-squares verdict is numerically ambiguous.
+
+def _holds(M, r, x, z, gap):
+    """Whether gap(M x - r) <= FEAS_TOL (1 + |r| + |M| (|x| + |z|)) row by row."""
+    if not len(M):
+        return True
+    excess = gap(M @ x - r)
+    return excess.max() <= FEAS_TOL or bool(np.all(excess <= FEAS_TOL * (
+        1.0 + np.abs(r) + np.abs(M) @ (np.abs(x) + np.abs(z)))))
+
+
+def nearest_point(A, b, E, d, frame, z):
+    """The point of {A x <= b, E x = d} nearest z, or None when the set is empty.
+
+    One least-distance program (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23) in the set's `affine_frame` (E⁺, N, A N).
+    x0 = z - E⁺(E z - d) meets the equalities, and x = x0 + N w.  If x0
+    violates no row of h = A x0 - b, it is the answer.  Otherwise one
+    verified NNLS solve on [-(A N)ᵀ; hᵀ / ||h||] against the last unit
+    vector answers min ||w|| s.t. -(A N) w >= h; the positive entries J
+    of its u are the rows active at the answer, which is then the nearest
+    point of {A_J x = b_J, E x = d} by one least-squares solve: exactly on
+    its face, and positively homogeneous on a cone.
+
+    Every answer is verified: a point only when it lies in the set
+    (`_holds`).  The set is empty when x0 misses E x = d, or when u is a
+    Farkas vector, (A N)ᵀu = 0 < hᵀu: ||(A N)ᵀu|| within FEAS_TOL of its
+    scale ||A N|| ||u||, and hᵀu above the rows' tolerances uᵀtol.
+    Otherwise a HiGHS phase 1 (least t >= -1, A x - t <= b, E x = d) decides.
     """
-    A = np.asarray(A, dtype=float)
-    E = np.asarray(E, dtype=float)
-    n = A.shape[1] if A.size else E.shape[1]
-    p = A.shape[0] if A.size else 0
-    q = E.shape[0] if E.size else 0
-    b = np.asarray(b, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    if p + q == 0:
-        return np.zeros(n)
-    # variables u = (x+, x-, s) >= 0 with A(x+ - x-) + s = b, E(x+ - x-) = d
-    top = np.hstack([A, -A, np.eye(p)]) if p else np.zeros((0, 2 * n + p))
-    bot = np.hstack([E, -E, np.zeros((q, p))]) if q else np.zeros((0, 2 * n + p))
-    M = np.vstack([top, bot])
-    rhs = np.concatenate([b, d])
-    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-    u, residual = nonneg_lstsq(M, rhs)
-    if residual <= 1e-10 * scale:
-        return u[:n] - u[n:2 * n]
-    if residual >= 1e-7 * scale:
+    pinv, _, AN = frame
+    x0 = z - pinv @ (E @ z - d)
+    if not _holds(E, d, x0, z, np.abs):
         return None
-    # ambiguous: minimize t subject to A x - t <= b, E x = d and t >= -1
-    lp = LPBuilder([("x", n), ("t", 1)])
-    if p:
-        lp.add_ub({"x": A, "t": -1.0}, b)
-    lp.add_ub({"t": -1.0}, 1.0)
-    if q:
-        lp.add_eq({"x": E}, d)
-    status, x, _ = solve_lp(np.r_[np.zeros(n), 1.0], *lp.system())
+    h = A @ x0 - b
+    if not np.any(h > 0.0):
+        return x0
+    u, _ = nonneg_lstsq(np.vstack([-AN.T, h / np.linalg.norm(h)]), np.eye(AN.shape[1] + 1)[-1])
+    J = u > 0.0
+    C = np.vstack([A[J], E])
+    x = z - np.linalg.lstsq(C, C @ z - np.concatenate([b[J], d]), rcond=None)[0]
+    if _holds(A, b, x, z, lambda r: r) and _holds(E, d, x, z, np.abs):
+        return x
+    tol = FEAS_TOL * (1.0 + np.abs(b) + np.abs(A) @ (np.abs(x0) + np.abs(z)))
+    farkas = np.linalg.norm(AN.T @ u) <= FEAS_TOL * np.linalg.norm(AN) * np.linalg.norm(u)
+    if farkas and u @ tol < h @ u:
+        return None
+    n = z.size
+    status, x, _ = solve_lp(np.r_[np.zeros(n), 1.0],
+                            np.block([[A, -np.ones((len(A), 1))], [np.zeros(n), -1.0]]),
+                            np.r_[b, 1.0], np.hstack([E, np.zeros((len(E), 1))]), d)
     return x[:n] if status == LP_OPTIMAL and x[n] <= 1e-9 else None
+
+
+def feasible_point(A, b, E, d):
+    """The least-norm point of {A x <= b, E x = d}, or None (`nearest_point`)."""
+    return nearest_point(A, b, E, d, affine_frame(A, E), np.zeros(A.shape[1]))
 
 
 def implicit_equalities(M, rows=None):
@@ -135,8 +168,8 @@ class LPBuilder:
     def add_eq(self, parts, rhs=0.0):
         self._eq.append(self._rows(parts, rhs))
 
-    def add_ub(self, parts, rhs=0.0):
-        self._ub.append(self._rows(parts, rhs))
+    def add_ub(self, parts):
+        self._ub.append(self._rows(parts, 0.0))
 
     def add_nonneg(self, name):
         """Every coordinate of block `name` is nonnegative."""

@@ -32,16 +32,15 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
+from .lp import affine_frame, nearest_point
 from .polyhedral import (
     ACT_TOL,
     MEMBER_TOL,
     NORMAL_TOL,
     Polyhedron,
     contains,
-    equality_frame,
     intersect,
     interior_point,
-    is_empty,
     normal_cone_dist_at_rows,
     normal_cone_hrep,
     project,
@@ -73,7 +72,7 @@ class Piece:
             raise ValidationError("piece linear term has wrong dimension")
         if np.abs(A - A.T).max(initial=0.0) > 1e-12:
             raise ValidationError("A symmetric")
-        if is_empty(self.C):
+        if interior_point(self.C) is None:
             raise ValidationError("C nonempty")
         object.__setattr__(self, "A", 0.5 * (A + A.T))
         object.__setattr__(self, "a", a)
@@ -133,7 +132,7 @@ class DualLQ:
             raise ValidationError("B symmetric")
         if np.linalg.eigvalsh(0.5 * (B + B.T)).min() < -1e-10:
             raise ValidationError("B positive semidefinite")
-        if is_empty(self.Omega):
+        if interior_point(self.Omega) is None:
             raise ValidationError("Omega nonempty")
         object.__setattr__(self, "B", 0.5 * (B + B.T))
         object.__setattr__(self, "_frame", _ldp_frame(self.Omega, self.B, "Omega"))
@@ -337,17 +336,18 @@ def proto_derivative_contains(g: PLQFunction, z, v, w, u) -> bool:
 # ---------------------------------------------------------------------------
 
 def _ldp_frame(C: Polyhedron, M, label):
-    """(z0, G, P′, Q z0), built with each PLQFunction's table and each DualLQ,
+    """(z0, G, ldp, Q z0), built with each PLQFunction's table and each DualLQ,
     that make argmin ½<Qz, z> + <c, z> over C, Q = M + I, a projection.
 
-    z0 = E⁺d, N spans null(E) (`equality_frame`), L Lᵀ = Nᵀ Q N and
+    z0 = E⁺d, N spans null(E) (`affine_frame`), L Lᵀ = Nᵀ Q N and
     G = N L⁻ᵀ; then z = z0 + G y makes the objective ½||y - y_u||² plus a
-    constant, y_u = -Gᵀ(Q z0 + c), and C becomes P′ = {A G y <= b - A z0}
-    (None when null(E) = {0}).  Only Nᵀ Q N need be positive definite, so
-    A may be indefinite off the equalities; when it is not (an equality
-    held as two inequalities), building or loading g raises ValidationError.
+    constant, y_u = -Gᵀ(Q z0 + c), and C becomes {y : A G y <= b - A z0},
+    whose arrays and `affine_frame` are `ldp` (None when null(E) = {0}).
+    Only Nᵀ Q N need be positive definite, so A may be indefinite off the
+    equalities; when it is not (an equality held as two inequalities),
+    building or loading g raises ValidationError.
     """
-    pinv, N, AN = equality_frame(C)
+    pinv, N, AN = affine_frame(C.A, C.E)
     z0 = pinv @ C.d
     Q = M + np.eye(C.dim)
     try:
@@ -356,9 +356,9 @@ def _ldp_frame(C: Polyhedron, M, label):
         raise ValidationError(f"{label}: its quadratic term plus I is not positive "
                               "definite on the null space of its equality rows") from exc
     k = N.shape[1]
-    P = Polyhedron(np.linalg.solve(L, AN.T).T, C.b - C.A @ z0,
-                   np.zeros((0, k)), np.zeros(0)) if k else None
-    return z0, np.linalg.solve(L, N.T).T, P, Q @ z0
+    AG, no_rows = np.linalg.solve(L, AN.T).T, np.zeros((0, k))
+    ldp = (AG, C.b - C.A @ z0, no_rows, np.zeros(0), affine_frame(AG, no_rows)) if k else None
+    return z0, np.linalg.solve(L, N.T).T, ldp, Q @ z0
 
 
 def prox(g: PLQFunction, x, near=None) -> np.ndarray:
@@ -395,8 +395,8 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
     for lb, idx, y_u in order():
         if lb > best_val + 1e-12:
             continue  # hinted pieces break the bound order, so skip, not stop
-        p, (z0, G, P, _) = g.pieces[idx], g._table.frames[idx]
-        z = z0 if P is None else z0 + G @ project(P, y_u)
+        p, (z0, G, ldp, _) = g.pieces[idx], g._table.frames[idx]
+        z = z0 if ldp is None else z0 + G @ nearest_point(*ldp, y_u)
         val = p.value(z) + 0.5 * float(np.linalg.norm(x - z) ** 2)
         if val > best_val + 1e-12:
             continue
@@ -411,8 +411,8 @@ def _dual_lq_prox(h: DualLQ, z) -> np.ndarray:
     """prox_{f_{Omega,B}}(z) = z - argmin_{u in Omega} ½<(B+I)u, u> - <z, u>
     (Moreau), one projection in Omega's `_ldp_frame`."""
     z = np.asarray(z, dtype=float).ravel()
-    u0, G, P, Qu0 = h._frame
-    u = u0 if P is None else u0 + G @ project(P, G.T @ (z - Qu0))
+    u0, G, ldp, Qu0 = h._frame
+    u = u0 if ldp is None else u0 + G @ nearest_point(*ldp, G.T @ (z - Qu0))
     return z - u
 
 

@@ -2,16 +2,16 @@
 
 A Polyhedron is {x : A x <= b, E x = d}; a PolyCone is the homogeneous
 case b = 0, d = 0.  Everything here is built from two exact kernels:
-nonnegative least squares (projections, as least-distance programs, and
-normal-cone distances) and HiGHS LPs (feasibility, implicit equalities,
-redundancy).  Values are immutable after construction and all
-operations are pure.  Derived data is memoized on the immutable
-polyhedron itself (`_derived`): its interior point, its equality frame
-(E⁺, a basis N of null(E) and the inequality rows on N), and its normal
-and tangent cones per activity pattern, since N_P(x) and T_P(x) depend
-on x only through the active rows.  The memos are deterministic, so results
-stay pure and concurrent calls stay safe; returned cones are shared and
-must not be written to.
+verified nonnegative least squares (the least-distance program of
+`lp.nearest_point` for projections and emptiness, and normal-cone
+distances) and HiGHS LPs (implicit equalities, redundancy).  Values are
+immutable after construction and all operations are pure.  Derived data
+is memoized on the immutable polyhedron itself (`_derived`): its
+least-norm point, its equality frame (E⁺, a basis N of null(E) and the
+inequality rows on N), and its normal and tangent cones per activity
+pattern, since N_P(x) and T_P(x) depend on x only through the active
+rows.  The memos are deterministic, so results stay pure and concurrent
+calls stay safe; returned cones are shared and must not be written to.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,14 @@ from .errors import (
     PointNotInSet,
     TooManyRows,
 )
-from .lp import LP_OPTIMAL, feasible_point, implicit_equalities, solve_lp
+from .lp import (
+    LP_OPTIMAL,
+    affine_frame,
+    feasible_point,
+    implicit_equalities,
+    nearest_point,
+    solve_lp,
+)
 from .nonneg import nonneg_lstsq
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
@@ -211,17 +218,8 @@ def _derived(P: Polyhedron, key, build):
     return memo[key]
 
 
-def is_empty(P: Polyhedron) -> bool:
-    """Whether P is empty: False at once when P holds the origin (every
-    b_i >= 0 and d = 0, tested exactly), else decided once per P by
-    `interior_point`."""
-    if not (np.any(P.b < 0.0) or np.any(P.d != 0.0)):
-        return False
-    return interior_point(P) is None
-
-
 def interior_point(P: Polyhedron):
-    """A relative-interior-ish feasible point (a fresh copy), or None if P is empty."""
+    """The least-norm point of P (a fresh copy), or None if P is empty."""
     x = _derived(P, "interior", lambda: feasible_point(P.A, P.b, P.E, P.d))
     return None if x is None else x.copy()
 
@@ -230,48 +228,17 @@ def interior_point(P: Polyhedron):
 # projection and cones
 # ---------------------------------------------------------------------------
 
-def equality_frame(P: Polyhedron):
-    """(E⁺, N, A N), once per P: the pseudo-inverse of E, an orthonormal
-    basis N of null(E), and the inequality rows on it.  One SVD, with the
-    rank cutoff of `lstsq` (max(E.shape)·eps·s₀)."""
-    def build():
-        U, s, Vt = np.linalg.svd(P.E)
-        rank = int(np.sum(s > max(P.E.shape) * np.finfo(float).eps * s.max(initial=0.0)))
-        N = Vt[rank:].T
-        return Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), N, P.A @ N
-    return _derived(P, "frame", build)
-
-
 def project(P: Polyhedron, z) -> np.ndarray:
-    """Nearest point of P to z (unique): argmin ||x - z||^2 / 2 over P.
-
-    One least-distance program for every polyhedron, cones included
-    (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
-    x0 = z - E⁺(E z - d) meets the equalities, and x = x0 + N w with N an
-    orthonormal basis of null(E).  If x0 violates no row of h = A x0 - b,
-    it is the answer.  Otherwise one verified NNLS solve on
-    [-(A N)^T; h^T / ||h||] against the last unit vector answers
-    min ||w|| s.t. -(A N) w >= h; its positive entries J are the rows
-    active at the answer, which is then the nearest point of
-    {A_J x = b_J, E x = d} by one least-squares solve: exactly on its
-    face, and positively homogeneous on a cone.  An empty P (`is_empty`)
-    raises EmptyPolyhedron.
-    """
+    """Nearest point of P to z (unique), by `nearest_point` in P's
+    `affine_frame` (kept on P); an empty P raises EmptyPolyhedron."""
     z = np.asarray(z, dtype=float).ravel()
     if z.size != P.dim:
         raise DimensionMismatch("projection point dimension mismatch")
-    if is_empty(P):
+    frame = _derived(P, "frame", lambda: affine_frame(P.A, P.E))
+    x = nearest_point(P.A, P.b, P.E, P.d, frame, z)
+    if x is None:
         raise EmptyPolyhedron("cannot project onto an empty polyhedron")
-    pinv, _, AN = equality_frame(P)
-    x0 = z - pinv @ (P.E @ z - P.d)
-    h = P.A @ x0 - P.b
-    if not np.any(h > 0.0):
-        return x0
-    u, _ = nonneg_lstsq(np.vstack([-AN.T, h / np.linalg.norm(h)]),
-                        np.eye(AN.shape[1] + 1)[-1])
-    J = u > 0.0
-    C = np.vstack([P.A[J], P.E])
-    return z - np.linalg.lstsq(C, C @ z - np.concatenate([P.b[J], P.d]), rcond=None)[0]
+    return x
 
 
 def tangent_cone(P: Polyhedron, x) -> PolyCone:

@@ -1,6 +1,7 @@
 """Dense primal active-set solver for small quadratic programs.
 
-Solves  min ½ xᵀQx + cᵀx  s.t.  A x <= b,  E x = d  at desk scale.
+Solves  min ½ xᵀQx + cᵀx  s.t.  A x <= b,  E x = d  at desk scale, from
+x0 when it is feasible, else from the point of the set nearest x0.
 
 When Q is positive semidefinite on the feasible directions the returned
 point is a global minimizer; otherwise iteration stops at a first-order
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, QPFailure, Unbounded
-from .lp import feasible_point
+from .lp import affine_frame, nearest_point
 
 _CURV_REL = 1e-11
 _RAY_TOL = 1e-11
@@ -90,7 +91,8 @@ def _ratio_test(A, b, x, direction, work, cap):
 
 
 def active_set_qp(Q, c, A, b, E, d, x0=None):
-    """Solve the QP from x0 (when feasible) or a computed feasible point.
+    """Solve the QP from x0 (default the origin), or from the point of the
+    constraint set nearest x0 (`lp.nearest_point`) when x0 is infeasible.
 
     Raises Infeasible when the constraint set is empty, Unbounded when a
     feasible descent ray with no blocking row is found, and QPFailure when
@@ -105,15 +107,10 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
     d = np.asarray(d, dtype=float).ravel() if d is not None else np.zeros(0)
     p, q = A.shape[0], E.shape[0]
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).ravel().copy()
-        ok = (not p or np.all(A @ x <= b + 1e-8 * (1.0 + np.abs(b)))) and (
-            not q or np.all(np.abs(E @ x - d) <= 1e-8 * (1.0 + np.abs(d)))
-        )
-        if not ok:
-            x0 = None
-    if x0 is None:
-        x = feasible_point(A, b, E, d)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
+    if not (np.all(A @ x <= b + 1e-8 * (1.0 + np.abs(b)))
+            and np.all(np.abs(E @ x - d) <= 1e-8 * (1.0 + np.abs(d)))):
+        x = nearest_point(A, b, E, d, affine_frame(A, E), x)
         if x is None:
             raise Infeasible("QP constraint set is empty")
 

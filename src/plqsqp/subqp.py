@@ -20,16 +20,17 @@ Each candidate is verified in three steps:
 3. residual: the subproblem KKT residual, which reuses the gap of step 1
    (recomputed only after a repair), must be at most SUB_RESIDUAL_TOL.
 
-The pieces holding Phi(x_k) are visited first, their QPs started at x_k
-(feasible for them when x_k lies in Theta), then the rest, each group in
-index order.  The first verified candidate whose primal-dual step lies
-within the localization radius delta is the answer: the SQP method needs
-one localized KKT pair, not all of them.  When every verified candidate
-lies outside delta, the same pass grows the radius tenfold until it holds
-one.  When H is positive definite the subproblem is strictly convex, so
-every verified candidate has the same xi and the order only decides which
-of the pieces meeting at xi is reported.  With an indefinite H the order
-can pick another verified pair inside delta; the method allows any.
+The pieces holding Phi(x_k) are visited first, then the rest, each group
+in index order.  Every piece's QP starts at x_k when x_k is feasible for
+it, and otherwise at the point of its constraint set nearest x_k.  The
+first verified candidate whose primal-dual step lies within the
+localization radius delta is the answer: the SQP method needs one
+localized KKT pair, not all of them.  When every verified candidate lies
+outside delta, the same pass grows the radius tenfold until it holds one.
+When H is positive definite the subproblem is strictly convex, so every
+verified candidate has the same xi and the order only decides which of the
+pieces meeting at xi is reported.  With an indefinite H the order can pick
+another verified pair inside delta; the method allows any.
 """
 
 from dataclasses import dataclass, field
@@ -154,12 +155,12 @@ def _repair_dual(spec, xi, y, active_pieces):
 def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     """The first verified subproblem KKT pair within delta.
 
-    One QP per piece: the pieces holding Phi(x_k) first, started at x_k,
-    then the rest, each group in index order.  A piece whose QP is
-    infeasible is skipped, and one whose QP is unbounded is feasible but
-    yields no candidate.  The first candidate that passes the gap, repair
-    and residual checks with a primal-dual step of size at most delta is
-    returned; with an indefinite H that may be another verified pair than
+    One QP per piece, started at x_k or nearest it: the pieces holding
+    Phi(x_k) first, then the rest, each group in index order.  A piece whose
+    QP is infeasible is skipped, and one whose QP is unbounded is feasible
+    but yields no candidate.  The first candidate that passes the gap,
+    repair and residual checks with a primal-dual step of size at most delta
+    is returned; with an indefinite H that may be another verified pair than
     index order would return.  When every verified candidate lies outside
     delta, the radius is multiplied by DELTA_GROWTH until it holds the
     smallest step, and the first visited candidate inside it is returned.
@@ -185,7 +186,7 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
         Q = H + J.T @ piece.A @ J
         c = (spec.gphi - H @ xk) + J.T @ (piece.A @ r + piece.a)
         try:
-            res = active_set_qp(Q, c, A, b, E, d, x0=xk if hinted[i] else None)
+            res = active_set_qp(Q, c, A, b, E, d, x0=xk)
         except Infeasible:
             continue
         except Unbounded:  # feasible, but without a candidate

@@ -284,6 +284,20 @@ def unique_multiplier_by_coordinates(problem, x, lam) -> bool:
     return True
 
 
+def phase_one_empty(A, b, E, d) -> bool:
+    """Whether {A x <= b, E x = d} is empty, by one HiGHS phase 1 on the
+    violations s: minimize sum s subject to A x - s <= b, s >= 0 and
+    E x = d, with a positive optimum (relative to the data) or no x with
+    E x = d meaning empty."""
+    p, n = A.shape
+    status, sol, total = solve_lp(np.r_[np.zeros(n), np.ones(p)],
+                                  np.block([[A, -np.eye(p)], [np.zeros((p, n)), -np.eye(p)]]),
+                                  np.r_[b, np.zeros(p)], np.hstack([E, np.zeros((len(E), p))]), d)
+    if status != LP_OPTIMAL:
+        return True
+    return total > 1e-9 * (1.0 + float(np.abs(np.r_[b, d]).max(initial=0.0)))
+
+
 def qp_kkt_residual(Q, c, A, b, E, d, res) -> float:
     """Stationarity + feasibility + complementarity residual of a QPResult."""
     Q = np.asarray(Q, dtype=float)

@@ -278,6 +278,11 @@ def test_validation_exit_code(tmp_path):
     ["sweep", "--radius", "nan"],
     ["sweep", "--n-starts", "-1"],
     ["check-calculus", "--n-cases", "-5"],
+    ["generate", "--kind", "nlp", "--params", '{"n_ineq": -1}'],
+    ["generate", "--kind", "nlp", "--params", '{"n": 0, "n_eq": 0, "n_ineq": 1, "n_active": 0}'],
+    ["generate", "--kind", "nlp", "--params", '{"n_active": -1}'],
+    ["generate", "--kind", "minmax", "--params", '{"n": 0, "n_active": 1}'],
+    ["generate", "--kind", "elqp", "--params", '{"box": [1, 0]}'],
 ])
 def test_malformed_values_exit_with_validation_error(tmp_path, p1_file, capsys, argv):
     target = (["--out-file", str(tmp_path / "gen.json")] if argv[0] == "generate"

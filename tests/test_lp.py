@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from plqsqp import lp as lp_module
-from plqsqp.lp import LPBuilder
+from plqsqp.lp import LPBuilder, affine_frame, nearest_point
 
-from oracles import nonzero_block_by_coordinates
+from oracles import nonzero_block_by_coordinates, phase_one_empty
 
 
 def _agrees_with_oracle(lp, name):
@@ -113,3 +113,78 @@ def test_nonneg_lstsq_answers_a_degenerate_system():
     u, residual = nonneg_lstsq(M, r)
     assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
     assert residual == np.linalg.norm(M @ u - r)
+
+
+def _random_system(rng, kind):
+    """(A, b, E, d): random rows with random slacks, some negative, and fewer
+    equalities than unknowns; kind 1 repeats two rows, kind 2 adds the
+    opposite of a row (a slab of width 0, 1e-9 or 1e-3) and kind 3 repeats
+    an equality row with another right-hand side."""
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, 3 * n + 2))
+    A = rng.standard_normal((p, n))
+    b = A @ rng.standard_normal(n) + rng.uniform(-1.0, 1.0, p)
+    q = int(rng.integers(0, n))
+    E = rng.standard_normal((q, n))
+    d = rng.standard_normal(q)
+    if kind == 1:
+        k = rng.integers(p, size=2)
+        A, b = np.vstack([A, A[k]]), np.r_[b, b[k]]
+    elif kind == 2:
+        k = int(rng.integers(p))
+        A, b = np.vstack([A, -A[k]]), np.r_[b, rng.choice([0.0, 1e-9, 1e-3]) - b[k]]
+    elif kind == 3 and q:
+        E, d = np.vstack([E, E[0]]), np.r_[d, d[0] + 1.0]
+    return A, b, E, d
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, 1e6])
+def test_nearest_point_agrees_with_the_phase_one_oracle(monkeypatch, offset):
+    # the set and z are translated by c of size `offset`; emptiness must
+    # agree with HiGHS, every returned point must lie in its set, and the
+    # least-distance program decides every case without its phase 1
+    phase_one = []
+    monkeypatch.setattr(lp_module, "solve_lp", lambda *args: phase_one.append(args))
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for trial in range(200):
+        A, b, E, d = _random_system(rng, trial % 4)
+        c = offset * rng.standard_normal(A.shape[1])
+        b, d = b + A @ c, d + E @ c
+        x = nearest_point(A, b, E, d, affine_frame(A, E), c + 3.0 * rng.standard_normal(c.size))
+        empty = phase_one_empty(A, b, E, d)
+        assert (x is None) == empty, trial
+        if x is not None:
+            assert np.all(A @ x - b <= 1e-8 * (1.0 + np.abs(b) + np.abs(A) @ np.abs(x))), trial
+            assert np.all(np.abs(E @ x - d) <= 1e-8 * (1.0 + np.abs(d) + np.abs(E) @ np.abs(x)))
+        verdicts.append(empty)
+    assert 20 <= sum(verdicts) <= 180 and phase_one == []
+
+
+def test_unverified_answers_fall_back_to_phase_one(monkeypatch):
+    # u = e_0 certifies nothing: its face point (1, 0) misses x2 >= 1, and
+    # (A N)^T u = A_0 is not zero, so it proves no emptiness: HiGHS decides
+    lps = []
+    solve_lp = lp_module.solve_lp
+
+    def spy(*args):
+        lps.append(1)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: (np.eye(M.shape[1])[0], 1.0))
+    monkeypatch.setattr(lp_module, "solve_lp", spy)
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    E, d = np.zeros((0, 2)), np.zeros(0)
+    frame = affine_frame(A, E)
+    b = np.array([1.0, 0.0, 2.0, -1.0])  # [0, 1] x [1, 2]
+    x = nearest_point(A, b, E, d, frame, np.array([3.0, 0.0]))
+    assert lps == [1] and x is not None and np.all(A @ x <= b + 1e-9)
+    b = np.array([1.0, -2.0, 2.0, -1.0])  # x1 <= 1 and x1 >= 2
+    assert nearest_point(A, b, E, d, frame, np.array([3.0, 0.0])) is None and lps == [1, 1]
+    # {x = 1e-17, x <= 0, x >= -5} misses x <= 0 by rounding only: a u with
+    # both rows in its support misplaces the point, and its h^T u = 5e-18 > 0
+    # lies below the rows' tolerances, so it proves no emptiness either
+    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: (np.array([1.0, 1e-18]), 0.0))
+    A, b, E, d = np.array([[1.0], [-1.0]]), np.array([0.0, 5.0]), np.eye(1), np.array([1e-17])
+    x = nearest_point(A, b, E, d, affine_frame(A, E), np.zeros(1))
+    assert lps == [1, 1, 1] and x is not None and abs(x[0]) <= 1e-9

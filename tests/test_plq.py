@@ -238,16 +238,16 @@ def test_prox_hint_only_orders_the_pieces(rng, monkeypatch, g_abs, g_ind_nonpos,
                                          g_quad, g_two_piece_2d):
     # the pieces holding `near` are projected onto first; the order must not
     # move the answer, whether near is the answer itself or another point
-    # of dom g
+    # of dom g.  A projection onto a piece's frame is recorded by its rows.
     from plqsqp import plq
     projected = []
-    projection = plq.project
+    projection = plq.nearest_point
 
-    def spy(P, z):
-        projected.append(P)
-        return projection(P, z)
+    def spy(A, *args):
+        projected.append(A)
+        return projection(A, *args)
 
-    monkeypatch.setattr(plq, "project", spy)
+    monkeypatch.setattr(plq, "nearest_point", spy)
     for g in (g_abs, g_ind_nonpos, g_quad, g_two_piece_2d):
         for _ in range(25):
             x = 3.0 * rng.standard_normal(g.m)
@@ -257,8 +257,8 @@ def test_prox_hint_only_orders_the_pieces(rng, monkeypatch, g_abs, g_ind_nonpos,
                 projected.clear()
                 assert np.linalg.norm(prox(g, x, near=near) - expect) <= 1e-12
                 if near is expect:
-                    holding = [g._table.frames[i][2] for i in active_indices(g, near)]
-                    assert any(projected[0] is P for P in holding)
+                    holding = [g._table.frames[i][2][0] for i in active_indices(g, near)]
+                    assert any(projected[0] is A for A in holding)
 
 
 def test_prox_hinted_at_its_answer_bounds_only_the_answering_piece(rng, monkeypatch):

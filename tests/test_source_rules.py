@@ -30,6 +30,12 @@ cones D and D+ from that point, calling neither `cone_D` nor
 `subspace_Dplus`.  Every defaulted parameter of the package (dataclass
 fields included) is passed, by name or position, by some call in `src/`,
 `bench/` or `tests/`, or is listed with its reason in `KNOBS_ALLOWED`.
+Feasibility, emptiness and projection have one route, the least-distance
+program of `lp.nearest_point`: `feasible_point` builds no slack form and
+keeps no residual band, `project` runs no emptiness pre-check, a QP
+computes its start through it alone, and the prox frames build no
+polyhedron.  Verified NNLS serves that program and normal-cone distances
+only.
 """
 
 import ast
@@ -356,3 +362,30 @@ def test_kkt_point_data_has_one_builder():
                      in _referenced_names(ast.parse(path.read_text(), filename=str(path)))
                      if name in {"cone_D", "subspace_Dplus"})
     assert not cones, sorted(cones)
+
+
+def test_feasibility_has_one_route():
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+            defs[(path.name, name)] = node
+
+    def calls(file, name):
+        return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for node in ast.walk(defs[(file, name)]) if isinstance(node, ast.Call)}
+
+    feasible = defs[("lp.py", "feasible_point")]
+    constants = [node.value for node in ast.walk(feasible)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert "nearest_point" in calls("lp.py", "feasible_point")
+    assert not constants, constants  # no residual band
+    assert not calls("lp.py", "feasible_point") & {"hstack", "eye", "nonneg_lstsq", "solve_lp"}
+    assert not calls("polyhedral.py", "project") & {"is_empty", "interior_point"}
+    assert "nearest_point" in calls("qp.py", "active_set_qp")
+    assert not calls("qp.py", "active_set_qp") & {"feasible_point", "interior_point",
+                                                  "nonneg_lstsq", "solve_lp", "project"}
+    for name in ("_ldp_frame", "prox", "_dual_lq_prox"):
+        assert not calls("plq.py", name) & {"Polyhedron", "project"}, name
+    nnls = {key for key in defs if key[1] != "nonneg_lstsq" and "nonneg_lstsq" in calls(*key)}
+    assert nnls == {("lp.py", "nearest_point"),
+                    ("polyhedral.py", "normal_cone_dist_at_rows")}, sorted(nnls)

@@ -235,17 +235,18 @@ def test_fixed_dual_skips_the_repair(monkeypatch):
     _assert_abs_2d_answer(spec, sol)
 
 
-def _phase_one_calls(monkeypatch):
-    """A list that grows by one on every feasible point a QP computes."""
+def _qp_starts(monkeypatch):
+    """A list that grows by (z, start) on every start a QP computes: the
+    point of its constraint set nearest z."""
     from plqsqp import qp
     calls = []
-    feasible_point = qp.feasible_point
+    nearest_point = qp.nearest_point
 
     def spy(*args):
-        calls.append(1)
-        return feasible_point(*args)
+        calls.append((args[-1], nearest_point(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(qp, "feasible_point", spy)
+    monkeypatch.setattr(qp, "nearest_point", spy)
     return calls
 
 
@@ -253,21 +254,24 @@ def test_hinted_answer_needs_no_phase_one(monkeypatch):
     # xk lies in Theta and Phi(xk) in piece 2, which holds the answer: its
     # QP starts at xk, so no feasible point is computed
     prob = _abs_2d_problem(Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
-    phase_one = _phase_one_calls(monkeypatch)
+    phase_one = _qp_starts(monkeypatch)
     spec = SubproblemSpec([0.3, -0.2], [0.0, 0.0], np.eye(2), prob)
     sol = solve_subproblem(spec)
     assert sol.piece_index == 2 and phase_one == []
     _assert_abs_2d_answer(spec, sol)
 
 
-def test_start_outside_Theta_falls_back_to_phase_one(monkeypatch):
+def test_start_outside_Theta_moves_to_the_nearest_point(monkeypatch):
     # xk = (3, -0.2) lies outside Theta = [-2, 2]^2, so it cannot start the
-    # QP of piece 2, which holds Phi(xk): the QP computes a feasible point
+    # QP of piece 2 (xi_1 >= 0 >= xi_2), which holds Phi(xk) and is visited
+    # first: that QP starts at the point of its set nearest xk, (2, -0.2)
     prob = _abs_2d_problem(Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
-    phase_one = _phase_one_calls(monkeypatch)
+    starts = _qp_starts(monkeypatch)
     spec = SubproblemSpec([3.0, -0.2], [0.0, 0.0], np.eye(2), prob)
     sol = solve_subproblem(spec)
-    assert sol.piece_index == 2 and len(phase_one) == 1
+    assert sol.piece_index == 2 and len(starts) == 1
+    assert np.array_equal(starts[0][0], spec.xk)
+    assert np.allclose(starts[0][1], [2.0, -0.2], rtol=0.0, atol=1e-15)
     _assert_abs_2d_answer(spec, sol)
 
 
