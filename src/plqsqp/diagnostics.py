@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import PLQError, TooManyRows
 from .kkt import CompositeProblem, kkt_point, multiplier_set, perturbed_problem
-from .lp import LPBuilder, implicit_equalities
+from .lp import LPBuilder, affine_frame, implicit_equalities
 from .plq import PLQFunction, in_subgradient_graph, prox, second_order_model
 from .polyhedral import enumerate_faces, project, project_cone_union
 from .sqp import SQPConfig, run_sqp
@@ -216,9 +215,8 @@ def _face_minimum(M, Q):
     best, best_w = np.inf, None
     for face in faces:
         active = sorted(face.active)
-        S = np.vstack([M.E, M.A[active]])
-        Z = null_space(S) if S.size else np.eye(M.dim)
-        evals, vecs = np.linalg.eigh(Z.T @ Q @ Z)
+        _, Z, QZ = affine_frame(Q, np.vstack([M.E, M.A[active]]))  # Z spans F
+        evals, vecs = np.linalg.eigh(QZ.T @ Z)
         if not evals.size or evals[0] >= best:
             continue  # the face {0}, or no lower value
         V = Z @ vecs[:, evals <= evals[0] + 1e-9 * (1.0 + np.abs(evals).max())]
@@ -373,8 +371,7 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     xbar, lambdabar = point.x, point.lam
     n, m = problem.n, problem.m
     Lam = multiplier_set(problem, xbar) if mode == "full" else None
-    D = point.D if mode == "primal_D" else None
-    Dp = point.Dplus if mode == "primal_Dplus" else None
+    family = point.D if mode == "primal_D" else point.Dplus if mode == "primal_Dplus" else None
     kappas = []
     failures = 0
     for rho in radii:
@@ -394,12 +391,9 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
                 lhs = float(np.linalg.norm(x - xbar)
                             + np.linalg.norm(lam - project(Lam, lam)))
                 rhs = float(np.linalg.norm(v) + np.linalg.norm(p))
-            elif mode == "primal_D":
-                lhs = float(np.linalg.norm(x - xbar))
-                rhs = float(np.linalg.norm(project_cone_union(D, v)) + np.linalg.norm(p))
             else:
                 lhs = float(np.linalg.norm(x - xbar))
-                rhs = float(np.linalg.norm(project_cone_union(Dp, v)) + np.linalg.norm(p))
+                rhs = float(np.linalg.norm(project_cone_union(family, v)) + np.linalg.norm(p))
             if rhs <= 1e-15:
                 continue  # 0/0 guard
             got += 1

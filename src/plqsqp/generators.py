@@ -47,6 +47,18 @@ def _spd_completion(base, shift_to=0.5):
     return base
 
 
+def _close_instance(rng, xbar, lam, Qs, ls, cs, J, g):
+    """The composite with phi completed so hess_xx L is PD with margin and
+    (xbar, lam) is a KKT pair, or None when the KKT check fails."""
+    n = xbar.size
+    S = np.einsum("k,kij->ij", lam, Qs)
+    Qphi = _spd_completion(_random_symmetric(rng, n, 0.5) - S, shift_to=0.6)
+    lphi = -(Qphi @ xbar) - J.T @ lam
+    phi = Poly2Map(np.zeros(1), lphi.reshape(1, -1), Qphi.reshape(1, n, n))
+    problem = CompositeProblem(phi, Poly2Map(cs, ls, Qs), g, Polyhedron.whole_space(n))
+    return problem if kkt_residual(problem, xbar, lam) <= 1e-10 else None
+
+
 def generate_nlp(n=3, n_eq=1, n_ineq=2, n_active=None, seed=0, curvature=0.3):
     """Nonlinear program encoded as a composite: g indicates {0}^s x R_-^t.
 
@@ -77,17 +89,9 @@ def generate_nlp(n=3, n_eq=1, n_ineq=2, n_active=None, seed=0, curvature=0.3):
             val = float(ls[j] @ xbar + 0.5 * xbar @ Qs[j] @ xbar)
             slack = 0.0 if j in active else -float(rng.uniform(0.4, 1.0))
             cs[j] = slack - val
-        # make hess_xx L = Qphi + sum lam_j Q_j positive definite
-        S = np.einsum("k,kij->ij", lam, Qs)
-        Qphi = _spd_completion(_random_symmetric(rng, n, 0.5) - S, shift_to=0.6)
-        lphi = -(Qphi @ xbar) - J.T @ lam
-        phi = Poly2Map(np.zeros(1), lphi.reshape(1, -1), Qphi.reshape(1, n, n))
-        Phi = Poly2Map(cs, ls, Qs)
-        rows = np.eye(m)[n_eq:]
-        dom = Polyhedron(rows, np.zeros(n_ineq), np.eye(m)[:n_eq], np.zeros(n_eq))
-        g = plq_indicator(dom)
-        problem = CompositeProblem(phi, Phi, g, Polyhedron.whole_space(n))
-        if kkt_residual(problem, xbar, lam) <= 1e-10:
+        dom = Polyhedron(np.eye(m)[n_eq:], np.zeros(n_ineq), np.eye(m)[:n_eq], np.zeros(n_eq))
+        problem = _close_instance(rng, xbar, lam, Qs, ls, cs, J, plq_indicator(dom))
+        if problem is not None:
             return GeneratedProblem(problem, xbar, lam, "nlp",
                                     {"n_eq": n_eq, "n_ineq": n_ineq,
                                      "n_active": n_active, "seed": seed})
@@ -175,13 +179,8 @@ def generate_minmax(n=3, m=3, n_active=2, seed=0, curvature=0.4):
             val = float(ls[j] @ xbar + 0.5 * xbar @ Qs[j] @ xbar)
             target = tval if j < n_active else tval - float(rng.uniform(0.4, 1.0))
             cs[j] = target - val
-        S = np.einsum("k,kij->ij", lam, Qs)
-        Qphi = _spd_completion(_random_symmetric(rng, n, 0.5) - S, shift_to=0.6)
-        lphi = -(Qphi @ xbar) - J.T @ lam
-        phi = Poly2Map(np.zeros(1), lphi.reshape(1, -1), Qphi.reshape(1, n, n))
-        Phi = Poly2Map(cs, ls, Qs)
-        problem = CompositeProblem(phi, Phi, plq_vector_max(m), Polyhedron.whole_space(n))
-        if kkt_residual(problem, xbar, lam) <= 1e-10:
+        problem = _close_instance(rng, xbar, lam, Qs, ls, cs, J, plq_vector_max(m))
+        if problem is not None:
             return GeneratedProblem(problem, xbar, lam, "minmax",
                                     {"seed": seed, "n_active": n_active})
     raise BadParams("could not generate a well-posed min-max instance")

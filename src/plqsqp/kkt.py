@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space, orth
 
 from .errors import (
     DimensionMismatch,
@@ -24,6 +23,7 @@ from .errors import (
     PointNotInTheta,
     PointOutsideDomain,
 )
+from .lp import affine_frame
 from .plq import (
     DualLQ,
     PLQFunction,
@@ -324,16 +324,16 @@ def cone_D(point: KKTPoint) -> ConeFamily:
 
 
 def subspace_Dplus(point: KKTPoint) -> ConeFamily:
-    """The subspace {w in span K_Theta : Jw in span K_g} as a basis family."""
-    problem = point.problem
-    n, m = problem.n, problem.m
-    spans = [span_basis(K) for _, K in point.piece_cones]
+    """The subspace {w in span K_Theta : Jw in span K_g} as a basis family.
+
+    With B_T a basis of span K_Theta and P one of the directions normal to
+    every piece span (the null space of the stacked spans S, S = [S_i]),
+    D+ is {B_T a : P^T J B_T a = 0}: two `affine_frame`s.
+    """
     BT = span_basis(point.theta_cone)
-    Bg = orth(np.hstack([np.zeros((m, 0))] + spans))
-    M = np.vstack([np.eye(n) - BT @ BT.T, (np.eye(m) - Bg @ Bg.T) @ point.J])
-    N = null_space(M)
-    basis = N if N.size else np.zeros((n, 0))
-    return ConeFamily("subspace", basis=basis)
+    S = np.hstack([np.zeros((point.problem.m, 0))] + [span_basis(K) for _, K in point.piece_cones])
+    _, _, JBP = affine_frame((point.J @ BT).T, S.T)  # (P^T J B_T)^T
+    return ConeFamily("subspace", basis=affine_frame(BT, JBP.T)[2])
 
 
 def perturbed_problem(problem: CompositeProblem, v, p) -> CompositeProblem:

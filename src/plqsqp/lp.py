@@ -1,6 +1,8 @@
 """Nearest points of polyhedra, and thin wrappers around scipy's HiGHS LP solver.
 
-`nearest_point` is the one feasibility route.  All LP variables are free
+`nearest_point` is the one feasibility route, and `affine_frame` the one
+SVD behind every null space, pseudo-inverse and rank decision of the
+package.  All LP variables are free
 unless the caller encodes bounds as rows; HiGHS is used for the phase 1
 behind `nearest_point`, redundancy tests, and the implicit-equality LP of
 a cone.  That one LP decides the homogeneous systems of the diagnostics
@@ -9,7 +11,6 @@ module: `LPBuilder` lays them out over named blocks of columns, and
 """
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .errors import SolverFailure
@@ -50,7 +51,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 def affine_frame(A, E):
     """(E⁺, N, A N): the pseudo-inverse of E, an orthonormal basis N of
     null(E), and the rows of A on it.  One SVD, with the rank cutoff of
-    `lstsq` (max(E.shape)·eps·s₀); without rows, E⁺ is empty and N = I."""
+    `lstsq` (max(E.shape)·eps·s₀); without rows, E⁺ is empty and N = I.
+
+    This is the one SVD of the package: every null space, pseudo-inverse
+    and rank decision in it (equality frames, face and span bases, the QP
+    kernel's working sets, D⁺, dual uniqueness) reads this frame."""
     if not len(E):  # the SVD's answer, at a fraction of its call overhead
         return np.zeros((E.shape[1], 0)), np.eye(E.shape[1]), A @ np.eye(E.shape[1])
     U, s, Vt = np.linalg.svd(E)
@@ -196,20 +201,20 @@ class LPBuilder:
         null-space basis N, `implicit_equalities` finds the cone's implicit
         equalities and a point with slack >= 1 on every other row.  A solution
         exists iff t >= 0 is not implicit and the block's rows of the hull basis
-        H = N null(implicit rows) have a singular value above ZERO_BLOCK.  The
-        point is the solution; if its block is zero, it moves along the column
-        of H with the largest block norm, keeping half of every row's slack.
-        The solution is scaled so that the block's largest entry is 1.
+        H = N null(implicit rows) have a singular value above ZERO_BLOCK (both
+        null spaces are `affine_frame`s).  The point is the solution; if its
+        block is zero, it moves along the column of H with the largest block
+        norm, keeping half of every row's slack.  The solution is scaled so
+        that the block's largest entry is 1.
         """
         A_ub, _, A_eq, _ = self.system()
         lo, hi = self.offsets[name]
-        N = null_space(A_eq) if len(A_eq) else np.eye(self.nvar)
-        M = np.vstack([A_ub, -np.eye(self.nvar)[self.offsets["t"][0]]]) @ N
+        _, N, M = affine_frame(np.vstack([A_ub, -np.eye(self.nvar)[self.offsets["t"][0]]]), A_eq)
         implicit, y = implicit_equalities(M)
         if len(M) - 1 in implicit or np.linalg.norm(M[-1]) <= 1e-12:
             return None  # t = 0 on the whole cone
-        Y = null_space(M[implicit]) if implicit else np.eye(N.shape[1])
-        Hb = (N @ Y)[lo:hi]
+        _, Y, H = affine_frame(N, M[implicit])
+        Hb = H[lo:hi]
         if not Hb.size or np.linalg.norm(Hb, 2) <= ZERO_BLOCK:
             return None
         x = N @ y

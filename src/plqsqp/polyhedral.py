@@ -17,7 +17,6 @@ calls stay safe; returned cones are shared and must not be written to.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (
     DimensionMismatch,
@@ -29,7 +28,6 @@ from .errors import (
 from .lp import (
     LP_OPTIMAL,
     affine_frame,
-    feasible_point,
     implicit_equalities,
     nearest_point,
     solve_lp,
@@ -169,10 +167,6 @@ class PolyCone(Polyhedron):
     def whole(n):
         return PolyCone.from_rows(np.zeros((0, n)), np.zeros((0, n)), n)
 
-    @staticmethod
-    def origin(n):
-        return PolyCone.from_rows(np.zeros((0, n)), np.eye(n), n)
-
 
 @dataclass(frozen=True)
 class Face:
@@ -219,8 +213,11 @@ def _derived(P: Polyhedron, key, build):
 
 
 def interior_point(P: Polyhedron):
-    """The least-norm point of P (a fresh copy), or None if P is empty."""
-    x = _derived(P, "interior", lambda: feasible_point(P.A, P.b, P.E, P.d))
+    """The least-norm point of P (a fresh copy), or None if P is empty: its
+    `nearest_point` to the origin, in the `affine_frame` that `project` keeps."""
+    x = _derived(P, "interior", lambda: nearest_point(
+        P.A, P.b, P.E, P.d, _derived(P, "frame", lambda: affine_frame(P.A, P.E)),
+        np.zeros(P.dim)))
     return None if x is None else x.copy()
 
 
@@ -301,12 +298,7 @@ def normal_cone_hrep(P: Polyhedron, x) -> Polyhedron:
 
 def _forced_active(cone: PolyCone, fixed) -> frozenset:
     """Rows that hold with equality on all of the face with `fixed` active."""
-    idx = sorted(fixed)
-    S = np.vstack([cone.E, cone.A[idx]]) if idx else cone.E
-    N = null_space(S) if S.size else np.eye(cone.dim)
-    if N.size == 0 or N.shape[1] == 0:
-        return frozenset(range(cone.n_ineq))
-    M = cone.A @ N
+    _, _, M = affine_frame(cone.A, np.vstack([cone.E, cone.A[sorted(fixed)]]))
     zero = [k for k in range(cone.n_ineq) if np.linalg.norm(M[k]) <= 1e-12]
     free = [k for k in range(cone.n_ineq) if k not in fixed]
     return frozenset(fixed) | frozenset(zero) | frozenset(implicit_equalities(M, free)[0])
@@ -339,22 +331,15 @@ def enumerate_faces(cone: PolyCone, cap: int = 1024) -> list:
 
 def span_basis(cone: PolyCone) -> np.ndarray:
     """Orthonormal basis of span(K) = K - K for a polyhedral convex cone."""
-    N = null_space(cone.E) if cone.E.size else np.eye(cone.dim)
-    if N.size == 0 or N.shape[1] == 0:
-        return np.zeros((cone.dim, 0))
-    M = cone.A @ N
+    _, N, M = affine_frame(cone.A, cone.E)
     implicit, _ = implicit_equalities(M)
-    # N and Y have orthonormal columns, so N @ Y does too
-    return N @ null_space(M[implicit]) if implicit else N
+    # N and null(M[implicit]) have orthonormal columns, so their product does too
+    return affine_frame(N, M[implicit])[2]
 
 
 def lineality_basis(cone: PolyCone) -> np.ndarray:
     """Orthonormal basis of K intersect -K = {w : Aw = 0, Ew = 0}."""
-    S = np.vstack([cone.A, cone.E]) if (cone.n_ineq or cone.n_eq) else np.zeros((0, cone.dim))
-    if S.size == 0:
-        return np.eye(cone.dim)
-    N = null_space(S)
-    return N if N.size else np.zeros((cone.dim, 0))
+    return affine_frame(cone.A, np.vstack([cone.A, cone.E]))[1]
 
 
 def cone_rays(cone: PolyCone):
@@ -368,13 +353,12 @@ def cone_rays(cone: PolyCone):
     L = lineality_basis(cone)
     rays = []
     for face in enumerate_faces(cone):
-        S = np.vstack([cone.E, cone.A[sorted(face.active)]])
-        N = null_space(S) if S.size else np.eye(cone.dim)
+        _, N, LN = affine_frame(L.T, np.vstack([cone.E, cone.A[sorted(face.active)]]))
         if N.shape[1] != L.shape[1] + 1:
             continue
         # the one direction of the face orthogonal to the lineality space;
         # rows off the face are <= 0 on it, and one of them is < 0
-        Nperp = N - L @ (L.T @ N)
+        Nperp = N - L @ LN
         u = Nperp[:, int(np.argmax(np.linalg.norm(Nperp, axis=0)))]
         u = u / np.linalg.norm(u)
         rays.append(u if np.sum(cone.A @ u) < 0 else -u)

@@ -9,13 +9,16 @@ KKT (stationary) point.  Each working-set iteration is one null-space step
 (Nocedal & Wright, ch. 16) from two factorizations, kept per working set
 (the optimality check after a full unblocked step reuses them):
 
-- one SVD of the working rows C = U S Vᵀ, with the rank cutoff of `lstsq`
-  (max(C.shape)·eps·s₀).  It gives the min-norm correction onto C x = r,
-  the null-space basis Z, and, at a zero step, the least-squares
-  multipliers U (Vᵀ(−∇) / s);
+- the `affine_frame` (C⁺, Z, Q Z) of the working rows C, one SVD with the
+  rank cutoff of `lstsq` (max(C.shape)·eps·s₀).  It gives the min-norm
+  correction x + C⁺(r − C x) onto C x = r, the null-space basis Z, and,
+  at a zero step, the least-squares multipliers y = (C⁺)ᵀ(−∇);
 - at most one eigendecomposition of the reduced Hessian ZᵀQZ.  It gives
   the Newton step over the positive-curvature directions, or an unbounded
   ray (negative curvature, or linear descent along zero curvature).
+
+The starting working set keeps an active row when it shrinks the null
+space of the rows kept so far, so its rows stay independent.
 
 A step is cut at the first blocking row and a ray must meet one; ties
 and leaving rows go to the lowest index, Bland style, to avoid cycling
@@ -40,7 +43,6 @@ class QPResult:
     x: np.ndarray
     mu: np.ndarray  # inequality multipliers, mu >= 0, complementary
     nu: np.ndarray  # equality multipliers
-    status: str  # "optimal" or "stationary"
     objective: float
     iterations: int
 
@@ -50,27 +52,17 @@ def _objective(Q, c, x):
 
 
 def _independent_active_rows(A, E, active):
-    """Greedy subset of `active` whose rows, stacked under E, stay independent.
-
-    One Gram-Schmidt pass over the stack: a row extends the orthonormal
-    basis when its residual clears the `matrix_rank` cutoff max(shape)·eps·s₀
-    (s₀ bounded by the Frobenius norm).
-    """
-    if not active:
-        return []
-    rows = np.vstack([E, A[active]])
-    cutoff = max(rows.shape) * np.finfo(float).eps * np.linalg.norm(rows)
-    basis, keep = [], []
-    for k, res in enumerate(rows):
-        if basis:  # project off the basis twice, for stability
-            B = np.array(basis)
-            res = res - (res @ B.T) @ B
-            res = res - (res @ B.T) @ B
-        norm = np.linalg.norm(res)
-        if norm > cutoff:
-            basis.append(res / norm)
-            if k >= E.shape[0]:
-                keep.append(active[k - E.shape[0]])
+    """Greedy subset of `active` whose rows, stacked under E, stay independent:
+    a row is kept when it shrinks the null space of the stack (`affine_frame`).
+    A stack of full row rank keeps every row at the cost of one frame."""
+    if not active or affine_frame(A, np.vstack([E, A[active]]))[1].shape[1] \
+            == A.shape[1] - len(E) - len(active):
+        return active
+    keep, nullity = [], affine_frame(A, E)[1].shape[1]
+    for j in active:
+        N = affine_frame(A, np.vstack([E, A[keep + [j]]]))[1]
+        if N.shape[1] < nullity:
+            keep, nullity = keep + [j], N.shape[1]
     return keep
 
 
@@ -114,8 +106,6 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
         if x is None:
             raise Infeasible("QP constraint set is empty")
 
-    psd = bool(np.linalg.eigvalsh(Q).min() >= -1e-10 * max(1.0, np.abs(Q).max())) if n else True
-
     slack = b - A @ x
     active = [j for j in range(p) if slack[j] <= 1e-9 * (1.0 + abs(b[j]))]
     work = _independent_active_rows(A, E, active)
@@ -126,12 +116,10 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
         if work != factored:
             factored = list(work)
             C = np.vstack([E, A[work]])
-            U, s, Vt = np.linalg.svd(C)
-            rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])) if s.size else 0
-            Ur, sr, Vr, Z = U[:, :rank], s[:rank], Vt[:rank], Vt[rank:].T
+            pinv, Z, QZ = affine_frame(Q, C)
             if Z.shape[1]:
-                eigvals, V = np.linalg.eigh(Z.T @ Q @ Z)
-        x_p = x + Vr.T @ ((Ur.T @ (np.concatenate([d, b[work]]) - C @ x)) / sr)
+                eigvals, V = np.linalg.eigh(QZ.T @ Z)
+        x_p = x + pinv @ (np.concatenate([d, b[work]]) - C @ x)
 
         x_new, ray = x_p, None
         if Z.shape[1]:
@@ -159,14 +147,13 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
 
         step = x_new - x
         if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(x)):
-            y = Ur @ ((Vr @ -(Q @ x + c)) / sr)
+            y = pinv.T @ -(Q @ x + c)
             nu_w, mu_w = y[:q], y[q:]
             negs = [k for k, m in enumerate(mu_w) if m < -_MULT_TOL]
             if not negs:
                 mu = np.zeros(p)
                 mu[work] = np.maximum(mu_w, 0.0)
-                status = "optimal" if psd else "stationary"
-                return QPResult(x, mu, nu_w, status, _objective(Q, c, x), it + 1)
+                return QPResult(x, mu, nu_w, _objective(Q, c, x), it + 1)
             work.remove(min(work[k] for k in negs))
             continue
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import Infeasible, NoFeasiblePiece, PointOutsideDomain, Unbounded
 from .kkt import CompositeProblem, _smooth_data
-from .lp import LPBuilder, feasible_point
+from .lp import LPBuilder, affine_frame, feasible_point
 from .plq import PLQFunction, _membership, active_indices, prox_any, subgradient_dist
 from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
@@ -115,12 +115,13 @@ def _dual_is_fixed(spec, xi) -> bool:
     """Whether stationarity at xi admits only one dual lam.
 
     gphi + H (xi - xk) + J^T lam + N_Theta(xi) = 0 fixes lam when J^T has
-    rank m and its range meets the span of Theta's active normals N only
-    at 0, that is rank [J^T | N] = m + rank N.
+    rank m and its range meets the span of Theta's active normals G only
+    at 0, that is when appending J^T to G adds no direction to the null
+    space: dim null [J^T | G] = dim null G (`affine_frame`).
     """
-    N = np.vstack(normal_cone_generators(spec.problem.Theta, xi)).T
-    rank = np.linalg.matrix_rank
-    return rank(np.hstack([spec.J.T, N])) == spec.problem.m + rank(N)
+    G = np.vstack(normal_cone_generators(spec.problem.Theta, xi)).T
+    JG = np.hstack([spec.J.T, G])
+    return affine_frame(JG, JG)[1].shape[1] == affine_frame(G, G)[1].shape[1]
 
 
 def _repair_dual(spec, xi, y, active_pieces):

@@ -115,6 +115,34 @@ def test_nonneg_lstsq_answers_a_degenerate_system():
     assert residual == np.linalg.norm(M @ u - r)
 
 
+def _frame_stack(kind):
+    r = np.random.default_rng(5).standard_normal((3, 4))
+    return {"empty": np.zeros((0, 4)), "zero": np.zeros((2, 4)),
+            "duplicated": np.vstack([r[0], r[1], r[0], -2.0 * r[1]]),
+            "nearly_dependent": np.vstack([r[0], r[1], r[0] + r[1] + 1e-13 * r[2]]),
+            "full_rank": r}[kind]
+
+
+@pytest.mark.parametrize("kind", ["empty", "zero", "duplicated", "nearly_dependent", "full_rank"])
+def test_affine_frame_agrees_with_numpy(kind):
+    # E+ is numpy's pseudo-inverse at lstsq's cutoff, N has orthonormal
+    # columns spanning null(E), dim N = n - rank E, and A N is A on N
+    E = _frame_stack(kind)
+    A = np.random.default_rng(6).standard_normal((3, 4))
+    pinv, N, AN = affine_frame(A, E)
+    expected = np.linalg.pinv(E, max(E.shape) * np.finfo(float).eps) if len(E) else np.zeros((4, 0))
+    scale = max(1.0, np.abs(expected).max(initial=0.0))
+    assert pinv.shape == expected.shape
+    assert np.allclose(pinv, expected, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(N.T @ N, np.eye(N.shape[1]), rtol=0.0, atol=1e-14)
+    assert np.abs(E @ N).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(E).max(initial=0.0))
+    rank = np.linalg.matrix_rank(E) if len(E) else 0  # numpy's cutoff is lstsq's too
+    assert N.shape[1] == 4 - rank
+    assert rank == {"empty": 0, "zero": 0, "duplicated": 2, "nearly_dependent": 3,
+                    "full_rank": 3}[kind]
+    assert np.array_equal(AN, A @ N)
+
+
 def _random_system(rng, kind):
     """(A, b, E, d): random rows with random slacks, some negative, and fewer
     equalities than unknowns; kind 1 repeats two rows, kind 2 adds the

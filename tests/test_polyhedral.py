@@ -172,15 +172,15 @@ def test_projection_onto_small_scale_sets(P, z, expected):
 
 def test_projection_onto_a_set_holding_the_origin_runs_no_feasibility(monkeypatch):
     # every b_i >= 0 and d = 0 put the origin in P, so P is not empty and
-    # no phase-1 point is needed; the answers are the closed forms
+    # no phase-1 LP runs behind `nearest_point`; the answers are the closed forms
     calls = []
-    phase_1 = polyhedral.feasible_point
+    phase_1 = polyhedral.solve_lp
 
     def spy(*args, **kwargs):
         calls.append(1)
         return phase_1(*args, **kwargs)
 
-    monkeypatch.setattr(polyhedral, "feasible_point", spy)
+    monkeypatch.setattr("plqsqp.lp.solve_lp", spy)
     cone = PolyCone.from_rows([[1.0, 1.0]], np.zeros((0, 2)))
     assert np.allclose(project(cone, [2.0, 0.0]), [1.0, -1.0])
     box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])

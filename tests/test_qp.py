@@ -33,7 +33,7 @@ def test_nonneg_quadrant_example():
     P = Polyhedron.nonneg(2)
     res = active_set_qp(np.eye(2), [-1.0, -1.0], P.A, P.b, P.E, P.d)
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-10)
-    assert res.status == "optimal"
+    assert qp_kkt_residual(np.eye(2), [-1.0, -1.0], P.A, P.b, P.E, P.d, res) <= 1e-10
 
 
 def test_equality_symmetry_example():
@@ -60,7 +60,6 @@ def test_duplicated_rank_deficient_equality_rows():
     E, d = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
     res = active_set_qp(np.eye(2), np.zeros(2), None, None, E, d)
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-12)
-    assert res.status == "optimal"
     assert qp_kkt_residual(np.eye(2), np.zeros(2), None, None, E, d, res) <= 1e-12
 
 
@@ -69,7 +68,7 @@ def test_zero_curvature_without_descent_is_optimal_not_unbounded():
     # so the minimizer keeps x0's second coordinate instead of a ray
     Q, c = np.diag([1.0, 0.0]), np.array([-1.0, 0.0])
     res = active_set_qp(Q, c, None, None, None, None, x0=[0.0, 0.7])
-    assert res.status == "optimal"
+    assert qp_kkt_residual(Q, c, None, None, None, None, res) <= 1e-12
     assert np.allclose(res.x, [1.0, 0.7], atol=1e-12)
     assert abs(res.objective + 0.5) <= 1e-12
 
@@ -77,19 +76,21 @@ def test_zero_curvature_without_descent_is_optimal_not_unbounded():
 def test_one_factorization_per_working_set(monkeypatch):
     # from a feasible x0 with no active row: one full step to the
     # unconstrained minimizer, unblocked, then the zero-step optimality
-    # check on the same (empty) working set, which reuses its factors
+    # check on the same (empty) working set, which reuses its frame
     from plqsqp import qp
-    svd = qp.np.linalg.svd
+    frame = qp.affine_frame
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return frame(*args, **kwargs)
 
-    monkeypatch.setattr(qp.np.linalg, "svd", spy)
+    monkeypatch.setattr(qp, "affine_frame", spy)
     res = active_set_qp(np.eye(2), [-1.0, -1.0], np.array([[1.0, 0.0]]), [5.0], None, None,
                         x0=[0.0, 0.0])
-    assert res.status == "optimal" and np.allclose(res.x, [1.0, 1.0], atol=1e-12)
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
+    assert qp_kkt_residual(np.eye(2), [-1.0, -1.0], np.array([[1.0, 0.0]]), [5.0],
+                           None, None, res) <= 1e-12
     assert res.iterations == 2
     assert len(calls) == 1
 
@@ -99,7 +100,6 @@ def test_negative_curvature_returns_stationary_point():
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.array([1.0, 1.0, 1.0, 1.0])
     res = active_set_qp(-np.eye(2), np.zeros(2), A, b, None, None, x0=[0.3, -0.2])
-    assert res.status == "stationary"
     assert np.max(np.abs(res.x)) >= 1.0 - 1e-9
     assert qp_kkt_residual(-np.eye(2), np.zeros(2), A, b, np.zeros((0, 2)),
                            np.zeros(0), res) <= 1e-9

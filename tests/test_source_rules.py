@@ -35,7 +35,10 @@ program of `lp.nearest_point`: `feasible_point` builds no slack form and
 keeps no residual band, `project` runs no emptiness pre-check, a QP
 computes its start through it alone, and the prox frames build no
 polyhedron.  Verified NNLS serves that program and normal-cone distances
-only.
+only.  Subspaces have one frame: `lp.affine_frame` is the only place that
+names an SVD, a null space or a range basis (`svd`, `null_space`,
+`orth`), `scipy.linalg` is not imported, and `matrix_rank` is left to the
+generators, whose accepted seeds it decides.
 """
 
 import ast
@@ -389,3 +392,28 @@ def test_feasibility_has_one_route():
     nnls = {key for key in defs if key[1] != "nonneg_lstsq" and "nonneg_lstsq" in calls(*key)}
     assert nnls == {("lp.py", "nearest_point"),
                     ("polyhedral.py", "normal_cone_dist_at_rows")}, sorted(nnls)
+
+
+def test_subspaces_have_one_frame():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.update((path.name, m, node.lineno) for m in modules
+                         if m.startswith("scipy.linalg"))
+        for name, node in _statements(tree):
+            for ref, line in _referenced_names(node):
+                if ref in {"svd", "null_space", "orth"} \
+                        and (path.name, name) != ("lp.py", "affine_frame") \
+                        or ref == "matrix_rank" and path.name != "generators.py":
+                    found.add((path.name, ref, line))
+    assert not found, sorted(found)
+    lp = ast.parse((PACKAGE / "lp.py").read_text())
+    assert "svd" in {ref for name, node in _statements(lp) if name == "affine_frame"
+                     for ref, _ in _referenced_names(node)}
