@@ -1,7 +1,7 @@
 """Structural condition checks at KKT points.
 
 Noncriticality and multiplier uniqueness are decided exactly, as
-homogeneous linear systems, each decided by one implicit-equality LP and
+homogeneous linear systems, each by one implicit-equality decision and
 a rank test (`LPBuilder.nonzero_block`): noncriticality has one system
 per activity pattern of the critical cones, uniqueness the single dual
 cone condition (the multiplier polyhedron is not built).  The
@@ -70,7 +70,7 @@ def _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT, faces, exclusi
     """A nonzero w of one activity pattern's linear system, or None.
 
     The rows are built once; `LPBuilder.nonzero_block` then decides them
-    with one LP.
+    with one implicit-equality decision.
     """
     n, m = hess.shape[0], J.shape[0]
     sizes = [("w", n), ("u", m), ("t", 1), ("mu", len(JT)), ("nu", KT.n_eq)]
@@ -109,12 +109,12 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar) -> Verdict:
     The criticality system is a finite union of polyhedral cones in
     (w, u); each pattern fixes the active face of every participating
     critical cone and one violated row per excluded piece, making the
-    system linear.  One implicit-equality LP and a rank test decide
+    system linear.  One implicit-equality decision and a rank test decide
     whether it has a solution with w != 0 and t > 0, t bounding the
     exclusion rows (`LPBuilder.nonzero_block`); its point is an exact
     certificate.  Faces come from `enumerate_faces`, one per distinct
-    face.  Each pattern costs one LP, so the patterns are counted against
-    MAX_PATTERN_LPS before any pattern LP runs, then streamed.
+    face.  Each pattern costs one decision, so the patterns are counted
+    against MAX_PATTERN_LPS before any pattern is decided, then streamed.
     """
     point = kkt_point(problem, xbar, lambdabar)
     cones = point.piece_cones
@@ -136,10 +136,10 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar) -> Verdict:
                 *([(i, *c) for c in _exclusion_choices(cones_by_piece[i])]
                   for i in pieces if i not in S_set)]
 
-    # one LP per pattern: count them against the cap before solving any
+    # one decision per pattern: count them against the cap before deciding any
     n_patterns = sum(math.prod(map(len, options(S_set))) for S_set in S_sets)
     if n_patterns > MAX_PATTERN_LPS:
-        raise TooManyRows(f"{n_patterns} pattern LPs exceed the cap {MAX_PATTERN_LPS}")
+        raise TooManyRows(f"{n_patterns} patterns exceed the cap {MAX_PATTERN_LPS}")
 
     for S_set in S_sets:
         for JT, *choice in itertools.product(*options(S_set)):
@@ -153,7 +153,7 @@ def check_noncritical(problem: CompositeProblem, xbar, lambdabar) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# multiplier uniqueness (exact, one LP)
+# multiplier uniqueness (exact, one implicit-equality decision)
 # ---------------------------------------------------------------------------
 
 def _dual_condition_nonzero(point):
@@ -183,7 +183,7 @@ def check_unique_multiplier(problem: CompositeProblem, xbar, lambdabar) -> Verdi
     Lambda(xbar) is the single point lambdabar iff no u != 0 has u in
     K_g^* and -J^T u in K_Theta^*, ^* the polar and K_g the intersection
     of the active pieces' critical cones (Kyparisis 1985; the strict-MFCQ
-    analogue of Bonnans 1994).  One LP decides it
+    analogue of Bonnans 1994).  One implicit-equality decision settles it
     (`_dual_condition_nonzero`); on failure such a u is the certificate:
     lambdabar + t u stays a multiplier for small t > 0.
     """
@@ -206,9 +206,9 @@ def _face_minimum(M, Q):
     The minimizer lies in the relative interior of a face F and is there a
     least eigenvector of Q on span F (Kaplan's eigenvector criterion for
     copositivity, carried from the orthant to a polyhedral cone).  Each
-    face whose least eigenvalue is below the best so far gets one LP,
+    face whose least eigenvalue is below the best so far gets one decision,
     `lp.implicit_equalities` of the rows off F on its eigenspace V: V meets
-    relint F iff that LP's point is negative on every row.  M = {0} gives
+    relint F iff its point is negative on every row.  M = {0} gives
     (inf, None, 1); more than 1,024 faces raise TooManyRows.
     """
     faces = enumerate_faces(M)

@@ -1,13 +1,12 @@
-"""Nearest points of polyhedra, and thin wrappers around scipy's HiGHS LP solver.
+"""Nearest points and implicit equalities of polyhedra, and a HiGHS LP wrapper.
 
-`nearest_point` is the one feasibility route, and `affine_frame` the one
-SVD behind every null space, pseudo-inverse and rank decision of the
-package.  All LP variables are free
-unless the caller encodes bounds as rows; HiGHS is used for the phase 1
-behind `nearest_point`, redundancy tests, and the implicit-equality LP of
-a cone.  That one LP decides the homogeneous systems of the diagnostics
-module: `LPBuilder` lays them out over named blocks of columns, and
-`nonzero_block` answers each with one LP and a rank test.
+`nearest_point` is the one feasibility route, `implicit_equalities` (by
+verified NNLS) decides the homogeneous systems that `LPBuilder` lays out
+over named blocks of columns, and `affine_frame` is the one SVD behind
+every null space, pseudo-inverse and rank decision of the package.  All
+LP variables are free unless the caller encodes bounds as rows; HiGHS
+runs the phase 1 behind `nearest_point`, redundancy tests, and implicit
+equalities whose NNLS answers fail.
 """
 
 import numpy as np
@@ -20,7 +19,7 @@ LP_OPTIMAL = 0
 LP_INFEASIBLE = 2
 LP_UNBOUNDED = 3
 ZERO_BLOCK = 1e-9  # largest singular value of a block that is zero on a cone
-FEAS_TOL = 1e-9  # a row holds at x within FEAS_TOL of its rounding scale (`nearest_point`)
+FEAS_TOL = 1e-9  # a row holds within FEAS_TOL of its rounding scale (`nearest_point` and cones)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -125,14 +124,38 @@ def implicit_equalities(M, rows=None):
     """(implicit, y): the nonzero rows k of `rows` (default all) with M[k] y = 0
     on all of {y : M y <= 0}, and a point y there with M[k] y <= -1 on the rest.
 
-    One LP (Freund, Roundy & Todd 1985): maximize sum s_k subject to
-    M y <= 0, M[k] y + s_k <= 0 and s_k <= 1.  The set is a cone, so every
-    row that is not an implicit equality reaches s_k = 1, the others stay at 0.
+    Gordan's alternative, by one NNLS per undecided row k (Lawson & Hanson,
+    ch. 23): with G the other rows of norm > 1e-12, r = G^T u + M[k] at the
+    least u >= 0 is 0 (k implicit), or -r/||r|| has G y <= 0 > M[k] y and
+    decides every row it holds strictly.  Both are verified to FEAS_TOL of
+    the row norms, else the LP decides; y is the scaled sum of the latter.
     """
-    rows = [k for k in (range(len(M)) if rows is None else rows) if np.linalg.norm(M[k]) > 1e-12]
+    norms = np.linalg.norm(M, axis=1)
+    live = norms > 1e-12  # rows a null-space basis zeroed generate nothing
+    rows = [k for k in (range(len(M)) if rows is None else rows) if live[k]]
+    strict, y = set(), np.zeros(M.shape[1])
+    for k in rows:
+        if k in strict:
+            continue
+        G = M[live & (np.arange(len(M)) != k)]
+        r = G.T @ nonneg_lstsq(G.T, -M[k])[0] + M[k]
+        if np.linalg.norm(r) <= FEAS_TOL * norms[k]:
+            continue  # -M[k] = G^T u: an implicit equality
+        c = -r / np.linalg.norm(r)
+        Mc = M @ c
+        if not (Mc[k] < -FEAS_TOL * norms[k] and np.all(Mc[live] <= FEAS_TOL * norms[live])):
+            return _implicit_equalities_lp(M, rows)  # neither answer verifies
+        strict.update(j for j in rows if Mc[j] < -FEAS_TOL * norms[j])
+        y += c
+    top = max((M[k] @ y for k in strict), default=-1.0)
+    if top >= 0.0:  # summed certificates cancel on a strict row
+        return _implicit_equalities_lp(M, rows)
+    return [k for k in rows if k not in strict], y / -top
+
+
+def _implicit_equalities_lp(M, rows):
+    """The LP of Freund, Roundy & Todd (1985): max sum s_k <= 1, M y <= 0 >= M[k] y + s_k."""
     p, n, r = M.shape[0], M.shape[1], len(rows)
-    if not rows:
-        return [], np.zeros(n)
     A_ub = np.vstack([np.hstack([M, np.zeros((p, r))]),
                       np.hstack([M[rows], np.eye(r)]),
                       np.hstack([np.zeros((r, n)), np.eye(r)])])
@@ -197,8 +220,8 @@ class LPBuilder:
         """A solution of the homogeneous rows with t > 0 (block "t") and block
         `name` nonzero, or None.
 
-        One LP: with the row t >= 0 appended and the equalities removed by a
-        null-space basis N, `implicit_equalities` finds the cone's implicit
+        One decision: with the row t >= 0 appended and the equalities removed
+        by a null-space basis N, `implicit_equalities` finds the cone's implicit
         equalities and a point with slack >= 1 on every other row.  A solution
         exists iff t >= 0 is not implicit and the block's rows of the hull basis
         H = N null(implicit rows) have a singular value above ZERO_BLOCK (both

@@ -1,4 +1,4 @@
-"""Verified nonnegative least squares, for `lp.nearest_point` and normal cones.
+"""Verified nonnegative least squares: `lp.nearest_point`, implicit equalities, normal cones.
 
 scipy's rewritten nnls can terminate prematurely on some small systems,
 returning a non-optimal point and a wrong residual scalar.  This wrapper

@@ -3,8 +3,8 @@
 A Polyhedron is {x : A x <= b, E x = d}; a PolyCone is the homogeneous
 case b = 0, d = 0.  Everything here is built from two exact kernels:
 verified nonnegative least squares (the least-distance program of
-`lp.nearest_point` for projections and emptiness, and normal-cone
-distances) and HiGHS LPs (implicit equalities, redundancy).  Values are
+`lp.nearest_point` for projections and emptiness, implicit equalities
+and normal-cone distances) and HiGHS LPs (redundancy).  Values are
 immutable after construction and all operations are pure.  Derived data
 is memoized on the immutable polyhedron itself (`_derived`): its
 least-norm point, its equality frame (E⁺, a basis N of null(E) and the
@@ -339,7 +339,7 @@ def span_basis(cone: PolyCone) -> np.ndarray:
 
 def lineality_basis(cone: PolyCone) -> np.ndarray:
     """Orthonormal basis of K intersect -K = {w : Aw = 0, Ew = 0}."""
-    return affine_frame(cone.A, np.vstack([cone.A, cone.E]))[1]
+    return affine_frame(cone.A[:0], np.vstack([cone.A, cone.E]))[1]
 
 
 def cone_rays(cone: PolyCone):

@@ -55,12 +55,12 @@ def _independent_active_rows(A, E, active):
     """Greedy subset of `active` whose rows, stacked under E, stay independent:
     a row is kept when it shrinks the null space of the stack (`affine_frame`).
     A stack of full row rank keeps every row at the cost of one frame."""
-    if not active or affine_frame(A, np.vstack([E, A[active]]))[1].shape[1] \
+    if not active or affine_frame(A[:0], np.vstack([E, A[active]]))[1].shape[1] \
             == A.shape[1] - len(E) - len(active):
         return active
-    keep, nullity = [], affine_frame(A, E)[1].shape[1]
+    keep, nullity = [], affine_frame(A[:0], E)[1].shape[1]
     for j in active:
-        N = affine_frame(A, np.vstack([E, A[keep + [j]]]))[1]
+        N = affine_frame(A[:0], np.vstack([E, A[keep + [j]]]))[1]
         if N.shape[1] < nullity:
             keep, nullity = keep + [j], N.shape[1]
     return keep

@@ -121,7 +121,7 @@ def _dual_is_fixed(spec, xi) -> bool:
     """
     G = np.vstack(normal_cone_generators(spec.problem.Theta, xi)).T
     JG = np.hstack([spec.J.T, G])
-    return affine_frame(JG, JG)[1].shape[1] == affine_frame(G, G)[1].shape[1]
+    return affine_frame(JG[:0], JG)[1].shape[1] == affine_frame(G[:0], G)[1].shape[1]
 
 
 def _repair_dual(spec, xi, y, active_pieces):

@@ -3,7 +3,7 @@
 These deliberately avoid the production code paths they check: the
 noncriticality oracle scans a grid of directions and decides each one
 with the eliminated proto-derivative H-representation, not with the
-activity-pattern LPs used by the diagnostics module, and the uniqueness
+activity-pattern systems used by the diagnostics module, and the uniqueness
 oracle bounds the multiplier polyhedron coordinate by coordinate, not
 with the dual cone condition.  The enumerations, residuals and the
 Lagrangian below serve only as test references, so they live here rather

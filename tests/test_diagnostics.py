@@ -60,12 +60,12 @@ def _count_calls(monkeypatch, modules, name):
 
 def test_noncritical_minmax_lp_count(monkeypatch):
     # one pattern per distinct face (3,584 LPs when every row subset was a
-    # pattern) and one LP per pattern (491 LPs with 2n coordinate LPs each):
-    # 61 patterns and 3 face-walk LPs
+    # pattern) and one implicit-equality decision per pattern (491 LPs with
+    # 2n coordinate LPs each): 61 patterns and 3 face-walk decisions
     prob, md = _minmax_4x4()
-    lps = _count_calls(monkeypatch, [lp, polyhedral], "solve_lp")
+    decisions = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "implicit_equalities")
     assert check_noncritical(prob, md["xbar"], md["lambdabar"]).result == "holds"
-    assert 0 < lps[0] <= 70
+    assert 0 < decisions[0] <= 70
 
 
 def test_noncritical_pattern_cap_raises_before_any_pattern_lp(monkeypatch):
@@ -197,15 +197,15 @@ def _uniqueness_cases():
 
 
 def test_unique_multiplier_matches_the_coordinate_oracle(monkeypatch):
-    # one LP decides (the dual cone condition); the multiplier polyhedron's
-    # coordinate ranges agree, and a failing certificate is a direction
-    # that stays inside that polyhedron
-    lps = _count_calls(monkeypatch, [lp, polyhedral], "solve_lp")
+    # one implicit-equality decision (the dual cone condition) settles it;
+    # the multiplier polyhedron's coordinate ranges agree, and a failing
+    # certificate is a direction that stays inside that polyhedron
+    decisions = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "implicit_equalities")
     outcomes = set()
     for name, prob, x, lam in _uniqueness_cases():
-        before = lps[0]
+        before = decisions[0]
         verdict = check_unique_multiplier(prob, x, lam)
-        assert lps[0] - before == 1, name
+        assert decisions[0] - before == 1, name
         assert verdict.passed == unique_multiplier_by_coordinates(prob, x, lam), name
         outcomes.add(verdict.result)
         if not verdict.passed:

@@ -115,6 +115,63 @@ def test_nonneg_lstsq_answers_a_degenerate_system():
     assert residual == np.linalg.norm(M @ u - r)
 
 
+def _random_cone(rng, kind):
+    """Random rows M of a cone {y : M y <= 0}, shuffled; kind 1 repeats a row
+    scaled by a positive factor, kind 2 adds the opposite of a row, kind 3
+    adds two rows of norm 1e-16 (zeroed by a null-space basis), kind 4 a row
+    that is nearly the sum of two others and kind 5 minus that sum."""
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, 2 * n + 2))
+    M = rng.standard_normal((p, n))
+    i, j = rng.integers(p, size=2)
+    extra = {0: np.zeros((0, n)), 1: rng.uniform(0.5, 2.0) * M[i],
+             2: -rng.uniform(0.5, 2.0) * M[i], 3: 1e-16 * rng.standard_normal((2, n)),
+             4: M[i] + M[j] + 1e-13 * rng.standard_normal(n), 5: -(M[i] + M[j])}[kind]
+    M = np.vstack([M, extra])
+    return M[rng.permutation(len(M))]
+
+
+def test_implicit_equalities_agree_with_the_lp(monkeypatch):
+    # the verified NNLS decisions give the LP's implicit rows, on all rows
+    # and on subsets, with no LP run; y meets M y <= 0 and M[k] y <= -1 on
+    # every other nonzero row of `rows`
+    decide_by_lp, fallbacks = lp_module._implicit_equalities_lp, []
+    monkeypatch.setattr(lp_module, "_implicit_equalities_lp",
+                        lambda M, rows: fallbacks.append(rows) or decide_by_lp(M, rows))
+    rng = np.random.default_rng(13)
+    found = []
+    for trial in range(360):
+        M = _random_cone(rng, trial % 6)
+        rows = None if trial % 2 else sorted(rng.choice(len(M), int(rng.integers(len(M) + 1)),
+                                                        replace=False).tolist())
+        implicit, y = lp_module.implicit_equalities(M, rows)
+        norms = np.linalg.norm(M, axis=1)
+        nonzero = [k for k in (range(len(M)) if rows is None else rows) if norms[k] > 1e-12]
+        assert implicit == (decide_by_lp(M, nonzero)[0] if nonzero else []), trial
+        strict = [k for k in nonzero if k not in implicit]
+        assert np.all(M @ y <= 1e-9 * (1.0 + norms * np.linalg.norm(y))), trial
+        assert np.all(M[strict] @ y <= -1.0 + 1e-12), trial
+        found.append(bool(implicit))
+    assert fallbacks == [] and 0.2 <= np.mean(found) <= 0.8
+
+
+@pytest.mark.parametrize("answer", ["zero", "nan"])
+def test_unverified_implicit_equality_answers_go_to_the_lp(monkeypatch, answer):
+    # x1 <= 0 and -x1 <= 0 are implicit, x2 <= 0 is not.  u = 0 gives the
+    # row k = 0 the y = -M[0], which breaks -x1 <= 0, and a u of NaNs
+    # verifies nothing: the LP decides, with the same answer
+    M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    expected, _ = lp_module.implicit_equalities(M)
+    decide_by_lp, lps = lp_module._implicit_equalities_lp, []
+    fill = {"zero": 0.0, "nan": np.nan}[answer]
+    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda G, r: (np.full(G.shape[1], fill), 1.0))
+    monkeypatch.setattr(lp_module, "_implicit_equalities_lp",
+                        lambda M, rows: lps.append(rows) or decide_by_lp(M, rows))
+    implicit, y = lp_module.implicit_equalities(M)
+    assert lps == [[0, 1, 2]] and implicit == expected == [0, 1]
+    assert np.all(M @ y <= 1e-9) and M[2] @ y <= -1.0 + 1e-9
+
+
 def _frame_stack(kind):
     r = np.random.default_rng(5).standard_normal((3, 4))
     return {"empty": np.zeros((0, 4)), "zero": np.zeros((2, 4)),

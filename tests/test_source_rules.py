@@ -9,7 +9,9 @@ Every top-level function and class is used elsewhere in the package or
 exported.  Every error class has a raise site in the package, so that a
 class which is only caught cannot linger.  Fourier-Motzkin cone
 eliminations go through the per-pattern memo of `normal_cone_hrep` only,
-and implicit equalities through the one LP of `lp.implicit_equalities`.
+and implicit equalities through the one decision of
+`lp.implicit_equalities` (verified NNLS, and its own LP for answers that
+do not verify).
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
 diagnostics build no polyhedron, measure no normal-cone distance and
 eliminate no normal cone of their own (no `normal_cone_hrep`,
@@ -19,26 +21,28 @@ QPs (`subqp`) only; projections, the prox and nonnegative least squares
 run without it.  PLQ membership and subgradient tests read the
 function's stacked piece rows and make no per-piece membership, activity
 or normal-cone call.
-Multiplier uniqueness has one route, the dual cone condition's LP:
-`check_unique_multiplier` and the helpers it calls build no multiplier
-polyhedron and run no LP of their own.  The SQP driver and its subproblem
-data reach Phi, J and grad phi through `kkt._smooth_data` only, the one
-evaluation per iterate that they share, and a KKT point reads Phi(x) there
-too.  KKT-point data has one builder: a `KKTPoint` is constructed in
-`kkt.kkt_point` only, and the SQP driver and the diagnostics read the
-cones D and D+ from that point, calling neither `cone_D` nor
-`subspace_Dplus`.  Every defaulted parameter of the package (dataclass
-fields included) is passed, by name or position, by some call in `src/`,
-`bench/` or `tests/`, or is listed with its reason in `KNOBS_ALLOWED`.
+Multiplier uniqueness has one route, the dual cone condition's
+implicit-equality decision: `check_unique_multiplier` and the helpers it
+calls build no multiplier polyhedron and run no LP of their own.  The SQP
+driver and its subproblem data reach Phi, J and grad phi through
+`kkt._smooth_data` only, the one evaluation per iterate that they share,
+and a KKT point reads Phi(x) there too.  KKT-point data has one builder:
+a `KKTPoint` is constructed in `kkt.kkt_point` only, and the SQP driver
+and the diagnostics read the cones D and D+ from that point, calling
+neither `cone_D` nor `subspace_Dplus`.  Every defaulted parameter of the
+package (dataclass fields included) is passed, by name or position, by
+some call in `src/`, `bench/` or `tests/`, or is listed with its reason
+in `KNOBS_ALLOWED`.
 Feasibility, emptiness and projection have one route, the least-distance
 program of `lp.nearest_point`: `feasible_point` builds no slack form and
 keeps no residual band, `project` runs no emptiness pre-check, a QP
 computes its start through it alone, and the prox frames build no
-polyhedron.  Verified NNLS serves that program and normal-cone distances
-only.  Subspaces have one frame: `lp.affine_frame` is the only place that
-names an SVD, a null space or a range basis (`svd`, `null_space`,
-`orth`), `scipy.linalg` is not imported, and `matrix_rank` is left to the
-generators, whose accepted seeds it decides.
+polyhedron.  Verified NNLS serves that program, implicit-equality
+decisions and normal-cone distances only.  Subspaces have one frame:
+`lp.affine_frame` is the only place that names an SVD, a null space or a
+range basis (`svd`, `null_space`, `orth`), `scipy.linalg` is not
+imported, and `matrix_rank` is left to the generators, whose accepted
+seeds it decides.
 """
 
 import ast
@@ -273,11 +277,13 @@ def test_implicit_equality_lp_has_one_route():
             if "implicit_equalities" in names:
                 users.add((path.name, name))
                 own_lps.update((path.name, name, lp) for lp in names & {"solve_lp", "linprog"})
-    assert defs == {("lp.py", "implicit_equalities")}, sorted(defs)
+    # the LP that decides when the NNLS answers do not verify is the one helper
+    assert defs == {("lp.py", "implicit_equalities"),
+                    ("lp.py", "_implicit_equalities_lp")}, sorted(defs)
     assert users == {("lp.py", "nonzero_block"), ("polyhedral.py", "span_basis"),
                      ("polyhedral.py", "_forced_active"),
                      ("diagnostics.py", "_face_minimum")}, sorted(users)
-    # its users decide with that LP alone and build none of their own
+    # its users decide with it alone and run no LP of their own
     assert not own_lps, sorted(own_lps)
 
 
@@ -390,7 +396,7 @@ def test_feasibility_has_one_route():
     for name in ("_ldp_frame", "prox", "_dual_lq_prox"):
         assert not calls("plq.py", name) & {"Polyhedron", "project"}, name
     nnls = {key for key in defs if key[1] != "nonneg_lstsq" and "nonneg_lstsq" in calls(*key)}
-    assert nnls == {("lp.py", "nearest_point"),
+    assert nnls == {("lp.py", "nearest_point"), ("lp.py", "implicit_equalities"),
                     ("polyhedral.py", "normal_cone_dist_at_rows")}, sorted(nnls)
 
 
