@@ -107,9 +107,9 @@ def _write_error(outdir, exc):
 
 def _cmd_solve(args):
     _check_run_settings(args)
-    problem, metadata = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    problem, metadata = load_problem(args.problem)
     x0, lam0 = _resolve_start(problem, metadata, args)
     reference = _resolve_reference(args, problem, metadata, from_metadata=args.x0 is not None)
     config = SQPConfig(hessian_mode=MODE_MAP[args.mode], tol=args.tol,
@@ -140,22 +140,13 @@ def _cmd_solve(args):
 
 
 def _cmd_diagnose(args):
-    problem, metadata = load_problem(args.problem)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    problem, metadata = load_problem(args.problem)
     x0, lam0 = _resolve_start(problem, metadata, args)
     residual = kkt_residual(problem, x0, lam0)
-    verdicts = []
-    checks = [("noncritical", check_noncritical),
-              ("unique_multiplier", check_unique_multiplier),
-              ("sosc", check_sosc)]
-    for name, fn in checks:
-        try:
-            verdicts.append(fn(problem, x0, lam0))
-        except PLQError as exc:
-            _write_error(outdir, exc)
-            sys.stderr.write(f"{name}: {exc}\n")
-            return 2
+    verdicts = [fn(problem, x0, lam0)
+                for fn in (check_noncritical, check_unique_multiplier, check_sosc)]
     if args.calmness:
         verdicts.append(estimate_calmness(problem, x0, lam0, mode="full",
                                           rng=np.random.default_rng(args.seed)))
@@ -310,7 +301,9 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 3
-    except PLQError as exc:
+    except PLQError as exc:  # in solve and diagnose, error.json records it
+        if args.command in ("solve", "diagnose"):
+            _write_error(args.out, exc)
         sys.stderr.write(f"solver error: {exc}\n")
         return 2
 

@@ -18,13 +18,15 @@ KKT (stationary) point.  Each working-set iteration is one null-space step
   ray (negative curvature, or linear descent along zero curvature).
 
 The starting working set keeps an active row when it shrinks the null
-space of the rows kept so far, so its rows stay independent.
+space of the rows kept so far, so its rows stay independent.  A guessed
+face is tried first by one such step from x0, kept only at a KKT point.
 
 A step is cut at the first blocking row and a ray must meet one; ties
 and leaving rows go to the lowest index, Bland style, to avoid cycling
 on degenerate data.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ _CURV_REL = 1e-11
 _RAY_TOL = 1e-11
 _STEP_TOL = 1e-12
 _MULT_TOL = 1e-9
+_ACTIVE_TOL = 1e-9  # a row within _ACTIVE_TOL (1 + |b_j|) of its bound is active
 
 
 @dataclass
@@ -44,11 +47,57 @@ class QPResult:
     mu: np.ndarray  # inequality multipliers, mu >= 0, complementary
     nu: np.ndarray  # equality multipliers
     objective: float
-    iterations: int
+    iterations: int  # 0 when the guessed face answered
+    work: list  # the working rows at the answer
 
 
 def _objective(Q, c, x):
     return 0.5 * float(x @ Q @ x) + float(c @ x)
+
+
+def _holds(A, b, E, d, x, tol):
+    """Whether x satisfies every row within tol (1 + |rhs|)."""
+    return bool(np.all(A @ x <= b + tol * (1.0 + np.abs(b)))
+                and np.all(np.abs(E @ x - d) <= tol * (1.0 + np.abs(d))))
+
+
+_Frame = namedtuple("_Frame", "C r pinv Z eigvals V curv_tol")
+
+
+def _frame(Q, A, b, E, d, work):
+    """Working rows C x = r, (C⁺, Z), and ZᵀQZ's eigenpairs and curvature cutoff."""
+    C = np.vstack([E, A[work]])
+    pinv, Z, QZ = affine_frame(Q, C)
+    eigvals, V = np.linalg.eigh(QZ.T @ Z)
+    return _Frame(C, np.concatenate([d, b[work]]), pinv, Z, eigvals, V,
+                  _CURV_REL * float(np.abs(eigvals).max(initial=1.0)))
+
+
+def _step(Q, c, frame, x):
+    """From x_p = x + C⁺(r − C x) on C x = r: (the Newton point over the
+    positive curvature, None), or (x_p, a descent ray) when there is one."""
+    C, r, pinv, Z, eigvals, V, curv_tol = frame
+    x_p = x + pinv @ (r - C @ x)
+    if not Z.shape[1]:
+        return x_p, None
+    g = Z.T @ (Q @ x_p + c)
+    gV = V.T @ g
+    jneg = int(np.argmin(eigvals))
+    lin = np.where((np.abs(eigvals) <= curv_tol)
+                   & (np.abs(gV) > _RAY_TOL * max(1.0, float(np.linalg.norm(g)))))[0]
+    if eigvals[jneg] < -curv_tol:
+        return x_p, Z @ (-V[:, jneg] if gV[jneg] > 0 else V[:, jneg])
+    if lin.size:
+        return x_p, Z @ (-np.sign(gV[lin[0]]) * V[:, lin[0]])
+    pos = eigvals > curv_tol
+    return x_p - Z @ (V[:, pos] @ (gV[pos] / eigvals[pos])), None
+
+
+def _answer(Q, c, x, y, p, q, work, iterations):
+    """The QPResult at x with working-set multipliers y = (ν, μ_work)."""
+    mu = np.zeros(p)
+    mu[work] = np.maximum(y[q:], 0.0)
+    return QPResult(x, mu, y[:q], _objective(Q, c, x), iterations, work)
 
 
 def _independent_active_rows(A, E, active):
@@ -82,9 +131,12 @@ def _ratio_test(A, b, x, direction, work, cap):
     return amin, enter
 
 
-def active_set_qp(Q, c, A, b, E, d, x0=None):
+def active_set_qp(Q, c, A, b, E, d, x0=None, face=None):
     """Solve the QP from x0 (default the origin), or from the point of the
     constraint set nearest x0 (`lp.nearest_point`) when x0 is infeasible.
+
+    A `face` of inequality rows answers by its own step, in 0 iterations, when
+    its ZᵀQZ is positive definite, every row holds and μ_face ≥ −_MULT_TOL.
 
     Raises Infeasible when the constraint set is empty, Unbounded when a
     feasible descent ray with no blocking row is found, and QPFailure when
@@ -100,14 +152,20 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
     p, q = A.shape[0], E.shape[0]
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
-    if not (np.all(A @ x <= b + 1e-8 * (1.0 + np.abs(b)))
-            and np.all(np.abs(E @ x - d) <= 1e-8 * (1.0 + np.abs(d)))):
+    if face is not None:
+        frame = _frame(Q, A, b, E, d, face)
+        x_f = _step(Q, c, frame, x)[0]
+        y = frame.pinv.T @ -(Q @ x_f + c)
+        if np.all(frame.eigvals > frame.curv_tol) and _holds(A, b, E, d, x_f, _ACTIVE_TOL) \
+                and np.all(y[q:] >= -_MULT_TOL):
+            return _answer(Q, c, x_f, y, p, q, list(face), 0)
+    if not _holds(A, b, E, d, x, 1e-8):
         x = nearest_point(A, b, E, d, affine_frame(A, E), x)
         if x is None:
             raise Infeasible("QP constraint set is empty")
 
     slack = b - A @ x
-    active = [j for j in range(p) if slack[j] <= 1e-9 * (1.0 + abs(b[j]))]
+    active = [j for j in range(p) if slack[j] <= _ACTIVE_TOL * (1.0 + abs(b[j]))]
     work = _independent_active_rows(A, E, active)
 
     max_iter = 100 * (p + q + n + 5)
@@ -115,27 +173,8 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
     for it in range(max_iter):
         if work != factored:
             factored = list(work)
-            C = np.vstack([E, A[work]])
-            pinv, Z, QZ = affine_frame(Q, C)
-            if Z.shape[1]:
-                eigvals, V = np.linalg.eigh(QZ.T @ Z)
-        x_p = x + pinv @ (np.concatenate([d, b[work]]) - C @ x)
-
-        x_new, ray = x_p, None
-        if Z.shape[1]:
-            g = Z.T @ (Q @ x_p + c)
-            curv_tol = _CURV_REL * max(1.0, float(np.abs(eigvals).max()))
-            gV = V.T @ g
-            jneg = int(np.argmin(eigvals))
-            lin = np.where((np.abs(eigvals) <= curv_tol)
-                           & (np.abs(gV) > _RAY_TOL * max(1.0, float(np.linalg.norm(g)))))[0]
-            if eigvals[jneg] < -curv_tol:
-                ray = Z @ (-V[:, jneg] if gV[jneg] > 0 else V[:, jneg])
-            elif lin.size:
-                ray = Z @ (-np.sign(gV[lin[0]]) * V[:, lin[0]])
-            else:
-                pos = eigvals > curv_tol
-                x_new = x_p - Z @ (V[:, pos] @ (gV[pos] / eigvals[pos]))
+            frame = _frame(Q, A, b, E, d, work)
+        x_new, ray = _step(Q, c, frame, x)
 
         if ray is not None:
             alpha, enter = _ratio_test(A, b, x, ray, work, np.inf)
@@ -147,13 +186,10 @@ def active_set_qp(Q, c, A, b, E, d, x0=None):
 
         step = x_new - x
         if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(x)):
-            y = pinv.T @ -(Q @ x + c)
-            nu_w, mu_w = y[:q], y[q:]
-            negs = [k for k, m in enumerate(mu_w) if m < -_MULT_TOL]
+            y = frame.pinv.T @ -(Q @ x + c)
+            negs = [k for k, m in enumerate(y[q:]) if m < -_MULT_TOL]
             if not negs:
-                mu = np.zeros(p)
-                mu[work] = np.maximum(mu_w, 0.0)
-                return QPResult(x, mu, nu_w, _objective(Q, c, x), it + 1)
+                return _answer(Q, c, x, y, p, q, work, it + 1)
             work.remove(min(work[k] for k in negs))
             continue
 

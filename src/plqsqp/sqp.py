@@ -6,7 +6,8 @@ first verified KKT pair within the radius delta (the pieces holding Phi(x)
 first, so ties between pieces meeting at one point go to those; with an
 indefinite model Hessian that order can pick a different verified pair
 inside delta, which the method allows; `solve_subproblem` grows delta
-when no verified pair lies inside it).
+when no verified pair lies inside it).  A piece QP first tries the face it
+ended on at the last iteration: run state, never a memo on the problem.
 Per-iteration monitors record step norms and the three Dennis-More
 quantities (projection of the Hessian-model error onto the critical
 cone D, onto its subspace enlargement D+, and the full norm), all
@@ -141,6 +142,7 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
     trace = [IterateRecord(0, x.copy(), lam.copy(), residual, 0.0)]
     H_qn = np.eye(problem.n)
     delta = config.delta0
+    faces = {}  # piece index -> the working rows its QP ended on at the last iteration
     failure = None
     for k in range(1, config.max_iter + 1):
         if residual <= config.tol:
@@ -153,7 +155,7 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
         else:
             H = H_qn
         try:
-            sol = solve_subproblem(SubproblemSpec(x, lam, H, problem, delta))
+            sol = solve_subproblem(SubproblemSpec(x, lam, H, problem, delta, faces))
         except NoFeasiblePiece as exc:
             failure = exc
             break
@@ -167,7 +169,7 @@ def run_sqp(problem: CompositeProblem, x0, lambda0, config: SQPConfig = None) ->
             gL_new = gphi_new + J_new.T @ sol.lambda_next
             gL_old = gphi + J.T @ sol.lambda_next
             H_qn = bfgs_update(H_qn, s, gL_new - gL_old)
-        x, lam = sol.x_next.copy(), sol.lambda_next.copy()
+        x, lam, faces = sol.x_next.copy(), sol.lambda_next.copy(), sol.faces
         residual = kkt_residual(problem, x, lam)
         delta = max(DELTA_GROWTH * float(np.sqrt(step_norm ** 2 + np.linalg.norm(ds) ** 2)),
                     DELTA_FLOOR)

@@ -21,8 +21,9 @@ Each candidate is verified in three steps:
    (recomputed only after a repair), must be at most SUB_RESIDUAL_TOL.
 
 The pieces holding Phi(x_k) are visited first, then the rest, each group
-in index order.  Every piece's QP starts at x_k when x_k is feasible for
-it, and otherwise at the point of its constraint set nearest x_k.  The
+in index order.  A piece's QP first tries its face in `spec.faces` (the
+rows it ended on in the last call), else starts at x_k when x_k is feasible
+for it, and otherwise at the point of its constraint set nearest x_k.  The
 first verified candidate whose primal-dual step lies within the
 localization radius delta is the answer: the SQP method needs one
 localized KKT pair, not all of them.  When every verified candidate lies
@@ -63,6 +64,7 @@ class SubproblemSpec:
     H: np.ndarray
     problem: CompositeProblem
     delta: float = np.inf
+    faces: dict = field(default_factory=dict)  # piece index -> working rows to try first
     J: np.ndarray = field(init=False, repr=False)
     r: np.ndarray = field(init=False, repr=False)
     gphi: np.ndarray = field(init=False, repr=False)
@@ -88,6 +90,7 @@ class SubproblemSolution:
     lambda_next: np.ndarray
     piece_index: int
     residual: float  # generalized-equation residual of the subproblem KKT
+    faces: dict  # piece index -> working rows at its answer, for every piece QP of the call
 
 
 def _gap_passes(gap, lam) -> bool:
@@ -176,6 +179,7 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     hinted, _ = _membership(problem.g, r + J @ xk)
     order = sorted(range(len(hinted)), key=lambda i: not hinted[i])  # stable: index order within
     feasible_seen = False
+    faces = {}  # shared by the call's solutions, so that each holds every piece QP of it
     outside = []  # (step size, solution) of verified candidates outside delta
     for i in order:
         piece = problem.g.pieces[i]
@@ -187,13 +191,14 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
         Q = H + J.T @ piece.A @ J
         c = (spec.gphi - H @ xk) + J.T @ (piece.A @ r + piece.a)
         try:
-            res = active_set_qp(Q, c, A, b, E, d, x0=xk)
+            res = active_set_qp(Q, c, A, b, E, d, x0=xk, face=spec.faces.get(i))
         except Infeasible:
             continue
         except Unbounded:  # feasible, but without a candidate
             feasible_seen = True
             continue
         feasible_seen = True
+        faces[i] = res.work
         xi = res.x
         y = r + J @ xi
         mu_c = res.mu[Theta.n_ineq:]
@@ -214,7 +219,8 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
         rsub = _residual(spec, xi, y, lam, gap)
         if rsub > SUB_RESIDUAL_TOL:
             continue
-        sol = SubproblemSolution(x_next=xi, lambda_next=lam, piece_index=i, residual=rsub)
+        sol = SubproblemSolution(x_next=xi, lambda_next=lam, piece_index=i, residual=rsub,
+                                 faces=faces)
         size = np.sqrt(float(np.linalg.norm(xi - xk) ** 2
                              + np.linalg.norm(lam - spec.lambdak) ** 2))
         if size > spec.delta:

@@ -341,3 +341,23 @@ def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatc
     assert main(["diagnose", "--problem", p1_file, "--out", str(out)]) == 2
     assert json.loads((out / "error.json").read_text())["error"] == "SolverFailure"
     assert len(decision_lps) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_solver_failure_while_loading_writes_error_json(tmp_path, p1_file, monkeypatch,
+                                                        capsys, command):
+    # a toolkit error raised before the run or the checks, here by the
+    # load's convexity certificate, still exits 2 with error.json in an
+    # --out directory that did not exist yet
+    import plqsqp.probio
+    from plqsqp.errors import SolverFailure
+
+    def failing(*args):
+        raise SolverFailure("linprog failed with status 4")
+
+    monkeypatch.setattr(plqsqp.probio, "check_convexity", failing)
+    out = tmp_path / "fresh" / "out"
+    assert main([command, "--problem", p1_file, "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "SolverFailure", "message": "linprog failed with status 4"}
+    assert capsys.readouterr().err == "solver error: linprog failed with status 4\n"

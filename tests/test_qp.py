@@ -177,3 +177,49 @@ def test_duplicated_rows_do_not_cycle(seed):
     except Infeasible:
         return
     assert qp_kkt_residual(Q, c, A, b, np.zeros((0, n)), np.zeros(0), res) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_only_the_true_face_answers_a_guess(seed):
+    # strictly convex QPs with a rank-deficient equality pair and duplicated
+    # (one scaled) inequality rows, at |x| from 1e-3 to 1e3.  The answer's
+    # working rows answer a guess with 0 iterations; a subset, a superset
+    # and the equality-only face (whose minimizer leaves the set) must miss,
+    # and a miss runs the kernel exactly as without a guess
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(2, 6))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    M = rng.standard_normal((n, n))
+    Q = M @ M.T + 0.3 * np.eye(n)
+    x_feas = scale * rng.standard_normal(n)
+    A = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((2, n))])  # a box and two rows
+    b = A @ x_feas + scale * rng.uniform(0.1, 1.0, size=2 * n + 2)
+    A, b = np.vstack([A, A[0], 2.0 * A[-1]]), np.concatenate([b, [b[0], 2.0 * b[-1]]])
+    e = rng.standard_normal(n)
+    E, d = np.vstack([e, 3.0 * e]), np.array([e @ x_feas, 3.0 * (e @ x_feas)])
+    v = rng.standard_normal(n)
+    c = -Q @ (x_feas + 10.0 * scale * (v - (e @ v) / (e @ e) * e))  # pulls out of the box
+    x0 = x_feas if seed % 2 else scale * rng.standard_normal(n)
+    ref = active_set_qp(Q, c, A, b, E, d, x0=x0)
+    assert ref.iterations > 0 and ref.work
+    assert qp_kkt_residual(Q, c, A, b, E, d, ref) <= 1e-9 * scale * (1.0 + np.linalg.norm(c))
+
+    hit = active_set_qp(Q, c, A, b, E, d, x0=x0, face=ref.work)
+    assert hit.iterations == 0 and hit.work == ref.work
+    for got, want in ((hit.x, ref.x), (hit.mu, ref.mu), (hit.nu, ref.nu)):
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), scale)
+
+    slack = (b - A @ ref.x) / (1.0 + np.abs(b))
+    K = np.block([[Q, E.T], [E, np.zeros((2, 2))]])  # rank-deficient: least squares
+    x_eq = np.linalg.lstsq(K, np.concatenate([-c, d]), rcond=None)[0][:n]
+    assert np.max(A @ x_eq - b) > 1e-6 * (1.0 + np.abs(b).max())  # the equality face leaves
+    faces = [
+        [j for j in ref.work if j != ref.work[int(np.argmax(ref.mu[ref.work]))]],
+        sorted(ref.work + [int(np.argmax(slack))]),
+        [],
+    ]
+    for face in faces:
+        miss = active_set_qp(Q, c, A, b, E, d, x0=x0, face=face)
+        assert miss.iterations == ref.iterations and miss.work == ref.work
+        for got, want in ((miss.x, ref.x), (miss.mu, ref.mu), (miss.nu, ref.nu)):
+            assert np.array_equal(got, want)

@@ -127,6 +127,68 @@ def test_subproblems_start_at_the_piece_holding_Phi_xk(monkeypatch):
     assert counts["repair"] == 0
 
 
+def _guessing_kernel(monkeypatch, guesses):
+    """Wrap the subproblem's QP kernel: with `guesses` False it drops the
+    face guess; each call appends (guessed, iterations) to the returned list."""
+    from plqsqp import subqp
+    kernel, calls = subqp.active_set_qp, []
+
+    def spy(*args, face=None, **kwargs):
+        res = kernel(*args, face=face if guesses else None, **kwargs)
+        calls.append((face is not None and guesses, res.iterations))
+        return res
+
+    monkeypatch.setattr(subqp, "active_set_qp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["exact", "bfgs"])
+def test_a_stale_face_misses_and_leaves_the_trace(mode, monkeypatch):
+    # starts about 2.6 away (x, λ) on the criterion-4 nlp instance: a piece's face
+    # changes between two iterations, so its guess must miss and the kernel
+    # answers; the traces equal those of runs without guesses, to rounding
+    from plqsqp.generators import generate
+    gp = generate("nlp", n=4, n_eq=1, n_ineq=2, seed=2)
+    rng = np.random.default_rng(21)
+    starts = [(gp.xbar + rng.standard_normal(4), gp.lambdabar + rng.standard_normal(3))
+              for _ in range(4)]
+    config = SQPConfig(hessian_mode=mode, monitors=False)
+    runs, calls = {}, {}
+    for guesses in (True, False):
+        calls[guesses] = _guessing_kernel(monkeypatch, guesses)
+        runs[guesses] = [run_sqp(gp.problem, x0, l0, config) for x0, l0 in starts]
+        monkeypatch.undo()
+    guessed = [iters for was_guessed, iters in calls[True] if was_guessed]
+    assert 0 in guessed and any(iters > 0 for iters in guessed)  # hits and misses
+    for with_guess, without in zip(runs[True], runs[False]):
+        assert [r.piece_index for r in with_guess] == [r.piece_index for r in without]
+        for a, b in zip(with_guess, without):
+            assert np.linalg.norm(a.x - b.x) <= 1e-13 * (1.0 + np.linalg.norm(b.x))
+            assert np.linalg.norm(a.lam - b.lam) <= 1e-13 * (1.0 + np.linalg.norm(b.lam))
+
+
+def test_runs_share_no_guess(monkeypatch):
+    # face guesses are run state: two runs on one problem give bitwise the
+    # same traces in either order (each order on a fresh problem)
+    from plqsqp.generators import generate
+    calls = _guessing_kernel(monkeypatch, True)
+
+    def traces(order):
+        gp = generate("minmax", n=4, m=4, n_active=3, seed=7)
+        starts = {"A": (gp.xbar + 0.4, gp.lambdabar - 0.3),
+                  "B": (gp.xbar - 0.5, gp.lambdabar + 0.2)}
+        return {key: run_sqp(gp.problem, *starts[key], SQPConfig()) for key in order}
+
+    forward, backward = traces("AB"), traces("BA")
+    assert (True, 0) in calls  # the runs do guess, and hit
+    for key in "AB":
+        assert len(forward[key]) == len(backward[key]) > 2
+        for a, b in zip(forward[key], backward[key]):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.lam, b.lam)
+            assert (a.residual, a.dm_D, a.dm_full, a.piece_index) \
+                == (b.residual, b.dm_D, b.dm_full, b.piece_index)
+
+
 def test_runs_sharing_a_reference_build_its_cones_once(point_builds):
     from plqsqp.generators import generate
     gp = generate("minmax", seed=7, n=3, m=3, n_active=2)

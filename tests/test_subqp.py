@@ -315,3 +315,35 @@ def test_indefinite_H_returns_the_first_verified_piece_inside_delta_in_hinted_or
     for sol in (held, first, near, grown_past_both, grown_between):
         assert np.allclose(sol.lambda_next, 0.0, atol=1e-12)
         assert sol.residual <= 1e-9
+
+
+def test_a_nonconvex_face_guess_reaches_the_kernel(monkeypatch):
+    # the indefinite quadrant model above, from xk = (1/2, -1) in piece 2:
+    # on the guessed empty face the reduced Hessian is H itself (eigenvalues
+    # +1 and -1), so the guess is refused and the kernel answers exactly as
+    # without it; the face the kernel ends on is then a guess that answers
+    half = [(-np.inf, 0.0, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0, 0.0)]
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    phi = Poly2Map(np.zeros(1), np.array([[0.5, 0.5]]), H[None])
+    Phi = Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
+    prob = CompositeProblem(phi, Phi, plq_separable([half, half]),
+                            Polyhedron.box([-2.0, -2.0], [2.0, 2.0]))
+    kernel, answers = subqp.active_set_qp, []
+
+    def spy(*args, **kwargs):
+        answers.append(kernel(*args, **kwargs))
+        return answers[-1]
+
+    monkeypatch.setattr(subqp, "active_set_qp", spy)
+    plain = solve_subproblem(SubproblemSpec([0.5, -1.0], [0.0, 0.0], H, prob))
+    refused = solve_subproblem(SubproblemSpec([0.5, -1.0], [0.0, 0.0], H, prob, faces={2: []}))
+    assert plain.piece_index == refused.piece_index == 2 and len(answers) == 2
+    assert answers[1].iterations == answers[0].iterations > 0
+    assert np.array_equal(answers[1].x, answers[0].x) and answers[1].work == answers[0].work
+    assert np.array_equal(refused.x_next, plain.x_next)
+    assert np.array_equal(refused.lambda_next, plain.lambda_next)
+    assert np.allclose(plain.x_next, [2.0, -2.0], atol=1e-12)
+    assert refused.faces == {2: answers[0].work}
+    hit = solve_subproblem(SubproblemSpec([0.5, -1.0], [0.0, 0.0], H, prob, faces=plain.faces))
+    assert answers[2].iterations == 0 and hit.piece_index == 2
+    assert np.allclose(hit.x_next, plain.x_next, rtol=0.0, atol=1e-15)
