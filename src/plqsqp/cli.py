@@ -34,9 +34,12 @@ MODE_MAP = {"exact": "exact", "bfgs": "bfgs", "identity": "fixed_identity"}
 
 def _parse_vector(text):
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        vector = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
         raise ParseError(f"not a comma-separated vector: {text!r}") from exc
+    if not np.all(np.isfinite(vector)):
+        raise ParseError(f"vector entries must be finite: {text!r}")
+    return vector
 
 
 def _sized(vector, size, flag):

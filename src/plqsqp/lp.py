@@ -1,12 +1,11 @@
-"""Nearest points and implicit equalities of polyhedra, and a HiGHS LP wrapper.
+"""Nearest points and implicit equalities of polyhedra, by verified NNLS.
 
-`nearest_point` is the one feasibility route, `implicit_equalities` (by
-verified NNLS) decides the homogeneous systems that `LPBuilder` lays out
-over named blocks of columns, and `affine_frame` is the one SVD behind
-every null space, pseudo-inverse and rank decision of the package.  All
-LP variables are free unless the caller encodes bounds as rows; HiGHS
-runs the phase 1 behind `nearest_point`, redundancy tests, and implicit
-equalities whose NNLS answers fail.
+`nearest_point` is the one feasibility route, `implicit_equalities`
+decides the homogeneous systems that `LPBuilder` lays out, and
+`affine_frame` is the one SVD behind every null space, pseudo-inverse and
+rank decision of the package.  An answer that does not verify raises
+`SolverFailure`.  `solve_lp` (HiGHS, free variables) runs on no path of
+the package: the benchmark's tracer and the test oracles read it.
 """
 
 import numpy as np
@@ -88,10 +87,11 @@ def nearest_point(A, b, E, d, frame, z):
     Every answer is verified: a point only when it lies in the set
     (`_holds`).  The set is empty when x0 misses E x = d, or when u is a
     Farkas vector, (A N)ᵀu = 0 < hᵀu: ||(A N)ᵀu|| within FEAS_TOL of its
-    scale ||A N|| ||u||, and hᵀu above the rows' tolerances uᵀtol.
-    Otherwise a HiGHS phase 1 (least t >= -1, A x - t <= b, E x = d) decides.
+    scale ||A N|| ||u||, and hᵀu above the rows' tolerances uᵀtol.  A row
+    with A N = 0 (to FEAS_TOL) is constant on E x = d: x0 decides it, and
+    the program is solved again without such rows.  Else `SolverFailure`.
     """
-    pinv, _, AN = frame
+    pinv, N, AN = frame
     x0 = z - pinv @ (E @ z - d)
     if not _holds(E, d, x0, z, np.abs):
         return None
@@ -106,13 +106,12 @@ def nearest_point(A, b, E, d, frame, z):
         return x
     tol = FEAS_TOL * (1.0 + np.abs(b) + np.abs(A) @ (np.abs(x0) + np.abs(z)))
     farkas = np.linalg.norm(AN.T @ u) <= FEAS_TOL * np.linalg.norm(AN) * np.linalg.norm(u)
-    if farkas and u @ tol < h @ u:
+    flat = np.linalg.norm(AN, axis=1) <= FEAS_TOL * np.linalg.norm(A, axis=1)
+    if farkas and u @ tol < h @ u or np.any(flat & (h > tol)):
         return None
-    n = z.size
-    status, x, _ = solve_lp(np.r_[np.zeros(n), 1.0],
-                            np.block([[A, -np.ones((len(A), 1))], [np.zeros(n), -1.0]]),
-                            np.r_[b, 1.0], np.hstack([E, np.zeros((len(E), 1))]), d)
-    return x[:n] if status == LP_OPTIMAL and x[n] <= 1e-9 else None
+    if np.any(flat & (h > 0.0)):  # their columns (0, h_i / ||h||) misled u
+        return nearest_point(A[~flat], b[~flat], E, d, (pinv, N, AN[~flat]), z)
+    raise SolverFailure("nearest point: neither the face point nor the Farkas vector verifies")
 
 
 def feasible_point(A, b, E, d):
@@ -128,7 +127,7 @@ def implicit_equalities(M, rows=None):
     ch. 23): with G the other rows of norm > 1e-12, r = G^T u + M[k] at the
     least u >= 0 is 0 (k implicit), or -r/||r|| has G y <= 0 > M[k] y and
     decides every row it holds strictly.  Both are verified to FEAS_TOL of
-    the row norms, else the LP decides; y is the scaled sum of the latter.
+    the row norms, else `SolverFailure`; y is the scaled sum of the latter.
     """
     norms = np.linalg.norm(M, axis=1)
     live = norms > 1e-12  # rows a null-space basis zeroed generate nothing
@@ -144,26 +143,13 @@ def implicit_equalities(M, rows=None):
         c = -r / np.linalg.norm(r)
         Mc = M @ c
         if not (Mc[k] < -FEAS_TOL * norms[k] and np.all(Mc[live] <= FEAS_TOL * norms[live])):
-            return _implicit_equalities_lp(M, rows)  # neither answer verifies
+            raise SolverFailure(f"implicit equalities: no answer for row {k} verifies")
         strict.update(j for j in rows if Mc[j] < -FEAS_TOL * norms[j])
         y += c
     top = max((M[k] @ y for k in strict), default=-1.0)
-    if top >= 0.0:  # summed certificates cancel on a strict row
-        return _implicit_equalities_lp(M, rows)
+    if top >= 0.0:
+        raise SolverFailure("implicit equalities: summed certificates cancel on a strict row")
     return [k for k in rows if k not in strict], y / -top
-
-
-def _implicit_equalities_lp(M, rows):
-    """The LP of Freund, Roundy & Todd (1985): max sum s_k <= 1, M y <= 0 >= M[k] y + s_k."""
-    p, n, r = M.shape[0], M.shape[1], len(rows)
-    A_ub = np.vstack([np.hstack([M, np.zeros((p, r))]),
-                      np.hstack([M[rows], np.eye(r)]),
-                      np.hstack([np.zeros((r, n)), np.eye(r)])])
-    b_ub = np.concatenate([np.zeros(p + r), np.ones(r)])
-    status, sol, _ = solve_lp(np.concatenate([np.zeros(n), -np.ones(r)]), A_ub, b_ub)
-    if status != LP_OPTIMAL:
-        raise SolverFailure(f"implicit-equality LP ended with status {status}")
-    return [k for k, s in zip(rows, sol[n:]) if s < 0.5], sol[:n]
 
 
 class LPBuilder:

@@ -1,4 +1,4 @@
-"""Verified nonnegative least squares: `lp.nearest_point`, implicit equalities, normal cones.
+"""Verified NNLS: nearest points, implicit equalities, redundancy and normal cones.
 
 scipy's rewritten nnls can terminate prematurely on some small systems,
 returning a non-optimal point and a wrong residual scalar.  This wrapper

@@ -241,9 +241,7 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
         [(normal_cone_hrep(g.pieces[i].C, z), g.pieces[i].gradient(z))
          for i in active_indices(g, z)], g.m)
     if result.n_ineq > 2:
-        A, b = prune_redundant(result.A, result.b,
-                               result.E if result.n_eq else None,
-                               result.d if result.n_eq else None)
+        A, b = prune_redundant(result.A, result.b, result.E, result.d)
         result = Polyhedron(A, b, result.E, result.d)
     return result
 

@@ -3,8 +3,8 @@
 A Polyhedron is {x : A x <= b, E x = d}; a PolyCone is the homogeneous
 case b = 0, d = 0.  Everything here is built from two exact kernels:
 verified nonnegative least squares (the least-distance program of
-`lp.nearest_point` for projections and emptiness, implicit equalities
-and normal-cone distances) and HiGHS LPs (redundancy).  Values are
+`lp.nearest_point` for projections and emptiness, implicit equalities,
+redundancy and normal-cone distances) and `lp.affine_frame`.  Values are
 immutable after construction and all operations are pure.  Derived data
 is memoized on the immutable polyhedron itself (`_derived`): its
 least-norm point, its equality frame (E⁺, a basis N of null(E) and the
@@ -25,13 +25,7 @@ from .errors import (
     PointNotInSet,
     TooManyRows,
 )
-from .lp import (
-    LP_OPTIMAL,
-    affine_frame,
-    implicit_equalities,
-    nearest_point,
-    solve_lp,
-)
+from .lp import FEAS_TOL, affine_frame, implicit_equalities, nearest_point
 from .nonneg import nonneg_lstsq
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
@@ -452,23 +446,25 @@ def _dedup_rows(A, b):
     return np.asarray(rows), np.asarray(rhs)
 
 
-def prune_redundant(A, b, E=None, d=None):
-    """Remove inequality rows implied by the rest (one LP per row)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    keep = list(range(A.shape[0]))
+def prune_redundant(A, b, E, d):
+    """Remove inequality rows implied by the rest of {A x <= b, E x = d}.
+
+    Rows (a_j, b_j) and (e_k, d_k) are scaled to ||a_j|| = 1, then every
+    right-hand side is divided by σ = 1 + the largest, so a residual reads
+    a gap relative to the data's scale.  Row i goes when A_Oᵀu + Eᵀv = a_i
+    and b_Oᵀu + dᵀv + s = b_i with u, s >= 0 over the kept rows O (affine
+    Farkas): one verified NNLS, residual at most FEAS_TOL (1 + ||(a_i, b_i)||).
+    """
+    norms = np.linalg.norm(np.vstack([A, E]), axis=1)
+    cols = np.vstack([np.vstack([A, E]).T, np.r_[b, d]]) / np.where(norms > 0.0, norms, 1.0)
+    cols[-1] /= 1.0 + np.abs(cols[-1, norms > 0.0]).max(initial=0.0)
+    fixed = np.hstack([cols[:, len(b):], -cols[:, len(b):], np.eye(len(cols))[:, -1:]])
+    keep = list(range(len(b)))
     i = 0
     while i < len(keep):
-        idx = keep[i]
-        others = [k for k in keep if k != idx]
-        status, _, val = solve_lp(
-            -A[idx],
-            A_ub=A[others] if others else None,
-            b_ub=b[others] if others else None,
-            A_eq=E if E is not None and len(E) else None,
-            b_eq=d if d is not None and len(d) else None,
-        )
-        if status == LP_OPTIMAL and -val <= b[idx] + 1e-9 * (1.0 + abs(b[idx])):
+        k = keep[i]
+        _, res = nonneg_lstsq(np.hstack([cols[:, [j for j in keep if j != k]], fixed]), cols[:, k])
+        if res <= FEAS_TOL * (1.0 + np.linalg.norm(cols[:, k])):
             keep.pop(i)
         else:
             i += 1
@@ -480,7 +476,7 @@ def fourier_motzkin(A, b, E, d, keep) -> Polyhedron:
 
     Equalities are used as Gaussian pivots first; remaining variables are
     eliminated by pairing opposite-sign inequality rows.  Redundant rows
-    are pruned by LP after each elimination to control growth.
+    are pruned (`prune_redundant`) to control growth.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -534,7 +530,7 @@ def fourier_motzkin(A, b, E, d, keep) -> Polyhedron:
         b = np.concatenate(new_rhs) if new_rhs else np.zeros(0)
         A, b = _dedup_rows(A, b)
         if A.shape[0] > 2 * N + 4:
-            A, b = prune_redundant(A, b, E if E.size else None, d if d.size else None)
+            A, b = prune_redundant(A, b, E, d)
 
     # all eliminated columns must now be zero
     if elim:
@@ -546,7 +542,7 @@ def fourier_motzkin(A, b, E, d, keep) -> Polyhedron:
     Ek = E[:, keep] if E.size else np.zeros((0, len(keep)))
     Ak, b = _dedup_rows(Ak, b) if Ak.size else (np.zeros((0, len(keep))), b[:0])
     if Ak.shape[0]:
-        Ak, b = prune_redundant(Ak, b, Ek if Ek.size else None, d if d.size else None)
+        Ak, b = prune_redundant(Ak, b, Ek, d)
     return Polyhedron(Ak, b, Ek, d)
 
 

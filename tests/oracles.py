@@ -298,6 +298,35 @@ def phase_one_empty(A, b, E, d) -> bool:
     return total > 1e-9 * (1.0 + float(np.abs(np.r_[b, d]).max(initial=0.0)))
 
 
+def implicit_equalities_by_lp(M, rows):
+    """The implicit rows among `rows` of {y : M y <= 0} and a point y there, by
+    the LP of Freund, Roundy & Todd (1985): max sum s_k <= 1, M y <= 0 >= M[k] y + s_k."""
+    p, n, r = M.shape[0], M.shape[1], len(rows)
+    A_ub = np.vstack([np.hstack([M, np.zeros((p, r))]),
+                      np.hstack([M[rows], np.eye(r)]),
+                      np.hstack([np.zeros((r, n)), np.eye(r)])])
+    b_ub = np.concatenate([np.zeros(p + r), np.ones(r)])
+    status, sol, _ = solve_lp(np.concatenate([np.zeros(n), -np.ones(r)]), A_ub, b_ub)
+    assert status == LP_OPTIMAL, status
+    return [k for k, s in zip(rows, sol[n:]) if s < 0.5], sol[:n]
+
+
+def prune_redundant_by_lp(A, b, E, d):
+    """The rows of {A x <= b, E x = d} that `polyhedral.prune_redundant` keeps,
+    by one HiGHS LP per row: row i goes when max a_i x over the kept others
+    is finite and at most b_i + 1e-9 (1 + |b_i|).  Returns the kept indices."""
+    keep = list(range(A.shape[0]))
+    i = 0
+    while i < len(keep):
+        others = [k for k in keep if k != keep[i]]
+        status, _, val = solve_lp(-A[keep[i]], A[others], b[others], E, d)
+        if status == LP_OPTIMAL and -val <= b[keep[i]] + 1e-9 * (1.0 + abs(b[keep[i]])):
+            keep.pop(i)
+        else:
+            i += 1
+    return keep
+
+
 def qp_kkt_residual(Q, c, A, b, E, d, res) -> float:
     """Stationarity + feasibility + complementarity residual of a QPResult."""
     Q = np.asarray(Q, dtype=float)

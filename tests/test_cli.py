@@ -283,6 +283,10 @@ def test_validation_exit_code(tmp_path):
     ["generate", "--kind", "nlp", "--params", '{"n_active": -1}'],
     ["generate", "--kind", "minmax", "--params", '{"n": 0, "n_active": 1}'],
     ["generate", "--kind", "elqp", "--params", '{"box": [1, 0]}'],
+    ["solve", "--x0", "nan"],
+    ["solve", "--lambda0", "inf"],
+    ["solve", "--reference", "1;-inf"],
+    ["sweep", "--reference", "nan;1"],
 ])
 def test_malformed_values_exit_with_validation_error(tmp_path, p1_file, capsys, argv):
     target = (["--out-file", str(tmp_path / "gen.json")] if argv[0] == "generate"
@@ -311,36 +315,26 @@ def test_calculus_suites_pass_where_pieces_meet(tmp_path, capsys):
 
 
 def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatch):
-    # a HiGHS failure is a toolkit error, so diagnose reports it and exits 2.
-    # An NNLS answer of NaNs verifies no implicit-equality decision, so the
-    # decision goes to its LP, where HiGHS fails
+    # an undecided implicit-equality system is a toolkit error, so diagnose
+    # reports it and exits 2: an NNLS answer of NaNs verifies no decision
     import sys
-    import types
 
     import plqsqp.lp
 
-    def failing_linprog(*args, **kwargs):
-        return types.SimpleNamespace(status=4, message="numerical difficulties")
-
-    nonneg_lstsq, decide_by_lp = plqsqp.lp.nonneg_lstsq, plqsqp.lp._implicit_equalities_lp
-    decision_lps = []
+    nonneg_lstsq, decisions = plqsqp.lp.nonneg_lstsq, []
 
     def unverified(M, r):
         if sys._getframe(1).f_code.co_name != "implicit_equalities":
             return nonneg_lstsq(M, r)  # projections, as before
+        decisions.append(M.shape)
         return np.full(M.shape[1], np.nan), np.nan
 
-    def spy(M, rows):
-        decision_lps.append(rows)
-        return decide_by_lp(M, rows)
-
     monkeypatch.setattr(plqsqp.lp, "nonneg_lstsq", unverified)
-    monkeypatch.setattr(plqsqp.lp, "_implicit_equalities_lp", spy)
-    monkeypatch.setattr(plqsqp.lp, "linprog", failing_linprog)
     out = tmp_path / "diag_fail"
     assert main(["diagnose", "--problem", p1_file, "--out", str(out)]) == 2
-    assert json.loads((out / "error.json").read_text())["error"] == "SolverFailure"
-    assert len(decision_lps) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "SolverFailure" and "implicit equalities" in record["message"]
+    assert len(decisions) == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "diagnose"])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from plqsqp import lp as lp_module
+from plqsqp.errors import SolverFailure
 from plqsqp.lp import LPBuilder, affine_frame, nearest_point
 
-from oracles import nonzero_block_by_coordinates, phase_one_empty
+from oracles import implicit_equalities_by_lp, nonzero_block_by_coordinates, phase_one_empty
 
 
 def _agrees_with_oracle(lp, name):
@@ -131,13 +132,10 @@ def _random_cone(rng, kind):
     return M[rng.permutation(len(M))]
 
 
-def test_implicit_equalities_agree_with_the_lp(monkeypatch):
+def test_implicit_equalities_agree_with_the_lp():
     # the verified NNLS decisions give the LP's implicit rows, on all rows
-    # and on subsets, with no LP run; y meets M y <= 0 and M[k] y <= -1 on
-    # every other nonzero row of `rows`
-    decide_by_lp, fallbacks = lp_module._implicit_equalities_lp, []
-    monkeypatch.setattr(lp_module, "_implicit_equalities_lp",
-                        lambda M, rows: fallbacks.append(rows) or decide_by_lp(M, rows))
+    # and on subsets; y meets M y <= 0 and M[k] y <= -1 on every other
+    # nonzero row of `rows`
     rng = np.random.default_rng(13)
     found = []
     for trial in range(360):
@@ -147,29 +145,26 @@ def test_implicit_equalities_agree_with_the_lp(monkeypatch):
         implicit, y = lp_module.implicit_equalities(M, rows)
         norms = np.linalg.norm(M, axis=1)
         nonzero = [k for k in (range(len(M)) if rows is None else rows) if norms[k] > 1e-12]
-        assert implicit == (decide_by_lp(M, nonzero)[0] if nonzero else []), trial
+        assert implicit == (implicit_equalities_by_lp(M, nonzero)[0] if nonzero else []), trial
         strict = [k for k in nonzero if k not in implicit]
         assert np.all(M @ y <= 1e-9 * (1.0 + norms * np.linalg.norm(y))), trial
         assert np.all(M[strict] @ y <= -1.0 + 1e-12), trial
         found.append(bool(implicit))
-    assert fallbacks == [] and 0.2 <= np.mean(found) <= 0.8
+    assert 0.2 <= np.mean(found) <= 0.8
 
 
 @pytest.mark.parametrize("answer", ["zero", "nan"])
-def test_unverified_implicit_equality_answers_go_to_the_lp(monkeypatch, answer):
+def test_unverified_implicit_equality_answers_raise_solver_failure(monkeypatch, answer):
     # x1 <= 0 and -x1 <= 0 are implicit, x2 <= 0 is not.  u = 0 gives the
     # row k = 0 the y = -M[0], which breaks -x1 <= 0, and a u of NaNs
-    # verifies nothing: the LP decides, with the same answer
+    # verifies nothing: no answer is returned
     M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    expected, _ = lp_module.implicit_equalities(M)
-    decide_by_lp, lps = lp_module._implicit_equalities_lp, []
+    assert lp_module.implicit_equalities(M)[0] == implicit_equalities_by_lp(M, [0, 1, 2])[0] \
+        == [0, 1]
     fill = {"zero": 0.0, "nan": np.nan}[answer]
     monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda G, r: (np.full(G.shape[1], fill), 1.0))
-    monkeypatch.setattr(lp_module, "_implicit_equalities_lp",
-                        lambda M, rows: lps.append(rows) or decide_by_lp(M, rows))
-    implicit, y = lp_module.implicit_equalities(M)
-    assert lps == [[0, 1, 2]] and implicit == expected == [0, 1]
-    assert np.all(M @ y <= 1e-9) and M[2] @ y <= -1.0 + 1e-9
+    with pytest.raises(SolverFailure):
+        lp_module.implicit_equalities(M)
 
 
 def _frame_stack(kind):
@@ -224,12 +219,10 @@ def _random_system(rng, kind):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e6])
-def test_nearest_point_agrees_with_the_phase_one_oracle(monkeypatch, offset):
+def test_nearest_point_agrees_with_the_phase_one_oracle(offset):
     # the set and z are translated by c of size `offset`; emptiness must
-    # agree with HiGHS, every returned point must lie in its set, and the
-    # least-distance program decides every case without its phase 1
-    phase_one = []
-    monkeypatch.setattr(lp_module, "solve_lp", lambda *args: phase_one.append(args))
+    # agree with HiGHS, and every returned point must lie in its set (an
+    # undecided case would raise SolverFailure)
     rng = np.random.default_rng(11)
     verdicts = []
     for trial in range(200):
@@ -243,33 +236,43 @@ def test_nearest_point_agrees_with_the_phase_one_oracle(monkeypatch, offset):
             assert np.all(A @ x - b <= 1e-8 * (1.0 + np.abs(b) + np.abs(A) @ np.abs(x))), trial
             assert np.all(np.abs(E @ x - d) <= 1e-8 * (1.0 + np.abs(d) + np.abs(E) @ np.abs(x)))
         verdicts.append(empty)
-    assert 20 <= sum(verdicts) <= 180 and phase_one == []
+    assert 20 <= sum(verdicts) <= 180
 
 
-def test_unverified_answers_fall_back_to_phase_one(monkeypatch):
+def test_unverified_answers_raise_solver_failure(monkeypatch):
     # u = e_0 certifies nothing: its face point (1, 0) misses x2 >= 1, and
-    # (A N)^T u = A_0 is not zero, so it proves no emptiness: HiGHS decides
-    lps = []
-    solve_lp = lp_module.solve_lp
-
-    def spy(*args):
-        lps.append(1)
-        return solve_lp(*args)
-
-    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: (np.eye(M.shape[1])[0], 1.0))
-    monkeypatch.setattr(lp_module, "solve_lp", spy)
+    # (A N)^T u = A_0 is not zero, so it proves no emptiness, whether the
+    # set is empty or not; no point is returned unverified
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     E, d = np.zeros((0, 2)), np.zeros(0)
     frame = affine_frame(A, E)
-    b = np.array([1.0, 0.0, 2.0, -1.0])  # [0, 1] x [1, 2]
-    x = nearest_point(A, b, E, d, frame, np.array([3.0, 0.0]))
-    assert lps == [1] and x is not None and np.all(A @ x <= b + 1e-9)
-    b = np.array([1.0, -2.0, 2.0, -1.0])  # x1 <= 1 and x1 >= 2
-    assert nearest_point(A, b, E, d, frame, np.array([3.0, 0.0])) is None and lps == [1, 1]
+    box = np.array([1.0, 0.0, 2.0, -1.0])  # [0, 1] x [1, 2]
+    empty = np.array([1.0, -2.0, 2.0, -1.0])  # x1 <= 1 and x1 >= 2
+    z = np.array([3.0, 0.0])
+    assert np.allclose(nearest_point(A, box, E, d, frame, z), [1.0, 1.0])
+    assert nearest_point(A, empty, E, d, frame, z) is None
+    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: (np.eye(M.shape[1])[0], 1.0))
+    for b in (box, empty):
+        with pytest.raises(SolverFailure):
+            nearest_point(A, b, E, d, frame, z)
     # {x = 1e-17, x <= 0, x >= -5} misses x <= 0 by rounding only: a u with
     # both rows in its support misplaces the point, and its h^T u = 5e-18 > 0
-    # lies below the rows' tolerances, so it proves no emptiness either
+    # lies below the rows' tolerances, so it proves no emptiness either.
+    # Both rows are constant on x = 1e-17 and x0 meets them within their
+    # tolerances, so the program without them answers x0
     monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: (np.array([1.0, 1e-18]), 0.0))
     A, b, E, d = np.array([[1.0], [-1.0]]), np.array([0.0, 5.0]), np.eye(1), np.array([1e-17])
-    x = nearest_point(A, b, E, d, affine_frame(A, E), np.zeros(1))
-    assert lps == [1, 1, 1] and x is not None and abs(x[0]) <= 1e-9
+    assert nearest_point(A, b, E, d, affine_frame(A, E), np.zeros(1)) == [1e-17]
+    assert nearest_point(A, b + [-1e-3, 0.0], E, d, affine_frame(A, E), np.zeros(1)) is None
+
+
+def test_rows_constant_on_the_equalities_do_not_mislead_the_program():
+    # a critical cone of `generate --kind nlp --seed 2` met by
+    # `check-calculus`: x2 <= 0 lies in the span of the equalities, and x0
+    # misses it by 4e-17, so its NNLS column (0, h_0 / ||h||) reached the
+    # target alone with u_0 = 1e15, certifying neither a point nor emptiness
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    E = np.array([[1.0, 0.0, 0.0], [0.12344982762125528, 0.24100118718383526, 0.0]])
+    z = np.array([0.22109862652705262, 0.11741391541961445, 0.04029483305288428])
+    x = nearest_point(A, np.zeros(2), E, np.zeros(2), affine_frame(A, E), z)
+    assert np.linalg.norm(x) <= 1e-15

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +33,13 @@ from plqsqp.polyhedral import (
     tangent_cone,
 )
 
-from oracles import face_cone, faces_by_subsets, rays_by_subsets, vertices
+from oracles import (
+    face_cone,
+    faces_by_subsets,
+    prune_redundant_by_lp,
+    rays_by_subsets,
+    vertices,
+)
 
 SIMPLEX = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                      np.array([1.0, 0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
@@ -170,22 +177,13 @@ def test_projection_onto_small_scale_sets(P, z, expected):
     assert np.allclose(project(P, z), expected, rtol=1e-9, atol=1e-20)
 
 
-def test_projection_onto_a_set_holding_the_origin_runs_no_feasibility(monkeypatch):
-    # every b_i >= 0 and d = 0 put the origin in P, so P is not empty and
-    # no phase-1 LP runs behind `nearest_point`; the answers are the closed forms
-    calls = []
-    phase_1 = polyhedral.solve_lp
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return phase_1(*args, **kwargs)
-
-    monkeypatch.setattr("plqsqp.lp.solve_lp", spy)
+def test_projection_onto_a_set_holding_the_origin_runs_no_feasibility():
+    # every b_i >= 0 and d = 0 put the origin in P, so P is not empty; the
+    # answers are the closed forms
     cone = PolyCone.from_rows([[1.0, 1.0]], np.zeros((0, 2)))
     assert np.allclose(project(cone, [2.0, 0.0]), [1.0, -1.0])
     box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
     assert np.allclose(project(box, [3.0, -1.0]), [1.0, 0.0])
-    assert calls == []
 
 
 # -- tangent and normal cones ----------------------------------------------
@@ -246,17 +244,19 @@ def test_normal_cone_hrep_matches_fresh_elimination_at_every_pattern(g_two_piece
 
 
 def test_second_point_of_a_pattern_runs_no_lp(monkeypatch):
+    # nor any redundancy NNLS: the pattern's cone is built once
     calls = []
-    lp = polyhedral.solve_lp
+    nnls = polyhedral.nonneg_lstsq
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return lp(*args, **kwargs)
+    def spy(M, r):
+        if sys._getframe(1).f_code.co_name == "prune_redundant":
+            calls.append(1)
+        return nnls(M, r)
 
-    monkeypatch.setattr(polyhedral, "solve_lp", spy)
+    monkeypatch.setattr(polyhedral, "nonneg_lstsq", spy)
     box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
     first = normal_cone_hrep(box, [1.0, 0.5])
-    assert calls  # the edge's cone is pruned by LP once
+    assert calls  # the edge's cone is pruned once
     del calls[:]
     second = normal_cone_hrep(box, [1.0, 1.5])
     assert not calls and _bitwise_equal(first, second)
@@ -512,6 +512,58 @@ def test_fourier_motzkin_equality_pivot():
     d = np.array([1.0])
     shadow = fourier_motzkin(A, b, E, d, keep=[0])
     assert contains(shadow, [0.99], 1e-9) and not contains(shadow, [1.01], 1e-9)
+
+
+def _integer_system(rng, kind, offset):
+    """(A, b, E, d) of a set holding an integer point x0, with entries in
+    {-1, 0, 1} and integer slacks, translated by a vector of norm `offset`.
+    Kinds 0-2 are bounded by a box around x0 and add: 0 a copy of a row and
+    copies scaled by 1e-3 and 1e3; 1 a row nearly parallel to row j,
+    (1 - 1e-6) a_j + 1e-6 a_k, implied or cutting by 1e-6 where x0 allows;
+    2 a row moved along an equality, implied only through it.  Kind 3 has
+    at most n + 1 rows and no box, so objectives are often unbounded.
+    Integer data keep every LP gap at 0, at least about 1/16 or 1e-6 times
+    that: outside the band, near 1e-9 of the translation, where the LP's
+    tolerance and the NNLS residual's differ."""
+    n = int(rng.integers(2 if kind == 2 else 1, 5))
+    x0 = rng.integers(-2, 3, n).astype(float)
+    p = int(rng.integers(1, n + 2 if kind == 3 else 2 * n + 2))
+    A = rng.integers(-1, 2, (p, n)).astype(float)
+    b = A @ x0 + rng.integers(0, 3, p)
+    E = rng.integers(-1, 2, (int(rng.integers(1 if kind == 2 else 0, n)), n)).astype(float)
+    if kind != 3:
+        w = rng.integers(1, 4, n)
+        A, b = np.vstack([A, np.eye(n), -np.eye(n)]), np.r_[b, x0 + w, w - x0]
+    j, k, m = rng.integers(len(A), size=3)
+    if kind == 0:
+        A = np.vstack([A, A[j], 1e-3 * A[k], 1e3 * A[m]])
+        b = np.r_[b, b[j], 1e-3 * b[k], 1e3 * b[m]]
+    elif kind == 1:
+        A = np.vstack([A, (1.0 - 1e-6) * A[j] + 1e-6 * A[k]])
+        b = np.r_[b, max((1.0 - 1e-6) * b[j] + 1e-6 * (b[k] - rng.integers(0, 2)), A[-1] @ x0)]
+    elif kind == 2:
+        s = rng.choice([-1.0, 1.0])
+        A = np.vstack([A, A[k] + s * E[0]])
+        b = np.r_[b, b[k] + s * (E[0] @ x0) + rng.integers(0, 2)]
+    perm = rng.permutation(len(A))
+    c = rng.standard_normal(n)
+    c *= offset / np.linalg.norm(c)
+    return A[perm], b[perm] + A[perm] @ c, E, E @ (x0 + c)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_prune_redundant_keeps_the_rows_the_lp_keeps(offset):
+    # one verified NNLS per row (the affine Farkas lemma) against one LP
+    # per row, in the same order, on sets translated by `offset`
+    rng = np.random.default_rng(17)
+    dropped = kept = 0
+    for trial in range(120):
+        A, b, E, d = _integer_system(rng, trial % 4, offset)
+        rows = prune_redundant_by_lp(A, b, E, d)
+        A_kept, b_kept = polyhedral.prune_redundant(A, b, E, d)
+        assert np.array_equal(A_kept, A[rows]) and np.array_equal(b_kept, b[rows]), trial
+        dropped, kept = dropped + len(b) - len(rows), kept + len(rows)
+    assert dropped > 300 and kept > 300
 
 
 def test_vertices_of_simplex():

@@ -10,8 +10,7 @@ exported.  Every error class has a raise site in the package, so that a
 class which is only caught cannot linger.  Fourier-Motzkin cone
 eliminations go through the per-pattern memo of `normal_cone_hrep` only,
 and implicit equalities through the one decision of
-`lp.implicit_equalities` (verified NNLS, and its own LP for answers that
-do not verify).
+`lp.implicit_equalities` (verified NNLS).
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
 diagnostics build no polyhedron, measure no normal-cone distance and
 eliminate no normal cone of their own (no `normal_cone_hrep`,
@@ -37,8 +36,10 @@ Feasibility, emptiness and projection have one route, the least-distance
 program of `lp.nearest_point`: `feasible_point` builds no slack form and
 keeps no residual band, `project` runs no emptiness pre-check, a QP
 computes its start through it alone, and the prox frames build no
-polyhedron.  Verified NNLS serves that program, implicit-equality
-decisions and normal-cone distances only.  Subspaces have one frame:
+polyhedron.  Verified NNLS serves that program, implicit-equality and
+redundancy decisions and normal-cone distances only, and no function but
+`lp.solve_lp` itself names `solve_lp` or `linprog`: no LP runs on any
+path of the package.  Subspaces have one frame:
 `lp.affine_frame` is the only place that names an SVD, a null space or a
 range basis (`svd`, `null_space`, `orth`), `scipy.linalg` is not
 imported, and `matrix_rank` is left to the generators, whose accepted
@@ -61,6 +62,7 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # top-level definitions that may stay unreferenced and unexported, with why
 UNUSED_ALLOWED = {
     "cone_rays": "bench/tracer.py wraps it until ROADMAP item 7",
+    "solve_lp": "bench/tracer.py wraps it until ROADMAP item 7; the test oracles call it",
 }
 # defaulted parameters that no call passes, with why they stay
 _MONITOR_FIELD = "the Dennis-More monitors write it after construction"
@@ -266,7 +268,7 @@ def _statements(tree):
             yield getattr(item, "name", f"line {item.lineno}"), item
 
 
-def test_implicit_equality_lp_has_one_route():
+def test_implicit_equalities_have_one_route():
     defs, users, own_lps = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
@@ -277,9 +279,7 @@ def test_implicit_equality_lp_has_one_route():
             if "implicit_equalities" in names:
                 users.add((path.name, name))
                 own_lps.update((path.name, name, lp) for lp in names & {"solve_lp", "linprog"})
-    # the LP that decides when the NNLS answers do not verify is the one helper
-    assert defs == {("lp.py", "implicit_equalities"),
-                    ("lp.py", "_implicit_equalities_lp")}, sorted(defs)
+    assert defs == {("lp.py", "implicit_equalities")}, sorted(defs)
     assert users == {("lp.py", "nonzero_block"), ("polyhedral.py", "span_basis"),
                      ("polyhedral.py", "_forced_active"),
                      ("diagnostics.py", "_face_minimum")}, sorted(users)
@@ -397,7 +397,18 @@ def test_feasibility_has_one_route():
         assert not calls("plq.py", name) & {"Polyhedron", "project"}, name
     nnls = {key for key in defs if key[1] != "nonneg_lstsq" and "nonneg_lstsq" in calls(*key)}
     assert nnls == {("lp.py", "nearest_point"), ("lp.py", "implicit_equalities"),
-                    ("polyhedral.py", "normal_cone_dist_at_rows")}, sorted(nnls)
+                    ("polyhedral.py", "normal_cone_dist_at_rows"),
+                    ("polyhedral.py", "prune_redundant")}, sorted(nnls)
+
+
+def test_no_lp_on_a_runtime_path():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+            if (path.name, name) != ("lp.py", "solve_lp"):
+                found.update((path.name, name, ref) for ref, _ in _referenced_names(node)
+                             if ref in {"solve_lp", "linprog"})
+    assert not found, sorted(found)
 
 
 def test_subspaces_have_one_frame():
