@@ -3,8 +3,8 @@
 Noncriticality and multiplier uniqueness are decided exactly, as
 homogeneous linear systems, each by one implicit-equality decision and
 a rank test (`LPBuilder.nonzero_block`): noncriticality has one system
-per activity pattern of the critical cones, uniqueness the single dual
-cone condition (the multiplier polyhedron is not built).  The
+per partial activity pattern that its pruned walk reaches, uniqueness
+the single dual cone condition (the multiplier polyhedron is not built).  The
 second-order sufficient condition is exact too, by one eigenvalue test
 per face of each critical-cone member; a member above 1,024 faces makes
 the verdict inconclusive.  It keeps the heuristic_* result names that
@@ -16,9 +16,8 @@ sampled empirically by solving perturbed KKT systems.  Failure
 certificates are always exact vectors.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .plq import PLQFunction, in_subgradient_graph, prox, second_order_model
 from .polyhedral import enumerate_faces, project, project_cone_union
 from .sqp import SQPConfig, run_sqp
 
-MAX_PATTERN_LPS = 40000
+MAX_PATTERN_DECISIONS = 40000  # `check_noncritical`'s budget, in pattern decisions
 
 
 @dataclass(frozen=True)
@@ -48,108 +47,110 @@ class Verdict:
 # noncriticality (exact)
 # ---------------------------------------------------------------------------
 
-def _exclusion_choices(K):
-    """Ways to force y outside cone K: one violated row per choice."""
-    out = []
-    for r in range(K.n_ineq):
-        out.append(("ineq", r, +1.0))
-    for r in range(K.n_eq):
-        out.append(("eq", r, +1.0))
-        out.append(("eq", r, -1.0))
-    return out
+def _exclusion_choices(i, K):
+    """Ways to force y outside cone K of piece i: (i, r) with r y > 0 for a row r."""
+    return [(i, r) for r in [*K.A, *(sigma * e for e in K.E for sigma in (1.0, -1.0))]]
 
 
 def _rows_times(R, J):
-    """Each row of R times J as a vector-matrix product, so a row equals the
-    `row @ J` of the exclusion rows exactly (a matrix product may round
-    differently)."""
+    """Each row of R times J as a vector-matrix product, so a row equals an
+    exclusion row's `row @ J` exactly (a matrix product may round otherwise)."""
     return (R[:, None, :] @ J)[:, 0]
 
 
-def _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT, faces, exclusions):
-    """A nonzero w of one activity pattern's linear system, or None.
+def _face_rows(K, face):
+    """(rows held at 0, rows carrying multipliers) of a face of K; an open
+    face (None) holds none at 0 and puts multipliers on every row."""
+    return ([], list(range(K.n_ineq))) if face is None else (face, face)
 
-    The rows are built once; `LPBuilder.nonzero_block` then decides them
-    with one implicit-equality decision.
+
+def _solve_pattern(point, JT, faces, exclusions):
+    """A nonzero w of one partial pattern's linear system at a KKT point, or None.
+
+    JT is K_Theta's face, `faces` maps each piece of S to its face, and each
+    exclusion (i, r) asks r J w >= t > 0 of a row r of piece i's cone.  Open
+    faces (None) are relaxed (`_face_rows`) and unplaced pieces are free, so
+    every completion's solution solves this system.  One implicit-equality
+    decision settles it (`LPBuilder.nonzero_block`).
     """
-    n, m = hess.shape[0], J.shape[0]
-    sizes = [("w", n), ("u", m), ("t", 1), ("mu", len(JT)), ("nu", KT.n_eq)]
-    for i in S_set:
-        sizes.append((f"eta{i}", len(faces[i])))
-        sizes.append((f"zeta{i}", cones_by_piece[i].n_eq))
+    hess, J, KT, cones = point.hess, point.J, point.theta_cone, dict(point.piece_cones)
+    zeroT, multT = _face_rows(KT, JT)
+    rows = {i: _face_rows(cones[i], face) for i, face in faces.items()}
+    sizes = [("w", J.shape[1]), ("u", J.shape[0]), ("t", 1), ("mu", len(multT)), ("nu", KT.n_eq)]
+    for i, (_, mult) in rows.items():
+        sizes += [(f"eta{i}", len(mult)), (f"zeta{i}", cones[i].n_eq)]
     lp = LPBuilder(sizes)
-    RT, ST = KT.A, KT.E
-    lp.add_eq({"w": RT[JT]})
-    lp.add_ub({"w": RT[[r for r in range(KT.n_ineq) if r not in JT]]})
-    lp.add_eq({"w": ST})
-    lp.add_eq({"w": hess, "u": J.T, "mu": RT[JT].T, "nu": ST.T})
-    for i in S_set:
-        K = cones_by_piece[i]
-        Ri, Si, Ji = K.A, K.E, faces[i]
-        lp.add_eq({"w": _rows_times(Ri[Ji], J)})
-        lp.add_ub({"w": _rows_times(Ri[[r for r in range(K.n_ineq) if r not in Ji]], J)})
-        lp.add_eq({"w": _rows_times(Si, J)})
-        # u - A_i J w = Ri[Ji]^T eta + Si^T zeta
-        lp.add_eq({"u": np.eye(m), "w": -(Amats[i] @ J),
-                   f"eta{i}": -Ri[Ji].T, f"zeta{i}": -Si.T})
+    lp.add_eq({"w": KT.A[zeroT]})
+    lp.add_ub({"w": np.delete(KT.A, zeroT, axis=0)})
+    lp.add_eq({"w": KT.E})
+    lp.add_eq({"w": hess, "u": J.T, "mu": KT.A[multT].T, "nu": KT.E.T})
+    for i, (zero, mult) in rows.items():
+        K = cones[i]
+        lp.add_eq({"w": _rows_times(K.A[zero], J)})
+        lp.add_ub({"w": _rows_times(np.delete(K.A, zero, axis=0), J)})
+        lp.add_eq({"w": _rows_times(K.E, J)})
+        # u - A_i J w = R_i[mult]^T eta + S_i^T zeta
+        lp.add_eq({"u": np.eye(J.shape[0]), "w": -(point.problem.g.pieces[i].A @ J),
+                   f"eta{i}": -K.A[mult].T, f"zeta{i}": -K.E.T})
         lp.add_nonneg(f"eta{i}")
     lp.add_nonneg("mu")
-    # exclusions: sigma * (row . J w) >= t for each excluded piece
-    for (i, kind, r, sigma) in exclusions:
-        K = cones_by_piece[i]
-        row = K.A[r] if kind == "ineq" else K.E[r]
-        lp.add_ub({"w": -sigma * (row @ J), "t": 1.0})
+    for _, r in exclusions:
+        lp.add_ub({"w": -(r @ J), "t": 1.0})
     x = lp.nonzero_block("w")
     return None if x is None else lp.block(x, "w")
 
 
 def check_noncritical(problem: CompositeProblem, xbar, lambdabar) -> Verdict:
-    """Exact noncriticality decision by activity-pattern enumeration.
+    """Exact noncriticality decision by one pruned walk over activity patterns.
 
-    The criticality system is a finite union of polyhedral cones in
-    (w, u); each pattern fixes the active face of every participating
-    critical cone and one violated row per excluded piece, making the
-    system linear.  One implicit-equality decision and a rank test decide
-    whether it has a solution with w != 0 and t > 0, t bounding the
-    exclusion rows (`LPBuilder.nonzero_block`); its point is an exact
-    certificate.  Faces come from `enumerate_faces`, one per distinct
-    face.  Each pattern costs one decision, so the patterns are counted
-    against MAX_PATTERN_LPS before any pattern is decided, then streamed.
+    A pattern makes the criticality system linear: a set S of active pieces,
+    a face of K_Theta, a face of each critical cone in S and one violated row
+    of every other piece's cone.  The walk fixes one choice at a time, depth
+    first: i0, the least piece of S, and its face, then K_Theta's face, then
+    each other piece, which joins S with a face (only after i0) or is
+    excluded.  Each partial pattern gets one decision (`_solve_pattern`), and
+    the walk goes no deeper below one without w != 0.  The leaves are the
+    complete patterns, so the verdict is exact, also for overlapping pieces,
+    and a leaf's w is an exact certificate.  Faces (`enumerate_faces`) are
+    walked only where a branch needs them.  A decision past
+    MAX_PATTERN_DECISIONS raises TooManyRows before it runs.
     """
     point = kkt_point(problem, xbar, lambdabar)
-    cones = point.piece_cones
-    hess, J, KT = point.hess, point.J, point.theta_cone
-    pieces = [i for i, _ in cones]
-    cones_by_piece = {i: K for i, K in cones}
-    Amats = {i: problem.g.pieces[i].A for i in pieces}
+    cones = dict(point.piece_cones)
+    decisions = 0
 
-    # one option per distinct face (forced-active key) of each cone
-    face_opts = {i: [sorted(f.active) for f in enumerate_faces(K)] for i, K in cones}
-    JT_opts = [sorted(f.active) for f in enumerate_faces(KT)]
-    S_sets = [S_set for size in range(1, len(pieces) + 1)
-              for S_set in itertools.combinations(pieces, size)]
+    @cache
+    def faces_of(i):
+        """The faces of piece i's cone, K_Theta's for None, walked once."""
+        return [sorted(f.active) for f in enumerate_faces(cones.get(i, point.theta_cone))]
 
-    def options(S_set):
-        """Choices of a pattern: K_Theta face, piece faces, one exclusion per
-        excluded piece (none for a cone without rows, so it is never excluded)."""
-        return [JT_opts, *(face_opts[i] for i in S_set),
-                *([(i, *c) for c in _exclusion_choices(cones_by_piece[i])]
-                  for i in pieces if i not in S_set)]
+    def walk(i0, JT, faces, exclusions):
+        """A certificate and the pieces of S below a partial pattern, or None."""
+        nonlocal decisions
+        if decisions >= MAX_PATTERN_DECISIONS:
+            raise TooManyRows(f"pattern decisions exceed the budget {MAX_PATTERN_DECISIONS}")
+        decisions += 1
+        w = _solve_pattern(point, JT, faces, exclusions)
+        if w is None:
+            return None
+        j = next((j for j in cones if j not in faces and j not in dict(exclusions)), None)
+        if faces[i0] is None:
+            below = [(JT, {i0: face}, exclusions) for face in faces_of(i0)]
+        elif JT is None:
+            below = [(face, faces, exclusions) for face in faces_of(None)]
+        elif j is not None:
+            joins = faces_of(j) if j > i0 else []  # S's least piece is i0
+            below = [(JT, {**faces, j: face}, exclusions) for face in joins]
+            below += [(JT, faces, (*exclusions, c)) for c in _exclusion_choices(j, cones[j])]
+        else:
+            return w, sorted(faces)
+        return next(filter(None, (walk(i0, *child) for child in below)), None)
 
-    # one decision per pattern: count them against the cap before deciding any
-    n_patterns = sum(math.prod(map(len, options(S_set))) for S_set in S_sets)
-    if n_patterns > MAX_PATTERN_LPS:
-        raise TooManyRows(f"{n_patterns} patterns exceed the cap {MAX_PATTERN_LPS}")
-
-    for S_set in S_sets:
-        for JT, *choice in itertools.product(*options(S_set)):
-            w = _solve_pattern(hess, J, KT, cones_by_piece, Amats, S_set, JT,
-                               dict(zip(S_set, choice)), choice[len(S_set):])
-            if w is not None:
-                return Verdict("noncritical", "fails", certificate=w,
-                               detail=f"critical direction found (pieces {list(S_set)})")
-    return Verdict("noncritical", "holds",
-                   detail=f"all {n_patterns} activity patterns force w = 0")
+    found = next(filter(None, (walk(i0, None, {i0: None}, ()) for i0 in cones)), None)
+    if found is None:
+        return Verdict("noncritical", "holds", detail=f"{decisions} pattern decisions force w = 0")
+    return Verdict("noncritical", "fails", certificate=found[0],
+                   detail=f"critical direction found (pieces {found[1]})")
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,9 @@ from .polyhedral import (
     Polyhedron,
     contains,
     critical_cone,
-    fourier_motzkin,
     intersect,
     normal_cone_dist,
-    normal_cone_generators,
+    normal_cone_hrep,
     span_basis,
 )
 
@@ -208,12 +207,8 @@ def kkt_residual(problem: CompositeProblem, x, lam) -> float:
 
 
 def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
-    """Lambda(x) as an H-representation in lambda-space.
-
-    The stationarity part {lam : -grad phi - J^T lam in N_Theta(x)} is
-    produced by eliminating the Theta normal-cone multipliers; it is then
-    intersected with the subdifferential of g at Phi(x).
-    """
+    """Lambda(x) in lambda-space: the subdifferential of g at Phi(x) cut by the
+    preimage of `normal_cone_hrep(Theta, x)` under lam -> -grad phi - J^T lam."""
     x = np.asarray(x, dtype=float).ravel()
     if not contains(problem.Theta, x, THETA_TOL):
         raise PointOutsideDomain("x must lie in Theta")
@@ -224,16 +219,8 @@ def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
         sub = subdifferential(problem.g, z)
     else:
         sub = dual_lq_subdifferential(problem.g, z)
-    m = problem.m
-    G, L = normal_cone_generators(problem.Theta, x)
-    k, j = G.shape[0], L.shape[0]
-    # variables (lam, mu, nu): J^T lam + G^T mu + L^T nu = -grad phi, mu >= 0
-    E = np.hstack([J.T, G.T, L.T])
-    d = -gphi
-    A = np.hstack([np.zeros((k, m)), -np.eye(k), np.zeros((k, j))])
-    b = np.zeros(k)
-    stat = fourier_motzkin(A, b, E, d, keep=list(range(m)))
-    return intersect(stat, sub)
+    N = normal_cone_hrep(problem.Theta, x)
+    return intersect(Polyhedron(-N.A @ J.T, N.b + N.A @ gphi, -N.E @ J.T, N.d + N.E @ gphi), sub)
 
 
 @dataclass(frozen=True)

@@ -305,10 +305,16 @@ def enumerate_faces(cone: PolyCone, cap: int = 1024) -> list:
     rows (the cone itself), and from each new key F try the closure of
     F plus one more row.  Every face is reached, and the cost grows with
     the number of faces, not with 2^rows.  The first face is the cone
-    itself and the list contains its lineality space; more than `cap`
-    faces raise TooManyRows.
+    itself and the list contains its lineality space.  `cap` counts faces:
+    more raise TooManyRows, at once when the k rows free after the first
+    closure are independent on its equality space (2^k faces).
     """
     walk = [_forced_active(cone, frozenset())]
+    free = [k for k in range(cone.n_ineq) if k not in walk[0]]
+    if 2 ** len(free) > cap:
+        _, _, M = affine_frame(cone.A[free], np.vstack([cone.E, cone.A[sorted(walk[0])]]))
+        if affine_frame(M[:0], M)[1].shape[1] == M.shape[1] - len(free):
+            raise TooManyRows(f"a simplicial cone with 2^{len(free)} faces exceeds {cap} faces")
     seen = set(walk)
     for key in walk:
         for j in range(cone.n_ineq):

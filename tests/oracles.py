@@ -3,11 +3,12 @@
 These deliberately avoid the production code paths they check: the
 noncriticality oracle scans a grid of directions and decides each one
 with the eliminated proto-derivative H-representation, not with the
-activity-pattern systems used by the diagnostics module, and the uniqueness
-oracle bounds the multiplier polyhedron coordinate by coordinate, not
-with the dual cone condition.  The enumerations, residuals and the
-Lagrangian below serve only as test references, so they live here rather
-than in the package.
+activity-pattern systems used by the diagnostics module; the pattern
+oracle decides those systems for every pattern of the product, not by
+the pruned walk; and the uniqueness oracle bounds the multiplier
+polyhedron coordinate by coordinate, not with the dual cone condition.
+The enumerations, residuals and the Lagrangian below serve only as test
+references, so they live here rather than in the package.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import itertools
 import numpy as np
 from scipy.linalg import null_space
 
+from plqsqp import diagnostics
 from plqsqp.errors import DimensionMismatch, PointOutsideDomain, TooManyRows
-from plqsqp.kkt import multiplier_set
+from plqsqp.kkt import kkt_point, multiplier_set
 from plqsqp.lp import LP_OPTIMAL, feasible_point, solve_lp
 from plqsqp.qp import active_set_qp
 from plqsqp.plq import piece_critical_cones, prox
@@ -26,6 +28,7 @@ from plqsqp.polyhedral import (
     _forced_active,
     contains,
     critical_cone,
+    enumerate_faces,
     generated_cone_hrep,
     intersect,
     lineality_basis,
@@ -242,6 +245,30 @@ def criticality_feasible_at(problem, xbar, lambdabar, w):
                          np.concatenate(bub) if bub else np.zeros(0),
                          np.vstack(Aeq), np.concatenate(beq))
     return sol is not None
+
+
+def noncritical_by_patterns(problem, xbar, lambdabar):
+    """(noncritical, certificate or None) by deciding every complete pattern.
+
+    The product of the choices, with no pruning: each nonempty subset S of
+    the active pieces, a face of K_Theta, a face of each critical cone in S
+    and one violated row of every other piece's cone.  Each pattern is
+    decided by `diagnostics._solve_pattern` with no choice left open; the
+    first solution is the certificate.
+    """
+    point = kkt_point(problem, xbar, lambdabar)
+    cones = dict(point.piece_cones)
+    face_opts = {i: [sorted(f.active) for f in enumerate_faces(K)] for i, K in cones.items()}
+    JT_opts = [sorted(f.active) for f in enumerate_faces(point.theta_cone)]
+    for size in range(1, len(cones) + 1):
+        for S in itertools.combinations(cones, size):
+            options = [JT_opts, *(face_opts[i] for i in S),
+                       *(diagnostics._exclusion_choices(i, cones[i]) for i in cones if i not in S)]
+            for JT, *choice in itertools.product(*options):
+                w = diagnostics._solve_pattern(point, JT, dict(zip(S, choice)), choice[len(S):])
+                if w is not None:
+                    return False, w
+    return True, None
 
 
 def grid_noncritical_oracle(problem, xbar, lambdabar, grid=None):

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from plqsqp import diagnostics, lp, polyhedral
 from plqsqp.diagnostics import (
@@ -20,6 +23,8 @@ from plqsqp.kkt import (
     multiplier_set,
 )
 from plqsqp.plq import (
+    Piece,
+    PLQFunction,
     plq_indicator,
     plq_quadratic,
     second_subderivative,
@@ -29,9 +34,11 @@ from plqsqp.sqp import SQPConfig, run_sqp
 
 from conftest import make_degenerate_range, make_dual_lq, make_p1, make_p2
 from oracles import (
+    criticality_feasible_at,
     grid_noncritical_oracle,
     lagrangian,
     min_form_by_subsets,
+    noncritical_by_patterns,
     unique_multiplier_by_coordinates,
 )
 from test_theta_constrained import LAMBAR, XBAR, box_fixture
@@ -59,22 +66,107 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_noncritical_minmax_lp_count(monkeypatch):
-    # one pattern per distinct face (3,584 LPs when every row subset was a
-    # pattern) and one implicit-equality decision per pattern (491 LPs with
-    # 2n coordinate LPs each): 61 patterns and 3 face-walk decisions
+    # the walk decides each active piece with its face and K_Theta's open,
+    # finds no solution, and so walks no face: 3 decisions (the product took
+    # 61 pattern decisions and 3 face-walk decisions)
     prob, md = _minmax_4x4()
     decisions = _count_calls(monkeypatch, [lp, polyhedral, diagnostics], "implicit_equalities")
-    assert check_noncritical(prob, md["xbar"], md["lambdabar"]).result == "holds"
-    assert 0 < decisions[0] <= 70
+    walks = _count_calls(monkeypatch, [polyhedral, diagnostics], "enumerate_faces")
+    verdict = check_noncritical(prob, md["xbar"], md["lambdabar"])
+    assert verdict.result == "holds" and verdict.detail == "3 pattern decisions force w = 0"
+    assert decisions[0] == 3 and walks[0] == 0
 
 
-def test_noncritical_pattern_cap_raises_before_any_pattern_lp(monkeypatch):
+def test_noncritical_decision_budget_raises_before_deciding_past_it(monkeypatch):
     prob, md = _minmax_4x4()
-    monkeypatch.setattr(diagnostics, "MAX_PATTERN_LPS", 10)
+    monkeypatch.setattr(diagnostics, "MAX_PATTERN_DECISIONS", 2)
     patterns = _count_calls(monkeypatch, [diagnostics], "_solve_pattern")
     with pytest.raises(TooManyRows):
         check_noncritical(prob, md["xbar"], md["lambdabar"])
-    assert patterns[0] == 0
+    assert patterns[0] == 2
+
+
+def test_noncritical_minmax_k5_is_decided_in_under_a_second():
+    # the pattern product had 9,031 patterns here (30 s)
+    gp = generate("minmax", seed=7, n=6, m=6, n_active=5)
+    start = time.process_time()
+    verdict = check_noncritical(gp.problem, gp.xbar, gp.lambdabar)
+    assert time.process_time() - start < 1.0
+    assert verdict.result == "holds"
+
+
+def test_noncritical_minmax_k6_gets_an_answer():
+    # the pattern product counted 144,495 patterns here and raised TooManyRows
+    gp = generate("minmax", seed=7, n=7, m=7, n_active=6)
+    assert check_noncritical(gp.problem, gp.xbar, gp.lambdabar).result == "holds"
+
+
+def _singular_along_a_critical_direction(gp):
+    """gp's problem with phi's Hessian changed so that hess_xx L becomes
+    H - H v v^T H / (v^T H v), v in the null space of J's rows with
+    lambda != 0 (the active ones): J v lies in every active piece's critical
+    cone and H v = 0.  phi's linear term keeps grad phi(xbar)."""
+    prob, x, lam = gp.problem, gp.xbar, gp.lambdabar
+    _, _, H = lagrangian(prob, x, lam)
+    v = null_space(prob.Phi.jacobian(x)[lam != 0.0])[:, 0]
+    Hv = H @ v
+    dQ = -np.outer(Hv, Hv) / (v @ Hv)
+    phi = Poly2Map(prob.phi.c, prob.phi.l - dQ @ x, (prob.phi.Q[0] + dQ)[None])
+    return CompositeProblem(phi, prob.Phi, prob.g, prob.Theta), x, lam
+
+
+def _abs_with_an_overlapping_piece(H, lam1):
+    """phi = <H x, x>/2 - lam1 x_1, Phi = x and g(y) = |y_1| on R^2, written
+    with three pieces: y_1 <= 0, y_1 >= 0 and {y_1 >= 0, y_2 <= 0}, which
+    overlaps the second.  (0, (lam1, 0)) is a KKT pair for |lam1| <= 1."""
+    def piece(A, a):
+        C = Polyhedron(np.asarray(A, dtype=float), np.zeros(len(A)), np.zeros((0, 2)), np.zeros(0))
+        return Piece(C, np.zeros((2, 2)), a, 0.0)
+
+    g = PLQFunction(2, [piece([[1.0, 0.0]], [-1.0, 0.0]), piece([[-1.0, 0.0]], [1.0, 0.0]),
+                        piece([[-1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])])
+    lam = np.array([lam1, 0.0])
+    phi = Poly2Map(np.zeros(1), -lam[None], np.asarray(H, dtype=float)[None])
+    Phi = Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
+    return CompositeProblem(phi, Phi, g, Polyhedron.whole_space(2)), np.zeros(2), lam
+
+
+def _pattern_walk_cases():
+    for k in range(1, 5):
+        gp = generate("minmax", seed=7, n=k + 1, m=k + 1, n_active=k)
+        yield f"minmax k={k}", gp.problem, gp.xbar, gp.lambdabar
+        yield f"minmax k={k} singular", *_singular_along_a_critical_direction(gp)
+    for seed in range(3):
+        gp = generate("nlp", seed=seed, n=3, n_eq=1, n_ineq=2)
+        yield f"nlp seed {seed} singular", *_singular_along_a_critical_direction(gp)
+    for lam in (0.0, -1.0):
+        yield f"P2 lam={lam}", make_p2(), [0.0], [lam]
+    for lam in ([0.5, 0.5], [1.0, 0.0]):
+        yield f"degenerate_range lam={lam}", make_degenerate_range(), [0.0], lam
+    gp = generate("critical_showcase", seed=0)
+    for lam in (gp.lambdabar, [-1.0]):
+        yield f"critical_showcase lam={lam[0]}", gp.problem, gp.xbar, lam
+    for H in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+              [[1.0, 2.0], [2.0, 1.0]]):
+        for lam1 in (-1.0, 0.0, 1.0):
+            yield f"overlapping |y1| H={H} lam1={lam1}", *_abs_with_an_overlapping_piece(H, lam1)
+
+
+def test_noncritical_walk_agrees_with_the_pattern_product():
+    # the walk's leaves are the product's patterns, and it prunes only
+    # relaxations without a solution, so the verdicts agree; every
+    # certificate passes the fixed-w feasibility oracle
+    verdicts = []
+    for name, prob, x, lam in _pattern_walk_cases():
+        verdict = check_noncritical(prob, x, lam)
+        assert verdict.passed == noncritical_by_patterns(prob, x, lam)[0], name
+        if not verdict.passed:
+            assert criticality_feasible_at(prob, x, lam, verdict.certificate), name
+        verdicts.append((name, verdict.result))
+    critical = {name for name, result in verdicts if result == "fails"}
+    assert any("overlapping" in name for name in critical), verdicts
+    assert any("singular" in name for name in critical), verdicts
+    assert len(critical) < len(verdicts), verdicts
 
 
 def test_p2_criticality_discrimination():
@@ -124,7 +216,6 @@ def test_zero_hessian_minmax_is_critical_with_exact_certificate():
     critical cone of g certifies criticality; the certificate direction is
     generally off any fixed grid, which is why only the exact fixed-w
     oracle can confirm it."""
-    from oracles import criticality_feasible_at
     from plqsqp.generators import generate_minmax
 
     gp = generate_minmax(n=2, m=3, n_active=2, seed=0)

@@ -116,6 +116,28 @@ def test_nonneg_lstsq_answers_a_degenerate_system():
     assert residual == np.linalg.norm(M @ u - r)
 
 
+# rows 2 and 3 are opposite up to rounding
+OPPOSITE_ROWS = np.array([
+    [-0.691308916675178, 0.12605263709825118, -0.07875731334910006],
+    [0.11502168769467623, 0.6910054108156073, 0.09634071612470993],
+    [0.13313146198596415, 0.1150847939923442, -0.9843939780500586],
+    [-0.13313146198596418, -0.11508479399234423, 0.9843939780500586]])
+
+
+def test_nonneg_lstsq_keeps_its_best_answer_when_bvls_fails():
+    # scipy's answer fails the optimality check (residual 0.7153), and BVLS
+    # returned u ~ 2.2e15 with residual 0.8365, worse than u = 0 (0.7071)
+    from plqsqp.nonneg import nonneg_lstsq
+    M, r = OPPOSITE_ROWS[1:].T, -OPPOSITE_ROWS[0]
+    u, residual = nonneg_lstsq(M, r)
+    assert residual == np.linalg.norm(M @ u - r) <= np.linalg.norm(r)
+    assert np.abs(u).max() <= 1e3
+    implicit, y = lp_module.implicit_equalities(OPPOSITE_ROWS)
+    assert implicit == [2, 3]
+    slack = OPPOSITE_ROWS @ y
+    assert np.all(slack[:2] <= -1.0 + 1e-12) and np.all(np.abs(slack[2:]) <= 1e-9)
+
+
 def _random_cone(rng, kind):
     """Random rows M of a cone {y : M y <= 0}, shuffled; kind 1 repeats a row
     scaled by a positive factor, kind 2 adds the opposite of a row, kind 3

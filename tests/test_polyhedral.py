@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -367,6 +368,20 @@ def test_face_cap():
     C = PolyCone.from_rows(-np.eye(4), np.zeros((0, 4)))
     with pytest.raises(TooManyRows):
         enumerate_faces(C, cap=3)
+
+
+def test_face_cap_raises_on_a_simplicial_cone_before_the_walk():
+    # R^11_+ has 2^11 faces, and its 11 free rows are independent, so the
+    # cap raises at once (the walk spent about 2.5 s of CPU before raising);
+    # with a lineality direction and an equality row too
+    orthant = PolyCone.from_rows(-np.eye(11), np.zeros((0, 11)))
+    lifted = PolyCone.from_rows(np.hstack([-np.eye(11), np.ones((11, 2))]), np.eye(13)[12:])
+    for C in (orthant, lifted):
+        start = time.process_time()
+        with pytest.raises(TooManyRows):
+            enumerate_faces(C)
+        assert time.process_time() - start < 0.1
+    assert len(enumerate_faces(PolyCone.from_rows(-np.eye(10), np.zeros((0, 10))))) == 1024
 
 
 def test_cone_rays_orthant():

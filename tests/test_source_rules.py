@@ -8,8 +8,9 @@ function the benchmark's tracer wraps must exist where it looks.
 Every top-level function and class is used elsewhere in the package or
 exported.  Every error class has a raise site in the package, so that a
 class which is only caught cannot linger.  Fourier-Motzkin cone
-eliminations go through the per-pattern memo of `normal_cone_hrep` only,
-and implicit equalities through the one decision of
+eliminations go through the per-pattern memo of `normal_cone_hrep` only
+(`generated_cone_hrep` is the one caller of `fourier_motzkin`), and
+implicit equalities through the one decision of
 `lp.implicit_equalities` (verified NNLS).
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
 diagnostics build no polyhedron, measure no normal-cone distance and
@@ -246,16 +247,17 @@ def test_every_error_is_raised():
 
 
 def test_cone_elimination_has_one_route():
-    users = set()
+    users = {"generated_cone_hrep": set(), "fourier_motzkin": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)) \
-                    or getattr(node, "name", None) == "generated_cone_hrep":
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            if any(name == "generated_cone_hrep" for name, _ in _referenced_names(node)):
-                users.add((path.name, getattr(node, "name", f"line {node.lineno}")))
-    assert users == {("polyhedral.py", "normal_cone_hrep")}, sorted(users)
+            for name, _ in _referenced_names(node):
+                if name in users and getattr(node, "name", None) != name:
+                    users[name].add((path.name, getattr(node, "name", f"line {node.lineno}")))
+    assert users["generated_cone_hrep"] == {("polyhedral.py", "normal_cone_hrep")}, users
+    assert users["fourier_motzkin"] == {("polyhedral.py", "generated_cone_hrep")}, users
 
 
 def _statements(tree):
