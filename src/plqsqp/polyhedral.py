@@ -8,10 +8,11 @@ redundancy and normal-cone distances) and `lp.affine_frame`.  Values are
 immutable after construction and all operations are pure.  Derived data
 is memoized on the immutable polyhedron itself (`_derived`): its
 least-norm point, its equality frame (E⁺, a basis N of null(E) and the
-inequality rows on N), and its normal and tangent cones per activity
-pattern, since N_P(x) and T_P(x) depend on x only through the active
-rows.  The memos are deterministic, so results stay pure and concurrent
-calls stay safe; returned cones are shared and must not be written to.
+inequality rows on N), and per activity pattern J its normal and tangent
+cones and the normal-cone frame [A_J; E]⁺, since N_P(x) and T_P(x)
+depend on x only through the active rows.  The memos are deterministic,
+so results stay pure and concurrent calls stay safe; returned cones are
+shared and must not be written to.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .errors import (
     TooManyRows,
 )
 from .lp import FEAS_TOL, affine_frame, implicit_equalities, nearest_point
-from .nonneg import nonneg_lstsq
+from .nonneg import _OPT_TOL, nonneg_lstsq
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
 MEMBER_TOL = 1e-9  # x in P iff every row holds within MEMBER_TOL (`contains`)
@@ -247,12 +248,22 @@ def normal_cone_dist(P: Polyhedron, x, v) -> float:
 
 
 def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
-    """dist(v, N_P(x)) at an x of P whose active rows are J: one verified NNLS,
-    the free equality multipliers split into positive and negative parts."""
+    """dist(v, N_P(x)) at an x of P whose active rows are J.  The least-squares
+    residual r = Cᵀy − v at y = (C⁺)ᵀv, with C = [A_J; E] and C⁺ kept on P
+    per J, bounds it below and is it when y_J >= 0 and C r passes the NNLS
+    first-order test; else one verified NNLS, the free equality multipliers
+    split into positive and negative parts."""
     v = np.asarray(v, dtype=float).ravel()
     if not (J or P.n_eq):
         return float(np.linalg.norm(v))
-    return nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)[1]
+    C, pinv, top = _derived(P, ("NF", tuple(J)), lambda: (
+        C := np.vstack([P.A[J], P.E]), affine_frame(C[:0], C)[0], max(1.0, np.abs(C).max())))
+    y = v @ pinv
+    r = C.T @ y - v
+    if y[:len(J)].min(initial=0.0) >= 0.0 \
+            and np.abs(C @ r).max() <= _OPT_TOL * max(top, np.abs(v).max()):
+        return float(np.linalg.norm(r))
+    return nonneg_lstsq(np.hstack([C.T, -P.E.T]), v)[1]
 
 
 def critical_cone(P: Polyhedron, x, v) -> PolyCone:
@@ -306,21 +317,24 @@ def enumerate_faces(cone: PolyCone, cap: int = 1024) -> list:
     F plus one more row.  Every face is reached, and the cost grows with
     the number of faces, not with 2^rows.  The first face is the cone
     itself and the list contains its lineality space.  `cap` counts faces:
-    more raise TooManyRows, at once when the k rows free after the first
-    closure are independent on its equality space (2^k faces).
+    more raise TooManyRows.  When the k rows free after the first closure
+    are independent on its equality space, each key plus one row is its own
+    closure: the 2^k faces need no more closures, and 2^k > cap raises at once.
     """
     walk = [_forced_active(cone, frozenset())]
     free = [k for k in range(cone.n_ineq) if k not in walk[0]]
-    if 2 ** len(free) > cap:
+    simplicial = False
+    if 0 < len(free) <= cone.dim:  # else no closure is left, or the rows are dependent
         _, _, M = affine_frame(cone.A[free], np.vstack([cone.E, cone.A[sorted(walk[0])]]))
-        if affine_frame(M[:0], M)[1].shape[1] == M.shape[1] - len(free):
-            raise TooManyRows(f"a simplicial cone with 2^{len(free)} faces exceeds {cap} faces")
+        simplicial = affine_frame(M[:0], M)[1].shape[1] == M.shape[1] - len(free)
+    if simplicial and 2 ** len(free) > cap:
+        raise TooManyRows(f"a simplicial cone with 2^{len(free)} faces exceeds {cap} faces")
     seen = set(walk)
     for key in walk:
         for j in range(cone.n_ineq):
             if j in key:
                 continue
-            child = _forced_active(cone, key | {j})
+            child = key | {j} if simplicial else _forced_active(cone, key | {j})
             if child not in seen:
                 if len(walk) >= cap:
                     raise TooManyRows(f"more than {cap} faces")
@@ -406,11 +420,10 @@ def project_cone_union(family: ConeFamily, v) -> np.ndarray:
     not change when v is scaled.
     """
     v = np.asarray(v, dtype=float).ravel()
+    if not v.any():  # every member is a cone, so each projects 0 to 0
+        return np.zeros_like(v)
     if family.kind == "subspace":
-        B = family.basis
-        if B.shape[1] == 0:
-            return np.zeros_like(v)
-        return B @ (B.T @ v)
+        return family.basis @ (family.basis.T @ v)
     best = None
     best_dist = np.inf
     tie = 1e-12 * float(np.linalg.norm(v))

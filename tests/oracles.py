@@ -87,6 +87,22 @@ def faces_by_subsets(cone: PolyCone) -> set:
             for size in range(r + 1) for subset in itertools.combinations(range(r), size)}
 
 
+def faces_by_closure_walk(cone: PolyCone) -> list:
+    """Forced-active keys of the faces, in the order of `enumerate_faces`:
+    the same walk over the face lattice with one closure per (face, row) pair
+    and no shortcut for simplicial cones."""
+    walk = [_forced_active(cone, frozenset())]
+    seen = set(walk)
+    for key in walk:
+        for j in range(cone.n_ineq):
+            if j not in key:
+                child = _forced_active(cone, key | {j})
+                if child not in seen:
+                    seen.add(child)
+                    walk.append(child)
+    return walk
+
+
 def rays_by_subsets(cone: PolyCone) -> list:
     """Extreme rays modulo the lineality space, by null spaces of all row subsets.
 

@@ -35,6 +35,7 @@ from plqsqp.sqp import SQPConfig, run_sqp
 from conftest import make_degenerate_range, make_dual_lq, make_p1, make_p2
 from oracles import (
     criticality_feasible_at,
+    faces_by_closure_walk,
     grid_noncritical_oracle,
     lagrangian,
     min_form_by_subsets,
@@ -167,6 +168,29 @@ def test_noncritical_walk_agrees_with_the_pattern_product():
     assert any("overlapping" in name for name in critical), verdicts
     assert any("singular" in name for name in critical), verdicts
     assert len(critical) < len(verdicts), verdicts
+
+
+def test_simplicial_face_lists_keep_the_verdicts(monkeypatch):
+    # enumerate_faces lists a simplicial cone's faces without closures; the
+    # noncriticality and SOSC verdicts and certificates are the closure walk's
+    cases = list(_pattern_walk_cases()) + [
+        ("orthant", _orthant_problem(np.array([[1.0, -3.0], [-3.0, 1.0]])), [0.0, 0.0], [0.0]),
+        ("wedge", _wide_wedge_problem(), [0.0, 0.0], [0.0])]
+
+    def verdicts():
+        out = []
+        for name, prob, x, lam in cases:
+            for check in (check_noncritical, check_sosc):
+                v = check(prob, x, lam)
+                cert = None if v.certificate is None else np.asarray(v.certificate).tobytes()
+                out.append((name, v.condition, v.result, v.detail, cert))
+        return out
+
+    walked = verdicts()
+    assert sum("exact over" in detail for *_, detail, _ in walked) >= 10
+    monkeypatch.setattr(diagnostics, "enumerate_faces", lambda cone: [
+        polyhedral.Face(cone, key) for key in faces_by_closure_walk(cone)])
+    assert verdicts() == walked
 
 
 def test_p2_criticality_discrimination():
@@ -369,13 +393,18 @@ def test_sosc_is_inconclusive_above_the_face_cap(rng, monkeypatch):
     assert projections[0] == 0
 
 
+def _orthant_problem(Q):
+    """phi = x^T Q x / 2 over R^2_+, g = 0; (0, 0) is a KKT point."""
+    phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), Q.reshape(1, 2, 2))
+    Phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2, 2)))
+    return CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Polyhedron.nonneg(2))
+
+
 def test_sosc_finds_a_failure_inside_a_face(rng):
     # phi = x^T Q x / 2 over R^2_+ at 0: both rays have form value 1 and the
     # lineality space is {0}, but Q is negative on the interior direction (1, 1)
     Q = np.array([[1.0, -3.0], [-3.0, 1.0]])
-    phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), Q.reshape(1, 2, 2))
-    Phi = Poly2Map(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2, 2)))
-    prob = CompositeProblem(phi, Phi, plq_quadratic([[0.0]]), Polyhedron.nonneg(2))
+    prob = _orthant_problem(Q)
     v = check_sosc(prob, [0.0, 0.0], [0.0], rng=rng)
     assert v.result == "heuristic_fails"
     assert np.linalg.norm(v.certificate - np.array([1.0, 1.0]) / np.sqrt(2.0)) <= 1e-9

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plqsqp import polyhedral
+from plqsqp.nonneg import nonneg_lstsq
 from plqsqp.errors import (
     EmptyPolyhedron,
     Infeasible,
@@ -26,6 +27,7 @@ from plqsqp.polyhedral import (
     interior_point,
     lineality_basis,
     normal_cone_dist,
+    normal_cone_dist_at_rows,
     normal_cone_generators,
     normal_cone_hrep,
     project,
@@ -36,6 +38,7 @@ from plqsqp.polyhedral import (
 
 from oracles import (
     face_cone,
+    faces_by_closure_walk,
     faces_by_subsets,
     prune_redundant_by_lp,
     rays_by_subsets,
@@ -320,6 +323,95 @@ def test_membership_iff_zero_distance(rng):
     assert normal_cone_dist(P, x, [1.0, 1.0]) > 0.5
 
 
+def _count_nnls(monkeypatch):
+    calls = []
+
+    def spy(M, r):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return nonneg_lstsq(M, r)
+
+    monkeypatch.setattr(polyhedral, "nonneg_lstsq", spy)
+    return calls
+
+
+def _random_rows_and_multipliers(rng):
+    """(P, J, v): a polyhedron in R^1..R^5 with duplicated, dependent and
+    equality rows at a scale from 1e-8 to 1e8, a set J of its rows, and a v
+    in N_P or off it."""
+    n = int(rng.integers(1, 6))
+    A = rng.standard_normal((int(rng.integers(0, 7)), n))
+    if len(A) >= 2 and rng.random() < 0.4:
+        A[1] = rng.uniform(0.5, 2.0) * A[0]  # duplicated direction
+    if len(A) >= 3 and rng.random() < 0.4:
+        A[2] = A[0] - 2.0 * A[1]  # a rank-deficient stack
+    E = rng.standard_normal((int(rng.integers(0, 3)), n))
+    if len(E) and len(A) and rng.random() < 0.3:
+        E[0] = A[0]  # an equality row repeating an inequality row
+    scale = 10.0 ** rng.uniform(-8.0, 8.0)
+    P = Polyhedron(scale * A, np.zeros(len(A)), scale * E, np.zeros(len(E)))
+    J = sorted(rng.choice(len(A), size=int(rng.integers(0, len(A) + 1)), replace=False).tolist())
+    C = np.vstack([P.A[J], P.E])
+    size = 10.0 ** rng.uniform(-8.0, 8.0)
+    if rng.random() < 0.5:  # inside: a nonnegative combination of the rows
+        y = np.concatenate([rng.uniform(0.0, 1.0, len(J)), rng.standard_normal(len(E))])
+        v = C.T @ y / max(np.linalg.norm(C.T @ y), 1e-300)
+    else:
+        v = rng.standard_normal(n)
+    return P, J, size * v
+
+
+def test_normal_cone_distance_agrees_with_the_stacked_nnls(monkeypatch):
+    # the least-squares certificate answers most calls and the NNLS the
+    # rest; either way the distance is the NNLS's on [A_J^T, E^T, -E^T]
+    rng = np.random.default_rng(30)
+    calls = _count_nnls(monkeypatch)
+    certified = 0
+    for _ in range(600):
+        P, J, v = _random_rows_and_multipliers(rng)
+        before = len(calls)
+        dist = normal_cone_dist_at_rows(P, J, v)
+        certified += len(calls) == before
+        expected = nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)[1]
+        scale = max(1.0, np.abs(P.A[J]).max(initial=0.0), np.abs(P.E).max(initial=0.0),
+                    np.abs(v).max())
+        assert abs(dist - expected) <= 1e-12 * scale, (P, J, v)
+    assert 100 <= certified and 100 <= len(calls)
+
+
+def test_repeated_normal_cone_distances_build_one_frame(monkeypatch):
+    # the pseudo-inverse of [A_J; E] is kept on P per J: a second v at the
+    # same rows builds no frame, and a nonnegative y runs no NNLS
+    frames = []
+    build = polyhedral.affine_frame
+
+    def frame_spy(A, E):
+        frames.append(1)
+        return build(A, E)
+
+    monkeypatch.setattr(polyhedral, "affine_frame", frame_spy)
+    nnls = _count_nnls(monkeypatch)
+    P = Polyhedron(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]]),
+                   np.zeros(3), np.array([[1.0, -1.0, 0.0, 0.0]]), np.zeros(1))
+    for mu0, mu2, nu, t in ((1.0, 0.5, 2.0, 0.0), (2.0, 3.0, -3.0, 1.0), (1e6, 2e6, 1e5, 3.0)):
+        v = mu0 * P.A[0] + mu2 * P.A[2] + nu * P.E[0] + [0.0, 0.0, 0.0, t]
+        assert abs(normal_cone_dist_at_rows(P, [0, 2], v) - t) <= 1e-9 * max(1.0, np.abs(v).max())
+    assert len(frames) == 1 and nnls == []
+    assert normal_cone_dist_at_rows(P, [1], P.A[1]) <= 1e-12  # another pattern, another frame
+    assert len(frames) == 2 and nnls == []
+
+
+def test_a_negative_least_squares_multiplier_reaches_the_nnls(monkeypatch):
+    calls = _count_nnls(monkeypatch)
+    # row 0 of R^2_- at the origin: y = -1 for v = -e1, and the distance is 1
+    assert normal_cone_dist(Polyhedron.nonpos(2), [0.0, 0.0], [-1.0, 0.0]) == 1.0
+    assert calls == ["normal_cone_dist_at_rows"]
+    # opposite rows -e1 and e1: the least-norm y for v = e1 is (-1/2, 1/2),
+    # so the NNLS answers, with distance 0 at u = (0, 1)
+    P = Polyhedron(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+    assert normal_cone_dist_at_rows(P, [0, 1], [1.0, 0.0]) <= 1e-12
+    assert len(calls) == 2
+
+
 # -- critical cones ----------------------------------------------------------
 
 def test_critical_cone_examples():
@@ -382,6 +474,38 @@ def test_face_cap_raises_on_a_simplicial_cone_before_the_walk():
             enumerate_faces(C)
         assert time.process_time() - start < 0.1
     assert len(enumerate_faces(PolyCone.from_rows(-np.eye(10), np.zeros((0, 10))))) == 1024
+
+
+def _simplicial_cones():
+    # R^k_+, R^k_+ with a lineality direction, with an equality row, and a
+    # sheared copy whose rows are independent but not orthogonal
+    for k in range(1, 7):
+        yield PolyCone.from_rows(-np.eye(k), np.zeros((0, k)))
+        yield PolyCone.from_rows(np.hstack([-np.eye(k), np.ones((k, 1))]), np.zeros((0, k + 1)))
+        yield PolyCone.from_rows(np.hstack([-np.eye(k), np.ones((k, 2))]), np.eye(k + 2)[k + 1:])
+        yield PolyCone.from_rows(-np.eye(k) - np.triu(np.ones((k, k)), 1), np.zeros((0, k)))
+
+
+def test_simplicial_face_walk_lists_the_closure_walk_in_order():
+    for C in _simplicial_cones():
+        assert [f.active for f in enumerate_faces(C)] == faces_by_closure_walk(C)
+
+
+def test_simplicial_face_walk_runs_one_closure(monkeypatch):
+    calls = []
+    closure = polyhedral._forced_active
+
+    def spy(cone, fixed):
+        calls.append(fixed)
+        return closure(cone, fixed)
+
+    monkeypatch.setattr(polyhedral, "_forced_active", spy)
+    start = time.process_time()
+    faces = enumerate_faces(PolyCone.from_rows(-np.eye(10), np.zeros((0, 10))))
+    assert len(faces) == 1024 and calls == [frozenset()]
+    assert time.process_time() - start < 0.5  # the closure walk took about 2 s
+    del calls[:]
+    assert len(enumerate_faces(_wedge(5))) == 4 and len(calls) > 1  # not simplicial
 
 
 def test_cone_rays_orthant():
@@ -488,6 +612,27 @@ def test_project_cone_union_choice_does_not_change_with_scale():
         assert np.allclose(p, nearest, atol=1e-15)
         small = project_cone_union(F, 1e-13 * v)
         assert np.linalg.norm(small - 1e-13 * p) <= 1e-12 * 1e-13 * np.linalg.norm(v)
+
+
+def test_projecting_zero_onto_a_cone_family_projects_nothing(monkeypatch):
+    projections = []
+    project_ = polyhedral.project
+
+    def spy(P, z):
+        projections.append(1)
+        return project_(P, z)
+
+    monkeypatch.setattr(polyhedral, "project", spy)
+    wedge = ConeFamily("union", members=(_wedge(5), PolyCone.from_rows(np.eye(2), np.zeros((0, 2)))))
+    plane = ConeFamily("subspace", basis=np.array([[1.0], [0.0]]))
+    empty = ConeFamily("subspace", basis=np.zeros((2, 0)))
+    for F in (wedge, plane, empty):
+        p = project_cone_union(F, np.zeros(2))
+        assert p.shape == (2,) and not p.any()
+    assert projections == []
+    project_cone_union(wedge, [1.0, 1.0])
+    assert len(projections) == 2  # any other v projects onto every member
+    assert np.array_equal(project_cone_union(empty, [1.0, 1.0]), [0.0, 0.0])
 
 
 def test_moreau_polarity(rng):

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from plqsqp import sqp
+from plqsqp import polyhedral, sqp
 from plqsqp.errors import DegenerateStep, MaxIterReached, TooShortTrace
 from plqsqp.kkt import CompositeProblem, PrimalDual, kkt_point
 from plqsqp.polyhedral import ConeFamily, PolyCone
@@ -301,6 +303,34 @@ def test_exact_mode_dennis_more_identically_zero(rng):
     for rec in trace[1:]:
         assert rec.dm_full <= 1e-12
         assert rec.dm_D <= 1e-12 and rec.dm_Dplus <= 1e-12
+
+
+def test_exact_mode_monitors_project_nothing(monkeypatch):
+    # (hess - H) s is exactly 0 in exact mode, so no record projects it onto
+    # a member of D; the ratios are those of the route that projects it
+    from plqsqp.generators import generate
+    gp = generate("minmax", seed=7, n=4, m=4, n_active=3)
+    x0, lam0 = gp.xbar + 0.3, gp.lambdabar - 0.2
+    config = SQPConfig(reference=PrimalDual(gp.xbar, gp.lambdabar))
+    projections = []
+    project = polyhedral.project
+
+    def spy(P, z):
+        projections.append(sys._getframe(1).f_code.co_name)
+        return project(P, z)
+
+    def every_member(family, v):
+        if family.kind == "subspace":
+            return family.basis @ (family.basis.T @ v)
+        return min((project(m, v) for m in family.members), key=lambda p: np.linalg.norm(v - p))
+
+    monkeypatch.setattr(polyhedral, "project", spy)
+    trace = run_sqp(gp.problem, x0, lam0, config)
+    assert len(trace) > 2 and "project_cone_union" not in projections
+    monkeypatch.setattr(sqp, "project_cone_union", every_member)
+    again = run_sqp(gp.problem, x0, lam0, config)
+    assert [(r.dm_D, r.dm_Dplus, r.dm_full) for r in trace] == \
+        [(r.dm_D, r.dm_Dplus, r.dm_full) for r in again]
 
 
 # -- BFGS update ----------------------------------------------------------------
