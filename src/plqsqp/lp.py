@@ -2,8 +2,10 @@
 
 `nearest_point` is the one feasibility route, `implicit_equalities`
 decides the homogeneous systems that `LPBuilder` lays out, and
-`affine_frame` is the one SVD behind every null space, pseudo-inverse and
-rank decision of the package.  An answer that does not verify raises
+`affine_frame` is the one SVD behind every null space, pseudo-inverse,
+least-squares point and rank decision of the package; a frame keeps its
+face pseudo-inverses per row set, so most nearest points are one product,
+certified by its multiplier.  An answer that does not verify raises
 `SolverFailure`.  `solve_lp` (HiGHS, free variables) runs on no path of
 the package: the benchmark's tracer and the test oracles read it.
 """
@@ -46,29 +48,48 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     raise SolverFailure(f"linprog failed with status {res.status}: {res.message}")
 
 
+class Frame(tuple):
+    """(E⁺, N, A N) with `faces`: (C, C⁺) per row mask J of A, C = [A_J; E]."""
+
+    def __new__(cls, pinv, N, AN):
+        frame = super().__new__(cls, (pinv, N, AN))
+        frame.faces = {}
+        return frame
+
+
 def affine_frame(A, E):
     """(E⁺, N, A N): the pseudo-inverse of E, an orthonormal basis N of
-    null(E), and the rows of A on it.  One SVD, with the rank cutoff of
-    `lstsq` (max(E.shape)·eps·s₀); without rows, E⁺ is empty and N = I.
+    null(E), and the rows of A on it, as a `Frame`.  One SVD, with the rank
+    cutoff of `lstsq` (max(E.shape)·eps·s₀); without rows, E⁺ is empty and N = I.
 
-    This is the one SVD of the package: every null space, pseudo-inverse
-    and rank decision in it (equality frames, face and span bases, the QP
-    kernel's working sets, D⁺, dual uniqueness) reads this frame."""
+    This is the one SVD of the package: every null space, pseudo-inverse,
+    least-squares point and rank decision in it (equality and face frames,
+    span bases, the QP kernel's working sets, D⁺, dual uniqueness) reads it."""
     if not len(E):  # the SVD's answer, at a fraction of its call overhead
-        return np.zeros((E.shape[1], 0)), np.eye(E.shape[1]), A @ np.eye(E.shape[1])
+        return Frame(np.zeros((E.shape[1], 0)), np.eye(E.shape[1]), A @ np.eye(E.shape[1]))
     U, s, Vt = np.linalg.svd(E)
     rank = int(np.sum(s > max(E.shape) * np.finfo(float).eps * s.max(initial=0.0)))
     N = Vt[rank:].T
-    return Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), N, A @ N
+    return Frame(Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), N, A @ N)
 
 
-def _holds(M, r, x, z, gap):
-    """Whether gap(M x - r) <= FEAS_TOL (1 + |r| + |M| (|x| + |z|)) row by row."""
+def _holds(M, r, x, z, gap, floor):
+    """Whether gap(M x - r) <= FEAS_TOL (floor + |r| + |M| (|x| + |z|)) row by row."""
     if not len(M):
         return True
     excess = gap(M @ x - r)
-    return excess.max() <= FEAS_TOL or bool(np.all(excess <= FEAS_TOL * (
-        1.0 + np.abs(r) + np.abs(M) @ (np.abs(x) + np.abs(z)))))
+    return excess.max() <= FEAS_TOL * floor or bool(np.all(excess <= FEAS_TOL * (
+        floor + np.abs(r) + np.abs(M) @ (np.abs(x) + np.abs(z)))))
+
+
+def _face_point(A, b, E, d, frame, z, J):
+    """(x, y): x = z - C⁺(C z - r), nearest z on {A_J x = b_J, E x = d} if
+    that is not empty, and the least-norm y with z - x = Cᵀy (`Frame.faces`)."""
+    if (key := J.tobytes()) not in frame.faces:
+        frame.faces[key] = (C := np.vstack([A[J], E])), affine_frame(C[:0], C)[0]
+    C, pinv = frame.faces[key]
+    step = pinv @ (C @ z - np.concatenate([b[J], d]))
+    return z - step, step @ pinv
 
 
 def nearest_point(A, b, E, d, frame, z):
@@ -77,32 +98,37 @@ def nearest_point(A, b, E, d, frame, z):
     One least-distance program (Lawson & Hanson, *Solving Least Squares
     Problems*, 1974, ch. 23) in the set's `affine_frame` (E⁺, N, A N).
     x0 = z - E⁺(E z - d) meets the equalities, and x = x0 + N w.  If x0
-    violates no row of h = A x0 - b, it is the answer.  Otherwise one
+    violates no row of h = A x0 - b, it is the answer.  Else the face point
+    x of the rows V it violates (`_face_point`) is the answer if y_V >= 0,
+    A_V x = b_V, E x = d and A x <= b, each row to FEAS_TOL of its own
+    scale: a KKT certificate, positively homogeneous on a cone.  Else one
     verified NNLS solve on [-(A N)ᵀ; hᵀ / ||h||] against the last unit
-    vector answers min ||w|| s.t. -(A N) w >= h; the positive entries J
-    of its u are the rows active at the answer, which is then the nearest
-    point of {A_J x = b_J, E x = d} by one least-squares solve: exactly on
-    its face, and positively homogeneous on a cone.
+    vector answers min ||w|| s.t. -(A N) w >= h; the positive entries J of
+    its u are the rows active at the answer, which is then J's face point.
 
     Every answer is verified: a point only when it lies in the set
-    (`_holds`).  The set is empty when x0 misses E x = d, or when u is a
-    Farkas vector, (A N)ᵀu = 0 < hᵀu: ||(A N)ᵀu|| within FEAS_TOL of its
-    scale ||A N|| ||u||, and hᵀu above the rows' tolerances uᵀtol.  A row
-    with A N = 0 (to FEAS_TOL) is constant on E x = d: x0 decides it, and
-    the program is solved again without such rows.  Else `SolverFailure`.
+    (`_holds`, floor 1 after the NNLS).  The set is empty when x0 misses
+    E x = d, or when u is a Farkas vector, (A N)ᵀu = 0 < hᵀu: ||(A N)ᵀu||
+    within FEAS_TOL of its scale ||A N|| ||u||, and hᵀu above the rows'
+    tolerances uᵀtol.  A row with A N = 0 (to FEAS_TOL) is constant on
+    E x = d: x0 decides it, and the program is solved again without such
+    rows.  Else `SolverFailure`.
     """
     pinv, N, AN = frame
     x0 = z - pinv @ (E @ z - d)
-    if not _holds(E, d, x0, z, np.abs):
+    if not _holds(E, d, x0, z, np.abs, 1.0):
         return None
     h = A @ x0 - b
-    if not np.any(h > 0.0):
+    V = h > 0.0
+    if not V.any():
         return x0
+    x, y = _face_point(A, b, E, d, frame, z, V)
+    if y[:np.count_nonzero(V)].min() >= 0.0 and _holds(E, d, x, z, np.abs, 0.0) \
+            and _holds(A, b, x, z, lambda r: np.where(V, np.abs(r), r), 0.0):
+        return x
     u, _ = nonneg_lstsq(np.vstack([-AN.T, h / np.linalg.norm(h)]), np.eye(AN.shape[1] + 1)[-1])
-    J = u > 0.0
-    C = np.vstack([A[J], E])
-    x = z - np.linalg.lstsq(C, C @ z - np.concatenate([b[J], d]), rcond=None)[0]
-    if _holds(A, b, x, z, lambda r: r) and _holds(E, d, x, z, np.abs):
+    x = _face_point(A, b, E, d, frame, z, u > 0.0)[0]
+    if _holds(A, b, x, z, lambda r: r, 1.0) and _holds(E, d, x, z, np.abs, 1.0):
         return x
     tol = FEAS_TOL * (1.0 + np.abs(b) + np.abs(A) @ (np.abs(x0) + np.abs(z)))
     farkas = np.linalg.norm(AN.T @ u) <= FEAS_TOL * np.linalg.norm(AN) * np.linalg.norm(u)
@@ -110,7 +136,7 @@ def nearest_point(A, b, E, d, frame, z):
     if farkas and u @ tol < h @ u or np.any(flat & (h > tol)):
         return None
     if np.any(flat & (h > 0.0)):  # their columns (0, h_i / ||h||) misled u
-        return nearest_point(A[~flat], b[~flat], E, d, (pinv, N, AN[~flat]), z)
+        return nearest_point(A[~flat], b[~flat], E, d, Frame(pinv, N, AN[~flat]), z)
     raise SolverFailure("nearest point: neither the face point nor the Farkas vector verifies")
 
 

@@ -9,8 +9,8 @@ least squares (BVLS), which answers degenerate systems with their honest
 residual instead of a descent ray.  BVLS can fail too, with a huge u on
 opposite columns, so the answer is the first of BVLS's, scipy's and u = 0
 that is optimal, else the one of least true residual (a huge u can round
-to a residual below the optimum's).  A normal-cone distance reaches it only
-when its least-squares certificate fails (`polyhedral.normal_cone_dist_at_rows`).
+to a residual below the optimum's).  A normal-cone distance or a nearest
+point reaches it only when its certificate fails (`polyhedral`, `lp`).
 """
 
 import numpy as np

@@ -10,8 +10,9 @@ is memoized on the immutable polyhedron itself (`_derived`): its
 least-norm point, its equality frame (E⁺, a basis N of null(E) and the
 inequality rows on N), and per activity pattern J its normal and tangent
 cones and the normal-cone frame [A_J; E]⁺, since N_P(x) and T_P(x)
-depend on x only through the active rows.  The memos are deterministic,
-so results stay pure and concurrent calls stay safe; returned cones are
+depend on x only through the active rows (the equality frame keeps the
+face memo of `lp.nearest_point` too).  The memos are deterministic, so
+results stay pure and concurrent calls stay safe; returned cones are
 shared and must not be written to.
 """
 
@@ -250,9 +251,10 @@ def normal_cone_dist(P: Polyhedron, x, v) -> float:
 def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
     """dist(v, N_P(x)) at an x of P whose active rows are J.  The least-squares
     residual r = Cᵀy − v at y = (C⁺)ᵀv, with C = [A_J; E] and C⁺ kept on P
-    per J, bounds it below and is it when y_J >= 0 and C r passes the NNLS
-    first-order test; else one verified NNLS, the free equality multipliers
-    split into positive and negative parts."""
+    per J, bounds it below when C r passes the NNLS first-order test; with
+    y_J clipped at 0, ||Cᵀy⁺ − v|| bounds it above and is it when the two
+    agree to rounding; else one verified NNLS, the free equality
+    multipliers split into positive and negative parts."""
     v = np.asarray(v, dtype=float).ravel()
     if not (J or P.n_eq):
         return float(np.linalg.norm(v))
@@ -260,9 +262,11 @@ def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
         C := np.vstack([P.A[J], P.E]), affine_frame(C[:0], C)[0], max(1.0, np.abs(C).max())))
     y = v @ pinv
     r = C.T @ y - v
-    if y[:len(J)].min(initial=0.0) >= 0.0 \
-            and np.abs(C @ r).max() <= _OPT_TOL * max(top, np.abs(v).max()):
-        return float(np.linalg.norm(r))
+    y[:len(J)] = np.maximum(y[:len(J)], 0.0)  # below 0 by rounding only, or not
+    dist = float(np.linalg.norm(C.T @ y - v))
+    if np.abs(C @ r).max() <= _OPT_TOL * max(top, np.abs(v).max()) and dist - np.linalg.norm(r) \
+            <= len(y) * np.finfo(float).eps * max(top * max(1.0, np.abs(y).max()), np.abs(v).max()):
+        return dist
     return nonneg_lstsq(np.hstack([C.T, -P.E.T]), v)[1]
 
 

@@ -203,11 +203,11 @@ def rate_report(trace, reference: PrimalDual = None, tol: float = 1e-10) -> Rate
     Errors are measured against `reference`; without one, the step
     lengths ||x_{k+1} - x_k|| stand in for them (errors to the last iterate
     carry a factor 1 - q^(N-k) that makes a linear run read superlinear).
-    Classification rule: the last three primal ratios
-    strictly decreasing with the final one below 0.1 means superlinear;
-    ratios confined to [0.1, 0.95] with spread below 0.2 means linear;
-    vanishing steps without convergence means stalled; anything else is
-    sublinear.
+    Classification rule: the last three primal ratios below 0.5 with
+    geometric mean below 0.1 (decreasing strictly unless the run converged)
+    means superlinear; ratios confined to [0.1, 0.95] with spread below 0.2
+    means linear; vanishing steps without convergence means stalled;
+    anything else is sublinear.
 
     When the run converged (final residual <= tol), errors (or steps) at
     most LANDED_REL (1 + |x_ref|) have landed: their size is rounding, not
@@ -234,8 +234,8 @@ def rate_report(trace, reference: PrimalDual = None, tol: float = 1e-10) -> Rate
     steps = [rec.step_norm for rec in trace[-3:]]
     if converged and len(errs) < 4:
         cls = "superlinear"  # landed before a rate could show
-    elif len(tail) == 3 and all(np.isfinite(t) for t in tail) and \
-            tail[0] > tail[1] > tail[2] and tail[2] < 0.1:
+    elif len(tail) == 3 and max(tail) < 0.5 and np.prod(tail) < 1e-3 \
+            and (converged or tail[0] > tail[1] > tail[2]):
         cls = "superlinear"
     elif finite and all(0.1 <= r <= 0.95 for r in finite) and \
             (max(finite) - min(finite)) < 0.2:

@@ -17,9 +17,10 @@ import numpy as np
 from scipy.linalg import null_space
 
 from plqsqp import diagnostics
-from plqsqp.errors import DimensionMismatch, PointOutsideDomain, TooManyRows
+from plqsqp.errors import DimensionMismatch, PointOutsideDomain, SolverFailure, TooManyRows
 from plqsqp.kkt import kkt_point, multiplier_set
-from plqsqp.lp import LP_OPTIMAL, feasible_point, solve_lp
+from plqsqp.lp import FEAS_TOL, LP_OPTIMAL, affine_frame, feasible_point, solve_lp
+from plqsqp.nonneg import nonneg_lstsq
 from plqsqp.qp import active_set_qp
 from plqsqp.plq import piece_critical_cones, prox
 from plqsqp.polyhedral import (
@@ -339,6 +340,44 @@ def phase_one_empty(A, b, E, d) -> bool:
     if status != LP_OPTIMAL:
         return True
     return total > 1e-9 * (1.0 + float(np.abs(np.r_[b, d]).max(initial=0.0)))
+
+
+def nearest_point_by_nnls(A, b, E, d, z):
+    """The point of {A x <= b, E x = d} nearest z, or None when the set is
+    empty, by the route `lp.nearest_point` took before its face
+    certificate: x0 = z - E⁺(E z - d), one verified NNLS on
+    [-(A N)ᵀ; hᵀ/||h||] for the active rows J whenever x0 violates a row of
+    h = A x0 - b, then the nearest point of {A_J x = b_J, E x = d} by
+    `np.linalg.lstsq`.  A point is returned only when every row holds to
+    FEAS_TOL (1 + |r| + |M|(|x| + |z|)); emptiness needs a Farkas vector
+    or a row constant on E x = d that x0 misses; rows constant on
+    E x = d that mislead the NNLS are dropped; else SolverFailure."""
+    pinv, N, AN = affine_frame(A, E)
+
+    def holds(M, r, x, gap):
+        excess = gap(M @ x - r)
+        return not len(M) or excess.max() <= FEAS_TOL or bool(np.all(excess <= FEAS_TOL * (
+            1.0 + np.abs(r) + np.abs(M) @ (np.abs(x) + np.abs(z)))))
+
+    x0 = z - pinv @ (E @ z - d)
+    if not holds(E, d, x0, np.abs):
+        return None
+    h = A @ x0 - b
+    if not np.any(h > 0.0):
+        return x0
+    u, _ = nonneg_lstsq(np.vstack([-AN.T, h / np.linalg.norm(h)]), np.eye(AN.shape[1] + 1)[-1])
+    C = np.vstack([A[u > 0.0], E])
+    x = z - np.linalg.lstsq(C, C @ z - np.concatenate([b[u > 0.0], d]), rcond=None)[0]
+    if holds(A, b, x, lambda r: r) and holds(E, d, x, np.abs):
+        return x
+    tol = FEAS_TOL * (1.0 + np.abs(b) + np.abs(A) @ (np.abs(x0) + np.abs(z)))
+    farkas = np.linalg.norm(AN.T @ u) <= FEAS_TOL * np.linalg.norm(AN) * np.linalg.norm(u)
+    flat = np.linalg.norm(AN, axis=1) <= FEAS_TOL * np.linalg.norm(A, axis=1)
+    if farkas and u @ tol < h @ u or np.any(flat & (h > tol)):
+        return None
+    if np.any(flat & (h > 0.0)):
+        return nearest_point_by_nnls(A[~flat], b[~flat], E, d, z)
+    raise SolverFailure("nearest point oracle: no face point or Farkas vector verifies")
 
 
 def implicit_equalities_by_lp(M, rows):

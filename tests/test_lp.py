@@ -4,8 +4,14 @@ import pytest
 from plqsqp import lp as lp_module
 from plqsqp.errors import SolverFailure
 from plqsqp.lp import LPBuilder, affine_frame, nearest_point
+from plqsqp.polyhedral import PolyCone, Polyhedron, project
 
-from oracles import implicit_equalities_by_lp, nonzero_block_by_coordinates, phase_one_empty
+from oracles import (
+    implicit_equalities_by_lp,
+    nearest_point_by_nnls,
+    nonzero_block_by_coordinates,
+    phase_one_empty,
+)
 
 
 def _agrees_with_oracle(lp, name):
@@ -261,22 +267,115 @@ def test_nearest_point_agrees_with_the_phase_one_oracle(offset):
     assert 20 <= sum(verdicts) <= 180
 
 
+def _count_nnls(monkeypatch):
+    calls = []
+    nnls = lp_module.nonneg_lstsq
+    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: calls.append(M) or nnls(M, r))
+    return calls
+
+
+def test_face_certificate_agrees_with_the_nnls_route(monkeypatch):
+    # random sets with equality rows, duplicated and opposite rows, and
+    # empty ones, with b, d and z scaled by s in [1e-8, 1e8] (and the rows
+    # by up to 1e3 either way in one trial of five): the certificate and the
+    # NNLS-then-face route agree on emptiness and on the point; both the
+    # certificate and the NNLS after it answer many of them
+    calls = _count_nnls(monkeypatch)
+    rng = np.random.default_rng(32)
+    certified = fallbacks = empty = 0
+    for trial in range(400):
+        A, b, E, d = _random_system(rng, trial % 4)
+        s = 10.0 ** rng.uniform(-8.0, 8.0)
+        if trial % 5 == 0:
+            A = A * 10.0 ** rng.uniform(-3.0, 3.0)
+        b, d, z = s * b, s * d, 3.0 * s * rng.standard_normal(A.shape[1])
+        frame = affine_frame(A, E)
+        before = len(calls)
+        x = nearest_point(A, b, E, d, frame, z)
+        expected = nearest_point_by_nnls(A, b, E, d, z)
+        assert (x is None) == (expected is None), trial
+        if x is None:
+            empty += 1
+            continue
+        assert np.linalg.norm(x - expected) <= 1e-12 * (np.linalg.norm(z) + np.linalg.norm(x))
+        violated = np.any(A @ (z - frame[0] @ (E @ z - d)) > b)
+        certified += violated and len(calls) == before
+        fallbacks += len(calls) > before
+    assert min(certified, fallbacks, empty) >= 50, (certified, fallbacks, empty)
+
+
+def test_repeated_projections_at_one_pattern_build_one_face_inverse(monkeypatch):
+    # the triangle x >= 0, x1 + x2 <= 1: three points beyond its long edge
+    # share one face pseudo-inverse, kept on P's frame, and run no NNLS;
+    # a point beyond a vertex builds one more
+    frames = []
+    build = lp_module.affine_frame
+    monkeypatch.setattr(lp_module, "affine_frame", lambda A, E: frames.append(E) or build(A, E))
+    calls = _count_nnls(monkeypatch)
+    P = Polyhedron(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0]),
+                   np.zeros((0, 2)), np.zeros(0))
+    for z, x in (((0.8, 0.7), (0.55, 0.45)), ((1.0, 0.5), (0.75, 0.25)), ((0.6, 1.0), (0.3, 0.7))):
+        assert np.allclose(project(P, z), x, rtol=0.0, atol=1e-15)
+    assert len(frames) == 1 and calls == []
+    assert np.allclose(project(P, [3.0, -1.0]), [1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert len(frames) == 2 and calls == []
+
+
+def test_a_negative_face_multiplier_reaches_the_nnls(monkeypatch):
+    # z = (1, 5) violates x1 <= 0 and x1 + 0.1 x2 <= 0; their vertex 0
+    # needs the multiplier -49 on x1 <= 0, so the NNLS decides: the answer
+    # lies on the second row alone
+    calls = _count_nnls(monkeypatch)
+    A, E = np.array([[1.0, 0.0], [1.0, 0.1]]), np.zeros((0, 2))
+    z = np.array([1.0, 5.0])
+    x = nearest_point(A, np.zeros(2), E, np.zeros(0), affine_frame(A, E), z)
+    assert len(calls) == 1
+    assert np.allclose(x, z - 1.5 / 1.01 * A[1], rtol=0.0, atol=1e-15)
+    expected = nearest_point_by_nnls(A, np.zeros(2), E, np.zeros(0), z)
+    assert np.allclose(x, expected, rtol=0.0, atol=1e-15)
+
+
+def test_cone_projections_stay_positively_homogeneous():
+    # rows at their own scale, with no absolute floor: the certificate and
+    # the NNLS after it give t P(v) at t v for t from 1e-14 to 1e8, on
+    # random cones with duplicated, opposite and equality rows
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        A = rng.standard_normal((int(rng.integers(1, 7)), n))
+        if rng.random() < 0.3:
+            A = np.vstack([A, 2.0 * A[0]])
+        if rng.random() < 0.3:
+            A = np.vstack([A, -A[-1]])
+        K = PolyCone.from_rows(A, rng.standard_normal((int(rng.integers(0, min(n, 3))), n)), n)
+        v = rng.standard_normal(n)
+        p = project(K, v)
+        for t in 10.0 ** np.arange(-14, 9, 2):
+            assert np.linalg.norm(project(K, t * v) - t * p) <= 1e-12 * t * np.linalg.norm(v)
+
+
 def test_unverified_answers_raise_solver_failure(monkeypatch):
-    # u = e_0 certifies nothing: its face point (1, 0) misses x2 >= 1, and
-    # (A N)^T u = A_0 is not zero, so it proves no emptiness, whether the
-    # set is empty or not; no point is returned unverified
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    # z = (2, 0.5) violates only x1 + x2 <= b_2, and the point of that
+    # line nearest z misses x2 >= 0, so the face certificate fails and the
+    # NNLS decides.  u = e_0 certifies nothing: its face point (2, 0)
+    # misses x1 + x2 <= b_2, and (A N)^T u = A_0 is not zero, so it proves
+    # no emptiness, whether the set is empty or not; no point is returned
+    # unverified
+    A = np.array([[0.0, -1.0], [-1.0, 0.0], [1.0, 1.0]])
     E, d = np.zeros((0, 2)), np.zeros(0)
     frame = affine_frame(A, E)
-    box = np.array([1.0, 0.0, 2.0, -1.0])  # [0, 1] x [1, 2]
-    empty = np.array([1.0, -2.0, 2.0, -1.0])  # x1 <= 1 and x1 >= 2
-    z = np.array([3.0, 0.0])
-    assert np.allclose(nearest_point(A, box, E, d, frame, z), [1.0, 1.0])
+    triangle = np.array([0.0, 0.0, 1.0])  # x >= 0, x1 + x2 <= 1
+    empty = np.array([0.0, 0.0, -1.0])  # x >= 0, x1 + x2 <= -1
+    z = np.array([2.0, 0.5])
+    assert np.allclose(nearest_point(A, triangle, E, d, frame, z), [1.0, 0.0])
     assert nearest_point(A, empty, E, d, frame, z) is None
-    monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda M, r: (np.eye(M.shape[1])[0], 1.0))
-    for b in (box, empty):
+    calls = []
+    monkeypatch.setattr(lp_module, "nonneg_lstsq",
+                        lambda M, r: calls.append(M) or (np.eye(M.shape[1])[0], 1.0))
+    for b in (triangle, empty):
         with pytest.raises(SolverFailure):
             nearest_point(A, b, E, d, frame, z)
+    assert len(calls) == 2
     # {x = 1e-17, x <= 0, x >= -5} misses x <= 0 by rounding only: a u with
     # both rows in its support misplaces the point, and its h^T u = 5e-18 > 0
     # lies below the rows' tolerances, so it proves no emptiness either.

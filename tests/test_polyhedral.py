@@ -412,6 +412,21 @@ def test_a_negative_least_squares_multiplier_reaches_the_nnls(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_multiplier_negative_by_rounding_is_clipped(monkeypatch):
+    # v = 1.9 A_0 + 0 A_1 + 0.63 E_0 lies on a face of N_P: its least-squares
+    # y_1 reads -4e-17, and clipped at 0 it meets the lower bound ||r||, so
+    # the distance needs no NNLS and is the stacked NNLS's
+    calls = _count_nnls(monkeypatch)
+    A = np.array([[0.13, -0.13, 0.64], [0.1, -0.54, 0.36]])
+    E = np.array([[1.3, 0.95, -0.7]])
+    v = A.T @ [1.9, 0.0] + E.T @ [0.63]
+    C = np.vstack([A, E])
+    assert -1e-16 < (v @ polyhedral.affine_frame(C[:0], C)[0])[1] < 0.0
+    dist = normal_cone_dist_at_rows(Polyhedron(A, np.zeros(2), E, np.zeros(1)), [0, 1], v)
+    assert calls == []
+    assert abs(dist - nonneg_lstsq(np.hstack([A.T, E.T, -E.T]), v)[1]) <= 1e-15
+
+
 # -- critical cones ----------------------------------------------------------
 
 def test_critical_cone_examples():

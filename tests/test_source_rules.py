@@ -414,6 +414,8 @@ def test_no_lp_on_a_runtime_path():
 
 
 def test_subspaces_have_one_frame():
+    # every null space, pseudo-inverse and rank decision reads `affine_frame`,
+    # and so does every least-squares point: no `lstsq` in the package
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -430,7 +432,8 @@ def test_subspaces_have_one_frame():
             for ref, line in _referenced_names(node):
                 if ref in {"svd", "null_space", "orth"} \
                         and (path.name, name) != ("lp.py", "affine_frame") \
-                        or ref == "matrix_rank" and path.name != "generators.py":
+                        or ref == "matrix_rank" and path.name != "generators.py" \
+                        or ref == "lstsq":
                     found.add((path.name, ref, line))
     assert not found, sorted(found)
     lp = ast.parse((PACKAGE / "lp.py").read_text())

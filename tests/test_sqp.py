@@ -451,6 +451,41 @@ def test_rate_report_linear_rule():
     assert rep.classification == "linear"
 
 
+@pytest.mark.parametrize("converged", [False, True])
+def test_linear_sequences_never_read_superlinear(converged):
+    # errors c q^k for q in [0.1, 0.95], with and without a landed last
+    # iterate: the geometric mean of three ratios q is not below 0.1
+    ref = PrimalDual(np.zeros(1), np.zeros(1))
+    for q in np.linspace(0.1, 0.95, 18):
+        for c in (3e-7, 1e-3, 1.0, 7.3, 1e4):
+            for K in (5, 8, 12):
+                errs = [c * q ** k for k in range(K)]
+                for tail in ([], [1e-16]):
+                    trace = _fake_trace(errs + tail)
+                    if converged:
+                        trace[-1].residual = 0.0
+                    assert rate_report(trace, ref).classification != "superlinear", (q, c, K)
+
+
+def test_non_monotone_superlinear_sequences_read_superlinear():
+    # criterion 5's min-max seed 11, start 0 ends with the ratios 0.0097,
+    # 0.022, 0.0017; random ratios 0.3 U(0.2, 3) / (k + 1)^2 tend to 0 with
+    # no monotone tail in most runs.  Each converged run reads superlinear
+    ref = PrimalDual(np.zeros(1), np.zeros(1))
+    rng = np.random.default_rng(15)
+    runs = [[0.3, 0.1, 0.0097, 0.022, 0.0017]] + [
+        0.3 * rng.uniform(0.2, 3.0, 6) / (1.0 + np.arange(6)) ** 2 for _ in range(50)]
+    unordered = 0
+    for ratios in runs:
+        trace = _fake_trace(list(np.cumprod(np.r_[1.0, ratios])))
+        trace[-1].residual = 0.0
+        rep = rate_report(trace, ref)
+        assert rep.classification == "superlinear", ratios
+        tail = rep.ratios_primal[-3:]
+        unordered += not tail[0] > tail[1] > tail[2]
+    assert unordered >= 25
+
+
 def test_rate_report_stalled_rule():
     trace = _fake_trace([0.3, 0.3, 0.3, 0.3, 0.3])
     for rec in trace:
