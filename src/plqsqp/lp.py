@@ -149,33 +149,68 @@ def implicit_equalities(M, rows=None):
     """(implicit, y): the nonzero rows k of `rows` (default all) with M[k] y = 0
     on all of {y : M y <= 0}, and a point y there with M[k] y <= -1 on the rest.
 
-    Gordan's alternative, by one NNLS per undecided row k (Lawson & Hanson,
-    ch. 23): with G the other rows of norm > 1e-12, r = G^T u + M[k] at the
-    least u >= 0 is 0 (k implicit), or -r/||r|| has G y <= 0 > M[k] y and
-    decides every row it holds strictly.  Both are verified to FEAS_TOL of
-    the row norms, else `SolverFailure`; y is the scaled sum of the latter.
+    Rows of norm > 1e-12 whose |cos| is within FEAS_TOL of 1 are compared
+    by their unit normals first, to FEAS_TOL: a row with a negative multiple
+    among them is implicit, and so is its partner, and positive multiples
+    are one class.  The lines of the opposite rows are taken out in their
+    `affine_frame` N, so no NNLS sees an opposite pair of columns.  Then
+    Gordan's alternative decides each undecided row k (Lawson & Hanson,
+    ch. 23): with G one row per other class, opposite rows and rows flat on
+    N left out, r = G^T u + M[k] on N at the least u >= 0 (u = 0 without
+    the NNLS when G M[k] >= 0) is 0 (k implicit), or c = -N r/||r|| has
+    M c <= 0 > M[k] c and decides every row it holds strictly.  Both are
+    verified to FEAS_TOL of the row norms, else `SolverFailure`; y is the
+    scaled sum of the latter.
     """
     norms = np.linalg.norm(M, axis=1)
     live = norms > 1e-12  # rows a null-space basis zeroed generate nothing
     rows = [k for k in (range(len(M)) if rows is None else rows) if live[k]]
-    strict, y = set(), np.zeros(M.shape[1])
+    if not rows:
+        return [], np.zeros(M.shape[1])
+    kind = np.where(live, np.arange(len(M)), -1)  # the first row of each live row's class
+    paired = np.zeros(len(M), dtype=bool)  # the rows with a negative multiple
+    N, MN, columns = np.eye(M.shape[1]), M, live  # columns: one row per class, unpaired
+    i = j = ()
+    if np.count_nonzero(live) > 1:  # the live pairs i < j with |cos| near 1
+        U = M / np.where(live, norms, 1.0)[:, None]
+        i, j = np.nonzero(np.abs(U @ U.T) >= 1.0 - FEAS_TOL)
+        i, j = i[i < j], j[i < j]
+    if len(i):  # the FEAS_TOL tests
+        same = np.linalg.norm(U[i] - U[j], axis=1) <= FEAS_TOL
+        facing = np.linalg.norm(U[i] + U[j], axis=1) <= FEAS_TOL
+        np.minimum.at(kind, j[same], i[same])
+        paired[i[facing]] = paired[j[facing]] = True
+        lines = paired.copy()  # one normal per line: rounding between copies is no direction
+        lines[j[same | facing]] = False
+        if not paired[rows].all():  # else every row asked about is decided
+            _, N, MN = affine_frame(M, U[lines])
+        # a row flat on N lies in the lines' span: it generates no column
+        columns = (kind == np.arange(len(M))) & ~paired \
+            & (np.linalg.norm(MN, axis=1) > FEAS_TOL * norms)
+    asked, strict = np.zeros(len(M), dtype=bool), np.zeros(len(M), dtype=bool)
+    asked[rows] = True
+    tol, equal, y = FEAS_TOL * norms, set(kind[paired]), np.zeros(M.shape[1])
+    bound = np.where(live, tol, np.inf)  # no row may exceed it at a certificate
     for k in rows:
-        if k in strict:
+        if strict[k] or kind[k] in equal:
             continue
-        G = M[live & (np.arange(len(M)) != k)]
-        r = G.T @ nonneg_lstsq(G.T, -M[k])[0] + M[k]
-        if np.linalg.norm(r) <= FEAS_TOL * norms[k]:
-            continue  # -M[k] = G^T u: an implicit equality
-        c = -r / np.linalg.norm(r)
+        G = MN[columns & (kind != kind[k])]
+        r = MN[k] if not len(G) or (G @ MN[k]).min() >= 0.0 \
+            else G.T @ nonneg_lstsq(G.T, -MN[k])[0] + MN[k]
+        length = np.sqrt(r.dot(r))  # np.linalg.norm(r), without its checks
+        if length <= tol[k]:
+            equal.add(kind[k])  # -M[k] = G^T u on N: an implicit equality
+            continue
+        c = -N @ r / length
         Mc = M @ c
-        if not (Mc[k] < -FEAS_TOL * norms[k] and np.all(Mc[live] <= FEAS_TOL * norms[live])):
+        if not (Mc[k] < -tol[k] and (Mc <= bound).all()):
             raise SolverFailure(f"implicit equalities: no answer for row {k} verifies")
-        strict.update(j for j in rows if Mc[j] < -FEAS_TOL * norms[j])
+        strict |= asked & (Mc < -tol)
         y += c
-    top = max((M[k] @ y for k in strict), default=-1.0)
+    top = max((M[k] @ y for k in np.flatnonzero(strict)), default=-1.0)
     if top >= 0.0:
         raise SolverFailure("implicit equalities: summed certificates cancel on a strict row")
-    return [k for k in rows if k not in strict], y / -top
+    return [k for k in rows if not strict[k]], y / -top
 
 
 class LPBuilder:

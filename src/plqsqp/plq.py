@@ -11,7 +11,11 @@ proto-derivative graph of the subgradient mapping), and proximal points.
 Each function builds one table (`_PieceTable`) at construction: every
 piece's rows stacked with the piece owning each row, and every piece's
 least-distance frame, so membership, active rows and subgradient tests
-at a point are one product with it, and a bad piece fails there.
+at a point are one product with it, and a bad piece fails there.  The
+load certificates are exact on the pieces: consistency on the affine hull
+of every intersection of two pieces, and convexity from each piece's
+curvature on its hull and the gradient jump across every shared facet,
+on a domain taken to be convex (that is not checked).
 
 DualLQ is the dual representation sup_{u in Omega} {<z,u> - ½<u,Bu>}; it
 is kept separate from the piece representation and supports evaluation,
@@ -32,19 +36,21 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
-from .lp import affine_frame, nearest_point
+from .lp import FEAS_TOL, affine_frame, feasible_point, nearest_point
 from .polyhedral import (
     ACT_TOL,
     MEMBER_TOL,
     NORMAL_TOL,
+    PolyCone,
     Polyhedron,
+    active_rows,
     contains,
-    intersect,
     interior_point,
     normal_cone_dist_at_rows,
     normal_cone_hrep,
     project,
     prune_redundant,
+    span_basis,
     tangent_cone,
     tangent_cone_at_rows,
 )
@@ -453,7 +459,7 @@ def prox_any(g, x, near=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# certificates (sampling-based validation of user-supplied pieces)
+# certificates (exact validation of user-supplied pieces on a domain taken convex)
 # ---------------------------------------------------------------------------
 
 def sample_domain_point(g: PLQFunction, rng, radius=1.0):
@@ -463,34 +469,130 @@ def sample_domain_point(g: PLQFunction, rng, radius=1.0):
     return project(C, interior_point(C) + radius * rng.standard_normal(g.m))
 
 
-def check_consistency(g: PLQFunction, rng):
-    """Values of overlapping pieces must agree on shared points."""
-    for i in range(len(g.pieces)):
-        for j in range(i + 1, len(g.pieces)):
-            both = intersect(g.pieces[i].C, g.pieces[j].C)
-            z0 = interior_point(both)
-            if z0 is None:
-                continue
-            for _ in range(max(2, 50 // len(g.pieces))):
-                z = project(both, z0 + rng.standard_normal(g.m))
-                if abs(g.pieces[i].value(z) - g.pieces[j].value(z)) > 1e-9 * (1 + abs(g.pieces[i].value(z))):
-                    return False, f"pieces {i} and {j} disagree at {z.tolist()}"
+def _rows(*Cs):
+    """(A, b, E, d) of the intersection of the polyhedra Cs, rows stacked in order."""
+    return (np.vstack([C.A for C in Cs]), np.concatenate([C.b for C in Cs]),
+            np.vstack([C.E for C in Cs]), np.concatenate([C.d for C in Cs]))
+
+
+def _hull(A, b, E, d):
+    """(z0, H) for P = {A x <= b, E x = d}: its least-norm point z0
+    (`feasible_point`, as `interior_point`) and an orthonormal basis H of
+    the directions of aff P, so aff P = z0 + span H; None when P is empty.
+    Rows inactive at z0 hold strictly on P, z0 the witness; the implicit
+    equalities among the active rows J are those of the cone
+    {A_J y <= 0, E y = 0}, whose span is H (`span_basis`)."""
+    z0 = feasible_point(A, b, E, d)
+    if z0 is None:
+        return None
+    J = b - A @ z0 <= ACT_TOL * (1.0 + np.abs(b))
+    return z0, span_basis(PolyCone.from_rows(A[J], E, len(z0)))
+
+
+def _apart(g: PLQFunction) -> np.ndarray:
+    """apart[i, j]: the bounds that the table's single-coordinate rows put on
+    pieces i and j leave a gap above FEAS_TOL of its scale in some coordinate,
+    so C_i and C_j do not meet."""
+    T, n = g._table, len(g.pieces)
+    lo, hi = np.full((n, g.m), -np.inf), np.full((n, g.m), np.inf)
+    single = np.flatnonzero(np.count_nonzero(T.A, axis=1) == 1)
+    k = np.argmax(T.A[single] != 0.0, axis=1)
+    coef, owner = T.A[single, k], T.owner[single]
+    bound, up = T.b[single] / coef, coef > 0.0
+    np.minimum.at(hi, (owner[up], k[up]), bound[up])
+    np.maximum.at(lo, (owner[~up], k[~up]), bound[~up])
+    apart = np.zeros((n, n), dtype=bool)
+    for k in range(g.m):
+        apart |= lo[:, None, k] - hi[None, :, k] \
+            > FEAS_TOL * (1.0 + np.abs(lo[:, None, k]) + np.abs(hi[None, :, k]))
+    return apart | apart.T
+
+
+def _meetings(g: PLQFunction) -> list:
+    """[(i, j, z0, H)] for the pieces i < j that meet: z0 is the least-norm
+    point of F = C_i ∩ C_j and aff F = z0 + span H (`_hull`).  Pairs that
+    `_apart` rules out are not built.  Kept on g, as both certificates read it."""
+    memo = getattr(g, "_meeting_memo", None)
+    if memo is None:
+        memo = []
+        for i, j in zip(*np.nonzero(np.triu(~_apart(g), 1))):
+            hull = _hull(*_rows(g.pieces[i].C, g.pieces[j].C))
+            if hull is not None:
+                memo.append((int(i), int(j), *hull))
+        object.__setattr__(g, "_meeting_memo", memo)
+    return memo
+
+
+def _negligible(x, ref) -> bool:
+    """Whether max|x| <= 1e-9 (1 + max|ref|), the scale on which two piece
+    values count as equal."""
+    return np.abs(x).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(ref).max(initial=0.0))
+
+
+def check_consistency(g: PLQFunction):
+    """Whether the pieces agree wherever two of them meet; (ok, why).
+
+    Exact on the piece table: the quadratic difference (ΔA, Δa, Δα) of
+    pieces i and j vanishes on F = C_i ∩ C_j iff it vanishes on aff F =
+    z0 + span H (`_meetings`), that is iff Hᵀ ΔA H = 0, Hᵀ(ΔA z0 + Δa) = 0
+    and the difference at z0 is 0, each to 1e-9 of piece i's matching term
+    (`_negligible`)."""
+    for i, j, z0, H in _meetings(g):
+        p, q = g.pieces[i], g.pieces[j]
+        if not (_negligible(H.T @ (p.A - q.A) @ H, H.T @ p.A @ H)
+                and _negligible(H.T @ (p.gradient(z0) - q.gradient(z0)), H.T @ p.gradient(z0))
+                and _negligible(p.value(z0) - q.value(z0), p.value(z0))):
+            return False, f"pieces {i} and {j} disagree on their intersection, near {z0.tolist()}"
     return True, ""
 
 
-def check_convexity(g: PLQFunction, rng):
-    """Midpoint convexity certificate over sampled domain pairs."""
-    for _ in range(100):
-        z1 = sample_domain_point(g, rng)
-        z2 = sample_domain_point(g, rng)
-        t = float(rng.uniform(0.1, 0.9))
-        zm = t * z1 + (1 - t) * z2
-        fm = evaluate(g, zm)
-        if not np.isfinite(fm):
+def check_convexity(g: PLQFunction):
+    """Whether g, its pieces consistent (`check_consistency`), is convex; (ok, why).
+
+    Exact on the piece table (Rockafellar & Wets, *Variational Analysis*,
+    Def. 10.20; Sun, JOTA 72, 1992): each A_i is positive semidefinite on
+    the directions H_i of aff C_i, and across each facet F of two full
+    pieces (hull dimension d, the largest) meeting in dimension d - 1 the
+    gradient jumps outward: (∇q_j - ∇q_i)·n >= 0 on F, n the unit normal
+    of aff F in aff C_i pointing out of C_i (along a row of C_i that holds
+    with equality on F).  On z0 + H y the jump is h0 + cᵀy with
+    c = Hᵀ(A_j - A_i) n; a c that `_negligible` leaves constant decides by
+    h0, else F's rows at z0 + H y with cᵀy <= -h0 - tol must be empty
+    (`feasible_point`), tol NORMAL_TOL of the gradients' scale, above the
+    FEAS_TOL band of that decision.
+
+    The criterion assumes dom g convex, and that is not checked: the
+    union of the pieces may be nonconvex and pass.
+    """
+    hulls = [_hull(*_rows(p.C))[1] for p in g.pieces]
+    for i, (p, H) in enumerate(zip(g.pieces, hulls)):
+        if not _negligible(np.minimum(np.linalg.eigvalsh(H.T @ p.A @ H), 0.0), H.T @ p.A @ H):
+            return False, f"piece {i}: its quadratic term is not positive semidefinite on its hull"
+    d = max(H.shape[1] for H in hulls)
+    for i, j, z0, H in _meetings(g):
+        if H.shape[1] != d - 1 or min(hulls[i].shape[1], hulls[j].shape[1]) < d:
             continue
-        bound = t * evaluate(g, z1) + (1 - t) * evaluate(g, z2)
-        if fm > bound + 1e-9 * (1 + abs(bound)):
-            return False, f"convexity violated at t={t}"
+        p, q, C = g.pieces[i], g.pieces[j], g.pieces[i].C
+        tight = C.A[active_rows(C, z0)]  # the rows of C_i that hold with equality on F
+        tight = tight[np.linalg.norm(tight @ H, axis=1) <= FEAS_TOL * np.linalg.norm(tight, axis=1)]
+        out = hulls[i] @ (hulls[i].T @ tight.T)
+        n = out[:, np.argmax(np.linalg.norm(out, axis=0))]
+        n = n / np.linalg.norm(n)
+        gp, gq = p.gradient(z0) @ n, q.gradient(z0) @ n
+        h0, c = gq - gp, H.T @ (q.A - p.A) @ n
+        tol = NORMAL_TOL * (1.0 + abs(gp) + abs(gq))
+        if _negligible(c, q.A - p.A):
+            inward = h0 < -tol
+        else:  # rows flat on aff F hold on all of it
+            A, b, _, _ = _rows(C, q.C)
+            AH = A @ H
+            keep = np.linalg.norm(AH, axis=1) > FEAS_TOL * np.linalg.norm(A, axis=1)
+            inward = feasible_point(np.vstack([AH[keep], c]),
+                                    np.append((b - A @ z0)[keep], -h0 - tol),
+                                    np.zeros((0, len(c))), np.zeros(0)) is not None
+        if inward:
+            return False, (f"pieces {i} and {j}: the gradient jumps inward across their facet "
+                           f"near {z0.tolist()}")
     return True, ""
 
 

@@ -2,13 +2,13 @@
 
 A problem file is JSON: either the bare problem object or
 {"problem": {...}, "metadata": {...}}.  Loading validates structure and
-runs the sampling certificates (piece consistency and convexity) with a
-fixed seed; certificate failures abort the load.
+runs the exact certificates of a piecewise g, piece consistency and
+convexity, read off its piece table; a failure aborts the load.  The
+convexity criterion takes dom g, the union of the pieces, to be convex,
+and that is not checked.
 """
 
 import json
-
-import numpy as np
 
 from .errors import ParseError, PLQError, ValidationError
 from .kkt import CompositeProblem
@@ -40,11 +40,10 @@ def load_problem(path):
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"{path}: malformed field ({exc})") from exc
     if isinstance(problem.g, PLQFunction):
-        rng = np.random.default_rng(20240 + len(problem.g.pieces))
-        ok, why = check_consistency(problem.g, rng)
+        ok, why = check_consistency(problem.g)
         if not ok:
             raise ValidationError(f"piece consistency certificate failed: {why}")
-        ok, why = check_convexity(problem.g, rng)
+        ok, why = check_convexity(problem.g)
         if not ok:
             raise ValidationError(f"convexity certificate failed: {why}")
     return problem, metadata

@@ -7,7 +7,8 @@ activity-pattern systems used by the diagnostics module; the pattern
 oracle decides those systems for every pattern of the product, not by
 the pruned walk; and the uniqueness oracle bounds the multiplier
 polyhedron coordinate by coordinate, not with the dual cone condition.
-The enumerations, residuals and the Lagrangian below serve only as test
+The load certificates of a piecewise g are sampled here, at projected
+points and midpoints, not decided on the piece table.  The enumerations, residuals and the Lagrangian below serve only as test
 references, so they live here rather than in the package.
 """
 
@@ -22,7 +23,7 @@ from plqsqp.kkt import kkt_point, multiplier_set
 from plqsqp.lp import FEAS_TOL, LP_OPTIMAL, affine_frame, feasible_point, solve_lp
 from plqsqp.nonneg import nonneg_lstsq
 from plqsqp.qp import active_set_qp
-from plqsqp.plq import piece_critical_cones, prox
+from plqsqp.plq import evaluate, piece_critical_cones, prox, sample_domain_point
 from plqsqp.polyhedral import (
     PolyCone,
     Polyhedron,
@@ -31,6 +32,7 @@ from plqsqp.polyhedral import (
     critical_cone,
     enumerate_faces,
     generated_cone_hrep,
+    interior_point,
     intersect,
     lineality_basis,
     normal_cone_dist,
@@ -192,6 +194,40 @@ def prox_all_pieces(g, x) -> np.ndarray:
         if val < best_val:
             best, best_val = z, val
     return best
+
+
+def consistency_by_sampling(g, rng):
+    """(ok, why): whether overlapping pieces agree at sampled points of their
+    intersection, max(2, 50 // pieces) projections per meeting pair, each
+    to 1e-9 (1 + |value|): the sampled counterpart of `plq.check_consistency`."""
+    for i in range(len(g.pieces)):
+        for j in range(i + 1, len(g.pieces)):
+            both = intersect(g.pieces[i].C, g.pieces[j].C)
+            z0 = interior_point(both)
+            if z0 is None:
+                continue
+            for _ in range(max(2, 50 // len(g.pieces))):
+                z = project(both, z0 + rng.standard_normal(g.m))
+                vi, vj = g.pieces[i].value(z), g.pieces[j].value(z)
+                if abs(vi - vj) > 1e-9 * (1 + abs(vi)):
+                    return False, f"pieces {i} and {j} disagree at {z.tolist()}"
+    return True, ""
+
+
+def convexity_by_sampling(g, rng):
+    """(ok, why): midpoint convexity over 100 sampled pairs of domain points,
+    midpoints outside dom g skipped: the sampled counterpart of
+    `plq.check_convexity`."""
+    for _ in range(100):
+        z1, z2 = sample_domain_point(g, rng), sample_domain_point(g, rng)
+        t = float(rng.uniform(0.1, 0.9))
+        fm = evaluate(g, t * z1 + (1 - t) * z2)
+        if not np.isfinite(fm):
+            continue
+        bound = t * evaluate(g, z1) + (1 - t) * evaluate(g, z2)
+        if fm > bound + 1e-9 * (1 + abs(bound)):
+            return False, f"convexity violated at t={t}"
+    return True, ""
 
 
 def subgradient_dist_by_pieces(g, z, v):

@@ -314,12 +314,17 @@ def test_calculus_suites_pass_where_pieces_meet(tmp_path, capsys):
     assert "second-order difference quotient equality: 0/40 failures" in capsys.readouterr().out
 
 
-def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatch):
+def test_lp_solver_failure_exits_with_solver_error(tmp_path, monkeypatch):
     # an undecided implicit-equality system is a toolkit error, so diagnose
-    # reports it and exits 2: an NNLS answer of NaNs verifies no decision
+    # reports it and exits 2: an NNLS answer of NaNs verifies no decision.
+    # NLP seed 2 has a noncriticality system that needs the NNLS (P1's are
+    # decided by their u = 0 certificates)
     import sys
 
     import plqsqp.lp
+
+    problem = tmp_path / "nlp.json"
+    assert main(["generate", "--kind", "nlp", "--seed", "2", "--out-file", str(problem)]) == 0
 
     nonneg_lstsq, decisions = plqsqp.lp.nonneg_lstsq, []
 
@@ -331,7 +336,7 @@ def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatc
 
     monkeypatch.setattr(plqsqp.lp, "nonneg_lstsq", unverified)
     out = tmp_path / "diag_fail"
-    assert main(["diagnose", "--problem", p1_file, "--out", str(out)]) == 2
+    assert main(["diagnose", "--problem", str(problem), "--out", str(out)]) == 2
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "SolverFailure" and "implicit equalities" in record["message"]
     assert len(decisions) == 1
@@ -341,17 +346,19 @@ def test_lp_solver_failure_exits_with_solver_error(tmp_path, p1_file, monkeypatc
 def test_solver_failure_while_loading_writes_error_json(tmp_path, p1_file, monkeypatch,
                                                         capsys, command):
     # a toolkit error raised before the run or the checks, here by the
-    # load's convexity certificate, still exits 2 with error.json in an
-    # --out directory that did not exist yet
+    # load's convexity certificate (its facet decision is a nearest point),
+    # still exits 2 with error.json in an --out directory that did not exist yet
     import plqsqp.probio
     from plqsqp.errors import SolverFailure
 
-    def failing(*args):
-        raise SolverFailure("linprog failed with status 4")
+    message = "nearest point: neither the face point nor the Farkas vector verifies"
+
+    def failing(g):
+        raise SolverFailure(message)
 
     monkeypatch.setattr(plqsqp.probio, "check_convexity", failing)
     out = tmp_path / "fresh" / "out"
     assert main([command, "--problem", p1_file, "--out", str(out)]) == 2
     record = json.loads((out / "error.json").read_text())
-    assert record == {"error": "SolverFailure", "message": "linprog failed with status 4"}
-    assert capsys.readouterr().err == "solver error: linprog failed with status 4\n"
+    assert record == {"error": "SolverFailure", "message": message}
+    assert capsys.readouterr().err == f"solver error: {message}\n"

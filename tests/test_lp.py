@@ -144,6 +144,17 @@ def test_nonneg_lstsq_keeps_its_best_answer_when_bvls_fails():
     assert np.all(slack[:2] <= -1.0 + 1e-12) and np.all(np.abs(slack[2:]) <= 1e-9)
 
 
+def test_a_row_in_the_span_of_opposite_rows_is_no_column():
+    # rows 0 and 3, and 1 and 4, are opposite; row 5 = -(row 0 + row 1) is 0
+    # off their lines, where the cone is the half-line c y <= 0.  As an NNLS
+    # column it would let u grow without bound and make row 2 look implicit
+    a, b, c = np.random.default_rng(8).standard_normal((3, 3))
+    M = np.array([a, b, c, -2.0 * a, -0.4 * b, -(a + b)])
+    implicit, y = lp_module.implicit_equalities(M)
+    assert implicit == implicit_equalities_by_lp(M, list(range(6)))[0] == [0, 1, 3, 4, 5]
+    assert M[2] @ y <= -1.0 + 1e-12
+
+
 def _random_cone(rng, kind):
     """Random rows M of a cone {y : M y <= 0}, shuffled; kind 1 repeats a row
     scaled by a positive factor, kind 2 adds the opposite of a row, kind 3
@@ -183,16 +194,67 @@ def test_implicit_equalities_agree_with_the_lp():
 
 @pytest.mark.parametrize("answer", ["zero", "nan"])
 def test_unverified_implicit_equality_answers_raise_solver_failure(monkeypatch, answer):
-    # x1 <= 0 and -x1 <= 0 are implicit, x2 <= 0 is not.  u = 0 gives the
-    # row k = 0 the y = -M[0], which breaks -x1 <= 0, and a u of NaNs
+    # x1 <= 0, x2 <= x1 and -x2 <= 0 are implicit (their sum is 0), x3 <= 0
+    # is not, and no two rows are opposite, so row 0 needs the NNLS.  u = 0
+    # gives it the y = -M[0], which breaks x2 <= x1, and a u of NaNs
     # verifies nothing: no answer is returned
-    M = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    assert lp_module.implicit_equalities(M)[0] == implicit_equalities_by_lp(M, [0, 1, 2])[0] \
-        == [0, 1]
+    M = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert lp_module.implicit_equalities(M)[0] \
+        == implicit_equalities_by_lp(M, [0, 1, 2, 3])[0] == [0, 1, 2]
     fill = {"zero": 0.0, "nan": np.nan}[answer]
     monkeypatch.setattr(lp_module, "nonneg_lstsq", lambda G, r: (np.full(G.shape[1], fill), 1.0))
     with pytest.raises(SolverFailure):
         lp_module.implicit_equalities(M)
+
+
+# a homogeneous system of the noncriticality walk: rows 0 and 5 are zero by
+# rounding, row 4 = -2.9989 row 2, rows 7 and 8 are equal and row 9 = -row 7;
+# the NNLS on the opposite columns used to leave row 3 undecided
+FACING_ROWS = np.array([
+    [3.8816242315814395e-17, -3.977527206809047e-17, -3.367288741651514e-17,
+     5.375291455021525e-18, -1.5336358432793128e-17],
+    [0.47066948095449895, 0.029515318366676913, 0.10050341142079147,
+     0.04109356574744668, 0.15309322231505784],
+    [-0.02499767779143313, -0.08985994905835604, -0.000750630990619217,
+     -0.22534470100135348, 0.15515740630804897],
+    [-0.045281225370759445, 0.20148298555966365, -0.28309239999107966,
+     0.4824781019928309, 0.1567062366030954],
+    [0.07496530015778011, 0.26948015369774514, 0.0022510601980286933,
+     0.6757840984461454, -0.4653000823768991],
+    [5.328781399131774e-17, -5.46043916918492e-17, -4.622690023940808e-17,
+     7.379321493147398e-18, -2.1054099178938285e-17],
+    [0.0877912500888694, 0.20796093804214366, -0.22412439096528128,
+     -0.1722270897471779, -0.11663484526075651],
+    [-0.23901695964425373, 0.7531583644848933, 0.5476979493213513,
+     -0.09894418832850999, 0.25663276274485525],
+    [-0.23901695964425385, 0.7531583644848933, 0.5476979493213513,
+     -0.09894418832851, 0.25663276274485525],
+    [0.2390169596442538, -0.7531583644848933, -0.5476979493213513,
+     0.09894418832850999, -0.25663276274485525]])
+
+
+def test_opposite_rows_are_implicit_before_any_nnls(monkeypatch):
+    # the opposite pairs are decided by their unit normals, the equal rows
+    # are one column, and no NNLS sees an opposite pair of columns
+    columns = []
+    nonneg_lstsq = lp_module.nonneg_lstsq
+
+    def spy(G, r):
+        columns.append(G.T / np.linalg.norm(G.T, axis=1)[:, None])
+        return nonneg_lstsq(G, r)
+
+    monkeypatch.setattr(lp_module, "nonneg_lstsq", spy)
+    implicit, y = lp_module.implicit_equalities(FACING_ROWS)
+    nonzero = [1, 2, 3, 4, 6, 7, 8, 9]
+    assert implicit == implicit_equalities_by_lp(FACING_ROWS, nonzero)[0] == [2, 4, 7, 8, 9]
+    slack = FACING_ROWS @ y
+    assert np.all(slack[[1, 3, 6]] <= -1.0 + 1e-12)
+    assert np.all(np.abs(slack[implicit]) <= 1e-9)
+    # the NNLS runs on the 3 directions off the two lines of opposite rows
+    assert columns and {unit.shape[1] for unit in columns} == {3}
+    for unit in columns:
+        gaps = np.linalg.norm(unit[:, None] + unit[None], axis=2)
+        assert gaps.min() > 1e-3
 
 
 def _frame_stack(kind):

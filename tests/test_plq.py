@@ -42,7 +42,14 @@ from plqsqp.properties import (
     subdifferential_duality_suite,
 )
 
-from oracles import prox_all_pieces, proto_derivative_set, subgradient_dist_by_pieces, vertices
+from oracles import (
+    consistency_by_sampling,
+    convexity_by_sampling,
+    prox_all_pieces,
+    proto_derivative_set,
+    subgradient_dist_by_pieces,
+    vertices,
+)
 from test_acceptance import CRITERION2_ANCHORS, CRITERION4_INSTANCES, _g_fixtures
 
 
@@ -506,28 +513,149 @@ def test_outer_lipschitz_of_subdifferential(rng, g_abs, g_two_piece_2d):
                 assert worst <= ell
 
 
-def test_consistency_and_convexity_certificates(rng, g_two_piece_2d):
-    ok, _ = check_consistency(g_two_piece_2d, rng)
+def test_consistency_and_convexity_certificates(g_two_piece_2d):
+    ok, _ = check_consistency(g_two_piece_2d)
     assert ok
-    ok, _ = check_convexity(g_two_piece_2d, rng)
+    ok, _ = check_convexity(g_two_piece_2d)
     assert ok
 
 
-def test_certificates_reject_bad_functions(rng):
+def test_certificates_reject_bad_functions():
     # discontinuous across the interface: consistency must fail
     bad = PLQFunction(1, [
         Piece(Polyhedron.nonpos(1), np.zeros((1, 1)), [0.0], 0.0),
         Piece(Polyhedron.nonneg(1), np.zeros((1, 1)), [0.0], 1.0),
     ])
-    ok, _ = check_consistency(bad, rng)
+    ok, _ = check_consistency(bad)
     assert not ok
     # concave kink: convexity must fail
     nonconvex = PLQFunction(1, [
         Piece(Polyhedron.nonpos(1), np.zeros((1, 1)), [1.0], 0.0),
         Piece(Polyhedron.nonneg(1), np.zeros((1, 1)), [-1.0], 0.0),
     ])
-    ok, _ = check_convexity(nonconvex, rng)
+    ok, _ = check_convexity(nonconvex)
     assert not ok
+
+
+def test_the_facet_normal_is_read_off_a_row_tight_on_the_facet():
+    # C_0 = {z1 <= 0, z2 <= z1} meets C_1 = {z1 >= 0, z2 <= 0} in the ray
+    # {z1 = 0, z2 <= 0}; at its least-norm point 0 the row z2 - z1 <= 0 of
+    # C_0 is active too, but only z1 <= 0 holds on the whole facet, and only
+    # it points out of C_0.  g = max(z1, 0) is convex there, -max(z1, 0) is not
+    def piece(A, a):
+        C = Polyhedron(np.asarray(A, dtype=float), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+        return Piece(C, np.zeros((2, 2)), a, 0.0)
+
+    left = piece([[-1.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
+    for slope, convex in ((1.0, True), (-1.0, False)):
+        g = PLQFunction(2, [left, piece([[-1.0, 0.0], [0.0, 1.0]], [slope, 0.0])])
+        assert check_consistency(g)[0]
+        assert check_convexity(g)[0] == convex
+
+
+def _three_piece_abs():
+    """|y_1| on R^2 with three pieces: y_1 <= 0, y_1 >= 0 and {y_1 >= 0,
+    y_2 <= 0}, which overlaps the second."""
+    def piece(A, a):
+        C = Polyhedron(np.asarray(A, dtype=float), np.zeros(len(A)), np.zeros((0, 2)), np.zeros(0))
+        return Piece(C, np.zeros((2, 2)), a, 0.0)
+
+    return PLQFunction(2, [piece([[1.0, 0.0]], [-1.0, 0.0]), piece([[-1.0, 0.0]], [1.0, 0.0]),
+                           piece([[-1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])])
+
+
+def _certificate_cases(rng):
+    """(valid, broken): convex PLQ functions, and copies of them that are
+    inconsistent (one piece's alpha shifted) or nonconvex (one kink's
+    slopes swapped)."""
+    from plqsqp.generators import _box_dual_cells
+    from plqsqp.plq import plq_separable
+    valid, broken = [], []
+    for trial in range(24):
+        k = 1 + trial % 2
+        lows = rng.uniform(-1.0, 0.5, size=k)
+        beta = rng.uniform(0.0, 1.5) * (trial % 3 > 0)  # beta = 0: piecewise linear cells
+        cells = [_box_dual_cells(lo, lo + rng.uniform(0.5, 2.0), beta) for lo in lows]
+        g0 = {0: plq_separable(cells), 1: plq_separable(cells),
+              2: plq_vector_max(2 + trial % 3), 3: _three_piece_abs()}[trial % 4]
+        g = _embedded(rng, g0, n=g0.m + 1 + trial % 2) if trial % 8 >= 4 else g0
+        valid.append(g)
+        shifted = list(g.pieces)
+        shifted[-1] = Piece(shifted[-1].C, shifted[-1].A, shifted[-1].a, shifted[-1].alpha + 0.5)
+        broken.append(PLQFunction(g.m, shifted))
+        if trial % 4 == 0 and trial % 3 == 0:  # coordinate 0's two linear cells swap slopes
+            (lo, hi, quad, left, const), (_, _, _, right, _) = cells[0]
+            swapped = [[(lo, hi, quad, right, const), (hi, np.inf, quad, left, const)]]
+            g1 = plq_separable(swapped + cells[1:])
+            broken.append(_embedded(rng, g1, n=g1.m + 1) if trial % 8 >= 4 else g1)
+        if trial % 4 == 2 and trial % 3 == 2:  # min(z_1, z_2): the max's slopes swapped
+            g1 = plq_vector_max(2)
+            g1 = PLQFunction(2, [Piece(p.C, p.A, q.a, p.alpha)
+                                 for p, q in zip(g1.pieces, g1.pieces[::-1])])
+            broken.append(_embedded(rng, g1, n=3) if trial % 8 >= 4 else g1)
+    return valid, broken
+
+
+def test_exact_certificates_agree_with_the_sampled_oracles(rng):
+    # 24 convex functions: separable dual-box cells, vector maxima and the
+    # overlapping three-piece |y_1|, some on a random affine subspace; both
+    # routes accept each.  Every broken copy is rejected by the exact route,
+    # which is stronger than rejecting the copies the sampler rejects
+    from plqsqp.plq import _apart
+    valid, broken = _certificate_cases(rng)
+    assert len(valid) >= 20 and len(broken) >= 20
+    for g in valid:
+        assert check_consistency(g)[0] and check_convexity(g)[0]
+        # the bounds prune drops only pairs that do not meet
+        for i, j in zip(*np.nonzero(np.triu(_apart(g), 1))):
+            assert interior_point(intersect(g.pieces[i].C, g.pieces[j].C)) is None
+        assert consistency_by_sampling(g, rng)[0] and convexity_by_sampling(g, rng)[0]
+    sampled = 0
+    for g in broken:
+        exact = check_consistency(g)[0] and check_convexity(g)[0]
+        assert not exact
+        sampled += not (consistency_by_sampling(g, rng)[0] and convexity_by_sampling(g, rng)[0])
+    assert sampled >= 20
+
+
+def _thin_facet():
+    """Continuous, each piece convex, and concave across x_1 = 0 where
+    x_2 < -0.98: q = x_2^2 on {x_1 <= 0, |x_2| <= 1} and
+    q = x_1^2 + x_1 x_2 + 0.98 x_1 + x_2^2 on {x_1 >= 0, |x_2| <= 1}."""
+    def piece(sign, A, a):
+        C = Polyhedron([[sign, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, 1.0, 1.0],
+                       np.zeros((0, 2)), np.zeros(0))
+        return Piece(C, A, a, 0.0)
+
+    return PLQFunction(2, [piece(1.0, np.diag([0.0, 2.0]), [0.0, 0.0]),
+                           piece(-1.0, [[2.0, 1.0], [1.0, 2.0]], [0.98, 0.0])])
+
+
+def test_a_function_nonconvex_near_one_facet_is_rejected(tmp_path, capsys):
+    # the sampled certificates, with the seed the load used to draw for two
+    # pieces, accept it; the exact ones refuse it, and so do the load and
+    # `plqsqp solve` (exit 3)
+    from plqsqp.cli import main
+    from plqsqp.kkt import CompositeProblem, Poly2Map
+    from plqsqp.probio import load_problem, save_problem
+    g = _thin_facet()
+    sampler = np.random.default_rng(20242)
+    assert consistency_by_sampling(g, sampler)[0] and convexity_by_sampling(g, sampler)[0]
+    assert check_consistency(g)[0]
+    ok, why = check_convexity(g)
+    assert not ok and "pieces 0 and 1" in why
+    # midpoint convexity fails across the facet at x_2 = -0.99
+    assert g([0.0, -0.99]) > 0.5 * (g([-0.005, -0.99]) + g([0.005, -0.99])) + 1e-6
+    problem = CompositeProblem(Poly2Map(np.zeros(1), np.zeros((1, 2)), np.eye(2)[None]),
+                               Poly2Map(np.zeros(2), np.eye(2), np.zeros((2, 2, 2))),
+                               g, Polyhedron.whole_space(2))
+    path = tmp_path / "thin.json"
+    save_problem(path, problem)
+    with pytest.raises(ValidationError, match="convexity certificate failed"):
+        load_problem(path)
+    assert main(["solve", "--problem", str(path), "--x0", "0.5,0.5",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("validation error: convexity certificate failed")
 
 
 def test_piece_invariants():
