@@ -73,6 +73,11 @@ def affine_frame(A, E):
     return Frame(Vt[:rank].T @ (U[:, :rank].T / s[:rank, None]), N, A @ N)
 
 
+def flat_rows(A, AN):
+    """||(A N)_j|| <= FEAS_TOL ||A_j||: row j is in the span of E's rows, and generates nothing."""
+    return np.linalg.norm(AN, axis=1) <= FEAS_TOL * np.linalg.norm(A, axis=1)
+
+
 def _holds(M, r, x, z, gap, floor):
     """Whether gap(M x - r) <= FEAS_TOL (floor + |r| + |M| (|x| + |z|)) row by row."""
     if not len(M):
@@ -132,7 +137,7 @@ def nearest_point(A, b, E, d, frame, z):
         return x
     tol = FEAS_TOL * (1.0 + np.abs(b) + np.abs(A) @ (np.abs(x0) + np.abs(z)))
     farkas = np.linalg.norm(AN.T @ u) <= FEAS_TOL * np.linalg.norm(AN) * np.linalg.norm(u)
-    flat = np.linalg.norm(AN, axis=1) <= FEAS_TOL * np.linalg.norm(A, axis=1)
+    flat = flat_rows(A, AN)
     if farkas and u @ tol < h @ u or np.any(flat & (h > tol)):
         return None
     if np.any(flat & (h > 0.0)):  # their columns (0, h_i / ||h||) misled u
@@ -184,9 +189,7 @@ def implicit_equalities(M, rows=None):
         lines[j[same | facing]] = False
         if not paired[rows].all():  # else every row asked about is decided
             _, N, MN = affine_frame(M, U[lines])
-        # a row flat on N lies in the lines' span: it generates no column
-        columns = (kind == np.arange(len(M))) & ~paired \
-            & (np.linalg.norm(MN, axis=1) > FEAS_TOL * norms)
+        columns = (kind == np.arange(len(M))) & ~paired & ~flat_rows(M, MN)
     asked, strict = np.zeros(len(M), dtype=bool), np.zeros(len(M), dtype=bool)
     asked[rows] = True
     tol, equal, y = FEAS_TOL * norms, set(kind[paired]), np.zeros(M.shape[1])

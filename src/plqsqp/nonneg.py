@@ -1,31 +1,28 @@
 """Verified NNLS: nearest points, implicit equalities, redundancy and normal cones.
 
-scipy's rewritten nnls can terminate prematurely on some small systems,
-returning a non-optimal point and a wrong residual scalar.  This wrapper
-never trusts the reported residual: it recomputes it from the returned
-vector and checks first-order optimality of the cone-constrained least
-squares problem; on failure it re-solves with scipy's bounded-variable
-least squares (BVLS), which answers degenerate systems with their honest
-residual instead of a descent ray.  BVLS can fail too, with a huge u on
-opposite columns, so the answer is the first of BVLS's, scipy's and u = 0
-that is optimal, else the one of least true residual (a huge u can round
-to a residual below the optimum's).  A normal-cone distance or a nearest
-point reaches it only when its certificate fails (`polyhedral`, `lp`).
+min_{u >= 0} ||M u - r|| answers with the first of scipy's `nnls`, u = 0
+and scipy's BVLS (bounded-variable least squares) that passes the
+first-order test `_is_optimal`, else raises `SolverFailure`; the residual
+is recomputed from u.  No caller builds a free multiplier as columns c and
+-c, on which BVLS answered with a huge u.  BVLS stays: scipy's `nnls` also
+stops short without opposite columns, where u = 0 is optimal (an
+`implicit_equalities` input) or is not (a `prune_redundant` input on box
+rows); `tests/test_lp.py` keeps both.
 """
 
 import numpy as np
 from scipy.optimize import lsq_linear
 from scipy.optimize import nnls as _scipy_nnls
 
+from .errors import SolverFailure
+
 _OPT_TOL = 1e-8
 
 
 def _is_optimal(M, r, u, scale):
     g = M.T @ (M @ u - r)
-    if g.size and float(g.min()) < -_OPT_TOL * scale:
-        return False
-    comp = abs(float(u @ g))
-    return comp <= _OPT_TOL * scale * (1.0 + float(np.linalg.norm(u)))
+    return g.min(initial=0.0) >= -_OPT_TOL * scale \
+        and abs(u @ g) <= _OPT_TOL * scale * (1.0 + np.linalg.norm(u))
 
 
 def nonneg_lstsq(M, r):
@@ -35,12 +32,13 @@ def nonneg_lstsq(M, r):
     if M.size == 0 or M.shape[1] == 0:
         return np.zeros(M.shape[1] if M.ndim == 2 else 0), float(np.linalg.norm(r))
     scale = max(1.0, float(np.abs(M).max()), float(np.abs(r).max()))
-    try:
-        u, _ = _scipy_nnls(M, r, maxiter=50 * max(M.shape))
-    except RuntimeError:
-        u = None
-    if u is None or not _is_optimal(M, r, u, scale):
-        bvls = np.maximum(lsq_linear(M, r, bounds=(0.0, np.inf), method="bvls").x, 0.0)
-        u = min((c for c in (bvls, u, np.zeros(M.shape[1])) if c is not None),
-                key=lambda c: (not _is_optimal(M, r, c, scale), np.linalg.norm(M @ c - r)))
-    return u, float(np.linalg.norm(M @ u - r))
+    for solve in (lambda: _scipy_nnls(M, r, maxiter=50 * max(M.shape))[0],
+                  lambda: np.zeros(M.shape[1]),
+                  lambda: np.maximum(lsq_linear(M, r, bounds=(0.0, np.inf), method="bvls").x, 0.0)):
+        try:
+            u = solve()
+        except RuntimeError:  # scipy's nnls at its iteration cap
+            continue
+        if _is_optimal(M, r, u, scale):
+            return u, float(np.linalg.norm(M @ u - r))
+    raise SolverFailure("nonneg least squares: no answer verifies")

@@ -4,16 +4,16 @@ A Polyhedron is {x : A x <= b, E x = d}; a PolyCone is the homogeneous
 case b = 0, d = 0.  Everything here is built from two exact kernels:
 verified nonnegative least squares (the least-distance program of
 `lp.nearest_point` for projections and emptiness, implicit equalities,
-redundancy and normal-cone distances) and `lp.affine_frame`.  Values are
-immutable after construction and all operations are pure.  Derived data
-is memoized on the immutable polyhedron itself (`_derived`): its
-least-norm point, its equality frame (E⁺, a basis N of null(E) and the
-inequality rows on N), and per activity pattern J its normal and tangent
-cones and the normal-cone frame [A_J; E]⁺, since N_P(x) and T_P(x)
-depend on x only through the active rows (the equality frame keeps the
-face memo of `lp.nearest_point` too).  The memos are deterministic, so
-results stay pure and concurrent calls stay safe; returned cones are
-shared and must not be written to.
+redundancy and normal-cone distances) and `lp.affine_frame`.  The last two
+decide on the null space of the equality rows, so no NNLS carries a free
+multiplier, and rows flat there (`lp.flat_rows`) generate nothing.  Values
+are immutable and operations pure.  Derived data is memoized on the
+polyhedron (`_derived`): its least-norm point, its equality frame (E⁺, a
+basis N of null(E) and A N, with the face memo of `lp.nearest_point`),
+shared by projections and normal cones, and per activity pattern J its
+normal and tangent cones and (A N)_J⁺, since N_P(x) and T_P(x) depend on x
+only through the active rows.  The memos are deterministic, so concurrent
+calls stay safe; returned cones are shared and must not be written to.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ from .errors import (
     PointNotInSet,
     TooManyRows,
 )
-from .lp import FEAS_TOL, affine_frame, implicit_equalities, nearest_point
+from .lp import FEAS_TOL, affine_frame, flat_rows, implicit_equalities, nearest_point
 from .nonneg import _OPT_TOL, nonneg_lstsq
 
 ACT_TOL = 1e-8  # row i active iff b_i - A_i x <= ACT_TOL * (1 + |b_i|)
@@ -249,25 +249,27 @@ def normal_cone_dist(P: Polyhedron, x, v) -> float:
 
 
 def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
-    """dist(v, N_P(x)) at an x of P whose active rows are J.  The least-squares
-    residual r = Cᵀy − v at y = (C⁺)ᵀv, with C = [A_J; E] and C⁺ kept on P
-    per J, bounds it below when C r passes the NNLS first-order test; with
-    y_J clipped at 0, ||Cᵀy⁺ − v|| bounds it above and is it when the two
-    agree to rounding; else one verified NNLS, the free equality
-    multipliers split into positive and negative parts."""
-    v = np.asarray(v, dtype=float).ravel()
+    """dist(v, N_P(x)) at an x of P whose active rows are J: min_{μ >= 0} ||Cᵀμ − w||
+    with C = (A N)_J less its `flat_rows` and w = Nᵀv in P's equality frame (E⁺,
+    N, A N), as E's free multipliers meet v off N exactly.  The least-squares
+    residual r = Cᵀy − w at y = (C⁺)ᵀw, C⁺ kept on P per J, bounds it below
+    when C r passes the NNLS first-order test; clipped at 0, ||Cᵀy⁺ − w|| bounds
+    it above and is it when the two agree to rounding; else one verified NNLS."""
     if not (J or P.n_eq):
         return float(np.linalg.norm(v))
-    C, pinv, top = _derived(P, ("NF", tuple(J)), lambda: (
-        C := np.vstack([P.A[J], P.E]), affine_frame(C[:0], C)[0], max(1.0, np.abs(C).max())))
-    y = v @ pinv
-    r = C.T @ y - v
-    y[:len(J)] = np.maximum(y[:len(J)], 0.0)  # below 0 by rounding only, or not
-    dist = float(np.linalg.norm(C.T @ y - v))
-    if np.abs(C @ r).max() <= _OPT_TOL * max(top, np.abs(v).max()) and dist - np.linalg.norm(r) \
-            <= len(y) * np.finfo(float).eps * max(top * max(1.0, np.abs(y).max()), np.abs(v).max()):
+    _, N, AN = _derived(P, "frame", lambda: affine_frame(P.A, P.E))
+    C, pinv, top = _derived(P, ("NF", tuple(J)), lambda: (C := AN[J][~flat_rows(P.A[J], AN[J])],
+                            affine_frame(C[:0], C)[0], np.abs(C).max(initial=1.0)))
+    w = np.asarray(v, dtype=float).ravel() @ N
+    y = w @ pinv
+    r = C.T @ y - w
+    y = np.maximum(y, 0.0)  # below 0 by rounding only, or not
+    dist = float(np.linalg.norm(C.T @ y - w))
+    scale = np.abs(w).max(initial=top)
+    if np.abs(C @ r).max(initial=0.0) <= _OPT_TOL * scale and dist - np.linalg.norm(r) \
+            <= len(y) * np.finfo(float).eps * max(top * np.abs(y).max(initial=1.0), scale):
         return dist
-    return nonneg_lstsq(np.hstack([C.T, -P.E.T]), v)[1]
+    return nonneg_lstsq(C.T, w)[1]
 
 
 def critical_cone(P: Polyhedron, x, v) -> PolyCone:
@@ -476,17 +478,19 @@ def prune_redundant(A, b, E, d):
     right-hand side is divided by σ = 1 + the largest, so a residual reads
     a gap relative to the data's scale.  Row i goes when A_Oᵀu + Eᵀv = a_i
     and b_Oᵀu + dᵀv + s = b_i with u, s >= 0 over the kept rows O (affine
-    Farkas): one verified NNLS, residual at most FEAS_TOL (1 + ||(a_i, b_i)||).
+    Farkas); v leaves on the null space of the equality columns, where
+    `flat_rows` generate nothing: one verified NNLS, residual <= FEAS_TOL (1 + ||(a_i, b_i)||).
     """
     norms = np.linalg.norm(np.vstack([A, E]), axis=1)
     cols = np.vstack([np.vstack([A, E]).T, np.r_[b, d]]) / np.where(norms > 0.0, norms, 1.0)
     cols[-1] /= 1.0 + np.abs(cols[-1, norms > 0.0]).max(initial=0.0)
-    fixed = np.hstack([cols[:, len(b):], -cols[:, len(b):], np.eye(len(cols))[:, -1:]])
+    G = np.vstack([cols[:, :len(b)].T, np.eye(len(cols))[-1]])  # the rows' columns, then s's
+    live = ~flat_rows(G, M := affine_frame(G, cols[:, len(b):].T)[2])
     keep = list(range(len(b)))
     i = 0
     while i < len(keep):
         k = keep[i]
-        _, res = nonneg_lstsq(np.hstack([cols[:, [j for j in keep if j != k]], fixed]), cols[:, k])
+        _, res = nonneg_lstsq(M[[j for j in keep + [len(b)] if j != k and live[j]]].T, M[k])
         if res <= FEAS_TOL * (1.0 + np.linalg.norm(cols[:, k])):
             keep.pop(i)
         else:

@@ -230,6 +230,14 @@ def convexity_by_sampling(g, rng):
     return True, ""
 
 
+def normal_cone_dist_by_stacked_nnls(P, J, v):
+    """dist(v, N_P(x)) at an x of P whose active rows are J, by one verified
+    NNLS on [A_Jᵀ, Eᵀ, -Eᵀ]: each free equality multiplier split into its
+    positive and negative parts, the form `polyhedral.normal_cone_dist_at_rows`
+    solved before it moved to P's equality frame."""
+    return nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)[1]
+
+
 def subgradient_dist_by_pieces(g, z, v):
     """(max dist(v - A_i z - a_i, N_{C_i}(z)), [i]) over the pieces i whose
     `contains` holds at z, each piece tested and measured on its own by

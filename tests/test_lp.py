@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plqsqp import lp as lp_module
+from plqsqp import nonneg
 from plqsqp.errors import SolverFailure
 from plqsqp.lp import LPBuilder, affine_frame, nearest_point
 from plqsqp.polyhedral import PolyCone, Polyhedron, project
@@ -108,18 +109,49 @@ def test_random_systems_agree_with_the_coordinate_oracle():
     assert any(answers) and not all(answers)
 
 
-def test_nonneg_lstsq_answers_a_degenerate_system():
-    # columns +-c_k span R^3 twice over; scipy's nnls fails verification
-    # here, and the QP fallback it used to take raised Unbounded
-    from plqsqp.nonneg import nonneg_lstsq
+def test_nonneg_lstsq_raises_on_a_degenerate_system():
+    # columns +-c_k span R^3 twice over: scipy's nnls, u = 0 and BVLS all
+    # fail verification, and no unverified answer comes back
     C = np.array([[0.41809884672577885, -0.45264929211044586, -0.2861233930974505],
                   [-0.5677696061279298, -0.2155971630897659, -0.136280766370423],
                   [-1.0, 0.0, 0.0],
                   [0.0, -1.0, -0.6321083424855996]]).T
-    M, r = np.hstack([C, -C]), np.array([0.0, 0.0, 1.0])
-    u, residual = nonneg_lstsq(M, r)
-    assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
-    assert residual == np.linalg.norm(M @ u - r)
+    with pytest.raises(SolverFailure):
+        nonneg.nonneg_lstsq(np.hstack([C, -C]), np.array([0.0, 0.0, 1.0]))
+
+
+def test_nonneg_lstsq_answers_u_0_before_bvls_when_scipy_stops_short(monkeypatch):
+    # from an `implicit_equalities` call of the simplicial face lists: no
+    # opposite columns, yet scipy's nnls returns u = (0.245, 0.196) with a
+    # positive gradient (0.123, 0.196), and u = 0 is optimal
+    M = np.array([[-0.5, 0.44644341748168054], [4.7087151020676514e-17, -0.7754847193688317],
+                  [0.5, 0.44644341748168054]])
+    r = np.array([0.31659031096317414, 0.3645195239514815, 0.31659031096317414])
+    monkeypatch.setattr(nonneg, "lsq_linear", lambda *args, **kw: pytest.fail("BVLS ran"))
+    u, residual = nonneg.nonneg_lstsq(M, r)
+    assert np.array_equal(u, np.zeros(2)) and residual == np.linalg.norm(r)
+
+
+def test_nonneg_lstsq_answers_by_bvls_when_scipy_and_u_0_fail(monkeypatch):
+    # a redundancy decision on box rows (`prune_redundant`), with no opposite
+    # columns: scipy's nnls stops short and u = 0 is not optimal, so BVLS
+    # answers, and its answer verifies
+    M = np.array([[0.5740740740740741, 0.0, -0.425925925925926, 0.37037037037037035],
+                  [-0.5, 0.0, 0.5, -2.1382073066854867e-17],
+                  [0.037037037037037035, 1.0, 0.037037037037037035, 0.1851851851851852],
+                  [-0.32168839020136736, -0.5, -0.32168839020136736, 0.22867535608054693],
+                  [-0.02138334330331948, 0.5773502691896258, -0.021383343303319514,
+                   -0.10691671651659737],
+                  [0.1111111111111111, -1.0, 0.1111111111111111, 0.5555555555555556],
+                  [-0.425925925925926, 0.0, 0.5740740740740741, 0.37037037037037035],
+                  [0.18518518518518517, 0.0, 0.18518518518518517, 0.9259259259259259]]).T
+    r = np.array([0.1799501138193067, 0.0, 0.8870568950058542, 0.0694413107095868])
+    bvls, calls = nonneg.lsq_linear, []
+    monkeypatch.setattr(nonneg, "lsq_linear",
+                        lambda *args, **kw: calls.append(1) or bvls(*args, **kw))
+    u, residual = nonneg.nonneg_lstsq(M, r)
+    assert calls == [1] and nonneg._is_optimal(M, r, u, 1.0)
+    assert residual == np.linalg.norm(M @ u - r) < np.linalg.norm(r)
 
 
 # rows 2 and 3 are opposite up to rounding
@@ -131,11 +163,11 @@ OPPOSITE_ROWS = np.array([
 
 
 def test_nonneg_lstsq_keeps_its_best_answer_when_bvls_fails():
-    # scipy's answer fails the optimality check (residual 0.7153), and BVLS
-    # returned u ~ 2.2e15 with residual 0.8365, worse than u = 0 (0.7071)
-    from plqsqp.nonneg import nonneg_lstsq
+    # scipy's answer fails the optimality check (residual 0.7153); u = 0
+    # (0.7071) is optimal and answers before BVLS, which returned u ~ 2.2e15
+    # with residual 0.8365 here
     M, r = OPPOSITE_ROWS[1:].T, -OPPOSITE_ROWS[0]
-    u, residual = nonneg_lstsq(M, r)
+    u, residual = nonneg.nonneg_lstsq(M, r)
     assert residual == np.linalg.norm(M @ u - r) <= np.linalg.norm(r)
     assert np.abs(u).max() <= 1e3
     implicit, y = lp_module.implicit_equalities(OPPOSITE_ROWS)
@@ -459,3 +491,34 @@ def test_rows_constant_on_the_equalities_do_not_mislead_the_program():
     z = np.array([0.22109862652705262, 0.11741391541961445, 0.04029483305288428])
     x = nearest_point(A, np.zeros(2), E, np.zeros(2), affine_frame(A, E), z)
     assert np.linalg.norm(x) <= 1e-15
+
+
+def test_no_nnls_sees_an_opposite_pair_of_columns(monkeypatch):
+    # solves from perturbed starts and the multiplier sets at the KKT points
+    # (Fourier-Motzkin and `prune_redundant`) hand the NNLS no columns c and
+    # -c: free multipliers stay in their equality frame, and BVLS never runs
+    import sys
+
+    from plqsqp import polyhedral
+    from plqsqp.generators import generate
+    from plqsqp.kkt import multiplier_set
+    from plqsqp.sqp import SQPConfig, run_sqp
+
+    inputs = []
+
+    def spy(nnls):
+        return lambda M, r: inputs.append((sys._getframe(1).f_code.co_name, M)) or nnls(M, r)
+
+    for module in (lp_module, polyhedral):
+        monkeypatch.setattr(module, "nonneg_lstsq", spy(module.nonneg_lstsq))
+    monkeypatch.setattr(nonneg, "lsq_linear", lambda *args, **kw: pytest.fail("BVLS ran"))
+    for kind, params, seed in (("elqp", dict(n=2, m=2), 3), ("minmax", dict(n=3, m=3), 11)):
+        gp = generate(kind, seed=seed, **params)
+        trace = run_sqp(gp.problem, gp.xbar + 0.2, gp.lambdabar - 0.2, SQPConfig(monitors=False))
+        multiplier_set(gp.problem, gp.xbar)
+        assert trace[-1].residual <= 1e-10, kind
+    assert "prune_redundant" in {name for name, _ in inputs}
+    for name, M in inputs:
+        norms = np.linalg.norm(M, axis=0)
+        U = M / np.where(norms > 0.0, norms, 1.0)
+        assert not np.triu(U.T @ U <= -1.0 + 1e-9, 1).any(), name

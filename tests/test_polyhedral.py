@@ -40,6 +40,7 @@ from oracles import (
     face_cone,
     faces_by_closure_walk,
     faces_by_subsets,
+    normal_cone_dist_by_stacked_nnls,
     prune_redundant_by_lp,
     rays_by_subsets,
     vertices,
@@ -347,6 +348,8 @@ def _random_rows_and_multipliers(rng):
     E = rng.standard_normal((int(rng.integers(0, 3)), n))
     if len(E) and len(A) and rng.random() < 0.3:
         E[0] = A[0]  # an equality row repeating an inequality row
+    if len(E) and len(A) >= 2 and rng.random() < 0.3:
+        A[1] = -rng.uniform(0.5, 2.0) * E[0]  # an inequality row opposite an equality row
     scale = 10.0 ** rng.uniform(-8.0, 8.0)
     P = Polyhedron(scale * A, np.zeros(len(A)), scale * E, np.zeros(len(E)))
     J = sorted(rng.choice(len(A), size=int(rng.integers(0, len(A) + 1)), replace=False).tolist())
@@ -363,6 +366,8 @@ def _random_rows_and_multipliers(rng):
 def test_normal_cone_distance_agrees_with_the_stacked_nnls(monkeypatch):
     # the least-squares certificate answers most calls and the NNLS the
     # rest; either way the distance is the NNLS's on [A_J^T, E^T, -E^T]
+    # (flat rows left out: kept, a row ∝ an equality row is a column of
+    # rounding size on N, and 11 of these draws read a wrong distance)
     rng = np.random.default_rng(30)
     calls = _count_nnls(monkeypatch)
     certified = 0
@@ -371,7 +376,7 @@ def test_normal_cone_distance_agrees_with_the_stacked_nnls(monkeypatch):
         before = len(calls)
         dist = normal_cone_dist_at_rows(P, J, v)
         certified += len(calls) == before
-        expected = nonneg_lstsq(np.hstack([P.A[J].T, P.E.T, -P.E.T]), v)[1]
+        expected = normal_cone_dist_by_stacked_nnls(P, J, v)
         scale = max(1.0, np.abs(P.A[J]).max(initial=0.0), np.abs(P.E).max(initial=0.0),
                     np.abs(v).max())
         assert abs(dist - expected) <= 1e-12 * scale, (P, J, v)
@@ -379,8 +384,9 @@ def test_normal_cone_distance_agrees_with_the_stacked_nnls(monkeypatch):
 
 
 def test_repeated_normal_cone_distances_build_one_frame(monkeypatch):
-    # the pseudo-inverse of [A_J; E] is kept on P per J: a second v at the
-    # same rows builds no frame, and a nonnegative y runs no NNLS
+    # P's equality frame is built once, and shared with `project`; the
+    # pseudo-inverse of (A N)_J is kept on P per J: a second v at the same
+    # rows builds no frame, and a nonnegative y runs no NNLS
     frames = []
     build = polyhedral.affine_frame
 
@@ -395,9 +401,11 @@ def test_repeated_normal_cone_distances_build_one_frame(monkeypatch):
     for mu0, mu2, nu, t in ((1.0, 0.5, 2.0, 0.0), (2.0, 3.0, -3.0, 1.0), (1e6, 2e6, 1e5, 3.0)):
         v = mu0 * P.A[0] + mu2 * P.A[2] + nu * P.E[0] + [0.0, 0.0, 0.0, t]
         assert abs(normal_cone_dist_at_rows(P, [0, 2], v) - t) <= 1e-9 * max(1.0, np.abs(v).max())
-    assert len(frames) == 1 and nnls == []
-    assert normal_cone_dist_at_rows(P, [1], P.A[1]) <= 1e-12  # another pattern, another frame
     assert len(frames) == 2 and nnls == []
+    assert normal_cone_dist_at_rows(P, [1], P.A[1]) <= 1e-12  # another pattern, another frame
+    assert len(frames) == 3 and nnls == []
+    project(P, [1.0, 2.0, 3.0, 4.0])
+    assert len(frames) == 3
 
 
 def test_a_negative_least_squares_multiplier_reaches_the_nnls(monkeypatch):
@@ -413,18 +421,19 @@ def test_a_negative_least_squares_multiplier_reaches_the_nnls(monkeypatch):
 
 
 def test_a_multiplier_negative_by_rounding_is_clipped(monkeypatch):
-    # v = 1.9 A_0 + 0 A_1 + 0.63 E_0 lies on a face of N_P: its least-squares
-    # y_1 reads -4e-17, and clipped at 0 it meets the lower bound ||r||, so
-    # the distance needs no NNLS and is the stacked NNLS's
+    # v = 1.9 A_0 + 0 A_1 + 0.63 E_0 lies on a face of N_P: in P's equality
+    # frame its least-squares y_1 reads -5e-16, and clipped at 0 it meets the
+    # lower bound ||r||, so the distance needs no NNLS and is the stacked NNLS's
     calls = _count_nnls(monkeypatch)
     A = np.array([[0.13, -0.13, 0.64], [0.1, -0.54, 0.36]])
     E = np.array([[1.3, 0.95, -0.7]])
+    P = Polyhedron(A, np.zeros(2), E, np.zeros(1))
     v = A.T @ [1.9, 0.0] + E.T @ [0.63]
-    C = np.vstack([A, E])
-    assert -1e-16 < (v @ polyhedral.affine_frame(C[:0], C)[0])[1] < 0.0
-    dist = normal_cone_dist_at_rows(Polyhedron(A, np.zeros(2), E, np.zeros(1)), [0, 1], v)
+    _, N, AN = polyhedral.affine_frame(A, E)
+    assert -1e-15 < (v @ N @ polyhedral.affine_frame(AN[:0], AN)[0])[1] < 0.0
+    dist = normal_cone_dist_at_rows(P, [0, 1], v)
     assert calls == []
-    assert abs(dist - nonneg_lstsq(np.hstack([A.T, E.T, -E.T]), v)[1]) <= 1e-15
+    assert abs(dist - normal_cone_dist_by_stacked_nnls(P, [0, 1], v)) <= 1e-15
 
 
 # -- critical cones ----------------------------------------------------------
@@ -692,20 +701,22 @@ def test_fourier_motzkin_equality_pivot():
 def _integer_system(rng, kind, offset):
     """(A, b, E, d) of a set holding an integer point x0, with entries in
     {-1, 0, 1} and integer slacks, translated by a vector of norm `offset`.
-    Kinds 0-2 are bounded by a box around x0 and add: 0 a copy of a row and
-    copies scaled by 1e-3 and 1e3; 1 a row nearly parallel to row j,
-    (1 - 1e-6) a_j + 1e-6 a_k, implied or cutting by 1e-6 where x0 allows;
-    2 a row moved along an equality, implied only through it.  Kind 3 has
-    at most n + 1 rows and no box, so objectives are often unbounded.
+    Kinds 0-2 and 4 are bounded by a box around x0 and add: 0 a copy of a
+    row and copies scaled by 1e-3 and 1e3; 1 a row nearly parallel to row
+    j, (1 - 1e-6) a_j + 1e-6 a_k, implied or cutting by 1e-6 where x0
+    allows; 2 a row moved along an equality, implied only through it; 4 the
+    rows ±s e_i of an equality row, s a power of 2 from 2^-10 to 2^10, at
+    ±s d_i or looser by 1: rows flat on the equalities.  Kind 3 has at most
+    n + 1 rows and no box, so objectives are often unbounded.
     Integer data keep every LP gap at 0, at least about 1/16 or 1e-6 times
     that: outside the band, near 1e-9 of the translation, where the LP's
     tolerance and the NNLS residual's differ."""
-    n = int(rng.integers(2 if kind == 2 else 1, 5))
+    n = int(rng.integers(2 if kind in (2, 4) else 1, 5))
     x0 = rng.integers(-2, 3, n).astype(float)
     p = int(rng.integers(1, n + 2 if kind == 3 else 2 * n + 2))
     A = rng.integers(-1, 2, (p, n)).astype(float)
     b = A @ x0 + rng.integers(0, 3, p)
-    E = rng.integers(-1, 2, (int(rng.integers(1 if kind == 2 else 0, n)), n)).astype(float)
+    E = rng.integers(-1, 2, (int(rng.integers(1 if kind in (2, 4) else 0, n)), n)).astype(float)
     if kind != 3:
         w = rng.integers(1, 4, n)
         A, b = np.vstack([A, np.eye(n), -np.eye(n)]), np.r_[b, x0 + w, w - x0]
@@ -723,7 +734,13 @@ def _integer_system(rng, kind, offset):
     perm = rng.permutation(len(A))
     c = rng.standard_normal(n)
     c *= offset / np.linalg.norm(c)
-    return A[perm], b[perm] + A[perm] @ c, E, E @ (x0 + c)
+    A, b, d = A[perm], b[perm] + A[perm] @ c, E @ (x0 + c)
+    if kind == 4:  # after the translation, so that s d_i is exact
+        i, s = rng.integers(len(E)), rng.choice([2.0 ** -10, 1.0, 2.0, 2.0 ** 10], 2) * [1.0, -1.0]
+        at = rng.integers(len(b) + 1, size=2)
+        A = np.insert(A, at, np.outer(s, E[i]), axis=0)
+        b = np.insert(b, at, s * d[i] + rng.integers(0, 2, 2))
+    return A, b, E, d
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -732,8 +749,8 @@ def test_prune_redundant_keeps_the_rows_the_lp_keeps(offset):
     # per row, in the same order, on sets translated by `offset`
     rng = np.random.default_rng(17)
     dropped = kept = 0
-    for trial in range(120):
-        A, b, E, d = _integer_system(rng, trial % 4, offset)
+    for trial in range(150):
+        A, b, E, d = _integer_system(rng, trial % 5, offset)
         rows = prune_redundant_by_lp(A, b, E, d)
         A_kept, b_kept = polyhedral.prune_redundant(A, b, E, d)
         assert np.array_equal(A_kept, A[rows]) and np.array_equal(b_kept, b[rows]), trial
