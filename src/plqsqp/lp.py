@@ -4,10 +4,10 @@
 decides the homogeneous systems that `LPBuilder` lays out, and
 `affine_frame` is the one SVD behind every null space, pseudo-inverse,
 least-squares point and rank decision of the package; a frame keeps its
-face pseudo-inverses per row set, so most nearest points are one product,
-certified by its multiplier.  An answer that does not verify raises
-`SolverFailure`.  `solve_lp` (HiGHS, free variables) runs on no path of
-the package: the benchmark's tracer and the test oracles read it.
+face pseudo-inverses per row set, so most nearest points are one or two
+products, certified by their multipliers.  An answer that does not verify
+raises `SolverFailure`.  `solve_lp` (HiGHS, free variables) runs on no
+path of the package: the benchmark's tracer and the test oracles read it.
 """
 
 import numpy as np
@@ -107,9 +107,13 @@ def nearest_point(A, b, E, d, frame, z):
     x of the rows V it violates (`_face_point`) is the answer if y_V >= 0,
     A_V x = b_V, E x = d and A x <= b, each row to FEAS_TOL of its own
     scale: a KKT certificate, positively homogeneous on a cone.  Else one
-    verified NNLS solve on [-(A N)ᵀ; hᵀ / ||h||] against the last unit
-    vector answers min ||w|| s.t. -(A N) w >= h; the positive entries J of
-    its u are the rows active at the answer, which is then J's face point.
+    active-set step gives a second face J: V without its rows of y < 0,
+    plus the rows outside V that x violates; J's face point answers under
+    the same certificate (skipped when J is empty, as its point is x0, or
+    is V again).  Else one verified NNLS solve on [-(A N)ᵀ; hᵀ / ||h||]
+    against the last unit vector answers min ||w|| s.t. -(A N) w >= h; the
+    positive entries of its u are the rows active at the answer, whose face
+    point it then is.
 
     Every answer is verified: a point only when it lies in the set
     (`_holds`, floor 1 after the NNLS).  The set is empty when x0 misses
@@ -127,10 +131,17 @@ def nearest_point(A, b, E, d, frame, z):
     V = h > 0.0
     if not V.any():
         return x0
-    x, y = _face_point(A, b, E, d, frame, z, V)
-    if y[:np.count_nonzero(V)].min() >= 0.0 and _holds(E, d, x, z, np.abs, 0.0) \
-            and _holds(A, b, x, z, lambda r: np.where(V, np.abs(r), r), 0.0):
-        return x
+    for _ in range(2):  # V's face, then one active-set step from it
+        x, y = _face_point(A, b, E, d, frame, z, V)
+        k = np.count_nonzero(V)
+        if y[:k].min() >= 0.0 and _holds(E, d, x, z, np.abs, 0.0) \
+                and _holds(A, b, x, z, lambda r: np.where(V, np.abs(r), r), 0.0):
+            return x
+        J = ~V & (A @ x > b)
+        J[V] = y[:k] >= 0.0
+        if not J.any() or np.array_equal(J, V):
+            break
+        V = J
     u, _ = nonneg_lstsq(np.vstack([-AN.T, h / np.linalg.norm(h)]), np.eye(AN.shape[1] + 1)[-1])
     x = _face_point(A, b, E, d, frame, z, u > 0.0)[0]
     if _holds(A, b, x, z, lambda r: r, 1.0) and _holds(E, d, x, z, np.abs, 1.0):

@@ -21,9 +21,13 @@ Each candidate is verified in three steps:
    (recomputed only after a repair), must be at most SUB_RESIDUAL_TOL.
 
 The pieces holding Phi(x_k) are visited first, then the rest, each group
-in index order.  A piece's QP first tries its face in `spec.faces` (the
-rows it ended on in the last call), else starts at x_k when x_k is feasible
-for it, and otherwise at the point of its constraint set nearest x_k.  The
+in index order.  A rejected candidate (dropped by step 2 or above the
+bound of step 3) moves the unvisited pieces holding its y to the front,
+in index order: they meet there, and the answer is often one of them
+(`_normal_dists` lists them with the gap).  A piece's QP first tries its
+face in `spec.faces` (the rows it ended on in the last call), else starts
+at x_k when x_k is feasible for it, and otherwise at the point of its
+constraint set nearest x_k.  The
 first verified candidate whose primal-dual step lies within the
 localization radius delta is the answer: the SQP method needs one
 localized KKT pair, not all of them.  When every verified candidate lies
@@ -41,7 +45,7 @@ import numpy as np
 from .errors import Infeasible, NoFeasiblePiece, PointOutsideDomain, Unbounded
 from .kkt import CompositeProblem, _smooth_data
 from .lp import LPBuilder, affine_frame, feasible_point
-from .plq import PLQFunction, _membership, active_indices, prox_any, subgradient_dist
+from .plq import PLQFunction, _membership, _normal_dists, prox_any, subgradient_dist
 from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
 
@@ -160,7 +164,8 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     """The first verified subproblem KKT pair within delta.
 
     One QP per piece, started at x_k or nearest it: the pieces holding
-    Phi(x_k) first, then the rest, each group in index order.  A piece whose
+    Phi(x_k) first, then the rest, each group in index order, but the
+    unvisited pieces holding a rejected candidate's y next.  A piece whose
     QP is infeasible is skipped, and one whose QP is unbounded is feasible
     but yields no candidate.  The first candidate that passes the gap,
     repair and residual checks with a primal-dual step of size at most delta
@@ -177,11 +182,12 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
     Theta = problem.Theta
 
     hinted, _ = _membership(problem.g, r + J @ xk)
-    order = sorted(range(len(hinted)), key=lambda i: not hinted[i])  # stable: index order within
+    queue = sorted(range(len(hinted)), key=lambda i: not hinted[i])  # stable: index order within
     feasible_seen = False
     faces = {}  # shared by the call's solutions, so that each holds every piece QP of it
     outside = []  # (step size, solution) of verified candidates outside delta
-    for i in order:
+    while queue:
+        i = queue.pop(0)
         piece = problem.g.pieces[i]
         # constraints over xi: Theta rows plus piece rows composed with y = r + J xi
         A = np.vstack([Theta.A, piece.C.A @ J])
@@ -208,16 +214,16 @@ def solve_subproblem(spec: SubproblemSpec) -> SubproblemSolution:
             lam += piece.C.A.T @ mu_c
         if piece.C.n_eq:
             lam += piece.C.E.T @ nu_c
-        gap = subgradient_dist(problem.g, y, lam)
+        dists = _normal_dists(problem.g, y, lam)
+        holding = [j for j, *_ in dists]  # the pieces holding y, in index order
+        gap = max(dist for *_, dist in dists)
         if not _gap_passes(gap, lam):
-            if _dual_is_fixed(spec, xi):
-                continue
-            lam = _repair_dual(spec, xi, y, active_indices(problem.g, y))
-            if lam is None:
-                continue
-            gap = subgradient_dist(problem.g, y, lam)
-        rsub = _residual(spec, xi, y, lam, gap)
-        if rsub > SUB_RESIDUAL_TOL:
+            lam = None if _dual_is_fixed(spec, xi) else _repair_dual(spec, xi, y, holding)
+            if lam is not None:
+                gap = subgradient_dist(problem.g, y, lam)
+        if lam is None or (rsub := _residual(spec, xi, y, lam, gap)) > SUB_RESIDUAL_TOL:
+            # rejected: the unvisited pieces holding y go next
+            queue = [j for j in holding if j in queue] + [j for j in queue if j not in holding]
             continue
         sol = SubproblemSolution(x_next=xi, lambda_next=lam, piece_index=i, residual=rsub,
                                  faces=faces)

@@ -415,18 +415,31 @@ def test_repeated_projections_at_one_pattern_build_one_face_inverse(monkeypatch)
     assert len(frames) == 2 and calls == []
 
 
-def test_a_negative_face_multiplier_reaches_the_nnls(monkeypatch):
+def test_a_negative_face_multiplier_leaves_the_face_in_one_step(monkeypatch):
     # z = (1, 5) violates x1 <= 0 and x1 + 0.1 x2 <= 0; their vertex 0
-    # needs the multiplier -49 on x1 <= 0, so the NNLS decides: the answer
-    # lies on the second row alone
+    # needs the multiplier -49 on x1 <= 0, so the next face drops that row:
+    # the answer lies on the second row alone, and no NNLS runs
     calls = _count_nnls(monkeypatch)
     A, E = np.array([[1.0, 0.0], [1.0, 0.1]]), np.zeros((0, 2))
     z = np.array([1.0, 5.0])
     x = nearest_point(A, np.zeros(2), E, np.zeros(0), affine_frame(A, E), z)
-    assert len(calls) == 1
+    assert calls == []
     assert np.allclose(x, z - 1.5 / 1.01 * A[1], rtol=0.0, atol=1e-15)
     expected = nearest_point_by_nnls(A, np.zeros(2), E, np.zeros(0), z)
     assert np.allclose(x, expected, rtol=0.0, atol=1e-15)
+
+
+def test_a_violated_row_joins_the_second_face(monkeypatch):
+    # the triangle x >= 0, x1 + x2 <= 1: z = (2, 0.5) violates only
+    # x1 + x2 <= 1, and the point of that line nearest z, (1.25, -0.25),
+    # misses x2 >= 0; the face of both rows, the vertex (1, 0), has the
+    # multipliers (0.5, 1) and certifies, with no NNLS
+    calls = _count_nnls(monkeypatch)
+    A, E = np.array([[0.0, -1.0], [-1.0, 0.0], [1.0, 1.0]]), np.zeros((0, 2))
+    x = nearest_point(A, np.array([0.0, 0.0, 1.0]), E, np.zeros(0), affine_frame(A, E),
+                      np.array([2.0, 0.5]))
+    assert calls == []
+    assert np.allclose(x, [1.0, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_cone_projections_stay_positively_homogeneous():
@@ -449,24 +462,26 @@ def test_cone_projections_stay_positively_homogeneous():
 
 
 def test_unverified_answers_raise_solver_failure(monkeypatch):
-    # z = (2, 0.5) violates only x1 + x2 <= b_2, and the point of that
-    # line nearest z misses x2 >= 0, so the face certificate fails and the
-    # NNLS decides.  u = e_0 certifies nothing: its face point (2, 0)
-    # misses x1 + x2 <= b_2, and (A N)^T u = A_0 is not zero, so it proves
-    # no emptiness, whether the set is empty or not; no point is returned
-    # unverified
-    A = np.array([[0.0, -1.0], [-1.0, 0.0], [1.0, 1.0]])
+    # {x1 <= x2, x2 >= 0, x1 >= 1, x2 <= c}: z = (-3, -3) violates x2 >= 0
+    # and x1 >= 1, and their vertex (1, 0) misses x1 <= x2; those three rows
+    # meet in no point, so both faces fail and the NNLS decides, whether
+    # the set is empty (c = 0.5) or not (c = 2, nearest point (1, 1)).
+    # u = e_0 certifies nothing: its face point z misses x2 >= 0, and
+    # (A N)^T u = A_0 is not zero, so it proves no emptiness; no point is
+    # returned unverified
+    A = np.array([[1.0, -1.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
     E, d = np.zeros((0, 2)), np.zeros(0)
     frame = affine_frame(A, E)
-    triangle = np.array([0.0, 0.0, 1.0])  # x >= 0, x1 + x2 <= 1
-    empty = np.array([0.0, 0.0, -1.0])  # x >= 0, x1 + x2 <= -1
-    z = np.array([2.0, 0.5])
-    assert np.allclose(nearest_point(A, triangle, E, d, frame, z), [1.0, 0.0])
+    nonempty, empty = np.array([0.0, 0.0, -1.0, 2.0]), np.array([0.0, 0.0, -1.0, 0.5])
+    z = np.array([-3.0, -3.0])
+    calls = _count_nnls(monkeypatch)
+    assert np.allclose(nearest_point(A, nonempty, E, d, frame, z), [1.0, 1.0])
     assert nearest_point(A, empty, E, d, frame, z) is None
+    assert len(calls) == 2
     calls = []
     monkeypatch.setattr(lp_module, "nonneg_lstsq",
                         lambda M, r: calls.append(M) or (np.eye(M.shape[1])[0], 1.0))
-    for b in (triangle, empty):
+    for b in (nonempty, empty):
         with pytest.raises(SolverFailure):
             nearest_point(A, b, E, d, frame, z)
     assert len(calls) == 2

@@ -235,6 +235,56 @@ def test_fixed_dual_skips_the_repair(monkeypatch):
     _assert_abs_2d_answer(spec, sol)
 
 
+def _visited_pieces(monkeypatch, prob, J):
+    """A list that grows by the index of each piece whose QP is called,
+    told by its rows C_i.A J after Theta's."""
+    visited = []
+    qp, rows = subqp.active_set_qp, prob.Theta.n_ineq
+
+    def spy(Q, c, A, *args, **kwargs):
+        visited.append(next(i for i, piece in enumerate(prob.g.pieces)
+                            if np.array_equal(A[rows:], piece.C.A @ J)))
+        return qp(Q, c, A, *args, **kwargs)
+
+    monkeypatch.setattr(subqp, "active_set_qp", spy)
+    return visited
+
+
+def test_a_rejected_candidate_sends_the_walk_to_the_pieces_holding_its_point(monkeypatch):
+    # over Theta = {xi_2 <= -1/2}, Phi(xk) = (-0.3, -0.7) lies in piece 0
+    # (z <= 0), whose QP stops at y = (0, -1/2) with a dual lam_1 = 2
+    # outside [-1, 1] that no repair mends; y lies in pieces 0 and 2 only,
+    # so piece 2 goes next, before piece 1 (z_1 <= 0 <= z_2, infeasible
+    # here), and answers xi = (1, -1/2), lam = (1, -1)
+    prob = _abs_2d_problem(Polyhedron(np.array([[0.0, 1.0]]), np.array([-0.5]),
+                                      np.zeros((0, 2)), np.zeros(0)))
+    visited = _visited_pieces(monkeypatch, prob, np.eye(2))
+    spec = SubproblemSpec([-0.3, -0.7], [0.0, 0.0], np.eye(2), prob)
+    sol = solve_subproblem(spec)
+    assert visited == [0, 2] and sol.piece_index == 2
+    assert np.allclose(sol.x_next, [1.0, -0.5], atol=1e-12)
+    assert np.allclose(sol.lambda_next, [1.0, -1.0], atol=1e-12)
+    assert subproblem_residual(spec, sol.x_next, sol.lambda_next) <= 1e-8
+
+
+def test_elqp_walk_reaches_the_answer_in_two_piece_qps(monkeypatch):
+    # ELQP n = m = 3 (seed 5) with exact H is its own model, so one
+    # subproblem lands on (xbar, lambdabar), whose Phi lies in piece 9.
+    # From xk with Phi(xk) in piece 10 only, that piece's QP stops on its
+    # facet with piece 9 and is rejected; piece 9 goes next and answers
+    # (index order after piece 10 ran pieces 0-8 first: 11 QPs)
+    from plqsqp.generators import generate
+    from plqsqp.plq import active_indices
+    gp = generate("elqp", n=3, m=3, seed=5)
+    prob, xk = gp.problem, np.array([-0.3, 0.6, -0.4])
+    assert active_indices(prob.g, prob.Phi.value(xk)) == [10]
+    visited = _visited_pieces(monkeypatch, prob, prob.Phi.jacobian(xk))
+    sol = solve_subproblem(SubproblemSpec(xk, gp.lambdabar, prob.phi.Q[0], prob))
+    assert visited == [10, 9] and sol.piece_index == 9
+    assert np.allclose(sol.x_next, gp.xbar, rtol=0.0, atol=1e-10)
+    assert np.allclose(sol.lambda_next, gp.lambdabar, rtol=0.0, atol=1e-10)
+
+
 def _qp_starts(monkeypatch):
     """A list that grows by (z, start) on every start a QP computes: the
     point of its constraint set nearest z."""
