@@ -279,31 +279,30 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
     the `second_order_model` h = ½ d²g(zbar, vbar).  Each direction samples
     one graph by Minty's parametrization x -> (prox(x), x - prox(x)), with
     delta uniform in the eps-ball, and tests the sample against the other
-    graph exactly (`in_subgradient_graph`).  Forward: x = zbar + vbar +
-    delta, z = prox_g(x), and (z - zbar, x - z - vbar) must lie in gph dh.
-    Backward: w = prox_h(delta), and (zbar + w, vbar + delta - w) must lie
-    in gph dg.  Minty's map is firmly nonexpansive, so every sample lies
-    within eps of its base point and no attempt is skipped.  Zero
-    violations required.
+    graph exactly: one `in_subgradient_graph` call per direction takes all
+    its samples as a row block, after prox has mapped them one at a time.
+    Forward: x = zbar + vbar + delta, z = prox_g(x), and (z - zbar,
+    x - z - vbar) must lie in gph dh.  Backward: w = prox_h(delta), and
+    (zbar + w, vbar + delta - w) must lie in gph dg.  Minty's map is firmly
+    nonexpansive, so every sample lies within eps of its base point and no
+    attempt is skipped.  Zero violations required.
     """
     rng = rng or np.random.default_rng(0)
     zbar = np.asarray(zbar, dtype=float).ravel()
     vbar = np.asarray(vbar, dtype=float).ravel()
     h = second_order_model(g, zbar, vbar)  # NotASubgradient unless vbar in dg(zbar)
 
-    def ball():
-        d = rng.standard_normal(g.m)
-        return eps * float(rng.uniform()) ** (1.0 / g.m) * d / np.linalg.norm(d)
+    def balls():  # n_samples deltas uniform in the eps-ball, drawn one after another
+        ds = (rng.standard_normal(g.m) for _ in range(n_samples))
+        return np.reshape([eps * float(rng.uniform()) ** (1.0 / g.m) * d / np.linalg.norm(d)
+                           for d in ds], (n_samples, g.m))
 
-    violations = 0
-    for _ in range(n_samples):  # forward: gph dg - (zbar, vbar) in gph dh
-        x = zbar + vbar + ball()
-        z = prox(g, x, near=zbar)
-        violations += not in_subgradient_graph(h, z - zbar, x - z - vbar)
-    for _ in range(n_samples):  # backward: gph dh in gph dg - (zbar, vbar)
-        delta = ball()
-        w = prox(h, delta)
-        violations += not in_subgradient_graph(g, zbar + w, vbar + delta - w)
+    X = zbar + vbar + balls()  # forward: gph dg - (zbar, vbar) in gph dh
+    Z = np.reshape([prox(g, x, near=zbar) for x in X], X.shape)
+    violations = int(np.count_nonzero(~in_subgradient_graph(h, Z - zbar, X - Z - vbar)))
+    D = balls()  # backward: gph dh in gph dg - (zbar, vbar)
+    W = np.reshape([prox(h, delta) for delta in D], D.shape)
+    violations += int(np.count_nonzero(~in_subgradient_graph(g, zbar + W, vbar + D - W)))
     result = "holds" if violations == 0 else "fails"
     return Verdict("reduction_lemma", result,
                    certificate=violations if violations else None,

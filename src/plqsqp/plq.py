@@ -11,7 +11,10 @@ proto-derivative graph of the subgradient mapping), and proximal points.
 Each function builds one table (`_PieceTable`) at construction: every
 piece's rows stacked with the piece owning each row, and every piece's
 least-distance frame, so membership, active rows and subgradient tests
-at a point are one product with it, and a bad piece fails there.  The
+at a point are one product with it, and a bad piece fails there.  They
+take row blocks: `subgradient_dist` and `in_subgradient_graph` of (Z, V),
+and `subderivative` of a block W of directions at one z, one answer per
+row; a 1-D argument is a block of one.  The
 load certificates are exact on the pieces: consistency on the affine hull
 of every intersection of two pieces, and convexity from each piece's
 curvature on its hull and the gradient jump across every shared facet,
@@ -89,7 +92,8 @@ class Piece:
         return 0.5 * float(z @ self.A @ z) + float(self.a @ z) + self.alpha
 
     def gradient(self, z) -> np.ndarray:
-        return self.A @ np.asarray(z, dtype=float).ravel() + self.a
+        """A z + a, or per row of a (k, m) block."""
+        return (self.A @ np.asarray(z, dtype=float).T).T + self.a
 
 
 @dataclass(frozen=True)
@@ -160,30 +164,29 @@ class DualLQ:
 # pointwise calculus
 # ---------------------------------------------------------------------------
 
-# act: `active_rows`' threshold of each row; piece i owns rows start[i]:start[i + 1]
-_PieceTable = namedtuple("_PieceTable", "A b act owner start E d eq_owner frames")
+# piece i owns rows start[i]:start[i + 1] of A, act is `active_rows`' threshold
+# of each; M z <= hi stacks A z <= b and ±(E z - d) <= 0 at MEMBER_TOL, and
+# inc[k, i] says that row k of M belongs to piece i
+_PieceTable = namedtuple("_PieceTable", "A b act owner start M hi inc frames")
 
 
 def _piece_table(pieces) -> _PieceTable:
     Cs = [p.C for p in pieces]
-    count, b = [C.n_ineq for C in Cs], np.concatenate([C.b for C in Cs])
-    return _PieceTable(np.vstack([C.A for C in Cs]), b, ACT_TOL * (1.0 + np.abs(b)),
-                       np.repeat(np.arange(len(Cs)), count), np.cumsum([0] + count),
-                       np.vstack([C.E for C in Cs]), np.concatenate([C.d for C in Cs]),
-                       np.repeat(np.arange(len(Cs)), [C.n_eq for C in Cs]),
+    (A, b, E, d), count = _rows(*Cs), [C.n_ineq for C in Cs]
+    owner, eq_owner = (np.repeat(np.arange(len(Cs)), k) for k in (count, [C.n_eq for C in Cs]))
+    return _PieceTable(A, b, ACT_TOL * (1.0 + np.abs(b)), owner, np.cumsum([0] + count),
+                       np.vstack([A, E, -E]), np.concatenate([b, d, -d]) + MEMBER_TOL,
+                       np.concatenate([owner, eq_owner, eq_owner])[:, None] == np.arange(len(Cs)),
                        tuple(_ldp_frame(p.C, p.A, f"piece {i}") for i, p in enumerate(pieces)))
 
 
 def _membership(g: PLQFunction, z):
-    """(piece-membership vector, A z over the table's stacked inequality
-    rows): one product, its violated rows scattered onto their pieces."""
+    """(piece-membership vector, A z over the table's inequality rows) at z, or
+    per row of a (k, m) block: one product with the stacked rows M, whose
+    violated rows one boolean product with the incidence carries onto pieces."""
     T = g._table
-    z = np.asarray(z, dtype=float).ravel()
-    Az = T.A @ z
-    member = np.ones(len(g.pieces), dtype=bool)
-    member[T.owner[~(Az <= T.b + MEMBER_TOL)]] = False
-    member[T.eq_owner[~(np.abs(T.E @ z - T.d) <= MEMBER_TOL)]] = False
-    return member, Az
+    MZ = (T.M @ np.asarray(z, dtype=float).T).T
+    return ~(~(MZ <= T.hi) @ T.inc), MZ[..., :len(T.b)]
 
 
 def evaluate(g: PLQFunction, z) -> float:
@@ -204,29 +207,51 @@ def active_indices(g: PLQFunction, z) -> list:
     return idx
 
 
-def _normal_dists(g: PLQFunction, z, v) -> list:
-    """[(i, J_i, v_i, dist(v_i, N_{C_i}(z)))] over the pieces holding z, with
-    v_i = v - A_i z - a_i and J_i the rows of C_i active at z, membership and
-    activity both read off the one product of `_membership`."""
-    z = np.asarray(z, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+def _piece_dists(g: PLQFunction, member, active, Z, V) -> list:
+    """[(i, J_i, V_i, dist(V_i, N_{C_i}(z)))] over the pieces in `member`, with
+    V_i = V - A_i Z - a_i, for a point Z or a block of points that share those
+    pieces and the table's `active` rows: one normal-cone product per piece."""
     T = g._table
-    member, Az = _membership(g, z)
-    if not member.any():
-        raise PointOutsideDomain("z lies outside dom g")
-    active = T.b - Az <= T.act
     out = []
     for i in np.flatnonzero(member):
-        C, vi = g.pieces[i].C, v - g.pieces[i].gradient(z)
         J = np.flatnonzero(active[T.start[i]:T.start[i + 1]]).tolist()
-        out.append((int(i), J, vi, normal_cone_dist_at_rows(C, J, vi)))
+        Vi = V - g.pieces[i].gradient(Z)
+        out.append((int(i), J, Vi, normal_cone_dist_at_rows(g.pieces[i].C, J, Vi)))
     return out
 
 
-def subgradient_dist(g: PLQFunction, z, v) -> float:
-    """max over active pieces of dist(v - A_i z - a_i, N_{C_i}(z)), from one
-    product with the table's stacked rows (`_normal_dists`)."""
-    return max(dist for *_, dist in _normal_dists(g, z, v))
+def _normal_dists(g: PLQFunction, z, v) -> list:
+    """`_piece_dists` over the pieces holding z, with v_i = v - A_i z - a_i and
+    J_i the rows of C_i active at z, membership and activity both read off the
+    one product of `_membership`."""
+    z = np.asarray(z, dtype=float).ravel()
+    member, Az = _membership(g, z)
+    if not member.any():
+        raise PointOutsideDomain("z lies outside dom g")
+    return _piece_dists(g, member, g._table.b - Az <= g._table.act, z,
+                        np.asarray(v, dtype=float).ravel())
+
+
+def subgradient_dist(g: PLQFunction, z, v):
+    """max over active pieces of dist(v - A_i z - a_i, N_{C_i}(z)) (`_normal_dists`).
+    Row blocks (Z, V) give one distance per row: rows grouped by their pieces
+    and active rows (the mask's bytes) take one `_piece_dists` per group."""
+    Z, V = np.asarray(z, dtype=float), np.asarray(v, dtype=float)
+    if Z.ndim == 1:
+        return max(dist for *_, dist in _normal_dists(g, Z, V))
+    T = g._table
+    member, AZ = _membership(g, Z)
+    if not member.any(axis=1).all():
+        raise PointOutsideDomain("a point of the block lies outside dom g")
+    masks, groups = np.hstack([member, T.b - AZ <= T.act]), {}
+    for k, mask in enumerate(masks):
+        groups.setdefault(mask.tobytes(), []).append(k)
+    dist = np.empty(len(Z))
+    for rows in groups.values():
+        mask = masks[rows[0]]
+        dist[rows] = np.max([d for *_, d in _piece_dists(
+            g, mask[:len(g.pieces)], mask[len(g.pieces):], Z[rows], V[rows])], axis=0)
+    return dist
 
 
 def subdifferential(g: PLQFunction, z) -> Polyhedron:
@@ -252,24 +277,25 @@ def subdifferential(g: PLQFunction, z) -> Polyhedron:
     return result
 
 
-def subderivative(g: PLQFunction, z, w) -> float:
-    """dg(z)(w): <A_i z + a_i, w> on the tangent cone of an active piece, else +inf.
+def subderivative(g: PLQFunction, z, w):
+    """dg(z)(w): <A_i z + a_i, w> on the tangent cone of the first active piece
+    holding w, else +inf; a (k, m) block of directions gives one value per row.
 
     The active pieces' (T_{C_i}(z), A_i z + a_i) at the last z are kept on
     g, keyed by z's bytes, so many directions at one z build them once.
     """
     z = np.asarray(z, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
     key = z.tobytes()
     memo = getattr(g, "_tangent_memo", None)
     if memo is None or memo[0] != key:
         memo = (key, [(tangent_cone(g.pieces[i].C, z), g.pieces[i].gradient(z))
                       for i in active_indices(g, z)])
         object.__setattr__(g, "_tangent_memo", memo)
-    for T, grad in memo[1]:
-        if contains(T, w):
-            return float(grad @ w)
-    return np.inf
+    W = np.asarray(w, dtype=float)
+    value = np.full(W.shape[:-1], np.inf)
+    for T, grad in reversed(memo[1]):  # so the first cone holding a row writes last
+        value = np.where(contains(T, W), np.vecdot(W, grad), value)
+    return value if W.ndim > 1 else float(value)
 
 
 def piece_critical_cones(g: PLQFunction, z, v):
@@ -324,9 +350,15 @@ def second_order_model(g: PLQFunction, z, v) -> PLQFunction:
                              for i, K in piece_critical_cones(g, z, v)])
 
 
-def in_subgradient_graph(f: PLQFunction, z, v) -> bool:
-    """Whether (z, v) lies in gph df: f(z) finite and `subgradient_dist` <= 1e-8."""
-    return bool(np.isfinite(evaluate(f, z)) and subgradient_dist(f, z, v) <= 1e-8)
+def in_subgradient_graph(f: PLQFunction, z, v):
+    """Whether (z, v) lies in gph df: z in dom f and `subgradient_dist` <= 1e-8;
+    row blocks (Z, V) give one boolean per row."""
+    Z, V = np.asarray(z, dtype=float), np.asarray(v, dtype=float)
+    inside = _membership(f, Z)[0].any(axis=-1)
+    if Z.ndim == 1:
+        return bool(inside and subgradient_dist(f, Z, V) <= 1e-8)
+    inside[inside] = subgradient_dist(f, Z[inside], V[inside]) <= 1e-8
+    return inside
 
 
 def proto_derivative_contains(g: PLQFunction, z, v, w, u) -> bool:

@@ -176,16 +176,16 @@ class Face:
 # membership / activity
 # ---------------------------------------------------------------------------
 
-def contains(P: Polyhedron, x, tol: float = MEMBER_TOL) -> bool:
-    """True iff A x <= b + tol and |E x - d| <= tol componentwise."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != P.dim:
-        raise DimensionMismatch(f"point has dim {x.size}, set has dim {P.dim}")
-    if P.n_ineq and np.any(P.A @ x - P.b > tol):
-        return False
-    if P.n_eq and np.any(np.abs(P.E @ x - P.d) > tol):
-        return False
-    return True
+def contains(P: Polyhedron, x, tol: float = MEMBER_TOL):
+    """True iff A x <= b + tol and |E x - d| <= tol componentwise; a (k, n)
+    block of points gives one boolean per row."""
+    X = np.asarray(x, dtype=float)
+    if X.shape[-1:] != (P.dim,):
+        raise DimensionMismatch(f"point has shape {X.shape}, set has dim {P.dim}")
+    out = (X @ P.A.T - P.b > tol).any(axis=-1)
+    if P.n_eq:
+        out |= (np.abs(X @ P.E.T - P.d) > tol).any(axis=-1)
+    return ~out if X.ndim > 1 else not out
 
 
 def active_rows(P: Polyhedron, x) -> list:
@@ -248,28 +248,46 @@ def normal_cone_dist(P: Polyhedron, x, v) -> float:
     return normal_cone_dist_at_rows(P, active_rows(P, x), v)
 
 
-def normal_cone_dist_at_rows(P: Polyhedron, J, v) -> float:
-    """dist(v, N_P(x)) at an x of P whose active rows are J: min_{μ >= 0} ||Cᵀμ − w||
-    with C = (A N)_J less its `flat_rows` and w = Nᵀv in P's equality frame (E⁺,
-    N, A N), as E's free multipliers meet v off N exactly.  The least-squares
-    residual r = Cᵀy − w at y = (C⁺)ᵀw, C⁺ kept on P per J, bounds it below
-    when C r passes the NNLS first-order test; clipped at 0, ||Cᵀy⁺ − w|| bounds
-    it above and is it when the two agree to rounding; else one verified NNLS."""
+def normal_cone_dist_at_rows(P: Polyhedron, J, v):
+    """dist(v, N_P(x)) at an x of P whose active rows are J, one per row of a
+    (k, n) block v: min_{μ >= 0} ||Cᵀμ − w|| with C = (A N)_J less its `flat_rows`
+    and w = Nᵀv in P's equality frame (E⁺, N, A N), as E's free multipliers meet
+    v off N exactly.  The least-squares residual r = Cᵀy − w at y = (C⁺)ᵀw, C⁺
+    kept on P per row set ("NF"), bounds it below when C r passes the NNLS
+    first-order test; clipped at 0, ||Cᵀy⁺ − w|| bounds it above and is it when
+    the two agree to rounding.  A row that misses takes one face step: the rows
+    of y >= 0 (and of C r < −_OPT_TOL·scale) give u; if g = C(Cᵀu − w) >= 0, the
+    distance is within uᵀg / ||Cᵀu − w|| of ||Cᵀu − w|| (−(Cᵀu − w) is in the
+    polar cone), which answers when that is rounding.  Else one verified NNLS."""
+    V = np.asarray(v, dtype=float)
     if not (J or P.n_eq):
-        return float(np.linalg.norm(v))
+        return np.sqrt(np.vecdot(V, V)) if V.ndim > 1 else float(np.linalg.norm(V))
     _, N, AN = _derived(P, "frame", lambda: affine_frame(P.A, P.E))
-    C, pinv, top = _derived(P, ("NF", tuple(J)), lambda: (C := AN[J][~flat_rows(P.A[J], AN[J])],
-                            affine_frame(C[:0], C)[0], np.abs(C).max(initial=1.0)))
-    w = np.asarray(v, dtype=float).ravel() @ N
-    y = w @ pinv
-    r = C.T @ y - w
-    y = np.maximum(y, 0.0)  # below 0 by rounding only, or not
-    dist = float(np.linalg.norm(C.T @ y - w))
-    scale = np.abs(w).max(initial=top)
-    if np.abs(C @ r).max(initial=0.0) <= _OPT_TOL * scale and dist - np.linalg.norm(r) \
-            <= len(y) * np.finfo(float).eps * max(top * np.abs(y).max(initial=1.0), scale):
-        return dist
-    return nonneg_lstsq(C.T, w)[1]
+
+    def face(J):  # (rows of J not flat, C, C⁺, max(1, |C|), rounding: len(C)·eps)
+        return _derived(P, ("NF", tuple(J)), lambda: (
+            rows := np.asarray(J, dtype=int)[~flat_rows(P.A[J], AN[J])], C := AN[rows],
+            affine_frame(C[:0], C)[0], np.abs(C).max(initial=1.0), len(C) * np.finfo(float).eps))
+    rows, C, pinv, top, eps = face(J)
+    W = V @ N
+    Y = W @ pinv
+    R = Y @ C - W
+    Yp = np.maximum(Y, 0.0)  # below 0 by rounding only, or not
+    D = Yp @ C - W
+    dist, scale, G = np.sqrt(np.vecdot(D, D)), np.abs(W).max(axis=-1, initial=top), R @ C.T
+    ok = (np.abs(G).max(axis=-1, initial=0.0) <= _OPT_TOL * scale) & (dist - np.sqrt(np.vecdot(
+        R, R)) <= eps * np.maximum(top * Yp.max(axis=-1, initial=1.0), scale))
+    if np.count_nonzero(ok) < ok.size:  # one face step per row that misses, then the NNLS
+        (dist, scale, miss), (W, Y, G) = np.atleast_1d(dist, scale, ~ok), np.atleast_2d(W, Y, G)
+        for k in np.flatnonzero(miss):
+            keep = (Y[k] >= 0.0) | (G[k] < -_OPT_TOL * scale[k])
+            u = np.zeros(len(C))
+            u[keep] = np.maximum(W[k] @ face(rows[keep].tolist())[2], 0.0)
+            dist[k] = np.linalg.norm(r := C.T @ u - W[k])
+            tol = eps * max(top * u.max(initial=1.0), scale[k])
+            if (g := C @ r).min(initial=0.0) < -top * tol or u @ g > tol * dist[k]:
+                dist[k] = nonneg_lstsq(C.T, W[k])[1]
+    return dist if V.ndim > 1 else dist.item()
 
 
 def critical_cone(P: Polyhedron, x, v) -> PolyCone:

@@ -2,7 +2,9 @@
 
 Each suite returns (failures, checked, detail).  They are shared by the
 check-calculus CLI command and by the acceptance tests; all sampling is
-driven by a caller-supplied generator so runs are reproducible.
+driven by a caller-supplied generator so runs are reproducible.  The
+duality and resolvent suites draw their directions and points as blocks
+and test each block in one `subderivative` or `subgradient_dist` call.
 """
 
 import numpy as np
@@ -28,13 +30,11 @@ from .polyhedral import (
 
 
 def prox_resolvent_suite(g: PLQFunction, rng, n_cases: int = 200):
-    """x - prox(x) must be a subgradient at prox(x) (resolvent identity)."""
-    failures = 0
-    for _ in range(n_cases):
-        x = 3.0 * rng.standard_normal(g.m)
-        z = prox(g, x)
-        if subgradient_dist(g, z, x - z) > 1e-8:
-            failures += 1
+    """x - prox(x) must be a subgradient at prox(x) (resolvent identity); the
+    x are drawn as one block, and the pairs tested in one call."""
+    X = 3.0 * rng.standard_normal((n_cases, g.m))
+    Z = np.reshape([prox(g, x) for x in X], X.shape)
+    failures = int(np.count_nonzero(subgradient_dist(g, Z, X - Z) > 1e-8))
     return failures, n_cases, "prox resolvent identity"
 
 
@@ -42,7 +42,9 @@ def subdifferential_duality_suite(g: PLQFunction, rng, n_cases: int = 200):
     """v in subdiff(z) iff <v, w> <= dg(z)(w) for the sampled directions.
 
     Subgradients must satisfy the inequality for every direction;
-    non-subgradients must violate it along the separating direction.
+    non-subgradients must violate it along the separating direction.  Each
+    case draws its 100 directions, and its 6 separating ones, as one block
+    and takes one `subderivative` call per block.
     """
     failures = 0
     checked = 0
@@ -51,20 +53,17 @@ def subdifferential_duality_suite(g: PLQFunction, rng, n_cases: int = 200):
         sub = subdifferential(g, z)
         v_in = project(sub, 2.0 * rng.standard_normal(g.m))
         checked += 1
-        for _ in range(100):
-            w = rng.standard_normal(g.m)
-            dv = subderivative(g, z, w)
-            if float(v_in @ w) > dv + 1e-9 * (1.0 + abs(dv) if np.isfinite(dv) else 1.0):
-                failures += 1
-                break
+        W = rng.standard_normal((100, g.m))
+        dv = subderivative(g, z, W)
+        tol = 1e-9 * np.where(np.isfinite(dv), 1.0 + np.abs(dv), 1.0)
+        failures += bool(np.any(W @ v_in > dv + tol))
         outside = v_in + rng.standard_normal(g.m)
         gap = np.linalg.norm(outside - project(sub, outside))
         if gap > 1e-6:
             v_out = outside
             sep = v_out - project(sub, v_out)
-            dirs = [sep] + [rng.standard_normal(g.m) for _ in range(5)]
-            if not any(float(v_out @ w) > subderivative(g, z, w) + 1e-9 for w in dirs):
-                failures += 1
+            dirs = np.vstack([sep, rng.standard_normal((5, g.m))])
+            failures += not np.any(dirs @ v_out > subderivative(g, z, dirs) + 1e-9)
     return failures, checked, "subdifferential-subderivative duality"
 
 

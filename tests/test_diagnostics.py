@@ -476,7 +476,8 @@ def test_reduction_lemma_samples_lie_within_eps_of_their_base_points(
         monkeypatch, g_ind_nonpos, g_two_piece_2d):
     # Minty's map is firmly nonexpansive, so every tested forward sample
     # (w, u) of gph dg - (zbar, vbar) and every backward sample (z, v) of
-    # gph dg lies within eps of (0, 0) and of (zbar, vbar): none is skipped
+    # gph dg lies within eps of (0, 0) and of (zbar, vbar): none is skipped.
+    # Each direction is one block call with a row per sample
     tested = []
     member = diagnostics.in_subgradient_graph
 
@@ -492,11 +493,12 @@ def test_reduction_lemma_samples_lie_within_eps_of_their_base_points(
         v = verify_reduction_lemma(g, zbar, vbar, eps=eps, n_samples=100,
                                    rng=np.random.default_rng(2))
         assert v.result == "holds"
-        assert [f is g for f, _, _ in tested] == [False] * 100 + [True] * 100
+        assert [f is g for f, _, _ in tested] == [False, True]
         for f, z, u in tested:
+            assert z.shape == u.shape == (100, g.m)
             base_z, base_v = (zbar, vbar) if f is g else (0.0, 0.0)
-            assert np.hypot(np.linalg.norm(z - base_z), np.linalg.norm(u - base_v)) \
-                <= eps * (1.0 + 1e-12)
+            assert np.all(np.hypot(np.linalg.norm(z - base_z, axis=1),
+                                   np.linalg.norm(u - base_v, axis=1)) <= eps * (1.0 + 1e-12))
 
 
 def test_reduction_lemma_rejects_non_subgradient(g_abs):

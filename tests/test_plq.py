@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from plqsqp.errors import (
 )
 from plqsqp.plq import (
     DualLQ,
+    _membership,
     Piece,
     PLQFunction,
     active_indices,
@@ -17,6 +20,7 @@ from plqsqp.plq import (
     dual_lq_eval_prox,
     dual_lq_subdifferential,
     evaluate,
+    in_subgradient_graph,
     piece_critical_cones,
     plq_vector_max,
     prox,
@@ -318,6 +322,66 @@ def test_subgradient_dist_matches_the_per_piece_reference(rng):
     assert shared >= 30
 
 
+def _block_cases(rng):
+    """(g, Z, V) per function: the four calculus fixtures (half_square's one
+    piece has no rows) and the convex functions of `_certificate_cases` (some
+    with equality rows); Z holds 12 points of dom g and up to 12 more on faces
+    that two pieces share, V random vectors and subgradients in turn."""
+    for g in [g for _, g in _g_fixtures()] + _certificate_cases(rng)[0]:
+        Z = [sample_domain_point(g, rng) for _ in range(12)]
+        for i, j in itertools.combinations(range(len(g.pieces)), 2):
+            both = intersect(g.pieces[i].C, g.pieces[j].C)
+            if len(Z) < 24 and (z0 := interior_point(both)) is not None:
+                Z.append(project(both, z0 + rng.standard_normal(g.m)))
+        V = [project(subdifferential(g, z), rng.standard_normal(g.m)) if k % 2 else
+             rng.standard_normal(g.m) for k, z in enumerate(Z)]
+        yield g, np.array(Z), np.array(V)
+
+
+def test_block_calculus_answers_as_one_call_per_row(rng):
+    # booleans and subderivatives bitwise, distances to rounding; a 0-row
+    # block is empty
+    cases = 0
+    for g, Z, V in _block_cases(rng):
+        member, AZ = _membership(g, Z)
+        for z, m, az in zip(Z, member, AZ):
+            m1, az1 = _membership(g, z)
+            assert np.array_equal(m, m1) and np.allclose(az, az1, rtol=1e-14, atol=1e-14)
+        dist = subgradient_dist(g, Z, V)
+        for d, z, v in zip(dist, Z, V):
+            assert abs(d - subgradient_dist(g, z, v)) <= 1e-12 * (1.0 + d)
+        assert in_subgradient_graph(g, Z, V).tolist() == \
+            [in_subgradient_graph(g, z, v) for z, v in zip(Z, V)]
+        W = np.vstack([rng.standard_normal((20, g.m)), -V])
+        for z in Z[::4]:
+            value = subderivative(g, z, W)
+            assert np.array_equal(value, [subderivative(g, z, w) for w in W])
+        empty = np.zeros((0, g.m))
+        assert _membership(g, empty)[0].shape == (0, len(g.pieces))
+        for out in (subgradient_dist(g, empty, empty), in_subgradient_graph(g, empty, empty),
+                    subderivative(g, Z[0], empty)):
+            assert out.shape == (0,)
+        cases += 1
+    assert cases == 28
+
+
+def test_a_block_with_a_point_outside_dom_g(rng):
+    # subgradient_dist raises as the per-point call does; in_subgradient_graph
+    # reads False on that row, as the per-point call does
+    g = _g_fixtures()[1][1]  # the indicator of R_-
+    Z, V = np.array([[-1.0], [0.0], [2.0]]), np.array([[0.0], [1.0], [0.0]])
+    with pytest.raises(PointOutsideDomain):
+        subgradient_dist(g, Z[2], V[2])
+    with pytest.raises(PointOutsideDomain):
+        subgradient_dist(g, Z, V)
+    assert in_subgradient_graph(g, Z, V).tolist() == [True, True, False] == \
+        [in_subgradient_graph(g, z, v) for z, v in zip(Z, V)]
+    h = next(g for g, *_ in _block_cases(rng) if g.pieces[0].C.n_eq)  # +inf off a subspace
+    z = project(h.pieces[0].C, np.zeros(h.m)) + 1.0
+    with pytest.raises(PointOutsideDomain):
+        subgradient_dist(h, np.vstack([z, project(h.pieces[0].C, z)]), np.zeros((2, h.m)))
+
+
 def _embedded(rng, g0, n):
     """g0 (on R^k) on a random k-dimensional affine subspace of R^n, +inf
     off it: every piece carries n - k mixed equality rows and a quadratic
@@ -481,6 +545,20 @@ def test_duality_suite(rng, g_abs, g_two_piece_2d):
     for g in (g_abs, g_two_piece_2d):
         failures, checked, _ = subdifferential_duality_suite(g, rng, n_cases=50)
         assert failures == 0 and checked > 0
+
+
+def test_duality_suite_counts_one_failure_per_case(monkeypatch):
+    # the four fixtures at seeds 0-9 check 50 cases each, none failing, as
+    # when each direction was drawn and tested alone; with a subderivative
+    # below the true one, every case fails once however many directions do
+    from plqsqp import properties
+    for _, g in _g_fixtures():
+        assert [subdifferential_duality_suite(g, np.random.default_rng(seed), n_cases=50)[:2]
+                for seed in range(10)] == [(0, 50)] * 10
+    monkeypatch.setattr(properties, "subderivative", lambda g, z, W: subderivative(g, z, W) - 10.0)
+    for _, g in _g_fixtures():
+        failures, checked, _ = subdifferential_duality_suite(g, np.random.default_rng(0), 50)
+        assert failures == checked == 50
 
 
 def test_second_quotient_suite(rng, g_abs, g_quad, g_two_piece_2d):

@@ -8,6 +8,7 @@ import pytest
 from plqsqp import polyhedral
 from plqsqp.nonneg import nonneg_lstsq
 from plqsqp.errors import (
+    DimensionMismatch,
     EmptyPolyhedron,
     Infeasible,
     NotANormalVector,
@@ -57,6 +58,25 @@ def test_contains_examples():
     assert contains(nonpos, [0.0], 0.0)
     assert not contains(nonpos, [1e-3], 1e-6)
     assert contains(SIMPLEX, [0.5, 0.5], 0.0)
+
+
+def test_contains_on_a_block_is_contains_per_row(rng):
+    # rows of a block answer bitwise as one point each, on polyhedra with
+    # inequality rows, equality rows, both and neither; points on the
+    # equality hull, near the boundary and far off; a 0-row block is empty
+    for P in (SIMPLEX, Polyhedron.whole_space(2), Polyhedron.point([0.5, -1.0]),
+              Polyhedron(np.array([[1.0, 1.0, 0.0], [0.0, -1.0, 0.0]]), np.array([1.0, 0.0]),
+                         np.array([[1.0, -1.0, 1.0]]), np.array([0.25]))):
+        inner = interior_point(P)
+        X = np.vstack([inner + 0.5 * rng.standard_normal((40, P.dim)),
+                       np.array([project(P, x) for x in inner + rng.standard_normal((40, P.dim))])])
+        for tol in (0.0, 1e-9, 1e-3):
+            inside = contains(P, X, tol)
+            assert inside.dtype == bool and inside.shape == (len(X),)
+            assert inside.tolist() == [contains(P, x, tol) for x in X]
+        assert contains(P, np.zeros((0, P.dim))).shape == (0,)
+        with pytest.raises(DimensionMismatch):
+            contains(P, np.zeros((3, P.dim + 1)))
 
 
 # -- projection ------------------------------------------------------------
@@ -364,23 +384,32 @@ def _random_rows_and_multipliers(rng):
 
 
 def test_normal_cone_distance_agrees_with_the_stacked_nnls(monkeypatch):
-    # the least-squares certificate answers most calls and the NNLS the
-    # rest; either way the distance is the NNLS's on [A_J^T, E^T, -E^T]
-    # (flat rows left out: kept, a row ∝ an equality row is a column of
-    # rounding size on N, and 11 of these draws read a wrong distance)
+    # the least-squares certificate answers most calls, one face step most of
+    # the rest (a second row set looked up on P) and the NNLS the others;
+    # each way the distance is the NNLS's on [A_J^T, E^T, -E^T] (flat rows
+    # left out: kept, a row ∝ an equality row is a column of rounding size
+    # on N, and 11 of these draws read a wrong distance)
     rng = np.random.default_rng(30)
-    calls = _count_nnls(monkeypatch)
-    certified = 0
+    calls, faces = _count_nnls(monkeypatch), []
+    derived = polyhedral._derived
+
+    def spy(P, key, build):
+        faces.append(key[0] == "NF")
+        return derived(P, key, build)
+
+    monkeypatch.setattr(polyhedral, "_derived", spy)
+    certified = stepped = 0
     for _ in range(600):
         P, J, v = _random_rows_and_multipliers(rng)
-        before = len(calls)
+        before, faces[:] = len(calls), []
         dist = normal_cone_dist_at_rows(P, J, v)
-        certified += len(calls) == before
+        certified += sum(faces) == 1
+        stepped += sum(faces) == 2 and len(calls) == before
         expected = normal_cone_dist_by_stacked_nnls(P, J, v)
         scale = max(1.0, np.abs(P.A[J]).max(initial=0.0), np.abs(P.E).max(initial=0.0),
                     np.abs(v).max())
         assert abs(dist - expected) <= 1e-12 * scale, (P, J, v)
-    assert 100 <= certified and 100 <= len(calls)
+    assert 100 <= certified and 50 <= stepped and 20 <= len(calls), (certified, stepped, len(calls))
 
 
 def test_repeated_normal_cone_distances_build_one_frame(monkeypatch):
@@ -408,16 +437,42 @@ def test_repeated_normal_cone_distances_build_one_frame(monkeypatch):
     assert len(frames) == 3
 
 
-def test_a_negative_least_squares_multiplier_reaches_the_nnls(monkeypatch):
+def test_normal_cone_distances_on_a_block_are_the_per_row_distances():
+    # a block of v answers as one call per row, to rounding, whichever route
+    # each row takes: the certificate, the face step or the NNLS; a 0-row
+    # block is empty
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        P, J, v = _random_rows_and_multipliers(rng)
+        size = np.abs(v).max()
+        V = np.vstack([v, size * rng.standard_normal((5, P.dim)), -v, 0.0 * v])
+        dist = normal_cone_dist_at_rows(P, J, V)
+        assert dist.shape == (len(V),)
+        for d, row in zip(dist, V):
+            assert abs(d - normal_cone_dist_at_rows(P, J, row)) <= 1e-13 * max(1.0, size)
+        assert normal_cone_dist_at_rows(P, J, np.zeros((0, P.dim))).shape == (0,)
+
+
+def test_a_negative_least_squares_multiplier_takes_one_face_step(monkeypatch):
     calls = _count_nnls(monkeypatch)
-    # row 0 of R^2_- at the origin: y = -1 for v = -e1, and the distance is 1
+    # row 0 of R^2_- at the origin: y = -1 for v = -e1; the face step drops
+    # the row, and u = 0 with C(Cᵀu - w) = 1 >= 0 gives the distance 1
     assert normal_cone_dist(Polyhedron.nonpos(2), [0.0, 0.0], [-1.0, 0.0]) == 1.0
-    assert calls == ["normal_cone_dist_at_rows"]
     # opposite rows -e1 and e1: the least-norm y for v = e1 is (-1/2, 1/2),
-    # so the NNLS answers, with distance 0 at u = (0, 1)
+    # and the face of row 1 alone gives u = (0, 1) at distance 0
     P = Polyhedron(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
     assert normal_cone_dist_at_rows(P, [0, 1], [1.0, 0.0]) <= 1e-12
-    assert len(calls) == 2
+    assert calls == []
+
+
+def test_a_negative_least_squares_multiplier_reaches_the_nnls(monkeypatch):
+    # rows (0, -1) and (1, 2), v = (-1, 2): y = (-4, -1), so the face step
+    # keeps no row, and u = 0 fails on row 1 (C(Cᵀu - w) = (2, -3)); the NNLS
+    # answers u = (0, 3/5), at distance 4/sqrt(5)
+    calls = _count_nnls(monkeypatch)
+    P = Polyhedron(np.array([[0.0, -1.0], [1.0, 2.0]]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+    assert abs(normal_cone_dist_at_rows(P, [0, 1], [-1.0, 2.0]) - 4.0 / np.sqrt(5.0)) <= 1e-15
+    assert calls == ["normal_cone_dist_at_rows"]
 
 
 def test_a_multiplier_negative_by_rounding_is_clipped(monkeypatch):
