@@ -279,8 +279,8 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
     the `second_order_model` h = ½ d²g(zbar, vbar).  Each direction samples
     one graph by Minty's parametrization x -> (prox(x), x - prox(x)), with
     delta uniform in the eps-ball, and tests the sample against the other
-    graph exactly: one `in_subgradient_graph` call per direction takes all
-    its samples as a row block, after prox has mapped them one at a time.
+    graph exactly: per direction, one block `prox` call maps all its samples
+    and one `in_subgradient_graph` call tests them as a row block.
     Forward: x = zbar + vbar + delta, z = prox_g(x), and (z - zbar,
     x - z - vbar) must lie in gph dh.  Backward: w = prox_h(delta), and
     (zbar + w, vbar + delta - w) must lie in gph dg.  Minty's map is firmly
@@ -298,10 +298,10 @@ def verify_reduction_lemma(g: PLQFunction, zbar, vbar, eps: float = 1e-2,
                            for d in ds], (n_samples, g.m))
 
     X = zbar + vbar + balls()  # forward: gph dg - (zbar, vbar) in gph dh
-    Z = np.reshape([prox(g, x, near=zbar) for x in X], X.shape)
+    Z = prox(g, X, near=zbar)
     violations = int(np.count_nonzero(~in_subgradient_graph(h, Z - zbar, X - Z - vbar)))
     D = balls()  # backward: gph dh in gph dg - (zbar, vbar)
-    W = np.reshape([prox(h, delta) for delta in D], D.shape)
+    W = prox(h, D)
     violations += int(np.count_nonzero(~in_subgradient_graph(g, zbar + W, vbar + D - W)))
     result = "holds" if violations == 0 else "fails"
     return Verdict("reduction_lemma", result,

@@ -5,8 +5,10 @@ decides the homogeneous systems that `LPBuilder` lays out, and
 `affine_frame` is the one SVD behind every null space, pseudo-inverse,
 least-squares point and rank decision of the package; a frame keeps its
 face pseudo-inverses per row set, so most nearest points are one or two
-products, certified by their multipliers.  An answer that does not verify
-raises `SolverFailure`.  `solve_lp` (HiGHS, free variables) runs on no
+products, certified by their multipliers.  `nearest_point` also takes a
+(k, n) block of points: one face product per group of rows that violate
+the same rows (`row_groups`).  An answer that does not verify raises
+`SolverFailure`.  `solve_lp` (HiGHS, free variables) runs on no
 path of the package: the benchmark's tracer and the test oracles read it.
 """
 
@@ -79,21 +81,32 @@ def flat_rows(A, AN):
 
 
 def _holds(M, r, x, z, gap, floor):
-    """Whether gap(M x - r) <= FEAS_TOL (floor + |r| + |M| (|x| + |z|)) row by row."""
+    """Whether gap(M x - r) <= FEAS_TOL (floor + |r| + |M| (|x| + |z|)) row by
+    row, or per point of (k, n) blocks x and z."""
     if not len(M):
         return True
-    excess = gap(M @ x - r)
-    return excess.max() <= FEAS_TOL * floor or bool(np.all(excess <= FEAS_TOL * (
-        floor + np.abs(r) + np.abs(M) @ (np.abs(x) + np.abs(z)))))
+    excess = gap((M @ x.T).T - r)
+    return excess.max() <= FEAS_TOL * floor or np.all(excess <= FEAS_TOL * (
+        floor + np.abs(r) + (np.abs(M) @ (np.abs(x) + np.abs(z)).T).T), axis=-1)
+
+
+def row_groups(masks):
+    """[(mask, rows)]: the rows of a (k, p) boolean block grouped by their mask
+    (its bytes), in the order each mask first appears."""
+    groups = {}
+    for k, mask in enumerate(masks):
+        groups.setdefault(mask.tobytes(), []).append(k)
+    return [(masks[rows[0]], np.asarray(rows)) for rows in groups.values()]
 
 
 def _face_point(A, b, E, d, frame, z, J):
     """(x, y): x = z - C⁺(C z - r), nearest z on {A_J x = b_J, E x = d} if
-    that is not empty, and the least-norm y with z - x = Cᵀy (`Frame.faces`)."""
+    that is not empty, and the least-norm y with z - x = Cᵀy (`Frame.faces`);
+    per row of a (k, n) block z."""
     if (key := J.tobytes()) not in frame.faces:
         frame.faces[key] = (C := np.vstack([A[J], E])), affine_frame(C[:0], C)[0]
     C, pinv = frame.faces[key]
-    step = pinv @ (C @ z - np.concatenate([b[J], d]))
+    step = (pinv @ ((C @ z.T).T - np.concatenate([b[J], d])).T).T
     return z - step, step @ pinv
 
 
@@ -122,7 +135,12 @@ def nearest_point(A, b, E, d, frame, z):
     tolerances uᵀtol.  A row with A N = 0 (to FEAS_TOL) is constant on
     E x = d: x0 decides it, and the program is solved again without such
     rows.  Else `SolverFailure`.
+
+    A (k, n) block z answers with a (k, n) block, or None when the set is
+    empty (`_nearest_rows`).
     """
+    if z.ndim > 1:
+        return _nearest_rows(A, b, E, d, frame, z)
     pinv, N, AN = frame
     x0 = z - pinv @ (E @ z - d)
     if not _holds(E, d, x0, z, np.abs, 1.0):
@@ -154,6 +172,29 @@ def nearest_point(A, b, E, d, frame, z):
     if np.any(flat & (h > 0.0)):  # their columns (0, h_i / ||h||) misled u
         return nearest_point(A[~flat], b[~flat], E, d, Frame(pinv, N, AN[~flat]), z)
     raise SolverFailure("nearest point: neither the face point nor the Farkas vector verifies")
+
+
+def _nearest_rows(A, b, E, d, frame, Z):
+    """`nearest_point` of each row of a (k, n) block Z: x0 per row, then the
+    rows grouped by the rows V their x0 violates (`row_groups`), one face
+    product per group (`_face_point`) and its certificate row by row.  A row
+    that misses takes the one-point route; None when the set is empty."""
+    X = Z - ((E @ Z.T).T - d) @ frame[0].T
+    if not np.all(_holds(E, d, X, Z, np.abs, 1.0)):
+        return None
+    for V, rows in row_groups((A @ X.T).T > b):
+        if not V.any():
+            continue
+        x, y = _face_point(A, b, E, d, frame, Z[rows], V)
+        ok = (y[:, :np.count_nonzero(V)].min(axis=1) >= 0.0) \
+            & _holds(E, d, x, Z[rows], np.abs, 0.0) \
+            & _holds(A, b, x, Z[rows], lambda r: np.where(V, np.abs(r), r), 0.0)
+        X[rows] = x
+        for k in rows[~ok]:
+            if (x := nearest_point(A, b, E, d, frame, Z[k])) is None:
+                return None
+            X[k] = x
+    return X
 
 
 def feasible_point(A, b, E, d):

@@ -19,10 +19,15 @@ from .errors import SolverFailure
 _OPT_TOL = 1e-8
 
 
-def _is_optimal(M, r, u, scale):
+def _is_optimal(M, r, u):
+    """The first-order test of min_{u >= 0} ||M u - r||: the gradient
+    g = Mᵀ(M u - r) is >= 0 and uᵀg = 0, to _OPT_TOL of the data's own
+    scale s = max|M| max|r| and to _OPT_TOL s ||u||₁, with no floor.  The
+    scale leaves u out, or the huge u of a degenerate system would pass."""
     g = M.T @ (M @ u - r)
-    return g.min(initial=0.0) >= -_OPT_TOL * scale \
-        and abs(u @ g) <= _OPT_TOL * scale * (1.0 + np.linalg.norm(u))
+    s = np.abs(M).max() * np.abs(r).max(initial=0.0)
+    return g.min(initial=0.0) >= -_OPT_TOL * s \
+        and abs(u @ g) <= _OPT_TOL * s * np.abs(u).sum()
 
 
 def nonneg_lstsq(M, r):
@@ -31,7 +36,6 @@ def nonneg_lstsq(M, r):
     r = np.asarray(r, dtype=float).ravel()
     if M.size == 0 or M.shape[1] == 0:
         return np.zeros(M.shape[1] if M.ndim == 2 else 0), float(np.linalg.norm(r))
-    scale = max(1.0, float(np.abs(M).max()), float(np.abs(r).max()))
     for solve in (lambda: _scipy_nnls(M, r, maxiter=50 * max(M.shape))[0],
                   lambda: np.zeros(M.shape[1]),
                   lambda: np.maximum(lsq_linear(M, r, bounds=(0.0, np.inf), method="bvls").x, 0.0)):
@@ -39,6 +43,6 @@ def nonneg_lstsq(M, r):
             u = solve()
         except RuntimeError:  # scipy's nnls at its iteration cap
             continue
-        if _is_optimal(M, r, u, scale):
+        if _is_optimal(M, r, u):
             return u, float(np.linalg.norm(M @ u - r))
     raise SolverFailure("nonneg least squares: no answer verifies")

@@ -13,12 +13,14 @@ piece's rows stacked with the piece owning each row, and every piece's
 least-distance frame, so membership, active rows and subgradient tests
 at a point are one product with it, and a bad piece fails there.  They
 take row blocks: `subgradient_dist` and `in_subgradient_graph` of (Z, V),
-and `subderivative` of a block W of directions at one z, one answer per
-row; a 1-D argument is a block of one.  The
-load certificates are exact on the pieces: consistency on the affine hull
+`prox` and `Piece.value` of a block X, and `subderivative` of a block W of
+directions at one z, one answer per row.  A 1-D argument is a block of
+one, except that a 1-D `prox` keeps its one-point route.  The load
+certificates are exact on the pieces: consistency on the affine hull
 of every intersection of two pieces, and convexity from each piece's
 curvature on its hull and the gradient jump across every shared facet,
-on a domain taken to be convex (that is not checked).
+on a domain taken to be convex: its connectedness is checked, its
+convexity is not.
 
 DualLQ is the dual representation sup_{u in Omega} {<z,u> - ½<u,Bu>}; it
 is kept separate from the piece representation and supports evaluation,
@@ -39,7 +41,7 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
-from .lp import FEAS_TOL, affine_frame, feasible_point, nearest_point
+from .lp import FEAS_TOL, affine_frame, feasible_point, nearest_point, row_groups
 from .polyhedral import (
     ACT_TOL,
     MEMBER_TOL,
@@ -87,8 +89,12 @@ class Piece:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def value(self, z) -> float:
-        z = np.asarray(z, dtype=float).ravel()
+    def value(self, z):
+        """½<A z, z> + <a, z> + alpha, or per row of a (k, m) block."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim > 1:
+            return 0.5 * np.vecdot(z @ self.A, z) + z @ self.a + self.alpha
+        z = z.ravel()
         return 0.5 * float(z @ self.A @ z) + float(self.a @ z) + self.alpha
 
     def gradient(self, z) -> np.ndarray:
@@ -243,12 +249,8 @@ def subgradient_dist(g: PLQFunction, z, v):
     member, AZ = _membership(g, Z)
     if not member.any(axis=1).all():
         raise PointOutsideDomain("a point of the block lies outside dom g")
-    masks, groups = np.hstack([member, T.b - AZ <= T.act]), {}
-    for k, mask in enumerate(masks):
-        groups.setdefault(mask.tobytes(), []).append(k)
     dist = np.empty(len(Z))
-    for rows in groups.values():
-        mask = masks[rows[0]]
+    for mask, rows in row_groups(np.hstack([member, T.b - AZ <= T.act])):
         dist[rows] = np.max([d for *_, d in _piece_dists(
             g, mask[:len(g.pieces)], mask[len(g.pieces):], Z[rows], V[rows])], axis=0)
     return dist
@@ -408,11 +410,15 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
     exact subgradient test x - z in dg(z); the first to pass is the unique
     prox point, so `near` changes only the order.  When none passes
     (rounding), the least value wins, ties to the lowest index.  A
-    non-finite x raises DimensionMismatch.
+    non-finite x raises DimensionMismatch.  A (k, m) block x gives one
+    point per row (`_prox_rows`), `near` a point or a block of hints.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DimensionMismatch("prox argument must be finite")
+    if x.ndim > 1:
+        return _prox_rows(g, x, near)
+    x = x.ravel()
 
     def bounded(idx):  # (bound, index, y_u)
         p, (z0, G, _, Qz0) = g.pieces[idx], g._table.frames[idx]
@@ -441,6 +447,44 @@ def prox(g: PLQFunction, x, near=None) -> np.ndarray:
         if val < best_val - 1e-12 or idx < best_idx:
             best, best_val, best_idx = z, val, idx
     return best
+
+
+def _prox_rows(g: PLQFunction, X, near) -> np.ndarray:
+    """`prox` per row of a (k, m) block X.  Every piece bounds every row in one
+    product per piece, and each row orders its pieces as `prox` does, in one
+    `lexsort`.  Round r visits each open row's r-th piece: per piece, one block
+    `nearest_point` and one block `subgradient_dist`.  The skip and fallback
+    rules are `prox`'s, row by row, and a row closes when its test passes."""
+    T, (k, m), n = g._table, X.shape, len(g.pieces)
+    hinted = np.zeros((k, n), dtype=bool) if near is None \
+        else np.broadcast_to(_membership(g, near)[0], (k, n))
+    Y, bound = [], np.empty((k, n))
+    for i, (p, (z0, G, _, Qz0)) in enumerate(zip(g.pieces, T.frames)):
+        Y.append((X - Qz0 - p.a) @ G)
+        D = X - (Zu := z0 + Y[i] @ G.T)
+        bound[:, i] = p.value(Zu) + 0.5 * np.vecdot(D, D)
+    order = np.lexsort((np.where(hinted, 0.0, bound), ~hinted))  # stable: ties by index
+    out, best_val, best_idx = np.full((k, m), np.nan), np.full(k, np.inf), np.full(k, n)
+    tol, open_ = 1e-10 * (1.0 + np.linalg.norm(X, axis=1)), np.ones(k, dtype=bool)
+    for visit in order.T:
+        live = open_ & ~(bound[np.arange(k), visit] > best_val + 1e-12)
+        for i in np.flatnonzero(np.bincount(visit[live], minlength=n)):
+            rows = np.flatnonzero(live & (visit == i))
+            z0, G, ldp, _ = T.frames[i]
+            Z = np.broadcast_to(z0, (len(rows), m)) if ldp is None \
+                else z0 + nearest_point(*ldp, Y[i][rows]) @ G.T
+            D = X[rows] - Z
+            val = g.pieces[i].value(Z) + 0.5 * np.vecdot(D, D)
+            go = ~(val > best_val[rows] + 1e-12)
+            rows, Z, D, val = rows[go], Z[go], D[go], val[go]
+            hit = subgradient_dist(g, Z, D) <= tol[rows]
+            better = hit | (val < best_val[rows] - 1e-12) | (i < best_idx[rows])
+            out[rows[better]], best_val[rows[better]] = Z[better], val[better]
+            best_idx[rows[better]] = i
+            open_[rows[hit]] = False
+        if not open_.any():
+            break
+    return out
 
 
 def _dual_lq_prox(h: DualLQ, z) -> np.ndarray:
@@ -593,9 +637,20 @@ def check_convexity(g: PLQFunction):
     (`feasible_point`), tol NORMAL_TOL of the gradients' scale, above the
     FEAS_TOL band of that decision.
 
-    The criterion assumes dom g convex, and that is not checked: the
-    union of the pieces may be nonconvex and pass.
+    The criterion assumes dom g, the union of the pieces, convex.  Only its
+    connectedness is checked: the graph of meeting pairs (`_meetings`) must
+    join every piece, as a convex union of closed pieces needs.  A connected
+    union may still be nonconvex and pass.
     """
+    linked = np.eye(len(g.pieces), dtype=bool)
+    for i, j, *_ in _meetings(g):
+        linked[i, j] = linked[j, i] = True
+    reach = linked[0]
+    for _ in g.pieces:
+        reach = reach @ linked
+    if not reach.all():
+        return False, (f"pieces {np.flatnonzero(~reach).tolist()} are not joined to piece 0 "
+                       "by meeting pieces, so dom g is not connected")
     hulls = [_hull(*_rows(p.C))[1] for p in g.pieces]
     for i, (p, H) in enumerate(zip(g.pieces, hulls)):
         if not _negligible(np.minimum(np.linalg.eigvalsh(H.T @ p.A @ H), 0.0), H.T @ p.A @ H):

@@ -14,6 +14,8 @@ shared by projections and normal cones, and per activity pattern J its
 normal and tangent cones and (A N)_J⁺, since N_P(x) and T_P(x) depend on x
 only through the active rows.  The memos are deterministic, so concurrent
 calls stay safe; returned cones are shared and must not be written to.
+`contains`, `normal_cone_dist_at_rows` and `project` take a (k, n) block
+of points, one answer per row.
 """
 
 from dataclasses import dataclass, field
@@ -222,10 +224,12 @@ def interior_point(P: Polyhedron):
 # ---------------------------------------------------------------------------
 
 def project(P: Polyhedron, z) -> np.ndarray:
-    """Nearest point of P to z (unique), by `nearest_point` in P's
-    `affine_frame` (kept on P); an empty P raises EmptyPolyhedron."""
-    z = np.asarray(z, dtype=float).ravel()
-    if z.size != P.dim:
+    """Nearest point of P to z (unique), or per row of a (k, n) block, by
+    `nearest_point` in P's `affine_frame` (kept on P); an empty P raises
+    EmptyPolyhedron."""
+    z = np.asarray(z, dtype=float)
+    z = z if z.ndim == 2 else z.ravel()
+    if z.shape[-1] != P.dim:
         raise DimensionMismatch("projection point dimension mismatch")
     frame = _derived(P, "frame", lambda: affine_frame(P.A, P.E))
     x = nearest_point(P.A, P.b, P.E, P.d, frame, z)

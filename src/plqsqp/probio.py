@@ -4,8 +4,9 @@ A problem file is JSON: either the bare problem object or
 {"problem": {...}, "metadata": {...}}.  Loading validates structure and
 runs the exact certificates of a piecewise g, piece consistency and
 convexity, read off its piece table; a failure aborts the load.  The
-convexity criterion takes dom g, the union of the pieces, to be convex,
-and that is not checked.
+convexity criterion takes dom g, the union of the pieces, to be convex:
+a union that is not connected is refused, a connected nonconvex one is
+not detected.
 """
 
 import json

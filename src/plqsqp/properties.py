@@ -3,8 +3,10 @@
 Each suite returns (failures, checked, detail).  They are shared by the
 check-calculus CLI command and by the acceptance tests; all sampling is
 driven by a caller-supplied generator so runs are reproducible.  The
-duality and resolvent suites draw their directions and points as blocks
-and test each block in one `subderivative` or `subgradient_dist` call.
+duality, resolvent, projection and Moreau suites draw their directions
+and points as blocks, map each block by one `prox` or `project` call and
+test it in one `subderivative` or `subgradient_dist` call or one numpy
+product; the tangent and second-quotient suites go point by point.
 """
 
 import numpy as np
@@ -31,9 +33,10 @@ from .polyhedral import (
 
 def prox_resolvent_suite(g: PLQFunction, rng, n_cases: int = 200):
     """x - prox(x) must be a subgradient at prox(x) (resolvent identity); the
-    x are drawn as one block, and the pairs tested in one call."""
+    x are drawn as one block, mapped by one block `prox` call and the pairs
+    tested in one call."""
     X = 3.0 * rng.standard_normal((n_cases, g.m))
-    Z = np.reshape([prox(g, x) for x in X], X.shape)
+    Z = prox(g, X)
     failures = int(np.count_nonzero(subgradient_dist(g, Z, X - Z) > 1e-8))
     return failures, n_cases, "prox resolvent identity"
 
@@ -136,20 +139,16 @@ def second_quotient_suite(g: PLQFunction, rng, n_cases: int = 200):
 
 def projection_suite(P: Polyhedron, rng, n_cases: int = 200):
     """Idempotency and the variational inequality of the nearest-point map."""
-    failures = 0
     inner = interior_point(P)
     if inner is None:
         return 0, 0, "projection properties (empty set skipped)"
-    for _ in range(n_cases):
-        z = inner + 3.0 * rng.standard_normal(P.dim)
-        pz = project(P, z)
-        if np.linalg.norm(project(P, pz) - pz) > 1e-9:
-            failures += 1
-            continue
-        x = project(P, inner + rng.standard_normal(P.dim))
-        if float((z - pz) @ (x - pz)) > 1e-9 * (1.0 + np.linalg.norm(z)):
-            failures += 1
-    return failures, n_cases, "projection idempotency + variational inequality"
+    R = rng.standard_normal((n_cases, 2 * P.dim))  # each case's z, then its x
+    Z = inner + 3.0 * R[:, :P.dim]
+    PZ, PX = project(P, Z), project(P, inner + R[:, P.dim:])
+    failures = (np.linalg.norm(project(P, PZ) - PZ, axis=1) > 1e-9) \
+        | (np.vecdot(Z - PZ, PX - PZ) > 1e-9 * (1.0 + np.linalg.norm(Z, axis=1)))
+    return int(np.count_nonzero(failures)), n_cases, \
+        "projection idempotency + variational inequality"
 
 
 def tangent_localization_suite(P: Polyhedron, rng, n_cases: int = 100):
@@ -179,13 +178,10 @@ def tangent_localization_suite(P: Polyhedron, rng, n_cases: int = 100):
 
 def moreau_polarity_suite(C, rng, n_cases: int = 100):
     """<P_C v, v - P_C v> = 0 for cone projections."""
-    failures = 0
-    for _ in range(n_cases):
-        v = 2.0 * rng.standard_normal(C.dim)
-        p = project(C, v)
-        if abs(float(p @ (v - p))) > 1e-9 * (1.0 + np.linalg.norm(v) ** 2):
-            failures += 1
-    return failures, n_cases, "Moreau polarity of cone projections"
+    V = 2.0 * rng.standard_normal((n_cases, C.dim))
+    Pv = project(C, V)
+    failures = np.abs(np.vecdot(Pv, V - Pv)) > 1e-9 * (1.0 + np.vecdot(V, V))
+    return int(np.count_nonzero(failures)), n_cases, "Moreau polarity of cone projections"
 
 
 def run_calculus_suites(g, Theta, rng, n_cases: int = 200):

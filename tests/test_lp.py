@@ -150,7 +150,7 @@ def test_nonneg_lstsq_answers_by_bvls_when_scipy_and_u_0_fail(monkeypatch):
     monkeypatch.setattr(nonneg, "lsq_linear",
                         lambda *args, **kw: calls.append(1) or bvls(*args, **kw))
     u, residual = nonneg.nonneg_lstsq(M, r)
-    assert calls == [1] and nonneg._is_optimal(M, r, u, 1.0)
+    assert calls == [1] and nonneg._is_optimal(M, r, u)
     assert residual == np.linalg.norm(M @ u - r) < np.linalg.norm(r)
 
 
@@ -174,6 +174,25 @@ def test_nonneg_lstsq_keeps_its_best_answer_when_bvls_fails():
     assert implicit == [2, 3]
     slack = OPPOSITE_ROWS @ y
     assert np.all(slack[:2] <= -1.0 + 1e-12) and np.all(np.abs(slack[2:]) <= 1e-9)
+
+
+def test_nonneg_lstsq_on_small_data_never_answers_u_0(monkeypatch):
+    # M = 1e-6 [[1, .3], [.2, 1]], r = 1e-7 (1, 1): u = 0 leaves the gradient
+    # -1e-13 (1.2, 1.3), and the optimum u ~ (0.074, 0.085) fits r to ~1e-23.
+    # Measured on the data's own scale, u = 0 fails the first-order test, so
+    # with scipy's nnls stopping short BVLS's optimum answers, or the call raises
+    M, r = 1e-6 * np.array([[1.0, 0.3], [0.2, 1.0]]), 1e-7 * np.ones(2)
+
+    def stops_short(*args, **kw):
+        raise RuntimeError("iteration cap")
+
+    monkeypatch.setattr(nonneg, "_scipy_nnls", stops_short)
+    assert not nonneg._is_optimal(M, r, np.zeros(2))
+    try:
+        u, residual = nonneg.nonneg_lstsq(M, r)
+    except SolverFailure:
+        return
+    assert np.allclose(u, np.linalg.solve(M, r), rtol=1e-6, atol=0.0) and residual <= 1e-20
 
 
 def test_a_row_in_the_span_of_opposite_rows_is_no_column():
@@ -396,6 +415,32 @@ def test_face_certificate_agrees_with_the_nnls_route(monkeypatch):
         certified += violated and len(calls) == before
         fallbacks += len(calls) > before
     assert min(certified, fallbacks, empty) >= 50, (certified, fallbacks, empty)
+
+
+def test_nearest_point_on_a_block_agrees_with_its_rows(monkeypatch):
+    # random sets with equality rows, duplicated and opposite rows, and empty
+    # ones, each with a block of 12 points: a block answers as its rows do one
+    # at a time, and None for the whole block on an empty set; rows of some
+    # blocks that return points reach the NNLS
+    calls = _count_nnls(monkeypatch)
+    rng = np.random.default_rng(37)
+    empty = reached = 0
+    for trial in range(150):
+        A, b, E, d = _random_system(rng, trial % 4)
+        Z = 3.0 * rng.standard_normal((12, A.shape[1]))
+        before = len(calls)
+        X = nearest_point(A, b, E, d, affine_frame(A, E), Z)
+        nnls = len(calls) - before
+        rows = [nearest_point(A, b, E, d, affine_frame(A, E), z) for z in Z]
+        if X is None:
+            empty += 1
+            assert all(x is None for x in rows), trial
+            continue
+        reached += nnls > 0
+        assert X.shape == Z.shape
+        for x, row, z in zip(X, rows, Z):
+            assert np.linalg.norm(x - row) <= 1e-12 * (1.0 + np.linalg.norm(z)), trial
+    assert empty >= 10 and reached >= 10, (empty, reached)
 
 
 def test_repeated_projections_at_one_pattern_build_one_face_inverse(monkeypatch):

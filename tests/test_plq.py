@@ -561,6 +561,61 @@ def test_duality_suite_counts_one_failure_per_case(monkeypatch):
         assert failures == checked == 50
 
 
+def test_block_suites_keep_their_counts_at_seeds_0_to_9(monkeypatch):
+    # the resolvent, projection and Moreau suites and the reduction lemma map
+    # their samples by block prox and project calls; at seeds 0-9 they check
+    # every case and none fails, as when each point was mapped alone.  With
+    # projections off by 1e-6 more at each call, every projection case fails once
+    from plqsqp import properties
+    from plqsqp.diagnostics import verify_reduction_lemma
+    from plqsqp.polyhedral import PolyCone
+    simplex = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                         np.array([1.0, 0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
+    sets = (simplex, Polyhedron.nonpos(1), Polyhedron.box([-1.0, 0.0], [1.0, 2.0]))
+    cone = PolyCone.from_rows(np.array([[1.0, 0.5], [-0.2, -1.0]]), np.zeros((0, 2)))
+    gs = dict(_g_fixtures())
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for g in gs.values():
+            assert prox_resolvent_suite(g, rng, n_cases=200)[:2] == (0, 200)
+        for P in sets:
+            assert properties.projection_suite(P, rng, n_cases=200)[:2] == (0, 200)
+        assert properties.moreau_polarity_suite(cone, rng, n_cases=100)[:2] == (0, 100)
+        verdict = verify_reduction_lemma(gs["half_square"], [1.0], [1.0], eps=1e-2,
+                                         n_samples=500, rng=rng)
+        assert verdict.result == "holds", verdict.detail
+    shifts = itertools.count(1)
+    monkeypatch.setattr(properties, "project", lambda P, z: project(P, z) + 1e-6 * next(shifts))
+    for P in sets:
+        assert properties.projection_suite(P, np.random.default_rng(0), 200)[:2] == (200, 200)
+
+
+def test_block_prox_agrees_with_its_rows(rng):
+    # the four calculus fixtures, the convex functions of `_certificate_cases`
+    # and the ELQP and min-max instances of criterion 4: a block of points
+    # maps as its rows do one at a time, with no hint, a hint point in dom g,
+    # and a block of hints (the answers, then other points of dom g); a
+    # non-finite row raises
+    from plqsqp.generators import generate
+    gs = [g for _, g in _g_fixtures()] + _certificate_cases(rng)[0] \
+        + [generate(kind, seed=seed, **params).problem.g
+           for kind, params, seed in CRITERION4_INSTANCES if kind != "nlp"]
+    for g in gs:
+        X = 3.0 * rng.standard_normal((8, g.m))
+        expect = np.array([prox(g, x) for x in X])
+        away = np.array([sample_domain_point(g, rng, radius=3.0) for _ in X])
+        for near in (None, away[0], expect, away):
+            hints = [None] * len(X) if near is None else np.broadcast_to(near, X.shape)
+            rows = np.array([prox(g, x, near=h) for x, h in zip(X, hints)])
+            Z = prox(g, X, near=near)
+            assert Z.shape == X.shape
+            assert np.all(np.linalg.norm(Z - rows, axis=1)
+                          <= 1e-12 * (1.0 + np.linalg.norm(X, axis=1)))
+        X[3, -1] = np.nan
+        with pytest.raises(DimensionMismatch):
+            prox(g, X)
+
+
 def test_second_quotient_suite(rng, g_abs, g_quad, g_two_piece_2d):
     for g in (g_abs, g_quad, g_two_piece_2d):
         failures, checked, _ = second_quotient_suite(g, rng, n_cases=100)
@@ -734,6 +789,29 @@ def test_a_function_nonconvex_near_one_facet_is_rejected(tmp_path, capsys):
     assert main(["solve", "--problem", str(path), "--x0", "0.5,0.5",
                  "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("validation error: convexity certificate failed")
+
+
+def test_a_union_of_pieces_that_do_not_meet_is_refused(tmp_path):
+    # the indicator of {|x| >= 1} as the pieces {x <= -1} and {x >= 1}: each
+    # piece and each facet pass, but no two pieces meet, so dom g is not
+    # connected and cannot be convex; the certificate and the load refuse it
+    from plqsqp.kkt import CompositeProblem, Poly2Map
+    from plqsqp.probio import load_problem, save_problem
+    def ray(s):  # {s x <= -1}
+        return Piece(Polyhedron(np.array([[s]]), [-1.0], np.zeros((0, 1)), []),
+                     np.zeros((1, 1)), [0.0], 0.0)
+
+    g = PLQFunction(1, [ray(1.0), ray(-1.0)])
+    assert check_consistency(g)[0]
+    ok, why = check_convexity(g)
+    assert not ok and "not connected" in why
+    problem = CompositeProblem(Poly2Map(np.zeros(1), np.zeros((1, 1)), np.eye(1)[None]),
+                               Poly2Map(np.zeros(1), np.eye(1), np.zeros((1, 1, 1))),
+                               g, Polyhedron.whole_space(1))
+    path = tmp_path / "gap.json"
+    save_problem(path, problem)
+    with pytest.raises(ValidationError, match="convexity certificate failed"):
+        load_problem(path)
 
 
 def test_piece_invariants():

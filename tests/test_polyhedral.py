@@ -86,6 +86,25 @@ def test_project_examples():
     assert np.allclose(project(Polyhedron.point([0.0]), [7.0]), [0.0])
 
 
+def test_project_on_a_block_agrees_with_its_rows(rng):
+    # a block of points answers as its rows do one at a time, on sets with
+    # and without equality rows and on a cone; a block on an empty set raises
+    sets = [SIMPLEX, Polyhedron.box([-1.0, 0.0], [1.0, 2.0]), Polyhedron.nonpos(1),
+            Polyhedron(np.array([[1.0, 1.0, 0.0]]), [1.0], np.array([[1.0, -1.0, 1.0]]), [0.5]),
+            *ZERO_RHS_CONES]
+    for P in sets:
+        Z = 3.0 * rng.standard_normal((40, P.dim))
+        X = project(P, Z)
+        assert X.shape == Z.shape
+        for x, z in zip(X, Z):
+            assert np.linalg.norm(x - project(P, z)) <= 1e-12 * (1.0 + np.linalg.norm(z))
+    with pytest.raises(DimensionMismatch):
+        project(SIMPLEX, np.zeros((3, 3)))
+    empty = Polyhedron(np.array([[1.0], [-1.0]]), [-1.0, -1.0], np.zeros((0, 1)), [])
+    with pytest.raises(EmptyPolyhedron):
+        project(empty, np.zeros((3, 1)))
+
+
 def test_project_simplex_grid_oracle():
     # brute-force grid + the analytic projection onto x1 + x2 = 1
     z = np.array([1.0, 1.0])

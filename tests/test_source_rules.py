@@ -395,12 +395,21 @@ def test_feasibility_has_one_route():
     assert "nearest_point" in calls("qp.py", "active_set_qp")
     assert not calls("qp.py", "active_set_qp") & {"feasible_point", "interior_point",
                                                   "nonneg_lstsq", "solve_lp", "project"}
-    for name in ("_ldp_frame", "prox", "_dual_lq_prox"):
+    for name in ("_ldp_frame", "prox", "_prox_rows", "_dual_lq_prox"):
         assert not calls("plq.py", name) & {"Polyhedron", "project"}, name
+    assert "nearest_point" in calls("plq.py", "_prox_rows")
     nnls = {key for key in defs if key[1] != "nonneg_lstsq" and "nonneg_lstsq" in calls(*key)}
     assert nnls == {("lp.py", "nearest_point"), ("lp.py", "implicit_equalities"),
                     ("polyhedral.py", "normal_cone_dist_at_rows"),
                     ("polyhedral.py", "prune_redundant")}, sorted(nnls)
+    # one nearest-point routine: a block reaches the face products only through
+    # `_nearest_rows`, which `nearest_point` alone calls and whose misses go
+    # back to `nearest_point`
+    assert not calls("lp.py", "_nearest_rows") & {"Polyhedron", "project"}
+    assert {key for key in defs if "_face_point" in calls(*key)} \
+        == {("lp.py", "nearest_point"), ("lp.py", "_nearest_rows")}
+    assert {key for key in defs if "_nearest_rows" in calls(*key)} == {("lp.py", "nearest_point")}
+    assert "nearest_point" in calls("lp.py", "_nearest_rows")
 
 
 def test_no_lp_on_a_runtime_path():
