@@ -359,7 +359,9 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     scaled to a norm uniform in [0.05 rho, rho].  The perturbed KKT system is
     solved to residual 1e-11 near (xbar, lambdabar), and the worst ratio
     lhs/rhs for the requested mode is recorded.  The verdict holds when the
-    modulus stays within a factor 2 across the two smallest radii.  With
+    modulus stays within a factor 2 across the two smallest radii.  In full
+    mode lhs reads dist(lam, Lambda(xbar)) as the step to `multiplier_set`'s
+    projection, so a dual-LQ g raises PointOutsideDomain.  With
     usable samples at fewer than two radii there is no evidence either way:
     the result reads fails, the detail "inconclusive".
     """
@@ -370,7 +372,8 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
     rng = rng or np.random.default_rng(0)
     xbar, lambdabar = point.x, point.lam
     n, m = problem.n, problem.m
-    Lam = multiplier_set(problem, xbar) if mode == "full" else None
+    if mode == "full":
+        point.lifted  # Lambda(xbar)'s system, built before any sample: a dual-LQ g raises here
     family = point.D if mode == "primal_D" else point.Dplus if mode == "primal_Dplus" else None
     kappas = []
     failures = 0
@@ -389,7 +392,7 @@ def estimate_calmness(problem: CompositeProblem, xbar, lambdabar, radii=None,
             x, lam = sol
             if mode == "full":
                 lhs = float(np.linalg.norm(x - xbar)
-                            + np.linalg.norm(lam - project(Lam, lam)))
+                            + np.linalg.norm(lam - multiplier_set(point, lam)))
                 rhs = float(np.linalg.norm(v) + np.linalg.norm(p))
             else:
                 lhs = float(np.linalg.norm(x - xbar))

@@ -7,9 +7,13 @@ Theta polyhedral.  Keeping the smooth data quadratic makes every
 derivative exact, which matters when measuring convergence rates.
 
 `kkt_point` is the one place where the data at a KKT pair is built: the
-residual check, grad_x L, hess_xx L, and on first read the critical cone D
-and its subspace enlargement D+.  The SQP monitors and every diagnostic
-read that one point, kept on the problem for the last pair asked.
+residual check, grad_x L, hess_xx L, and on first read the critical cone D,
+its subspace enlargement D+ and the lifted system of the multiplier set.
+The SQP monitors and every diagnostic read that one point, kept on the
+problem for the last pair asked.  The multiplier set Lambda(x) is not
+built as a set: `multiplier_set` projects onto it by one QP over the
+multipliers of the normal cones (`multiplier_system`), the system that the
+subproblem's dual repair decides too.
 """
 
 from dataclasses import dataclass
@@ -19,31 +23,24 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EmptyPolyhedron,
     NotAKKTPoint,
     PointNotInTheta,
     PointOutsideDomain,
 )
-from .lp import affine_frame
-from .plq import (
-    DualLQ,
-    PLQFunction,
-    dual_lq_subdifferential,
-    evaluate,
-    piece_critical_cones,
-    prox_any,
-    subdifferential,
-)
+from .lp import LPBuilder, affine_frame, feasible_point
+from .plq import DualLQ, PLQFunction, active_indices, piece_critical_cones, prox_any
 from .polyhedral import (
     ConeFamily,
     PolyCone,
     Polyhedron,
     contains,
     critical_cone,
-    intersect,
     normal_cone_dist,
-    normal_cone_hrep,
+    normal_cone_generators,
     span_basis,
 )
+from .qp import active_set_qp
 
 KKT_TOL = 1e-6  # loose tolerance used by preconditions that require a KKT point
 THETA_TOL = 1e-8  # x in Theta iff every row of Theta holds within THETA_TOL
@@ -206,21 +203,27 @@ def kkt_residual(problem: CompositeProblem, x, lam) -> float:
     return stat + comp
 
 
-def multiplier_set(problem: CompositeProblem, x) -> Polyhedron:
-    """Lambda(x) in lambda-space: the subdifferential of g at Phi(x) cut by the
-    preimage of `normal_cone_hrep(Theta, x)` under lam -> -grad phi - J^T lam."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not contains(problem.Theta, x, THETA_TOL):
-        raise PointOutsideDomain("x must lie in Theta")
-    z, J, gphi = _smooth_data(problem, x)
-    if isinstance(problem.g, PLQFunction):
-        if not np.isfinite(evaluate(problem.g, z)):
-            raise PointOutsideDomain("Phi(x) outside dom g")
-        sub = subdifferential(problem.g, z)
-    else:
-        sub = dual_lq_subdifferential(problem.g, z)
-    N = normal_cone_hrep(problem.Theta, x)
-    return intersect(Polyhedron(-N.A @ J.T, N.b + N.A @ gphi, -N.E @ J.T, N.d + N.E @ gphi), sub)
+def multiplier_system(problem: CompositeProblem, J, x, grad, z, pieces) -> LPBuilder:
+    """The multipliers at x as one linear system in (lam, Theta's normal
+    multipliers, each listed piece's normal multipliers), laid out by
+    `LPBuilder`: stationarity grad + J^T lam + N_Theta(x) = 0, and for every
+    piece j in `pieces`, lam - grad_j(z) in N_{C_j}(z), each normal cone by
+    its generators (`normal_cone_generators`), the multipliers of
+    inequality rows nonnegative."""
+    GT, LT = normal_cone_generators(problem.Theta, x)
+    normals = [(j, *normal_cone_generators(problem.g.pieces[j].C, z)) for j in pieces]
+    sizes = [("lam", problem.m), ("GT", GT.shape[0]), ("LT", LT.shape[0])]
+    for j, G, L in normals:
+        sizes += [(f"G{j}", G.shape[0]), (f"L{j}", L.shape[0])]
+    lp = LPBuilder(sizes)
+    lp.add_eq({"lam": J.T, "GT": GT.T, "LT": LT.T}, -grad)
+    for j, G, L in normals:
+        lp.add_eq({"lam": np.eye(problem.m), f"G{j}": -G.T, f"L{j}": -L.T},
+                  problem.g.pieces[j].gradient(z))
+    lp.add_nonneg("GT")
+    for j, _, _ in normals:
+        lp.add_nonneg(f"G{j}")
+    return lp
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,9 @@ class KKTPoint:
 
     Built by kkt_point only.  The smooth data (residual, grad_x L,
     hess_xx L and the Jacobian J of Phi) is computed up front; the cones,
-    D and D+ included, are computed on first read, so consumers that need
-    only the smooth data (and a dual-LQ g, which has no pieces) never
-    build them.
+    D and D+ included, and the lifted multiplier system are computed on
+    first read, so consumers that need only the smooth data (and a dual-LQ
+    g, which has no pieces) never build them.
     """
 
     problem: CompositeProblem
@@ -273,6 +276,23 @@ class KKTPoint:
         """The subspace enlargement D+ of D (`subspace_Dplus`)."""
         return subspace_Dplus(self)
 
+    @cached_property
+    def lifted(self) -> tuple:
+        """(builder, (A, b, E, d), start): Lambda(x) lifted into the
+        multipliers of the normal cones (`multiplier_system` at z = Phi(x),
+        over the pieces active there), and its least-norm point
+        (`feasible_point`), where every projection onto Lambda(x) starts."""
+        if not isinstance(self.problem.g, PLQFunction):
+            raise PointOutsideDomain("multiplier sets need a piece representation of g")
+        z, _, gphi = _smooth_data(self.problem, self.x)
+        lp = multiplier_system(self.problem, self.J, self.x, gphi, z,
+                               active_indices(self.problem.g, z))
+        system = lp.system()
+        start = feasible_point(*system)
+        if start is None:
+            raise EmptyPolyhedron("the multiplier set is empty")
+        return lp, system, start
+
 
 def kkt_point(problem: CompositeProblem, x, lam) -> KKTPoint:
     """The KKTPoint at (x, lam); raises NotAKKTPoint when the KKT residual
@@ -298,6 +318,20 @@ def kkt_point(problem: CompositeProblem, x, lam) -> KKTPoint:
     if not isinstance(memo[1], KKTPoint):
         raise NotAKKTPoint(f"KKT residual {memo[1]:.3e} exceeds {KKT_TOL:.1e}")
     return memo[1]
+
+
+def multiplier_set(point: KKTPoint, u) -> np.ndarray:
+    """The point of Lambda(point.x) nearest u: one `active_set_qp` over the
+    lifted system of `KKTPoint.lifted`, with Q = I on the lam block and 0
+    elsewhere, started at that system's least-norm point, so the kernel
+    runs no feasibility step of its own.  A dual-LQ g raises
+    PointOutsideDomain, an empty system EmptyPolyhedron."""
+    lp, system, start = point.lifted
+    lo, hi = lp.offsets["lam"]
+    Q, c = np.zeros((lp.nvar, lp.nvar)), np.zeros(lp.nvar)
+    Q[lo:hi, lo:hi] = np.eye(hi - lo)
+    c[lo:hi] = -np.asarray(u, dtype=float).ravel()
+    return lp.block(active_set_qp(Q, c, *system, x0=start).x, "lam")
 
 
 def cone_D(point: KKTPoint) -> ConeFamily:

@@ -4,7 +4,7 @@ linear-quadratic functions.
 A PLQ function is given by polyhedral pieces C_i with quadratic data
 (A_i, a_i, alpha_i); on C_i the value is ½<A_i z, z> + <a_i, z> + alpha_i
 and the domain is the union of the pieces.  The calculus implemented
-here: subdifferentials as H-representations, subderivatives, critical
+here: projections onto subdifferentials, subderivatives, critical
 cones (one polyhedral cone per active piece), second subderivatives, the
 second-order model ½ d²g as a PLQ function (its subgradient graph is the
 proto-derivative graph of the subgradient mapping), and proximal points.
@@ -15,7 +15,10 @@ at a point are one product with it, and a bad piece fails there.  They
 take row blocks: `subgradient_dist` and `in_subgradient_graph` of (Z, V),
 `prox` and `Piece.value` of a block X, and `subderivative` of a block W of
 directions at one z, one answer per row.  A 1-D argument is a block of
-one, except that a 1-D `prox` keeps its one-point route.  The load
+one, except that a 1-D `prox` keeps its one-point route.  No
+subdifferential is built as a set: `subdifferential` projects onto it
+through the active pieces' tangent cones (Moreau's identity for dg(z)), at
+any m, and membership is a `subgradient_dist` within tolerance.  The load
 certificates are exact on the pieces: consistency on the affine hull
 of every intersection of two pieces, and convexity from each piece's
 curvature on its hull and the gradient jump across every shared facet,
@@ -23,8 +26,8 @@ on a domain taken to be convex: its connectedness is checked, its
 convexity is not.
 
 DualLQ is the dual representation sup_{u in Omega} {<z,u> - ½<u,Bu>}; it
-is kept separate from the piece representation and supports evaluation,
-prox, and subdifferentials only.
+is kept separate from the piece representation and supports evaluation
+and prox only.
 """
 
 import itertools
@@ -37,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     NotASubgradient,
     PointOutsideDomain,
-    TooManyRows,
     Unbounded,
     ValidationError,
 )
@@ -52,9 +54,7 @@ from .polyhedral import (
     contains,
     interior_point,
     normal_cone_dist_at_rows,
-    normal_cone_hrep,
     project,
-    prune_redundant,
     span_basis,
     tangent_cone,
     tangent_cone_at_rows,
@@ -256,36 +256,10 @@ def subgradient_dist(g: PLQFunction, z, v):
     return dist
 
 
-def subdifferential(g: PLQFunction, z) -> Polyhedron:
-    """H-representation of the subdifferential at z.
-
-    Each active piece contributes the shifted normal cone
-    A_i z + a_i + N_{C_i}(z), whose H-representation is obtained by
-    eliminating the cone multipliers once per piece and activity pattern
-    (`normal_cone_hrep`); the pieces are then intersected
-    (`shifted_intersection`) and redundant rows pruned.  Elimination is
-    capped at m <= 8; membership tests at any dimension go through
-    subgradient_dist instead.
-    """
-    if g.m > 8:
-        raise TooManyRows("subdifferential H-representations are built for m <= 8")
-    z = np.asarray(z, dtype=float).ravel()
-    result = shifted_intersection(
-        [(normal_cone_hrep(g.pieces[i].C, z), g.pieces[i].gradient(z))
-         for i in active_indices(g, z)], g.m)
-    if result.n_ineq > 2:
-        A, b = prune_redundant(result.A, result.b, result.E, result.d)
-        result = Polyhedron(A, b, result.E, result.d)
-    return result
-
-
-def subderivative(g: PLQFunction, z, w):
-    """dg(z)(w): <A_i z + a_i, w> on the tangent cone of the first active piece
-    holding w, else +inf; a (k, m) block of directions gives one value per row.
-
-    The active pieces' (T_{C_i}(z), A_i z + a_i) at the last z are kept on
-    g, keyed by z's bytes, so many directions at one z build them once.
-    """
+def _tangents(g: PLQFunction, z) -> list:
+    """[(T_{C_i}(z), A_i z + a_i)] over the pieces active at z, kept on g for
+    the last z, keyed by its bytes, so many directions or points at one z
+    build them once."""
     z = np.asarray(z, dtype=float).ravel()
     key = z.tobytes()
     memo = getattr(g, "_tangent_memo", None)
@@ -293,9 +267,38 @@ def subderivative(g: PLQFunction, z, w):
         memo = (key, [(tangent_cone(g.pieces[i].C, z), g.pieces[i].gradient(z))
                       for i in active_indices(g, z)])
         object.__setattr__(g, "_tangent_memo", memo)
+    return memo[1]
+
+
+def subdifferential(g: PLQFunction, z, u) -> np.ndarray:
+    """The point of ∂g(z) nearest u, or one point per row of a (k, m) block.
+
+    The subderivative dg(z) is the support function of ∂g(z) (Rockafellar
+    & Wets, *Variational Analysis*, 8.30), so by Moreau's identity the
+    projection is u - prox_{dg(z)}(u).  dg(z) is <s_i, w> on the tangent
+    cone T_i of each active piece, s_i = A_i z + a_i (`_tangents`), so the
+    prox is the best of w_i = `project`(T_i, u - s_i), each valued
+    <s_i, w_i> + ½||w_i - u||², ties to the lower piece index.  No
+    H-representation is built, and m is not capped.
+    """
+    U = np.asarray(u, dtype=float)
+    W, best = np.zeros_like(U), np.full(U.shape[:-1], np.inf)
+    for T, s in _tangents(g, z):
+        Wi = project(T, U - s)
+        D = Wi - U
+        val = Wi @ s + 0.5 * np.vecdot(D, D)
+        better = val < best  # strict, so a tie keeps the lower index
+        W, best = np.where(better[..., None], Wi, W), np.where(better, val, best)
+    return U - W
+
+
+def subderivative(g: PLQFunction, z, w):
+    """dg(z)(w): <A_i z + a_i, w> on the tangent cone of the first active piece
+    holding w (`_tangents`), else +inf; a (k, m) block of directions gives one
+    value per row."""
     W = np.asarray(w, dtype=float)
     value = np.full(W.shape[:-1], np.inf)
-    for T, grad in reversed(memo[1]):  # so the first cone holding a row writes last
+    for T, grad in reversed(_tangents(g, z)):  # so the first cone holding a row writes last
         value = np.where(contains(T, W), np.vecdot(W, grad), value)
     return value if W.ndim > 1 else float(value)
 
@@ -323,23 +326,6 @@ def second_form(g: PLQFunction, cones, w) -> float:
         if contains(K, w):
             return float(w @ g.pieces[i].A @ w)
     return np.inf
-
-
-def shifted_intersection(cones_and_shifts, m) -> Polyhedron:
-    """The intersection of the shifted cones shift + cone over the
-    (cone, shift) pairs, their rows stacked in order; R^m when empty."""
-    As, bs, Es, ds = [], [], [], []
-    for cone, shift in cones_and_shifts:
-        if cone.n_ineq:
-            As.append(cone.A)
-            bs.append(cone.b + cone.A @ shift)
-        if cone.n_eq:
-            Es.append(cone.E)
-            ds.append(cone.d + cone.E @ shift)
-    return Polyhedron(np.vstack(As) if As else np.zeros((0, m)),
-                      np.concatenate(bs) if bs else np.zeros(0),
-                      np.vstack(Es) if Es else np.zeros((0, m)),
-                      np.concatenate(ds) if ds else np.zeros(0))
 
 
 def second_order_model(g: PLQFunction, z, v) -> PLQFunction:
@@ -510,20 +496,6 @@ def dual_lq_eval_prox(h: DualLQ, z):
     except Unbounded:
         value = np.inf
     return value, _dual_lq_prox(h, z)
-
-
-def dual_lq_subdifferential(h: DualLQ, z) -> Polyhedron:
-    """Subdifferential of f_{Omega,B} at z: the argmax face of the dual QP."""
-    z = np.asarray(z, dtype=float).ravel()
-    try:
-        res = active_set_qp(h.B, -z, h.Omega.A, h.Omega.b, h.Omega.E, h.Omega.d)
-    except Unbounded as exc:
-        raise PointOutsideDomain("supremum is +inf at z") from exc
-    u = res.x
-    grad = z - h.B @ u  # linear part of the objective on the solution set
-    E = np.vstack([h.Omega.E, h.B, grad.reshape(1, -1)])
-    d = np.concatenate([h.Omega.d, h.B @ u, [float(grad @ u)]])
-    return Polyhedron(h.Omega.A, h.Omega.b, E, d)
 
 
 def prox_any(g, x, near=None) -> np.ndarray:

@@ -11,11 +11,13 @@ are immutable and operations pure.  Derived data is memoized on the
 polyhedron (`_derived`): its least-norm point, its equality frame (E⁺, a
 basis N of null(E) and A N, with the face memo of `lp.nearest_point`),
 shared by projections and normal cones, and per activity pattern J its
-normal and tangent cones and (A N)_J⁺, since N_P(x) and T_P(x) depend on x
-only through the active rows.  The memos are deterministic, so concurrent
+tangent cone and (A N)_J⁺, since N_P(x) and T_P(x) depend on x only
+through the active rows.  The memos are deterministic, so concurrent
 calls stay safe; returned cones are shared and must not be written to.
 `contains`, `normal_cone_dist_at_rows` and `project` take a (k, n) block
-of points, one answer per row.
+of points, one answer per row.  No runtime path eliminates a variable:
+`fourier_motzkin` and the redundancy pruning it calls serve the benchmark's
+tracer and the test oracles only.
 """
 
 from dataclasses import dataclass, field
@@ -318,13 +320,6 @@ def normal_cone_generators(P: Polyhedron, x):
     return G, P.E
 
 
-def normal_cone_hrep(P: Polyhedron, x) -> Polyhedron:
-    """H-representation of N_P(x), eliminated once per activity pattern."""
-    J = tuple(active_rows(P, x))
-    return _derived(P, ("N", J),
-                    lambda: generated_cone_hrep(*normal_cone_generators(P, x), n=P.dim))
-
-
 # ---------------------------------------------------------------------------
 # faces, rays, spans
 # ---------------------------------------------------------------------------
@@ -464,7 +459,7 @@ def project_cone_union(family: ConeFamily, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
+# Fourier-Motzkin elimination (the test oracles' H-representations)
 # ---------------------------------------------------------------------------
 
 def _dedup_rows(A, b):
@@ -593,30 +588,3 @@ def fourier_motzkin(A, b, E, d, keep) -> Polyhedron:
     if Ak.shape[0]:
         Ak, b = prune_redundant(Ak, b, Ek, d)
     return Polyhedron(Ak, b, Ek, d)
-
-
-def generated_cone_hrep(G, L, n=None) -> Polyhedron:
-    """H-representation of {G^T mu + L^T nu : mu >= 0} by eliminating (mu, nu).
-
-    G rows generate the conic part, L rows the lineality part.
-    """
-    G = np.asarray(G, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if n is None:
-        n = G.shape[1] if G.size else L.shape[1]
-    G = _as_matrix(G, n)
-    L = _as_matrix(L, n)
-    k, j = G.shape[0], L.shape[0]
-    # variables y = (v, mu, nu) in R^{n+k+j}: v - G^T mu - L^T nu = 0, -mu <= 0
-    E = np.hstack([np.eye(n), -G.T, -L.T])
-    d = np.zeros(n)
-    A = np.hstack([np.zeros((k, n)), -np.eye(k), np.zeros((k, j))])
-    b = np.zeros(k)
-    return fourier_motzkin(A, b, E, d, keep=list(range(n)))
-
-
-def intersect(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
-    if P.dim != Q.dim:
-        raise DimensionMismatch("intersection dimension mismatch")
-    return Polyhedron(np.vstack([P.A, Q.A]), np.concatenate([P.b, Q.b]),
-                      np.vstack([P.E, Q.E]), np.concatenate([P.d, Q.d]))

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, NoFeasiblePiece, PointOutsideDomain, Unbounded
-from .kkt import CompositeProblem, _smooth_data
-from .lp import LPBuilder, affine_frame, feasible_point
+from .kkt import CompositeProblem, _smooth_data, multiplier_system
+from .lp import affine_frame, feasible_point
 from .plq import PLQFunction, _membership, _normal_dists, prox_any, subgradient_dist
 from .polyhedral import normal_cone_dist, normal_cone_generators
 from .qp import active_set_qp
@@ -137,25 +137,13 @@ def _repair_dual(spec, xi, y, active_pieces):
     Called when the dual recovered from one piece is not a subgradient at
     y, and skipped when `_dual_is_fixed` holds, as no other dual then
     satisfies stationarity.  One feasibility system in (lam, Theta normal
-    multipliers, per active piece normal multipliers): stationarity
-    gphi + H (xi - xk) + J^T lam + N_Theta(xi) = 0, and for every active
-    piece j, lam - grad_j(y) in N_{C_j}(y).
+    multipliers, per active piece normal multipliers), `kkt.multiplier_system`
+    on the linearized data: stationarity gphi + H (xi - xk) + J^T lam +
+    N_Theta(xi) = 0, and for every active piece j, lam - grad_j(y) in
+    N_{C_j}(y).
     """
-    problem = spec.problem
-    GT, LT = normal_cone_generators(problem.Theta, xi)
-    normals = [(j, *normal_cone_generators(problem.g.pieces[j].C, y)) for j in active_pieces]
-    sizes = [("lam", problem.m), ("GT", GT.shape[0]), ("LT", LT.shape[0])]
-    for j, G, L in normals:
-        sizes += [(f"G{j}", G.shape[0]), (f"L{j}", L.shape[0])]
-    lp = LPBuilder(sizes)
-    lp.add_eq({"lam": spec.J.T, "GT": GT.T, "LT": LT.T},
-              -(spec.gphi + spec.H @ (xi - spec.xk)))
-    for j, G, L in normals:
-        lp.add_eq({"lam": np.eye(problem.m), f"G{j}": -G.T, f"L{j}": -L.T},
-                  problem.g.pieces[j].gradient(y))
-    lp.add_nonneg("GT")
-    for j, _, _ in normals:
-        lp.add_nonneg(f"G{j}")
+    lp = multiplier_system(spec.problem, spec.J, xi, spec.gphi + spec.H @ (xi - spec.xk), y,
+                           active_pieces)
     sol = feasible_point(*lp.system())
     return None if sol is None else lp.block(sol, "lam")
 

@@ -8,7 +8,11 @@ oracle decides those systems for every pattern of the product, not by
 the pruned walk; and the uniqueness oracle bounds the multiplier
 polyhedron coordinate by coordinate, not with the dual cone condition.
 The load certificates of a piecewise g are sampled here, at projected
-points and midpoints, not decided on the piece table.  The enumerations, residuals and the Lagrangian below serve only as test
+points and midpoints, not decided on the piece table.  Subdifferentials
+and multiplier sets are built here as H-representations, each normal cone
+by Fourier-Motzkin elimination of its generators, the oracles of the
+projection routes `plq.subdifferential` and `kkt.multiplier_set`.  The
+enumerations, residuals and the Lagrangian below serve only as test
 references, so they live here rather than in the package.
 """
 
@@ -18,27 +22,117 @@ import numpy as np
 from scipy.linalg import null_space
 
 from plqsqp import diagnostics
-from plqsqp.errors import DimensionMismatch, PointOutsideDomain, SolverFailure, TooManyRows
-from plqsqp.kkt import kkt_point, multiplier_set
+from plqsqp.errors import (
+    DimensionMismatch,
+    PointOutsideDomain,
+    SolverFailure,
+    TooManyRows,
+    Unbounded,
+)
+from plqsqp.kkt import THETA_TOL, _smooth_data, kkt_point
 from plqsqp.lp import FEAS_TOL, LP_OPTIMAL, affine_frame, feasible_point, solve_lp
 from plqsqp.nonneg import nonneg_lstsq
 from plqsqp.qp import active_set_qp
-from plqsqp.plq import evaluate, piece_critical_cones, prox, sample_domain_point
+from plqsqp.plq import (
+    PLQFunction,
+    active_indices,
+    evaluate,
+    piece_critical_cones,
+    prox,
+    sample_domain_point,
+)
 from plqsqp.polyhedral import (
     PolyCone,
     Polyhedron,
+    _as_matrix,
     _forced_active,
     contains,
     critical_cone,
     enumerate_faces,
-    generated_cone_hrep,
+    fourier_motzkin,
     interior_point,
-    intersect,
     lineality_basis,
     normal_cone_dist,
     normal_cone_generators,
     project,
+    prune_redundant,
 )
+
+
+def intersect(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
+    """P ∩ Q, their rows stacked in order."""
+    if P.dim != Q.dim:
+        raise DimensionMismatch("intersection dimension mismatch")
+    return Polyhedron(np.vstack([P.A, Q.A]), np.concatenate([P.b, Q.b]),
+                      np.vstack([P.E, Q.E]), np.concatenate([P.d, Q.d]))
+
+
+def generated_cone_hrep(G, L, n=None) -> Polyhedron:
+    """H-representation of {G^T mu + L^T nu : mu >= 0} by eliminating (mu, nu)
+    (`polyhedral.fourier_motzkin`).
+
+    G rows generate the conic part, L rows the lineality part.
+    """
+    G = np.asarray(G, dtype=float)
+    L = np.asarray(L, dtype=float)
+    if n is None:
+        n = G.shape[1] if G.size else L.shape[1]
+    G = _as_matrix(G, n)
+    L = _as_matrix(L, n)
+    k, j = G.shape[0], L.shape[0]
+    # variables y = (v, mu, nu) in R^{n+k+j}: v - G^T mu - L^T nu = 0, -mu <= 0
+    E = np.hstack([np.eye(n), -G.T, -L.T])
+    d = np.zeros(n)
+    A = np.hstack([np.zeros((k, n)), -np.eye(k), np.zeros((k, j))])
+    b = np.zeros(k)
+    return fourier_motzkin(A, b, E, d, keep=list(range(n)))
+
+
+def _shifted(cone: Polyhedron, shift) -> Polyhedron:
+    """shift + cone."""
+    return Polyhedron(cone.A, cone.b + cone.A @ shift, cone.E, cone.d + cone.E @ shift)
+
+
+def subdifferential_hrep(g, z) -> Polyhedron:
+    """H-representation of the subdifferential of g at z.
+
+    A piecewise g intersects the shifted normal cones A_i z + a_i +
+    N_{C_i}(z) of its active pieces, each eliminated from its generators,
+    and prunes redundant rows (`polyhedral.prune_redundant`).  A dual-LQ g
+    gives the argmax face of its dual QP (`active_set_qp`); raises
+    PointOutsideDomain where the supremum is +inf."""
+    z = np.asarray(z, dtype=float).ravel()
+    if not isinstance(g, PLQFunction):
+        try:
+            u = active_set_qp(g.B, -z, g.Omega.A, g.Omega.b, g.Omega.E, g.Omega.d).x
+        except Unbounded as exc:
+            raise PointOutsideDomain("supremum is +inf at z") from exc
+        grad = z - g.B @ u  # linear part of the objective on the solution set
+        return Polyhedron(g.Omega.A, g.Omega.b, np.vstack([g.Omega.E, g.B, grad.reshape(1, -1)]),
+                          np.concatenate([g.Omega.d, g.B @ u, [float(grad @ u)]]))
+    result = Polyhedron.whole_space(g.m)
+    for i in active_indices(g, z):
+        cone = generated_cone_hrep(*normal_cone_generators(g.pieces[i].C, z), n=g.m)
+        result = intersect(result, _shifted(cone, g.pieces[i].gradient(z)))
+    if result.n_ineq > 2:
+        result = Polyhedron(*prune_redundant(result.A, result.b, result.E, result.d),
+                            result.E, result.d)
+    return result
+
+
+def multiplier_set_hrep(problem, x) -> Polyhedron:
+    """H-representation of Lambda(x) in lambda-space: `subdifferential_hrep`
+    at Phi(x) cut by the preimage of N_Theta(x), eliminated from its
+    generators, under lam -> -grad phi - J^T lam."""
+    x = np.asarray(x, dtype=float).ravel()
+    if not contains(problem.Theta, x, THETA_TOL):
+        raise PointOutsideDomain("x must lie in Theta")
+    z, J, gphi = _smooth_data(problem, x)
+    if isinstance(problem.g, PLQFunction) and not np.isfinite(evaluate(problem.g, z)):
+        raise PointOutsideDomain("Phi(x) outside dom g")
+    N = generated_cone_hrep(*normal_cone_generators(problem.Theta, x), n=problem.n)
+    return intersect(Polyhedron(-N.A @ J.T, N.b + N.A @ gphi, -N.E @ J.T, N.d + N.E @ gphi),
+                     subdifferential_hrep(problem.g, z))
 
 
 def lagrangian(problem, x, lam):
@@ -256,14 +350,10 @@ def proto_derivative_set(g, z, v, w) -> Polyhedron:
     holding = [(i, K) for i, K in cones if contains(K, w, 1e-8)]
     if not holding:
         raise PointOutsideDomain("w outside the critical cone of g")
-    result = None
+    result = Polyhedron.whole_space(g.m)
     for i, K in holding:
-        G, L = normal_cone_generators(K, w)
-        cone = generated_cone_hrep(G, L, n=g.m)
-        shift = g.pieces[i].A @ w
-        member = Polyhedron(cone.A, cone.b + (cone.A @ shift if cone.n_ineq else np.zeros(0)),
-                            cone.E, cone.d + (cone.E @ shift if cone.n_eq else np.zeros(0)))
-        result = member if result is None else intersect(result, member)
+        cone = generated_cone_hrep(*normal_cone_generators(K, w), n=g.m)
+        result = intersect(result, _shifted(cone, g.pieces[i].A @ w))
     return result
 
 
@@ -356,10 +446,10 @@ def grid_noncritical_oracle(problem, xbar, lambdabar, grid=None):
 
 def unique_multiplier_by_coordinates(problem, x, lam) -> bool:
     """Whether Lambda(x) is the single point lam: min and max of each
-    coordinate over `multiplier_set` by LP, each equal to lam_j to 1e-7
+    coordinate over `multiplier_set_hrep` by LP, each equal to lam_j to 1e-7
     relative."""
     lam = np.asarray(lam, dtype=float).ravel()
-    Lam = multiplier_set(problem, x)
+    Lam = multiplier_set_hrep(problem, x)
     for j in range(problem.m):
         for sign in (1.0, -1.0):
             status, _, val = solve_lp(sign * np.eye(problem.m)[j],

@@ -29,7 +29,7 @@ from plqsqp.plq import (
     plq_quadratic,
     second_subderivative,
 )
-from plqsqp.polyhedral import PolyCone, Polyhedron, contains, project
+from plqsqp.polyhedral import PolyCone, Polyhedron, contains
 from plqsqp.sqp import SQPConfig, run_sqp
 
 from conftest import make_degenerate_range, make_dual_lq, make_p1, make_p2
@@ -326,7 +326,8 @@ def test_unique_multiplier_matches_the_coordinate_oracle(monkeypatch):
         if not verdict.passed:
             u = verdict.certificate
             moved = np.asarray(lam, dtype=float) + 1e-3 * u / np.abs(u).max()
-            assert contains(multiplier_set(prob, x), moved, 1e-9), name
+            point = kkt_point(prob, x, lam)
+            assert np.linalg.norm(multiplier_set(point, moved) - moved) <= 1e-9, name
     assert outcomes == {"holds", "fails"}
 
 
@@ -448,6 +449,9 @@ def test_cone_checks_on_dual_lq_g_raise_plq_error():
     for check in (check_noncritical, check_unique_multiplier, check_sosc):
         with pytest.raises(PLQError):
             check(prob, [0.0], [0.5])
+    # Lambda's lifted system needs pieces, and is built before any sample
+    with pytest.raises(PLQError):
+        estimate_calmness(prob, [0.0], [0.5], mode="full")
 
 
 # -- reduction lemma -----------------------------------------------------------
@@ -608,7 +612,7 @@ def test_calmness_without_usable_samples_reads_inconclusive():
 
 
 def test_multiplier_distance_uses_projection(degenerate_range):
-    lam_set = multiplier_set(degenerate_range, [0.0])
+    point = kkt_point(degenerate_range, [0.0], [0.5, 0.5])
     lam = np.array([2.0, 2.0])
-    p = project(lam_set, lam)
+    p = multiplier_set(point, lam)
     assert abs(p.sum() - 1.0) <= 1e-9 and np.all(p >= -1e-12)

@@ -5,8 +5,7 @@ import numpy as np
 from plqsqp.diagnostics import check_noncritical
 from plqsqp.errors import MaxIterReached, PLQError, SubproblemFailure
 from plqsqp.generators import generate
-from plqsqp.kkt import PrimalDual, kkt_residual, multiplier_set
-from plqsqp.polyhedral import project
+from plqsqp.kkt import PrimalDual, kkt_point, kkt_residual, multiplier_set
 from plqsqp.sqp import SQPConfig, rate_report, run_classification, run_sqp
 
 from conftest import make_p1, make_p2
@@ -93,7 +92,7 @@ def test_error_bound_ratio_matches_calmness_verdict():
     # (|x - xbar| + dist(lam, Lambda)) / kkt_residual is bounded exactly
     # when the calmness estimate is
     p1 = make_p1()
-    lam_set = multiplier_set(p1, [1.0])
+    point = kkt_point(p1, [1.0], [1.0])
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(60):
@@ -102,16 +101,18 @@ def test_error_bound_ratio_matches_calmness_verdict():
         r = kkt_residual(p1, [x], [lam])
         if r <= 1e-14:
             continue
-        lhs = abs(x - 1.0) + abs(lam - project(lam_set, [lam])[0])
+        lhs = abs(x - 1.0) + abs(lam - multiplier_set(point, [lam])[0])
         worst = max(worst, lhs / r)
     assert worst < 10.0  # bounded: the error bound holds
 
     p2 = make_p2()
-    lam_set2 = multiplier_set(p2, [0.0])
+    point2 = kkt_point(p2, [0.0], [-1.0])
     ratios = []
     for t in (1e-2, 1e-3, 1e-4):
         r = kkt_residual(p2, [t], [-1.0])
-        lhs = t + 0.0  # the multiplier set is all of R
+        # the multiplier set is all of R: lam = -1 + t is its own projection
+        assert abs(multiplier_set(point2, [-1.0 + t])[0] - (-1.0 + t)) <= 1e-12
+        lhs = t + 0.0
         ratios.append(lhs / r)
     assert ratios[-1] > 10.0 * ratios[0]  # unbounded under criticality
 

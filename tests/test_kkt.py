@@ -15,8 +15,10 @@ from plqsqp.kkt import (
 from plqsqp.plq import plq_quadratic, prox_any
 from plqsqp.polyhedral import Polyhedron, contains
 
-from conftest import make_dual_lq
-from oracles import lagrangian
+from conftest import make_degenerate_range, make_dual_lq, make_p1, make_p2
+from oracles import lagrangian, multiplier_set_hrep
+from test_acceptance import CRITERION4_INSTANCES
+from test_theta_constrained import LAMBAR, XBAR, box_fixture
 
 
 def finite_difference_grad(f, x, h=1e-6):
@@ -115,17 +117,22 @@ def test_kkt_residual_requires_theta_membership(p1):
         kkt_residual(prob, [3.0], [0.0])
 
 
+def _in_set(point, lam) -> bool:
+    """Whether lam is its own projection onto Lambda(point.x), to 1e-9."""
+    return bool(np.linalg.norm(multiplier_set(point, lam) - lam) <= 1e-9)
+
+
 def test_multiplier_set_p1(p1):
-    lam_set = multiplier_set(p1, [1.0])
-    assert contains(lam_set, [1.0], 1e-9)
-    for bad in ([0.5], [1.5], [-1.0]):
-        assert not contains(lam_set, bad, 1e-9)
+    # Lambda(1) = {1}: every point projects onto it
+    point = kkt_point(p1, [1.0], [1.0])
+    for u in ([1.0], [0.5], [1.5], [-1.0], [40.0]):
+        assert np.linalg.norm(multiplier_set(point, u) - 1.0) <= 1e-12
 
 
 def test_multiplier_set_p2_all_reals(p2):
-    lam_set = multiplier_set(p2, [0.0])
+    point = kkt_point(p2, [0.0], [0.0])
     for lam in (-7.0, 0.0, 13.0):
-        assert contains(lam_set, [lam], 1e-9)
+        assert np.linalg.norm(multiplier_set(point, [lam]) - lam) <= 1e-12
 
 
 def test_multiplier_set_interior_smooth():
@@ -135,24 +142,66 @@ def test_multiplier_set_interior_smooth():
     Phi = Poly2Map(np.zeros(1), np.array([[1.0]]), np.zeros((1, n, n)))
     prob = CompositeProblem(phi, Phi, plq_quadratic(np.zeros((1, 1))),
                             Polyhedron.whole_space(n))
-    lam_set = multiplier_set(prob, [0.0])
-    assert contains(lam_set, [0.0], 1e-9) and not contains(lam_set, [0.1], 1e-9)
+    point = kkt_point(prob, [0.0], [0.0])
+    for u in ([0.0], [0.1], [-3.0]):
+        assert np.linalg.norm(multiplier_set(point, u)) <= 1e-12
 
 
 def test_multiplier_set_matches_residual_grid(p1, p2, degenerate_range):
     # oracle: Lambda(xbar) = {lam : kkt_residual(xbar, lam) <= 1e-8} on a grid
-    for prob, xbar in ((p1, [1.0]), (p2, [0.0])):
-        lam_set = multiplier_set(prob, xbar)
+    for prob, xbar, lam in ((p1, [1.0], [1.0]), (p2, [0.0], [0.0])):
+        point = kkt_point(prob, xbar, lam)
         for lam in np.arange(-2.0, 2.01, 0.125):
-            in_set = contains(lam_set, [lam], 1e-9)
+            in_set = _in_set(point, [lam])
             small_res = kkt_residual(prob, xbar, [lam]) <= 1e-8
             assert in_set == small_res
-    lam_set = multiplier_set(degenerate_range, [0.0])
+    point = kkt_point(degenerate_range, [0.0], [0.5, 0.5])
     for l1 in np.arange(-0.5, 1.51, 0.25):
         for l2 in np.arange(-0.5, 1.51, 0.25):
-            in_set = contains(lam_set, [l1, l2], 1e-9)
+            in_set = _in_set(point, [l1, l2])
             small_res = kkt_residual(degenerate_range, [0.0], [l1, l2]) <= 1e-8
             assert in_set == small_res
+
+
+def _multiplier_cases():
+    """(name, problem, xbar, lambdabar) of P1, P2 at lam = 0 and -1, the
+    degenerate range, the box fixture (plain and with Phi bent) and the
+    criterion-4 instances at their embedded KKT points."""
+    from plqsqp.generators import generate
+    yield "P1", make_p1(), [1.0], [1.0]
+    for lam in (0.0, -1.0):
+        yield f"P2 lam={lam}", make_p2(), [0.0], [lam]
+    yield "degenerate_range", make_degenerate_range(), [0.0], [0.5, 0.5]
+    for extra in (0.0, 0.6):
+        yield f"box {extra}", box_fixture(phi_quad_extra=extra), XBAR, LAMBAR
+    for kind, params, seed in CRITERION4_INSTANCES:
+        gp = generate(kind, seed=seed, **params)
+        yield f"{kind} seed {seed}", gp.problem, gp.xbar, gp.lambdabar
+
+
+def test_multiplier_set_projects_as_the_eliminated_oracle(monkeypatch):
+    # the route's projection is the oracle's H-representation's (`project`)
+    # to 1e-9 (1 + |u|), for points near lambdabar and far from it; the
+    # lifted system's least-norm point is found once per point, and every
+    # QP starts there, so the kernel runs no nearest point of its own
+    from plqsqp import kkt, qp
+    from plqsqp.polyhedral import project
+
+    starts, kernel_starts = [], []
+    feasible, nearest = kkt.feasible_point, qp.nearest_point
+    monkeypatch.setattr(kkt, "feasible_point", lambda *a: starts.append(1) or feasible(*a))
+    monkeypatch.setattr(qp, "nearest_point", lambda *a: kernel_starts.append(1) or nearest(*a))
+    rng = np.random.default_rng(5)
+    cases = list(_multiplier_cases())
+    assert len(cases) == 11
+    for name, prob, x, lam in cases:
+        point = kkt_point(prob, x, lam)
+        ref = multiplier_set_hrep(prob, x)
+        for u in np.asarray(lam) + np.vstack([1e-3 * rng.standard_normal((4, prob.m)),
+                                              3.0 * rng.standard_normal((4, prob.m))]):
+            assert np.linalg.norm(multiplier_set(point, u) - project(ref, u)) \
+                <= 1e-9 * (1.0 + np.linalg.norm(u)), name
+    assert len(starts) == len(cases) and not kernel_starts
 
 
 def test_cone_d_p1_trivial(p1):
@@ -280,7 +329,8 @@ def test_dplus_strictly_enlarges_d_on_weakly_active_constraint():
 
 
 def test_multiplier_set_with_dual_lq_g():
-    # the dual-LQ subdifferential route: the solution face of the dual QP
+    # the oracle's dual-LQ subdifferential: the solution face of the dual QP;
+    # the projection route needs pieces and raises
     from plqsqp.plq import DualLQ
 
     h = DualLQ(Polyhedron.box([0.0, 0.0], [1.0, 1.0]), np.diag([1.0, 0.5]))
@@ -294,9 +344,11 @@ def test_multiplier_set_with_dual_lq_g():
     Phi = Poly2Map(zbar + A @ xbar, -A, np.zeros((2, 2, 2)))
     prob = CompositeProblem(phi, Phi, h, Polyhedron.whole_space(2))
     assert kkt_residual(prob, xbar, lam) <= 1e-12
-    lam_set = multiplier_set(prob, xbar)
+    lam_set = multiplier_set_hrep(prob, xbar)
     assert contains(lam_set, lam, 1e-8)
     assert not contains(lam_set, lam + 0.1, 1e-8)
+    with pytest.raises(PointOutsideDomain):
+        multiplier_set(kkt_point(prob, xbar, lam), lam)
 
 
 def test_dplus_spans_the_pieces_when_a_dependent_span_comes_first():

@@ -9,6 +9,7 @@ from plqsqp.polyhedral import PolyCone, Polyhedron, project
 
 from oracles import (
     implicit_equalities_by_lp,
+    multiplier_set_hrep,
     nearest_point_by_nnls,
     nonzero_block_by_coordinates,
     phase_one_empty,
@@ -554,14 +555,13 @@ def test_rows_constant_on_the_equalities_do_not_mislead_the_program():
 
 
 def test_no_nnls_sees_an_opposite_pair_of_columns(monkeypatch):
-    # solves from perturbed starts and the multiplier sets at the KKT points
-    # (Fourier-Motzkin and `prune_redundant`) hand the NNLS no columns c and
-    # -c: free multipliers stay in their equality frame, and BVLS never runs
+    # solves from perturbed starts and the oracle's multiplier sets at the KKT
+    # points (Fourier-Motzkin and `prune_redundant`) hand the NNLS no columns
+    # c and -c: free multipliers stay in their equality frame, and BVLS never runs
     import sys
 
     from plqsqp import polyhedral
     from plqsqp.generators import generate
-    from plqsqp.kkt import multiplier_set
     from plqsqp.sqp import SQPConfig, run_sqp
 
     inputs = []
@@ -575,7 +575,7 @@ def test_no_nnls_sees_an_opposite_pair_of_columns(monkeypatch):
     for kind, params, seed in (("elqp", dict(n=2, m=2), 3), ("minmax", dict(n=3, m=3), 11)):
         gp = generate(kind, seed=seed, **params)
         trace = run_sqp(gp.problem, gp.xbar + 0.2, gp.lambdabar - 0.2, SQPConfig(monitors=False))
-        multiplier_set(gp.problem, gp.xbar)
+        multiplier_set_hrep(gp.problem, gp.xbar)
         assert trace[-1].residual <= 1e-10, kind
     assert "prune_redundant" in {name for name, _ in inputs}
     for name, M in inputs:

@@ -18,7 +18,6 @@ from plqsqp.plq import (
     check_consistency,
     check_convexity,
     dual_lq_eval_prox,
-    dual_lq_subdifferential,
     evaluate,
     in_subgradient_graph,
     piece_critical_cones,
@@ -37,7 +36,6 @@ from plqsqp.polyhedral import (
     contains,
     critical_cone,
     interior_point,
-    intersect,
     project,
 )
 from plqsqp.properties import (
@@ -49,8 +47,10 @@ from plqsqp.properties import (
 from oracles import (
     consistency_by_sampling,
     convexity_by_sampling,
+    intersect,
     prox_all_pieces,
     proto_derivative_set,
+    subdifferential_hrep,
     subgradient_dist_by_pieces,
     vertices,
 )
@@ -76,18 +76,70 @@ def test_active_indices_examples(g_abs, g_ind_nonpos):
 # -- subdifferential ---------------------------------------------------------
 
 def test_subdifferential_abs_kink(g_abs):
-    # hand oracle: the intersection of v + 1 in R_+ and v - 1 in R_- is [-1, 1]
-    sub = subdifferential(g_abs, [0.0])
-    for v, expect in [(-1.0, True), (1.0, True), (0.0, True),
-                      (1.0 + 1e-6, False), (-1.1, False)]:
-        assert contains(sub, [v], 1e-9) == expect
+    # hand oracle: the intersection of v + 1 in R_+ and v - 1 in R_- is [-1, 1],
+    # so the projection is the clip; a point moves iff it lies outside
+    U = np.array([[-1.0], [1.0], [0.0], [1.0 + 1e-6], [-1.1], [7.5], [-3.0]])
+    assert np.array_equal(subdifferential(g_abs, [0.0], U), np.clip(U, -1.0, 1.0))
+    assert subdifferential(g_abs, [0.0], [0.25]).tolist() == [0.25]
 
 
 def test_subdifferential_smooth_points(g_abs, g_quad):
-    sub = subdifferential(g_abs, [2.0])
-    assert contains(sub, [1.0]) and not contains(sub, [0.99])
-    sub = subdifferential(g_quad, [3.0])
-    assert contains(sub, [3.0]) and not contains(sub, [3.01])
+    # a single gradient: every point projects onto it
+    U = np.array([[1.0], [0.99], [-4.0], [3.01]])
+    assert np.array_equal(subdifferential(g_abs, [2.0], U), np.ones((4, 1)))
+    assert np.array_equal(subdifferential(g_quad, [3.0], U), np.full((4, 1), 3.0))
+
+
+def _faces_and_points(g, rng, k=12):
+    """k points of dom g and up to k more on faces that two pieces share."""
+    Z = [sample_domain_point(g, rng) for _ in range(k)]
+    for i, j in itertools.combinations(range(len(g.pieces)), 2):
+        both = intersect(g.pieces[i].C, g.pieces[j].C)
+        if len(Z) < 2 * k and (z0 := interior_point(both)) is not None:
+            Z.append(project(both, z0 + rng.standard_normal(g.m)))
+    return Z
+
+
+def test_subdifferential_projects_as_the_eliminated_oracle(rng):
+    # the four calculus fixtures, the convex functions of `_certificate_cases`
+    # and the ELQP and min-max g's of criterion 4, at points of dom g and of
+    # faces two pieces share: each row of a block projects as the oracle's
+    # H-representation does (`project`), and as it does alone, to rounding
+    from plqsqp.generators import generate
+    gs = [g for _, g in _g_fixtures()] + _certificate_cases(rng)[0] \
+        + [generate(kind, seed=seed, **params).problem.g
+           for kind, params, seed in CRITERION4_INSTANCES if kind != "nlp"]
+    shared = 0
+    for g in gs:
+        Z = _faces_and_points(g, rng, k=6)
+        for z in Z:
+            shared += len(active_indices(g, z)) > 1
+            U = 3.0 * rng.standard_normal((5, g.m))
+            P = subdifferential(g, z, U)
+            ref = project(subdifferential_hrep(g, z), U)
+            assert np.all(np.linalg.norm(P - ref, axis=1)
+                          <= 1e-9 * (1.0 + np.linalg.norm(U, axis=1))), (g.m, z)
+            assert np.linalg.norm(P[2] - subdifferential(g, z, U[2])) \
+                <= 1e-12 * (1.0 + np.linalg.norm(U[2]))
+    assert len(gs) == 32 and shared >= 50, shared
+
+
+def test_subdifferential_answers_at_m_10():
+    # at a 4-way tie of max_j z_j the subdifferential is the unit simplex on
+    # the tied coordinates (the rest 0): the projection is the sorted
+    # closed form, t = (sum of the k largest - 1) / k at the last k with
+    # a positive entry (Held, Wolfe & Crowder, 1974)
+    g = plq_vector_max(10)
+    z = np.array([1.0, 0.0, 1.0, -2.0, 1.0, 0.5, 0.0, 1.0, -1.0, 0.0])
+    tied = z == 1.0
+    rng = np.random.default_rng(11)
+    U = 2.0 * rng.standard_normal((20, 10))
+    for u, p in zip(U, subdifferential(g, z, U)):
+        s = np.sort(u[tied])[::-1]
+        t = max((np.cumsum(s)[k] - 1.0) / (k + 1) for k in range(len(s))
+                if s[k] > (np.cumsum(s)[k] - 1.0) / (k + 1))
+        expect = np.where(tied, np.maximum(u - t, 0.0), 0.0)
+        assert np.linalg.norm(p - expect) <= 1e-12 * (1.0 + np.linalg.norm(u))
 
 
 def test_subderivative_examples(g_abs, g_ind_nonpos, g_quad):
@@ -310,7 +362,7 @@ def test_subgradient_dist_matches_the_per_piece_reference(rng):
                 shared += 1
         for z in points:
             for v in (rng.standard_normal(g.m),
-                      project(subdifferential(g, z), rng.standard_normal(g.m))):
+                      subdifferential(g, z, rng.standard_normal(g.m))):
                 expect, holding = subgradient_dist_by_pieces(g, z, v)
                 assert active_indices(g, z) == holding
                 assert abs(subgradient_dist(g, z, v) - expect) <= 1e-12 * (1.0 + expect)
@@ -328,12 +380,8 @@ def _block_cases(rng):
     with equality rows); Z holds 12 points of dom g and up to 12 more on faces
     that two pieces share, V random vectors and subgradients in turn."""
     for g in [g for _, g in _g_fixtures()] + _certificate_cases(rng)[0]:
-        Z = [sample_domain_point(g, rng) for _ in range(12)]
-        for i, j in itertools.combinations(range(len(g.pieces)), 2):
-            both = intersect(g.pieces[i].C, g.pieces[j].C)
-            if len(Z) < 24 and (z0 := interior_point(both)) is not None:
-                Z.append(project(both, z0 + rng.standard_normal(g.m)))
-        V = [project(subdifferential(g, z), rng.standard_normal(g.m)) if k % 2 else
+        Z = _faces_and_points(g, rng)
+        V = [subdifferential(g, z, rng.standard_normal(g.m)) if k % 2 else
              rng.standard_normal(g.m) for k, z in enumerate(Z)]
         yield g, np.array(Z), np.array(V)
 
@@ -515,8 +563,9 @@ def test_dual_lq_prox_matches_the_qp_kernel(rng):
 
 
 def test_dual_lq_subdifferential_is_argmax():
+    # the oracle's dual-LQ subdifferential, which `oracles.multiplier_set_hrep` reads
     h = DualLQ(Polyhedron.box([0.0], [1.0]), [[1.0]])
-    sub = dual_lq_subdifferential(h, [0.5])  # argmax over [0,1] of .5u - u^2/2
+    sub = subdifferential_hrep(h, [0.5])  # argmax over [0,1] of .5u - u^2/2
     assert contains(sub, [0.5], 1e-9) and not contains(sub, [0.6], 1e-9)
 
 
@@ -532,9 +581,7 @@ def test_interleaved_points_match_a_fresh_function(rng, g_abs, g_two_piece_2d):
         ws = rng.standard_normal((10, g.m))
         for z in (z1, z2, z1):
             fresh = PLQFunction.from_dict(g.to_dict())
-            sub, ref = subdifferential(g, z), subdifferential(fresh, z)
-            assert all(np.array_equal(x, y) for x, y in
-                       ((sub.A, ref.A), (sub.b, ref.b), (sub.E, ref.E), (sub.d, ref.d)))
+            assert np.array_equal(subdifferential(g, z, 3.0 * ws), subdifferential(fresh, z, 3.0 * ws))
             assert [subderivative(g, z, w) for w in ws] == \
                 [subderivative(fresh, z, w) for w in ws]
 
@@ -623,9 +670,9 @@ def test_second_quotient_suite(rng, g_abs, g_quad, g_two_piece_2d):
 
 
 def test_outer_lipschitz_of_subdifferential(rng, g_abs, g_two_piece_2d):
-    # vertices of subdiff(z) stay within ell * |z - zbar| of subdiff(zbar)
+    # vertices of subdiff(z), from the oracle's H-representation, stay within
+    # ell * |z - zbar| of subdiff(zbar), measured by the projection route
     for g, zbar in ((g_abs, np.zeros(1)), (g_two_piece_2d, np.zeros(2))):
-        base = subdifferential(g, zbar)
         ell = None
         for radius in (1e-1, 1e-2, 1e-3):
             worst = 0.0
@@ -633,12 +680,12 @@ def test_outer_lipschitz_of_subdifferential(rng, g_abs, g_two_piece_2d):
                 z = zbar + radius * rng.standard_normal(g.m)
                 if not np.isfinite(evaluate(g, z)):
                     continue
-                sub = subdifferential(g, z)
+                sub = subdifferential_hrep(g, z)
                 pts = vertices(sub) if sub.n_ineq + sub.n_eq >= sub.dim else []
                 if not pts:
-                    pts = [project(sub, rng.standard_normal(g.m))]
+                    pts = [subdifferential(g, z, rng.standard_normal(g.m))]
                 for v in pts:
-                    gap = np.linalg.norm(v - project(base, v))
+                    gap = np.linalg.norm(v - subdifferential(g, zbar, v))
                     worst = max(worst, gap / max(np.linalg.norm(z - zbar), 1e-15))
             if ell is None:
                 ell = max(worst, 1.0) * 1.5  # estimate once at the largest radius
@@ -830,8 +877,9 @@ def test_vector_max(g_abs):
     gmax = plq_vector_max(3)
     assert evaluate(gmax, [1.0, 3.0, 2.0]) == 3.0
     assert active_indices(gmax, [2.0, 2.0, 0.0]) == [0, 1]
-    # subdifferential at a two-way tie is the simplex face
-    sub = subdifferential(gmax, [2.0, 2.0, 0.0])
-    assert contains(sub, [0.5, 0.5, 0.0], 1e-8)
-    assert contains(sub, [1.0, 0.0, 0.0], 1e-8)
-    assert not contains(sub, [0.5, 0.4, 0.1], 1e-8)
+    # subdifferential at a two-way tie is the simplex face: its points are
+    # their own projections, and a point off it moves onto it
+    z = [2.0, 2.0, 0.0]
+    for v in ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]):
+        assert np.linalg.norm(subdifferential(gmax, z, v) - v) <= 1e-12
+    assert np.allclose(subdifferential(gmax, z, [0.5, 0.4, 0.1]), [0.55, 0.45, 0.0], atol=1e-12)

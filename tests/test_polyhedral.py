@@ -24,13 +24,10 @@ from plqsqp.polyhedral import (
     critical_cone,
     enumerate_faces,
     fourier_motzkin,
-    generated_cone_hrep,
     interior_point,
     lineality_basis,
     normal_cone_dist,
     normal_cone_dist_at_rows,
-    normal_cone_generators,
-    normal_cone_hrep,
     project,
     project_cone_union,
     span_basis,
@@ -41,6 +38,7 @@ from oracles import (
     face_cone,
     faces_by_closure_walk,
     faces_by_subsets,
+    generated_cone_hrep,
     normal_cone_dist_by_stacked_nnls,
     prune_redundant_by_lp,
     rays_by_subsets,
@@ -274,36 +272,6 @@ def _pattern_points(two_piece_2d):
         inside = -piece.C.A[0, 0]  # a point with z1 strictly inside the piece
         out.append((piece.C, [np.array([inside, 0.0]), np.array([2.0 * inside, 5.0])]))
     return out
-
-
-def test_normal_cone_hrep_matches_fresh_elimination_at_every_pattern(g_two_piece_2d):
-    cases = _pattern_points(g_two_piece_2d)
-    patterns = {(id(P), tuple(polyhedral.active_rows(P, x))) for P, xs in cases for x in xs}
-    assert len(patterns) == 9 + 2 * 2  # every pattern of the box and of both pieces
-    for P, xs in cases:
-        assert len({tuple(polyhedral.active_rows(P, x)) for x in xs}) == 1
-        for x in xs:
-            fresh = generated_cone_hrep(*normal_cone_generators(P, x), n=P.dim)
-            assert _bitwise_equal(normal_cone_hrep(P, x), fresh)
-
-
-def test_second_point_of_a_pattern_runs_no_lp(monkeypatch):
-    # nor any redundancy NNLS: the pattern's cone is built once
-    calls = []
-    nnls = polyhedral.nonneg_lstsq
-
-    def spy(M, r):
-        if sys._getframe(1).f_code.co_name == "prune_redundant":
-            calls.append(1)
-        return nnls(M, r)
-
-    monkeypatch.setattr(polyhedral, "nonneg_lstsq", spy)
-    box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
-    first = normal_cone_hrep(box, [1.0, 0.5])
-    assert calls  # the edge's cone is pruned once
-    del calls[:]
-    second = normal_cone_hrep(box, [1.0, 1.5])
-    assert not calls and _bitwise_equal(first, second)
 
 
 def test_tangent_cone_is_one_per_pattern(g_two_piece_2d):

@@ -7,20 +7,21 @@ module top: no function-body import is left to break a cycle.  Every
 function the benchmark's tracer wraps must exist where it looks.
 Every top-level function and class is used elsewhere in the package or
 exported.  Every error class has a raise site in the package, so that a
-class which is only caught cannot linger.  Fourier-Motzkin cone
-eliminations go through the per-pattern memo of `normal_cone_hrep` only
-(`generated_cone_hrep` is the one caller of `fourier_motzkin`), and
-implicit equalities through the one decision of
+class which is only caught cannot linger.  No function of the package
+eliminates a cone: nothing references `fourier_motzkin` (kept for the
+tracer, the test oracles call it) or `generated_cone_hrep` (a test
+oracle), so subdifferentials and multiplier sets are projected onto, not
+built; implicit equalities go through the one decision of
 `lp.implicit_equalities` (verified NNLS).
 Subgradient-graph calculus lives in `plq` and `polyhedral`: the
 diagnostics build no polyhedron, measure no normal-cone distance and
 eliminate no normal cone of their own (no `normal_cone_hrep`,
 `shifted_intersection` or `proto_contains`).  The dense QP kernel serves
-the dual-LQ value and subdifferential (`plq`) and the subproblem's piece
-QPs (`subqp`) only; projections, the prox and nonnegative least squares
-run without it.  PLQ membership and subgradient tests read the
-function's stacked piece rows and make no per-piece membership, activity
-or normal-cone call.
+the dual-LQ value (`plq`), the subproblem's piece QPs (`subqp`) and the
+projection onto a multiplier set (`kkt`) only; projections onto polyhedra,
+the prox and nonnegative least squares run without it.  PLQ membership
+and subgradient tests read the function's stacked piece rows and make no
+per-piece membership, activity or normal-cone call.
 Multiplier uniqueness has one route, the dual cone condition's
 implicit-equality decision: `check_unique_multiplier` and the helpers it
 calls build no multiplier polyhedron and run no LP of their own.  The SQP
@@ -63,6 +64,7 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # top-level definitions that may stay unreferenced and unexported, with why
 UNUSED_ALLOWED = {
     "cone_rays": "bench/tracer.py wraps it until ROADMAP item 7",
+    "fourier_motzkin": "bench/tracer.py wraps it until ROADMAP item 7; the test oracles call it",
     "solve_lp": "bench/tracer.py wraps it until ROADMAP item 7; the test oracles call it",
 }
 # defaulted parameters that no call passes, with why they stay
@@ -247,17 +249,13 @@ def test_every_error_is_raised():
 
 
 def test_cone_elimination_has_one_route():
-    users = {"generated_cone_hrep": set(), "fourier_motzkin": set()}
+    # the route is the test oracles': no function of the package eliminates
+    users = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for name, _ in _referenced_names(node):
-                if name in users and getattr(node, "name", None) != name:
-                    users[name].add((path.name, getattr(node, "name", f"line {node.lineno}")))
-    assert users["generated_cone_hrep"] == {("polyhedral.py", "normal_cone_hrep")}, users
-    assert users["fourier_motzkin"] == {("polyhedral.py", "generated_cone_hrep")}, users
+        for name, node in _statements(ast.parse(path.read_text(), filename=str(path))):
+            users.update((path.name, name, ref) for ref, _ in _referenced_names(node)
+                         if ref in {"fourier_motzkin", "generated_cone_hrep"})
+    assert not users, sorted(users)
 
 
 def _statements(tree):
@@ -305,10 +303,11 @@ def test_qp_kernel_serves_the_dual_lq_supremum_and_the_subproblem_only():
             if name != "active_set_qp" \
                     and any(ref == "active_set_qp" for ref, _ in _referenced_names(node)):
                 users.add((path.name, name))
-    # the dual-LQ value and argmax face, whose B may be singular, and the
-    # subproblem's piece QPs, which may be nonconvex
-    assert users == {("plq.py", "dual_lq_eval_prox"), ("plq.py", "dual_lq_subdifferential"),
-                     ("subqp.py", "solve_subproblem")}, sorted(users)
+    # the dual-LQ value, whose B may be singular, the subproblem's piece QPs,
+    # which may be nonconvex, and the projection onto a multiplier set, whose
+    # Q is zero on the normal cones' multipliers
+    assert users == {("plq.py", "dual_lq_eval_prox"), ("subqp.py", "solve_subproblem"),
+                     ("kkt.py", "multiplier_set")}, sorted(users)
 
 
 def test_pointwise_plq_tests_read_the_stacked_piece_rows():

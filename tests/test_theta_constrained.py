@@ -78,11 +78,10 @@ def test_quadratic_inner_map_takes_multiple_steps_superlinearly():
 
 
 def test_multiplier_set_is_the_origin():
-    prob = box_fixture()
-    lam_set = multiplier_set(prob, XBAR)
-    assert contains(lam_set, [0.0], 1e-9)
-    for bad in ([0.5], [-0.5]):
-        assert not contains(lam_set, bad, 1e-9)
+    # every point projects onto Lambda(xbar) = {0}
+    point = kkt_point(box_fixture(), XBAR, LAMBAR)
+    for u in ([0.0], [0.5], [-0.5], [9.0]):
+        assert np.linalg.norm(multiplier_set(point, u)) <= 1e-12
 
 
 def test_critical_direction_cone_is_trivial():
