@@ -12,10 +12,12 @@ Each function builds one table (`_PieceTable`) at construction: every
 piece's rows stacked with the piece owning each row, and every piece's
 least-distance frame, so membership, active rows and subgradient tests
 at a point are one product with it, and a bad piece fails there.  They
-take row blocks: `subgradient_dist` and `in_subgradient_graph` of (Z, V),
-`prox` and `Piece.value` of a block X, and `subderivative` of a block W of
-directions at one z, one answer per row.  A 1-D argument is a block of
-one, except that a 1-D `prox` keeps its one-point route.  No
+take row blocks, one answer per row: `subgradient_dist` of (Z, V), `prox`
+of X, `subdifferential` and `subderivative` of u at one z or at the rows
+of Z, and `second_subderivative` of (Z, V, W), whose cones
+(`critical_groups`) are built once per group of rows that share pieces and
+active rows.  A 1-D argument is a block of one; a 1-D `prox` and
+`subgradient_dist` keep their one-point route.  No
 subdifferential is built as a set: `subdifferential` projects onto it
 through the active pieces' tangent cones (Moreau's identity for dg(z)), at
 any m, and membership is a `subgradient_dist` within tolerance.  The load
@@ -52,11 +54,12 @@ from .polyhedral import (
     Polyhedron,
     active_rows,
     contains,
+    critical_cut,
+    cut_cone,
     interior_point,
     normal_cone_dist_at_rows,
     project,
     span_basis,
-    tangent_cone,
     tangent_cone_at_rows,
 )
 from .qp import active_set_qp
@@ -213,16 +216,33 @@ def active_indices(g: PLQFunction, z) -> list:
     return idx
 
 
-def _piece_dists(g: PLQFunction, member, active, Z, V) -> list:
-    """[(i, J_i, V_i, dist(V_i, N_{C_i}(z)))] over the pieces in `member`, with
-    V_i = V - A_i Z - a_i, for a point Z or a block of points that share those
-    pieces and the table's `active` rows: one normal-cone product per piece."""
+def _pieces_at(g: PLQFunction, member, active) -> list:
+    """[(i, J_i)]: the pieces in `member`, each with its rows among the table's `active` ones."""
     T = g._table
+    return [(int(i), np.flatnonzero(active[T.start[i]:T.start[i + 1]]).tolist())
+            for i in np.flatnonzero(member)]
+
+
+def _row_groups(g: PLQFunction, Z) -> list:
+    """[(rows, `_pieces_at`)]: the rows of a (k, m) block Z grouped by the
+    pieces holding them and the table's rows active there (the mask's bytes,
+    `row_groups`); a row outside dom g raises PointOutsideDomain."""
+    T, n = g._table, len(g.pieces)
+    member, AZ = _membership(g, Z)
+    if not member.any(axis=1).all():
+        raise PointOutsideDomain("a point of the block lies outside dom g")
+    return [(rows, _pieces_at(g, mask[:n], mask[n:]))
+            for mask, rows in row_groups(np.hstack([member, T.b - AZ <= T.act]))]
+
+
+def _piece_dists(g: PLQFunction, pieces, Z, V) -> list:
+    """[(i, J_i, V_i, dist(V_i, N_{C_i}(z)))] over `pieces` [(i, J_i)], with
+    V_i = V - A_i Z - a_i, for a point Z or a block of points that share those
+    pieces and active rows: one normal-cone product per piece."""
     out = []
-    for i in np.flatnonzero(member):
-        J = np.flatnonzero(active[T.start[i]:T.start[i + 1]]).tolist()
+    for i, J in pieces:
         Vi = V - g.pieces[i].gradient(Z)
-        out.append((int(i), J, Vi, normal_cone_dist_at_rows(g.pieces[i].C, J, Vi)))
+        out.append((i, J, Vi, normal_cone_dist_at_rows(g.pieces[i].C, J, Vi)))
     return out
 
 
@@ -234,98 +254,116 @@ def _normal_dists(g: PLQFunction, z, v) -> list:
     member, Az = _membership(g, z)
     if not member.any():
         raise PointOutsideDomain("z lies outside dom g")
-    return _piece_dists(g, member, g._table.b - Az <= g._table.act, z,
+    return _piece_dists(g, _pieces_at(g, member, g._table.b - Az <= g._table.act), z,
                         np.asarray(v, dtype=float).ravel())
 
 
 def subgradient_dist(g: PLQFunction, z, v):
     """max over active pieces of dist(v - A_i z - a_i, N_{C_i}(z)) (`_normal_dists`).
-    Row blocks (Z, V) give one distance per row: rows grouped by their pieces
-    and active rows (the mask's bytes) take one `_piece_dists` per group."""
+    Row blocks (Z, V) give one distance per row: one `_piece_dists` per group
+    of rows that share their pieces and active rows (`_row_groups`)."""
     Z, V = np.asarray(z, dtype=float), np.asarray(v, dtype=float)
     if Z.ndim == 1:
         return max(dist for *_, dist in _normal_dists(g, Z, V))
-    T = g._table
-    member, AZ = _membership(g, Z)
-    if not member.any(axis=1).all():
-        raise PointOutsideDomain("a point of the block lies outside dom g")
     dist = np.empty(len(Z))
-    for mask, rows in row_groups(np.hstack([member, T.b - AZ <= T.act])):
-        dist[rows] = np.max([d for *_, d in _piece_dists(
-            g, mask[:len(g.pieces)], mask[len(g.pieces):], Z[rows], V[rows])], axis=0)
+    for rows, pieces in _row_groups(g, Z):
+        dist[rows] = np.max([d for *_, d in _piece_dists(g, pieces, Z[rows], V[rows])], axis=0)
     return dist
 
 
-def _tangents(g: PLQFunction, z) -> list:
-    """[(T_{C_i}(z), A_i z + a_i)] over the pieces active at z, kept on g for
-    the last z, keyed by its bytes, so many directions or points at one z
-    build them once."""
-    z = np.asarray(z, dtype=float).ravel()
-    key = z.tobytes()
-    memo = getattr(g, "_tangent_memo", None)
-    if memo is None or memo[0] != key:
-        memo = (key, [(tangent_cone(g.pieces[i].C, z), g.pieces[i].gradient(z))
-                      for i in active_indices(g, z)])
-        object.__setattr__(g, "_tangent_memo", memo)
-    return memo[1]
+def _tangent_groups(g: PLQFunction, Z, u) -> tuple:
+    """(U, [(rows, [(T_i, S_i)])]): u at one z, shape (..., m), or at the paired
+    rows of a (k, m) block z, shape (k, ..., m), as U (k, p, m); per group of
+    `_row_groups`, each piece's tangent cone at its active rows with
+    S_i = A_i z + a_i at the group's points, shape (rows, 1, m)."""
+    Z = np.asarray(Z, dtype=float).reshape(-1, g.m)
+    return np.asarray(u, dtype=float).reshape(len(Z), -1, g.m), [
+        (rows, [(tangent_cone_at_rows(g.pieces[i].C, J), g.pieces[i].gradient(Z[rows])[:, None])
+                for i, J in pieces]) for rows, pieces in _row_groups(g, Z)]
 
 
 def subdifferential(g: PLQFunction, z, u) -> np.ndarray:
-    """The point of ∂g(z) nearest u, or one point per row of a (k, m) block.
+    """The point of ∂g(z) nearest u, per row of u, at one z or at the paired
+    rows of a (k, m) block z (`_tangent_groups`).
 
     The subderivative dg(z) is the support function of ∂g(z) (Rockafellar
     & Wets, *Variational Analysis*, 8.30), so by Moreau's identity the
     projection is u - prox_{dg(z)}(u).  dg(z) is <s_i, w> on the tangent
-    cone T_i of each active piece, s_i = A_i z + a_i (`_tangents`), so the
-    prox is the best of w_i = `project`(T_i, u - s_i), each valued
-    <s_i, w_i> + ½||w_i - u||², ties to the lower piece index.  No
-    H-representation is built, and m is not capped.
+    cone T_i of each active piece, s_i = A_i z + a_i, so the prox is the
+    best of w_i = `project`(T_i, u - s_i) (one block per piece and group),
+    each valued <s_i, w_i> + ½||w_i - u||², ties to the lower piece index.
     """
-    U = np.asarray(u, dtype=float)
-    W, best = np.zeros_like(U), np.full(U.shape[:-1], np.inf)
-    for T, s in _tangents(g, z):
-        Wi = project(T, U - s)
-        D = Wi - U
-        val = Wi @ s + 0.5 * np.vecdot(D, D)
-        better = val < best  # strict, so a tie keeps the lower index
-        W, best = np.where(better[..., None], Wi, W), np.where(better, val, best)
-    return U - W
+    U, groups = _tangent_groups(g, z, u)
+    out = np.empty_like(U)
+    for rows, tangents in groups:
+        Ur = U[rows]
+        W, best = np.zeros_like(Ur), np.full(Ur.shape[:-1], np.inf)
+        for T, S in tangents:
+            Wi = project(T, (Ur - S).reshape(-1, g.m)).reshape(Ur.shape)
+            D = Wi - Ur
+            val = np.vecdot(Wi, S) + 0.5 * np.vecdot(D, D)
+            better = val < best  # strict, so a tie keeps the lower index
+            W, best = np.where(better[..., None], Wi, W), np.where(better, val, best)
+        out[rows] = Ur - W
+    return out.reshape(np.shape(u))
 
 
 def subderivative(g: PLQFunction, z, w):
     """dg(z)(w): <A_i z + a_i, w> on the tangent cone of the first active piece
-    holding w (`_tangents`), else +inf; a (k, m) block of directions gives one
-    value per row."""
-    W = np.asarray(w, dtype=float)
+    holding w, else +inf; one value per direction, paired with z as in
+    `subdifferential`."""
+    W, groups = _tangent_groups(g, z, w)
     value = np.full(W.shape[:-1], np.inf)
-    for T, grad in reversed(_tangents(g, z)):  # so the first cone holding a row writes last
-        value = np.where(contains(T, W), np.vecdot(W, grad), value)
-    return value if W.ndim > 1 else float(value)
+    for rows, tangents in groups:
+        Wr, val = W[rows], value[rows]
+        for T, S in reversed(tangents):  # so the first cone holding a row writes last
+            val = np.where(contains(T, Wr), np.vecdot(Wr, S), val)
+        value[rows] = val
+    return value.reshape(np.shape(w)[:-1]) if np.ndim(w) > 1 else float(value[0, 0])
 
 
 def piece_critical_cones(g: PLQFunction, z, v):
-    """[(i, K_{C_i}(z, v_i))] for active pieces, v_i = v - A_i z - a_i: each
-    T_{C_i}(z) from the table's active rows cut by v_i^T w = 0 (`tangent_cone_at_rows`),
-    after one normal-cone NNLS per piece bounded by NORMAL_TOL (`_normal_dists`)."""
-    normals = _normal_dists(g, z, v)
-    if max(dist for *_, dist in normals) > NORMAL_TOL:
-        raise NotASubgradient("v is not a subgradient of g at z")
-    return [(i, tangent_cone_at_rows(g.pieces[i].C, J, vi)) for i, J, vi, _ in normals]
+    """[(i, K_{C_i}(z, v_i))] for the pieces active at z, v_i = v - A_i z - a_i:
+    `critical_groups` at one point, each cut cone built (`cut_cone`)."""
+    (_, cones), = critical_groups(g, np.reshape(z, (1, g.m)), np.reshape(v, (1, g.m)))
+    return [(i, cut_cone(T, C[0])) for i, T, C in cones]
 
 
-def second_subderivative(g: PLQFunction, z, v, w) -> float:
-    """d^2 g(z, v)(w): the piece quadratic form on the critical cone, else +inf."""
-    return second_form(g, piece_critical_cones(g, z, v), w)
+def critical_groups(g: PLQFunction, Z, V) -> list:
+    """[(rows, [(i, T_i, C_i)])] per group of `_row_groups` of (k, m) blocks
+    (Z, V): K_{C_i}(z, v_i) at row k is `cut_cone`(T_i, C_i[k]), T_i the
+    tangent cone at the group's active rows, C_i = `critical_cut`(C_i, V_i);
+    NotASubgradient when a normal-cone distance exceeds NORMAL_TOL."""
+    out = []
+    for rows, pieces in _row_groups(g, Z):
+        dists = _piece_dists(g, pieces, Z[rows], V[rows])
+        if max(d.max() for *_, d in dists) > NORMAL_TOL:
+            raise NotASubgradient("v is not a subgradient of g at z")
+        out.append((rows, [(i, tangent_cone_at_rows(C := g.pieces[i].C, J), critical_cut(C, Vi))
+                           for i, J, Vi, _ in dists]))
+    return out
 
 
-def second_form(g: PLQFunction, cones, w) -> float:
-    """w^T A_i w for the first (i, K) of `piece_critical_cones` with w in K,
-    else +inf: d^2 g(z, v)(w) from cones already built at (z, v)."""
-    w = np.asarray(w, dtype=float).ravel()
-    for i, K in cones:
-        if contains(K, w):
-            return float(w @ g.pieces[i].A @ w)
-    return np.inf
+def second_subderivative(g: PLQFunction, z, v, w):
+    """d^2 g(z, v)(w): the piece quadratic form on the critical cone, else +inf;
+    (k, m) blocks (Z, V, W) give one value per row."""
+    Z, V, W = (np.asarray(a, dtype=float).reshape(-1, g.m) for a in (z, v, w))
+    value = second_form(g, critical_groups(g, Z, V), W)
+    return value if np.ndim(w) > 1 else float(value[0])
+
+
+def second_form(g: PLQFunction, groups, W) -> np.ndarray:
+    """d^2 g(z, v)(w) per row of W from `critical_groups` at (Z, V): w^T A_i w
+    for the first piece i whose critical cone holds w (T_i's rows and the cut,
+    within MEMBER_TOL as `contains`), else +inf."""
+    value = np.full(len(W), np.inf)
+    for rows, cones in groups:
+        Wr, val = W[rows], value[rows]
+        for i, T, C in reversed(cones):  # so the first cone holding a row writes last
+            holds = contains(T, Wr) & (np.abs(np.vecdot(Wr, C)) <= MEMBER_TOL)
+            val = np.where(holds, np.vecdot(Wr @ g.pieces[i].A, Wr), val)
+        value[rows] = val
+    return value
 
 
 def second_order_model(g: PLQFunction, z, v) -> PLQFunction:
@@ -510,11 +548,15 @@ def prox_any(g, x, near=None) -> np.ndarray:
 # certificates (exact validation of user-supplied pieces on a domain taken convex)
 # ---------------------------------------------------------------------------
 
-def sample_domain_point(g: PLQFunction, rng, radius=1.0):
-    """A random point of dom g, stratified over pieces (each nonempty, so
-    its interior point exists)."""
-    C = g.pieces[int(rng.integers(len(g.pieces)))].C
-    return project(C, interior_point(C) + radius * rng.standard_normal(g.m))
+def sample_domain_points(g: PLQFunction, rng, k, radius=1.0) -> np.ndarray:
+    """k random points of dom g as a (k, m) block, stratified over pieces
+    (each nonempty, so its interior point exists): the pieces and the noise
+    are drawn as blocks, and each piece drawn maps its rows by one `project`."""
+    piece, X = rng.integers(len(g.pieces), size=k), radius * rng.standard_normal((k, g.m))
+    for i in np.flatnonzero(np.bincount(piece, minlength=len(g.pieces))):
+        C = g.pieces[i].C
+        X[piece == i] = project(C, interior_point(C) + X[piece == i])
+    return X
 
 
 def _rows(*Cs):

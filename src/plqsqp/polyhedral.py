@@ -306,11 +306,27 @@ def critical_cone(P: Polyhedron, x, v) -> PolyCone:
 
 def tangent_cone_at_rows(P: Polyhedron, J, v=None) -> PolyCone:
     """T_P(x) at an x of P whose active rows are J, kept on P per J; cut by
-    v^T w = 0 unless v is None or ||v|| <= NORMAL_TOL: the critical cone K_P(x, v)."""
+    `critical_cut`(P, v)^T w = 0 unless v is None: the critical cone K_P(x, v)."""
     T = _derived(P, ("T", tuple(J)), lambda: PolyCone.from_rows(P.A[J], P.E, P.dim))
-    if v is None or np.linalg.norm(v) <= NORMAL_TOL:
-        return T
-    return PolyCone.from_rows(T.A, np.vstack([T.E, v.reshape(1, -1)]), P.dim)
+    return T if v is None else cut_cone(T, critical_cut(P, v)[0])
+
+
+def cut_cone(T: PolyCone, c) -> PolyCone:
+    """T ∩ {cᵀw = 0}, or T itself when c = 0."""
+    return PolyCone.from_rows(T.A, np.vstack([T.E, c]), T.dim) if c.any() else T
+
+
+def critical_cut(P: Polyhedron, v) -> np.ndarray:
+    """Per row of a (k, n) block v (or of one v), the row c with K_P(x, v) =
+    T_P(x) ∩ {cᵀw = 0}: c = N Nᵀv, N spanning null(E) in P's frame, as vᵀw =
+    cᵀw on T_P(x) and c is orthogonal to E's rows, so the stack stays of full
+    rank; 0, and T_P(x) uncut, where ||v|| <= NORMAL_TOL or c is flat (`flat_rows`)."""
+    V = np.asarray(v, dtype=float).reshape(-1, P.dim)
+    C, keep = V, np.linalg.norm(V, axis=1) > NORMAL_TOL
+    if P.n_eq:
+        N = _derived(P, "frame", lambda: affine_frame(P.A, P.E))[1]
+        C, keep = (VN := V @ N) @ N.T, keep & ~flat_rows(V, VN)
+    return np.where(keep[:, None], C, 0.0)
 
 
 def normal_cone_generators(P: Polyhedron, x):

@@ -12,7 +12,8 @@ KKT (stationary) point.  Each working-set iteration is one null-space step
 - the `affine_frame` (C⁺, Z, Q Z) of the working rows C, one SVD with the
   rank cutoff of `lstsq` (max(C.shape)·eps·s₀).  It gives the min-norm
   correction x + C⁺(r − C x) onto C x = r, the null-space basis Z, and,
-  at a zero step, the least-squares multipliers y = (C⁺)ᵀ(−∇);
+  at a zero step, the answer (the step's point, on C x = r, not the x it
+  started from) and its least-squares multipliers y = (C⁺)ᵀ(−∇);
 - at most one eigendecomposition of the reduced Hessian ZᵀQZ.  It gives
   the Newton step over the positive-curvature directions, or an unbounded
   ray (negative curvature, or linear descent along zero curvature).
@@ -186,10 +187,10 @@ def active_set_qp(Q, c, A, b, E, d, x0=None, face=None):
 
         step = x_new - x
         if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(x)):
-            y = frame.pinv.T @ -(Q @ x + c)
+            y = frame.pinv.T @ -(Q @ x_new + c)
             negs = [k for k, m in enumerate(y[q:]) if m < -_MULT_TOL]
             if not negs:
-                return _answer(Q, c, x, y, p, q, work, it + 1)
+                return _answer(Q, c, x_new, y, p, q, work, it + 1)
             work.remove(min(work[k] for k in negs))
             continue
 

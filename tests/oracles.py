@@ -39,7 +39,7 @@ from plqsqp.plq import (
     evaluate,
     piece_critical_cones,
     prox,
-    sample_domain_point,
+    sample_domain_points,
 )
 from plqsqp.polyhedral import (
     PolyCone,
@@ -313,7 +313,7 @@ def convexity_by_sampling(g, rng):
     midpoints outside dom g skipped: the sampled counterpart of
     `plq.check_convexity`."""
     for _ in range(100):
-        z1, z2 = sample_domain_point(g, rng), sample_domain_point(g, rng)
+        z1, z2 = sample_domain_points(g, rng, 2)
         t = float(rng.uniform(0.1, 0.9))
         fm = evaluate(g, t * z1 + (1 - t) * z2)
         if not np.isfinite(fm):

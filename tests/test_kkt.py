@@ -123,10 +123,11 @@ def _in_set(point, lam) -> bool:
 
 
 def test_multiplier_set_p1(p1):
-    # Lambda(1) = {1}: every point projects onto it
+    # Lambda(1) = {1}: every point projects onto it, exactly, as the QP answers
+    # a zero step at the point it computed on its working rows
     point = kkt_point(p1, [1.0], [1.0])
     for u in ([1.0], [0.5], [1.5], [-1.0], [40.0]):
-        assert np.linalg.norm(multiplier_set(point, u) - 1.0) <= 1e-12
+        assert multiplier_set(point, u).tolist() == [1.0]
 
 
 def test_multiplier_set_p2_all_reals(p2):

@@ -23,7 +23,7 @@ from plqsqp.plq import (
     piece_critical_cones,
     plq_vector_max,
     prox,
-    sample_domain_point,
+    sample_domain_points,
     subgradient_dist,
     proto_derivative_contains,
     second_order_model,
@@ -92,7 +92,7 @@ def test_subdifferential_smooth_points(g_abs, g_quad):
 
 def _faces_and_points(g, rng, k=12):
     """k points of dom g and up to k more on faces that two pieces share."""
-    Z = [sample_domain_point(g, rng) for _ in range(k)]
+    Z = list(sample_domain_points(g, rng, k))
     for i, j in itertools.combinations(range(len(g.pieces)), 2):
         both = intersect(g.pieces[i].C, g.pieces[j].C)
         if len(Z) < 2 * k and (z0 := interior_point(both)) is not None:
@@ -290,7 +290,7 @@ def test_prox_near_matches_oracle(rng, g_abs, g_ind_nonpos, g_quad, g_two_piece_
         for _ in range(25):
             x = 3.0 * rng.standard_normal(g.m)
             expect = prox_all_pieces(g, x)
-            for near in (None, expect, sample_domain_point(g, rng), outside):
+            for near in (None, expect, sample_domain_points(g, rng, 1)[0], outside):
                 z = prox(g, x, near=near)
                 assert np.linalg.norm(z - expect) <= 1e-10
                 assert subgradient_dist(g, z, x - z) <= 1e-8
@@ -315,7 +315,7 @@ def test_prox_hint_only_orders_the_pieces(rng, monkeypatch, g_abs, g_ind_nonpos,
         for _ in range(25):
             x = 3.0 * rng.standard_normal(g.m)
             expect = prox(g, x)
-            away = sample_domain_point(g, rng, radius=3.0)
+            away = sample_domain_points(g, rng, 1, radius=3.0)[0]
             for near in (expect, away):
                 projected.clear()
                 assert np.linalg.norm(prox(g, x, near=near) - expect) <= 1e-12
@@ -352,7 +352,7 @@ def test_subgradient_dist_matches_the_per_piece_reference(rng):
     shared = 0
     for kind, params, seed in CRITERION4_INSTANCES:
         g = generate(kind, seed=seed, **params).problem.g
-        points = [sample_domain_point(g, rng) for _ in range(15)]
+        points = list(sample_domain_points(g, rng, 15))
         pairs = [(i, j) for i in range(len(g.pieces)) for j in range(i + 1, len(g.pieces))]
         for k in rng.permutation(len(pairs))[:30]:
             both = intersect(g.pieces[pairs[k][0]].C, g.pieces[pairs[k][1]].C)
@@ -609,10 +609,11 @@ def test_duality_suite_counts_one_failure_per_case(monkeypatch):
 
 
 def test_block_suites_keep_their_counts_at_seeds_0_to_9(monkeypatch):
-    # the resolvent, projection and Moreau suites and the reduction lemma map
-    # their samples by block prox and project calls; at seeds 0-9 they check
-    # every case and none fails, as when each point was mapped alone.  With
-    # projections off by 1e-6 more at each call, every projection case fails once
+    # every suite maps its samples by block calls; at seeds 0-9 the
+    # resolvent, projection, tangent and Moreau suites check every case, the
+    # quotient suite checks some, and none fails, as when each point was
+    # mapped alone.  With projections off by 1e-6 more at each call, every
+    # projection case fails once
     from plqsqp import properties
     from plqsqp.diagnostics import verify_reduction_lemma
     from plqsqp.polyhedral import PolyCone
@@ -625,8 +626,11 @@ def test_block_suites_keep_their_counts_at_seeds_0_to_9(monkeypatch):
         rng = np.random.default_rng(seed)
         for g in gs.values():
             assert prox_resolvent_suite(g, rng, n_cases=200)[:2] == (0, 200)
+            failures, checked, _ = second_quotient_suite(g, rng, n_cases=200)
+            assert failures == 0 and checked > 0
         for P in sets:
             assert properties.projection_suite(P, rng, n_cases=200)[:2] == (0, 200)
+            assert properties.tangent_localization_suite(P, rng, n_cases=100)[:2] == (0, 100)
         assert properties.moreau_polarity_suite(cone, rng, n_cases=100)[:2] == (0, 100)
         verdict = verify_reduction_lemma(gs["half_square"], [1.0], [1.0], eps=1e-2,
                                          n_samples=500, rng=rng)
@@ -635,6 +639,80 @@ def test_block_suites_keep_their_counts_at_seeds_0_to_9(monkeypatch):
     monkeypatch.setattr(properties, "project", lambda P, z: project(P, z) + 1e-6 * next(shifts))
     for P in sets:
         assert properties.projection_suite(P, np.random.default_rng(0), 200)[:2] == (200, 200)
+
+
+def test_quotient_and_tangent_suites_count_one_failure_per_case(monkeypatch):
+    # a second-order value 1 below the true one fails every checked quotient
+    # case exactly once (the host piece's form disagrees); a tangent cone
+    # missing its first active row holds steps that leave the set
+    from plqsqp import plq, polyhedral, properties
+    for _, g in _g_fixtures():
+        expect = second_quotient_suite(g, np.random.default_rng(0), n_cases=200)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(properties, "second_form",
+                          lambda g, groups, W: plq.second_form(g, groups, W) - 1.0)
+            assert second_quotient_suite(g, np.random.default_rng(0), 200)[:2] == (expect, expect)
+    simplex = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                         np.array([1.0, 0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
+    monkeypatch.setattr(properties, "tangent_cone_at_rows",
+                        lambda P, J: polyhedral.tangent_cone_at_rows(P, J[1:]))
+    for P in (simplex, Polyhedron.nonpos(1), Polyhedron.box([-1.0, 0.0], [1.0, 2.0])):
+        failures, checked, _ = properties.tangent_localization_suite(
+            P, np.random.default_rng(0), n_cases=100)
+        assert 0 < failures <= checked == 100
+
+
+def test_block_calculus_over_distinct_points_agrees_with_its_rows(rng):
+    # the four calculus fixtures, the convex functions of `_certificate_cases`
+    # and the ELQP and min-max g's of criterion 4, at points of dom g and of
+    # faces two pieces share: subdifferential and subderivative over a block
+    # of distinct z answer as one-point calls do, and the block second
+    # subderivative as the first critical cone of `piece_critical_cones`
+    # holding w does (finite for w drawn in a critical cone)
+    from plqsqp.generators import generate
+    gs = [g for _, g in _g_fixtures()] + _certificate_cases(rng)[0] \
+        + [generate(kind, seed=seed, **params).problem.g
+           for kind, params, seed in CRITERION4_INSTANCES if kind != "nlp"]
+    finite = 0
+    for g in gs:
+        Z = np.array(_faces_and_points(g, rng, k=6))
+        U, W3 = 3.0 * rng.standard_normal(Z.shape), rng.standard_normal((len(Z), 5, g.m))
+        V = subdifferential(g, Z, U)
+        for z, u, v, W in zip(Z, U, V, W3):
+            assert np.linalg.norm(v - subdifferential(g, z, u)) <= 1e-12 * (1.0 + np.linalg.norm(u))
+        assert np.array_equal(subderivative(g, Z, W3),
+                              [subderivative(g, z, W) for z, W in zip(Z, W3)])
+        W = rng.standard_normal(Z.shape)
+        for k, (z, v) in enumerate(zip(Z, V)):
+            cones = piece_critical_cones(g, z, v)
+            if k % 3:
+                W[k] = project(cones[rng.integers(len(cones))][1], W[k])
+        d2 = second_subderivative(g, Z, V, W)
+        for z, v, w, value in zip(Z, V, W, d2):
+            ref = next((w @ g.pieces[i].A @ w for i, K in piece_critical_cones(g, z, v)
+                        if contains(K, w)), np.inf)
+            for other in (ref, second_subderivative(g, z, v, w)):
+                assert value == other or abs(value - other) <= 1e-12 * (1.0 + abs(other))
+            finite += bool(np.isfinite(value))
+    assert len(gs) == 32 and finite >= 200, finite
+
+
+def test_every_critical_cone_of_an_embedded_function_projects():
+    # on functions embedded in an affine subspace the critical cones of
+    # sampled (z, v) are cut by v's component off the equality rows, or not
+    # at all where v lies in their span: each takes a projection into
+    # itself, with no near-singular equality stack (which raised
+    # EmptyPolyhedron)
+    valid = _certificate_cases(np.random.default_rng(0))[0]
+    for item in (4, 12, 20, 22):
+        g = valid[item]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            Z = sample_domain_points(g, rng, 200)
+            V = subdifferential(g, Z, rng.standard_normal(Z.shape))
+            for z, v in zip(Z, V):
+                for _, K in piece_critical_cones(g, z, v):
+                    assert contains(K, project(K, rng.standard_normal(g.m)))
 
 
 def test_block_prox_agrees_with_its_rows(rng):
@@ -650,7 +728,7 @@ def test_block_prox_agrees_with_its_rows(rng):
     for g in gs:
         X = 3.0 * rng.standard_normal((8, g.m))
         expect = np.array([prox(g, x) for x in X])
-        away = np.array([sample_domain_point(g, rng, radius=3.0) for _ in X])
+        away = sample_domain_points(g, rng, len(X), radius=3.0)
         for near in (None, away[0], expect, away):
             hints = [None] * len(X) if near is None else np.broadcast_to(near, X.shape)
             rows = np.array([prox(g, x, near=h) for x, h in zip(X, hints)])

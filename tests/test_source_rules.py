@@ -45,7 +45,9 @@ path of the package.  Subspaces have one frame:
 `lp.affine_frame` is the only place that names an SVD, a null space or a
 range basis (`svd`, `null_space`, `orth`), `scipy.linalg` is not
 imported, and `matrix_rank` is left to the generators, whose accepted
-seeds it decides.
+seeds it decides.  The property suites draw their cases as blocks: no
+function of `properties` calls `range`, so none loops over its cases
+(`for ... in range(n_cases)`).
 """
 
 import ast
@@ -447,3 +449,12 @@ def test_subspaces_have_one_frame():
     lp = ast.parse((PACKAGE / "lp.py").read_text())
     assert "svd" in {ref for name, node in _statements(lp) if name == "affine_frame"
                      for ref, _ in _referenced_names(node)}
+
+
+def test_property_suites_draw_their_cases_as_blocks():
+    # no function of `properties` loops over its cases: nothing there calls
+    # `range`, so suites loop over groups of points, pieces and step lengths
+    path = PACKAGE / "properties.py"
+    found = sorted((name, line) for name, node in _statements(ast.parse(path.read_text()))
+                   for ref, line in _referenced_names(node) if ref == "range")
+    assert not found, found
